@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet xlinkvet selftest test debugtest race fuzz chaos trace bench benchdiff check
+.PHONY: build vet xlinkvet selftest test debugtest race fuzz chaos trace bench check
 
 build:
 	$(GO) build ./...
@@ -64,27 +64,11 @@ SCENARIO ?= interface-death
 trace:
 	$(GO) run ./cmd/xlinkqlog -run $(SCENARIO) -summary
 
-# Run the per-layer benchmark suite and record a labeled snapshot into
-# BENCH_5.json (ns/op, B/op, allocs/op). LABEL=before captures a baseline;
-# the default label is "after". See DESIGN.md §11.
-LABEL ?= after
+# Run the repo's benchmark (BENCHMARK.json): four end-to-end workloads with
+# gated set-up, allocation and retained-heap metrics plus the per-layer
+# cost budget. See benchmark/README.md and DESIGN.md §11.
 bench:
-	./scripts/bench.sh $(LABEL)
-
-# Compare the committed before/after snapshots; fails on >10% ns/op
-# regression — or any allocs/op regression at all — on any benchmark
-# present in both. The second comparison pins the batched-I/O work:
-# BENCH_10.json carries BENCH_5's before/after plus the "batched" snapshot
-# recorded with the batch plane on. Per-packet benches must be alloc-flat
-# (RoundTrip holds its 22-alloc budget exactly; wire/crypto stay at zero),
-# but the full-scenario macro benches legitimately gain <1% from one-time
-# per-connection batch setup (send-ring buffers, per-path pend slices), so
-# the allocs gate here is 1% — the per-packet zero is enforced by the
-# TestAllocGateBatch* tests in check.sh, where it belongs. ns/op is left
-# loose (75%) because snapshots come from different sessions of the box.
-benchdiff:
-	$(GO) run ./cmd/xlink-benchdiff -file BENCH_5.json -old before -new after -max-alloc-regress 0
-	$(GO) run ./cmd/xlink-benchdiff -file BENCH_10.json -old after -new batched -max-regress 75 -max-alloc-regress 1
+	bash benchmark/run.sh
 
 check:
 	./scripts/check.sh

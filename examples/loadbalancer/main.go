@@ -35,7 +35,7 @@ func main() {
 			{Name: "wifi", Tech: trace.TechWiFi, Up: trace.ConstantRate("w", 20, time.Second), OneWayDelay: 10 * time.Millisecond},
 			{Name: "lte", Tech: trace.TechLTE, Up: trace.ConstantRate("l", 15, time.Second), OneWayDelay: 30 * time.Millisecond},
 		})
-		client := transport.NewConn(env, transport.SenderFunc(nw.ClientSend),
+		client := transport.NewConn(env, transport.NetemSender{Network: nw, Client: true},
 			transport.Config{IsClient: true, Params: params, Seed: int64(c + 10)})
 		client.AddInterface(0, trace.TechWiFi)
 		client.AddInterface(1, trace.TechLTE)
@@ -46,7 +46,7 @@ func main() {
 		router := lb.NewRouter(8)
 		for _, id := range []byte{1, 2} {
 			id := id
-			srv := transport.NewConn(env, transport.SenderFunc(nw.ServerSend),
+			srv := transport.NewConn(env, transport.NetemSender{Network: nw},
 				transport.Config{Params: params, Seed: int64(c*7 + int(id)), ServerID: id})
 			srv.SetOnStreamOpen(func(now time.Duration, rs *transport.RecvStream) {
 				ss := srv.Stream(rs.ID())

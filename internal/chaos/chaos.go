@@ -21,6 +21,7 @@ package chaos
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/obs"
@@ -28,7 +29,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/video"
-	"repro/internal/wire"
 )
 
 // Scenario describes one chaos run: a topology, a fault script, and the
@@ -142,16 +142,11 @@ func Run(sc Scenario) Result {
 
 	loop := sim.NewLoop()
 	rng := sim.NewRNG(sc.Seed)
-	params := wire.DefaultTransportParams()
-	params.EnableMultipath = true
-	ccfg := transport.Config{Params: params, Seed: sc.Seed}
-	scfg := transport.Config{Params: params, Seed: sc.Seed + 1}
 	// The server runs XLINK's QoE-gated stream-priority re-injection so the
 	// chaos corpus exercises Alg. 1 under faults (not just vanilla-MP).
-	ctrl := qoe.NewController(qoe.Thresholds{Tth1: time.Second, Tth2: 2500 * time.Millisecond})
-	scfg.ReinjectionMode = transport.ReinjectStreamPriority
-	scfg.ReinjectionGate = ctrl.Decide
-	scfg.OnQoE = ctrl.OnSignal
+	x := core.New(core.SchemeXLINK, core.Options{ReinjectionMode: transport.ReinjectStreamPriority})
+	ctrl := x.Controller
+	ccfg, scfg := x.ClientConfig(sc.Seed), x.ServerConfig(sc.Seed+1)
 	// The FEC lane shares the same Δt feed: the redundancy controller sizes
 	// repair symbols off it. The gate is only consulted once both endpoints
 	// negotiate EnableFEC, which scenarios opt into via Tweak.
@@ -257,21 +252,10 @@ func Run(sc Scenario) Result {
 	res.RebufferTime = m.RebufferTime
 	res.RebufferCount = m.RebufferCount
 
-	// Compose the per-session scorecard: transport base (server = sender
-	// side for lane attribution and per-path utilization), receiver-side
-	// FEC recoveries, player stalls, and Alg. 1 activity. Emitted at the
-	// loop's final instant so per-origin event times stay monotonic even
-	// after the quiesce probe, then merged into the registry.
-	card := pair.Server.Scorecard()
-	card.FECRecoveredBytes = pair.Client.Stats().FECRecoveredBytes
-	card.Completed = res.Completed
-	if res.Completed {
-		card.RCT = completedAt
-	}
-	card.RebufferTime = m.RebufferTime
-	card.RebufferCount = uint64(m.RebufferCount)
-	card.QoEDecisions, card.QoEEnables = ctrl.Stats()
-	card.QoETransitions = ctrl.Transitions()
+	// The per-session scorecard is emitted at the loop's final instant so
+	// per-origin event times stay monotonic even after the quiesce probe,
+	// then merged into the registry.
+	card := x.Scorecard(pair, m, res.Completed, completedAt)
 	tr.Origin("server").Scorecard(loop.Now(), &card)
 	tr.Registry().MergeScorecard(&card)
 	res.Scorecard = card

@@ -292,11 +292,11 @@ func TestChaosBackendRemoval(t *testing.T) {
 	params := wire.DefaultTransportParams()
 	params.EnableMultipath = true
 
-	client := transport.NewConn(env, transport.SenderFunc(nw.ClientSend),
+	client := transport.NewConn(env, transport.NetemSender{Network: nw, Client: true},
 		transport.Config{IsClient: true, Params: params, Seed: 1,
 			IdleTimeout: 1500 * time.Millisecond})
 	mkServer := func(id byte) *transport.Conn {
-		return transport.NewConn(env, transport.SenderFunc(nw.ServerSend),
+		return transport.NewConn(env, transport.NetemSender{Network: nw},
 			transport.Config{Params: params, Seed: int64(id), ServerID: id,
 				IdleTimeout: 1500 * time.Millisecond})
 	}

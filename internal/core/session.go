@@ -147,20 +147,27 @@ func (s *Session) result() SessionResult {
 	if !res.Completed {
 		res.DownloadTime = s.cfg.Deadline
 	}
-	card := s.Pair.Server.Scorecard()
-	card.FECRecoveredBytes = res.ClientStats.FECRecoveredBytes
-	card.Completed = res.Completed
-	if res.Completed {
-		card.RCT = res.DownloadTime
-	}
-	card.RebufferTime = res.Metrics.RebufferTime
-	card.RebufferCount = uint64(res.Metrics.RebufferCount)
-	if c := s.XLINK.Controller; c != nil {
-		card.QoEDecisions, card.QoEEnables = c.Stats()
-		card.QoETransitions = c.Transitions()
-	}
-	res.Scorecard = card
+	res.Scorecard = s.XLINK.Scorecard(s.Pair, res.Metrics, res.Completed, res.DownloadTime)
 	return res
+}
+
+// Scorecard composes the per-session QoE rollup (DESIGN.md §14): the
+// transport base from the server connection (the sender side, for lane
+// attribution and per-path utilization), the client's receiver-side FEC
+// recoveries, the player's stalls and the Alg. 1 controller's activity.
+// rct is recorded only when the session completed.
+func (x *XLINK) Scorecard(pair *transport.Pair, m video.Metrics, completed bool, rct time.Duration) obs.Scorecard {
+	card := pair.Server.Scorecard()
+	card.FECRecoveredBytes = pair.Client.Stats().FECRecoveredBytes
+	card.Completed = completed
+	if completed {
+		card.RCT = rct
+	}
+	card.RebufferTime = m.RebufferTime
+	card.RebufferCount = uint64(m.RebufferCount)
+	card.QoEDecisions, card.QoEEnables = x.Controller.Stats()
+	card.QoETransitions = x.Controller.Transitions()
+	return card
 }
 
 // RunSession is the one-call convenience wrapper.

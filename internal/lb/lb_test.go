@@ -158,10 +158,10 @@ func TestMultipathConnectionSticksToOneBackend(t *testing.T) {
 	params := wire.DefaultTransportParams()
 	params.EnableMultipath = true
 
-	client := transport.NewConn(env, transport.SenderFunc(nw.ClientSend),
+	client := transport.NewConn(env, transport.NetemSender{Network: nw, Client: true},
 		transport.Config{IsClient: true, Params: params, Seed: 1})
 	mkServer := func(id byte) *transport.Conn {
-		return transport.NewConn(env, transport.SenderFunc(nw.ServerSend),
+		return transport.NewConn(env, transport.NetemSender{Network: nw},
 			transport.Config{Params: params, Seed: int64(id), ServerID: id})
 	}
 	s1, s2 := mkServer(1), mkServer(2)

@@ -16,8 +16,7 @@ const histShards = 8
 // Histogram is a concurrent fixed-bucket histogram with Prometheus `le`
 // semantics: bucket i counts observations v <= bounds[i], plus one overflow
 // bucket. Recording is atomic, lock-free and allocation-free; bounds are
-// immutable after construction. For the single-goroutine mergeable variant
-// used in offline analysis, see internal/stats.Histogram.
+// immutable after construction.
 type Histogram struct {
 	bounds []float64
 	shards [histShards]histShard

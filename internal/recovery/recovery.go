@@ -6,7 +6,6 @@
 package recovery
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/assert"
@@ -67,8 +66,9 @@ type AckResult struct {
 type Space struct {
 	rtt *cc.RTTEstimator
 
-	sent         []*SentPacket // ascending PN
-	byPN         map[uint64]*SentPacket
+	// sent is the one ledger of tracked packets, ascending by PN; lookups
+	// by packet number are binary searches over it (see search).
+	sent         []*SentPacket
 	largestAcked int64
 	nextPN       uint64
 
@@ -98,7 +98,7 @@ type Stats struct {
 // NewSpace creates a Space reporting RTT samples to rtt.
 func NewSpace(rtt *cc.RTTEstimator) *Space {
 	//xlinkvet:ignore hotalloc — constructor: one recovery space per path lifetime
-	return &Space{rtt: rtt, byPN: make(map[uint64]*SentPacket), largestAcked: -1}
+	return &Space{rtt: rtt, largestAcked: -1}
 }
 
 // Stats returns a copy of the counters.
@@ -125,21 +125,8 @@ func (s *Space) OnPacketSent(sp *SentPacket) {
 		assert.MonotonicU64(s.sent[len(s.sent)-1].PN, sp.PN, "per-path packet number")
 	}
 	s.sent = append(s.sent, sp)
-	s.byPN[sp.PN] = sp
 	s.stats.SentPackets++
 	s.stats.SentBytes += uint64(sp.Bytes)
-}
-
-// InFlight returns the ack-eliciting packets not yet acked or lost,
-// ascending by PN. It allocates; hot paths should use EachInFlight.
-func (s *Space) InFlight() []*SentPacket {
-	var out []*SentPacket
-	for _, sp := range s.sent {
-		if !sp.acked && !sp.declaredLost && sp.AckEliciting {
-			out = append(out, sp)
-		}
-	}
-	return out
 }
 
 // EachInFlight visits the ack-eliciting packets not yet acked or lost,
@@ -168,14 +155,21 @@ func (s *Space) HasUnacked() bool {
 	return false
 }
 
-// Unacked returns the unacknowledged, not-lost packet with the given PN if
-// it exists.
-func (s *Space) Unacked(pn uint64) (*SentPacket, bool) {
-	sp, ok := s.byPN[pn]
-	if !ok || sp.acked || sp.declaredLost {
-		return nil, false
+// search returns the index in sent of the first tracked packet whose PN is
+// at least pn, or len(sent) if there is none.
+//
+// xlinkvet:hot
+func (s *Space) search(pn uint64) int {
+	lo, hi := 0, len(s.sent)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.sent[mid].PN < pn {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return sp, true
+	return lo
 }
 
 // lossDelay returns the time threshold for declaring loss.
@@ -193,7 +187,8 @@ func (s *Space) lossDelay() time.Duration {
 
 // OnAck processes an ACK/ACK_MP covering ranges, received at now with the
 // peer's reported ackDelay. It returns newly acked and newly lost packets
-// and resets the PTO backoff if progress was made.
+// and resets the PTO backoff if progress was made. ranges must be in wire
+// order, descending and disjoint, as the ACK parser yields them.
 //
 // xlinkvet:hot
 // xlinkvet:loan ranges
@@ -231,21 +226,25 @@ func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 	largest := ranges[0].Largest
 	newlyAckedLargest := false
 	res.Acked = s.ackedScratch[:0]
-	for _, r := range ranges {
-		for pn := r.Smallest; ; pn++ {
-			if sp, ok := s.byPN[pn]; ok && !sp.acked {
-				sp.acked = true
-				if !sp.declaredLost {
-					res.Acked = append(res.Acked, sp)
-					s.stats.AckedPackets++
-				}
-				if sp.PN == largest {
-					newlyAckedLargest = true
-					res.LatestRTT = now - sp.SentAt
-				}
+	// Ranges arrive in wire order — descending and disjoint — so walking
+	// them last to first visits the ledger, and fills Acked, in ascending
+	// PN order. Each range costs one binary search plus the tracked packets
+	// it covers, however wide the peer made it.
+	for i := len(ranges) - 1; i >= 0; i-- {
+		r := ranges[i]
+		for j := s.search(r.Smallest); j < len(s.sent) && s.sent[j].PN <= r.Largest; j++ {
+			sp := s.sent[j]
+			if sp.acked {
+				continue
 			}
-			if pn == r.Largest {
-				break
+			sp.acked = true
+			if !sp.declaredLost {
+				res.Acked = append(res.Acked, sp)
+				s.stats.AckedPackets++
+			}
+			if sp.PN == largest {
+				newlyAckedLargest = true
+				res.LatestRTT = now - sp.SentAt
 			}
 		}
 	}
@@ -254,16 +253,6 @@ func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 		res.Acked = nil
 		return res
 	}
-	//xlinkvet:ignore hotalloc — sort comparator closure: non-escaping (stack-allocated by the compiler), inside the 22-alloc round-trip budget
-	slices.SortFunc(res.Acked, func(a, b *SentPacket) int {
-		switch {
-		case a.PN < b.PN:
-			return -1
-		case a.PN > b.PN:
-			return 1
-		}
-		return 0
-	})
 	if int64(largest) > s.largestAcked {
 		s.largestAcked = int64(largest)
 	}
@@ -429,7 +418,6 @@ func (s *Space) PTOCount() int { return s.ptoCount }
 func (s *Space) gc() {
 	i := 0
 	for i < len(s.sent) && (s.sent[i].acked || s.sent[i].declaredLost) {
-		delete(s.byPN, s.sent[i].PN)
 		i++
 	}
 	if i > 0 {

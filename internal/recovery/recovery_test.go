@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -142,18 +143,23 @@ func TestPTODeadlineAndBackoff(t *testing.T) {
 	}
 }
 
-func TestUnackedLookup(t *testing.T) {
+func TestInFlightWalkTracksAcks(t *testing.T) {
 	s := NewSpace(cc.NewRTTEstimator())
 	sent(s, 0, 3)
-	if _, ok := s.Unacked(1); !ok {
-		t.Fatal("pn 1 should be unacked")
+	inFlight := func() []uint64 {
+		var pns []uint64
+		s.EachInFlight(func(sp *SentPacket) bool { pns = append(pns, sp.PN); return true })
+		return pns
+	}
+	if got := inFlight(); !slices.Equal(got, []uint64{0, 1, 2}) {
+		t.Fatalf("in flight %v, want 0,1,2", got)
 	}
 	s.OnAck([]wire.AckRange{{Smallest: 1, Largest: 1}}, 0, 10*time.Millisecond)
-	if _, ok := s.Unacked(1); ok {
-		t.Fatal("pn 1 was acked")
+	if got := inFlight(); !slices.Equal(got, []uint64{0, 2}) {
+		t.Fatalf("in flight after acking pn 1: %v, want 0,2", got)
 	}
-	if _, ok := s.Unacked(99); ok {
-		t.Fatal("unknown pn")
+	if !s.HasUnacked() {
+		t.Fatal("pn 0 and 2 are still outstanding")
 	}
 }
 
@@ -161,7 +167,11 @@ func TestInFlightExcludesNonEliciting(t *testing.T) {
 	s := NewSpace(cc.NewRTTEstimator())
 	sp := &SentPacket{PN: s.NextPN(), SentAt: 0, Bytes: 50, AckEliciting: false}
 	s.OnPacketSent(sp)
-	if len(s.InFlight()) != 0 || s.HasUnacked() {
+	s.EachInFlight(func(*SentPacket) bool {
+		t.Fatal("ack-only packets are not in flight")
+		return false
+	})
+	if s.HasUnacked() {
 		t.Fatal("ack-only packets are not in flight")
 	}
 	if s.PTODeadline() != 0 {
@@ -169,18 +179,100 @@ func TestInFlightExcludesNonEliciting(t *testing.T) {
 	}
 }
 
-func TestGCKeepsMapConsistent(t *testing.T) {
+func TestGCTrimsLedger(t *testing.T) {
 	s := NewSpace(cc.NewRTTEstimator())
 	for round := 0; round < 50; round++ {
 		pkts := sent(s, time.Duration(round)*time.Millisecond, 4)
 		s.OnAck([]wire.AckRange{{Smallest: pkts[0].PN, Largest: pkts[3].PN}}, 0,
 			time.Duration(round+1)*time.Millisecond)
 	}
-	if len(s.byPN) != 0 || len(s.sent) != 0 {
-		t.Fatalf("gc left %d/%d entries", len(s.byPN), len(s.sent))
+	if len(s.sent) != 0 {
+		t.Fatalf("gc left %d entries", len(s.sent))
+	}
+	for pn := uint64(0); pn < s.PeekPN(); pn++ {
+		if i := s.search(pn); i < len(s.sent) {
+			t.Fatalf("trimmed pn %d still found at index %d", pn, i)
+		}
 	}
 	if s.Stats().AckedPackets != 200 {
 		t.Fatalf("acked counter %d", s.Stats().AckedPackets)
+	}
+}
+
+// naiveAck is the per-PN reference model for onAck's range/ledger
+// intersection: which of the tracked packets a set of ranges newly
+// acknowledges, ascending. It must be called before the real OnAck mutates
+// the packets.
+func naiveAck(tracked []*SentPacket, ranges []wire.AckRange) []uint64 {
+	var pns []uint64
+	for _, sp := range tracked {
+		if sp.acked || sp.declaredLost {
+			continue
+		}
+		for _, r := range ranges {
+			if sp.PN >= r.Smallest && sp.PN <= r.Largest {
+				pns = append(pns, sp.PN)
+				break
+			}
+		}
+	}
+	return pns
+}
+
+func ackedPNs(res AckResult) []uint64 {
+	var pns []uint64
+	for _, sp := range res.Acked {
+		pns = append(pns, sp.PN)
+	}
+	return pns
+}
+
+// A peer may name any range it likes; the cost of an ACK is bounded by the
+// packets we track, not by the range. A per-PN walk of this one would not
+// return within the test timeout.
+func TestHugeAckRangeCostsTrackedPacketsOnly(t *testing.T) {
+	exact := NewSpace(cc.NewRTTEstimator())
+	huge := NewSpace(cc.NewRTTEstimator())
+	sent(exact, 0, 5)
+	sent(huge, 0, 5)
+	want := exact.OnAck([]wire.AckRange{{Smallest: 0, Largest: 4}}, 0, 10*time.Millisecond)
+	got := huge.OnAck([]wire.AckRange{{Smallest: 0, Largest: 1 << 62}}, 0, 10*time.Millisecond)
+	if !slices.Equal(ackedPNs(got), ackedPNs(want)) || len(got.Acked) != 5 {
+		t.Fatalf("huge range acked %v, exact range acked %v", ackedPNs(got), ackedPNs(want))
+	}
+	if huge.HasUnacked() {
+		t.Fatal("every tracked packet was covered")
+	}
+}
+
+func TestMultiRangeAckMatchesNaiveReference(t *testing.T) {
+	s := NewSpace(cc.NewRTTEstimator())
+	pkts := sent(s, 0, 20)
+	// Acking pn 1 then pn 8 declares pn 0 and 2..5 lost by packet threshold
+	// and gc trims all of 0..5, so the ledger starts at pn 6 and holds an
+	// acked entry (8) between in-flight ones.
+	s.OnAck([]wire.AckRange{{Smallest: 1, Largest: 1}}, 0, 10*time.Millisecond)
+	s.OnAck([]wire.AckRange{{Smallest: 8, Largest: 8}}, 0, 11*time.Millisecond)
+
+	// Descending, gapped; covers unknown PNs above the ledger (20..30), an
+	// already-acked packet (8), and a range that starts below the trimmed
+	// front over already-lost packets (0, 2..5).
+	ranges := []wire.AckRange{
+		{Smallest: 17, Largest: 30},
+		{Smallest: 12, Largest: 14},
+		{Smallest: 8, Largest: 10},
+		{Smallest: 0, Largest: 6},
+	}
+	want := naiveAck(pkts, ranges)
+	got := ackedPNs(s.OnAck(ranges, 0, 20*time.Millisecond))
+	if !slices.Equal(got, want) {
+		t.Fatalf("acked %v, reference %v", got, want)
+	}
+	if want := []uint64{6, 9, 10, 12, 13, 14, 17, 18, 19}; !slices.Equal(got, want) {
+		t.Fatalf("acked %v, want %v", got, want)
+	}
+	if s.LargestAcked() != 30 {
+		t.Fatalf("largestAcked = %d, want the frame's largest", s.LargestAcked())
 	}
 }
 

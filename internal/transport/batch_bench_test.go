@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/assert"
 	"repro/internal/cc"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -20,8 +21,6 @@ import (
 // isolate transport-side work from the emulated network (netem copies every
 // accepted packet, which would dominate an alloc gate).
 type discardSender struct{}
-
-func (discardSender) SendDatagram(netIdx int, data []byte) {}
 
 func (discardSender) SendBatch(netIdx int, pkts [][]byte) int { return len(pkts) }
 
@@ -153,6 +152,12 @@ func TestAllocGateBatchFill(t *testing.T) {
 func TestAllocGateBatchRecv(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state warmup")
+	}
+	if assert.Enabled {
+		// The per-packet invariant checks box their arguments under
+		// xlinkdebug; the gate measures the release-mode floor, and
+		// check.sh runs it untagged.
+		t.Skip("xlinkdebug: per-packet assertions allocate by design")
 	}
 	const group = 16
 	pair := benchBatchPair(t, 16)

@@ -79,12 +79,9 @@ type ReinjectionGate func(now, maxDeliverTime time.Duration) bool
 // the connection-wide estimate from the recovery spaces.
 type FECGate func(now, maxDeliverTime time.Duration, lossRate float64, sourceSymbols int) (protect bool, repairs int)
 
-// PathSelector picks the path for the next data packet among usable paths
-// with congestion window space. The default is min-RTT, as in MPQUIC's
-// default scheduler.
-type PathSelector func(now time.Duration, candidates []*Path) *Path
-
-// MinRTTSelector returns the lowest-smoothed-RTT candidate.
+// MinRTTSelector picks the path for the next data packet among usable paths
+// with congestion window space: the lowest-smoothed-RTT candidate, as in
+// MPQUIC's default scheduler.
 func MinRTTSelector(now time.Duration, candidates []*Path) *Path {
 	var best *Path
 	for _, p := range candidates {
@@ -95,6 +92,22 @@ func MinRTTSelector(now time.Duration, candidates []*Path) *Path {
 	return best
 }
 
+// Protocol constants with one value in use everywhere, hence not Config
+// fields.
+const (
+	// cidLen is the length of the connection IDs this endpoint issues and
+	// expects on short-header packets.
+	cidLen = 8
+	// ackElicitingThreshold sends an ack after this many ack-eliciting
+	// packets.
+	ackElicitingThreshold = 2
+	// pathGiveUpPTOs abandons a path outright (PATH_STATUS abandon +
+	// evacuation + primary re-election) when its PTO count reaches this
+	// threshold while another usable path exists. Not applied when
+	// Config.DisablePathHealth is set.
+	pathGiveUpPTOs = 5
+)
+
 // Config parameterizes a connection.
 type Config struct {
 	// IsClient selects the connection role.
@@ -102,8 +115,6 @@ type Config struct {
 	// PSK is the pre-shared secret standing in for the TLS handshake
 	// (see DESIGN.md substitutions). Both endpoints must agree.
 	PSK []byte
-	// CIDLen is the connection ID length used by this endpoint (4..20).
-	CIDLen int
 	// Params are the local transport parameters.
 	Params wire.TransportParams
 	// CCAlgorithm selects congestion control (Cubic in the paper).
@@ -130,13 +141,8 @@ type Config struct {
 	// FECWindowSymbols caps source symbols per protection window
 	// (default 8; capped at wire.MaxFECSourceSymbols).
 	FECWindowSymbols int
-	// PathSelector picks the send path; nil means MinRTTSelector.
-	PathSelector PathSelector
 	// MaxAckDelay bounds how long an ack may be withheld.
 	MaxAckDelay time.Duration
-	// AckElicitingThreshold sends an ack after this many ack-eliciting
-	// packets (default 2).
-	AckElicitingThreshold int
 	// QoEProvider, on the client, supplies the current player signal to
 	// piggyback on outgoing ACK_MP frames.
 	QoEProvider func() wire.QoESignal
@@ -183,11 +189,6 @@ type Config struct {
 	// receive silence, keeping an idle-but-healthy connection from hitting
 	// IdleTimeout. Zero disables.
 	KeepAliveInterval time.Duration
-	// PathGiveUpPTOs abandons a path outright (PATH_STATUS abandon +
-	// evacuation + primary re-election) when its PTO count reaches this
-	// threshold while another usable path exists. Zero means the default
-	// (5); negative disables. Ignored when DisablePathHealth is set.
-	PathGiveUpPTOs int
 	// HandshakeMaxPTOs caps Initial retransmission attempts; once
 	// exhausted the connection enters a terminal error state (surfaced via
 	// Stats and OnClosed) instead of stalling silently. Zero means the
@@ -196,11 +197,12 @@ type Config struct {
 	// OnClosed fires once when the connection leaves service — local
 	// close, peer close, idle timeout, or handshake failure.
 	OnClosed func(now time.Duration, code uint64, reason string, local bool)
-	// SendBatchSize caps how many sealed packets a single maybeSend pass
-	// accumulates per path before flushing them to the DatagramSender in
-	// one SendBatch call (DESIGN.md §16). 1 disables batching and sends
-	// each packet immediately as it is sealed — the pre-batching behavior,
-	// kept as the A/B baseline. Zero means the default (16).
+	// SendBatchSize is the flush threshold: how many sealed packets a
+	// single maybeSend pass accumulates per path before handing them to
+	// the DatagramSender in one SendBatch call (DESIGN.md §16). At 1 each
+	// packet is handed over as a batch of one the moment it is sealed —
+	// the reference the batched/unbatched equivalence test compares
+	// against. Zero means the default (16).
 	SendBatchSize int
 	// Tracer, when set, receives qlog-style structured events for every
 	// packet, path, lifecycle, CC and re-injection decision this
@@ -213,9 +215,6 @@ type Config struct {
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.CIDLen == 0 {
-		c.CIDLen = 8
-	}
 	if len(c.PSK) == 0 {
 		c.PSK = []byte("xlink-reproduction-default-psk!!")
 	}
@@ -225,17 +224,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxAckDelay == 0 {
 		c.MaxAckDelay = 25 * time.Millisecond
 	}
-	if c.AckElicitingThreshold == 0 {
-		c.AckElicitingThreshold = 2
-	}
-	if c.PathSelector == nil {
-		c.PathSelector = MinRTTSelector
-	}
 	if c.HandshakeMaxPTOs == 0 {
 		c.HandshakeMaxPTOs = 8
-	}
-	if c.PathGiveUpPTOs == 0 {
-		c.PathGiveUpPTOs = 5
 	}
 	if c.SendBatchSize <= 0 {
 		c.SendBatchSize = 16

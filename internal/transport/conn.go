@@ -210,7 +210,8 @@ type Conn struct {
 	// Batch I/O state (DESIGN.md §16). Send side: sendRing holds the seal
 	// buffers for packets parked on per-path pending batches within one
 	// maybeSend pass, batchOrder is the first-touch flush order, and
-	// batching is true only inside a batched pass (SendBatchSize > 1).
+	// batching is true only inside a batched pass (SendBatchSize > 1);
+	// outside one, sendOne hands each packet over in the reusable oneBatch.
 	// Receive side: inBatch marks a HandleDatagramBatch in progress —
 	// wakeSend is suppressed and ACK-triggered loss detection is deferred —
 	// and ackDirty lists the paths owing that deferred loss pass at batch
@@ -220,6 +221,7 @@ type Conn struct {
 	sendRingUsed       int
 	batchOrder         []*Path // xlinkvet:guardedby confined
 	batching           bool
+	oneBatch           [1][]byte
 	inBatch            bool
 	ackDirty           []*Path // xlinkvet:guardedby confined
 	batchCoalescedAcks int
@@ -308,22 +310,6 @@ func (c *Conn) SetQoEProvider(fn func() wire.QoESignal) {
 	c.cfg.QoEProvider = fn
 }
 
-// SetOnQoE installs the server-side QoE feedback observer.
-func (c *Conn) SetOnQoE(fn func(now time.Duration, sig wire.QoESignal)) {
-	c.cfg.OnQoE = fn
-}
-
-// SetReinjectionGate installs the re-injection gate (e.g. the
-// double-thresholding controller).
-func (c *Conn) SetReinjectionGate(g ReinjectionGate) {
-	c.cfg.ReinjectionGate = g
-}
-
-// SetReinjectionMode switches the re-injection strategy at runtime.
-func (c *Conn) SetReinjectionMode(m ReinjectionMode) {
-	c.cfg.ReinjectionMode = m
-}
-
 // Established reports whether the handshake has completed.
 func (c *Conn) Established() bool { return c.state == stateEstablished }
 
@@ -342,9 +328,6 @@ func (c *Conn) StateName() string { return c.state.String() }
 // and changes only when the primary is abandoned and another path is
 // re-elected.
 func (c *Conn) PrimaryPathID() uint64 { return c.primaryID }
-
-// PrimaryPath returns the current primary path, or nil before Start.
-func (c *Conn) PrimaryPath() *Path { return c.paths[c.primaryID] }
 
 // MultipathEnabled reports whether multi-path was negotiated.
 func (c *Conn) MultipathEnabled() bool { return c.multipath }
@@ -375,7 +358,7 @@ func (c *Conn) AddInterface(netIdx int, tech trace.Technology) {
 // newCID mints a fresh connection ID, embedding the configured server ID in
 // the first byte for QUIC-LB routing.
 func (c *Conn) newCID() wire.ConnectionID {
-	cid := make(wire.ConnectionID, c.cfg.CIDLen)
+	cid := make(wire.ConnectionID, cidLen)
 	cid[0] = c.cfg.ServerID
 	for i := 1; i < len(cid); i++ {
 		cid[i] = byte(c.rng.Intn(256))
@@ -473,7 +456,7 @@ func (c *Conn) sendInitial() {
 	if p := c.paths[0]; p != nil {
 		netIdx = p.NetIdx
 	}
-	c.sender.SendDatagram(netIdx, pkt)
+	c.sendOne(netIdx, pkt)
 	c.stats.SentPackets++
 	c.stats.SentBytes += uint64(len(pkt))
 	c.tr.PacketSent(now, 0, pn, len(pkt), "initial")
@@ -865,10 +848,10 @@ func (c *Conn) handleShortPacket(now time.Duration, netIdx int, data []byte) {
 	if c.rxSealer == nil {
 		return // keys not ready
 	}
-	if len(data) < 1+c.cfg.CIDLen {
+	if len(data) < 1+cidLen {
 		return
 	}
-	dcid := wire.ConnectionID(data[1 : 1+c.cfg.CIDLen])
+	dcid := wire.ConnectionID(data[1 : 1+cidLen])
 	seq := c.localCIDSeq(dcid)
 	if seq < 0 {
 		return // not our CID
@@ -903,12 +886,12 @@ func (c *Conn) handleShortPacket(now time.Duration, netIdx int, data []byte) {
 	var payload []byte
 	var err error
 	if reentrant {
-		pn, payload, _, err = openShort(c.rxSealer, nil, data, c.cfg.CIDLen, uint32(pathID), p.largestRecvPN)
+		pn, payload, _, err = openShort(c.rxSealer, nil, data, cidLen, uint32(pathID), p.largestRecvPN)
 	} else {
 		c.inRecv = true
 		defer func() { c.inRecv = false }()
 		var buf []byte
-		pn, payload, buf, err = openShort(c.rxSealer, c.recvBuf, data, c.cfg.CIDLen, uint32(pathID), p.largestRecvPN)
+		pn, payload, buf, err = openShort(c.rxSealer, c.recvBuf, data, cidLen, uint32(pathID), p.largestRecvPN)
 		c.recvBuf = buf
 	}
 	if err != nil {
@@ -1295,9 +1278,6 @@ func (c *Conn) peerStreamLimit() uint64 {
 	return c.cfg.Params.InitialMaxStrData
 }
 
-// RecvStreamFor returns the receive half of a stream if it exists.
-func (c *Conn) RecvStreamFor(id uint64) *RecvStream { return c.recvStreams[id] }
-
 // StopSending asks the peer to stop sending on a stream — how a short-video
 // client abandons chunks when the viewer swipes away.
 //
@@ -1449,7 +1429,7 @@ func (c *Conn) resendClose(now time.Duration) {
 		}
 		pn := p.Space.NextPN()
 		pkt := sealShort(c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), payload)
-		c.sender.SendDatagram(p.NetIdx, pkt)
+		c.sendOne(p.NetIdx, pkt)
 		c.stats.SentPackets++
 		c.stats.SentBytes += uint64(len(pkt))
 		c.tr.PacketSent(now, p.ID, pn, len(pkt), "close")

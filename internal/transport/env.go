@@ -44,43 +44,22 @@ func (e SimEnv) Schedule(at time.Duration, fn func(now time.Duration)) func() {
 // emulated runs this is netem; for live runs it writes to a UDP socket.
 // netIdx identifies the local interface/path the datagrams leave on.
 //
-// Ownership: every packet buffer aliases the connection's reusable packet
-// scratch (DESIGN.md §11, §16) and is valid only for the duration of the
-// call. Implementations that queue, delay or record a datagram must copy
-// it; netem's Link.Send and the UDP socket write both do. The same rule
-// holds in the other direction at the receive boundary: the data passed to
-// Conn.HandleDatagram / HandleDatagramBatch is borrowed from the I/O
-// layer's read buffers (e.g. the live read loop's buffer ring over
+// Ownership: the slice and every packet buffer in it alias the connection's
+// reusable packet scratch (DESIGN.md §11, §16) and are valid only for the
+// duration of the call. Implementations that queue, delay or record a
+// datagram must copy it; netem's links and the UDP socket write both do.
+// The same rule holds in the other direction at the receive boundary: the
+// data passed to Conn.HandleDatagram / HandleDatagramBatch is borrowed from
+// the I/O layer's read buffers (e.g. the live read loop's buffer ring over
 // ReadFromUDP) and must not be retained by the connection past the call —
 // the connection decodes frames into its own scratch and the I/O layer
 // recycles the buffers immediately after.
 type DatagramSender interface {
-	// xlinkvet:loan data
-	SendDatagram(netIdx int, data []byte)
 	// SendBatch transmits pkts in order on netIdx and returns how many
 	// were handed to the network (implementations that cannot fail return
-	// len(pkts)). It is the sendmmsg-shaped bulk form of SendDatagram:
-	// one virtual call per batch instead of per packet. The slice and
-	// every packet in it are borrowed for the duration of the call only.
+	// len(pkts)). It is sendmmsg-shaped: one virtual call per batch, and a
+	// lone packet (handshake, close, SendBatchSize 1) is a batch of one.
 	//
 	// xlinkvet:loan pkts
 	SendBatch(netIdx int, pkts [][]byte) int
-}
-
-// SenderFunc adapts a function to DatagramSender. The batch form loops,
-// so function-backed senders keep working unchanged — use a real
-// DatagramSender implementation when per-batch amortization matters.
-type SenderFunc func(netIdx int, data []byte)
-
-// SendDatagram implements DatagramSender.
-func (f SenderFunc) SendDatagram(netIdx int, data []byte) { f(netIdx, data) }
-
-// SendBatch implements DatagramSender by calling f once per packet.
-//
-// xlinkvet:loan pkts
-func (f SenderFunc) SendBatch(netIdx int, pkts [][]byte) int {
-	for _, d := range pkts {
-		f(netIdx, d)
-	}
-	return len(pkts)
 }

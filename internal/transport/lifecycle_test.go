@@ -216,3 +216,86 @@ func TestEvacuatedPathLateAcksHarmless(t *testing.T) {
 		t.Fatal("path 0 vanished")
 	}
 }
+
+// batchOnlySender implements DatagramSender with SendBatch alone and counts
+// how often it was handed each distinct datagram. Sealed packets never
+// repeat (every one has its own packet number), so a count above one is a
+// double send.
+type batchOnlySender struct {
+	next    DatagramSender
+	seen    map[string]int
+	packets uint64
+	bytes   uint64
+	long    int // long-header (Initial) packets
+}
+
+func (s *batchOnlySender) SendBatch(netIdx int, pkts [][]byte) int {
+	for _, p := range pkts {
+		s.seen[string(p)]++
+		s.packets++
+		s.bytes += uint64(len(p))
+		if p[0]&0x80 != 0 {
+			s.long++
+		}
+	}
+	return s.next.SendBatch(netIdx, pkts)
+}
+
+// TestBatchOnlySenderSeesEveryPacketOnce drives handshake → data → Close
+// through senders that have no single-datagram method: Initials, 1-RTT
+// packets and closing-state resends must all arrive through SendBatch,
+// each exactly once, at the flush threshold of 1 as well as the default.
+func TestBatchOnlySenderSeesEveryPacketOnce(t *testing.T) {
+	for _, batch := range []int{1, 16} {
+		loop := sim.NewLoop()
+		ccfg, scfg := defaultMPConfig()
+		ccfg.SendBatchSize, scfg.SendBatchSize = batch, batch
+		pair := NewPair(loop, sim.NewRNG(13), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
+		client, server := pair.Client, pair.Server
+		cs := &batchOnlySender{next: client.sender, seen: map[string]int{}}
+		ss := &batchOnlySender{next: server.sender, seen: map[string]int{}}
+		client.sender, server.sender = cs, ss
+		col := newCollector()
+		server.SetOnStreamData(col.onData)
+		client.SetOnHandshakeDone(func(now time.Duration) {
+			s := client.OpenStream()
+			s.Write(make([]byte, 64<<10))
+			s.Close()
+		})
+		if err := pair.Start(); err != nil {
+			t.Fatal(err)
+		}
+		loop.RunUntil(2 * time.Second)
+		if len(col.finished) != 1 {
+			t.Fatalf("batch %d: stream did not complete", batch)
+		}
+		beforeClose := cs.packets
+		client.Close(0, "done")
+		loop.RunUntil(30 * time.Second)
+		if !client.Terminated() || !server.Terminated() {
+			t.Fatalf("batch %d: states %q/%q, want closed", batch, client.StateName(), server.StateName())
+		}
+		if cs.packets == beforeClose {
+			t.Fatalf("batch %d: CONNECTION_CLOSE never reached the sender", batch)
+		}
+		for _, side := range []struct {
+			name string
+			s    *batchOnlySender
+			conn *Conn
+		}{{"client", cs, client}, {"server", ss, server}} {
+			name, s, st := side.name, side.s, side.conn.Stats()
+			if s.packets != st.SentPackets || s.bytes != st.SentBytes {
+				t.Fatalf("batch %d: %s sender saw %d packets / %d bytes, connection sent %d / %d",
+					batch, name, s.packets, s.bytes, st.SentPackets, st.SentBytes)
+			}
+			if s.long == 0 {
+				t.Fatalf("batch %d: %s Initial never reached the sender", batch, name)
+			}
+			for _, n := range s.seen {
+				if n != 1 {
+					t.Fatalf("batch %d: %s sender was handed one datagram %d times", batch, name, n)
+				}
+			}
+		}
+	}
+}

@@ -28,8 +28,8 @@ func NewPair(loop *sim.Loop, rng *sim.RNG, pathCfgs []netem.PathConfig, clientCf
 
 	clientCfg.IsClient = true
 	serverCfg.IsClient = false
-	client := NewConn(env, netemSender{nw: nw, client: true}, clientCfg)
-	server := NewConn(env, netemSender{nw: nw, client: false}, serverCfg)
+	client := NewConn(env, NetemSender{Network: nw, Client: true}, clientCfg)
+	server := NewConn(env, NetemSender{Network: nw}, serverCfg)
 
 	nw.Attach(
 		func(now time.Duration, pathIdx int, data []byte) {
@@ -45,34 +45,24 @@ func NewPair(loop *sim.Loop, rng *sim.RNG, pathCfgs []netem.PathConfig, clientCf
 	return &Pair{Loop: loop, Network: nw, Client: client, Server: server}
 }
 
-// netemSender implements DatagramSender over one side of an emulated
-// network. The batched form reaches Link.SendBatch, whose per-packet
-// admission keeps a batched pair event-identical to an unbatched one — the
-// property the chaos determinism suite pins down.
-type netemSender struct {
-	nw     *netem.Network
-	client bool
-}
-
-// SendDatagram implements DatagramSender.
-//
-// xlinkvet:loan data
-func (s netemSender) SendDatagram(netIdx int, data []byte) {
-	if s.client {
-		s.nw.ClientSend(netIdx, data)
-	} else {
-		s.nw.ServerSend(netIdx, data)
-	}
+// NetemSender implements DatagramSender over one side of an emulated
+// network: the client's uplinks when Client is set, the server's downlinks
+// otherwise. It reaches Link.SendBatch, whose per-packet admission keeps a
+// batched pair event-identical to an unbatched one — the property the chaos
+// determinism suite pins down.
+type NetemSender struct {
+	Network *netem.Network
+	Client  bool
 }
 
 // SendBatch implements DatagramSender.
 //
 // xlinkvet:loan pkts
-func (s netemSender) SendBatch(netIdx int, pkts [][]byte) int {
-	if s.client {
-		return s.nw.ClientSendBatch(netIdx, pkts)
+func (s NetemSender) SendBatch(netIdx int, pkts [][]byte) int {
+	if s.Client {
+		return s.Network.ClientSendBatch(netIdx, pkts)
 	}
-	return s.nw.ServerSendBatch(netIdx, pkts)
+	return s.Network.ServerSendBatch(netIdx, pkts)
 }
 
 // Start launches the client handshake.

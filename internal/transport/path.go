@@ -130,9 +130,6 @@ func newPath(id uint64, netIdx int, tech trace.Technology, alg cc.Algorithm) *Pa
 // Usable reports whether the path can carry application data.
 func (p *Path) Usable() bool { return p.State == PathActive && !p.suspect }
 
-// Suspect reports whether the path is currently considered unresponsive.
-func (p *Path) Suspect() bool { return p.suspect }
-
 // DeliverTime returns RTT + variation, the paper's Eq. 1 term for this
 // path.
 func (p *Path) DeliverTime() time.Duration { return p.RTT.DeliverTime() }

@@ -12,7 +12,7 @@ import (
 
 // shortHeaderOverhead estimates header + AEAD overhead of a 1-RTT packet.
 func (c *Conn) shortHeaderOverhead() int {
-	return 1 + c.cfg.CIDLen + 4 + 16
+	return 1 + cidLen + 4 + 16
 }
 
 // wakeSend requests a send pass. Safe to call from any handler; the pass
@@ -102,7 +102,7 @@ func (c *Conn) nextSendBuf() []byte {
 func (c *Conn) dispatchPacket(now time.Duration, p *Path, pkt []byte) {
 	if !c.batching {
 		c.sendBuf = pkt[:0]
-		c.sender.SendDatagram(p.NetIdx, pkt)
+		c.sendOne(p.NetIdx, pkt)
 		return
 	}
 	// Write the (possibly grown) backing array back into its ring slot so
@@ -118,6 +118,18 @@ func (c *Conn) dispatchPacket(now time.Duration, p *Path, pkt []byte) {
 	if len(p.batchPend) >= c.cfg.SendBatchSize {
 		c.flushBatchPath(now, p)
 	}
+}
+
+// sendOne hands a single sealed packet to the sender as a batch of one. It
+// is the path for packets outside a batched pass — Initials, closing-state
+// resends and every packet at SendBatchSize 1 — and, not being a flush of
+// accumulated packets, emits no batch_flush event.
+//
+// xlinkvet:hot
+func (c *Conn) sendOne(netIdx int, pkt []byte) {
+	c.oneBatch[0] = pkt
+	c.sender.SendBatch(netIdx, c.oneBatch[:])
+	c.oneBatch[0] = nil
 }
 
 // flushBatchPath sends p's pending batch in one SendBatch call. The packet
@@ -303,7 +315,7 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 	if len(candidates) == 0 {
 		return false
 	}
-	p := c.cfg.PathSelector(now, candidates)
+	p := MinRTTSelector(now, candidates)
 	if p == nil {
 		return false
 	}
@@ -903,7 +915,7 @@ func (c *Conn) flushAcks(now time.Duration, force bool) {
 		if !p.ackQueued {
 			continue
 		}
-		due := p.ackElicitingCount >= c.cfg.AckElicitingThreshold ||
+		due := p.ackElicitingCount >= ackElicitingThreshold ||
 			now >= p.largestRecvTime+c.cfg.MaxAckDelay
 		if !force && !due {
 			continue
@@ -1134,8 +1146,8 @@ func (c *Conn) maybeKeepAlive(now time.Duration) {
 // re-queued and transmitted as new packets.
 func (c *Conn) onPathPTO(now time.Duration, p *Path) {
 	probes := p.Space.OnPTO(now)
-	if c.cfg.PathGiveUpPTOs > 0 && !c.cfg.DisablePathHealth && c.multipath &&
-		p.Space.PTOCount() >= c.cfg.PathGiveUpPTOs && c.anotherUsablePath(p) {
+	if !c.cfg.DisablePathHealth && c.multipath &&
+		p.Space.PTOCount() >= pathGiveUpPTOs && c.anotherUsablePath(p) {
 		// The path has timed out so many times in a row that suspicion and
 		// standby demotion were not enough: give up on it outright while a
 		// usable alternative exists. The peer learns via PATH_STATUS(abandon)

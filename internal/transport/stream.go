@@ -178,18 +178,6 @@ func (s *SendStream) Close() {
 // Buffered returns the total bytes written so far.
 func (s *SendStream) Buffered() uint64 { return uint64(len(s.buf)) }
 
-// AllAcked reports whether every written byte (and the FIN, if set) has
-// been acknowledged.
-func (s *SendStream) AllAcked() bool {
-	if !s.fin {
-		return false
-	}
-	if s.finOffset == 0 {
-		return s.finAcked
-	}
-	return s.acked.Contains(0, s.finOffset) && s.finAcked
-}
-
 // frameAt returns the frame range covering offset, or an implicit
 // default-priority range spanning to the next tagged frame (or stream end).
 func (s *SendStream) frameAt(offset uint64) FrameRange {
@@ -290,22 +278,15 @@ func (s *SendStream) nextRtxChunk(maxLen int) (chunk, bool) {
 func (s *SendStream) onChunkLost(c chunk) {
 	start, end := c.offset, c.offset+c.length
 	// Drop the portions already acked (e.g. through a re-injected copy) or
-	// rebuilt by the peer's FEC decoder (DESIGN.md §13 lane rules).
+	// rebuilt by the peer's FEC decoder (DESIGN.md §13 lane rules): queue
+	// each stretch missing from acked, minus what recovered covers of it.
 	for start < end {
-		if s.acked.Contains(start, start+1) {
-			start = s.acked.CoveredPrefix(start)
-			continue
+		gap, gapEnd := s.acked.FirstMissing(start, end)
+		for gap < gapEnd {
+			lo, hi := s.recovered.FirstMissing(gap, gapEnd)
+			s.rtx.Add(lo, hi)
+			gap = hi
 		}
-		if s.recovered.Contains(start, start+1) {
-			start = s.recovered.CoveredPrefix(start)
-			continue
-		}
-		gapEnd := start + 1
-		for gapEnd < end && !s.acked.Contains(gapEnd, gapEnd+1) &&
-			!s.recovered.Contains(gapEnd, gapEnd+1) {
-			gapEnd++
-		}
-		s.rtx.Add(start, gapEnd)
 		start = gapEnd
 	}
 	if c.fin && !s.finAcked {

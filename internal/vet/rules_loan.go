@@ -25,7 +25,7 @@ import (
 // a loan to a helper that retains it is reported at the annotated
 // boundary's call site, with the helper's retention site in the message.
 //
-// Annotating an *interface* method (e.g. DatagramSender.SendDatagram)
+// Annotating an *interface* method (e.g. DatagramSender.SendBatch)
 // applies the loan contract to every module-internal implementation of
 // that interface.
 

@@ -7,8 +7,7 @@ import (
 
 // Benchmarks for the wire hot path: varint and frame encode/decode. These
 // run per packet on every send and receive, so they are alloc-gated (see
-// DESIGN.md §11); `make bench` records them in BENCH_5.json and
-// cmd/xlink-benchdiff fails the gate on regression.
+// DESIGN.md §11).
 
 var (
 	benchBytes  []byte

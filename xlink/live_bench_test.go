@@ -149,8 +149,8 @@ func TestLiveShardedEventLoop(t *testing.T) {
 // BenchmarkLiveFleetEndpoints measures aggregate live throughput through a
 // shared per-core EventLoopGroup: b.N messages of 1200 bytes spread
 // round-robin over the fleet, timed until every byte has landed in a server
-// callback. ns/op is the fleet-wide per-message cost — the macro number
-// xlink-benchdiff tracks for the sharded live plane.
+// callback. ns/op is the fleet-wide per-message cost of the sharded live
+// plane.
 func BenchmarkLiveFleetEndpoints(b *testing.B) {
 	group := NewEventLoopGroup(0) // one shard per core
 	defer group.Close()
