@@ -202,8 +202,9 @@ func (o *Origin) ReinjectSend(now time.Duration, pathID, streamID, offset uint64
 	o.end()
 }
 
-// ReinjectCancel records a queued re-injection dropped before sending
-// (typically because the original copy was acknowledged first).
+// ReinjectCancel records a queued re-injection discarded unsent because its
+// stream was reset (reason "reset"). A copy whose data the peer came to hold
+// first leaves its queue without an event: that is how most candidates end.
 func (o *Origin) ReinjectCancel(now time.Duration, streamID, offset uint64, size int, reason string) {
 	if o == nil {
 		return

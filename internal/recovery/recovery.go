@@ -129,26 +129,29 @@ func (s *Space) OnPacketSent(sp *SentPacket) {
 	s.stats.SentBytes += uint64(sp.Bytes)
 }
 
-// EachInFlight visits the ack-eliciting packets not yet acked or lost,
-// ascending by PN, without allocating. The visitor must not mutate the
-// Space; returning false stops the walk.
+// InFlight reports whether the packet is ack-eliciting and neither acked nor
+// declared lost.
+func (sp *SentPacket) InFlight() bool {
+	return !sp.acked && !sp.declaredLost && sp.AckEliciting
+}
+
+// SentFrom returns the tracked packets whose PN is at least pn, ascending:
+// a caller that remembers the last PN it saw resumes there instead of
+// re-walking the ledger. Resolved packets stay in it until gc trims them, so
+// filter with InFlight. The slice aliases the ledger and is valid until the
+// next call that mutates the Space.
 //
 // xlinkvet:hot
-func (s *Space) EachInFlight(fn func(*SentPacket) bool) {
-	for _, sp := range s.sent {
-		if !sp.acked && !sp.declaredLost && sp.AckEliciting {
-			if !fn(sp) {
-				return
-			}
-		}
-	}
+// xlinkvet:loan return
+func (s *Space) SentFrom(pn uint64) []*SentPacket {
+	return s.sent[s.search(pn):]
 }
 
 // HasUnacked reports whether any ack-eliciting packet is outstanding — the
 // paper's exist_no_unack_pkts(p) predicate (Alg. 1 line 8), inverted.
 func (s *Space) HasUnacked() bool {
 	for _, sp := range s.sent {
-		if !sp.acked && !sp.declaredLost && sp.AckEliciting {
+		if sp.InFlight() {
 			return true
 		}
 	}

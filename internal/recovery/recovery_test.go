@@ -148,7 +148,11 @@ func TestInFlightWalkTracksAcks(t *testing.T) {
 	sent(s, 0, 3)
 	inFlight := func() []uint64 {
 		var pns []uint64
-		s.EachInFlight(func(sp *SentPacket) bool { pns = append(pns, sp.PN); return true })
+		for _, sp := range s.SentFrom(0) {
+			if sp.InFlight() {
+				pns = append(pns, sp.PN)
+			}
+		}
 		return pns
 	}
 	if got := inFlight(); !slices.Equal(got, []uint64{0, 1, 2}) {
@@ -163,14 +167,42 @@ func TestInFlightWalkTracksAcks(t *testing.T) {
 	}
 }
 
+// A caller that remembers the next packet number it has not seen resumes
+// there, whatever gc trimmed from the front of the ledger in the meantime.
+func TestSentFromResumesAtCursor(t *testing.T) {
+	s := NewSpace(cc.NewRTTEstimator())
+	sent(s, 0, 5)
+	pns := func(from uint64) []uint64 {
+		var out []uint64
+		for _, sp := range s.SentFrom(from) {
+			out = append(out, sp.PN)
+		}
+		return out
+	}
+	if got := pns(3); !slices.Equal(got, []uint64{3, 4}) {
+		t.Fatalf("from 3: %v, want 3,4", got)
+	}
+	cursor := s.PeekPN()
+	if got := pns(cursor); len(got) != 0 {
+		t.Fatalf("nothing sent since the cursor, got %v", got)
+	}
+	s.OnAck([]wire.AckRange{{Smallest: 0, Largest: 2}}, 0, 10*time.Millisecond) // gc trims 0..2
+	sent(s, 20*time.Millisecond, 2)
+	if got := pns(cursor); !slices.Equal(got, []uint64{5, 6}) {
+		t.Fatalf("from the cursor after a trim: %v, want 5,6", got)
+	}
+	if got := pns(0); !slices.Equal(got, []uint64{3, 4, 5, 6}) {
+		t.Fatalf("from 0 after a trim: %v, want 3..6", got)
+	}
+}
+
 func TestInFlightExcludesNonEliciting(t *testing.T) {
 	s := NewSpace(cc.NewRTTEstimator())
 	sp := &SentPacket{PN: s.NextPN(), SentAt: 0, Bytes: 50, AckEliciting: false}
 	s.OnPacketSent(sp)
-	s.EachInFlight(func(*SentPacket) bool {
+	if sp.InFlight() {
 		t.Fatal("ack-only packets are not in flight")
-		return false
-	})
+	}
 	if s.HasUnacked() {
 		t.Fatal("ack-only packets are not in flight")
 	}

@@ -180,8 +180,16 @@ type Conn struct {
 	localMaxData  uint64
 	connDelivered uint64
 
-	ctrlQ        []ctrlItem // xlinkvet:guardedby confined
+	ctrlQ []ctrlItem // xlinkvet:guardedby confined
+	// globalReinjQ is the appending-mode re-injection queue: every stream's
+	// copies in enqueue order, trailing all new data (Fig 4a).
 	globalReinjQ []chunk
+	// reinjExamined counts the sent packets scanReinjections has looked at,
+	// for the test that its work does not grow with the connection's age.
+	reinjExamined uint64
+	// pullHook, when set, replaces pullChunk: the seam through which the
+	// test-only reference scheduler drives a connection.
+	pullHook func(now time.Duration, p *Path, maxLen int) (chunk, bool)
 
 	// QoE piggyback throttling (client).
 	lastQoEAt  time.Duration
@@ -193,6 +201,9 @@ type Conn struct {
 	timerCancel         func()
 	inSend              bool
 	secondaryTimerArmed bool
+	// onTimerFn is c.onTimer bound once, so re-arming the timer does not
+	// build a new method value per packet.
+	onTimerFn func(now time.Duration)
 
 	// Hot-path scratch (DESIGN.md §11). Event-loop confined like the rest of
 	// the mutable core; each buffer is valid only until the next packet is
@@ -271,6 +282,7 @@ func NewConn(env Env, sender DatagramSender, cfg Config) *Conn {
 	c.initLargestRecv = -1
 	c.localMaxData = cfg.Params.InitialMaxData
 	c.tr = cfg.Tracer
+	c.onTimerFn = c.onTimer
 	return c
 }
 
@@ -1174,6 +1186,7 @@ func (c *Conn) processAck(now time.Duration, target *Path, ranges []wire.AckRang
 			for _, ch := range meta.chunks {
 				if s := c.sendStreams[ch.streamID]; s != nil {
 					s.onChunkAcked(ch)
+					c.chunkResolved(s)
 				}
 			}
 		}
@@ -1209,6 +1222,7 @@ func (c *Conn) handleLost(now time.Duration, p *Path, lost []*recovery.SentPacke
 		for _, ch := range meta.chunks {
 			if s := c.sendStreams[ch.streamID]; s != nil {
 				s.onChunkLost(ch)
+				c.chunkResolved(s)
 			}
 		}
 		for _, f := range meta.ctrl {
@@ -1465,6 +1479,14 @@ func (c *Conn) recordClose(now time.Duration, code uint64, reason string, local 
 	if c.cfg.OnClosed != nil {
 		c.cfg.OnClosed(now, code, reason, local)
 	}
+	// Out of service, the connection neither sends nor delivers stream data
+	// again, but the drain timer keeps it reachable for three PTOs — about
+	// three seconds on a live endpoint. Forget the streams now, or an
+	// endpoint that turns connections over faster than that holds every
+	// closed connection's payload at once.
+	clear(c.sendStreams)
+	clear(c.recvStreams)
+	c.streamOrder, c.globalReinjQ = nil, nil
 }
 
 // enterClosing starts the local-close drain period.

@@ -102,7 +102,9 @@ func TestStreamOrderCacheMatchesSort(t *testing.T) {
 	ref := func() []*SendStream {
 		out := make([]*SendStream, 0, len(c.sendStreams))
 		for _, s := range c.sendStreams {
-			out = append(out, s)
+			if !s.retired {
+				out = append(out, s)
+			}
 		}
 		for i := 1; i < len(out); i++ { // insertion sort, independent impl
 			for j := i; j > 0; j-- {
@@ -141,8 +143,14 @@ func TestStreamOrderCacheMatchesSort(t *testing.T) {
 	s4.SetPriority(-1) // tie with s8: ID breaks it
 	check("priority tie")
 
-	c.Stream(2) // new stream invalidates via length change
+	c.Stream(2) // a new stream invalidates the cache
 	check("fourth stream added")
+
+	c.retireStream(s4) // cut out of the cached order in place
+	check("stream 4 retired")
+
+	s8.SetPriority(7) // a rebuild must not bring the retired stream back
+	check("rebuilt after a retirement")
 }
 
 // TestRecvScratchCopyOnRetain asserts the copy-on-retain discipline end to

@@ -132,6 +132,48 @@ func TestCloseLifecycleStates(t *testing.T) {
 	}
 }
 
+// TestClosedConnForgetsStreams: the drain timer keeps a closed connection
+// reachable for three PTOs, so whatever the connection still references is
+// held that long. Stream payload must not be: both the closing and the
+// draining side let go of their streams at once, and a handle the
+// application kept stays usable.
+func TestClosedConnForgetsStreams(t *testing.T) {
+	ccfg, scfg := defaultMPConfig()
+	col := newCollector()
+	scfg.OnStreamData = col.onData
+	pair := NewPair(sim.NewLoop(), sim.NewRNG(13), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
+	if err := pair.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pair.RunUntil(time.Second)
+	st := pair.Client.OpenStream()
+	st.Write(make([]byte, 64<<10))
+	pair.RunUntil(2 * time.Second)
+	if col.data[st.ID()] == nil || col.data[st.ID()].Len() != 64<<10 {
+		t.Fatal("transfer did not complete before the close")
+	}
+	pair.Client.Close(0, "done")
+	pair.RunUntil(2200 * time.Millisecond)
+	if pair.Client.Terminated() || pair.Server.Terminated() {
+		t.Fatal("drain period over already: nothing to check")
+	}
+	if n := len(pair.Client.sendStreams) + len(pair.Client.recvStreams); n != 0 {
+		t.Fatalf("closing client still holds %d streams", n)
+	}
+	if n := len(pair.Server.sendStreams) + len(pair.Server.recvStreams); n != 0 {
+		t.Fatalf("draining server still holds %d streams", n)
+	}
+	st.Write([]byte("late")) // goes nowhere, must not panic
+	if pair.Client.OpenStream() == nil {
+		t.Fatal("OpenStream on a closed connection")
+	}
+	sent := pair.Client.Stats().SentPackets
+	pair.RunUntil(30 * time.Second)
+	if got := pair.Client.Stats().SentPackets; got != sent {
+		t.Fatalf("closed connection sent %d more packets", got-sent)
+	}
+}
+
 // TestKeepAliveSustainsIdleConnection checks that primary-path keepalives
 // prevent a healthy-but-idle connection from tripping its own idle timeout.
 func TestKeepAliveSustainsIdleConnection(t *testing.T) {

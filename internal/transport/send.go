@@ -335,11 +335,18 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 	// Stream data.
 	reinjBytes := 0
 	for budget > 8 {
-		ch, ok := c.pullChunk(now, p, budget-8)
+		var ch chunk
+		var ok bool
+		if c.pullHook != nil {
+			ch, ok = c.pullHook(now, p, budget-8)
+		} else {
+			ch, ok = c.pullChunk(now, p, budget-8)
+		}
 		if !ok {
 			break
 		}
 		s := c.sendStreams[ch.streamID]
+		s.inFlight++
 		sf := c.nextStreamFrame()
 		*sf = wire.StreamFrame{
 			StreamID: ch.streamID,
@@ -485,20 +492,22 @@ func (c *Conn) nextStreamFrame() *wire.StreamFrame {
 	return sf
 }
 
-// streamsInOrder returns send streams sorted by (priority, ID) — the
-// paper's early-stream-first order. The sort is cached and rebuilt only
-// when a stream is created or re-prioritized (streams are never removed),
-// hoisting a per-pullChunk sort out of the send loop. (priority, ID) is a
-// total order — IDs are unique — so the rebuild is deterministic despite
-// map iteration.
+// streamsInOrder returns the send streams that can still send, sorted by
+// (priority, ID) — the paper's early-stream-first order. The sort is cached
+// and rebuilt only when a stream is created or re-prioritized (retireStream
+// removes in place), hoisting a per-pullChunk sort out of the send loop.
+// (priority, ID) is a total order — IDs are unique — so the rebuild is
+// deterministic despite map iteration.
 //
 // xlinkvet:hot
 func (c *Conn) streamsInOrder() []*SendStream {
 	//xlinkvet:cold — rebuilt only when a stream is created or re-prioritized
-	if c.streamOrderDirty || len(c.streamOrder) != len(c.sendStreams) {
+	if c.streamOrderDirty {
 		c.streamOrder = c.streamOrder[:0]
 		for _, s := range c.sendStreams {
-			c.streamOrder = append(c.streamOrder, s)
+			if !s.retired {
+				c.streamOrder = append(c.streamOrder, s)
+			}
 		}
 		sort.Slice(c.streamOrder, func(i, j int) bool {
 			a, b := c.streamOrder[i], c.streamOrder[j]
@@ -583,7 +592,7 @@ func (c *Conn) pullChunk(now time.Duration, p *Path, maxLen int) (chunk, bool) {
 			}
 		}
 		if mode == ReinjectFramePriority {
-			if ch, ok := c.pullFramePriority(now, s, p, maxLen, allowReinj); ok {
+			if ch, ok := c.pullFramePriority(s, p, maxLen, allowReinj); ok {
 				return ch, true
 			}
 			continue
@@ -592,22 +601,22 @@ func (c *Conn) pullChunk(now time.Duration, p *Path, maxLen int) (chunk, bool) {
 			return ch, true
 		}
 		if mode == ReinjectStreamPriority && allowReinj {
-			c.scanReinjections(now, s, 0)
-			if ch, ok := c.popReinj(now, &s.reinjQ, p, s, maxLen); ok {
-				return ch, true
+			c.scanReinjections(s)
+			if i := ridable(s.reinjQ, p); i >= 0 {
+				return c.takeReinj(&s.reinjQ, i, maxLen), true
 			}
 		}
 	}
 	if mode == ReinjectAppending && allowReinj {
 		for _, s := range streams {
-			c.scanReinjections(now, s, 0)
+			c.scanReinjections(s)
 			// In appending mode all re-injections trail everything; use
 			// the shared queue to preserve enqueue order.
 			c.globalReinjQ = append(c.globalReinjQ, s.reinjQ...)
-			s.reinjQ = nil
+			s.reinjQ = s.reinjQ[:0]
 		}
-		if ch, ok := c.popGlobalReinj(now, p, maxLen); ok {
-			return ch, true
+		if i := ridable(c.globalReinjQ, p); i >= 0 {
+			return c.takeReinj(&c.globalReinjQ, i, maxLen), true
 		}
 	}
 	return chunk{}, false
@@ -638,192 +647,201 @@ func (c *Conn) pullNew(s *SendStream, maxLen int) (chunk, bool) {
 	return ch, true
 }
 
-// pullFramePriority implements Fig 4(c): within a stream, re-injections of
-// higher-priority (fully sent) video frames jump ahead of unsent data of
-// lower-priority frames.
-func (c *Conn) pullFramePriority(now time.Duration, s *SendStream, p *Path, maxLen int, allowReinj bool) (chunk, bool) {
+// pullFramePriority implements Fig 4(c): within a stream, a re-injection of
+// a higher-priority video frame jumps ahead of unsent data of lower-priority
+// frames; the rest trail the stream's new data.
+func (c *Conn) pullFramePriority(s *SendStream, p *Path, maxLen int, allowReinj bool) (chunk, bool) {
+	next := -1 // the queue is in priority order: the first copy p may carry is the most urgent
 	if allowReinj {
-		// Only frames that are fully sent are eligible for re-injection
-		// scanning (the "after sending out the last first-frame packet"
-		// trigger).
-		c.scanReinjections(now, s, s.nextOffset)
-	}
-	nextFramePrio := defaultFramePrio
-	if s.hasNewData() {
-		nextFramePrio = s.frameAt(s.nextOffset).Prio
-	}
-	if allowReinj {
-		// A queued re-injection whose frame priority beats the next new
-		// data goes first; stale (acked) entries are discarded as found.
-		for {
-			best := -1
-			for i, ch := range s.reinjQ {
-				if ch.originPath == p.ID {
-					continue
-				}
-				if ch.framePrio < nextFramePrio && (best < 0 || ch.framePrio < s.reinjQ[best].framePrio) {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			if ch, ok := c.takeReinjAt(now, &s.reinjQ, best, s, maxLen); ok {
-				return ch, true
-			}
+		c.scanReinjections(s)
+		next = ridable(s.reinjQ, p)
+		nextFramePrio := defaultFramePrio
+		if s.hasNewData() {
+			nextFramePrio = s.frameAt(s.nextOffset).Prio
+		}
+		if next >= 0 && s.reinjQ[next].framePrio < nextFramePrio {
+			return c.takeReinj(&s.reinjQ, next, maxLen), true
 		}
 	}
 	if ch, ok := c.pullNew(s, maxLen); ok {
 		return ch, true
 	}
-	if allowReinj {
-		if ch, ok := c.popReinj(now, &s.reinjQ, p, s, maxLen); ok {
-			return ch, true
-		}
+	if next >= 0 {
+		return c.takeReinj(&s.reinjQ, next, maxLen), true
 	}
 	return chunk{}, false
 }
 
-// scanReinjections walks every path's unacked packets and enqueues
-// re-injection copies of chunks belonging to stream s. When sentBefore is
-// non-zero, only chunks entirely below that offset (fully sent frames) are
-// eligible.
-func (c *Conn) scanReinjections(now time.Duration, s *SendStream, sentBefore uint64) {
+// scanReinjections queues re-injection copies of stream s's chunks in
+// packets still in flight, paths in pathOrder and packet numbers ascending.
+// A packet is examined for a stream once, by the first scan after it was
+// sent (s.scanned holds the per-path cursor): whatever excludes a chunk then
+// — delivered, FEC-covered, its packet resolved or already duplicated —
+// still excludes it at any later scan, so looking again would find nothing.
+func (c *Conn) scanReinjections(s *SendStream) {
 	if s.reset {
 		return
 	}
-	for _, id := range c.pathOrder {
-		src := c.paths[id]
-		//xlinkvet:ignore hotalloc — non-escaping iterator closure (EachInFlight does not retain it); inside the 22-alloc budget
-		src.Space.EachInFlight(func(sp *recovery.SentPacket) bool {
+	for i, id := range c.pathOrder {
+		src := c.paths[id].Space
+		//xlinkvet:cold — one cursor per path, grown when the stream first sees the path
+		if i == len(s.scanned) {
+			s.scanned = append(s.scanned, 0)
+		}
+		from, next := s.scanned[i], src.PeekPN()
+		if from == next {
+			continue
+		}
+		s.scanned[i] = next
+		for _, sp := range src.SentFrom(from) {
+			c.reinjExamined++
 			meta, ok := sp.Meta.(*packetMeta)
-			if !ok || meta.reinjected {
-				return true
+			if !ok || meta.reinjected || !sp.InFlight() {
+				continue
 			}
-			match := false
 			for _, ch := range meta.chunks {
-				if ch.streamID != s.id {
+				if ch.streamID != s.id || (ch.length == 0 && !ch.fin) {
 					continue
 				}
-				if sentBefore > 0 && ch.offset+ch.length > sentBefore {
-					continue
-				}
-				if ch.length == 0 && !ch.fin {
-					continue
-				}
-				// Skip fully acked chunks.
-				if ch.length > 0 && s.acked.Contains(ch.offset, ch.offset+ch.length) {
-					continue
-				}
-				// Skip ranges the FEC lane owns: either proactively
-				// protected at flush time (the QoE gate chose FEC over
-				// re-injection) or already rebuilt by the peer's decoder
-				// (DESIGN.md §13 lane rules).
-				if ch.length > 0 && (s.fecCovered.Contains(ch.offset, ch.offset+ch.length) ||
+				assert.That(ch.offset+ch.length <= s.nextOffset, "chunk in flight beyond the stream's send offset")
+				// Skip what the peer holds, and ranges the FEC lane owns:
+				// proactively protected at flush time (the QoE gate chose
+				// FEC over re-injection) or already rebuilt by the peer's
+				// decoder (DESIGN.md §13 lane rules).
+				if ch.length > 0 && (s.acked.Contains(ch.offset, ch.offset+ch.length) ||
+					s.fecCovered.Contains(ch.offset, ch.offset+ch.length) ||
 					s.recovered.Contains(ch.offset, ch.offset+ch.length)) {
 					continue
 				}
-				dup := ch
-				dup.reinjection = true
-				dup.isNew = false
-				dup.originPath = id
-				s.reinjQ = append(s.reinjQ, dup)
-				match = true
-			}
-			if match {
+				ch.reinjection = true
+				ch.isNew = false
+				ch.originPath = id
 				meta.reinjected = true
+				// Acks and FEC recovery may cover between them what neither
+				// covers alone: the packet counts as duplicated, the copy
+				// is not worth queueing.
+				if s.wanted(ch) {
+					s.queueReinj(ch)
+				}
 			}
-			return true
-		})
-	}
-	// Keep the queue ordered by frame priority (stable for FIFO ties).
-	//xlinkvet:ignore hotalloc — sort comparator closure: non-escaping (stack-allocated by the compiler), inside the alloc budget
-	sort.SliceStable(s.reinjQ, func(i, j int) bool {
-		return s.reinjQ[i].framePrio < s.reinjQ[j].framePrio
-	})
-	if assert.Enabled {
-		// Alg. 1 re-injects strictly in priority order; a disordered queue
-		// would re-inject the wrong chunks first.
-		for i := 1; i < len(s.reinjQ); i++ {
-			assert.That(s.reinjQ[i-1].framePrio <= s.reinjQ[i].framePrio,
-				"reinjection queue out of priority order at %d", i)
 		}
 	}
 }
 
-// popReinj removes the first eligible re-injection chunk for path p,
-// discarding entries that were fully acknowledged since they were queued.
-func (c *Conn) popReinj(now time.Duration, q *[]chunk, p *Path, s *SendStream, maxLen int) (chunk, bool) {
-	i := 0
-	for i < len(*q) {
-		if (*q)[i].originPath == p.ID {
-			i++
-			continue
+// ridable returns the index of the first copy in q that may ride p — one
+// whose original travelled on another path — or -1.
+func ridable(q []chunk, p *Path) int {
+	for i := range q {
+		if q[i].originPath != p.ID {
+			return i
 		}
-		if ch, ok := c.takeReinjAt(now, q, i, s, maxLen); ok {
-			return ch, true
-		}
-		// Stale entry was removed at i; re-examine the same index.
 	}
-	return chunk{}, false
+	return -1
 }
 
-// takeReinjAt extracts (possibly part of) the queued re-injection at index
-// i, skipping data that was acknowledged in the meantime.
-func (c *Conn) takeReinjAt(now time.Duration, q *[]chunk, i int, s *SendStream, maxLen int) (chunk, bool) {
-	ch := (*q)[i]
-	// Trim any prefix acked — or FEC-recovered by the peer — since enqueue.
-	for ch.length > 0 && (s.acked.Contains(ch.offset, ch.offset+1) ||
-		s.recovered.Contains(ch.offset, ch.offset+1)) {
-		covered := s.acked.CoveredPrefix(ch.offset)
-		if rc := s.recovered.CoveredPrefix(ch.offset); rc > covered {
-			covered = rc
-		}
-		trim := min64(covered-ch.offset, ch.length)
-		ch.offset += trim
-		ch.length -= trim
-	}
-	if ch.length == 0 && !ch.fin {
-		orig := (*q)[i]
-		c.tr.ReinjectCancel(now, s.id, orig.offset, int(orig.length), "acked")
-		//xlinkvet:ignore hotalloc — in-place removal: appending a sub-slice over its own backing array never grows
-		*q = append((*q)[:i], (*q)[i+1:]...)
-		return chunk{}, false
-	}
+// takeReinj takes the queued copy at index i, cut to maxLen bytes; what is
+// left of it stays queued in its place.
+func (c *Conn) takeReinj(q *[]chunk, i int, maxLen int) chunk {
+	// Part of it may have been delivered since it was queued; all of it
+	// cannot have been, or dropDelivered would have removed it.
+	s := c.sendStreams[(*q)[i].streamID]
+	ch := s.trimDelivered((*q)[i])
+	assert.That(ch.length > 0 || ch.fin, "fully delivered re-injection left in the queue")
+	var rest chunk
 	if ch.length > uint64(maxLen) {
-		rest := ch
+		rest = ch
 		rest.offset += uint64(maxLen)
 		rest.length -= uint64(maxLen)
-		rest.fin = ch.fin
+		rest = s.trimDelivered(rest)
 		ch.length = uint64(maxLen)
 		ch.fin = false
+	}
+	if rest.length > 0 || rest.fin {
 		(*q)[i] = rest
 	} else {
-		//xlinkvet:ignore hotalloc — in-place removal: appending a sub-slice over its own backing array never grows
-		*q = append((*q)[:i], (*q)[i+1:]...)
+		copy((*q)[i:], (*q)[i+1:])
+		*q = (*q)[:len(*q)-1]
 	}
-	return ch, true
+	return ch
 }
 
-// popGlobalReinj pulls from the appending-mode shared queue.
-func (c *Conn) popGlobalReinj(now time.Duration, p *Path, maxLen int) (chunk, bool) {
-	i := 0
-	for i < len(c.globalReinjQ) {
-		ch := c.globalReinjQ[i]
-		if ch.originPath == p.ID {
-			i++
+// dropDelivered removes queued copies of s's data that [start, end), newly
+// acknowledged or FEC-recovered, completed: the peer holds all of their
+// bytes, so sending them could only waste the fast path.
+func (c *Conn) dropDelivered(s *SendStream, start, end uint64) {
+	s.reinjQ = s.filterDelivered(s.reinjQ, start, end)
+	c.globalReinjQ = s.filterDelivered(c.globalReinjQ, start, end)
+}
+
+// filterDelivered is dropDelivered over one queue, compacting it in place.
+func (s *SendStream) filterDelivered(q []chunk, start, end uint64) []chunk {
+	w := 0
+	for i := range q {
+		e := &q[i]
+		if e.streamID == s.id && e.offset < end && start < e.offset+e.length {
+			if !s.wanted(*e) {
+				continue
+			}
+		}
+		if w != i {
+			q[w] = *e
+		}
+		w++
+	}
+	return q[:w]
+}
+
+// dropReinjections discards every queued copy of s's data at Reset, from
+// its own queue and from the appending-mode shared one.
+func (c *Conn) dropReinjections(s *SendStream) {
+	now := c.env.Now()
+	for _, e := range s.reinjQ {
+		c.tr.ReinjectCancel(now, s.id, e.offset, int(e.length), "reset")
+	}
+	s.reinjQ = nil
+	w := 0
+	for _, e := range c.globalReinjQ {
+		if e.streamID == s.id {
+			c.tr.ReinjectCancel(now, s.id, e.offset, int(e.length), "reset")
 			continue
 		}
-		s := c.sendStreams[ch.streamID]
-		if s == nil {
-			i++
-			continue
-		}
-		if got, ok := c.takeReinjAt(now, &c.globalReinjQ, i, s, maxLen); ok {
-			return got, true
+		c.globalReinjQ[w] = e
+		w++
+	}
+	c.globalReinjQ = c.globalReinjQ[:w]
+	c.retireStream(s)
+}
+
+// chunkResolved notes that a packet carrying one of s's chunks was acked or
+// declared lost, and retires s once it can never send again: finished and
+// delivered, nothing left in flight for a scan to find, no copy queued.
+func (c *Conn) chunkResolved(s *SendStream) {
+	s.inFlight--
+	assert.That(s.inFlight >= 0, "more chunks resolved than were sent")
+	if s.inFlight > 0 || s.retired || len(s.reinjQ) > 0 || !s.complete() {
+		return
+	}
+	for _, e := range c.globalReinjQ {
+		if e.streamID == s.id {
+			return
 		}
 	}
-	return chunk{}, false
+	c.retireStream(s)
+}
+
+// retireStream takes s out of the cached stream order, so pullChunk walks
+// only streams that can still send. Its buffers stay with the stream.
+func (c *Conn) retireStream(s *SendStream) {
+	s.retired = true
+	for i, o := range c.streamOrder {
+		if o == s {
+			last := len(c.streamOrder) - 1
+			copy(c.streamOrder[i:], c.streamOrder[i+1:])
+			c.streamOrder[last] = nil
+			c.streamOrder = c.streamOrder[:last]
+			return
+		}
+	}
 }
 
 // --- Acknowledgements ---
@@ -1058,7 +1076,7 @@ func (c *Conn) rearmTimer() {
 		// spin the event loop at a frozen instant.
 		deadline = now + cc.Granularity
 	}
-	c.timerCancel = c.env.Schedule(deadline, c.onTimer)
+	c.timerCancel = c.env.Schedule(deadline, c.onTimerFn)
 }
 
 // onTimer handles drain, idle, loss, PTO, keepalive and delayed-ack

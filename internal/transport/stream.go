@@ -3,6 +3,7 @@ package transport
 import (
 	"sort"
 
+	"repro/internal/assert"
 	"repro/internal/rangeset"
 	"repro/internal/wire"
 )
@@ -54,8 +55,19 @@ type SendStream struct {
 	// acked tracks peer-acknowledged ranges (via any path or copy).
 	acked rangeset.Set
 	// reinjQ holds pending re-injection chunks, ordered by framePrio then
-	// enqueue order.
+	// enqueue order. Entries leave when they are sent, when the peer holds
+	// all of their data (dropDelivered), or at Reset.
 	reinjQ []chunk
+	// scanned[i] is the first packet number on path c.pathOrder[i] that
+	// scanReinjections has not examined for this stream yet.
+	scanned []uint64
+	// inFlight counts this stream's chunks in packets neither acked nor
+	// declared lost — what a re-injection scan could still find.
+	inFlight int
+	// retired marks a stream that can never send again (finished and
+	// delivered with nothing in flight or queued, or reset): it has left the
+	// connection's streamOrder.
+	retired bool
 	// fecCovered tracks ranges the FEC encoder protected with repair
 	// symbols: the re-injection scanner skips them, since the QoE gate
 	// picked proactive protection for them (DESIGN.md §13).
@@ -152,7 +164,7 @@ func (s *SendStream) Reset(code uint64) {
 	s.reset = true
 	s.resetCode = code
 	s.rtx = rangeset.Set{}
-	s.reinjQ = nil
+	s.conn.dropReinjections(s)
 	//xlinkvet:ignore hotalloc — RESET_STREAM is queued (outlives the call); a stream resets at most once
 	s.conn.queueCtrl(&wire.ResetStreamFrame{
 		StreamID:  s.id,
@@ -298,10 +310,62 @@ func (s *SendStream) onChunkLost(c chunk) {
 func (s *SendStream) onChunkAcked(c chunk) {
 	if c.length > 0 {
 		s.acked.Add(c.offset, c.offset+c.length)
-		// Acked data no longer needs retransmission.
+		// Acked data needs neither retransmission nor re-injection.
 		s.rtx.Subtract(c.offset, c.offset+c.length)
+		s.conn.dropDelivered(s, c.offset, c.offset+c.length)
 	}
 	if c.fin {
 		s.finAcked = true
+	}
+}
+
+// complete reports whether the peer acknowledged the FIN and every byte
+// before it.
+func (s *SendStream) complete() bool {
+	return s.finAcked && s.acked.Contains(0, s.finOffset)
+}
+
+// trimDelivered drops the prefix of a queued re-injection that the peer
+// already holds, acknowledged or rebuilt by its FEC decoder.
+func (s *SendStream) trimDelivered(ch chunk) chunk {
+	for ch.length > 0 && (s.acked.Contains(ch.offset, ch.offset+1) ||
+		s.recovered.Contains(ch.offset, ch.offset+1)) {
+		covered := s.acked.CoveredPrefix(ch.offset)
+		if rc := s.recovered.CoveredPrefix(ch.offset); rc > covered {
+			covered = rc
+		}
+		trim := min64(covered-ch.offset, ch.length)
+		ch.offset += trim
+		ch.length -= trim
+	}
+	return ch
+}
+
+// wanted reports whether a re-injection copy is still worth sending: the
+// peer lacks some of its bytes, or it carries the FIN.
+func (s *SendStream) wanted(ch chunk) bool {
+	ch = s.trimDelivered(ch)
+	return ch.length > 0 || ch.fin
+}
+
+// queueReinj inserts a re-injection copy behind every queued entry of the
+// same or a more urgent frame priority, which keeps reinjQ in (framePrio,
+// enqueue order) without ever sorting it. Untagged data is the least urgent
+// priority there is, so all but first-frame copies land at the tail.
+func (s *SendStream) queueReinj(ch chunk) {
+	i := len(s.reinjQ)
+	for i > 0 && s.reinjQ[i-1].framePrio > ch.framePrio {
+		i--
+	}
+	s.reinjQ = append(s.reinjQ, chunk{})
+	copy(s.reinjQ[i+1:], s.reinjQ[i:])
+	s.reinjQ[i] = ch
+	if assert.Enabled {
+		// Alg. 1 re-injects strictly in priority order; a disordered queue
+		// would re-inject the wrong chunks first.
+		for j := 1; j < len(s.reinjQ); j++ {
+			assert.That(s.reinjQ[j-1].framePrio <= s.reinjQ[j].framePrio,
+				"reinjection queue out of priority order at %d", j)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package video
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/transport"
@@ -47,9 +46,14 @@ type Requester struct {
 	video  Video
 	player *Player
 
-	nextOffset   uint64 // next chunk offset to request
-	deliverPos   uint64 // next byte offset to hand to the player
-	chunks       map[uint64]*chunkState
+	nextOffset uint64 // next chunk offset to request
+	deliverPos uint64 // next byte offset to hand to the player
+	chunks     map[uint64]*chunkState
+	// order holds the chunks as requested — ascending offset and stream ID
+	// alike — and deliverIdx is the first one not yet handed to the player
+	// in full.
+	order        []*chunkState
+	deliverIdx   int
 	outstanding  int
 	Results      []ChunkResult
 	started      bool
@@ -111,14 +115,9 @@ func (r *Requester) Abort() {
 	r.aborted = true
 	// STOP_SENDING frames go on the wire; emit them in stream-ID order so
 	// traces are reproducible.
-	ids := make([]uint64, 0, len(r.chunks))
-	for id := range r.chunks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if !r.chunks[id].completed {
-			r.conn.StopSending(id, 0x10) // application "canceled"
+	for _, cs := range r.order {
+		if !cs.completed {
+			r.conn.StopSending(cs.streamID, 0x10) // application "canceled"
 		}
 	}
 	r.nextOffset = r.video.Size // stop issuing new chunks
@@ -158,6 +157,7 @@ func (r *Requester) fill(now time.Duration) {
 			result:   ChunkResult{Offset: r.nextOffset, Length: length, RequestedAt: now},
 		}
 		r.chunks[ss.ID()] = cs
+		r.order = append(r.order, cs)
 		r.nextOffset += length
 		r.outstanding++
 		ss.Write([]byte(FormatRequest(Request{ID: r.video.ID, Offset: cs.offset, Length: length})))
@@ -201,20 +201,21 @@ func (r *Requester) OnStreamData(now time.Duration, rs *transport.RecvStream, da
 
 // deliverInOrder pushes contiguous received bytes to the player. Chunks
 // cover disjoint ascending ranges, so one pass in offset order finds every
-// contiguous extension.
+// contiguous extension; it starts at the first chunk not yet delivered in
+// full and stops at the first one still missing bytes, since nothing behind
+// a gap can be contiguous.
 func (r *Requester) deliverInOrder(now time.Duration) {
-	ordered := make([]*chunkState, 0, len(r.chunks))
-	for _, cs := range r.chunks {
-		ordered = append(ordered, cs)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].offset < ordered[j].offset })
-	for _, cs := range ordered {
+	for ; r.deliverIdx < len(r.order); r.deliverIdx++ {
+		cs := r.order[r.deliverIdx]
 		if cs.offset <= r.deliverPos && r.deliverPos < cs.offset+cs.received {
 			n := cs.offset + cs.received - r.deliverPos
 			r.deliverPos += n
 			if r.player != nil {
 				r.player.OnData(now, n)
 			}
+		}
+		if r.deliverPos < cs.offset+cs.length {
+			return
 		}
 	}
 }
@@ -224,8 +225,7 @@ func (r *Requester) allDone() bool {
 	if r.nextOffset < r.video.Size {
 		return false
 	}
-	//xlinkvet:ignore maprange — pure predicate, order-insensitive
-	for _, cs := range r.chunks {
+	for _, cs := range r.order {
 		if !cs.completed {
 			return false
 		}

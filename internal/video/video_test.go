@@ -2,6 +2,8 @@ package video
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -259,5 +261,96 @@ func TestRequesterAbortStopsServer(t *testing.T) {
 	}
 	if requester.Done() {
 		t.Fatal("aborted fetch must not report done")
+	}
+}
+
+// refDeliverInOrder is deliverInOrder as it was before the requester kept
+// its chunks in request order: copy every chunk out of the map, sort by
+// offset, walk them all. Kept as the reference model.
+func refDeliverInOrder(r *Requester, now time.Duration) {
+	ordered := make([]*chunkState, 0, len(r.chunks))
+	for _, cs := range r.chunks {
+		ordered = append(ordered, cs)
+	}
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].offset < ordered[j].offset })
+	for _, cs := range ordered {
+		if cs.offset <= r.deliverPos && r.deliverPos < cs.offset+cs.received {
+			n := cs.offset + cs.received - r.deliverPos
+			r.deliverPos += n
+			if r.player != nil {
+				r.player.OnData(now, n)
+			}
+		}
+	}
+}
+
+// chunkedRequester is a requester with n chunks of 1000 bytes requested and
+// nothing received, built without a connection.
+func chunkedRequester(n int, player *Player) *Requester {
+	r := &Requester{player: player, chunks: map[uint64]*chunkState{}}
+	for i := 0; i < n; i++ {
+		cs := &chunkState{offset: uint64(i) * 1000, length: 1000, streamID: uint64(4 * i)}
+		r.chunks[cs.streamID] = cs
+		r.order = append(r.order, cs)
+	}
+	return r
+}
+
+// TestDeliverInOrderMatchesReference feeds the same out-of-order arrivals to
+// the cursor walk and to the copy-and-sort walk it replaced: the player must
+// see the same OnData calls, in the same order (each call leaves one
+// BufferSeries sample).
+func TestDeliverInOrderMatchesReference(t *testing.T) {
+	const chunks = 12
+	v := testVideo()
+	v.Size = chunks * 1000
+	got, want := NewPlayer(v, DefaultPlayerConfig()), NewPlayer(v, DefaultPlayerConfig())
+	a, b := chunkedRequester(chunks, got), chunkedRequester(chunks, want)
+	rng := sim.NewRNG(3)
+	for step := 1; a.deliverPos < v.Size; step++ {
+		// Any of three chunks around the delivery point may progress, as
+		// with concurrent requests on paths of different speed.
+		i := int(a.deliverPos/1000) + rng.Intn(3)
+		if i >= chunks {
+			i = chunks - 1
+		}
+		ca, cb := a.order[i], b.order[i]
+		n := min(uint64(1+rng.Intn(400)), ca.length-ca.received)
+		ca.received += n
+		cb.received += n
+		now := time.Duration(step) * time.Millisecond
+		a.deliverInOrder(now)
+		refDeliverInOrder(b, now)
+		if a.deliverPos != b.deliverPos {
+			t.Fatalf("step %d: delivered up to %d, reference %d", step, a.deliverPos, b.deliverPos)
+		}
+	}
+	if !slices.Equal(got.BufferSeries.Times, want.BufferSeries.Times) ||
+		!slices.Equal(got.BufferSeries.Values, want.BufferSeries.Values) {
+		t.Fatal("the player saw different OnData calls than under the reference walk")
+	}
+	if got.BufferSeries.Len() < chunks {
+		t.Fatalf("only %d deliveries for %d chunks", got.BufferSeries.Len(), chunks)
+	}
+}
+
+// TestAllocGateDeliverInOrder: handing newly contiguous bytes on runs on the
+// requester's own chunk list (scripts/check.sh runs every TestAllocGate*).
+func TestAllocGateDeliverInOrder(t *testing.T) {
+	r := chunkedRequester(200, nil)
+	for _, cs := range r.order[:100] { // a long-running fetch: half the video is behind us
+		cs.received = cs.length
+	}
+	r.deliverInOrder(0)
+	cs := r.order[100]
+	avg := testing.AllocsPerRun(100, func() {
+		cs.received += 5
+		r.deliverInOrder(0)
+	})
+	if avg > 0 {
+		t.Fatalf("a delivery allocates %.1f/op, want 0", avg)
+	}
+	if r.deliverPos != cs.offset+cs.received {
+		t.Fatalf("delivered up to %d, want %d", r.deliverPos, cs.offset+cs.received)
 	}
 }

@@ -40,6 +40,20 @@ if [ "$VET_ELAPSED" -ge 30 ]; then
 	echo "xlinkvet sweep exceeded the 30s budget" >&2
 	exit 1
 fi
+# Suppression ratchet: every //xlinkvet:ignore hotalloc is an allocation
+# site the analyzer was told not to report, and one of them hid two thirds
+# of a lossy session's allocations for eight PRs (DESIGN.md §7). The count
+# in the tree (fixtures and the rule's own source aside) may not exceed the
+# one recorded in §7's rent table; raising it means editing that row, where
+# a reviewer sees it.
+echo "==> hotalloc suppression ratchet"
+HOTALLOC_HAVE="$(grep -rho --include='*.go' --exclude-dir=vet 'xlinkvet:ignore hotalloc' cmd internal xlink examples benchmark | wc -l)"
+HOTALLOC_MAY="$(sed -n 's/^| hotalloc |[^|]*| \([0-9][0-9]*\) (.*/\1/p' DESIGN.md)"
+echo "hotalloc suppressions: ${HOTALLOC_HAVE} in the tree, ${HOTALLOC_MAY:-?} recorded in DESIGN.md §7"
+if [ -z "$HOTALLOC_MAY" ] || [ "$HOTALLOC_HAVE" -gt "$HOTALLOC_MAY" ]; then
+	echo "more hotalloc suppressions than DESIGN.md §7 records (or the row is unreadable)" >&2
+	exit 1
+fi
 step go test ./...
 step go test -tags xlinkdebug ./...
 step go test -race ./...
@@ -58,10 +72,11 @@ step go test -race -count=1 ./xlink/ -run TestLiveShardedEventLoop
 # Allocation gates (DESIGN.md §11): warm hot paths must hold their alloc/op
 # budgets — zero for sim timers, crypto seal/open, rangeset updates, the
 # telemetry record path (counters/gauges/histograms and the flight-recorder
-# ring, DESIGN.md §14) and the send-side batch fill/flush (§16), a fixed
-# ceiling for the transport round trip and the batched 16-packet receive.
+# ring, DESIGN.md §14), the send-side batch fill/flush (§16), a re-injection
+# pull with nothing new in flight and the requester's in-order delivery, a
+# fixed ceiling for the transport round trip and the batched 16-packet receive.
 # -count=1 so the gates really re-measure instead of replaying a cached pass.
-step go test -count=1 -run 'TestAllocGate' ./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/transport/ ./internal/obs/
+step go test -count=1 -run 'TestAllocGate' ./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/transport/ ./internal/obs/ ./internal/video/
 # Benchmark smoke: every benchmark must still run (one iteration — this
 # checks the harness, not performance; `make bench` measures for real, and
 # its allocs_per_pkt bound pins allocation-count growth end to end).

@@ -187,7 +187,7 @@ func (st *Stream) Close() {
 // Reset abandons the stream with an error code.
 func (st *Stream) Reset(code uint64) {
 	st.ep.mu.Lock()
-	st.s.Reset(code)
+	st.s.Reset(code) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
 	st.ep.mu.Unlock()
 	st.ep.flushCallbacks()
 }
