@@ -53,6 +53,12 @@ const (
 	MetricCoalescedAcks MetricName = "xlink_coalesced_acks_total"
 	// Flight-recorder anomaly triggers.
 	MetricAnomalies MetricName = "xlink_anomalies_total"
+	// Stream buffer occupancy gauges (DESIGN.md §17): bytes the connection's
+	// send and receive stream buffers hold, and the most they ever held.
+	MetricSendBufferedBytes MetricName = "xlink_send_buffered_bytes"
+	MetricSendBufferedPeak  MetricName = "xlink_send_buffered_peak_bytes"
+	MetricRecvBufferedBytes MetricName = "xlink_recv_buffered_bytes"
+	MetricRecvBufferedPeak  MetricName = "xlink_recv_buffered_peak_bytes"
 	// Load-balancer routing outcomes, labeled per backend.
 	MetricLBRouted  MetricName = "xlink_lb_routed_total"
 	MetricLBDropped MetricName = "xlink_lb_dropped_total"

@@ -250,6 +250,12 @@ func (c Config) withDefaults() Config {
 const (
 	// ErrCodeNone is a clean application close.
 	ErrCodeNone uint64 = 0
+	// ErrCodeFlowControl (RFC 9000 FLOW_CONTROL_ERROR) means the peer sent
+	// stream data beyond a limit this endpoint advertised.
+	ErrCodeFlowControl uint64 = 0x03
+	// ErrCodeFinalSize (RFC 9000 FINAL_SIZE_ERROR) means the peer changed a
+	// stream's final size, or sent data beyond it.
+	ErrCodeFinalSize uint64 = 0x06
 	// ErrCodeHandshakeTimeout means the Initial PTO budget was exhausted
 	// before the handshake completed.
 	ErrCodeHandshakeTimeout uint64 = 0x11

@@ -116,6 +116,13 @@ type ConnStats struct {
 	FECRecoveredBytes  uint64
 	FECDecoderGiveUps  uint64
 	FECSuppressedBytes uint64
+	// Stream buffer occupancy (DESIGN.md §17): what the send and receive
+	// buffers of all streams hold now and held at most, each stream counted
+	// from the start of its oldest segment to the highest byte stored.
+	SendBufferedBytes uint64
+	SendBufferedPeak  uint64
+	RecvBufferedBytes uint64
+	RecvBufferedPeak  uint64
 }
 
 // RedundancyRatio returns re-injected bytes over all stream bytes sent, the
@@ -175,10 +182,17 @@ type Conn struct {
 	nextStreamID uint64
 
 	// Connection-level flow control.
-	connSent      uint64 // sum of stream send offsets (new data)
-	peerMaxData   uint64
-	localMaxData  uint64
-	connDelivered uint64
+	connSent       uint64 // sum of stream send offsets (new data)
+	peerMaxData    uint64
+	peerMaxStrData uint64 // the peer's initial per-stream limit
+	localMaxData   uint64
+	connDelivered  uint64
+	recvHighest    uint64 // sum of the receive streams' highest offsets
+
+	// Stream buffer accounting and the free list of send segments
+	// (DESIGN.md §17).
+	sendAcct, recvAcct bufAcct
+	segFree            segPool
 
 	ctrlQ []ctrlItem // xlinkvet:guardedby confined
 	// globalReinjQ is the appending-mode re-injection queue: every stream's
@@ -208,9 +222,11 @@ type Conn struct {
 	// Hot-path scratch (DESIGN.md §11). Event-loop confined like the rest of
 	// the mutable core; each buffer is valid only until the next packet is
 	// assembled (send side) or delivered (recv side), so nothing below may be
-	// retained across events. inRecv guards against reentrant datagram
-	// delivery clobbering recvBuf/recvFrames mid-dispatch.
+	// retained across events. gather holds the chunks of the packet being
+	// assembled that straddle two send segments (§17). inRecv guards against
+	// reentrant datagram delivery clobbering recvBuf/recvFrames mid-dispatch.
 	sendBuf    []byte              // xlinkvet:guardedby confined
+	gather     []byte              // xlinkvet:guardedby confined
 	sendFrames []wire.Frame        // xlinkvet:guardedby confined
 	sfScratch  []*wire.StreamFrame // xlinkvet:guardedby confined
 	sfUsed     int
@@ -291,7 +307,12 @@ func NewConn(env Env, sender DatagramSender, cfg Config) *Conn {
 func (c *Conn) SetTracer(o *obs.Origin) { c.tr = o }
 
 // Stats returns a copy of the connection counters.
-func (c *Conn) Stats() ConnStats { return c.stats }
+func (c *Conn) Stats() ConnStats {
+	st := c.stats
+	st.SendBufferedBytes, st.SendBufferedPeak = c.sendAcct.bytes, c.sendAcct.peak
+	st.RecvBufferedBytes, st.RecvBufferedPeak = c.recvAcct.bytes, c.recvAcct.peak
+	return st
+}
 
 // SetOnStreamData installs the in-order stream data callback. Call before
 // traffic flows.
@@ -682,6 +703,7 @@ func (c *Conn) serverHandleClientInitial(now time.Duration, netIdx int, data []b
 		c.peerCIDs = []wire.ConnectionID{hdr.SCID.Clone()}
 		c.localCIDs = []wire.ConnectionID{c.newCID()}
 		c.peerMaxData = peerParams.InitialMaxData
+		c.peerMaxStrData = peerParams.InitialMaxStrData
 		p := c.newPath(0, netIdx, trace.TechWiFi)
 		p.State = PathActive
 		p.DCID = c.peerCIDs[0]
@@ -734,6 +756,7 @@ func (c *Conn) clientHandleServerInitial(now time.Duration, data []byte) {
 		c.fecEnabled = peerParams.EnableFEC && c.cfg.Params.EnableFEC
 		c.peerCIDs = []wire.ConnectionID{hdr.SCID.Clone()}
 		c.peerMaxData = peerParams.InitialMaxData
+		c.peerMaxStrData = peerParams.InitialMaxStrData
 		c.paths[0].DCID = c.peerCIDs[0]
 		if err := c.deriveSessionKeys(c.localRandom[:], serverRandom); err != nil {
 			return
@@ -1031,8 +1054,12 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 	case *wire.DataBlockedFrame, *wire.StreamDataBlockedFrame:
 		// Informational; our auto-tuned limits react via MAX_DATA below.
 	case *wire.ResetStreamFrame:
-		if rs := c.recvStreams[fr.StreamID]; rs != nil {
-			rs.finished = true
+		// A reset of a stream nothing arrived on has nothing to release.
+		if c.recvStreams[fr.StreamID] != nil {
+			if rs := c.admitStreamData(now, fr.StreamID, fr.FinalSize, true); rs != nil {
+				rs.finSeen, rs.finOffset = true, fr.FinalSize
+				rs.finish()
+			}
 		}
 	case *wire.StopSendingFrame:
 		// The peer no longer wants this stream: abort our sending side
@@ -1099,11 +1126,62 @@ func (c *Conn) handlePathStatus(now time.Duration, fr *wire.PathStatusFrame) {
 // protection windows: a window may retire (fully received) or become
 // solvable (missing count dropped to the repairs in hand).
 func (c *Conn) handleStreamFrame(now time.Duration, fr *wire.StreamFrame) {
-	rs := c.streamForRecv(now, fr.StreamID)
+	rs := c.admitStreamData(now, fr.StreamID, fr.Offset+uint64(len(fr.Data)), fr.Fin)
+	if rs == nil {
+		return
+	}
 	c.deliverStreamData(now, rs, fr.Offset, fr.Data, fr.Fin)
 	if c.fecEnabled && c.fecDec.hasOpenWindows(fr.StreamID) {
 		c.fecOnStreamData(now, fr.StreamID)
 	}
+}
+
+// admitStreamData enforces what this endpoint advertised on a STREAM frame
+// ending at end, or a RESET_STREAM whose final size is end, before the
+// peer's offset sizes or indexes anything (RFC 9000 §4.1, §4.5): data beyond
+// the stream's or the connection's limit closes the connection with
+// FLOW_CONTROL_ERROR, a final size that contradicts an earlier one or lies
+// below data already sent closes it with FINAL_SIZE_ERROR. Every stream
+// buffer's bound rests on this check. It returns the stream, created on
+// first contact, or nil after closing the connection.
+//
+// xlinkvet:hot
+func (c *Conn) admitStreamData(now time.Duration, id, end uint64, final bool) *RecvStream {
+	rs := c.recvStreams[id]
+	highest := uint64(0)
+	if rs != nil {
+		highest = rs.highest
+	}
+	//xlinkvet:cold — protocol violation: the connection ends here
+	if end > c.recvLimit(rs) || (end > highest && c.recvHighest+(end-highest) > c.localMaxData) {
+		c.Close(ErrCodeFlowControl, "stream data beyond the advertised limit")
+		return nil
+	}
+	//xlinkvet:cold — protocol violation: the connection ends here
+	if (final && end < highest) || (rs != nil && rs.finSeen && (end > rs.finOffset || (final && end != rs.finOffset))) {
+		c.Close(ErrCodeFinalSize, "stream final size contradicted")
+		return nil
+	}
+	if rs == nil {
+		rs = c.streamForRecv(now, id)
+	}
+	if end > highest {
+		c.recvHighest += end - highest
+		rs.highest = end
+	}
+	return rs
+}
+
+// recvLimit is the highest offset the peer may use on a stream: the limit
+// last advertised for it, the initial one if nothing arrived on it yet (rs
+// is nil).
+//
+// xlinkvet:hot
+func (c *Conn) recvLimit(rs *RecvStream) uint64 {
+	if rs != nil {
+		return rs.maxDataSent
+	}
+	return c.cfg.Params.InitialMaxStrData
 }
 
 // streamForRecv returns the receive half of a stream, creating it (and
@@ -1119,6 +1197,10 @@ func (c *Conn) streamForRecv(now time.Duration, id uint64) *RecvStream {
 			conn:        c,
 			initialMax:  c.cfg.Params.InitialMaxStrData,
 			maxDataSent: c.cfg.Params.InitialMaxStrData,
+			data:        segBuf{acct: &c.recvAcct},
+		}
+		if c.fecEnabled {
+			rs.history = fecHistory
 		}
 		c.recvStreams[id] = rs
 		if c.cfg.OnStreamOpen != nil {
@@ -1274,6 +1356,7 @@ func (c *Conn) Stream(id uint64) *SendStream {
 		conn:        c,
 		prio:        int(id),
 		peerMaxData: c.cfg.Params.InitialMaxStrData,
+		data:        segBuf{acct: &c.sendAcct, pool: &c.segFree},
 	}
 	if c.state == stateEstablished {
 		// Use the peer's advertised default once known.
@@ -1284,13 +1367,9 @@ func (c *Conn) Stream(id uint64) *SendStream {
 	return s
 }
 
-// peerStreamLimit returns the default per-stream limit learned in the
-// handshake, falling back to our own default.
-func (c *Conn) peerStreamLimit() uint64 {
-	// The simplified handshake shares InitialMaxStrData via params; the
-	// value was folded into peerMaxData bookkeeping at stream creation.
-	return c.cfg.Params.InitialMaxStrData
-}
+// peerStreamLimit returns the per-stream limit the peer advertised in the
+// handshake — the one it enforces on what we send.
+func (c *Conn) peerStreamLimit() uint64 { return c.peerMaxStrData }
 
 // StopSending asks the peer to stop sending on a stream — how a short-video
 // client abandons chunks when the viewer swipes away.
@@ -1303,7 +1382,7 @@ func (c *Conn) StopSending(id uint64, code uint64) {
 	}
 	c.queueCtrl(&wire.StopSendingFrame{StreamID: id, ErrorCode: code}, -1, true)
 	if rs != nil {
-		rs.finished = true // stop delivering further data to the app
+		rs.finish() // stop delivering further data to the app
 	}
 }
 
@@ -1481,9 +1560,18 @@ func (c *Conn) recordClose(now time.Duration, code uint64, reason string, local 
 	}
 	// Out of service, the connection neither sends nor delivers stream data
 	// again, but the drain timer keeps it reachable for three PTOs — about
-	// three seconds on a live endpoint. Forget the streams now, or an
-	// endpoint that turns connections over faster than that holds every
-	// closed connection's payload at once.
+	// three seconds on a live endpoint — and the application may hold on to
+	// its stream handles for longer. Empty the stream buffers and forget the
+	// streams now, or an endpoint that turns connections over faster than
+	// that holds every closed connection's payload at once.
+	for _, s := range c.streamsInOrder() { // a retired stream holds nothing
+		s.data.release(releaseAll)
+	}
+	//xlinkvet:ignore maprange — release order reaches nothing: receive segments go to the garbage collector
+	for _, rs := range c.recvStreams {
+		rs.data.release(releaseAll)
+	}
+	c.segFree = segPool{}
 	clear(c.sendStreams)
 	clear(c.recvStreams)
 	c.streamOrder, c.globalReinjQ = nil, nil

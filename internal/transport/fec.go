@@ -255,9 +255,7 @@ func (c *Conn) fecAddSource(now time.Duration, s *SendStream, ch chunk) {
 		e.base = ch.offset
 		e.buf = e.buf[:0]
 	}
-	n := len(e.buf)
-	e.buf = e.buf[:n+int(ch.length)]
-	copy(e.buf[n:], s.buf[ch.offset:ch.offset+ch.length])
+	e.buf = s.data.appendTo(e.buf, ch.offset, ch.length)
 	if ch.fin || ch.offset+ch.length == s.frameAt(ch.offset).End {
 		c.fecFlush(now)
 	}
@@ -419,6 +417,11 @@ func (c *Conn) handleFECWindow(now time.Duration, fr *wire.FECWindowFrame) {
 	if d.find(fr.WindowID) != nil {
 		return // duplicate announcement
 	}
+	if fr.BaseOffset+fr.DataLen > c.recvLimit(c.recvStreams[fr.StreamID]) {
+		// Source data is sent within flow control, so no honest window
+		// reaches beyond it; recovered bytes must not either.
+		return
+	}
 	// Compact retired windows, then make room.
 	w := 0
 	for _, win := range d.wins {
@@ -552,8 +555,8 @@ func (c *Conn) fecTryRecoverWindow(now time.Duration, w *fecRecvWindow) {
 	}
 	d := &c.fecDec
 	rs := c.recvStreams[w.streamID]
-	if rs != nil && rs.received.Contains(w.base, w.base+w.dataLen) {
-		w.done = true // everything arrived through the stream lane
+	if rs != nil && (rs.finished || rs.received.Contains(w.base, w.base+w.dataLen)) {
+		w.done = true // everything arrived through the stream lane, or the stream is over
 		return
 	}
 	if w.haveRepairs == 0 {
@@ -602,6 +605,13 @@ func (c *Conn) fecSolveWindow(now time.Duration, w *fecRecvWindow, rs *RecvStrea
 	d := &c.fecDec
 	sym := w.symSize
 	winEnd := w.base + w.dataLen
+	if rs != nil && w.base < rs.data.base() {
+		// The present symbols were released: a window with a symbol missing
+		// lies within fecHistory of the delivery point, so only a window the
+		// peer misdescribed gets here.
+		c.fecGiveUp(now, w, "malformed_repair")
+		return
+	}
 	// The first m received repair symbols carry the solve.
 	r := 0
 	for j := 0; j < w.repairs && r < m; j++ {
@@ -634,9 +644,15 @@ func (c *Conn) fecSolveWindow(now time.Duration, w *fecRecvWindow, rs *RecvStrea
 		if end > winEnd {
 			end = winEnd
 		}
-		src := rs.buf[start:end]
-		for rr := 0; rr < m; rr++ {
-			fecMulAddInto(syn[rr*sym:(rr+1)*sym], src, fecCoeff(w.scheme, d.rowIdx[rr], i))
+		// The symbol may straddle two segments; the code is linear, so it is
+		// folded in piece by piece.
+		for at := 0; start < end; {
+			src := rs.data.span(start, end-start)
+			for rr := 0; rr < m; rr++ {
+				fecMulAddInto(syn[rr*sym+at:(rr+1)*sym], src, fecCoeff(w.scheme, d.rowIdx[rr], i))
+			}
+			at += len(src)
+			start += uint64(len(src))
 		}
 	}
 	// Gauss-Jordan on (mat | syn).
@@ -720,8 +736,8 @@ func (c *Conn) handleFECRecovered(now time.Duration, fr *wire.FECRecoveredFrame)
 		return
 	}
 	end := fr.Offset + fr.Length
-	if end > uint64(len(s.buf)) {
-		end = uint64(len(s.buf))
+	if end > s.written {
+		end = s.written
 	}
 	if end <= fr.Offset {
 		return
@@ -731,4 +747,5 @@ func (c *Conn) handleFECRecovered(now time.Duration, fr *wire.FECRecoveredFrame)
 	before := s.rtx.Size()
 	s.rtx.Subtract(fr.Offset, end)
 	c.stats.FECSuppressedBytes += before - s.rtx.Size()
+	s.releaseDelivered()
 }

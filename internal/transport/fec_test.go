@@ -427,7 +427,8 @@ func TestAllocGateFECKernel(t *testing.T) {
 	// The buffer extends past the accumulated range so no chunk ends at a
 	// frame boundary — a boundary would flush, and flushing queues frames
 	// (which needs a full connection and allocates by design).
-	s := &SendStream{id: 1, buf: make([]byte, 4096)}
+	s := &SendStream{id: 1, written: 4096}
+	s.data.put(0, make([]byte, 4096))
 	if n := testing.AllocsPerRun(200, func() {
 		c.fecEnc.active = false
 		c.fecEnc.buf = c.fecEnc.buf[:0]

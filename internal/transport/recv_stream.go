@@ -1,6 +1,9 @@
 package transport
 
-import "repro/internal/rangeset"
+import (
+	"repro/internal/rangeset"
+	"repro/internal/wire"
+)
 
 // RecvStream is the receiving half of a stream: it reassembles out-of-order
 // STREAM frames, delivers contiguous data in order, and accounts duplicate
@@ -9,10 +12,17 @@ type RecvStream struct {
 	id   uint64
 	conn *Conn
 
-	buf      []byte
+	// data holds the received bytes that were not delivered in order yet,
+	// plus history bytes below that for the FEC decoder. Its segments are
+	// never recycled: the application holds slices of them (see segPool).
+	data     segBuf
+	history  uint64
 	received rangeset.Set
 	// delivered is the offset up to which data was handed to the app.
 	delivered uint64
+	// highest is the largest stream offset the peer has used, the figure
+	// flow control is enforced on.
+	highest   uint64
 	finSeen   bool
 	finOffset uint64
 	finished  bool
@@ -39,56 +49,64 @@ func (r *RecvStream) Finished() bool { return r.finished }
 // Delivered returns the count of in-order bytes handed to the application.
 func (r *RecvStream) Delivered() uint64 { return r.delivered }
 
+// fecHistory is how far below the delivery point a stream keeps its bytes
+// when the FEC lane is on: one protection window at the wire's bounds. The
+// decoder reads a window's present symbols to rebuild its missing ones, and
+// the announcement may arrive after those symbols were delivered; a window
+// with a symbol still missing starts less than its own length below the
+// delivery point, so this much history always covers it.
+const fecHistory = wire.MaxFECSourceSymbols * wire.MaxFECSymbolSize
+
 // onFrame ingests one STREAM frame. It returns the data newly deliverable
-// in order (possibly nil) and whether the stream just finished.
+// in order (possibly nil) and whether the stream just finished. The returned
+// slice is the application's to keep: nothing writes below the delivery
+// point again, and the segment under it is garbage-collected, not reused.
 func (r *RecvStream) onFrame(offset uint64, data []byte, fin bool) ([]byte, bool) {
-	if r.finished {
-		if len(data) > 0 {
-			r.TotalBytes += uint64(len(data))
-			r.DuplicateBytes += uint64(len(data))
-		}
-		return nil, false
-	}
+	end := offset + uint64(len(data))
 	if fin {
 		r.finSeen = true
-		r.finOffset = offset + uint64(len(data))
+		r.finOffset = end
+	}
+	if r.finished {
+		r.TotalBytes += uint64(len(data))
+		r.DuplicateBytes += uint64(len(data))
+		return nil, false
 	}
 	if len(data) > 0 {
 		r.TotalBytes += uint64(len(data))
-		end := offset + uint64(len(data))
-		if end > uint64(len(r.buf)) {
-			//xlinkvet:cold — amortized doubling: O(log n) growths over a stream's life
-			if end > uint64(cap(r.buf)) {
-				// Amortized growth: doubling keeps reassembly linear in
-				// the stream size instead of O(n²) copying.
-				newCap := 2 * cap(r.buf)
-				if newCap < int(end) {
-					newCap = int(end)
-				}
-				grown := make([]byte, end, newCap)
-				copy(grown, r.buf)
-				r.buf = grown
-			} else {
-				r.buf = r.buf[:end]
-			}
-		}
-		copy(r.buf[offset:end], data)
 		added := r.received.Add(offset, end)
 		r.DuplicateBytes += uint64(len(data)) - added
+		// Bytes below the delivery point are copies nobody will read.
+		if skip := max(offset, r.delivered) - offset; skip < uint64(len(data)) {
+			r.data.put(offset+skip, data[skip:])
+		}
 	}
 	// Deliver the newly contiguous prefix.
 	newEnd := r.received.CoveredPrefix(r.delivered)
 	var out []byte
-	if newEnd > r.delivered {
-		out = r.buf[r.delivered:newEnd]
+	if n := newEnd - r.delivered; n > 0 {
+		out = r.data.span(r.delivered, n)
+		//xlinkvet:cold — a run crossing a segment boundary (once per segment in order, or a filled hole): the callback takes one slice
+		if uint64(len(out)) < n {
+			out = r.data.appendTo(make([]byte, 0, n), r.delivered, n)
+		}
 		r.delivered = newEnd
 	}
 	justFinished := false
 	if r.finSeen && r.delivered == r.finOffset {
-		r.finished = true
+		r.finish()
 		justFinished = true
+	} else {
+		r.data.release(r.delivered - min(r.delivered, r.history))
 	}
 	return out, justFinished
+}
+
+// finish ends delivery on the stream — everything arrived, the peer reset
+// it, or the application stopped it — and lets go of what it buffered.
+func (r *RecvStream) finish() {
+	r.finished = true
+	r.data.release(releaseAll)
 }
 
 // needsMaxDataUpdate reports whether a MAX_STREAM_DATA update should be

@@ -1,0 +1,219 @@
+package transport
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/rangeset"
+	"repro/internal/sim"
+	"repro/internal/wire"
+)
+
+// refRecv is the receive stream as it was before segmented buffering — one
+// slice that keeps every byte for the life of the stream — kept as the
+// reference model the segmented RecvStream must be indistinguishable from.
+type refRecv struct {
+	buf       []byte
+	received  rangeset.Set
+	delivered uint64
+	finSeen   bool
+	finOffset uint64
+	finished  bool
+	dup       uint64
+	total     uint64
+}
+
+func (r *refRecv) onFrame(offset uint64, data []byte, fin bool) ([]byte, bool) {
+	if r.finished {
+		r.total += uint64(len(data))
+		r.dup += uint64(len(data))
+		return nil, false
+	}
+	if fin {
+		r.finSeen = true
+		r.finOffset = offset + uint64(len(data))
+	}
+	if len(data) > 0 {
+		r.total += uint64(len(data))
+		end := offset + uint64(len(data))
+		if end > uint64(len(r.buf)) {
+			r.buf = append(r.buf, make([]byte, end-uint64(len(r.buf)))...)
+		}
+		copy(r.buf[offset:end], data)
+		r.dup += uint64(len(data)) - r.received.Add(offset, end)
+	}
+	newEnd := r.received.CoveredPrefix(r.delivered)
+	var out []byte
+	if newEnd > r.delivered {
+		out = r.buf[r.delivered:newEnd]
+		r.delivered = newEnd
+	}
+	if r.finSeen && r.delivered == r.finOffset {
+		r.finished = true
+		return out, true
+	}
+	return out, false
+}
+
+// streamByte is the content of a test stream at offset k.
+func streamByte(k uint64) byte { return byte(k*2654435761>>7) ^ byte(k>>11) }
+
+func fillStream(dst []byte, offset uint64) {
+	for i := range dst {
+		dst[i] = streamByte(offset + uint64(i))
+	}
+}
+
+// recvFrame is one arrival in a generated schedule: a STREAM frame, or an
+// injection of FEC-recovered bytes through deliverStreamData.
+type recvFrame struct {
+	offset, length uint64
+	fin, fec       bool
+}
+
+// recvSchedule draws a seeded interleaving over a stream of size bytes:
+// the stream cut into frames of uneven length, sent in order with a share
+// held back and delivered late (out of order), plus — scattered through it —
+// exact duplicates, frames overlapping their neighbours, frames wholly below
+// what must already be delivered, and symbol-aligned FEC injections that
+// partly overlap bytes already there.
+func recvSchedule(rng *sim.RNG, size uint64) []recvFrame {
+	var base []recvFrame
+	for off := uint64(0); off < size; {
+		n := uint64(1 + rng.Intn(1400))
+		if rng.Intn(20) == 0 {
+			n = uint64(1 + rng.Intn(3*segSize)) // now and then a run crossing segments
+		}
+		n = min(n, size-off)
+		base = append(base, recvFrame{offset: off, length: n, fin: off+n == size})
+		off += n
+	}
+	var out, late []recvFrame
+	for i, f := range base {
+		if rng.Intn(5) == 0 && !f.fin {
+			late = append(late, f) // held back: arrives after its successors
+		} else {
+			out = append(out, f)
+		}
+		switch rng.Intn(12) {
+		case 0: // duplicate of something sent a while ago (likely below the floor)
+			out = append(out, base[rng.Intn(i+1)])
+		case 1: // overlap: starts inside an earlier frame, ends inside a later one
+			start := base[rng.Intn(i+1)].offset + uint64(rng.Intn(200))
+			if start < size {
+				out = append(out, recvFrame{offset: start, length: min(uint64(1+rng.Intn(4000)), size-start)})
+			}
+		case 2: // FEC injection: a 1 KiB symbol somewhere behind the send point
+			start := uint64(rng.Intn(int(f.offset+1))) &^ 1023
+			out = append(out, recvFrame{offset: start, length: min(1024, size-start), fec: true})
+		}
+		if len(late) > 0 && rng.Intn(3) == 0 {
+			k := rng.Intn(len(late))
+			out = append(out, late[k])
+			late = append(late[:k], late[k+1:]...)
+		}
+	}
+	return append(out, late...)
+}
+
+// TestRecvStreamMatchesReference drives the segmented RecvStream and the
+// keep-everything reference through the same seeded interleavings, stream
+// frames through handleStreamFrame and FEC recoveries through
+// deliverStreamData, and requires the same delivered byte sequence callback
+// by callback, the same duplicate and total counts, and the same finish
+// point — with and without the FEC lane's history below the delivery point —
+// while the segmented one never holds more than the undelivered extent plus
+// a segment.
+func TestRecvStreamMatchesReference(t *testing.T) {
+	for _, fecOn := range []bool{false, true} {
+		for seed := int64(1); seed <= 6; seed++ {
+			t.Run(fmt.Sprintf("fec=%v/seed%d", fecOn, seed), func(t *testing.T) {
+				rng := sim.NewRNG(seed)
+				size := uint64(200<<10 + rng.Intn(300<<10))
+				content := make([]byte, size)
+				fillStream(content, 0)
+
+				c := &Conn{
+					cfg:         Config{}.withDefaults(),
+					recvStreams: map[uint64]*RecvStream{},
+					inBatch:     true, // no send passes: this conn has no network
+					fecEnabled:  fecOn,
+				}
+				c.localMaxData = c.cfg.Params.InitialMaxData
+				var got []byte
+				gotFin, step := -1, 0
+				c.cfg.OnStreamData = func(_ time.Duration, _ *RecvStream, data []byte, fin bool) {
+					got = append(got, data...)
+					if fin {
+						gotFin = step
+					}
+				}
+				ref := &refRecv{}
+				var want []byte
+				wantFin := -1
+				sent := uint64(0) // highest offset any arrival reached
+
+				for i, f := range recvSchedule(rng, size) {
+					step = i
+					data := content[f.offset : f.offset+f.length]
+					sent = max(sent, f.offset+f.length)
+					if f.fec {
+						c.deliverStreamData(0, c.streamForRecv(0, 4), f.offset, data, false)
+					} else {
+						c.handleStreamFrame(0, &wire.StreamFrame{StreamID: 4, Offset: f.offset, Data: data, Fin: f.fin})
+					}
+					out, fin := ref.onFrame(f.offset, data, f.fin && !f.fec)
+					want = append(want, out...)
+					if fin {
+						wantFin = i
+					}
+					rs := c.recvStreams[4]
+					if len(got) != len(want) || rs.DuplicateBytes != ref.dup || rs.TotalBytes != ref.total || gotFin != wantFin {
+						t.Fatalf("step %d (%+v): delivered %d dup %d total %d fin@%d, reference %d %d %d fin@%d",
+							i, f, len(got), rs.DuplicateBytes, rs.TotalBytes, gotFin, len(want), ref.dup, ref.total, wantFin)
+					}
+					floor := rs.delivered - min(rs.delivered, rs.history)
+					if held := c.Stats().RecvBufferedBytes; held > sent-floor+segSize {
+						t.Fatalf("step %d: holds %d bytes for [%d, %d)", i, held, floor, sent)
+					}
+				}
+				if c.Closed() {
+					t.Fatalf("cooperative schedule closed the connection: %+v", c.Stats())
+				}
+				if wantFin < 0 || !bytes.Equal(got, content) {
+					t.Fatalf("stream not delivered intact: %d of %d bytes, finished at %d", len(got), size, wantFin)
+				}
+				if st := c.Stats(); st.RecvBufferedBytes != 0 || st.RecvBufferedPeak == 0 {
+					t.Fatalf("finished stream holds %d bytes (peak %d)", st.RecvBufferedBytes, st.RecvBufferedPeak)
+				}
+			})
+		}
+	}
+}
+
+// TestSegBufSmallStreamCostsItsBytes pins the ownership rule for small
+// streams: the first segment is sized to what is stored, in one allocation,
+// and a stream that outgrows it does not keep the small copy alive.
+func TestSegBufSmallStreamCostsItsBytes(t *testing.T) {
+	req := make([]byte, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		s := &RecvStream{}
+		s.data.put(0, req)
+		if cap(s.data.segs[0]) != 64 {
+			t.Fatalf("64-byte stream holds a %d-byte segment", cap(s.data.segs[0]))
+		}
+	}); n > 2 {
+		t.Fatalf("a 64-byte stream costs %.0f allocations, want 2: the stream and its bytes", n)
+	}
+	var b segBuf
+	b.put(0, make([]byte, 1000))
+	b.put(1000, make([]byte, 2*segSize))
+	if b.one[0] != nil {
+		t.Fatal("inline table slot still pins segment 0 after the table grew")
+	}
+	if len(b.segs) != 3 || cap(b.segs[0]) != segSize {
+		t.Fatalf("segments %d, first cap %d", len(b.segs), cap(b.segs[0]))
+	}
+}

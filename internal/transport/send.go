@@ -322,6 +322,7 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 	budget := cc.MaxDatagramSize - c.shortHeaderOverhead()
 	frames := c.sendFrames[:0]
 	c.sfUsed = 0
+	c.gather = c.gather[:0]
 	//xlinkvet:ignore hotalloc — per-packet metadata outlives the call (retained until ack/loss); inside the 22-alloc budget
 	meta := &packetMeta{}
 	eliciting := false
@@ -354,7 +355,14 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 			Fin:      ch.fin,
 		}
 		if ch.length > 0 && s != nil {
-			sf.Data = s.buf[ch.offset : ch.offset+ch.length]
+			assert.That(ch.offset >= s.released, "chunk read below the stream's release floor")
+			sf.Data = s.data.span(ch.offset, ch.length)
+			// A chunk that straddles two segments is gathered into the
+			// connection's scratch, so packetisation never sees the seam.
+			if n := len(c.gather); uint64(len(sf.Data)) < ch.length {
+				c.gather = s.data.appendTo(c.gather, ch.offset, ch.length)
+				sf.Data = c.gather[n:]
+			}
 		}
 		//xlinkvet:ignore hotalloc — frames aliases the conn's sendFrames scratch (threaded through appendAcksFor/appendCtrl); capacity reserved at construction
 		frames = append(frames, sf)
@@ -830,7 +838,8 @@ func (c *Conn) chunkResolved(s *SendStream) {
 }
 
 // retireStream takes s out of the cached stream order, so pullChunk walks
-// only streams that can still send. Its buffers stay with the stream.
+// only streams that can still send. A retired stream holds no segments: it
+// was delivered in full or reset, and either released them.
 func (c *Conn) retireStream(s *SendStream) {
 	s.retired = true
 	for i, o := range c.streamOrder {

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"sort"
-
 	"repro/internal/assert"
 	"repro/internal/rangeset"
 	"repro/internal/wire"
@@ -44,7 +42,15 @@ type SendStream struct {
 	id   uint64
 	conn *Conn
 
-	buf       []byte
+	// data holds the written bytes at or above released; written counts
+	// every byte the application wrote.
+	data    segBuf
+	written uint64
+	// released is the send side's release floor: the first byte the peer is
+	// not known to hold. Everything the schedulers can still ask for — new
+	// data, rtx, reinjQ, FEC source windows — lies at or above it, so the
+	// segments below it are gone.
+	released  uint64
 	fin       bool
 	finOffset uint64
 
@@ -76,8 +82,9 @@ type SendStream struct {
 	// (FEC_RECOVERED): neither retransmission nor re-injection is needed.
 	recovered rangeset.Set
 
-	// frames are the application-tagged video-frame ranges, sorted by
-	// Start. Data outside any range behaves as priority defaultFramePrio.
+	// frames are the application-tagged video-frame ranges that end above
+	// released, disjoint and sorted by Start. Data outside any range behaves
+	// as priority defaultFramePrio.
 	frames []FrameRange
 
 	// prio is the stream's scheduling priority: lower is more urgent.
@@ -123,10 +130,11 @@ func (s *SendStream) SetPriority(p int) {
 // Write appends data to the stream's send buffer. It never blocks; flow
 // control gates transmission, not buffering.
 func (s *SendStream) Write(data []byte) {
-	if s.fin {
-		return
+	if s.fin || s.reset || s.conn.Closed() {
+		return // nothing written now can ever be sent: do not buffer it
 	}
-	s.buf = append(s.buf, data...)
+	s.data.put(s.written, data)
+	s.written += uint64(len(data))
 	s.conn.wakeSend()
 }
 
@@ -134,24 +142,43 @@ func (s *SendStream) Write(data []byte) {
 // priority — the paper's stream_send(position, size, priority) API. The
 // position is implicit: the current end of the stream.
 func (s *SendStream) WriteFrame(data []byte, prio int) {
-	if s.fin {
+	if s.fin || s.reset || s.conn.Closed() {
 		return
 	}
-	start := uint64(len(s.buf))
-	s.buf = append(s.buf, data...)
-	s.frames = append(s.frames, FrameRange{Start: start, End: uint64(len(s.buf)), Prio: prio})
-	sort.SliceStable(s.frames, func(i, j int) bool { return s.frames[i].Start < s.frames[j].Start })
-	s.conn.wakeSend()
+	// The range starts at the end of the stream, at or beyond every range
+	// tagged before it: appending keeps frames sorted.
+	s.frames = append(s.frames, FrameRange{Start: s.written, End: s.written + uint64(len(data)), Prio: prio})
+	s.Write(data)
 }
 
 // MarkFrame tags an existing byte range [start, end) as a video frame with
-// the given priority.
+// the given priority. A range that is empty, reaches beyond the written or
+// below the released bytes, or overlaps a tagged range is ignored.
 func (s *SendStream) MarkFrame(start, end uint64, prio int) {
-	if start >= end || end > uint64(len(s.buf)) {
+	if start >= end || end > s.written || start < s.released {
 		return
 	}
-	s.frames = append(s.frames, FrameRange{Start: start, End: end, Prio: prio})
-	sort.SliceStable(s.frames, func(i, j int) bool { return s.frames[i].Start < s.frames[j].Start })
+	i := s.frameAfter(start)
+	if (i > 0 && s.frames[i-1].End > start) || (i < len(s.frames) && s.frames[i].Start < end) {
+		return
+	}
+	s.frames = append(s.frames, FrameRange{})
+	copy(s.frames[i+1:], s.frames[i:])
+	s.frames[i] = FrameRange{Start: start, End: end, Prio: prio}
+}
+
+// frameAfter returns the index of the first tagged range starting beyond
+// offset.
+func (s *SendStream) frameAfter(offset uint64) int {
+	lo, hi := 0, len(s.frames)
+	for lo < hi {
+		if mid := (lo + hi) / 2; s.frames[mid].Start > offset {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Reset abruptly terminates the sending side of the stream (swipe-away in
@@ -165,6 +192,8 @@ func (s *SendStream) Reset(code uint64) {
 	s.resetCode = code
 	s.rtx = rangeset.Set{}
 	s.conn.dropReinjections(s)
+	s.data.release(releaseAll)
+	s.frames = nil
 	//xlinkvet:ignore hotalloc — RESET_STREAM is queued (outlives the call); a stream resets at most once
 	s.conn.queueCtrl(&wire.ResetStreamFrame{
 		StreamID:  s.id,
@@ -176,36 +205,53 @@ func (s *SendStream) Reset(code uint64) {
 // IsReset reports whether the stream was abruptly terminated.
 func (s *SendStream) IsReset() bool { return s.reset }
 
-// Close marks the end of the stream; the final offset is the current
-// buffer end.
+// Close marks the end of the stream; the final offset is the count of
+// bytes written.
 func (s *SendStream) Close() {
 	if s.fin {
 		return
 	}
 	s.fin = true
-	s.finOffset = uint64(len(s.buf))
+	s.finOffset = s.written
 	s.conn.wakeSend()
 }
 
 // Buffered returns the total bytes written so far.
-func (s *SendStream) Buffered() uint64 { return uint64(len(s.buf)) }
+func (s *SendStream) Buffered() uint64 { return s.written }
 
 // frameAt returns the frame range covering offset, or an implicit
 // default-priority range spanning to the next tagged frame (or stream end).
+// The tagged ranges are disjoint, so the one search that finds the first
+// range starting beyond offset finds both: the range before it is the only
+// one that can cover offset, and it bounds an untagged region.
 func (s *SendStream) frameAt(offset uint64) FrameRange {
-	for _, f := range s.frames {
-		if offset >= f.Start && offset < f.End {
-			return f
-		}
+	i := s.frameAfter(offset)
+	if i > 0 && offset < s.frames[i-1].End {
+		return s.frames[i-1]
 	}
-	// Untagged region: extends to the next tagged frame start.
-	end := uint64(len(s.buf))
-	for _, f := range s.frames {
-		if f.Start > offset && f.Start < end {
-			end = f.Start
-		}
+	end := s.written
+	if i < len(s.frames) && s.frames[i].Start < end {
+		end = s.frames[i].Start
 	}
 	return FrameRange{Start: offset, End: end, Prio: defaultFramePrio}
+}
+
+// releaseDelivered advances the release floor over what the peer holds —
+// acknowledged, or reported rebuilt by its FEC decoder, which the sender
+// never resends either — and lets go of the segments and frame tags below
+// it; a finished stream the peer holds all of keeps nothing.
+func (s *SendStream) releaseDelivered() {
+	s.released = s.trimDelivered(chunk{offset: s.released, length: s.nextOffset - s.released}).offset
+	floor := s.released
+	if s.fin && floor == s.finOffset {
+		floor = releaseAll
+	}
+	s.data.release(floor)
+	drop := 0
+	for drop < len(s.frames) && s.frames[drop].End <= s.released {
+		drop++
+	}
+	s.frames = s.frames[drop:]
 }
 
 // hasNewData reports whether unsent data (or an unsent FIN) remains within
@@ -214,7 +260,7 @@ func (s *SendStream) hasNewData() bool {
 	if s.reset {
 		return false
 	}
-	if s.nextOffset < uint64(len(s.buf)) && s.nextOffset < s.peerMaxData {
+	if s.nextOffset < s.written && s.nextOffset < s.peerMaxData {
 		return true
 	}
 	return s.fin && !s.finChunkSent
@@ -226,7 +272,7 @@ func (s *SendStream) hasRtx() bool { return !s.reset && !s.rtx.Empty() }
 // nextNewChunk carves the next new-data chunk of at most maxLen bytes.
 // It returns ok=false when nothing can be sent (no data or flow blocked).
 func (s *SendStream) nextNewChunk(maxLen int) (chunk, bool) {
-	bufLen := uint64(len(s.buf))
+	bufLen := s.written
 	if s.nextOffset >= bufLen {
 		if s.fin && !s.finChunkSent {
 			s.finChunkSent = true
@@ -317,6 +363,7 @@ func (s *SendStream) onChunkAcked(c chunk) {
 	if c.fin {
 		s.finAcked = true
 	}
+	s.releaseDelivered()
 }
 
 // complete reports whether the peer acknowledged the FIN and every byte

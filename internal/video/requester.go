@@ -172,12 +172,8 @@ func (r *Requester) OnStreamData(now time.Duration, rs *transport.RecvStream, da
 		return
 	}
 	if len(data) > 0 {
-		expected := SynthesizeContent(r.video.ID, cs.offset+cs.received, uint64(len(data)))
-		for i := range data {
-			if data[i] != expected[i] {
-				r.verifyErrors++
-				break
-			}
+		if !contentMatches(r.video.ID, cs.offset+cs.received, data) {
+			r.verifyErrors++
 		}
 		cs.received += uint64(len(data))
 	}

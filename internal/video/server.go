@@ -129,14 +129,34 @@ func (s *Server) serve(streamID uint64, req Request) {
 // SynthesizeContent generates deterministic bytes for a video range so
 // end-to-end integrity can be checked without storing real media.
 func SynthesizeContent(id string, offset, length uint64) []byte {
+	seed := contentSeed(id)
+	out := make([]byte, length)
+	for i := range out {
+		out[i] = contentByte(seed, offset+uint64(i))
+	}
+	return out
+}
+
+// contentMatches reports whether data is what SynthesizeContent generates
+// for the range starting at offset, without materializing that range.
+func contentMatches(id string, offset uint64, data []byte) bool {
+	seed := contentSeed(id)
+	for i, b := range data {
+		if b != contentByte(seed, offset+uint64(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+func contentSeed(id string) byte {
 	var seed byte
 	for i := 0; i < len(id); i++ {
 		seed = seed*31 + id[i]
 	}
-	out := make([]byte, length)
-	for i := range out {
-		k := offset + uint64(i)
-		out[i] = byte(k*2654435761) ^ byte(k>>8) ^ seed
-	}
-	return out
+	return seed
+}
+
+func contentByte(seed byte, k uint64) byte {
+	return byte(k*2654435761) ^ byte(k>>8) ^ seed
 }

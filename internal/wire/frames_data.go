@@ -40,7 +40,8 @@ func (f *PingFrame) String() string { return "PING" }
 
 // StreamFrame carries application data for one stream. The serialized type
 // byte carries OFF/LEN/FIN bits as in RFC 9000; encoding always includes
-// offset and length for simplicity and middlebox-identical layout.
+// offset and length for simplicity and middlebox-identical layout. A parsed
+// frame's Data aliases the packet it was parsed from (see parseStream).
 type StreamFrame struct {
 	StreamID uint64
 	Offset   uint64
@@ -78,6 +79,9 @@ func (f *StreamFrame) HeaderLen(dataLen int) int {
 	return 1 + VarintLen(f.StreamID) + VarintLen(f.Offset) + VarintLen(uint64(dataLen))
 }
 
+// parseStream decodes a STREAM frame. The frame's Data aliases b — the one
+// frame type that borrows from the packet instead of copying out of it — so
+// it is valid only for as long as the caller keeps b unchanged.
 func parseStream(typ byte, b []byte) (Frame, int, error) {
 	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
 	f := &StreamFrame{Fin: typ&0x01 != 0}
@@ -110,8 +114,11 @@ func parseStream(typ byte, b []byte) (Frame, int, error) {
 	if uint64(len(b)-pos) < dataLen {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
-	f.Data = append([]byte(nil), b[pos:pos+int(dataLen)]...)
+	if dataLen > 0 {
+		// Not copied: the stream layer copies the payload into its own
+		// buffers while the packet is still in hand.
+		f.Data = b[pos : pos+int(dataLen) : pos+int(dataLen)]
+	}
 	pos += int(dataLen)
 	return f, pos, nil
 }

@@ -60,6 +60,13 @@ step go test -race ./...
 # Chaos smoke: the fault-injection corpus under assertions + race detector
 # (plain `go test ./...` above already ran it once without either).
 step go test -race -tags xlinkdebug -count=1 ./internal/chaos/
+# Stream buffering (DESIGN.md §17) with assertions and the race detector on:
+# the receive buffer against its keep-everything reference model, a 256 MiB
+# stream held to the window on a lossy two-path network (about a minute and
+# a half here), and the poisoning of released send segments — under
+# xlinkdebug a read below a release floor fails content verification.
+step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
+	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned'
 # Trace determinism: the same (scenario, seed) must reproduce the committed
 # golden NDJSON trace byte for byte (-count=1 defeats the test cache so the
 # gate re-runs even when nothing changed).

@@ -726,12 +726,19 @@ func (ep *Endpoint) TraceBytes() []byte {
 }
 
 // Metrics returns the endpoint's metric registry (the trace's registry; an
-// internal one when no Tracer was configured). The registry is internally
-// synchronized, so callers may read it from any goroutine.
+// internal one when no Tracer was configured), with the stream-buffer gauges
+// brought up to date — the same numbers ConnStats and /debug report. The
+// registry is internally synchronized, so callers may read it from any
+// goroutine.
 func (ep *Endpoint) Metrics() *obs.Registry {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return ep.trace.Registry()
+	reg, st := ep.trace.Registry(), ep.conn.Stats()
+	reg.Gauge(obs.MetricSendBufferedBytes).Set(float64(st.SendBufferedBytes))
+	reg.Gauge(obs.MetricSendBufferedPeak).Set(float64(st.SendBufferedPeak))
+	reg.Gauge(obs.MetricRecvBufferedBytes).Set(float64(st.RecvBufferedBytes))
+	reg.Gauge(obs.MetricRecvBufferedPeak).Set(float64(st.RecvBufferedPeak))
+	return reg
 }
 
 // Scorecard composes the connection's per-session QoE rollup as of now:
