@@ -82,13 +82,20 @@ type Link struct {
 	rng     *sim.RNG
 	deliver DeliverFunc
 
+	// queue[head:] are the packets waiting, oldest first. Dequeuing moves
+	// head instead of re-slicing, so the array's front is not lost and Send
+	// reuses it.
 	queue      []queuedPacket
+	head       int
 	queueBytes int
 
 	// Opportunity cursor into the unrolled trace stream.
 	cycle   uint64
 	idx     int
 	pending bool // a delivery event is scheduled
+	// onOpportunityFn is l.onOpportunity bound once, so arming the delivery
+	// event does not build a new method value per opportunity.
+	onOpportunityFn sim.Event
 	// credit is unspent opportunity bytes (byte-granular mode).
 	credit int
 
@@ -111,14 +118,16 @@ func NewLink(loop *sim.Loop, cfg LinkConfig, rng *sim.RNG, deliver DeliverFunc) 
 	if cfg.Trace == nil {
 		cfg.Trace = trace.ConstantRate("default-10mbps", 10, time.Second)
 	}
-	return &Link{loop: loop, cfg: cfg, rng: rng, deliver: deliver}
+	l := &Link{loop: loop, cfg: cfg, rng: rng, deliver: deliver}
+	l.onOpportunityFn = l.onOpportunity
+	return l
 }
 
 // Stats returns a copy of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
 // QueueLen returns the number of queued packets.
-func (l *Link) QueueLen() int { return len(l.queue) }
+func (l *Link) QueueLen() int { return len(l.queue) - l.head }
 
 // QueueBytes returns the queued byte count.
 func (l *Link) QueueBytes() int { return l.queueBytes }
@@ -131,11 +140,11 @@ func (l *Link) QueueBytes() int { return l.queueBytes }
 // as drops.
 func (l *Link) SetDown(down bool) {
 	if down && !l.down {
-		for _, qp := range l.queue {
+		for _, qp := range l.queue[l.head:] {
 			l.stats.DroppedPkts++
 			l.stats.DroppedBytes += uint64(len(qp.data))
 		}
-		l.queue = nil
+		l.queue, l.head = nil, 0
 		l.queueBytes = 0
 		l.credit = 0
 	}
@@ -183,6 +192,15 @@ func (l *Link) Send(data []byte) {
 	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
+	if len(l.queue) == cap(l.queue) && 2*l.head >= len(l.queue) {
+		// Full, and at least half of it already delivered: move the waiting
+		// packets down instead of growing. Each move is paid for by the
+		// dequeues before it, and the array stays within twice the deepest
+		// queue.
+		n := copy(l.queue, l.queue[l.head:])
+		clear(l.queue[n:])
+		l.queue, l.head = l.queue[:n], 0
+	}
 	l.queue = append(l.queue, queuedPacket{data: buf, enqueuedAt: l.loop.Now()})
 	l.queueBytes += len(buf)
 	if !l.pending {
@@ -238,7 +256,7 @@ func (l *Link) scheduleNext() {
 	}
 	at := l.opportunityTime()
 	l.pending = true
-	l.loop.At(at, l.onOpportunity)
+	l.loop.At(at, l.onOpportunityFn)
 }
 
 // onOpportunity consumes the cursor opportunity to deliver queued packets:
@@ -247,7 +265,7 @@ func (l *Link) scheduleNext() {
 func (l *Link) onOpportunity(now time.Duration) {
 	l.pending = false
 	l.advanceCursor() // this opportunity is consumed regardless
-	if len(l.queue) == 0 {
+	if l.QueueLen() == 0 {
 		l.credit = 0
 		return
 	}
@@ -255,15 +273,15 @@ func (l *Link) onOpportunity(now time.Duration) {
 		l.deliverHead()
 	} else {
 		l.credit += trace.MTU
-		for len(l.queue) > 0 && l.credit >= len(l.queue[0].data) {
-			l.credit -= len(l.queue[0].data)
+		for l.QueueLen() > 0 && l.credit >= len(l.queue[l.head].data) {
+			l.credit -= len(l.queue[l.head].data)
 			l.deliverHead()
 		}
-		if len(l.queue) == 0 {
+		if l.QueueLen() == 0 {
 			l.credit = 0 // no banking capacity across idle periods
 		}
 	}
-	if len(l.queue) > 0 {
+	if l.QueueLen() > 0 {
 		l.scheduleNext()
 	}
 }
@@ -271,8 +289,11 @@ func (l *Link) onOpportunity(now time.Duration) {
 // deliverHead dequeues and delivers the head packet after the propagation
 // delay (plus jitter), applying bit corruption if configured.
 func (l *Link) deliverHead() {
-	pkt := l.queue[0]
-	l.queue = l.queue[1:]
+	pkt := l.queue[l.head]
+	l.queue[l.head] = queuedPacket{}
+	if l.head++; l.head == len(l.queue) {
+		l.queue, l.head = l.queue[:0], 0
+	}
 	l.queueBytes -= len(pkt.data)
 	l.stats.DeliveredPkts++
 	l.stats.DeliveredBytes += uint64(len(pkt.data))

@@ -318,3 +318,49 @@ func TestByteGranularNoCreditBanking(t *testing.T) {
 		t.Fatalf("burst drained in %v; credit banking across idle detected", burst)
 	}
 }
+
+// TestLinkQueueReusesItsArray: dequeuing moves a head index instead of
+// re-slicing, so the queue's array is reused — a packet costs the link its
+// copy and its delivery closure and nothing else, the opportunity callback
+// being bound once — QueueLen counts only what is waiting, and an interface
+// going down drops exactly those.
+func TestLinkQueueReusesItsArray(t *testing.T) {
+	loop := sim.NewLoop()
+	delivered := 0
+	l := NewLink(loop, LinkConfig{Trace: trace.ConstantRate("12mbps", 12, time.Second)}, nil, // one packet a millisecond
+		func(time.Duration, []byte) { delivered++ })
+	pkt := make([]byte, 1200)
+	sent := 0
+	burst := func() {
+		for i := 0; i < 5; i++ {
+			l.Send(pkt)
+			sent++
+		}
+		if l.QueueLen() != 5 || l.QueueBytes() != 5*len(pkt) {
+			t.Fatalf("%d packets, %d bytes queued after a burst of 5", l.QueueLen(), l.QueueBytes())
+		}
+		loop.RunUntil(loop.Now() + 8*time.Millisecond)
+	}
+	for i := 0; i < 50; i++ {
+		burst()
+	}
+	if avg := testing.AllocsPerRun(200, burst); avg > 10 {
+		t.Fatalf("a burst of 5 packets costs the link %.1f allocations, want its 5 copies and 5 delivery closures", avg)
+	}
+
+	for i := 0; i < 5; i++ {
+		l.Send(pkt)
+		sent++
+	}
+	loop.RunUntil(loop.Now() + 2500*time.Microsecond) // part of the burst delivered
+	waiting := l.QueueLen()
+	before := l.Stats().DroppedPkts
+	l.SetDown(true)
+	if got := l.Stats().DroppedPkts - before; waiting == 0 || waiting == 5 || got != uint64(waiting) || l.QueueLen() != 0 {
+		t.Fatalf("going down dropped %d packets with %d of 5 waiting, %d left", got, waiting, l.QueueLen())
+	}
+	loop.RunUntil(loop.Now() + time.Second)
+	if st := l.Stats(); delivered+waiting != sent || st.DeliveredPkts != uint64(delivered) {
+		t.Fatalf("sent %d, delivered %d (stats %d), dropped while waiting %d", sent, delivered, st.DeliveredPkts, waiting)
+	}
+}

@@ -45,12 +45,25 @@ type SentPacket struct {
 
 	declaredLost bool
 	acked        bool
+	// pooled marks a record the Space handed out (Acquire) and takes back
+	// once gc has trimmed it; records built by the caller are never recycled.
+	pooled bool
 }
 
+// recycledPN is what a record's PN reads while it sits on the free list of an
+// xlinkdebug build: no packet number reaches it (varints end at 2^62-1).
+const recycledPN = 1 << 63
+
+// Poisoner is implemented by a Meta that carries storage of its own to be
+// recycled with the record: an xlinkdebug build calls Poison when the record
+// enters the free list, so that a stale reader finds nothing to act on.
+type Poisoner interface{ Poison() }
+
 // AckResult reports the outcome of processing one ACK frame. The Acked and
-// Lost slices alias per-Space scratch buffers: they are valid until the next
-// loss-detection call (OnAck, OnLossTimeout, DeclareAllLost, OnPTO) on the
-// same Space and must be copied to be retained.
+// Lost slices alias per-Space scratch buffers, and the records they name may
+// be recycled after that: both are valid until the next loss-detection call
+// (OnAck, OnLossTimeout, DeclareAllLost, OnPTO) on the same Space and must be
+// copied to be retained.
 type AckResult struct {
 	// Acked are newly acknowledged packets, ascending by PN.
 	Acked []*SentPacket
@@ -80,6 +93,15 @@ type Space struct {
 	// see AckResult for the ownership contract.
 	ackedScratch []*SentPacket
 	lostScratch  []*SentPacket
+
+	// Record recycling (DESIGN.md §18). retired holds the pooled records gc
+	// trimmed during the current loss-detection call, which the result of
+	// that call may still name; the next such call moves them to free, where
+	// Acquire finds them. peak is the ledger's high-water mark and bounds
+	// free.
+	retired []*SentPacket
+	free    []*SentPacket
+	peak    int
 
 	// Counters for instrumentation.
 	stats Stats
@@ -117,6 +139,57 @@ func (s *Space) PeekPN() uint64 { return s.nextPN }
 // LargestAcked returns the largest acknowledged PN, or -1.
 func (s *Space) LargestAcked() int64 { return s.largestAcked }
 
+// Acquire returns a blank record to fill in and pass to OnPacketSent: one
+// recycled from a packet resolved earlier, whose Meta it keeps so that the
+// caller's metadata and its storage are reused with it, or a new one when
+// none is free. The Space recycles only records it handed out here.
+//
+// xlinkvet:hot
+func (s *Space) Acquire() *SentPacket {
+	n := len(s.free)
+	//xlinkvet:cold — nothing to recycle yet: more packets are tracked than ever before
+	if n == 0 {
+		return &SentPacket{pooled: true}
+	}
+	sp := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	*sp = SentPacket{Meta: sp.Meta, pooled: true}
+	return sp
+}
+
+// reclaim frees the records the previous loss-detection call retired: its
+// result has expired, so nothing names them any more. Every loss-detection
+// entry point starts here.
+//
+// xlinkvet:hot
+func (s *Space) reclaim() {
+	for i, sp := range s.retired {
+		s.retired[i] = nil
+		if len(s.free) >= s.peak {
+			continue // never more spares than packets were ever tracked at once
+		}
+		if assert.Enabled {
+			sp.PN = recycledPN
+			if m, ok := sp.Meta.(Poisoner); ok {
+				m.Poison()
+			}
+		}
+		s.free = append(s.free, sp)
+	}
+	s.retired = s.retired[:0]
+}
+
+// assertLive checks, in xlinkdebug builds, that none of pkts sits on the free
+// list.
+func assertLive(pkts []*SentPacket, what string) {
+	if assert.Enabled {
+		for _, sp := range pkts {
+			assert.That(sp.PN != recycledPN, "%s names a recycled packet record", what)
+		}
+	}
+}
+
 // OnPacketSent records a transmitted packet. PN must come from NextPN.
 //
 // xlinkvet:hot
@@ -125,6 +198,9 @@ func (s *Space) OnPacketSent(sp *SentPacket) {
 		assert.MonotonicU64(s.sent[len(s.sent)-1].PN, sp.PN, "per-path packet number")
 	}
 	s.sent = append(s.sent, sp)
+	if len(s.sent) > s.peak {
+		s.peak = len(s.sent)
+	}
 	s.stats.SentPackets++
 	s.stats.SentBytes += uint64(sp.Bytes)
 }
@@ -144,7 +220,9 @@ func (sp *SentPacket) InFlight() bool {
 // xlinkvet:hot
 // xlinkvet:loan return
 func (s *Space) SentFrom(pn uint64) []*SentPacket {
-	return s.sent[s.search(pn):]
+	from := s.sent[s.search(pn):]
+	assertLive(from, "the ledger")
+	return from
 }
 
 // HasUnacked reports whether any ack-eliciting packet is outstanding — the
@@ -223,6 +301,7 @@ func (s *Space) OnAckNoLoss(ranges []wire.AckRange, ackDelay time.Duration, now 
 // xlinkvet:loan return
 func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.Duration, detect bool) AckResult {
 	var res AckResult
+	s.reclaim()
 	if len(ranges) == 0 {
 		return res
 	}
@@ -267,6 +346,8 @@ func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 		res.Lost = s.detectLost(now)
 		s.gc()
 	}
+	assertLive(res.Acked, "AckResult.Acked")
+	assertLive(res.Lost, "AckResult.Lost")
 	return res
 }
 
@@ -316,8 +397,10 @@ func (s *Space) detectLost(now time.Duration) []*SentPacket {
 // xlinkvet:hot
 // xlinkvet:loan return
 func (s *Space) OnLossTimeout(now time.Duration) []*SentPacket {
+	s.reclaim()
 	lost := s.detectLost(now)
 	s.gc()
+	assertLive(lost, "the lost list")
 	return lost
 }
 
@@ -365,6 +448,7 @@ func (s *Space) PTODeadline() time.Duration {
 // xlinkvet:hot
 // xlinkvet:loan return
 func (s *Space) OnPTO(now time.Duration) []*SentPacket {
+	s.reclaim()
 	s.ptoCount++
 	s.stats.PTOs++
 	s.lastProbeAt = now
@@ -392,6 +476,7 @@ func (s *Space) OnPTO(now time.Duration) []*SentPacket {
 // xlinkvet:hot
 // xlinkvet:loan return
 func (s *Space) DeclareAllLost(now time.Duration) []*SentPacket {
+	s.reclaim()
 	lost := s.lostScratch[:0]
 	for _, sp := range s.sent {
 		if sp.acked || sp.declaredLost || !sp.AckEliciting {
@@ -415,14 +500,20 @@ func (s *Space) DeclareAllLost(now time.Duration) []*SentPacket {
 func (s *Space) PTOCount() int { return s.ptoCount }
 
 // gc trims fully resolved packets from the front of the send history,
-// shifting the retained tail down in place.
+// shifting the retained tail down in place. SentFrom can no longer reach a
+// trimmed record, but the result of the loss-detection call gc runs in may
+// name it, so pooled ones are retired here and freed by the next reclaim.
 //
 // xlinkvet:hot
 func (s *Space) gc() {
 	i := 0
 	for i < len(s.sent) && (s.sent[i].acked || s.sent[i].declaredLost) {
+		if s.sent[i].pooled {
+			s.retired = append(s.retired, s.sent[i])
+		}
 		i++
 	}
+	assertLive(s.sent, "the ledger")
 	if i > 0 {
 		n := copy(s.sent, s.sent[i:])
 		for j := n; j < len(s.sent); j++ {

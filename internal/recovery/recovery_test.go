@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/assert"
 	"repro/internal/cc"
 	"repro/internal/wire"
 )
@@ -339,4 +340,114 @@ func TestNoRTTSampleWhenLargestNotNewlyAcked(t *testing.T) {
 	if len(res.Acked) != 2 {
 		t.Fatalf("acked %d, want 2 (pn 0,1)", len(res.Acked))
 	}
+}
+
+// testMeta stands in for the transport's per-packet metadata: storage of its
+// own that must be recycled with the record.
+type testMeta struct {
+	chunks   []int
+	poisoned int
+}
+
+func (m *testMeta) Poison() { m.poisoned++; m.chunks = m.chunks[:0] }
+
+// acquireAndSend sends one packet the way the transport does: a record from
+// the Space, its Meta created on first use and kept from then on.
+func acquireAndSend(s *Space, at time.Duration) *SentPacket {
+	sp := s.Acquire()
+	if sp.Meta == nil {
+		sp.Meta = &testMeta{}
+	}
+	m := sp.Meta.(*testMeta)
+	m.chunks = append(m.chunks[:0], int(s.PeekPN()))
+	sp.PN, sp.SentAt, sp.Bytes, sp.AckEliciting = s.NextPN(), at, 1200, true
+	s.OnPacketSent(sp)
+	return sp
+}
+
+// TestRecordRecycledAfterResultExpires walks one record through its life: the
+// AckResult that resolves it still names it intact although gc has trimmed it,
+// Acquire does not hand it out until the next loss-detection call has expired
+// that result, and then it comes back blank with its Meta. A record the
+// caller built itself never enters the free list.
+func TestRecordRecycledAfterResultExpires(t *testing.T) {
+	s := NewSpace(cc.NewRTTEstimator())
+	own := sent(s, 0, 1)[0]
+	rec := acquireAndSend(s, 0)
+	meta := rec.Meta.(*testMeta)
+
+	res := s.OnAck([]wire.AckRange{{Smallest: 0, Largest: 1}}, 0, 10*time.Millisecond)
+	if len(res.Acked) != 2 || res.Acked[1] != rec || len(s.SentFrom(0)) != 0 {
+		t.Fatalf("acked %d, ledger %d", len(res.Acked), len(s.SentFrom(0)))
+	}
+	if rec.PN != 1 || len(meta.chunks) != 1 || meta.poisoned != 0 {
+		t.Fatalf("record disturbed while its AckResult is live: PN %d, chunks %v, poisoned %d", rec.PN, meta.chunks, meta.poisoned)
+	}
+	if fresh := s.Acquire(); fresh == rec || fresh == own {
+		t.Fatal("record handed out again while its AckResult is live")
+	}
+
+	s.OnLossTimeout(11 * time.Millisecond) // any loss-detection call expires the result
+	if assert.Enabled && (rec.PN != recycledPN || meta.poisoned != 1 || len(meta.chunks) != 0) {
+		t.Fatalf("free record not poisoned: PN %#x, poisoned %d, chunks %v", rec.PN, meta.poisoned, meta.chunks)
+	}
+	if len(s.free) != 1 || s.free[0] != rec {
+		t.Fatalf("free list holds %d records, want the pooled one only", len(s.free))
+	}
+	again := s.Acquire()
+	if again != rec || again.Meta != meta || again.PN != 0 || again.acked || again.AckEliciting || again.InFlight() {
+		t.Fatalf("recycled record not blank with its Meta: %+v", again)
+	}
+}
+
+// TestFreeListBoundedByPeakTracked drives a 32 MiB session's worth of packets
+// (24 000 of them) through one Space on an ack clock with reordering losses,
+// windows growing and shrinking: the free list never exceeds the ledger's
+// high-water mark, and all but that many packets ride a recycled record.
+func TestFreeListBoundedByPeakTracked(t *testing.T) {
+	s := NewSpace(cc.NewRTTEstimator())
+	const total = 24_000
+	now := time.Duration(0)
+	records := map[*SentPacket]bool{}
+	ledgerPeak, acked := 0, uint64(0)
+	for s.PeekPN() < total {
+		// A window that breathes between 8 and 520 packets.
+		window := 8 + int(s.PeekPN()/40)%513
+		for len(s.SentFrom(0)) < window && s.PeekPN() < total {
+			records[acquireAndSend(s, now)] = true
+		}
+		ledgerPeak = max(ledgerPeak, len(s.SentFrom(0)))
+		now += 10 * time.Millisecond
+		// Acknowledge the older half of what is outstanding, skipping every
+		// 17th packet so that packet-threshold loss detection runs too.
+		out := s.SentFrom(0)
+		lo, hi := out[0].PN, out[len(out)/2].PN
+		var ranges []wire.AckRange
+		for pn := hi; ; pn-- {
+			if pn%17 != 0 {
+				if n := len(ranges); n > 0 && ranges[n-1].Smallest == pn+1 {
+					ranges[n-1].Smallest = pn
+				} else {
+					ranges = append(ranges, wire.AckRange{Smallest: pn, Largest: pn})
+				}
+			}
+			if pn == lo {
+				break
+			}
+		}
+		res := s.OnAck(ranges, 0, now)
+		acked += uint64(len(res.Acked))
+		if len(s.free) > s.peak || s.peak != ledgerPeak {
+			t.Fatalf("at PN %d: free list %d, peak %d, observed ledger peak %d", s.PeekPN(), len(s.free), s.peak, ledgerPeak)
+		}
+	}
+	s.DeclareAllLost(now)
+	s.OnLossTimeout(now)
+	if len(s.free) > s.peak || len(s.SentFrom(0)) != 0 {
+		t.Fatalf("after the session: free list %d, peak %d, ledger %d", len(s.free), s.peak, len(s.SentFrom(0)))
+	}
+	if len(records) > 2*ledgerPeak || acked < total*9/10 {
+		t.Fatalf("%d packets (%d acked) used %d records, ledger peak %d", total, acked, len(records), ledgerPeak)
+	}
+	t.Logf("%d packets, %d acked, ledger peak %d, %d records ever allocated, %d free at the end", total, acked, ledgerPeak, len(records), len(s.free))
 }

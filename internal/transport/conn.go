@@ -57,13 +57,27 @@ type Interface struct {
 	Tech trace.Technology
 }
 
-// packetMeta is the scheduler bookkeeping attached to each sent packet.
+// packetMeta is the scheduler bookkeeping attached to each sent ack-eliciting
+// packet. It is one record with the recovery.SentPacket it rides on (sp, whose
+// Meta points back here): the path's space recycles the pair, chunk and
+// control-frame storage included, once the packet is resolved (DESIGN.md §18).
 type packetMeta struct {
+	sp     *recovery.SentPacket
 	chunks []chunk
 	ctrl   []wire.Frame
 	// reinjected marks that this packet's data was already duplicated
 	// onto another path, so it is not re-injected twice.
 	reinjected bool
+}
+
+// Poison implements recovery.Poisoner: under xlinkdebug a record entering the
+// free list forgets what its packet carried, so that a reader holding on to it
+// retransmits and re-queues nothing and the stream it belonged to stalls
+// visibly instead of sending another packet's data.
+func (m *packetMeta) Poison() {
+	clear(m.chunks[:cap(m.chunks)])
+	clear(m.ctrl[:cap(m.ctrl)])
+	m.chunks, m.ctrl = m.chunks[:0], m.ctrl[:0]
 }
 
 // ctrlItem is a queued control frame, optionally pinned to a path.
@@ -223,8 +237,9 @@ type Conn struct {
 	// the mutable core; each buffer is valid only until the next packet is
 	// assembled (send side) or delivered (recv side), so nothing below may be
 	// retained across events. gather holds the chunks of the packet being
-	// assembled that straddle two send segments (§17). inRecv guards against
-	// reentrant datagram delivery clobbering recvBuf/recvFrames mid-dispatch.
+	// assembled that straddle two send segments (§17). decoder owns the
+	// storage of the frames in recvFrames (§18). inRecv guards against
+	// reentrant datagram delivery clobbering all three mid-dispatch.
 	sendBuf    []byte              // xlinkvet:guardedby confined
 	gather     []byte              // xlinkvet:guardedby confined
 	sendFrames []wire.Frame        // xlinkvet:guardedby confined
@@ -232,6 +247,7 @@ type Conn struct {
 	sfUsed     int
 	recvBuf    []byte       // xlinkvet:guardedby confined
 	recvFrames []wire.Frame // xlinkvet:guardedby confined
+	decoder    wire.Decoder // xlinkvet:guardedby confined
 	inRecv     bool
 
 	// Batch I/O state (DESIGN.md §16). Send side: sendRing holds the seal
@@ -941,7 +957,7 @@ func (c *Conn) handleShortPacket(now time.Duration, netIdx int, data []byte) {
 	if reentrant {
 		frames, err = wire.ParseAll(payload)
 	} else {
-		frames, err = wire.AppendFrames(c.recvFrames[:0], payload)
+		frames, err = c.decoder.AppendFrames(c.recvFrames[:0], payload)
 		if frames != nil {
 			c.recvFrames = frames[:0]
 		}

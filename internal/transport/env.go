@@ -51,9 +51,9 @@ func (e SimEnv) Schedule(at time.Duration, fn func(now time.Duration)) func() {
 // The same rule holds in the other direction at the receive boundary: the
 // data passed to Conn.HandleDatagram / HandleDatagramBatch is borrowed from
 // the I/O layer's read buffers (e.g. the live read loop's buffer ring over
-// ReadFromUDP) and must not be retained by the connection past the call —
-// the connection decodes frames into its own scratch and the I/O layer
-// recycles the buffers immediately after.
+// ReadFromUDPAddrPort) and must not be retained by the connection past the
+// call — the connection decodes frames into its own scratch and the I/O
+// layer recycles the buffers immediately after.
 type DatagramSender interface {
 	// SendBatch transmits pkts in order on netIdx and returns how many
 	// were handed to the network (implementations that cannot fail return

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/assert"
 	"repro/internal/cc"
-	"repro/internal/recovery"
 	"repro/internal/wire"
 )
 
@@ -194,23 +193,15 @@ func (c *Conn) sendCtrlBypass(now time.Duration) {
 		return
 	}
 	budget := cc.MaxDatagramSize - c.shortHeaderOverhead()
-	frames := c.sendFrames[:0]
-	//xlinkvet:ignore hotalloc — per-packet metadata outlives the call (retained until ack/loss); inside the 22-alloc budget
-	meta := &packetMeta{}
-	eliciting := false
-	frames, eliciting = c.appendCtrl(p, frames, meta, &budget, eliciting)
+	frames, meta := c.appendCtrl(p, c.sendFrames[:0], nil, &budget)
 	c.sendFrames = frames[:0]
 	if len(frames) == 0 {
 		return
 	}
 	pn := p.Space.NextPN()
 	pkt := sealShortInto(c.nextSendBuf(), c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), frames)
-	if eliciting {
-		//xlinkvet:ignore hotalloc — SentPacket outlives the call (recovery owns it until ack/loss); inside the 22-alloc budget
-		p.Space.OnPacketSent(&recovery.SentPacket{
-			PN: pn, SentAt: now, Bytes: len(pkt), AckEliciting: true,
-			Meta: meta,
-		})
+	if meta != nil {
+		recordSent(now, p, meta, pn, len(pkt))
 	}
 	c.dispatchPacket(now, p, pkt)
 	p.SentPackets++
@@ -323,15 +314,14 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 	frames := c.sendFrames[:0]
 	c.sfUsed = 0
 	c.gather = c.gather[:0]
-	//xlinkvet:ignore hotalloc — per-packet metadata outlives the call (retained until ack/loss); inside the 22-alloc budget
-	meta := &packetMeta{}
-	eliciting := false
 
 	// Piggyback any pending acks whose policy path is p.
 	frames = c.appendAcksFor(now, p, frames, &budget)
 
-	// Control frames: pinned to p or unpinned.
-	frames, eliciting = c.appendCtrl(p, frames, meta, &budget, eliciting)
+	// Control frames: pinned to p or unpinned. meta stays nil until the
+	// packet carries an ack-eliciting frame: a pass that finds nothing to
+	// send, or only acks, touches no record (DESIGN.md §18).
+	frames, meta := c.appendCtrl(p, frames, nil, &budget)
 
 	// Stream data.
 	reinjBytes := 0
@@ -346,6 +336,8 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 		if !ok {
 			break
 		}
+		// Every chunk is cut from a stream in sendStreams, which nothing
+		// is ever deleted from.
 		s := c.sendStreams[ch.streamID]
 		s.inFlight++
 		sf := c.nextStreamFrame()
@@ -354,7 +346,7 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 			Offset:   ch.offset,
 			Fin:      ch.fin,
 		}
-		if ch.length > 0 && s != nil {
+		if ch.length > 0 {
 			assert.That(ch.offset >= s.released, "chunk read below the stream's release floor")
 			sf.Data = s.data.span(ch.offset, ch.length)
 			// A chunk that straddles two segments is gathered into the
@@ -366,9 +358,11 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 		}
 		//xlinkvet:ignore hotalloc — frames aliases the conn's sendFrames scratch (threaded through appendAcksFor/appendCtrl); capacity reserved at construction
 		frames = append(frames, sf)
+		if meta == nil {
+			meta = c.packetRecord(p)
+		}
 		meta.chunks = append(meta.chunks, ch)
 		budget -= sf.Len()
-		eliciting = true
 		switch {
 		case ch.reinjection:
 			reinjBytes += int(ch.length)
@@ -376,7 +370,7 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 			c.tr.ReinjectSend(now, p.ID, ch.streamID, ch.offset, int(ch.length))
 		case ch.isNew:
 			c.stats.StreamBytesSent += ch.length
-			if c.fecEnabled && s != nil {
+			if c.fecEnabled {
 				c.fecAddSource(now, s, ch)
 			}
 		default:
@@ -390,12 +384,8 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 	}
 	pn := p.Space.NextPN()
 	pkt := sealShortInto(c.nextSendBuf(), c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), frames)
-	if eliciting {
-		//xlinkvet:ignore hotalloc — SentPacket outlives the call (recovery owns it until ack/loss); inside the 22-alloc budget
-		p.Space.OnPacketSent(&recovery.SentPacket{
-			PN: pn, SentAt: now, Bytes: len(pkt), AckEliciting: true,
-			Meta: meta,
-		})
+	if meta != nil {
+		recordSent(now, p, meta, pn, len(pkt))
 		p.CC.OnPacketSent(now, len(pkt))
 	}
 	c.dispatchPacket(now, p, pkt)
@@ -423,20 +413,15 @@ func (c *Conn) sendProbePacket(now time.Duration) bool {
 		}
 		frames := append(c.sendFrames[:0], item.frame)
 		c.sendFrames = frames[:0]
-		//xlinkvet:ignore hotalloc — per-packet metadata outlives the call (retained until ack/loss); inside the 22-alloc budget
-		meta := &packetMeta{}
-		if item.reliable {
-			meta.ctrl = append(meta.ctrl, item.frame)
-		}
 		c.ctrlQ = append(c.ctrlQ[:i], c.ctrlQ[i+1:]...)
 		pn := p.Space.NextPN()
 		pkt := sealShortInto(c.nextSendBuf(), c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), frames)
 		if wire.AckEliciting(item.frame) {
-			//xlinkvet:ignore hotalloc — SentPacket outlives the call (recovery owns it until ack/loss); inside the 22-alloc budget
-			p.Space.OnPacketSent(&recovery.SentPacket{
-				PN: pn, SentAt: now, Bytes: len(pkt), AckEliciting: true,
-				Meta: meta,
-			})
+			meta := c.packetRecord(p)
+			if item.reliable {
+				meta.ctrl = append(meta.ctrl, item.frame)
+			}
+			recordSent(now, p, meta, pn, len(pkt))
 		}
 		c.dispatchPacket(now, p, pkt)
 		p.SentPackets++
@@ -449,10 +434,12 @@ func (c *Conn) sendProbePacket(now time.Duration) bool {
 	return false
 }
 
-// appendCtrl moves queued control frames into the packet.
+// appendCtrl moves queued control frames into the packet being built for p.
+// meta is the packet's record, nil while it carries nothing ack-eliciting;
+// the first such frame acquires it.
 //
 // xlinkvet:hot
-func (c *Conn) appendCtrl(p *Path, frames []wire.Frame, meta *packetMeta, budget *int, eliciting bool) ([]wire.Frame, bool) {
+func (c *Conn) appendCtrl(p *Path, frames []wire.Frame, meta *packetMeta, budget *int) ([]wire.Frame, *packetMeta) {
 	// Compact kept items in place (w trails the read index) so draining the
 	// queue never allocates a replacement slice.
 	w := 0
@@ -470,18 +457,53 @@ func (c *Conn) appendCtrl(p *Path, frames []wire.Frame, meta *packetMeta, budget
 		}
 		frames = append(frames, item.frame)
 		*budget -= l
-		if item.reliable {
-			meta.ctrl = append(meta.ctrl, item.frame)
-		}
 		if wire.AckEliciting(item.frame) {
-			eliciting = true
+			if meta == nil {
+				meta = c.packetRecord(p)
+			}
+			// Only a tracked packet can be found lost, so only an
+			// ack-eliciting frame can be re-queued.
+			if item.reliable {
+				meta.ctrl = append(meta.ctrl, item.frame)
+			}
 		}
 	}
 	for i := w; i < len(c.ctrlQ); i++ {
 		c.ctrlQ[i] = ctrlItem{} // release frame references
 	}
 	c.ctrlQ = c.ctrlQ[:w]
-	return frames, eliciting
+	return frames, meta
+}
+
+// packetRecord acquires the record of the ack-eliciting packet being built
+// for p: a recovery.SentPacket recycled by p's space together with the
+// packetMeta it carries and the chunk and control-frame storage of that, all
+// blank (DESIGN.md §18). The caller fills it in and hands it to recordSent.
+//
+// xlinkvet:hot
+func (c *Conn) packetRecord(p *Path) *packetMeta {
+	sp := p.Space.Acquire()
+	meta, _ := sp.Meta.(*packetMeta)
+	//xlinkvet:cold — a record's first use; from then on its metadata is recycled with it
+	if meta == nil {
+		meta = &packetMeta{sp: sp}
+		sp.Meta = meta
+	}
+	meta.chunks = meta.chunks[:0]
+	clear(meta.ctrl) // release frame references
+	meta.ctrl = meta.ctrl[:0]
+	meta.reinjected = false
+	return meta
+}
+
+// recordSent enters the ack-eliciting packet just sealed as pn into p's
+// ledger.
+//
+// xlinkvet:hot
+func recordSent(now time.Duration, p *Path, meta *packetMeta, pn uint64, size int) {
+	sp := meta.sp
+	sp.PN, sp.SentAt, sp.Bytes, sp.AckEliciting = pn, now, size, true
+	p.Space.OnPacketSent(sp)
 }
 
 // nextStreamFrame hands out a reusable STREAM frame from the connection's

@@ -18,7 +18,12 @@ import (
 // and not yet delivered plus a segment, both must be empty once the FIN is
 // acknowledged, and every byte must arrive intact. Under -tags xlinkdebug
 // released send segments are poisoned before reuse, so a read through a stale
-// reference fails the content check here.
+// reference fails the content check here; so are recycled packet records
+// (DESIGN.md §18: packet number out of range, chunk list emptied), and
+// recovery asserts on every loss-detection call that no free record is in
+// AckResult.Acked or .Lost, in the ledger or behind the re-injection cursor —
+// a record reused too early would lose its chunks' retransmission and stall
+// the stream, or trip the assertion.
 func TestStreamMemoryBoundedByWindow(t *testing.T) {
 	size := uint64(256 << 20)
 	if testing.Short() {
@@ -108,6 +113,11 @@ func TestStreamMemoryBoundedByWindow(t *testing.T) {
 	}
 	if srv.SendBufferedPeak > ahead+segSize || cli.RecvBufferedPeak > window+segSize {
 		t.Fatalf("peaks: send %d (limit %d), receive %d (limit %d)", srv.SendBufferedPeak, ahead+segSize, cli.RecvBufferedPeak, window+segSize)
+	}
+	for _, id := range pair.Server.pathOrder {
+		if _, ok := pair.Server.paths[id].Space.Acquire().Meta.(*packetMeta); !ok {
+			t.Fatalf("path %d has no recycled record to hand out: the session did not exercise the free list", id)
+		}
 	}
 	if srv.ReinjectedBytesSent == 0 || srv.RtxBytesSent == 0 {
 		t.Fatalf("scenario too tame: %d re-injected and %d retransmitted bytes", srv.ReinjectedBytesSent, srv.RtxBytesSent)

@@ -1,9 +1,5 @@
 package wire
 
-import (
-	"fmt"
-)
-
 // Frame type codes. Standard frames use the RFC 9000 values; the
 // multi-path extension frames use the experimental greased code points from
 // the draft-liu-multipath-quic lineage.
@@ -59,81 +55,16 @@ func AckEliciting(f Frame) bool {
 }
 
 // ParseFrame decodes the frame at the front of b, returning it and the
-// bytes consumed. Frame types must use the minimal varint encoding
-// (RFC 9000 §12.4); in particular a non-minimal PADDING type would break
-// the byte-counting coalescer below.
+// bytes consumed. The frame is the caller's to keep (a STREAM frame's Data
+// still aliases b); the receive path, which does not keep frames, parses with
+// a Decoder instead.
 func ParseFrame(b []byte) (Frame, int, error) {
-	typ, n, err := ParseVarintMinimal(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	rest := b[n:]
-	var f Frame
-	var m int
-	switch {
-	case typ == TypePadding:
+	if run := paddingRun(b); run > 0 {
 		// Coalesce a run of padding bytes into one frame.
-		run := 1
-		for run < len(rest)+1 && run-1 < len(rest) && rest[run-1] == 0 {
-			run++
-		}
-		//xlinkvet:ignore hotalloc — parsed frame outlives the call (returned to the dispatch loop); inside the round-trip alloc budget
 		return &PaddingFrame{Count: run}, run, nil
-	case typ == TypePing:
-		// PING is stateless; every parse returns the same shared instance so
-		// ping-heavy batches stay allocation-free.
-		return &sharedPing, n, nil
-	case typ == TypeAck:
-		f, m, err = parseAck(rest)
-	case typ == TypeResetStream:
-		f, m, err = parseResetStream(rest)
-	case typ == TypeStopSending:
-		f, m, err = parseStopSending(rest)
-	case typ == TypeCrypto:
-		f, m, err = parseCrypto(rest)
-	case typ >= TypeStreamBase && typ <= TypeStreamBase+7:
-		f, m, err = parseStream(byte(typ), rest)
-	case typ == TypeMaxData:
-		f, m, err = parseMaxData(rest)
-	case typ == TypeMaxStreamData:
-		f, m, err = parseMaxStreamData(rest)
-	case typ == TypeDataBlocked:
-		f, m, err = parseDataBlocked(rest)
-	case typ == TypeStreamDataBlocked:
-		f, m, err = parseStreamDataBlocked(rest)
-	case typ == TypeNewConnectionID:
-		f, m, err = parseNewConnectionID(rest)
-	case typ == TypeRetireConnection:
-		f, m, err = parseRetireConnectionID(rest)
-	case typ == TypePathChallenge:
-		f, m, err = parsePathChallenge(rest)
-	case typ == TypePathResponse:
-		f, m, err = parsePathResponse(rest)
-	case typ == TypeConnectionClose:
-		f, m, err = parseConnectionClose(rest)
-	case typ == TypeHandshakeDone:
-		//xlinkvet:ignore hotalloc — parsed frame outlives the call (returned to the dispatch loop); inside the round-trip alloc budget
-		return &HandshakeDoneFrame{}, n, nil
-	case typ == TypeAckMP:
-		f, m, err = parseAckMP(rest)
-	case typ == TypePathStatus:
-		f, m, err = parsePathStatus(rest)
-	case typ == TypeQoEControlSignals:
-		f, m, err = parseQoEControlSignals(rest)
-	case typ == TypeFECWindow:
-		f, m, err = parseFECWindow(rest)
-	case typ == TypeFECRepair:
-		f, m, err = parseFECRepair(rest)
-	case typ == TypeFECRecovered:
-		f, m, err = parseFECRecovered(rest)
-	default:
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
-		return nil, 0, fmt.Errorf("wire: unknown frame type 0x%x", typ)
 	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return f, n + m, nil
+	var d Decoder
+	return d.parseFrame(b)
 }
 
 // ParseAll decodes every frame in a packet payload.
@@ -141,32 +72,12 @@ func ParseAll(b []byte) ([]Frame, error) {
 	return AppendFrames(nil, b)
 }
 
-// AppendFrames decodes every frame in a packet payload, appending to frames
-// (pass a reused slice truncated to [:0] to avoid the per-packet slice
-// allocation; the parsed frame values themselves are still allocated).
-// Padding runs are consumed without materializing a PaddingFrame: padding
-// carries no semantics, every receiver ignores it, and the receive hot path
-// parses each packet — minimum-size packets would otherwise cost one
-// allocation apiece. Use ParseFrame to inspect padding explicitly. On error
-// the appended prefix is discarded and nil is returned.
+// AppendFrames decodes every frame in a packet payload, appending to frames,
+// as Decoder.AppendFrames does, into storage of their own: the frames are the
+// caller's to keep.
 func AppendFrames(frames []Frame, b []byte) ([]Frame, error) {
-	for len(b) > 0 {
-		if b[0] == byte(TypePadding) {
-			i := 1
-			for i < len(b) && b[i] == byte(TypePadding) {
-				i++
-			}
-			b = b[i:]
-			continue
-		}
-		f, n, err := ParseFrame(b)
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, f)
-		b = b[n:]
-	}
-	return frames, nil
+	var d Decoder
+	return d.AppendFrames(frames, b)
 }
 
 // AppendAll serializes frames in order.

@@ -1,8 +1,18 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"time"
+)
+
+// What a malformed ACK body is refused with. Static values: refusing hostile
+// input costs no allocation.
+var (
+	errAckFirstRange  = errors.New("wire: ack first range underflow")
+	errAckRangeGap    = errors.New("wire: ack range underflow")
+	errAckRangeLength = errors.New("wire: ack range length underflow")
+	errQoELength      = errors.New("wire: qoe length mismatch")
 )
 
 // AckRange is a contiguous range of acknowledged packet numbers
@@ -71,7 +81,10 @@ func ackBodyLen(ranges []AckRange, delay time.Duration) int {
 // an hour, so clamp instead of erroring.
 const maxAckDelay = time.Hour
 
-func parseAckBody(b []byte) ([]AckRange, time.Duration, int, error) {
+// parseAckBody decodes the body ACK and ACK_MP share. The ranges are appended
+// to the decoder's one backing array and returned as a capacity-clipped window
+// of it, so they live exactly as long as the frame that carries them.
+func (d *Decoder) parseAckBody(b []byte) ([]AckRange, time.Duration, int, error) {
 	pos := 0
 	largest, n, err := ParseVarint(b)
 	if err != nil {
@@ -94,11 +107,10 @@ func parseAckBody(b []byte) ([]AckRange, time.Duration, int, error) {
 	}
 	pos += n
 	if firstRange > largest {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
-		return nil, 0, 0, fmt.Errorf("wire: ack first range underflow")
+		return nil, 0, 0, errAckFirstRange
 	}
-	//xlinkvet:ignore hotalloc — parsed ack ranges outlive the call (handed to recovery); inside the round-trip alloc budget
-	ranges := []AckRange{{Smallest: largest - firstRange, Largest: largest}}
+	start := len(d.ranges)
+	d.ranges = append(d.ranges, AckRange{Smallest: largest - firstRange, Largest: largest})
 	smallest := largest - firstRange
 	for i := uint64(0); i < rangeCount; i++ {
 		gap, n, err := ParseVarint(b[pos:])
@@ -112,23 +124,20 @@ func parseAckBody(b []byte) ([]AckRange, time.Duration, int, error) {
 		}
 		pos += n
 		if gap+2 > smallest {
-			//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
-			return nil, 0, 0, fmt.Errorf("wire: ack range underflow")
+			return nil, 0, 0, errAckRangeGap
 		}
 		nextLargest := smallest - gap - 2
 		if length > nextLargest {
-			//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
-			return nil, 0, 0, fmt.Errorf("wire: ack range length underflow")
+			return nil, 0, 0, errAckRangeLength
 		}
-		//xlinkvet:ignore hotalloc — parsed ack ranges outlive the call (handed to recovery); inside the round-trip alloc budget
-		ranges = append(ranges, AckRange{Smallest: nextLargest - length, Largest: nextLargest})
+		d.ranges = append(d.ranges, AckRange{Smallest: nextLargest - length, Largest: nextLargest})
 		smallest = nextLargest - length
 	}
 	delay := maxAckDelay
 	if delayUS < uint64(maxAckDelay/time.Microsecond) {
 		delay = time.Duration(delayUS) * time.Microsecond
 	}
-	return ranges, delay, pos, nil
+	return d.ranges[start:len(d.ranges):len(d.ranges)], delay, pos, nil
 }
 
 // Append implements Frame.
@@ -143,15 +152,6 @@ func (f *AckFrame) Len() int { return 1 + ackBodyLen(f.Ranges, f.AckDelay) }
 // String implements Frame.
 func (f *AckFrame) String() string {
 	return fmt.Sprintf("ACK(largest=%d ranges=%d)", f.LargestAcked(), len(f.Ranges))
-}
-
-func parseAck(b []byte) (Frame, int, error) {
-	ranges, delay, n, err := parseAckBody(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	//xlinkvet:ignore hotalloc — parsed frame outlives the call (returned to the dispatch loop); inside the round-trip alloc budget
-	return &AckFrame{Ranges: ranges, AckDelay: delay}, n, nil
 }
 
 // QoESignal is the QoE_Control_Signal payload defined by the paper
@@ -212,19 +212,18 @@ func qoeLen(q QoESignal) int {
 }
 
 func parseQoE(b []byte) (QoESignal, int, error) {
-	var q QoESignal
+	var v [4]uint64
 	pos := 0
-	//xlinkvet:ignore hotalloc — pointer-table literal is ranged over in place and never escapes
-	for i, dst := range []*uint64{&q.CachedBytes, &q.CachedFrames, &q.BitrateBps, &q.FramerateFPS} {
-		v, n, err := ParseVarint(b[pos:])
+	for i := range v {
+		x, n, err := ParseVarint(b[pos:])
 		if err != nil {
 			//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 			return QoESignal{}, 0, fmt.Errorf("wire: qoe field %d: %w", i, err)
 		}
-		*dst = v
+		v[i] = x
 		pos += n
 	}
-	return q, pos, nil
+	return QoESignal{CachedBytes: v[0], CachedFrames: v[1], BitrateBps: v[2], FramerateFPS: v[3]}, pos, nil
 }
 
 // AckMPFrame is the multi-path ACK frame (paper Fig 16 / Appendix C). It
@@ -292,41 +291,39 @@ func (f *AckMPFrame) String() string {
 		f.PathID, f.LargestAcked(), len(f.Ranges), f.HasQoE)
 }
 
-func parseAckMP(b []byte) (Frame, int, error) {
+func (d *Decoder) parseAckMP(f *AckMPFrame, b []byte) (int, error) {
 	pathID, n, err := ParseVarint(b)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	pos := n
-	ranges, delay, n, err := parseAckBody(b[pos:])
+	ranges, delay, n, err := d.parseAckBody(b[pos:])
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	pos += n
 	qLen, n, err := ParseVarint(b[pos:])
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	pos += n
-	//xlinkvet:ignore hotalloc — parsed frame outlives the call (returned to the dispatch loop); inside the round-trip alloc budget
-	f := &AckMPFrame{PathID: pathID, Ranges: ranges, AckDelay: delay}
+	f.PathID, f.Ranges, f.AckDelay = pathID, ranges, delay
 	if qLen > 0 {
 		if uint64(len(b)-pos) < qLen {
-			return nil, 0, ErrTruncated
+			return 0, ErrTruncated
 		}
 		q, n, err := parseQoE(b[pos : pos+int(qLen)])
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if n != int(qLen) {
-			//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
-			return nil, 0, fmt.Errorf("wire: qoe length mismatch")
+			return 0, errQoELength
 		}
 		f.HasQoE = true
 		f.QoE = q
 		pos += n
 	}
-	return f, pos, nil
+	return pos, nil
 }
 
 // QoEControlSignalsFrame is the standalone QOE_CONTROL_SIGNALS extension
@@ -354,16 +351,16 @@ func (f *QoEControlSignalsFrame) String() string {
 	return fmt.Sprintf("QOE_CONTROL_SIGNALS(seq=%d Δt=%v)", f.Sequence, f.QoE.PlaytimeLeft())
 }
 
-func parseQoEControlSignals(b []byte) (Frame, int, error) {
+func parseQoEControlSignals(f *QoEControlSignalsFrame, b []byte) (int, error) {
 	seq, n, err := ParseVarint(b)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	pos := n
 	q, n, err := parseQoE(b[pos:])
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
-	return &QoEControlSignalsFrame{Sequence: seq, QoE: q}, pos + n, nil
+	f.Sequence, f.QoE = seq, q
+	return pos + n, nil
 }

@@ -19,15 +19,6 @@ func (f *MaxDataFrame) Len() int { return 1 + VarintLen(f.MaxData) }
 // String implements Frame.
 func (f *MaxDataFrame) String() string { return fmt.Sprintf("MAX_DATA(%d)", f.MaxData) }
 
-func parseMaxData(b []byte) (Frame, int, error) {
-	v, n, err := ParseVarint(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
-	return &MaxDataFrame{MaxData: v}, n, nil
-}
-
 // MaxStreamDataFrame raises a stream's flow control limit.
 type MaxStreamDataFrame struct {
 	StreamID      uint64
@@ -51,17 +42,17 @@ func (f *MaxStreamDataFrame) String() string {
 	return fmt.Sprintf("MAX_STREAM_DATA(id=%d max=%d)", f.StreamID, f.MaxStreamData)
 }
 
-func parseMaxStreamData(b []byte) (Frame, int, error) {
+func parseMaxStreamData(f *MaxStreamDataFrame, b []byte) (int, error) {
 	id, n, err := ParseVarint(b)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	v, m, err := ParseVarint(b[n:])
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
-	return &MaxStreamDataFrame{StreamID: id, MaxStreamData: v}, n + m, nil
+	f.StreamID, f.MaxStreamData = id, v
+	return n + m, nil
 }
 
 // DataBlockedFrame signals the sender is blocked at the connection limit.
@@ -86,7 +77,7 @@ func parseDataBlocked(b []byte) (Frame, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &DataBlockedFrame{Limit: v}, n, nil
 }
 
@@ -122,7 +113,7 @@ func parseStreamDataBlocked(b []byte) (Frame, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &StreamDataBlockedFrame{StreamID: id, Limit: v}, n + m, nil
 }
 
@@ -152,10 +143,10 @@ func (f *ResetStreamFrame) String() string {
 }
 
 func parseResetStream(b []byte) (Frame, int, error) {
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &ResetStreamFrame{}
 	pos := 0
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — pointer-table literal is ranged over in place and never escapes
 	for _, dst := range []*uint64{&f.StreamID, &f.ErrorCode, &f.FinalSize} {
 		v, n, err := ParseVarint(b[pos:])
 		if err != nil {
@@ -199,7 +190,7 @@ func parseStopSending(b []byte) (Frame, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &StopSendingFrame{StreamID: id, ErrorCode: v}, n + m, nil
 }
 
@@ -234,7 +225,7 @@ func (f *NewConnectionIDFrame) String() string {
 }
 
 func parseNewConnectionID(b []byte) (Frame, int, error) {
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &NewConnectionIDFrame{}
 	seq, n, err := ParseVarint(b)
 	if err != nil {
@@ -260,7 +251,7 @@ func parseNewConnectionID(b []byte) (Frame, int, error) {
 	if len(b)-pos < cidLen+16 {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f.ConnectionID = append(ConnectionID(nil), b[pos:pos+cidLen]...)
 	pos += cidLen
 	copy(f.ResetToken[:], b[pos:pos+16])
@@ -292,7 +283,7 @@ func parseRetireConnectionID(b []byte) (Frame, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &RetireConnectionIDFrame{Sequence: v}, n, nil
 }
 
@@ -318,7 +309,7 @@ func parsePathChallenge(b []byte) (Frame, int, error) {
 	if len(b) < 8 {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &PathChallengeFrame{}
 	copy(f.Data[:], b[:8])
 	return f, 8, nil
@@ -345,7 +336,7 @@ func parsePathResponse(b []byte) (Frame, int, error) {
 	if len(b) < 8 {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &PathResponseFrame{}
 	copy(f.Data[:], b[:8])
 	return f, 8, nil
@@ -389,9 +380,9 @@ func parseConnectionClose(b []byte) (Frame, int, error) {
 	if uint64(len(b)-pos) < rl {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	reason := string(b[pos : pos+int(rl)])
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &ConnectionCloseFrame{ErrorCode: code, Reason: reason}, pos + int(rl), nil
 }
 
@@ -460,7 +451,7 @@ func (f *PathStatusFrame) String() string {
 }
 
 func parsePathStatus(b []byte) (Frame, int, error) {
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &PathStatusFrame{}
 	pos := 0
 	id, n, err := ParseVarint(b)

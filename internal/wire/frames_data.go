@@ -79,25 +79,25 @@ func (f *StreamFrame) HeaderLen(dataLen int) int {
 	return 1 + VarintLen(f.StreamID) + VarintLen(f.Offset) + VarintLen(uint64(dataLen))
 }
 
-// parseStream decodes a STREAM frame. The frame's Data aliases b — the one
-// frame type that borrows from the packet instead of copying out of it — so
-// it is valid only for as long as the caller keeps b unchanged.
-func parseStream(typ byte, b []byte) (Frame, int, error) {
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
-	f := &StreamFrame{Fin: typ&0x01 != 0}
+// parseStream decodes a STREAM frame into the zeroed f. The frame's Data
+// aliases b — the one frame type that borrows from the packet instead of
+// copying out of it — so it is valid only for as long as the caller keeps b
+// unchanged.
+func parseStream(f *StreamFrame, typ byte, b []byte) (int, error) {
+	f.Fin = typ&0x01 != 0
 	hasOff := typ&0x04 != 0
 	hasLen := typ&0x02 != 0
 	pos := 0
 	v, n, err := ParseVarint(b[pos:])
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	f.StreamID = v
 	pos += n
 	if hasOff {
 		v, n, err = ParseVarint(b[pos:])
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		f.Offset = v
 		pos += n
@@ -106,13 +106,13 @@ func parseStream(typ byte, b []byte) (Frame, int, error) {
 	if hasLen {
 		v, n, err = ParseVarint(b[pos:])
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		dataLen = v
 		pos += n
 	}
 	if uint64(len(b)-pos) < dataLen {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	if dataLen > 0 {
 		// Not copied: the stream layer copies the payload into its own
@@ -120,7 +120,7 @@ func parseStream(typ byte, b []byte) (Frame, int, error) {
 		f.Data = b[pos : pos+int(dataLen) : pos+int(dataLen)]
 	}
 	pos += int(dataLen)
-	return f, pos, nil
+	return pos, nil
 }
 
 // CryptoFrame carries handshake data (the simplified transport-parameter
@@ -149,7 +149,7 @@ func (f *CryptoFrame) String() string {
 }
 
 func parseCrypto(b []byte) (Frame, int, error) {
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &CryptoFrame{}
 	off, n, err := ParseVarint(b)
 	if err != nil {
@@ -165,7 +165,7 @@ func parseCrypto(b []byte) (Frame, int, error) {
 	if uint64(len(b)-pos) < length {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f.Data = append([]byte(nil), b[pos:pos+int(length)]...)
 	return f, pos + int(length), nil
 }

@@ -90,7 +90,7 @@ func (f *FECWindowFrame) String() string {
 }
 
 func parseFECWindow(b []byte) (Frame, int, error) {
-	//xlinkvet:ignore hotalloc — parsed frame outlives the call (returned to the dispatch loop); inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &FECWindowFrame{}
 	pos := 0
 	//xlinkvet:ignore hotalloc — pointer-table literal is ranged over in place and never escapes
@@ -188,11 +188,11 @@ func parseFECRepair(b []byte) (Frame, int, error) {
 	if uint64(len(b)-pos) < length {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — parsed frame (and its payload copy) outlives the call; inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &FECRepairFrame{
 		WindowID: winID,
 		Index:    idx,
-		//xlinkvet:ignore hotalloc — payload copy must outlive the datagram buffer (loan rule); inside the round-trip alloc budget
+		//xlinkvet:ignore hotalloc — payload copy must outlive the datagram buffer (loan rule); FEC repair frames are parked past the packet (DESIGN.md §18)
 		Data: append([]byte(nil), b[pos:pos+int(length)]...),
 	}
 	return f, pos + int(length), nil
@@ -251,6 +251,6 @@ func parseFECRecovered(b []byte) (Frame, int, error) {
 		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: fec recovered range overflow")
 	}
-	//xlinkvet:ignore hotalloc — parsed frame outlives the call (returned to the dispatch loop); inside the round-trip alloc budget
+	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &FECRecoveredFrame{StreamID: streamID, Offset: off, Length: length}, pos, nil
 }

@@ -105,7 +105,7 @@ func TestAckDelayClamped(t *testing.T) {
 		b = AppendVarint(b, delayUS) // delay
 		b = AppendVarint(b, 0)       // range count
 		b = AppendVarint(b, 4)       // first range
-		ranges, delay, _, err := parseAckBody(b)
+		ranges, delay, _, err := new(Decoder).parseAckBody(b)
 		if err != nil {
 			t.Fatalf("delayUS=%d: %v", delayUS, err)
 		}
@@ -125,7 +125,7 @@ func TestAckDelayClamped(t *testing.T) {
 	b = AppendVarint(b, 250)
 	b = AppendVarint(b, 0)
 	b = AppendVarint(b, 4)
-	_, delay, _, err := parseAckBody(b)
+	_, delay, _, err := new(Decoder).parseAckBody(b)
 	if err != nil || delay != 250*time.Microsecond {
 		t.Fatalf("delay=%v err=%v, want 250µs", delay, err)
 	}

@@ -67,6 +67,14 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/
 # xlinkdebug a read below a release floor fails content verification.
 step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
 	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned'
+# Frame and packet-record ownership (DESIGN.md §18) with assertions and the
+# race detector on: a recycled record is poisoned and must not be named by an
+# AckResult, the ledger or a SentFrom result; the free list stays within the
+# ledger's high-water mark; a warm decoder agrees with the package-level
+# parsers over the fuzz corpora. The lossy two-path session that exercises
+# recycling end to end is TestStreamMemoryBoundedByWindow above.
+step go test -race -tags xlinkdebug -count=1 ./internal/recovery/ ./internal/wire/ \
+	-run 'TestRecordRecycledAfterResultExpires|TestFreeListBoundedByPeakTracked|TestDecoderMatchesPackageLevel'
 # Trace determinism: the same (scenario, seed) must reproduce the committed
 # golden NDJSON trace byte for byte (-count=1 defeats the test cache so the
 # gate re-runs even when nothing changed).
@@ -81,9 +89,12 @@ step go test -race -count=1 ./xlink/ -run TestLiveShardedEventLoop
 # telemetry record path (counters/gauges/histograms and the flight-recorder
 # ring, DESIGN.md §14), the send-side batch fill/flush (§16), a re-injection
 # pull with nothing new in flight and the requester's in-order delivery, a
-# fixed ceiling for the transport round trip and the batched 16-packet receive.
+# warm wire.Decoder parse and, inside transport + wire, a received STREAM
+# packet, a received 32-range ACK_MP and a send pass with or without a packet
+# (DESIGN.md §18); a fixed ceiling for the transport round trip through the
+# emulator and the batched 16-packet receive.
 # -count=1 so the gates really re-measure instead of replaying a cached pass.
-step go test -count=1 -run 'TestAllocGate' ./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/transport/ ./internal/obs/ ./internal/video/
+step go test -count=1 -run 'TestAllocGate' ./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/wire/ ./internal/transport/ ./internal/obs/ ./internal/video/
 # Benchmark smoke: every benchmark must still run (one iteration — this
 # checks the harness, not performance; `make bench` measures for real, and
 # its allocs_per_pkt bound pins allocation-count growth end to end).

@@ -3,6 +3,7 @@ package xlink
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -60,7 +61,7 @@ type Endpoint struct {
 	// xlinkvet:guardedby mu
 	socks []*net.UDPConn
 	// xlinkvet:guardedby mu
-	peer []*net.UDPAddr // per netIdx: where to send (client side / learned)
+	peer []netip.AddrPort // per netIdx: where to send (client side / learned), unmapped
 	// trace is always non-nil once the endpoint is published: the user's
 	// Tracer when one was configured, otherwise an internal ring-only
 	// flight trace — either way with a flight recorder attached, so a live
@@ -282,9 +283,9 @@ func Dial(remote string, ifaceAddrs []string, techs []Technology, cfg LiveConfig
 	}
 	ep := newEndpoint(socks)
 	ep.attachLoops(cfg.Loops)
-	peers := make([]*net.UDPAddr, 0, len(socks))
+	peers := make([]netip.AddrPort, 0, len(socks))
 	for range socks {
-		peers = append(peers, raddr)
+		peers = append(peers, unmapped(raddr.AddrPort()))
 	}
 	x := core.New(cfg.Scheme, cfg.Options)
 	tcfg := x.ClientConfig(cfg.Seed)
@@ -317,7 +318,7 @@ func Dial(remote string, ifaceAddrs []string, techs []Technology, cfg LiveConfig
 func newEndpoint(socks []*net.UDPConn) *Endpoint {
 	ep := &Endpoint{
 		socks: socks,
-		peer:  make([]*net.UDPAddr, 0, len(socks)),
+		peer:  make([]netip.AddrPort, 0, len(socks)),
 		done:  make(chan struct{}),
 	}
 	ep.env = realEnv{clock: sim.NewRealClock(), ep: ep}
@@ -392,12 +393,12 @@ func applyLive(ep *Endpoint, tcfg *transport.Config, cfg LiveConfig) *obs.Trace 
 // xlinkvet:loan pkts
 func (ep *Endpoint) SendBatch(netIdx int, pkts [][]byte) int {
 	socks, peer := ep.socks, ep.peer //xlinkvet:ignore guardedby — invoked by the transport under ep.mu; see doc comment
-	if netIdx >= len(socks) || netIdx >= len(peer) || peer[netIdx] == nil {
+	if netIdx >= len(socks) || netIdx >= len(peer) || !peer[netIdx].IsValid() {
 		return 0
 	}
 	sent := 0
 	for _, d := range pkts {
-		if _, err := socks[netIdx].WriteToUDP(d, peer[netIdx]); err == nil {
+		if _, err := socks[netIdx].WriteToUDPAddrPort(d, peer[netIdx]); err == nil {
 			sent++
 		}
 	}
@@ -420,7 +421,7 @@ const liveBatchSize = 16
 type rawPacket struct {
 	ep   *Endpoint
 	sock int // receiving socket's netIdx (client); servers resolve per packet
-	from *net.UDPAddr
+	from netip.AddrPort
 	buf  []byte
 }
 
@@ -617,21 +618,21 @@ func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 // connection state: each datagram lands in a ring buffer on loan from the
 // shard's free list and is posted over the handoff channel; the shard
 // returns the buffer after delivery (see rawPacket). Compared to the old
-// per-packet make+copy+lock loop, the steady state here allocates nothing
-// but the kernel's source address.
+// per-packet make+copy+lock loop, the steady state here allocates nothing:
+// the source address comes back by value.
 //
 // xlinkvet:hot
 func (ep *Endpoint) readLoop(netIdx int, sock *net.UDPConn) {
 	sh := ep.shard
 	for {
 		buf := sh.takeBuf()
-		n, from, err := sock.ReadFromUDP(buf)
+		n, from, err := sock.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			sh.recycle(buf)
 			return // socket closed by Endpoint.Close
 		}
 		select {
-		case sh.in <- rawPacket{ep: ep, sock: netIdx, from: from, buf: buf[:n]}:
+		case sh.in <- rawPacket{ep: ep, sock: netIdx, from: unmapped(from), buf: buf[:n]}:
 		case <-ep.done:
 			sh.recycle(buf)
 			return
@@ -641,9 +642,9 @@ func (ep *Endpoint) readLoop(netIdx int, sock *net.UDPConn) {
 
 // learnPeerLocked maps a client source address to a stable interface
 // index, appending new addresses as new paths.
-func (ep *Endpoint) learnPeerLocked(from *net.UDPAddr) int {
+func (ep *Endpoint) learnPeerLocked(from netip.AddrPort) int {
 	for i, p := range ep.peer {
-		if p != nil && p.IP.Equal(from.IP) && p.Port == from.Port {
+		if p == from {
 			return i
 		}
 	}
@@ -654,6 +655,13 @@ func (ep *Endpoint) learnPeerLocked(from *net.UDPAddr) int {
 	}
 	assert.That(len(ep.socks) >= len(ep.peer), "peer table outgrew socket table")
 	return len(ep.peer) - 1
+}
+
+// unmapped returns ap with an IPv4-mapped IPv6 address turned back into the
+// IPv4 one, the form the peer table and rawPacket.from hold: a dual-stack
+// socket reports an IPv4 source mapped, and the two must compare equal.
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // OpenStream opens a new stream.
