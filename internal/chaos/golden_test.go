@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -73,4 +75,40 @@ func TestGoldenTrace(t *testing.T) {
 	}
 	t.Fatalf("trace length differs from golden: got %d lines, want %d (rerun with -update if intended)",
 		len(gotLines), len(wantLines))
+}
+
+// TestLossySessionDigests pins, by digest, the NDJSON trace bytes and the
+// whole Result (ConnStats of both ends, Scorecard, player totals, events after
+// the deadline) of the corpus's two-path burst-loss session with re-injection
+// alone and with the FEC lane racing it. The digests were taken at the commit
+// before the connection timer stopped being re-armed on every packet
+// (DESIGN.md §19) and were not re-recorded for it: a timer that is left
+// pending gets its place among same-instant events earlier than one that is
+// re-armed, and this is the test that would show a delivery and a timer
+// trading places. Like golden.trace, a PR that changes behaviour on purpose
+// (or adds a field to Result) replaces them — the failure prints the new ones.
+func TestLossySessionDigests(t *testing.T) {
+	for _, want := range []struct{ name, trace, result string }{
+		{"ge-dual-reinject-only",
+			"13c490e672e4e142055570294d03575aeb0a777359afbf891df2d9476168603f",
+			"19f18d529e82ba3a6edfe4b0f11623c6f42a6cf6e11a6c891a96dde59e148148"},
+		{"ge-dual-both",
+			"9364e16d2b19933b764da79065ee76c148586ed4565fab507faaff679d163824",
+			"5a8d5c265584d4bf1c566c7328213205eda8802730890905dfdf90322bb364f4"},
+	} {
+		sc, ok := ScenarioByName(want.name)
+		if !ok {
+			t.Fatalf("%s missing from corpus", want.name)
+		}
+		sc.Tracer = obs.NewTrace(sc.Name)
+		res := Run(sc)
+		if res.ServerStats.ReinjectedBytesSent+res.ClientStats.FECRecoveredBytes == 0 || res.ServerStats.RtxBytesSent == 0 {
+			t.Fatalf("%s: no loss, or neither recovery lane ran; the session no longer covers what it pins", want.name)
+		}
+		trace := fmt.Sprintf("%x", sha256.Sum256(sc.Tracer.Bytes()))
+		result := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", res))))
+		if trace != want.trace || result != want.result {
+			t.Errorf("%s: trace %s (want %s)\n  result %s (want %s)", want.name, trace, want.trace, result, want.result)
+		}
+	}
 }

@@ -11,11 +11,20 @@ package netem
 import (
 	"time"
 
+	"repro/internal/assert"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 // DeliverFunc receives a packet that finished traversing a link.
+//
+// Ownership: data is the link's own packet buffer, on loan for the duration
+// of the call only — the link reuses it for a later Send as soon as the call
+// returns (and overwrites it at once under -tags xlinkdebug). A receiver that
+// keeps the bytes must copy them. This mirrors the send side, where the link
+// copies what it is handed (see transport.DatagramSender).
+//
+// xlinkvet:loan data
 type DeliverFunc func(now time.Duration, data []byte)
 
 // LinkConfig configures one direction of an emulated path.
@@ -99,6 +108,17 @@ type Link struct {
 	// credit is unspent opportunity bytes (byte-granular mode).
 	credit int
 
+	// slots holds the packets that have left the queue and are waiting out
+	// their propagation delay; the delivery event of each carries its index
+	// (Fire), freeSlots the indices not in use. A slot is vacated before its
+	// packet is delivered.
+	slots     [][]byte
+	freeSlots []int
+	// free holds the packet buffers not in use, one list per size class
+	// (bufClass). A buffer belongs to exactly one of: the queue, a slot, the
+	// deliver call in progress, a free list.
+	free [len(bufCaps)][][]byte
+
 	stats LinkStats
 	down  bool // administratively down (interface off)
 
@@ -108,6 +128,87 @@ type Link struct {
 	dupRate      float64       // probability a delivered packet is duplicated
 	reorderRate  float64       // probability a delivered packet is held back
 	reorderDelay time.Duration // how long held-back packets are delayed
+}
+
+// Packet buffers come in two capacities: one that fits an acknowledgement
+// and one that fits any packet a delivery opportunity carries.
+var bufCaps = [...]int{smallBuf, trace.MTU}
+
+const smallBuf = 256
+
+// idleKeepBytes is how much free buffer space of each class a link keeps
+// once it has nothing queued and nothing in flight (32 full-size buffers, 187
+// small ones); the rest goes to the garbage collector. It trades allocations
+// against memory pinned by links that are done, and was set with the
+// benchmark in hand (sim-bulk-clean, table in DESIGN.md §19): keeping every
+// buffer costs 0.6 allocations per server packet less than this but retains
+// half as much again as the whole finished session; this retains 8 % more.
+// Do not raise it without reading retained_heap_MiB.
+const idleKeepBytes = 32 * trace.MTU
+
+// bufClass returns the index into bufCaps of the class a packet of n bytes
+// draws from.
+func bufClass(n int) int {
+	if n <= smallBuf {
+		return 0
+	}
+	return 1
+}
+
+// getBuf returns a buffer of length n from the free list of its class.
+//
+// xlinkvet:hot
+func (l *Link) getBuf(n int) []byte {
+	c := bufClass(n)
+	if k := len(l.free[c]); k > 0 && n <= bufCaps[c] {
+		b := l.free[c][k-1]
+		l.free[c][k-1] = nil
+		l.free[c] = l.free[c][:k-1]
+		return b[:n]
+	}
+	// A packet larger than an opportunity — nothing the transport builds —
+	// gets a buffer of its own size, which putBuf does not keep.
+	//xlinkvet:ignore hotalloc — free-list refill: amortized by putBuf, measured by TestAllocGateLinkSteadyState
+	return make([]byte, n, max(n, bufCaps[c]))
+}
+
+// putBuf takes back a buffer the link is done with, and lets go of all but
+// idleKeepBytes per class when that leaves the link idle.
+//
+// xlinkvet:hot
+func (l *Link) putBuf(b []byte) {
+	if assert.Enabled {
+		// Whoever kept the slice past its deliver call reads this, not the
+		// next packet.
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xdb
+		}
+	}
+	if c := bufClass(cap(b)); cap(b) == bufCaps[c] {
+		l.free[c] = append(l.free[c], b[:0])
+	}
+	if l.QueueLen() == 0 && len(l.freeSlots) == len(l.slots) {
+		for c, f := range l.free {
+			if keep := idleKeepBytes / bufCaps[c]; len(f) > keep {
+				clear(f[keep:])
+				l.free[c] = f[:keep]
+			}
+		}
+	}
+}
+
+// MaxIdleBuffers is the most free buffers a link with nothing queued and
+// nothing in flight holds.
+const MaxIdleBuffers = idleKeepBytes/smallBuf + idleKeepBytes/trace.MTU
+
+// FreeBuffers returns how many packet buffers the link holds for reuse.
+func (l *Link) FreeBuffers() int {
+	n := 0
+	for _, f := range l.free {
+		n += len(f)
+	}
+	return n
 }
 
 // NewLink creates a link on loop delivering packets to deliver.
@@ -140,13 +241,15 @@ func (l *Link) QueueBytes() int { return l.queueBytes }
 // as drops.
 func (l *Link) SetDown(down bool) {
 	if down && !l.down {
-		for _, qp := range l.queue[l.head:] {
-			l.stats.DroppedPkts++
-			l.stats.DroppedBytes += uint64(len(qp.data))
-		}
+		flushed := l.queue[l.head:]
 		l.queue, l.head = nil, 0
 		l.queueBytes = 0
 		l.credit = 0
+		for _, qp := range flushed {
+			l.stats.DroppedPkts++
+			l.stats.DroppedBytes += uint64(len(qp.data))
+			l.putBuf(qp.data)
+		}
 	}
 	l.down = down
 }
@@ -174,8 +277,11 @@ func (l *Link) SetReorder(rate float64, extra time.Duration) {
 }
 
 // Send offers a packet to the link. It is dropped on loss, droptail
-// overflow, or when the link is down; otherwise it is delivered to the far
-// end after queueing and propagation delay.
+// overflow, or when the link is down; otherwise it is copied into one of the
+// link's buffers and delivered to the far end after queueing and propagation
+// delay.
+//
+// xlinkvet:hot
 func (l *Link) Send(data []byte) {
 	l.stats.SentPackets++
 	l.stats.SentBytes += uint64(len(data))
@@ -190,7 +296,7 @@ func (l *Link) Send(data []byte) {
 		l.stats.DroppedBytes += uint64(len(data))
 		return
 	}
-	buf := make([]byte, len(data))
+	buf := l.getBuf(len(data))
 	copy(buf, data)
 	if len(l.queue) == cap(l.queue) && 2*l.head >= len(l.queue) {
 		// Full, and at least half of it already delivered: move the waiting
@@ -216,6 +322,7 @@ func (l *Link) Send(data []byte) {
 // loop. The packets are copied on admission; the slice and its buffers are
 // borrowed for the duration of the call only.
 //
+// xlinkvet:hot
 // xlinkvet:loan pkts
 func (l *Link) SendBatch(pkts [][]byte) int {
 	accepted := 0
@@ -286,8 +393,10 @@ func (l *Link) onOpportunity(now time.Duration) {
 	}
 }
 
-// deliverHead dequeues and delivers the head packet after the propagation
-// delay (plus jitter), applying bit corruption if configured.
+// deliverHead dequeues the head packet and schedules its delivery after the
+// propagation delay (plus jitter), applying bit corruption if configured.
+//
+// xlinkvet:hot
 func (l *Link) deliverHead() {
 	pkt := l.queue[l.head]
 	l.queue[l.head] = queuedPacket{}
@@ -312,20 +421,42 @@ func (l *Link) deliverHead() {
 		l.stats.CorruptedPkts++
 	}
 	if l.dupRate > 0 && l.rng != nil && l.rng.Bool(l.dupRate) {
-		dup := make([]byte, len(data))
+		dup := l.getBuf(len(data))
 		copy(dup, data)
 		l.stats.DuplicatedPkts++
 		l.stats.DeliveredPkts++
 		l.stats.DeliveredBytes += uint64(len(dup))
-		l.loop.After(delay+2*time.Millisecond, func(arrive time.Duration) {
-			if l.deliver != nil {
-				l.deliver(arrive, dup)
-			}
-		})
+		l.propagate(delay+2*time.Millisecond, dup)
 	}
-	l.loop.After(delay, func(arrive time.Duration) {
-		if l.deliver != nil {
-			l.deliver(arrive, data)
-		}
-	})
+	l.propagate(delay, data)
+}
+
+// propagate parks a packet in a slot and schedules the slot's delivery.
+//
+// xlinkvet:hot
+func (l *Link) propagate(delay time.Duration, data []byte) {
+	var slot int
+	if n := len(l.freeSlots); n > 0 {
+		slot = l.freeSlots[n-1]
+		l.freeSlots = l.freeSlots[:n-1]
+		l.slots[slot] = data
+	} else {
+		slot = len(l.slots)
+		l.slots = append(l.slots, data)
+	}
+	l.loop.AtRecv(l.loop.Now()+delay, l, slot)
+}
+
+// Fire implements sim.Receiver: the packet in slot has arrived. The receiver
+// borrows the buffer for the call; it is back in the free list afterwards.
+//
+// xlinkvet:hot
+func (l *Link) Fire(arrive time.Duration, slot int) {
+	data := l.slots[slot]
+	l.slots[slot] = nil
+	l.freeSlots = append(l.freeSlots, slot)
+	if l.deliver != nil {
+		l.deliver(arrive, data)
+	}
+	l.putBuf(data)
 }

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -152,7 +153,7 @@ func TestLinkDataIsolation(t *testing.T) {
 	var delivered []byte
 	tr := trace.ConstantRate("t", 10, time.Second)
 	l := NewLink(loop, LinkConfig{Trace: tr}, sim.NewRNG(1),
-		func(now time.Duration, data []byte) { delivered = data })
+		func(now time.Duration, data []byte) { delivered = append([]byte(nil), data...) }) // data is a loan
 	buf := []byte{1, 2, 3}
 	l.Send(buf)
 	buf[0] = 99 // mutate after send
@@ -199,8 +200,8 @@ func TestPathRoundTrip(t *testing.T) {
 		OneWayDelay: 8 * time.Millisecond,
 	}
 	p := NewPath(loop, cfg, rng,
-		func(now time.Duration, data []byte) { serverGot = append(serverGot, data) },
-		func(now time.Duration, data []byte) { clientGot = append(clientGot, data) })
+		func(now time.Duration, data []byte) { serverGot = append(serverGot, bytes.Clone(data)) }, // data is a loan
+		func(now time.Duration, data []byte) { clientGot = append(clientGot, bytes.Clone(data)) })
 	p.SendToServer([]byte("request"))
 	p.SendToClient([]byte("response"))
 	loop.Run(0)
@@ -320,10 +321,10 @@ func TestByteGranularNoCreditBanking(t *testing.T) {
 }
 
 // TestLinkQueueReusesItsArray: dequeuing moves a head index instead of
-// re-slicing, so the queue's array is reused — a packet costs the link its
-// copy and its delivery closure and nothing else, the opportunity callback
-// being bound once — QueueLen counts only what is waiting, and an interface
-// going down drops exactly those.
+// re-slicing, so the queue's array is reused — with the packet buffers
+// recycled and deliveries scheduled by slot a warm link allocates nothing —
+// QueueLen counts only what is waiting, and an interface going down drops
+// exactly those.
 func TestLinkQueueReusesItsArray(t *testing.T) {
 	loop := sim.NewLoop()
 	delivered := 0
@@ -344,8 +345,8 @@ func TestLinkQueueReusesItsArray(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		burst()
 	}
-	if avg := testing.AllocsPerRun(200, burst); avg > 10 {
-		t.Fatalf("a burst of 5 packets costs the link %.1f allocations, want its 5 copies and 5 delivery closures", avg)
+	if avg := testing.AllocsPerRun(200, burst); avg != 0 {
+		t.Fatalf("a burst of 5 packets costs a warm link %.1f allocations, want 0", avg)
 	}
 
 	for i := 0; i < 5; i++ {

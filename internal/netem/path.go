@@ -137,7 +137,10 @@ type Network struct {
 	serverRx Handler
 }
 
-// Handler receives packets at an endpoint: the path index and payload.
+// Handler receives packets at an endpoint: the path index and payload. As
+// with DeliverFunc, data is on loan from the link for the call only.
+//
+// xlinkvet:loan data
 type Handler func(now time.Duration, pathIdx int, data []byte)
 
 // NewNetwork builds a network with the given path configurations. The

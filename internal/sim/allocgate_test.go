@@ -5,10 +5,17 @@ import (
 	"time"
 )
 
+// countingReceiver is a Receiver that is not a func: the shape netem.Link
+// schedules its deliveries with.
+type countingReceiver struct{ fired, sum int }
+
+func (r *countingReceiver) Fire(_ time.Duration, arg int) { r.fired++; r.sum += arg }
+
 // TestAllocGateScheduleFire gates the timer free list (scripts/check.sh runs
 // every TestAllocGate*): once the free list is warm, a schedule→fire cycle
-// and a schedule→stop cycle must not allocate. The value-type Timer handle
-// and event recycling exist precisely for this.
+// and a schedule→stop cycle must not allocate, whether the event is a plain
+// callback or a (receiver, argument) pair. The value-type Timer handle and
+// event recycling exist precisely for this.
 func TestAllocGateScheduleFire(t *testing.T) {
 	l := NewLoop()
 	fn := func(time.Duration) {}
@@ -28,5 +35,16 @@ func TestAllocGateScheduleFire(t *testing.T) {
 		l.Run(1 << 20)
 	}); avg != 0 {
 		t.Fatalf("schedule→stop allocates %.1f/op, want 0", avg)
+	}
+	r := &countingReceiver{}
+	if avg := testing.AllocsPerRun(200, func() {
+		l.AtRecv(l.Now()+time.Millisecond, r, 3)
+		l.AtRecv(l.Now()+time.Hour, r, 100).Stop()
+		l.Run(1 << 20)
+	}); avg != 0 {
+		t.Fatalf("schedule→fire of a receiver event allocates %.1f/op, want 0", avg)
+	}
+	if r.fired != 201 || r.sum != 3*201 {
+		t.Fatalf("receiver fired %d times with arguments summing to %d, want 201 and %d", r.fired, r.sum, 3*201)
 	}
 }

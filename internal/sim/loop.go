@@ -8,6 +8,22 @@ import (
 // Event is a callback scheduled to run at a virtual time instant.
 type Event func(now time.Duration)
 
+// Receiver is what a scheduled event is delivered to: Fire runs at the
+// event's instant with the argument it was scheduled with. A component that
+// schedules one event per unit of work (a netem.Link: one per packet)
+// implements it once and passes an index as arg, so scheduling builds no
+// closure.
+type Receiver interface {
+	Fire(now time.Duration, arg int)
+}
+
+// Fire implements Receiver, so a plain callback is scheduled and dispatched
+// the same way as any other receiver (a func value is pointer-shaped: putting
+// it in the interface does not allocate).
+//
+// xlinkvet:hot
+func (fn Event) Fire(now time.Duration, _ int) { fn(now) }
+
 // scheduledEvent is a heap node. Nodes are recycled through Loop.free once
 // they fire, are collected dead, or are swept by compaction; gen is bumped
 // on every recycle so stale Timer handles can detect reuse.
@@ -15,7 +31,8 @@ type scheduledEvent struct {
 	at   time.Duration
 	seq  uint64 // tie-breaker: FIFO among events at the same instant
 	gen  uint64
-	fn   Event
+	to   Receiver
+	arg  int
 	dead bool
 	idx  int
 }
@@ -141,6 +158,14 @@ func (l *Loop) Compactions() uint64 { return l.compactions }
 //
 // xlinkvet:hot
 func (l *Loop) At(at time.Duration, fn Event) Timer {
+	return l.AtRecv(at, fn, 0)
+}
+
+// AtRecv schedules to.Fire(now, arg) at the absolute virtual time at, with
+// At's clamping and FIFO order among events at one instant.
+//
+// xlinkvet:hot
+func (l *Loop) AtRecv(at time.Duration, to Receiver, arg int) Timer {
 	if at < l.now {
 		at = l.now
 	}
@@ -153,7 +178,7 @@ func (l *Loop) At(at time.Duration, fn Event) Timer {
 		//xlinkvet:ignore hotalloc — free-list refill: amortized by recycle(), measured by TestAllocGateScheduleFire
 		ev = &scheduledEvent{}
 	}
-	ev.at, ev.seq, ev.fn, ev.dead = at, l.seq, fn, false
+	ev.at, ev.seq, ev.to, ev.arg, ev.dead = at, l.seq, to, arg, false
 	l.seq++
 	heap.Push(&l.events, ev)
 	return Timer{ev: ev, gen: ev.gen, loop: l}
@@ -167,12 +192,12 @@ func (l *Loop) After(d time.Duration, fn Event) Timer {
 }
 
 // recycle returns a popped or swept node to the free pool, invalidating any
-// outstanding Timer handles and releasing the event closure.
+// outstanding Timer handles and releasing the event's receiver.
 //
 // xlinkvet:hot
 func (l *Loop) recycle(ev *scheduledEvent) {
 	ev.gen++
-	ev.fn = nil
+	ev.to = nil
 	if len(l.free) < maxFree {
 		l.free = append(l.free, ev)
 	}
@@ -222,9 +247,9 @@ func (l *Loop) Step() bool {
 		}
 		l.now = ev.at
 		l.fired++
-		fn := ev.fn
+		to, arg := ev.to, ev.arg
 		l.recycle(ev)
-		fn(l.now)
+		to.Fire(l.now, arg)
 		return true
 	}
 	return false

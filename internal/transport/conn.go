@@ -226,7 +226,11 @@ type Conn struct {
 	nextStandaloneQoE time.Duration
 	qoeSeq            uint64
 
+	// timerCancel cancels the timer the Env holds (nil: none pending), which
+	// fires at timerAt; timerDue is when onTimer's body must next run (0:
+	// never). timerAt <= timerDue while a timer is pending — see rearmTimer.
 	timerCancel         func()
+	timerAt, timerDue   time.Duration
 	inSend              bool
 	secondaryTimerArmed bool
 	// onTimerFn is c.onTimer bound once, so re-arming the timer does not

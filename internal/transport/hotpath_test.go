@@ -214,9 +214,12 @@ func TestRecvScratchCopyOnRetain(t *testing.T) {
 // send→recv→ack round trip (scripts/check.sh runs every TestAllocGate*).
 // The seed baseline was 98 allocs/op and pooling brought it to 20; since the
 // decoder owns received frames and packet records are recycled (DESIGN.md
-// §18) transport and wire contribute none, and the 5 that are left are the
-// emulator's: netem's copy and delivery closure for each of the two packets,
-// and the timer's cancel closure. The gate is that plus 2.
+// §18) transport and wire contribute none, and since the link recycles its
+// packet buffers and schedules a delivery as (link, slot) the emulator
+// contributes none either (DESIGN.md §19). The 1 that is left is the cancel
+// closure SimEnv.Schedule returns when the client's packet goes in flight
+// and sets a PTO where there was no deadline that early: the deadline moved
+// earlier, which still costs a Schedule. The gate is that plus 1.
 func TestAllocGateRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state warmup")
@@ -231,7 +234,7 @@ func TestAllocGateRoundTrip(t *testing.T) {
 	for i := 0; i < 32; i++ { // warm scratch buffers and pools
 		roundTrip(pair, st, payload)
 	}
-	const gate = 7
+	const gate = 2
 	avg := testing.AllocsPerRun(200, func() {
 		roundTrip(pair, st, payload)
 	})

@@ -44,12 +44,26 @@ func newGateRig(t *testing.T) *gateRig {
 	if assert.Enabled {
 		t.Skip("xlinkdebug: per-packet assertions allocate by design")
 	}
+	r := newRig(t, nil)
+	r.env = &quietEnv{now: r.env.now}
+	r.s.env = r.env
+	return r
+}
+
+// newRig builds the rig with the server still on the emulator's Env (r.env
+// only carries the time the handshake ended at); tune, if set, adjusts the
+// server's Config first.
+func newRig(t *testing.T, tune func(scfg *Config)) *gateRig {
+	t.Helper()
 	params := wire.DefaultTransportParams()
 	params.EnableMultipath = true
 	ccfg := Config{Params: params, Seed: 1, MaxAckDelay: time.Millisecond}
 	scfg := Config{Params: params, Seed: 2, MaxAckDelay: time.Millisecond}
 	scfg.OnStreamData = func(time.Duration, *RecvStream, []byte, bool) {}
 	scfg.OnQoE = func(time.Duration, wire.QoESignal) {}
+	if tune != nil {
+		tune(&scfg)
+	}
 	loop := sim.NewLoop()
 	pair := NewPair(loop, sim.NewRNG(7),
 		TwoPathConfig(200, 200, 2*time.Millisecond, 6*time.Millisecond)[:1], ccfg, scfg)
@@ -61,19 +75,22 @@ func newGateRig(t *testing.T) *gateRig {
 		t.Fatal("gate rig did not establish one multipath-negotiated path")
 	}
 	r := &gateRig{c: pair.Client, s: pair.Server, env: &quietEnv{now: loop.Now()}}
-	r.s.env, r.s.sender = r.env, discardSender{}
+	r.s.sender = discardSender{}
 	r.buf = make([]byte, 0, cc.MaxDatagramSize)
 	return r
 }
 
 // deliver seals frames as the client's next packet and hands it to the server
 // a millisecond later. Sealing reuses the rig's buffer and allocates nothing.
-func (r *gateRig) deliver(frames ...wire.Frame) {
+func (r *gateRig) deliver(frames ...wire.Frame) { r.deliverAfter(time.Millisecond, frames...) }
+
+// deliverAfter is deliver with the time that passes first given.
+func (r *gateRig) deliverAfter(d time.Duration, frames ...wire.Frame) {
 	p := r.c.paths[0]
 	pn := p.Space.NextPN()
 	r.frames = append(r.frames[:0], frames...)
 	pkt := sealShortInto(r.buf[:0], r.c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), r.frames)
-	r.env.now += time.Millisecond
+	r.env.now += d
 	r.s.HandleDatagram(r.env.now, p.NetIdx, pkt)
 }
 

@@ -1024,6 +1024,7 @@ func (c *Conn) appendAcksFor(now time.Duration, p *Path, frames []wire.Frame, bu
 //
 // xlinkvet:releases timers
 func (c *Conn) cancelTimer() {
+	c.timerDue = 0
 	if c.timerCancel != nil {
 		c.timerCancel()
 		c.timerCancel = nil
@@ -1091,14 +1092,28 @@ func (c *Conn) maybeSendStandaloneQoE(now time.Duration) {
 	c.queueCtrl(&wire.QoEControlSignalsFrame{Sequence: c.qoeSeq, QoE: sig}, -1, false)
 }
 
-// rearmTimer schedules the next timer callback.
+// rearmTimer records the deadline the connection wants to be woken at and
+// touches the Env's timer only when it has to. Two deadlines are kept apart
+// (DESIGN.md §19): timerDue is when the timer body must run next, timerAt is
+// when the timer the Env holds will fire. Almost every packet handled moves
+// the deadline later (the idle timeout, a PTO re-based on a newer packet), and
+// a timer that fires early costs one onTimer call that re-schedules itself,
+// so a pending timer strictly before timerDue is left alone. No timer, or a
+// pending one at or after the deadline, costs a cancel and a Schedule — "at"
+// included: a timer re-armed at the instant it is already set for takes a
+// new place among the events of that instant (behind everything scheduled
+// since), and sessions differ by whether a delayed ACK or a delivery on the
+// same nanosecond runs first.
+//
+// xlinkvet:hot
 func (c *Conn) rearmTimer() {
-	c.cancelTimer()
 	if c.state == stateClosed {
+		c.cancelTimer()
 		return
 	}
 	deadline := c.nextDeadline()
 	if deadline == 0 {
+		c.cancelTimer()
 		return
 	}
 	if now := c.env.Now(); deadline <= now {
@@ -1107,13 +1122,37 @@ func (c *Conn) rearmTimer() {
 		// spin the event loop at a frozen instant.
 		deadline = now + cc.Granularity
 	}
-	c.timerCancel = c.env.Schedule(deadline, c.onTimerFn)
+	c.timerDue = deadline
+	if c.timerCancel != nil {
+		if c.timerAt < deadline {
+			return
+		}
+		c.timerCancel()
+	}
+	c.scheduleTimer(deadline)
+}
+
+// scheduleTimer hands the Env a timer for at; none may be pending.
+func (c *Conn) scheduleTimer(at time.Duration) {
+	c.timerAt = at
+	c.timerCancel = c.env.Schedule(at, c.onTimerFn)
 }
 
 // onTimer handles drain, idle, loss, PTO, keepalive and delayed-ack
 // deadlines.
 func (c *Conn) onTimer(now time.Duration) {
 	c.timerCancel = nil
+	if c.timerDue == 0 {
+		return
+	}
+	if now < c.timerDue {
+		// Woken early: the deadline moved later after this timer was set.
+		// Nothing is due, so no protocol code runs at an instant it would
+		// not have run at with a timer re-armed on every change.
+		c.scheduleTimer(c.timerDue)
+		return
+	}
+	c.timerDue = 0
 	if c.state == stateClosed {
 		return
 	}

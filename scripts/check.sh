@@ -58,8 +58,11 @@ step go test ./...
 step go test -tags xlinkdebug ./...
 step go test -race ./...
 # Chaos smoke: the fault-injection corpus under assertions + race detector
-# (plain `go test ./...` above already ran it once without either).
-step go test -race -tags xlinkdebug -count=1 ./internal/chaos/
+# (plain `go test ./...` above already ran it once without either). Under
+# xlinkdebug a link overwrites a packet buffer the moment its delivery
+# callback returns (DESIGN.md §19), so a consumer that kept the slice reads
+# poison here; netem's own tests check that it does.
+step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # Stream buffering (DESIGN.md §17) with assertions and the race detector on:
 # the receive buffer against its keep-everything reference model, a 256 MiB
 # stream held to the window on a lossy two-path network (about a minute and
@@ -91,10 +94,12 @@ step go test -race -count=1 ./xlink/ -run TestLiveShardedEventLoop
 # pull with nothing new in flight and the requester's in-order delivery, a
 # warm wire.Decoder parse and, inside transport + wire, a received STREAM
 # packet, a received 32-range ACK_MP and a send pass with or without a packet
-# (DESIGN.md §18); a fixed ceiling for the transport round trip through the
-# emulator and the batched 16-packet receive.
+# (DESIGN.md §18), and a warm netem link carrying a 16-packet batch (§19); a
+# fixed ceiling for the transport round trip through the emulator, the
+# batched 16-packet receive, and a whole 4 MiB session per server packet (the
+# benchmark's allocs_per_pkt as a test).
 # -count=1 so the gates really re-measure instead of replaying a cached pass.
-step go test -count=1 -run 'TestAllocGate' ./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/wire/ ./internal/transport/ ./internal/obs/ ./internal/video/
+step go test -count=1 -run 'TestAllocGate' ./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/wire/ ./internal/transport/ ./internal/obs/ ./internal/video/ ./internal/netem/ ./internal/core/
 # Benchmark smoke: every benchmark must still run (one iteration — this
 # checks the harness, not performance; `make bench` measures for real, and
 # its allocs_per_pkt bound pins allocation-count growth end to end).

@@ -118,13 +118,18 @@ func (ep *Endpoint) flushCallbacks() {
 		return
 	}
 	ep.flushing = true
-	for len(ep.cbQ) > 0 {
-		fn := ep.cbQ[0]
-		ep.cbQ = ep.cbQ[1:]
+	// Popped by index, not by re-slicing: the array keeps its front, so once
+	// the queue is empty enqueueCallback fills the same array again instead
+	// of growing a new one every few callbacks. Entries are cleared as they
+	// are taken so a finished closure is not pinned by the array.
+	for i := 0; i < len(ep.cbQ); i++ {
+		fn := ep.cbQ[i]
+		ep.cbQ[i] = nil
 		ep.mu.Unlock()
 		fn()
 		ep.mu.Lock()
 	}
+	ep.cbQ = ep.cbQ[:0]
 	ep.flushing = false
 	ep.mu.Unlock()
 }
