@@ -24,12 +24,6 @@
 //	    on a function declaration: the function — and everything statically
 //	    reachable from it — must be allocation-free in the steady state
 //	    (rule hotalloc).
-//	// xlinkvet:loan <param>... | return
-//	    on a function declaration or an interface method: the named slice
-//	    parameters (or all loanable return values, with `return`) are
-//	    borrowed buffers valid only for the duration of the call and must
-//	    not be retained (rule loan). Annotating an interface method applies
-//	    the contract to every module-internal implementation.
 //	//xlinkvet:cold <why>
 //	    on (or directly above) an if statement: the guarded branch is a
 //	    documented slow path; hotalloc prunes allocations inside it, as it
@@ -37,17 +31,13 @@
 //	//xlinkvet:ignore <rule>[,<rule>] <why>
 //	    on the same or preceding line: suppress the listed rules' findings
 //	    (empty list = all rules) with a free-form justification.
-//	//xlinkvet:bounded <why>
-//	    on a `go` statement's line (or the line above), or on the spawned
-//	    function's declaration: the goroutine's lifetime is intentionally
-//	    process-bound (rule goleak).
+//	// xlinkvet:guardedby <mutexField> | confined
+//	    on a struct field: the field is touched only with the named mutex
+//	    held, or only from its owner's event loop (rule guardedby).
 //	//xlinkvet:confines <why>
 //	    on a `go` statement's line (or the line above): the goroutine
 //	    constructs every confined structure it drives, so `guardedby
-//	    confined` transfers into it (goleak still applies to the spawn).
-//	// xlinkvet:owns <chan>[,<chan>]
-//	    on a function declaration: this side owns the named receiver-field
-//	    or package-level channels and is the only legal closer (rule chandir).
+//	    confined` transfers into it.
 //	// xlinkvet:state <from>[,<from>] -> <to>
 //	    on a method: declares a lifecycle transition over
 //	    idle→handshaking→active→closing→draining→closed (rule connstate).
@@ -247,11 +237,7 @@ func runSelftest(loader *vet.Loader, verbose bool) int {
 		{"guardedby", "guardedby", 4},
 		{"taintsize", "taintsize", 3},
 		{"hotalloc", "hotalloc", 8},
-		{"loan", "loan", 7},
-		{"goleak", "goleak", 7},
-		{"chandir", "chandir", 8},
 		{"connstate", "connstate", 8},
-		{"broken", "loaderr", 2},
 	}
 	failed := false
 	for _, tc := range cases {

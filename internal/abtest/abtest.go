@@ -254,9 +254,8 @@ func Run(pop Population, arms []Arm) map[string]*ArmResult {
 // the same order-sensitive RNG fork chain, so they are all made up front on
 // the calling goroutine, and the per-session outcomes are folded in session
 // order afterwards. Workers receive session indices from a jobs channel
-// until it closes and are joined with a WaitGroup before aggregation — the
-// bounded-fleet shape xlinkvet's goleak rule requires. workers <= 1 falls
-// back to the sequential Run.
+// until it closes and are joined with a WaitGroup before aggregation.
+// workers <= 1 falls back to the sequential Run.
 func RunParallel(pop Population, arms []Arm, workers int) map[string]*ArmResult {
 	if workers <= 1 || pop.Sessions <= 1 {
 		return Run(pop, arms)

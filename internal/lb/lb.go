@@ -225,9 +225,7 @@ type Datagram struct {
 // done closes or in is closed. Pump runs in the caller's goroutine and IS
 // the confining goroutine for the router's tables — AddBackend/RemoveBackend
 // must not race with it. Launch it as `go r.Pump(in, done)` and close done
-// to get a provable clean exit (the shape xlinkvet's goleak rule demands of
-// every long-lived goroutine); the -race test asserts the loop actually
-// terminates.
+// to get a clean exit; the -race test asserts the loop actually terminates.
 func (r *Router) Pump(in <-chan Datagram, done <-chan struct{}) {
 	for {
 		select {

@@ -23,8 +23,6 @@ import (
 // returns (and overwrites it at once under -tags xlinkdebug). A receiver that
 // keeps the bytes must copy them. This mirrors the send side, where the link
 // copies what it is handed (see transport.DatagramSender).
-//
-// xlinkvet:loan data
 type DeliverFunc func(now time.Duration, data []byte)
 
 // LinkConfig configures one direction of an emulated path.
@@ -323,7 +321,6 @@ func (l *Link) Send(data []byte) {
 // borrowed for the duration of the call only.
 //
 // xlinkvet:hot
-// xlinkvet:loan pkts
 func (l *Link) SendBatch(pkts [][]byte) int {
 	accepted := 0
 	for _, d := range pkts {

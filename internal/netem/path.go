@@ -70,14 +70,10 @@ func (p *Path) SendToClient(data []byte) { p.down.Send(data) }
 
 // SendToServerBatch offers a batch of client-originated packets to the
 // uplink (see Link.SendBatch for the equivalence contract).
-//
-// xlinkvet:loan pkts
 func (p *Path) SendToServerBatch(pkts [][]byte) int { return p.up.SendBatch(pkts) }
 
 // SendToClientBatch offers a batch of server-originated packets to the
 // downlink.
-//
-// xlinkvet:loan pkts
 func (p *Path) SendToClientBatch(pkts [][]byte) int { return p.down.SendBatch(pkts) }
 
 // SetDown disables or enables both directions.
@@ -139,8 +135,6 @@ type Network struct {
 
 // Handler receives packets at an endpoint: the path index and payload. As
 // with DeliverFunc, data is on loan from the link for the call only.
-//
-// xlinkvet:loan data
 type Handler func(now time.Duration, pathIdx int, data []byte)
 
 // NewNetwork builds a network with the given path configurations. The
@@ -186,8 +180,6 @@ func (n *Network) ServerSend(idx int, data []byte) {
 }
 
 // ClientSendBatch transmits a batch of client packets on path idx.
-//
-// xlinkvet:loan pkts
 func (n *Network) ClientSendBatch(idx int, pkts [][]byte) int {
 	if idx >= 0 && idx < len(n.Paths) {
 		return n.Paths[idx].SendToServerBatch(pkts)
@@ -196,8 +188,6 @@ func (n *Network) ClientSendBatch(idx int, pkts [][]byte) int {
 }
 
 // ServerSendBatch transmits a batch of server packets on path idx.
-//
-// xlinkvet:loan pkts
 func (n *Network) ServerSendBatch(idx int, pkts [][]byte) int {
 	if idx >= 0 && idx < len(n.Paths) {
 		return n.Paths[idx].SendToClientBatch(pkts)

@@ -212,7 +212,6 @@ func (s *Set) First() (Range, bool) {
 // the set is next edited. The slice must not be mutated or retained.
 //
 // xlinkvet:hot
-// xlinkvet:loan return
 func (s *Set) All() []Range { return s.ranges }
 
 func min64(a, b uint64) uint64 {

@@ -218,7 +218,6 @@ func (sp *SentPacket) InFlight() bool {
 // next call that mutates the Space.
 //
 // xlinkvet:hot
-// xlinkvet:loan return
 func (s *Space) SentFrom(pn uint64) []*SentPacket {
 	from := s.sent[s.search(pn):]
 	assertLive(from, "the ledger")
@@ -272,8 +271,6 @@ func (s *Space) lossDelay() time.Duration {
 // order, descending and disjoint, as the ACK parser yields them.
 //
 // xlinkvet:hot
-// xlinkvet:loan ranges
-// xlinkvet:loan return
 func (s *Space) OnAck(ranges []wire.AckRange, ackDelay time.Duration, now time.Duration) AckResult {
 	return s.onAck(ranges, ackDelay, now, true)
 }
@@ -287,8 +284,6 @@ func (s *Space) OnAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 // loss timer fires.
 //
 // xlinkvet:hot
-// xlinkvet:loan ranges
-// xlinkvet:loan return
 func (s *Space) OnAckNoLoss(ranges []wire.AckRange, ackDelay time.Duration, now time.Duration) AckResult {
 	return s.onAck(ranges, ackDelay, now, false)
 }
@@ -297,8 +292,6 @@ func (s *Space) OnAckNoLoss(ranges []wire.AckRange, ackDelay time.Duration, now 
 // trailing loss-detection + gc pass runs now or is deferred to the caller.
 //
 // xlinkvet:hot
-// xlinkvet:loan ranges
-// xlinkvet:loan return
 func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.Duration, detect bool) AckResult {
 	var res AckResult
 	s.reclaim()
@@ -355,7 +348,6 @@ func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 // returned slice aliases the Space's scratch buffer (see AckResult).
 //
 // xlinkvet:hot
-// xlinkvet:loan return
 func (s *Space) detectLost(now time.Duration) []*SentPacket {
 	if s.largestAcked < 0 {
 		return nil
@@ -395,7 +387,6 @@ func (s *Space) detectLost(now time.Duration) []*SentPacket {
 // fires; it returns newly lost packets.
 //
 // xlinkvet:hot
-// xlinkvet:loan return
 func (s *Space) OnLossTimeout(now time.Duration) []*SentPacket {
 	s.reclaim()
 	lost := s.detectLost(now)
@@ -446,7 +437,6 @@ func (s *Space) PTODeadline() time.Duration {
 // (retransmitted). The packets are not declared lost.
 //
 // xlinkvet:hot
-// xlinkvet:loan return
 func (s *Space) OnPTO(now time.Duration) []*SentPacket {
 	s.reclaim()
 	s.ptoCount++
@@ -474,7 +464,6 @@ func (s *Space) OnPTO(now time.Duration) []*SentPacket {
 // stranded data can be rescheduled onto surviving paths.
 //
 // xlinkvet:hot
-// xlinkvet:loan return
 func (s *Space) DeclareAllLost(now time.Duration) []*SentPacket {
 	s.reclaim()
 	lost := s.lostScratch[:0]

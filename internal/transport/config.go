@@ -98,6 +98,12 @@ const (
 	// cidLen is the length of the connection IDs this endpoint issues and
 	// expects on short-header packets.
 	cidLen = 8
+	// maxCIDs is how many connection IDs either side issues or accepts, and
+	// so how many paths a connection can open: a path is identified by its
+	// CID sequence number, and maybeInitSecondaryPaths opens path seq only
+	// when both sides' CID for seq exists. A peer's NEW_CONNECTION_ID at or
+	// beyond it is refused before the sequence number sizes the CID table.
+	maxCIDs = 8
 	// ackElicitingThreshold sends an ack after this many ack-eliciting
 	// packets.
 	ackElicitingThreshold = 2
@@ -256,6 +262,12 @@ const (
 	// ErrCodeFinalSize (RFC 9000 FINAL_SIZE_ERROR) means the peer changed a
 	// stream's final size, or sent data beyond it.
 	ErrCodeFinalSize uint64 = 0x06
+	// ErrCodeConnectionIDLimit (RFC 9000 CONNECTION_ID_LIMIT_ERROR) means the
+	// peer issued a connection ID with a sequence number beyond maxCIDs.
+	ErrCodeConnectionIDLimit uint64 = 0x09
+	// ErrCodeProtocolViolation (RFC 9000 PROTOCOL_VIOLATION) means the peer
+	// acknowledged a packet this endpoint never sent (RFC 9000 §13.1).
+	ErrCodeProtocolViolation uint64 = 0x0a
 	// ErrCodeHandshakeTimeout means the Initial PTO budget was exhausted
 	// before the handshake completed.
 	ErrCodeHandshakeTimeout uint64 = 0x11

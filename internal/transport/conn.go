@@ -536,7 +536,6 @@ func (c *Conn) deriveSessionKeys(clientRandom, serverRandom []byte) error {
 // interface netIdx.
 //
 // xlinkvet:hot
-// xlinkvet:loan data
 func (c *Conn) HandleDatagram(now time.Duration, netIdx int, data []byte) {
 	if !c.ingestDatagram(now, netIdx, data) {
 		return
@@ -557,7 +556,6 @@ func (c *Conn) HandleDatagram(now time.Duration, netIdx int, data []byte) {
 // layer for the duration of the call (see DatagramSender's ownership note).
 //
 // xlinkvet:hot
-// xlinkvet:loan pkts
 func (c *Conn) HandleDatagramBatch(now time.Duration, netIdx int, pkts [][]byte) {
 	if len(pkts) == 0 || c.state == stateClosed {
 		return
@@ -593,7 +591,6 @@ func (c *Conn) HandleDatagramBatch(now time.Duration, netIdx int, pkts [][]byte)
 // (false for packets absorbed in a terminal state).
 //
 // xlinkvet:hot
-// xlinkvet:loan data
 func (c *Conn) ingestDatagram(now time.Duration, netIdx int, data []byte) bool {
 	if c.state == stateClosed || len(data) == 0 {
 		return false
@@ -812,8 +809,8 @@ func (c *Conn) issueCIDs() {
 		return
 	}
 	limit := int(c.cfg.Params.ActiveCIDLimit)
-	if limit > 8 {
-		limit = 8
+	if limit > maxCIDs {
+		limit = maxCIDs
 	}
 	for seq := len(c.localCIDs); seq < limit; seq++ {
 		cid := c.newCID()
@@ -897,8 +894,6 @@ func (c *Conn) queueCtrl(f wire.Frame, pathID int64, reliable bool) {
 }
 
 // handleShortPacket processes a 1-RTT packet.
-//
-// xlinkvet:loan data
 func (c *Conn) handleShortPacket(now time.Duration, netIdx int, data []byte) {
 	if c.rxSealer == nil {
 		return // keys not ready
@@ -1011,6 +1006,11 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 		c.handshakeDone = true
 		c.maybeInitSecondaryPaths(now)
 	case *wire.NewConnectionIDFrame:
+		//xlinkvet:cold — protocol violation: the connection ends here
+		if fr.Sequence >= maxCIDs {
+			c.Close(ErrCodeConnectionIDLimit, "connection ID sequence beyond the limit")
+			return
+		}
 		for uint64(len(c.peerCIDs)) <= fr.Sequence {
 			c.peerCIDs = append(c.peerCIDs, nil)
 		}
@@ -1233,10 +1233,10 @@ func (c *Conn) streamForRecv(now time.Duration, id uint64) *RecvStream {
 // deliverStreamData feeds payload bytes — received or FEC-recovered — into
 // the stream's reassembly and runs the shared delivery and flow-control
 // tail. Both recovery lanes converge here, so recovered bytes are
-// indistinguishable from received ones downstream.
+// indistinguishable from received ones downstream. payload is valid for the
+// call only: the reassembly copies what it keeps.
 //
 // xlinkvet:hot
-// xlinkvet:loan payload
 func (c *Conn) deliverStreamData(now time.Duration, rs *RecvStream, offset uint64, payload []byte, fin bool) {
 	beforeDup := rs.DuplicateBytes
 	data, finished := rs.onFrame(offset, payload, fin)
@@ -1264,6 +1264,15 @@ func (c *Conn) deliverStreamData(now time.Duration, rs *RecvStream, offset uint6
 // of the ACK reaction (RTT, CC, chunk bookkeeping) is identical.
 func (c *Conn) processAck(now time.Duration, target *Path, ranges []wire.AckRange, delay time.Duration) {
 	if target == nil {
+		return
+	}
+	//xlinkvet:cold — protocol violation: the connection ends here
+	if len(ranges) > 0 && ranges[0].Largest >= target.Space.PeekPN() {
+		// RFC 9000 §13.1. Left to the ledger, the range would acknowledge
+		// what it covers, move largestAcked past every packet in flight —
+		// the next loss pass declares them all lost — and skew the packet
+		// number truncation of everything sent afterwards.
+		c.Close(ErrCodeProtocolViolation, "acknowledgement of a packet never sent")
 		return
 	}
 	var res recovery.AckResult

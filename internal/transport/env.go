@@ -59,7 +59,5 @@ type DatagramSender interface {
 	// were handed to the network (implementations that cannot fail return
 	// len(pkts)). It is sendmmsg-shaped: one virtual call per batch, and a
 	// lone packet (handshake, close, SendBatchSize 1) is a batch of one.
-	//
-	// xlinkvet:loan pkts
 	SendBatch(netIdx int, pkts [][]byte) int
 }

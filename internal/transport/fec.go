@@ -91,7 +91,6 @@ func fecCoeff(scheme uint64, j, i int) byte {
 // contributes nothing, so iterating src's length is exact.
 //
 // xlinkvet:hot
-// xlinkvet:loan src
 func fecMulAddInto(dst, src []byte, c byte) {
 	if c == 0 {
 		return

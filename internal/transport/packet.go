@@ -75,7 +75,6 @@ func sealShort(sealer *crypto.Sealer, dcid wire.ConnectionID, pathID uint32,
 // for the next call. data is never modified, even on failure.
 //
 // xlinkvet:hot
-// xlinkvet:loan data
 func openShort(sealer *crypto.Sealer, scratch, data []byte, cidLen int,
 	pathID uint32, largestPN int64) (uint64, []byte, []byte, error) {
 	pnOffset := 1 + cidLen

@@ -23,6 +23,7 @@ func TestSealOpenShortRoundTrip(t *testing.T) {
 	dcid := wire.ConnectionID{1, 2, 3, 4, 5, 6, 7, 8}
 	payload := []byte("some frames here")
 	pkt := sealShort(sealer, dcid, 3, 42, 40, payload)
+	sealed := append([]byte(nil), pkt...)
 	pn, got, _, err := openShort(sealer, nil, pkt, len(dcid), 3, 41)
 	if err != nil {
 		t.Fatal(err)
@@ -32,6 +33,11 @@ func TestSealOpenShortRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload mismatch: %q", got)
+	}
+	// The datagram is the I/O layer's, borrowed for the call: opening it
+	// works on a copy, so a link may still deliver the same bytes again.
+	if !bytes.Equal(pkt, sealed) {
+		t.Fatal("openShort decrypted the caller's datagram in place")
 	}
 }
 
@@ -51,7 +57,12 @@ func TestOpenShortRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(pkt); i++ {
 		bad := append([]byte(nil), pkt...)
 		bad[i] ^= 0xff
-		if _, _, _, err := openShort(sealer, nil, bad, len(dcid), 0, -1); err == nil {
+		before := append([]byte(nil), bad...)
+		_, _, _, err := openShort(sealer, nil, bad, len(dcid), 0, -1)
+		if !bytes.Equal(bad, before) {
+			t.Fatalf("corruption at byte %d: the failed open modified the datagram", i)
+		}
+		if err == nil {
 			// Flipping a bit in the unprotected DCID changes where the
 			// receiver looks up the path; the caller resolves that before
 			// openShort, so only header/ciphertext bits must fail here.

@@ -56,8 +56,6 @@ type NetemSender struct {
 }
 
 // SendBatch implements DatagramSender.
-//
-// xlinkvet:loan pkts
 func (s NetemSender) SendBatch(netIdx int, pkts [][]byte) int {
 	if s.Client {
 		return s.Network.ClientSendBatch(netIdx, pkts)

@@ -160,7 +160,6 @@ func (p *Path) recordRecv(pn uint64, now time.Duration, ackEliciting bool) (dup 
 // valid until the next call for this path.
 //
 // xlinkvet:hot
-// xlinkvet:loan return
 func (p *Path) buildAckRanges(maxRanges int) []wire.AckRange {
 	rs := p.recvPNs.All()
 	if len(rs) == 0 {

@@ -133,7 +133,7 @@ func (c *Conn) sendOne(netIdx int, pkt []byte) {
 
 // flushBatchPath sends p's pending batch in one SendBatch call. The packet
 // buffers are ring slots owned by the connection; the sender borrows them
-// for the duration of the call (the loan contract on SendBatch).
+// for the duration of the call (DatagramSender's ownership note).
 //
 // xlinkvet:hot
 func (c *Conn) flushBatchPath(now time.Duration, p *Path) {
@@ -929,12 +929,10 @@ func (c *Conn) buildAckFrame(now time.Duration, p *Path) wire.Frame {
 	// The frame structs are per-path scratch, overwritten wholesale each
 	// build; the caller serializes them before the next build for this path.
 	if !c.multipath {
-		//xlinkvet:ignore loan — ranges and ackScratch are the same path's scratch, serialized before the next build
 		p.ackScratch = wire.AckFrame{Ranges: ranges, AckDelay: delay}
 		return &p.ackScratch
 	}
 	f := &p.ackMPScratch
-	//xlinkvet:ignore loan — ranges and ackMPScratch are the same path's scratch, serialized before the next build
 	*f = wire.AckMPFrame{PathID: p.ID, Ranges: ranges, AckDelay: delay}
 	if c.cfg.QoEProvider != nil {
 		interval := c.cfg.QoEFeedbackInterval

@@ -68,7 +68,7 @@ var RuleDocs = []RuleDoc{
 			"// xlinkvet:guardedby <mutexField> — on a struct field's doc comment",
 			"// xlinkvet:guardedby confined — the field is event-loop-confined;",
 			"    goroutine-launched paths must not touch it",
-			"//xlinkvet:confines <why> — on a `go` statement: the goroutine",
+			"//xlinkvet:confines <why> — on (or above) a `go` statement: the goroutine",
 			"    constructs every confined structure it drives, so confinement",
 			"    transfers into it instead of being violated by it",
 		},
@@ -93,43 +93,6 @@ var RuleDocs = []RuleDoc{
 		Fixture: "hotalloc",
 	},
 	{
-		Name: "loan",
-		Contract: "Slice parameters annotated as loans are borrowed buffers valid " +
-			"only for the call's duration: retaining them (store, send, append " +
-			"aliasing) is flagged; interface annotations bind every implementation.",
-		Annotations: []string{
-			"// xlinkvet:loan <param>... | return — on a function or interface method",
-		},
-		Fixture: "loan",
-	},
-	{
-		Name: "goleak",
-		Contract: "Every go statement needs a provable exit path: a spawned function " +
-			"that reaches an inescapable `for {}` (directly or through callees) leaks " +
-			"a goroutine, and a spawn inside a loop needs a join (sync.WaitGroup.Wait " +
-			"or a collector-channel receive in the spawner) or the goroutine count " +
-			"grows with the iteration count. Findings carry the via-path to the loop.",
-		Annotations: []string{
-			"//xlinkvet:bounded <reason> — on the spawn line (or the line above), or",
-			"// xlinkvet:bounded <reason> — on the spawned function's declaration,",
-			"    vouching that the goroutine's lifetime is intentionally process-bound",
-		},
-		Fixture: "goleak",
-	},
-	{
-		Name: "chandir",
-		Contract: "Channel ownership typestate: the function annotated as a channel's " +
-			"owner is the only legal closer; double close and send-after-close are " +
-			"flagged on any interprocedural path (close facts flow through call " +
-			"summaries); an unbuffered channel that is sent to but never received " +
-			"from anywhere in the module is a dead letter — every send deadlocks.",
-		Annotations: []string{
-			"// xlinkvet:owns <chan>[,<chan>] — on the closing side's declaration;",
-			"    names receiver channel fields or package-level channel variables",
-		},
-		Fixture: "chandir",
-	},
-	{
 		Name: "connstate",
 		Contract: "Connection-lifecycle typestate over the annotated state machine " +
 			"idle → handshaking → active → closing → draining → closed: transitions " +
@@ -144,14 +107,6 @@ var RuleDocs = []RuleDoc{
 			"// xlinkvet:closeevent — on the close-trace emitter",
 		},
 		Fixture: "connstate",
-	},
-	{
-		Name: "loaderr",
-		Contract: "Loader robustness: a package that fails to parse or type-check " +
-			"degrades to a diagnostic finding at the error's position (and a " +
-			"non-zero exit) instead of a panic or an aborted sweep; syntax-broken " +
-			"files are skipped, the rest of the package is still analyzed.",
-		Fixture: "broken",
 	},
 }
 

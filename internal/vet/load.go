@@ -28,10 +28,6 @@ type Package struct {
 	TypesPkg *types.Package
 	Info     *types.Info
 	TypeErrs []error
-	// ParseErrs holds per-file syntax errors; the affected files are skipped
-	// so the rest of the package still loads, and the loaderr rule reports
-	// each one as a finding.
-	ParseErrs []error
 	// ignores maps filename -> line -> rules suppressed on that line ("" =
 	// all rules). Every parsed file has an entry, possibly empty.
 	ignores map[string]map[int][]string
@@ -40,23 +36,12 @@ type Package struct {
 	// pruned from the hotalloc reachability analysis like assert.Enabled
 	// guards.
 	colds map[string]map[int]bool
-	// bounds maps filename -> lines carrying an `xlinkvet:bounded` directive:
-	// a `go` statement on (or right below) such a line is vouched to
-	// terminate, suppressing the goleak rule at that spawn site.
-	bounds map[string]map[int]bool
 	// confines maps filename -> lines carrying an `xlinkvet:confines`
 	// directive: a `go` statement annotated this way launches a goroutine
 	// that constructs every confined structure it drives, so event-loop
 	// confinement (guardedby confined) transfers to the goroutine instead
-	// of being violated by it. goleak still applies to the spawn.
+	// of being violated by it.
 	confines map[string]map[int]bool
-}
-
-// boundedLine reports whether pos sits on (or directly below) an
-// `//xlinkvet:bounded` directive.
-func (p *Package) boundedLine(pos token.Position) bool {
-	lines := p.bounds[pos.Filename]
-	return lines[pos.Line] || lines[pos.Line-1]
 }
 
 // confinesLine reports whether pos sits on (or directly below) an
@@ -403,7 +388,6 @@ func (l *Loader) parseDir(dir, path string) (*Package, error) {
 		Path: path, Dir: dir, Fset: l.Fset,
 		ignores:  map[string]map[int][]string{},
 		colds:    map[string]map[int]bool{},
-		bounds:   map[string]map[int]bool{},
 		confines: map[string]map[int]bool{},
 	}
 	for _, e := range entries {
@@ -415,22 +399,17 @@ func (l *Loader) parseDir(dir, path string) (*Package, error) {
 		fpath := filepath.Join(dir, name)
 		file, err := parser.ParseFile(l.Fset, fpath, nil, parser.ParseComments)
 		if err != nil {
-			// A file that doesn't parse is skipped, not fatal: the rest of
-			// the package still loads and the loaderr rule turns the error
-			// into a finding with a position instead of a panic or abort.
-			pkg.ParseErrs = append(pkg.ParseErrs, err)
-			continue
+			return nil, err
 		}
 		if !buildableDefault(file) {
 			continue
 		}
 		pkg.Files = append(pkg.Files, file)
 		pkg.ignores[fpath] = collectIgnores(l.Fset, file)
-		pkg.colds[fpath] = collectColds(l.Fset, file)
-		pkg.bounds[fpath] = collectDirectiveLines(l.Fset, file, "xlinkvet:bounded")
+		pkg.colds[fpath] = collectDirectiveLines(l.Fset, file, "xlinkvet:cold")
 		pkg.confines[fpath] = collectDirectiveLines(l.Fset, file, "xlinkvet:confines")
 	}
-	if len(pkg.Files) == 0 && len(pkg.ParseErrs) == 0 {
+	if len(pkg.Files) == 0 {
 		return nil, errNoFiles{dir}
 	}
 	return pkg, nil
@@ -439,16 +418,6 @@ func (l *Loader) parseDir(dir, path string) (*Package, error) {
 // typeCheck type-checks an already-parsed package; resolveModule maps
 // module-internal import paths to their *types.Package.
 func (l *Loader) typeCheck(pkg *Package, resolveModule func(string) (*types.Package, error)) {
-	if len(pkg.Files) == 0 {
-		// Nothing parsed (syntax errors everywhere): leave an empty Info so
-		// the rules see a well-formed, fact-free package.
-		pkg.Info = &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-		}
-		return
-	}
 	conf := types.Config{
 		Importer: importerFunc(func(imp string) (*types.Package, error) {
 			if imp == l.ModPath || strings.HasPrefix(imp, l.ModPath+"/") {
@@ -495,26 +464,11 @@ func buildableDefault(file *ast.File) bool {
 	return true
 }
 
-// collectColds extracts //xlinkvet:cold directive lines: an if statement
-// annotated this way has its then-branch treated as cold (not part of the
-// steady-state hot path) by the hotalloc rule.
-func collectColds(fset *token.FileSet, file *ast.File) map[int]bool {
-	out := map[int]bool{}
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if text == "xlinkvet:cold" || strings.HasPrefix(text, "xlinkvet:cold ") {
-				out[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return out
-}
-
-// collectDirectiveLines extracts the lines carrying a bare line-level
-// directive (`xlinkvet:bounded`, `xlinkvet:confines`): a `go` statement on
-// or right below such a line is vouched to terminate (bounded) or to own
-// everything confined it touches (confines), with a stated reason.
+// collectDirectiveLines extracts the lines carrying a line-level directive
+// followed by its stated reason: `xlinkvet:cold` on or right above an if
+// statement makes its then-branch cold for hotalloc (not part of the
+// steady-state hot path), `xlinkvet:confines` on or right above a `go`
+// statement says the goroutine owns everything confined it touches.
 func collectDirectiveLines(fset *token.FileSet, file *ast.File, directive string) map[int]bool {
 	out := map[int]bool{}
 	for _, cg := range file.Comments {

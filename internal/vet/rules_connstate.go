@@ -187,3 +187,10 @@ func checkConnState(eng *engine) []Finding {
 	}
 	return out
 }
+
+func viaText(via []string) string {
+	if len(via) == 0 {
+		return ""
+	}
+	return " via " + strings.Join(via, " → ")
+}

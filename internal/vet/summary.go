@@ -9,7 +9,9 @@ package vet
 // that tracks the set of sync.Mutex/sync.RWMutex locks held at every
 // statement, plus the module-wide closures over the static call graph
 // (reachable operations, transitively acquired locks, goroutine-reachable
-// functions) that the rules in rules_lock.go consume.
+// functions) that the rules in rules_lock.go consume. The same walk records
+// the allocation sites hotalloc reports and the lifecycle annotations
+// connstate checks.
 //
 // Precision notes, in the direction of the trade-offs taken:
 //
@@ -39,18 +41,13 @@ import (
 
 type lockID string
 
-// chanID names a channel stably across functions, mirroring lockID: a
-// field channel by its declaring type ("pkg.Type.field"), a package-level
-// or local variable by its declaration site ("pkg.name@file:line").
-type chanID string
-
 // opKind classifies the operations the lockheld rule forbids under a lock.
 type opKind int
 
 const (
-	opBlock opKind = iota // channel op, select, net I/O, time.Sleep, sync waits
-	opDynCall             // call through a function value (user callback)
-	opEmit                // obs trace emit (method on obs.Origin)
+	opBlock   opKind = iota // channel op, select, net I/O, time.Sleep, sync waits
+	opDynCall               // call through a function value (user callback)
+	opEmit                  // obs trace emit (method on obs.Origin)
 	numOpKinds
 )
 
@@ -82,46 +79,7 @@ type callSite struct {
 	callee *types.Func
 	pos    token.Pos
 	held   map[lockID]bool
-	closed map[chanID]bool // channels may-closed before this call on some path
-	cold   bool            // made on an assert.Enabled / xlinkvet:cold branch
-}
-
-// chanOpKind classifies the channel operations the chandir rule reasons
-// about.
-type chanOpKind int
-
-const (
-	chanSend chanOpKind = iota
-	chanRecv
-	chanClose
-)
-
-// chanOp is one channel operation on an identified channel, recorded with
-// whether a close of the same channel precedes it on some path of this
-// function (afterClose), the raw material of the chandir typestate checks.
-type chanOp struct {
-	kind       chanOpKind
-	id         chanID
-	pos        token.Pos
-	afterClose bool
-}
-
-// chanMake records where a channel identity was created and whether it is
-// unbuffered (make with no capacity, or capacity 0).
-type chanMake struct {
-	pos        token.Pos
-	unbuffered bool
-}
-
-// spawnSite is one `go` statement: the launched target (a named function or
-// a literal's summary) and whether the spawn sits inside a loop of the
-// spawning function.
-type spawnSite struct {
-	pos    token.Pos
-	target *types.Func  // static named callee; nil for literals/dynamic
-	lit    *funcSummary // literal body summary; nil for named targets
-	inLoop bool
-	desc   string
+	cold   bool // made on an assert.Enabled / xlinkvet:cold branch
 }
 
 // stateTransition is one parsed `xlinkvet:state <from>[,<from>] -> <to>`
@@ -165,27 +123,21 @@ type funcSummary struct {
 	node ast.Node    // *ast.FuncDecl or *ast.FuncLit
 	name string      // display name for findings
 
-	ops       []funcOp
-	calls     []callSite
-	accesses  []fieldAccess
-	edges     []lockEdge
-	allocs    []allocSite
-	acquires  map[lockID]token.Pos // every lock this function acquires anywhere
-	goTargets []*types.Func        // static callees launched with `go`
-	goLaunched bool                // literal launched with `go` at its definition
-	hot        bool                // declared `// xlinkvet:hot`
+	ops        []funcOp
+	calls      []callSite
+	accesses   []fieldAccess
+	edges      []lockEdge
+	allocs     []allocSite
+	acquires   map[lockID]token.Pos // every lock this function acquires anywhere
+	goTargets  []*types.Func        // static callees launched with `go`
+	goLaunched bool                 // literal launched with `go` at its definition
+	hot        bool                 // declared `// xlinkvet:hot`
 
-	// Concurrency-lifecycle facts (goleak / chandir / connstate).
-	spawns     []spawnSite          // every `go` statement in this function
-	chanOps    []chanOp             // sends/receives/closes on identified channels
-	chanMakes  map[chanID]chanMake  // channels this function creates
-	diverges   token.Pos            // first inescapable `for {}` loop (NoPos: none)
-	bounded    bool                 // declared `// xlinkvet:bounded <why>`
-	owns       []string             // raw `xlinkvet:owns` channel names
-	transition *stateTransition     // parsed `xlinkvet:state` annotation
-	requires   []string             // raw `xlinkvet:requires` state names
-	releases   bool                 // declared `// xlinkvet:releases timers`
-	closeEvent bool                 // declared `// xlinkvet:closeevent`
+	// Lifecycle annotations (connstate).
+	transition *stateTransition // parsed `xlinkvet:state` annotation
+	requires   []string         // raw `xlinkvet:requires` state names
+	releases   bool             // declared `// xlinkvet:releases timers`
+	closeEvent bool             // declared `// xlinkvet:closeevent`
 }
 
 // guardInfo is one resolved `xlinkvet:guardedby` field annotation.
@@ -208,8 +160,6 @@ type engine struct {
 	byFn      map[*types.Func]*funcSummary
 	guards    map[*types.Var]*guardInfo
 	guardErrs []Finding
-	loans     map[*types.Func]*loanSpec
-	loanErrs  []Finding
 
 	callSitesOf map[*types.Func][]callSite
 	usesCount   map[*types.Func]int
@@ -221,16 +171,12 @@ type engine struct {
 
 	goReach map[*funcSummary]bool
 
-	// Concurrency-lifecycle tables (goleak / chandir / connstate).
-	divergeMemo map[*types.Func]*opRef
-	divergeBusy map[*types.Func]bool
-	chanMemo    map[*types.Func]*chanFacts
-	chanBusy    map[*types.Func]bool
-	reqMemo     map[*types.Func][]reqRef
-	reqBusy     map[*types.Func]bool
-	releasers   map[*types.Func]bool // funcs declared `xlinkvet:releases timers`
-	closeEmits  map[*types.Func]bool // funcs declared `xlinkvet:closeevent`
-	requiresOf  map[*types.Func][]string
+	// Lifecycle tables (connstate).
+	reqMemo    map[*types.Func][]reqRef
+	reqBusy    map[*types.Func]bool
+	releasers  map[*types.Func]bool // funcs declared `xlinkvet:releases timers`
+	closeEmits map[*types.Func]bool // funcs declared `xlinkvet:closeevent`
+	requiresOf map[*types.Func][]string
 }
 
 // newEngine builds summaries for every function in pkgs (which must
@@ -241,7 +187,6 @@ func newEngine(cfg *Config, pkgs []*Package) *engine {
 		pkgs:        pkgs,
 		byFn:        map[*types.Func]*funcSummary{},
 		guards:      map[*types.Var]*guardInfo{},
-		loans:       map[*types.Func]*loanSpec{},
 		callSitesOf: map[*types.Func][]callSite{},
 		usesCount:   map[*types.Func]int{},
 		reachMemo:   map[*types.Func]*reachSet{},
@@ -249,10 +194,6 @@ func newEngine(cfg *Config, pkgs []*Package) *engine {
 		acqMemo:     map[*types.Func]map[lockID]token.Pos{},
 		acqBusy:     map[*types.Func]bool{},
 		goReach:     map[*funcSummary]bool{},
-		divergeMemo: map[*types.Func]*opRef{},
-		divergeBusy: map[*types.Func]bool{},
-		chanMemo:    map[*types.Func]*chanFacts{},
-		chanBusy:    map[*types.Func]bool{},
 		reqMemo:     map[*types.Func][]reqRef{},
 		reqBusy:     map[*types.Func]bool{},
 		releasers:   map[*types.Func]bool{},
@@ -271,9 +212,7 @@ func newEngine(cfg *Config, pkgs []*Package) *engine {
 	}
 	for _, pkg := range pkgs {
 		eng.collectGuards(pkg)
-		eng.collectLoans(pkg)
 	}
-	eng.inheritInterfaceLoans()
 	for _, sum := range eng.sums {
 		if sum.fn != nil {
 			eng.byFn[sum.fn] = sum
@@ -318,8 +257,6 @@ func summarizePackage(cfg *Config, pkg *Package) []*funcSummary {
 				pkg: pkg, fn: fn, node: decl, name: declName(decl),
 				acquires: map[lockID]token.Pos{},
 				hot:      hasDirective(decl.Doc, hotDirective),
-				bounded:  hasDirective(decl.Doc, boundedDirective),
-				owns:     directiveArgs(decl.Doc, ownsDirective),
 				requires: parseRequires(decl.Doc),
 			}
 			if rel := directiveArgs(decl.Doc, releasesDirective); len(rel) > 0 && rel[0] == "timers" {
@@ -340,13 +277,10 @@ func summarizePackage(cfg *Config, pkg *Package) []*funcSummary {
 }
 
 // Annotation directives recognized on declarations (beyond the loader's
-// `xlinkvet:ignore`, `xlinkvet:cold` and `xlinkvet:bounded` line
+// `xlinkvet:ignore`, `xlinkvet:cold` and `xlinkvet:confines` line
 // directives).
 const (
 	hotDirective        = "xlinkvet:hot"
-	loanDirective       = "xlinkvet:loan"
-	boundedDirective    = "xlinkvet:bounded"    // goroutine lifetime is documented-bounded
-	ownsDirective       = "xlinkvet:owns"       // this function owns (and may close) the named channels
 	stateDirective      = "xlinkvet:state"      // lifecycle transition: <from>[,<from>] -> <to>
 	requiresDirective   = "xlinkvet:requires"   // method is only legal in the listed states
 	releasesDirective   = "xlinkvet:releases"   // `timers`: cancels pending timers
@@ -458,7 +392,6 @@ func declName(decl *ast.FuncDecl) string {
 
 type flow struct {
 	held       map[lockID]bool
-	closed     map[chanID]bool // channels closed on some path up to here (may-closed)
 	terminated bool
 	cold       bool // inside an assert.Enabled / xlinkvet:cold region
 }
@@ -470,12 +403,6 @@ func (f *flow) clone() *flow {
 	for k := range f.held {
 		c.held[k] = true
 	}
-	if len(f.closed) > 0 {
-		c.closed = make(map[chanID]bool, len(f.closed))
-		for k := range f.closed {
-			c.closed[k] = true
-		}
-	}
 	return c
 }
 
@@ -485,17 +412,6 @@ func (f *flow) heldSnapshot() map[lockID]bool {
 	}
 	c := make(map[lockID]bool, len(f.held))
 	for k := range f.held {
-		c[k] = true
-	}
-	return c
-}
-
-func (f *flow) closedSnapshot() map[chanID]bool {
-	if len(f.closed) == 0 {
-		return nil
-	}
-	c := make(map[chanID]bool, len(f.closed))
-	for k := range f.closed {
 		c[k] = true
 	}
 	return c
@@ -537,20 +453,7 @@ func joinInto(f *flow, branches ...*flow) {
 			break
 		}
 	}
-	// The closed set joins by union: a close that happened on any live
-	// branch makes a later send/close suspect ("reachable after a close on
-	// some path"), the conservative direction for the chandir rule.
-	var closed map[chanID]bool
-	for _, b := range live {
-		for k := range b.closed {
-			if closed == nil {
-				closed = map[chanID]bool{}
-			}
-			closed[k] = true
-		}
-	}
 	f.held = held
-	f.closed = closed
 	f.terminated = false
 	f.cold = cold
 }
@@ -577,7 +480,6 @@ type walker struct {
 	owned map[*types.Var]bool
 
 	noChanOps int // >0 while walking a select comm clause (non-blocking there)
-	loops     int // >0 while walking a for/range body (spawn-in-loop detection)
 }
 
 // addParams records the parameter objects declared by a function type so
@@ -614,9 +516,6 @@ func (w *walker) stmt(s ast.Stmt, f *flow) {
 		if w.noChanOps == 0 {
 			w.op(opBlock, s.Arrow, "channel send", f)
 		}
-		// Recorded even inside select clauses: a send after close panics
-		// whether or not the rendezvous was non-blocking.
-		w.chanRecord(chanSend, s.Chan, s.Arrow, f)
 	case *ast.IncDecStmt:
 		w.expr(s.X, f)
 	case *ast.AssignStmt:
@@ -627,7 +526,6 @@ func (w *walker) stmt(s ast.Stmt, f *flow) {
 			w.expr(e, f)
 		}
 		w.trackOwned(s)
-		w.trackChanMakes(s)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -680,16 +578,8 @@ func (w *walker) stmt(s ast.Stmt, f *flow) {
 		if s.Cond != nil {
 			w.expr(s.Cond, f)
 		}
-		if s.Cond == nil && !loopEscapes(s.Body) && w.sum.diverges == token.NoPos {
-			// An inescapable `for {}`: no return, loop-leaving break, goto or
-			// terminating call anywhere at loop depth. Reaching it means the
-			// goroutine never exits — the raw material of the goleak rule.
-			w.sum.diverges = s.For
-		}
 		bodyF := f.clone()
-		w.loops++
 		w.stmt(s.Body, bodyF)
-		w.loops--
 		if s.Post != nil {
 			w.stmt(s.Post, bodyF)
 		}
@@ -708,13 +598,10 @@ func (w *walker) stmt(s ast.Stmt, f *flow) {
 				if w.noChanOps == 0 {
 					w.op(opBlock, s.For, "range over channel", f)
 				}
-				w.chanRecord(chanRecv, s.X, s.For, f)
 			}
 		}
 		bodyF := f.clone()
-		w.loops++
 		w.stmt(s.Body, bodyF)
-		w.loops--
 		joinInto(f, f.clone(), bodyF)
 	case *ast.SwitchStmt:
 		if s.Init != nil {
@@ -800,27 +687,17 @@ func (w *walker) goStmt(s *ast.GoStmt, f *flow) {
 	// An `xlinkvet:confines` spawn constructs every confined structure it
 	// drives (e.g. a worker running complete self-contained sessions), so it
 	// does not seed the goroutine-reachability set guardedby's confined
-	// discipline checks. The spawn site itself is still recorded: goleak
-	// applies to confining goroutines like any other.
+	// discipline checks.
 	confines := w.pkg.confinesLine(w.pkg.Fset.Position(s.Go))
-	sp := spawnSite{pos: s.Go, inLoop: w.loops > 0}
 	switch fun := s.Call.Fun.(type) {
 	case *ast.FuncLit:
-		sp.lit = w.valueLit(fun, !confines)
-		sp.desc = "function literal"
+		w.valueLit(fun, !confines)
 	default:
 		w.expr(fun, f) // records guarded-field reads in e.g. `go x.f.m()`
-		if fn := w.staticCallee(s.Call); fn != nil {
-			if !confines {
-				w.sum.goTargets = append(w.sum.goTargets, fn)
-			}
-			sp.target = fn
-			sp.desc = fn.Name()
-		} else {
-			sp.desc = "dynamic call"
+		if fn := w.staticCallee(s.Call); fn != nil && !confines {
+			w.sum.goTargets = append(w.sum.goTargets, fn)
 		}
 	}
-	w.sum.spawns = append(w.sum.spawns, sp)
 }
 
 func (w *walker) deferStmt(s *ast.DeferStmt, f *flow) {
@@ -852,7 +729,6 @@ func (w *walker) expr(e ast.Expr, f *flow) {
 			if w.noChanOps == 0 {
 				w.op(opBlock, e.OpPos, "channel receive", f)
 			}
-			w.chanRecord(chanRecv, e.X, e.OpPos, f)
 		}
 		if e.Op == token.AND {
 			if _, isLit := unparen(e.X).(*ast.CompositeLit); isLit {
@@ -875,10 +751,8 @@ func (w *walker) expr(e ast.Expr, f *flow) {
 		w.valueLit(e, false)
 	case *ast.CompositeLit:
 		structLit := false
-		var litNamed *types.Named
 		if tv, ok := w.pkg.Info.Types[e]; ok && tv.Type != nil {
 			_, structLit = tv.Type.Underlying().(*types.Struct)
-			litNamed = derefNamed(tv.Type)
 			switch tv.Type.Underlying().(type) {
 			case *types.Slice:
 				w.alloc(e.Pos(), "slice literal allocation", f)
@@ -892,15 +766,6 @@ func (w *walker) expr(e ast.Expr, f *flow) {
 				// construction, which is not yet shared: not an access.
 				if !structLit {
 					w.expr(kv.Key, f)
-				} else if litNamed != nil && litNamed.Obj().Pkg() != nil {
-					// `done: make(chan struct{})` in a constructor literal
-					// creates the field channel.
-					if key, ok := kv.Key.(*ast.Ident); ok {
-						if unbuffered, isMake := w.makeChan(kv.Value); isMake {
-							id := chanID(litNamed.Obj().Pkg().Path() + "." + litNamed.Obj().Name() + "." + key.Name)
-							w.recordChanMake(id, kv.Value.Pos(), unbuffered)
-						}
-					}
 				}
 				w.expr(kv.Value, f)
 				continue
@@ -948,7 +813,7 @@ func (w *walker) access(sel *ast.Ident, f *flow) {
 // valueLit summarizes a function literal that escapes as a value (callback
 // registration, timer body, goroutine body): it runs later, so its held
 // set starts empty.
-func (w *walker) valueLit(lit *ast.FuncLit, goLaunched bool) *funcSummary {
+func (w *walker) valueLit(lit *ast.FuncLit, goLaunched bool) {
 	sum := &funcSummary{
 		pkg: w.pkg, node: lit,
 		name:       "function literal in " + w.sum.name,
@@ -959,7 +824,6 @@ func (w *walker) valueLit(lit *ast.FuncLit, goLaunched bool) *funcSummary {
 	lw.addParams(lit.Type)
 	lw.stmts(lit.Body.List, newFlow())
 	*w.out = append(*w.out, sum)
-	return sum
 }
 
 // inlineLit walks a literal that executes within the current flow
@@ -1028,10 +892,6 @@ func (w *walker) call(call *ast.CallExpr, f *flow) {
 		switch obj.Name() {
 		case "panic":
 			f.terminated = true
-		case "close":
-			if len(call.Args) == 1 {
-				w.chanRecord(chanClose, call.Args[0], call.Pos(), f)
-			}
 		case "make":
 			w.alloc(call.Pos(), "make allocation", f)
 		case "new":
@@ -1123,7 +983,7 @@ func (w *walker) staticCall(fn *types.Func, call *ast.CallExpr, f *flow) {
 	// treats them as leaves.
 	w.sum.calls = append(w.sum.calls, callSite{
 		callee: fn, pos: call.Pos(),
-		held: f.heldSnapshot(), closed: f.closedSnapshot(), cold: f.cold,
+		held: f.heldSnapshot(), cold: f.cold,
 	})
 }
 
@@ -1471,211 +1331,6 @@ func (w *walker) staticCallee(call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// --- channel identity and lifecycle recording ---
-
-// chanIdentity names a channel stably across functions, mirroring
-// lockIdentity: a field channel by its declaring type, a package-level or
-// local variable by its declaration site. Non-channel expressions and
-// channels the engine cannot name yield "".
-func (w *walker) chanIdentity(x ast.Expr) chanID {
-	x = unparen(x)
-	tv, ok := w.pkg.Info.Types[x]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	if _, isChan := tv.Type.Underlying().(*types.Chan); !isChan {
-		return ""
-	}
-	switch v := x.(type) {
-	case *ast.SelectorExpr:
-		if xtv, ok := w.pkg.Info.Types[v.X]; ok && xtv.Type != nil {
-			if named := derefNamed(xtv.Type); named != nil && named.Obj().Pkg() != nil {
-				return chanID(named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + v.Sel.Name)
-			}
-		}
-		// A package-qualified channel variable (`pkg.ch`) resolves below.
-		if obj, isVar := w.pkg.Info.Uses[v.Sel].(*types.Var); isVar && isPackageLevel(obj) {
-			p := w.pkg.Fset.Position(obj.Pos())
-			return chanID(fmt.Sprintf("%s.%s@%s:%d", obj.Pkg().Path(), obj.Name(), filepath.Base(p.Filename), p.Line))
-		}
-	case *ast.Ident:
-		obj := w.pkg.Info.Uses[v]
-		if obj == nil {
-			obj = w.pkg.Info.Defs[v]
-		}
-		if obj != nil && obj.Pkg() != nil {
-			p := w.pkg.Fset.Position(obj.Pos())
-			return chanID(fmt.Sprintf("%s.%s@%s:%d", obj.Pkg().Path(), v.Name, filepath.Base(p.Filename), p.Line))
-		}
-	}
-	return ""
-}
-
-// chanRecord logs one send/receive/close on an identified channel with the
-// may-closed state at that point; a close updates the flow so later ops in
-// this function see afterClose.
-func (w *walker) chanRecord(kind chanOpKind, x ast.Expr, pos token.Pos, f *flow) {
-	id := w.chanIdentity(x)
-	if id == "" {
-		return
-	}
-	w.sum.chanOps = append(w.sum.chanOps, chanOp{kind: kind, id: id, pos: pos, afterClose: f.closed[id]})
-	if kind == chanClose {
-		if f.closed == nil {
-			f.closed = map[chanID]bool{}
-		}
-		f.closed[id] = true
-	}
-}
-
-// trackChanMakes records channel creations from assignments:
-// `done := make(chan struct{})`, `c.out = make(chan int, 8)`.
-func (w *walker) trackChanMakes(s *ast.AssignStmt) {
-	if len(s.Lhs) != len(s.Rhs) {
-		return
-	}
-	for i, lhs := range s.Lhs {
-		unbuffered, ok := w.makeChan(s.Rhs[i])
-		if !ok {
-			continue
-		}
-		w.recordChanMake(w.chanIdentity(lhs), s.Rhs[i].Pos(), unbuffered)
-	}
-}
-
-// makeChan reports whether e is a `make(chan ...)` call and whether the
-// resulting channel is unbuffered (no capacity argument, or a constant 0).
-func (w *walker) makeChan(e ast.Expr) (unbuffered, ok bool) {
-	call, isCall := unparen(e).(*ast.CallExpr)
-	if !isCall {
-		return false, false
-	}
-	id, isIdent := unparen(call.Fun).(*ast.Ident)
-	if !isIdent {
-		return false, false
-	}
-	if b, isB := w.pkg.Info.Uses[id].(*types.Builtin); !isB || b.Name() != "make" {
-		return false, false
-	}
-	tv, okT := w.pkg.Info.Types[call]
-	if !okT || tv.Type == nil {
-		return false, false
-	}
-	if _, isChan := tv.Type.Underlying().(*types.Chan); !isChan {
-		return false, false
-	}
-	if len(call.Args) < 2 {
-		return true, true
-	}
-	if ctv, okC := w.pkg.Info.Types[call.Args[1]]; okC && ctv.Value != nil && ctv.Value.String() == "0" {
-		return true, true
-	}
-	return false, true
-}
-
-// recordChanMake stores the first creation site seen for a channel identity.
-func (w *walker) recordChanMake(id chanID, pos token.Pos, unbuffered bool) {
-	if id == "" {
-		return
-	}
-	if w.sum.chanMakes == nil {
-		w.sum.chanMakes = map[chanID]chanMake{}
-	}
-	if _, exists := w.sum.chanMakes[id]; !exists {
-		w.sum.chanMakes[id] = chanMake{pos: pos, unbuffered: unbuffered}
-	}
-}
-
-// loopEscapes reports whether the body of a condition-less `for {}` loop
-// can leave the loop or the function: a return, a break targeting this loop,
-// any labeled break/continue or goto, or a terminating call (panic, os.Exit,
-// runtime.Goexit, log.Fatal*) at loop depth. Function literals inside the
-// body run on other frames and don't count; nested for/range/switch/select
-// re-target unlabeled break, so breaks there don't escape this loop.
-func loopEscapes(body *ast.BlockStmt) bool {
-	return stmtsEscape(body.List, 0)
-}
-
-func stmtsEscape(list []ast.Stmt, depth int) bool {
-	for _, s := range list {
-		if stmtEscapes(s, depth) {
-			return true
-		}
-	}
-	return false
-}
-
-// stmtEscapes walks one statement; depth counts the break-capturing
-// constructs (for/range/switch/select) between s and the loop under test.
-func stmtEscapes(s ast.Stmt, depth int) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.GOTO:
-			return true
-		case token.BREAK:
-			return s.Label != nil || depth == 0
-		case token.CONTINUE:
-			return s.Label != nil
-		}
-		return false
-	case *ast.ExprStmt:
-		return exprEscapes(s.X)
-	case *ast.BlockStmt:
-		return stmtsEscape(s.List, depth)
-	case *ast.LabeledStmt:
-		return stmtEscapes(s.Stmt, depth)
-	case *ast.IfStmt:
-		if s.Init != nil && stmtEscapes(s.Init, depth) {
-			return true
-		}
-		if stmtEscapes(s.Body, depth) {
-			return true
-		}
-		return s.Else != nil && stmtEscapes(s.Else, depth)
-	case *ast.ForStmt:
-		return stmtEscapes(s.Body, depth+1)
-	case *ast.RangeStmt:
-		return stmtEscapes(s.Body, depth+1)
-	case *ast.SwitchStmt:
-		return stmtEscapes(s.Body, depth+1)
-	case *ast.TypeSwitchStmt:
-		return stmtEscapes(s.Body, depth+1)
-	case *ast.SelectStmt:
-		return stmtEscapes(s.Body, depth+1)
-	case *ast.CaseClause:
-		return stmtsEscape(s.Body, depth)
-	case *ast.CommClause:
-		return stmtsEscape(s.Body, depth)
-	}
-	return false
-}
-
-// exprEscapes recognizes terminating calls syntactically (the helper runs
-// without type information: a shadowed `panic` or a local `os` is accepted
-// imprecisely, erring toward "the loop can exit" — fewer goleak reports,
-// never a spurious one).
-func exprEscapes(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name == "panic"
-	case *ast.SelectorExpr:
-		if pkg, ok := fun.X.(*ast.Ident); ok {
-			switch pkg.Name + "." + fun.Sel.Name {
-			case "os.Exit", "runtime.Goexit", "log.Fatal", "log.Fatalf", "log.Fatalln":
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // --- guardedby annotation collection ---
 
 const guardedByDirective = "xlinkvet:guardedby"
@@ -1935,119 +1590,7 @@ func (eng *engine) computeGoReach() {
 	}
 }
 
-// --- concurrency-lifecycle closures ---
-
-// divergeReach returns the nearest inescapable `for {}` loop reachable from
-// fn through synchronous module-internal calls, with the call chain that
-// leads to it, or nil when every reachable path can terminate (or fn is
-// annotated `xlinkvet:bounded`).
-func (eng *engine) divergeReach(fn *types.Func) *opRef {
-	if r, ok := eng.divergeMemo[fn]; ok {
-		return r
-	}
-	if eng.divergeBusy[fn] {
-		return nil // recursion: the cycle's loops are found elsewhere
-	}
-	eng.divergeBusy[fn] = true
-	defer delete(eng.divergeBusy, fn)
-
-	sum := eng.byFn[fn]
-	if sum == nil {
-		eng.divergeMemo[fn] = nil
-		return nil
-	}
-	r := eng.divergeOf(sum)
-	eng.divergeMemo[fn] = r
-	return r
-}
-
-// divergeOf evaluates one summary — a named function or a goroutine
-// literal: its own inescapable loop, or the first one reached through a
-// callee. A `xlinkvet:bounded` annotation on the declaration vouches for
-// the whole subtree.
-func (eng *engine) divergeOf(sum *funcSummary) *opRef {
-	if sum.bounded {
-		return nil
-	}
-	if sum.diverges != token.NoPos {
-		return &opRef{pos: sum.diverges, desc: "inescapable `for {}` loop"}
-	}
-	for _, cs := range sum.calls {
-		if sub := eng.divergeReach(cs.callee); sub != nil {
-			via := append([]string{cs.callee.Name()}, sub.via...)
-			if len(via) > 5 {
-				via = via[:5]
-			}
-			return &opRef{pos: sub.pos, desc: sub.desc, via: via}
-		}
-	}
-	return nil
-}
-
-// chanRef is one reachable channel operation with the call chain (callee
-// names, outermost first) that leads to it.
-type chanRef struct {
-	pos token.Pos
-	via []string
-}
-
-// chanFacts aggregates the channel sends and closes reachable from one
-// function through synchronous module-internal calls, one representative
-// site per channel identity.
-type chanFacts struct {
-	sends  map[chanID]*chanRef
-	closes map[chanID]*chanRef
-}
-
-// transChan returns the channel facts reachable from fn.
-func (eng *engine) transChan(fn *types.Func) *chanFacts {
-	if cf, ok := eng.chanMemo[fn]; ok {
-		return cf
-	}
-	if eng.chanBusy[fn] {
-		return &chanFacts{}
-	}
-	eng.chanBusy[fn] = true
-	defer delete(eng.chanBusy, fn)
-
-	cf := &chanFacts{sends: map[chanID]*chanRef{}, closes: map[chanID]*chanRef{}}
-	sum := eng.byFn[fn]
-	if sum == nil {
-		eng.chanMemo[fn] = cf
-		return cf
-	}
-	for _, op := range sum.chanOps {
-		switch op.kind {
-		case chanSend:
-			if cf.sends[op.id] == nil {
-				cf.sends[op.id] = &chanRef{pos: op.pos}
-			}
-		case chanClose:
-			if cf.closes[op.id] == nil {
-				cf.closes[op.id] = &chanRef{pos: op.pos}
-			}
-		}
-	}
-	merge := func(dst, src map[chanID]*chanRef, callee string) {
-		for id, ref := range src {
-			if dst[id] != nil {
-				continue
-			}
-			via := append([]string{callee}, ref.via...)
-			if len(via) > 5 {
-				via = via[:5]
-			}
-			dst[id] = &chanRef{pos: ref.pos, via: via}
-		}
-	}
-	for _, cs := range sum.calls {
-		sub := eng.transChan(cs.callee)
-		merge(cf.sends, sub.sends, cs.callee.Name())
-		merge(cf.closes, sub.closes, cs.callee.Name())
-	}
-	eng.chanMemo[fn] = cf
-	return cf
-}
+// --- lifecycle closures (connstate) ---
 
 // reqRef is one reachable state-gated method (declared xlinkvet:requires):
 // the method, the call position in the querying function, and the chain of

@@ -1,7 +1,6 @@
 package vet
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -10,17 +9,8 @@ import (
 // giving the tests direct access to summaries, closures, and guard tables.
 func engineFor(t *testing.T, fixture string) *engine {
 	t.Helper()
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(loader.ModDir, "internal", "vet", "testdata", "fixtures", fixture)
-	asPath := "fixture/" + fixture
-	pkg, err := loader.LoadDirAs(dir, asPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newEngine(FixtureConfig(loader.ModPath, asPath), []*Package{pkg})
+	cfg, pkg := loadFixturePkg(t, fixture)
+	return newEngine(cfg, []*Package{pkg})
 }
 
 func sumByName(t *testing.T, eng *engine, name string) *funcSummary {
@@ -195,16 +185,7 @@ func TestGoReach(t *testing.T) {
 // its parameter a sink, so the unchecked decoded length flowing into the
 // call is reported at the call site, not inside alloc.
 func TestTaintParamSink(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(loader.ModDir, "internal", "vet", "testdata", "fixtures", "taintsize")
-	pkg, err := loader.LoadDirAs(dir, "fixture/taintsize")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := FixtureConfig(loader.ModPath, "fixture/taintsize")
+	cfg, pkg := loadFixturePkg(t, "taintsize")
 	var viaParam, insideAlloc int
 	for _, f := range checkTaintSize(cfg, []*Package{pkg}) {
 		if strings.Contains(f.Msg, "flows unchecked into alloc") {

@@ -1,7 +1,6 @@
 // Package vet implements xlinkvet, the repo-specific static analyzer that
 // enforces the determinism and robustness invariants the XLINK reproduction
-// depends on (see DESIGN.md "Determinism & correctness tooling" and
-// "Concurrency & taint discipline"):
+// depends on (see DESIGN.md §7, "Determinism & correctness tooling"):
 //
 //   - determinism: no wall-clock time or global math/rand in deterministic
 //     packages — time and randomness must flow through internal/sim so
@@ -12,10 +11,10 @@
 //     paths (wire parsers, transport packet ingestion).
 //   - maprange: no unordered map iteration in deterministic packages unless
 //     the enclosing function re-establishes order with a sort.
-//   - obsevent: trace event names must be EventName constants registered in
-//     internal/obs (closed taxonomy) and no wall-clock expression may feed a
-//     trace emit — timestamps come from the sim clock, keeping traces
-//     byte-reproducible.
+//   - obsevent: trace event names and metric names must be constants
+//     registered in internal/obs (closed taxonomy, Prometheus-legal names)
+//     and no wall-clock expression may feed a trace emit — timestamps come
+//     from the sim clock, keeping traces byte-reproducible.
 //   - lockheld: nothing blocking, re-entrant, or observable may happen while
 //     a sync.Mutex/RWMutex is held — no channel ops, net I/O, time.Sleep or
 //     sync waits, no call through a function value (user callbacks re-enter),
@@ -34,21 +33,6 @@
 //     closures, interface boxing, string concatenation and fmt calls are
 //     flagged with the hot path that reaches them. Sites behind
 //     `assert.Enabled` or an `xlinkvet:cold` branch are pruned.
-//   - loan: a parameter or return annotated `xlinkvet:loan` is a borrowed
-//     buffer valid only for the duration of the call; storing it (or an
-//     alias derived by slicing/field access) into a field, global, map,
-//     channel, goroutine or closure is flagged, including when the store
-//     happens inside a helper the loan was passed to.
-//   - goleak: every `go` statement must have a provable exit path — the
-//     launched function must not contain (or reach) an inescapable `for {}`
-//     loop unless the spawn or the target carries `xlinkvet:bounded
-//     <reason>`; spawning inside a loop without a joining sync.WaitGroup or
-//     collector-channel receive in the spawner is flagged too.
-//   - chandir: channel ownership typestate. `xlinkvet:owns <chan>` marks the
-//     function allowed to close a channel; a close elsewhere, a reachable
-//     double close, a send reachable after a close on any interprocedural
-//     path, and an unbuffered channel that is sent to but never received
-//     from module-wide are flagged.
 //   - connstate: an annotated lifecycle state machine
 //     (idle→handshaking→active→closing→draining→closed). `xlinkvet:state
 //     <from>[,<from>] -> <to>` marks transition methods; `xlinkvet:requires
@@ -57,16 +41,16 @@
 //     transitions, and every transition to closed must release timers
 //     (`xlinkvet:releases timers`) and trace a close event
 //     (`xlinkvet:closeevent`).
-//   - loaderr: not a style rule but the loader's own diagnostics — syntax
-//     errors (always) and type errors (under StrictLoad) surface as findings
-//     with positions instead of aborting the sweep.
 //
-// The lockheld, guardedby, hotalloc, loan, goleak, chandir and connstate
-// rules run on the interprocedural summary engine in summary.go:
-// per-function summaries of lock transitions, blocking operations, callback
-// invocations, trace emits, guarded-field accesses, allocation sites,
-// goroutine spawn sites, channel operations, lifecycle annotations and
-// static call sites, with module-wide closures over the call graph.
+// Each rule is here because the mutation audit in DESIGN.md §7
+// (scripts/mutate.sh) found a bug in the real tree that only it catches. A
+// file that does not parse aborts the sweep with the parser's error.
+//
+// The lockheld, guardedby, hotalloc and connstate rules run on the
+// interprocedural summary engine in summary.go: per-function summaries of
+// lock transitions, blocking operations, callback invocations, trace emits,
+// guarded-field accesses, allocation sites, lifecycle annotations and static
+// call sites, with module-wide closures over the call graph.
 //
 // Findings can be suppressed per line with `//xlinkvet:ignore <rules>` on
 // the same or the preceding line, where <rules> is a comma-separated rule
@@ -122,10 +106,6 @@ type Config struct {
 	ObsPkgs []string
 	// SkipPkgs are not analyzed at all (binaries, examples, tooling).
 	SkipPkgs []string
-	// StrictLoad escalates type-check errors to loaderr findings. Parse
-	// errors are always reported; type errors are opt-in because the engine
-	// degrades gracefully around incomplete type info.
-	StrictLoad bool
 }
 
 // FixtureConfig returns a config that applies every rule to the single
@@ -138,7 +118,6 @@ func FixtureConfig(module, path string) *Config {
 		WirePkgs:          []string{path, module + "/internal/wire"},
 		IngestPkgs:        []string{path},
 		ObsPkgs:           []string{module + "/internal/obs"},
-		StrictLoad:        true,
 	}
 }
 
@@ -212,13 +191,9 @@ func Run(cfg *Config, pkgs []*Package) []Finding {
 	findings = append(findings, checkLockHeld(eng)...)
 	findings = append(findings, checkGuardedBy(eng)...)
 	findings = append(findings, checkHotAlloc(eng)...)
-	findings = append(findings, checkLoan(eng)...)
-	findings = append(findings, checkGoLeak(eng)...)
-	findings = append(findings, checkChanDir(eng)...)
 	findings = append(findings, checkConnState(eng)...)
 	findings = append(findings, checkPanicPath(cfg, active)...)
 	findings = append(findings, checkTaintSize(cfg, active)...)
-	findings = append(findings, checkLoadErrs(cfg, active)...)
 
 	var kept []Finding
 	for _, f := range findings {

@@ -3,24 +3,43 @@ package vet
 import (
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// loadFixture type-checks one violation fixture under an assumed import path
-// with every rule enabled, mirroring `xlinkvet -selftest`.
-func loadFixture(t *testing.T, name string) []Finding {
+// fixtures is the one loader every fixture test loads through, as `xlinkvet
+// -selftest` does: the standard library and the module packages the fixtures
+// import are type-checked from source once, not once per test.
+var fixtures struct {
+	once   sync.Once
+	loader *Loader
+	err    error
+}
+
+// loadFixturePkg type-checks one violation fixture under an assumed import
+// path and returns it with the config that applies every rule to it.
+func loadFixturePkg(t *testing.T, name string) (*Config, *Package) {
 	t.Helper()
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
+	fixtures.once.Do(func() { fixtures.loader, fixtures.err = NewLoader(".") })
+	if fixtures.err != nil {
+		t.Fatal(fixtures.err)
 	}
+	loader := fixtures.loader
 	dir := filepath.Join(loader.ModDir, "internal", "vet", "testdata", "fixtures", name)
 	asPath := "fixture/" + name
 	pkg, err := loader.LoadDirAs(dir, asPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run(FixtureConfig(loader.ModPath, asPath), []*Package{pkg})
+	return FixtureConfig(loader.ModPath, asPath), pkg
+}
+
+// loadFixture runs every rule over one fixture, mirroring `xlinkvet
+// -selftest`.
+func loadFixture(t *testing.T, name string) []Finding {
+	t.Helper()
+	cfg, pkg := loadFixturePkg(t, name)
+	return Run(cfg, []*Package{pkg})
 }
 
 // TestFixturesFire pins the exact number of findings each rule produces on
@@ -42,11 +61,7 @@ func TestFixturesFire(t *testing.T) {
 		{"guardedby", "guardedby", 4},
 		{"taintsize", "taintsize", 3},
 		{"hotalloc", "hotalloc", 8},
-		{"loan", "loan", 7},
-		{"goleak", "goleak", 7},
-		{"chandir", "chandir", 8},
 		{"connstate", "connstate", 8},
-		{"broken", "loaderr", 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {

@@ -192,7 +192,7 @@ func parseFECRepair(b []byte) (Frame, int, error) {
 	f := &FECRepairFrame{
 		WindowID: winID,
 		Index:    idx,
-		//xlinkvet:ignore hotalloc — payload copy must outlive the datagram buffer (loan rule); FEC repair frames are parked past the packet (DESIGN.md §18)
+		//xlinkvet:ignore hotalloc — payload copy must outlive the datagram buffer; FEC repair frames are parked past the packet (DESIGN.md §18)
 		Data: append([]byte(nil), b[pos:pos+int(length)]...),
 	}
 	return f, pos + int(length), nil

@@ -129,6 +129,29 @@ func fecSeeds() [][]byte {
 		&wire.FECWindowFrame{WindowID: 1, StreamID: 1, DataLen: 1, SymbolSize: 1,
 			Scheme: wire.FECSchemeXOR, Repairs: 2}, // xor with 2 repairs
 		&wire.FECRecoveredFrame{StreamID: 1, Offset: 1<<62 - 1, Length: 1 << 61}, // overflow
+		// One frame just beyond each remaining bound (TestFECFrameBounds has
+		// the same rows): the fuzz target asserts the bounds on whatever
+		// parses, so a parser that lost one fails on its seed in plain
+		// `go test`, without waiting for the fuzzer to find the value.
+		&wire.FECWindowFrame{WindowID: 3, StreamID: 4, DataLen: 1, SymbolSize: 0,
+			Scheme: wire.FECSchemeRS, Repairs: 1},
+		&wire.FECWindowFrame{WindowID: 3, StreamID: 4, DataLen: 1, SymbolSize: wire.MaxFECSymbolSize + 1,
+			Scheme: wire.FECSchemeRS, Repairs: 1},
+		&wire.FECWindowFrame{WindowID: 3, StreamID: 4, DataLen: 0, SymbolSize: 1024,
+			Scheme: wire.FECSchemeRS, Repairs: 1},
+		&wire.FECWindowFrame{WindowID: 3, StreamID: 4, DataLen: wire.MaxFECSourceSymbols*1024 + 1, SymbolSize: 1024,
+			Scheme: wire.FECSchemeRS, Repairs: 1},
+		&wire.FECWindowFrame{WindowID: 3, StreamID: 4, DataLen: 2048, SymbolSize: 1024,
+			Scheme: wire.FECSchemeRS + 1, Repairs: 1},
+		&wire.FECWindowFrame{WindowID: 3, StreamID: 4, DataLen: 2048, SymbolSize: 1024,
+			Scheme: wire.FECSchemeRS, Repairs: 0},
+		&wire.FECWindowFrame{WindowID: 3, StreamID: 4, DataLen: 2048, SymbolSize: 1024,
+			Scheme: wire.FECSchemeRS, Repairs: wire.MaxFECRepairSymbols + 1},
+		&wire.FECRepairFrame{WindowID: 3, Index: wire.MaxFECRepairSymbols, Data: []byte{0xff}},
+		&wire.FECRepairFrame{WindowID: 3, Index: 0},
+		&wire.FECRepairFrame{WindowID: 3, Index: 0,
+			Data: bytes.Repeat([]byte{0xab}, wire.MaxFECSymbolSize+1)},
+		&wire.FECRecoveredFrame{StreamID: 4, Offset: 4096, Length: 0},
 	}
 	var seeds [][]byte
 	for _, f := range frames {

@@ -1,14 +1,13 @@
 #!/bin/sh
 # Full verification gate for the XLINK reproduction: build, go vet, the
-# repo-specific xlinkvet analyzer (self-test first, then the real tree —
-# including the interprocedural lockheld/guardedby/taintsize rules, the
-# escape-analysis hotalloc/loan buffer-ownership rules, and the
-# concurrency-lifecycle goleak/chandir/connstate rules, so a new heap
-# allocation on a hot path, a retained loaned buffer, a leaked goroutine,
-# or an out-of-order lifecycle transition fails here, before
-# any alloc-gate test runs), the test suite in release and
-# xlinkdebug-assertion modes, the race detector, the allocation-gate tests,
-# and a short fuzz smoke on every wire-format target.
+# repo-specific xlinkvet analyzer (self-test first, then the real tree: the
+# ten rules DESIGN.md §7 lists, so a wall-clock read in the deterministic
+# core, a dropped wire-parse error, a new heap allocation on a hot path or
+# a field read without its lock fails here, before any test runs), the test
+# suite in release and xlinkdebug-assertion modes, the race detector, the
+# allocation-gate tests, and a short fuzz smoke on every wire-format target.
+# The mutation audit that decides which rules exist (scripts/mutate.sh,
+# `make mutate`) is not part of this gate.
 #
 # Run from the repository root: ./scripts/check.sh  (or `make check`).
 set -eu
@@ -23,35 +22,34 @@ step() {
 step go build ./...
 step go vet ./...
 step go run ./cmd/xlinkvet -selftest
-# The analyzer's own suite under the race detector: the engine summarizes
-# packages in parallel, and the new selftests (goleak/chandir/connstate/
-# loaderr fixtures, explain table, JSON goldens) must hold there too.
+# The analyzer's own suite under the race detector: the loader and the
+# engine work on packages in parallel, and the fixture counts, the explain
+# table and the JSON goldens must hold there too.
 # -count=1 so the gate re-checks instead of replaying a cached pass.
 step go test -race -count=1 ./internal/vet/ ./cmd/xlinkvet/
-# Whole-tree sweep under a wall-clock budget: the concurrency-lifecycle
-# engine grew the pass, and it must stay far too cheap to be worth
-# skipping. 30 s is ~10x the current cost.
-echo "==> go run ./cmd/xlinkvet ./... (30s budget)"
+# Whole-tree sweep under a wall-clock budget: it must stay far too cheap to
+# be worth skipping. 15 s is ~5x the current cost.
+echo "==> go run ./cmd/xlinkvet ./... (15s budget)"
 VET_START="$(date +%s)"
 go run ./cmd/xlinkvet ./...
 VET_ELAPSED=$(( $(date +%s) - VET_START ))
 echo "xlinkvet sweep: ${VET_ELAPSED}s"
-if [ "$VET_ELAPSED" -ge 30 ]; then
-	echo "xlinkvet sweep exceeded the 30s budget" >&2
+if [ "$VET_ELAPSED" -ge 15 ]; then
+	echo "xlinkvet sweep exceeded the 15s budget" >&2
 	exit 1
 fi
 # Suppression ratchet: every //xlinkvet:ignore hotalloc is an allocation
 # site the analyzer was told not to report, and one of them hid two thirds
 # of a lossy session's allocations for eight PRs (DESIGN.md §7). The count
-# in the tree (fixtures and the rule's own source aside) may not exceed the
-# one recorded in §7's rent table; raising it means editing that row, where
-# a reviewer sees it.
+# in the tree (fixtures and the rule's own source aside) may not exceed
+# HOTALLOC_MAY; raising it means editing the next line, where a reviewer
+# sees it. (wire 37, transport 21, xlink 5, cc 3, sim 1, recovery 1, netem 1.)
+HOTALLOC_MAY=69
 echo "==> hotalloc suppression ratchet"
 HOTALLOC_HAVE="$(grep -rho --include='*.go' --exclude-dir=vet 'xlinkvet:ignore hotalloc' cmd internal xlink examples benchmark | wc -l)"
-HOTALLOC_MAY="$(sed -n 's/^| hotalloc |[^|]*| \([0-9][0-9]*\) (.*/\1/p' DESIGN.md)"
-echo "hotalloc suppressions: ${HOTALLOC_HAVE} in the tree, ${HOTALLOC_MAY:-?} recorded in DESIGN.md §7"
-if [ -z "$HOTALLOC_MAY" ] || [ "$HOTALLOC_HAVE" -gt "$HOTALLOC_MAY" ]; then
-	echo "more hotalloc suppressions than DESIGN.md §7 records (or the row is unreadable)" >&2
+echo "hotalloc suppressions: ${HOTALLOC_HAVE} in the tree, ${HOTALLOC_MAY} allowed"
+if [ "$HOTALLOC_HAVE" -gt "$HOTALLOC_MAY" ]; then
+	echo "more hotalloc suppressions than scripts/check.sh allows" >&2
 	exit 1
 fi
 step go test ./...

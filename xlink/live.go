@@ -314,7 +314,8 @@ func Dial(remote string, ifaceAddrs []string, techs []Technology, cfg LiveConfig
 		return nil, err
 	}
 	for i, sock := range socks {
-		//xlinkvet:bounded one reader per dialed interface, joined by Close via ep.done; readLoop exits when its socket is closed
+		// One reader per dialed interface: readLoop exits when Close closes its
+		// socket and ep.done.
 		go ep.readLoop(i, sock)
 	}
 	return ep, nil
@@ -394,8 +395,6 @@ func applyLive(ep *Endpoint, tcfg *transport.Config, cfg LiveConfig) *obs.Trace 
 // fields are safe to read here — taking the lock again would self-deadlock.
 // That inversion (callee relies on its caller's caller holding the lock) is
 // beyond the analyzer's one-level caller credit, hence the suppression.
-//
-// xlinkvet:loan pkts
 func (ep *Endpoint) SendBatch(netIdx int, pkts [][]byte) int {
 	socks, peer := ep.socks, ep.peer //xlinkvet:ignore guardedby — invoked by the transport under ep.mu; see doc comment
 	if netIdx >= len(socks) || netIdx >= len(peer) || !peer[netIdx].IsValid() {
@@ -478,7 +477,7 @@ func NewEventLoopGroup(n int) *EventLoopGroup {
 		}
 		g.shards = append(g.shards, sh)
 		g.wg.Add(1)
-		//xlinkvet:bounded one goroutine per shard, joined by Close/Wait via g.done and g.wg
+		// One goroutine per shard, joined by Close/Wait via g.done and g.wg.
 		go g.run(sh)
 	}
 	return g
@@ -487,8 +486,6 @@ func NewEventLoopGroup(n int) *EventLoopGroup {
 // Close signals every shard goroutine to exit after its current batch. It
 // does not wait (an endpoint callback may Close re-entrantly from a shard
 // goroutine); use Wait to join.
-//
-// xlinkvet:owns done
 func (g *EventLoopGroup) Close() {
 	if g.closed.CompareAndSwap(false, true) {
 		close(g.done)
@@ -789,7 +786,6 @@ func (ep *Endpoint) LocalAddrs() []net.Addr {
 // scorecard (conn:scorecard) and merges it into the registry, so /metrics
 // served after shutdown carries the session rollup.
 //
-// xlinkvet:owns done
 // xlinkvet:state active,closing -> closed
 func (ep *Endpoint) Close() {
 	ep.mu.Lock()

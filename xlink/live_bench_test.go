@@ -2,6 +2,7 @@ package xlink
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -95,11 +96,52 @@ func waitFor(tb testing.TB, d time.Duration, cond func() bool, what string) {
 // this under -race: the channel handoff between socket readers and shard
 // loops, the per-endpoint locking in deliverBatch, and the group lifecycle
 // are exactly the kind of concurrency the detector must see clean.
+//
+// Two things here are the run-time twins of static rules. The accessor
+// pollers are guardedby's: each locked accessor is read from its own foreign
+// goroutine — one accessor per goroutine, so that no neighbouring locked call
+// orders the read by accident — from before the first stream byte until after
+// the endpoints have closed, which spans every write of the fields behind them
+// (counters per packet, the peer and socket tables when the second path
+// appears, the state at close). An accessor that loses its lock is a race
+// report here, not a matter of timing. The goroutine count at the end is the
+// leak check: every socket reader Listen and Dial started and every shard
+// loop must be gone once the endpoints and the group are closed.
 func TestLiveShardedEventLoop(t *testing.T) {
+	goroutinesBefore := runtime.NumGoroutine()
 	group := NewEventLoopGroup(4)
 	const pairs = 6
 	fleet := newFleet(t, pairs, group)
 	defer closeFleet(fleet)
+
+	stopPolling := make(chan struct{})
+	var pollers sync.WaitGroup
+	stopPollers := sync.OnceFunc(func() { close(stopPolling); pollers.Wait() })
+	defer stopPollers() // a t.Fatal on the way must not leave them spinning
+	poll := func(read func()) {
+		pollers.Add(1)
+		go func() {
+			defer pollers.Done()
+			for {
+				select {
+				case <-stopPolling:
+					return
+				default:
+					read()
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}()
+	}
+	for _, fp := range fleet {
+		for _, ep := range []*Endpoint{fp.client, fp.server} {
+			ep := ep
+			poll(func() { _ = ep.StateName() })
+			poll(func() { _ = ep.Terminated() })
+			poll(func() { _ = ep.Stats() })
+			poll(func() { _ = ep.LocalAddrs() })
+		}
+	}
 
 	const payload = 96 << 10
 	msg := make([]byte, payload)
@@ -136,6 +178,7 @@ func TestLiveShardedEventLoop(t *testing.T) {
 	}
 
 	closeFleet(fleet)
+	stopPollers()
 	group.Close()
 	done := make(chan struct{})
 	go func() { group.Wait(); close(done) }()
@@ -144,6 +187,8 @@ func TestLiveShardedEventLoop(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("shard goroutines did not exit after group Close")
 	}
+	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= goroutinesBefore },
+		"the socket readers and shard loops to exit")
 }
 
 // BenchmarkLiveFleetEndpoints measures aggregate live throughput through a

@@ -136,8 +136,8 @@ func (ep *Endpoint) DebugHandler() http.Handler {
 // background goroutine with a provable exit: the returned stop function
 // closes the server's listener, which makes Serve return, and then waits on
 // the goroutine's exited channel before returning. Callers therefore cannot
-// leak the scrape server — the shape xlinkvet's goleak rule asks for. The
-// bound address is returned so tests and operators can bind port 0.
+// leak the scrape server. The bound address is returned so tests and
+// operators can bind port 0.
 func (ep *Endpoint) ServeDebug(addr string) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

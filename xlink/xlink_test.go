@@ -2,11 +2,13 @@ package xlink
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 func TestEmulatedSessionAPI(t *testing.T) {
@@ -194,5 +196,34 @@ func TestLiveUDPTransfer(t *testing.T) {
 	st := client.Stats()
 	if uint64(recv) > st.RecvPackets {
 		t.Fatalf("trace has %d packet_received, stats say only %d", recv, st.RecvPackets)
+	}
+}
+
+// TestLiveCallbacksDeferredPastTheLock: the transport runs under ep.mu, so
+// the callbacks applyLive hands it must only queue the user's; the user's run
+// from flushCallbacks, after the lock is released and in the order raised — a
+// user callback may call straight back into the endpoint (TestLiveUDPTransfer's
+// server answers from OnStreamData).
+func TestLiveCallbacksDeferredPastTheLock(t *testing.T) {
+	ep := newEndpoint(nil)
+	var ran []string
+	var tcfg transport.Config
+	applyLive(ep, &tcfg, LiveConfig{
+		OnHandshakeDone: func(time.Duration) { ran = append(ran, "handshake") },
+		OnStreamOpen:    func(time.Duration, *RecvStream) { ran = append(ran, "open") },
+		OnStreamData:    func(time.Duration, *RecvStream, []byte, bool) { ran = append(ran, "data") },
+	})
+	ep.mu.Lock()
+	tcfg.OnHandshakeDone(0)
+	tcfg.OnStreamOpen(0, nil)
+	tcfg.OnStreamData(0, nil, nil, false)
+	underLock := append([]string(nil), ran...)
+	ep.mu.Unlock()
+	if len(underLock) != 0 {
+		t.Fatalf("user callbacks ran under the endpoint lock: %v", underLock)
+	}
+	ep.flushCallbacks()
+	if want := []string{"handshake", "open", "data"}; !reflect.DeepEqual(ran, want) {
+		t.Fatalf("flushCallbacks ran %v, want %v", ran, want)
 	}
 }
