@@ -80,21 +80,23 @@ func TestGoldenTrace(t *testing.T) {
 // TestLossySessionDigests pins, by digest, the NDJSON trace bytes and the
 // whole Result (ConnStats of both ends, Scorecard, player totals, events after
 // the deadline) of the corpus's two-path burst-loss session with re-injection
-// alone and with the FEC lane racing it. The digests were taken at the commit
-// before the connection timer stopped being re-armed on every packet
-// (DESIGN.md §19) and were not re-recorded for it: a timer that is left
-// pending gets its place among same-instant events earlier than one that is
-// re-armed, and this is the test that would show a delivery and a timer
-// trading places. Like golden.trace, a PR that changes behaviour on purpose
-// (or adds a field to Result) replaces them — the failure prints the new ones.
+// alone and with the FEC lane racing it. The digests were re-recorded, with
+// golden.trace, when ACKs began to leave only when due and the connection
+// timer to be left alone while its deadline holds (DESIGN.md §20) — both
+// change what is on the wire and when. Before that they had held since the
+// commit before DESIGN.md §19: a timer that is left pending gets its place
+// among same-instant events earlier than one that is re-armed, and this is
+// the test that would show a delivery and a timer trading places. Like
+// golden.trace, a PR that changes behaviour on purpose (or adds a field to
+// Result) replaces them — the failure prints the new ones.
 func TestLossySessionDigests(t *testing.T) {
 	for _, want := range []struct{ name, trace, result string }{
 		{"ge-dual-reinject-only",
-			"13c490e672e4e142055570294d03575aeb0a777359afbf891df2d9476168603f",
-			"19f18d529e82ba3a6edfe4b0f11623c6f42a6cf6e11a6c891a96dde59e148148"},
+			"dfb6fc110214c40a11471c4c4e70a2c4b38fc92109625bba6472edf554f249b3",
+			"66c7703c0e797dd49b225d4e26b9c659ba52f4155a680483d29b1db2b600adf7"},
 		{"ge-dual-both",
-			"9364e16d2b19933b764da79065ee76c148586ed4565fab507faaff679d163824",
-			"5a8d5c265584d4bf1c566c7328213205eda8802730890905dfdf90322bb364f4"},
+			"ebf3136ba64de6353a0a957c8c879091d6da6f67a20d5ff65c46b5e962813c7d",
+			"7e8dc2b6bd694b9006b0861c2fda7b88a466acac169cade5a39c56ff4dbcfd60"},
 	} {
 		sc, ok := ScenarioByName(want.name)
 		if !ok {

@@ -399,23 +399,17 @@ func (s *Space) OnLossTimeout(now time.Duration) []*SentPacket {
 func (s *Space) LossTime() time.Duration { return s.lossTime }
 
 // PTODeadline returns when the probe timeout fires, or 0 if nothing is in
-// flight.
+// flight. The timeout runs from the last in-flight packet sent; SentAt never
+// decreases with PN, so that is the newest one and the scan stops there.
 func (s *Space) PTODeadline() time.Duration {
-	var earliest time.Duration
-	var lastSent time.Duration
-	found := false
-	for _, sp := range s.sent {
-		if sp.acked || sp.declaredLost || !sp.AckEliciting {
-			continue
-		}
-		if sp.SentAt > lastSent {
-			lastSent = sp.SentAt
-		}
-		found = true
+	i := len(s.sent) - 1
+	for i >= 0 && !s.sent[i].InFlight() {
+		i--
 	}
-	if !found {
+	if i < 0 {
 		return 0
 	}
+	lastSent := s.sent[i].SentAt
 	exp := s.ptoCount
 	if exp > 6 {
 		exp = 6 // cap the backoff so dead paths keep getting probed
@@ -428,8 +422,7 @@ func (s *Space) PTODeadline() time.Duration {
 		// the probe time keeps the deadline moving forward.
 		anchor = s.lastProbeAt
 	}
-	earliest = anchor + s.rtt.PTO()*backoff
-	return earliest
+	return anchor + s.rtt.PTO()*backoff
 }
 
 // OnPTO handles a probe timeout at now: it backs off and returns up to two

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/assert"
 	"repro/internal/cc"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -141,6 +142,56 @@ func TestPTODeadlineAndBackoff(t *testing.T) {
 	}
 	if s.PTODeadline() != 0 {
 		t.Fatal("no in-flight packets: no PTO")
+	}
+}
+
+// ptoDeadlineFullScan is PTODeadline as it was before it scanned newest
+// first: the latest SentAt over the whole ledger's in-flight packets.
+func ptoDeadlineFullScan(s *Space) time.Duration {
+	var lastSent time.Duration
+	found := false
+	for _, sp := range s.sent {
+		if sp.acked || sp.declaredLost || !sp.AckEliciting {
+			continue
+		}
+		lastSent = max(lastSent, sp.SentAt)
+		found = true
+	}
+	if !found {
+		return 0
+	}
+	return max(lastSent, s.lastProbeAt) + s.rtt.PTO()*time.Duration(1<<min(s.ptoCount, 6))
+}
+
+// TestPTODeadlineMatchesFullScan drives random ledgers — bursts of packets,
+// some not ack-eliciting, acks of random ranges, loss and PTO timeouts — and
+// checks the newest-first PTODeadline against the full scan after every step.
+func TestPTODeadlineMatchesFullScan(t *testing.T) {
+	rng := sim.NewRNG(9)
+	for trial := 0; trial < 200; trial++ {
+		rtt := cc.NewRTTEstimator()
+		s := NewSpace(rtt)
+		now := time.Duration(0)
+		for step := 0; step < 60; step++ {
+			now += time.Duration(rng.Intn(20)) * time.Millisecond
+			switch r := rng.Intn(10); {
+			case r < 5:
+				for n := rng.Intn(8); n > 0; n-- {
+					s.OnPacketSent(&SentPacket{PN: s.NextPN(), SentAt: now, Bytes: 1200, AckEliciting: rng.Intn(5) != 0})
+				}
+			case r < 8 && s.PeekPN() > 0:
+				hi := uint64(rng.Intn(int(s.PeekPN())))
+				lo := hi - uint64(rng.Intn(int(hi)+1))
+				s.OnAck([]wire.AckRange{{Smallest: lo, Largest: hi}}, 0, now)
+			case r < 9:
+				s.OnLossTimeout(now)
+			default:
+				s.OnPTO(now)
+			}
+			if got, want := s.PTODeadline(), ptoDeadlineFullScan(s); got != want {
+				t.Fatalf("trial %d step %d: PTODeadline %v, full scan %v", trial, step, got, want)
+			}
+		}
 	}
 }
 

@@ -104,8 +104,12 @@ const (
 	// when both sides' CID for seq exists. A peer's NEW_CONNECTION_ID at or
 	// beyond it is refused before the sequence number sizes the CID table.
 	maxCIDs = 8
-	// ackElicitingThreshold sends an ack after this many ack-eliciting
-	// packets.
+	// ackElicitingThreshold is how many ack-eliciting packets a path
+	// receives before its ACK is due (RFC 9000 §13.2.2). A due ACK leaves in
+	// the next send pass, on a packet of its own if nothing else is going
+	// out; one not yet due rides only on a packet that carries another frame
+	// (DESIGN.md §20). An ack-eliciting packet that arrives out of order
+	// makes the ACK due at once.
 	ackElicitingThreshold = 2
 	// pathGiveUpPTOs abandons a path outright (PATH_STATUS abandon +
 	// evacuation + primary re-election) when its PTO count reaches this
@@ -147,7 +151,11 @@ type Config struct {
 	// FECWindowSymbols caps source symbols per protection window
 	// (default 8; capped at wire.MaxFECSourceSymbols).
 	FECWindowSymbols int
-	// MaxAckDelay bounds how long an ack may be withheld.
+	// MaxAckDelay bounds how long an ack may be withheld: an ACK queued
+	// below ackElicitingThreshold, with nothing to ride on, leaves alone
+	// MaxAckDelay after the largest packet it covers arrived — the one
+	// deadline that delays an ACK, and a connection timer deadline like a
+	// PTO. Default 25 ms (RFC 9000's max_ack_delay).
 	MaxAckDelay time.Duration
 	// QoEProvider, on the client, supplies the current player signal to
 	// piggyback on outgoing ACK_MP frames.

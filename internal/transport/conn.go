@@ -1127,6 +1127,9 @@ func (c *Conn) handlePathStatus(now time.Duration, fr *wire.PathStatusFrame) {
 		p.State = PathClosed
 		c.tr.PathAbandoned(now, p.ID, "peer-abandon")
 		c.evacuatePath(now, p)
+		if p.ID == c.primaryID {
+			c.reelectPrimary(now)
+		}
 	case wire.PathStandby:
 		if p.State == PathActive {
 			p.State = PathStandbyLocal
@@ -1448,25 +1451,12 @@ func (c *Conn) AbandonPath(id uint64) {
 // follow the new primary.
 func (c *Conn) reelectPrimary(now time.Duration) {
 	var best *Path
-	better := func(cand, cur *Path) bool {
-		if cur == nil {
-			return true
-		}
-		candUse, curUse := cand.Usable(), cur.Usable()
-		if candUse != curUse {
-			return candUse
-		}
-		if a, b := cand.Tech.PrimaryPreference(), cur.Tech.PrimaryPreference(); a != b {
-			return a < b
-		}
-		return cand.RTT.Smoothed() < cur.RTT.Smoothed()
-	}
 	for _, id := range c.pathOrder {
 		p := c.paths[id]
 		if p.State == PathClosed || id == c.primaryID {
 			continue
 		}
-		if better(p, best) {
+		if betterPrimary(p, best) {
 			best = p
 		}
 	}
@@ -1476,6 +1466,22 @@ func (c *Conn) reelectPrimary(now time.Duration) {
 	c.tr.PrimaryChanged(now, c.primaryID, best.ID)
 	c.primaryID = best.ID
 	c.stats.PrimaryReElections++
+}
+
+// betterPrimary reports whether cand ranks above cur (nil: no candidate yet)
+// for re-election.
+func betterPrimary(cand, cur *Path) bool {
+	if cur == nil {
+		return true
+	}
+	candUse, curUse := cand.Usable(), cur.Usable()
+	if candUse != curUse {
+		return candUse
+	}
+	if a, b := cand.Tech.PrimaryPreference(), cur.Tech.PrimaryPreference(); a != b {
+		return a < b
+	}
+	return cand.RTT.Smoothed() < cur.RTT.Smoothed()
 }
 
 // anotherUsablePath reports whether a usable path other than p exists — the

@@ -22,7 +22,9 @@ type Env interface {
 	// Now returns the current time.
 	Now() time.Duration
 	// Schedule runs fn at the given absolute time, returning a cancel
-	// function.
+	// function. The connection calls cancel at most once, and only before fn
+	// starts — never after fn has run or from inside it — so an Env may
+	// recycle a timer, and its cancel function, once either has happened.
 	Schedule(at time.Duration, fn func(now time.Duration)) func()
 }
 

@@ -200,6 +200,10 @@ func TestKeepAliveSustainsIdleConnection(t *testing.T) {
 // TestPTOGiveUpAbandonsDeadPath checks the give-up rule: when a path's PTO
 // count crosses the threshold while another usable path exists, the path is
 // abandoned outright and, if it was the primary, a survivor is re-elected.
+// The rule runs where packets are in flight on the dead path — the server,
+// which is sending the transfer; the client's delayed ACKs may leave nothing
+// ack-eliciting there. The client learns via PATH_STATUS(abandon) and
+// re-elects its own primary.
 func TestPTOGiveUpAbandonsDeadPath(t *testing.T) {
 	loop := sim.NewLoop()
 	ccfg, scfg := defaultMPConfig()
@@ -209,22 +213,46 @@ func TestPTOGiveUpAbandonsDeadPath(t *testing.T) {
 		pair.Network.Paths[0].SetDown(true)
 	})
 	transfer(t, pair, 1<<20, 60*time.Second)
-	st := pair.Client.Stats()
-	if st.AutoAbandonedPaths == 0 {
-		t.Fatal("client never gave up on the dead primary")
+	for _, side := range []struct {
+		name    string
+		c       *Conn
+		givesUp bool
+	}{{"server", pair.Server, true}, {"client", pair.Client, false}} {
+		st := side.c.Stats()
+		if side.givesUp && st.AutoAbandonedPaths == 0 {
+			t.Fatalf("%s, with data in flight, never gave up on the dead primary", side.name)
+		}
+		if side.c.Path(0).State != PathClosed {
+			t.Fatalf("%s: dead path state %v, want closed", side.name, side.c.Path(0).State)
+		}
+		if side.c.PrimaryPathID() != 1 || st.PrimaryReElections == 0 {
+			t.Fatalf("%s: primary %d after %d re-elections, want re-election to 1", side.name, side.c.PrimaryPathID(), st.PrimaryReElections)
+		}
 	}
-	if pair.Client.Path(0).State != PathClosed {
-		t.Fatalf("dead path state %v, want closed", pair.Client.Path(0).State)
+}
+
+// TestPeerAbandonReelectsPrimary: a PATH_STATUS(abandon) from the peer for
+// the local primary closes it and re-elects a survivor, as a local
+// AbandonPath does — keepalives and CONNECTION_CLOSE follow the primary, so
+// one left on a closed path would go nowhere.
+func TestPeerAbandonReelectsPrimary(t *testing.T) {
+	ccfg, scfg := defaultMPConfig()
+	pair := NewPair(sim.NewLoop(), sim.NewRNG(17), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
+	if err := pair.Start(); err != nil {
+		t.Fatal(err)
 	}
-	if pair.Client.PrimaryPathID() != 1 {
-		t.Fatalf("primary still %d, want re-election to 1", pair.Client.PrimaryPathID())
+	pair.RunUntil(time.Second)
+	if len(pair.Client.Paths()) != 2 || !pair.Client.Path(1).Usable() {
+		t.Fatal("second path never came up")
 	}
-	if st.PrimaryReElections == 0 {
-		t.Fatal("primary re-election not counted")
+	pair.Server.AbandonPath(0)
+	pair.RunUntil(2 * time.Second)
+	c := pair.Client
+	if c.Path(0).State != PathClosed {
+		t.Fatalf("client path 0 %v after the peer abandoned it, want closed", c.Path(0).State)
 	}
-	// The peer learns via PATH_STATUS(abandon).
-	if pair.Server.Path(0).State != PathClosed {
-		t.Fatalf("server path 0 state %v, want closed after abandon", pair.Server.Path(0).State)
+	if c.PrimaryPathID() != 1 || c.Stats().PrimaryReElections != 1 {
+		t.Fatalf("client primary %d after %d re-elections, want 1 after one", c.PrimaryPathID(), c.Stats().PrimaryReElections)
 	}
 }
 

@@ -86,8 +86,12 @@ func (r *gateRig) deliver(frames ...wire.Frame) { r.deliverAfter(time.Millisecon
 
 // deliverAfter is deliver with the time that passes first given.
 func (r *gateRig) deliverAfter(d time.Duration, frames ...wire.Frame) {
+	r.deliverPN(r.c.paths[0].Space.NextPN(), d, frames...)
+}
+
+// deliverPN is deliverAfter with the packet number chosen by the caller.
+func (r *gateRig) deliverPN(pn uint64, d time.Duration, frames ...wire.Frame) {
 	p := r.c.paths[0]
-	pn := p.Space.NextPN()
 	r.frames = append(r.frames[:0], frames...)
 	pkt := sealShortInto(r.buf[:0], r.c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), r.frames)
 	r.env.now += d

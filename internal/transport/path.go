@@ -61,12 +61,17 @@ type Path struct {
 	CC    cc.Controller
 	Space *recovery.Space
 
-	// largestRecvPN and related track the receive side of the space.
+	// largestRecvPN and related track the receive side of the space. An ACK
+	// is queued by the first ack-eliciting packet it covers and leaves when
+	// ackDue says so (DESIGN.md §20); ackRiding marks one that appendAcksFor
+	// put into the packet being built, until settleAcks decides its fate.
 	largestRecvPN     int64
 	recvPNs           rangeset.Set
 	ackElicitingCount int
 	largestRecvTime   time.Duration
 	ackQueued         bool
+	ackNow            bool // an out-of-order arrival made the ACK due at once
+	ackRiding         bool
 
 	// challenge state.
 	pendingChallenge [8]byte
@@ -144,6 +149,10 @@ func (p *Path) recordRecv(pn uint64, now time.Duration, ackEliciting bool) (dup 
 		return true
 	}
 	p.recvPNs.Add(pn, pn+1)
+	// RFC 9000 §13.2.1: a packet below the largest received fills a gap, one
+	// beyond largest+1 opens one; either way the sender learns of it at once
+	// rather than a delayed ACK later.
+	outOfOrder := int64(pn) != p.largestRecvPN+1
 	if int64(pn) > p.largestRecvPN {
 		p.largestRecvPN = int64(pn)
 		p.largestRecvTime = now
@@ -151,8 +160,22 @@ func (p *Path) recordRecv(pn uint64, now time.Duration, ackEliciting bool) (dup 
 	if ackEliciting {
 		p.ackElicitingCount++
 		p.ackQueued = true
+		p.ackNow = p.ackNow || outOfOrder
 	}
 	return false
+}
+
+// ackDue reports whether the path's queued ACK must leave now, alone if
+// nothing else is going out: ackElicitingThreshold packets wait for it, one of
+// them arrived out of order, or the largest has waited maxAckDelay.
+func (p *Path) ackDue(now, maxAckDelay time.Duration) bool {
+	return p.ackElicitingCount >= ackElicitingThreshold || p.ackNow ||
+		now >= p.largestRecvTime+maxAckDelay
+}
+
+// ackSent clears the queued ACK once a packet carrying it was sealed.
+func (p *Path) ackSent() {
+	p.ackQueued, p.ackNow, p.ackElicitingCount = false, false, 0
 }
 
 // buildAckRanges converts received PNs into wire ACK ranges (descending),

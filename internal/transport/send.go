@@ -315,8 +315,13 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 	c.sfUsed = 0
 	c.gather = c.gather[:0]
 
-	// Piggyback any pending acks whose policy path is p.
+	// Pending acks whose policy path is p ride along, but only on a packet
+	// that carries something else: a lone ACK leaves from flushAcks when it
+	// is due (DESIGN.md §20). Until the packet is known to leave they are
+	// provisional, and so is the QoE piggyback state building them moved.
+	qoeAt, qoeAny := c.lastQoEAt, c.qoeSentAny
 	frames = c.appendAcksFor(now, p, frames, &budget)
+	acks := len(frames)
 
 	// Control frames: pinned to p or unpinned. meta stays nil until the
 	// packet carries an ack-eliciting frame: a pass that finds nothing to
@@ -379,7 +384,10 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 	}
 
 	c.sendFrames = frames[:0]
-	if len(frames) == 0 {
+	send := len(frames) > acks
+	c.settleAcks(send)
+	if !send {
+		c.lastQoEAt, c.qoeSentAny = qoeAt, qoeAny
 		return false
 	}
 	pn := p.Space.NextPN()
@@ -949,8 +957,10 @@ func (c *Conn) buildAckFrame(now time.Duration, p *Path) wire.Frame {
 	return f
 }
 
-// flushAcks emits pending acknowledgements as ack-only packets. If force is
-// true, timers are ignored (used on ack-delay expiry).
+// flushAcks emits the pending acknowledgements that are due (Path.ackDue) as
+// ack-only packets; the rest wait for a packet to ride on or for their delay
+// to run out. If force is true, every pending one leaves (used on ack-delay
+// expiry).
 //
 // xlinkvet:hot
 func (c *Conn) flushAcks(now time.Duration, force bool) {
@@ -959,17 +969,12 @@ func (c *Conn) flushAcks(now time.Duration, force bool) {
 	}
 	for _, id := range c.pathOrder {
 		p := c.paths[id]
-		if !p.ackQueued {
-			continue
-		}
-		due := p.ackElicitingCount >= ackElicitingThreshold ||
-			now >= p.largestRecvTime+c.cfg.MaxAckDelay
-		if !force && !due {
+		if !p.ackQueued || !force && !p.ackDue(now, c.cfg.MaxAckDelay) {
 			continue
 		}
 		f := c.buildAckFrame(now, p)
 		if f == nil {
-			p.ackQueued = false
+			p.ackSent()
 			continue
 		}
 		carrier := c.ackSendPath(p)
@@ -986,13 +991,12 @@ func (c *Conn) flushAcks(now time.Duration, force bool) {
 		c.stats.SentPackets++
 		c.stats.SentBytes += uint64(len(pkt))
 		c.tr.PacketSent(now, carrier.ID, pn, len(pkt), "ack")
-		p.ackQueued = false
-		p.ackElicitingCount = 0
+		p.ackSent()
 	}
 }
 
-// appendAcksFor piggybacks pending acks whose policy path is p onto a data
-// packet being built for p.
+// appendAcksFor puts pending acks whose policy path is p into the packet being
+// built for p, marking each riding; settleAcks decides whether they left.
 //
 // xlinkvet:hot
 func (c *Conn) appendAcksFor(now time.Duration, p *Path, frames []wire.Frame, budget *int) []wire.Frame {
@@ -1010,10 +1014,25 @@ func (c *Conn) appendAcksFor(now time.Duration, p *Path, frames []wire.Frame, bu
 		}
 		frames = append(frames, f)
 		*budget -= f.Len()
-		rp.ackQueued = false
-		rp.ackElicitingCount = 0
+		rp.ackRiding = true
 	}
 	return frames
+}
+
+// settleAcks ends the ride appendAcksFor began: the acks went out with the
+// packet (sent) or stay queued (the packet carried nothing else).
+//
+// xlinkvet:hot
+func (c *Conn) settleAcks(sent bool) {
+	for _, id := range c.pathOrder {
+		rp := c.paths[id]
+		if rp.ackRiding {
+			rp.ackRiding = false
+			if sent {
+				rp.ackSent()
+			}
+		}
+	}
 }
 
 // --- Timers ---
@@ -1094,14 +1113,11 @@ func (c *Conn) maybeSendStandaloneQoE(now time.Duration) {
 // touches the Env's timer only when it has to. Two deadlines are kept apart
 // (DESIGN.md §19): timerDue is when the timer body must run next, timerAt is
 // when the timer the Env holds will fire. Almost every packet handled moves
-// the deadline later (the idle timeout, a PTO re-based on a newer packet), and
-// a timer that fires early costs one onTimer call that re-schedules itself,
-// so a pending timer strictly before timerDue is left alone. No timer, or a
-// pending one at or after the deadline, costs a cancel and a Schedule — "at"
-// included: a timer re-armed at the instant it is already set for takes a
-// new place among the events of that instant (behind everything scheduled
-// since), and sessions differ by whether a delayed ACK or a delivery on the
-// same nanosecond runs first.
+// the deadline later (the idle timeout, a PTO re-based on a newer packet, a
+// delayed ACK's deadline on a newer packet), and a timer that fires early
+// costs one onTimer call that re-schedules itself, so a pending timer at or
+// before timerDue is left alone. Only no timer, or a pending one after the
+// deadline, costs a Schedule (and a cancel).
 //
 // xlinkvet:hot
 func (c *Conn) rearmTimer() {
@@ -1122,7 +1138,7 @@ func (c *Conn) rearmTimer() {
 	}
 	c.timerDue = deadline
 	if c.timerCancel != nil {
-		if c.timerAt < deadline {
+		if c.timerAt <= deadline {
 			return
 		}
 		c.timerCancel()

@@ -9,8 +9,8 @@ import (
 )
 
 // Tests for the connection timer rule (DESIGN.md §19): the Env's timer is
-// left alone while it fires before the deadline, and a timer that fires before
-// the deadline re-schedules itself without running protocol code.
+// left alone while it fires at or before the deadline, and a timer that fires
+// before the deadline re-schedules itself without running protocol code.
 
 // fakeTimer is one Schedule call on a countingEnv.
 type fakeTimer struct {
@@ -101,12 +101,11 @@ func wantTimer(t *testing.T, c *Conn, env *countingEnv) {
 }
 
 // TestTimerTouchedOnlyWhenDeadlineMovesEarlier walks a server through the
-// steady state: the first packet in flight (a PTO where there was only the
-// idle timeout) and a loss time are the deadlines that move earlier — one
-// cancel, one Schedule, at the new deadline; the idle deadline receding with
-// every packet received and the PTO re-based on every packet sent move it
-// later and cost nothing; a re-arm that finds the timer exactly at the
-// deadline renews it there.
+// steady state: a delayed ACK's deadline (where there was only the idle
+// timeout), the first packet in flight (a PTO) and a loss time are the
+// deadlines that move earlier — one cancel, one Schedule, at the new deadline;
+// the idle deadline receding with every packet received, the PTO re-based on
+// every packet sent and a deadline that does not move at all cost nothing.
 func TestTimerTouchedOnlyWhenDeadlineMovesEarlier(t *testing.T) {
 	r, env, tr := newTimerRig(t, 30*time.Second)
 	s := r.s
@@ -118,19 +117,39 @@ func TestTimerTouchedOnlyWhenDeadlineMovesEarlier(t *testing.T) {
 		t.Fatalf("idle connection: deadline %v, timer at %v, want the idle timeout at %v", s.timerDue, idleTimer, due)
 	}
 
-	// (a) Received packets, each acknowledged on the spot, push the idle
-	// deadline out; the timer set for the old one is left alone.
+	// (a) Received packets that owe no ACK push the idle deadline out; the
+	// timer set for the old one is left alone.
 	sent := s.Stats().SentPackets
 	for i := 0; i < 6; i++ {
-		r.deliverAfter(50*time.Microsecond, &wire.PingFrame{})
+		r.deliverAfter(50*time.Microsecond, &wire.PaddingFrame{Count: 1})
 	}
-	if sch, can := env.calls(); sch != 0 || can != 0 || p.ackQueued || s.Stats().SentPackets != sent+6 {
-		t.Fatalf("six packets received, %d ACKs sent: %d Schedule, %d cancel, want none", s.Stats().SentPackets-sent, sch, can)
+	if sch, can := env.calls(); sch != 0 || can != 0 || p.ackQueued || s.Stats().SentPackets != sent {
+		t.Fatalf("six packets received, %d sent: %d Schedule, %d cancel, want none", s.Stats().SentPackets-sent, sch, can)
 	}
 	if due := s.lastRecvActivity + 30*time.Second; s.timerDue != due || due <= idleTimer || env.pending[0].at != idleTimer {
 		t.Fatalf("deadline %v (want idle timeout %v), timer at %v (want still %v)", s.timerDue, due, env.pending[0].at, idleTimer)
 	}
 	wantTimer(t, s, env)
+
+	// (b) An ack-eliciting packet queues an ACK that is not due yet: nothing
+	// leaves, and the ACK's deadline, MaxAckDelay on, is earlier than the
+	// idle timeout.
+	r.deliverAfter(50*time.Microsecond, &wire.PingFrame{})
+	ackAt := p.largestRecvTime + s.cfg.MaxAckDelay
+	if sch, can := env.calls(); sch != 1 || can != 1 || !p.ackQueued || s.Stats().SentPackets != sent || s.timerDue != ackAt || env.pending[0].at != ackAt {
+		t.Fatalf("one ping: %d Schedule, %d cancel, ACK queued %v, %d sent, deadline %v; want 1 and 1, a queued ACK, nothing sent, timer at %v",
+			sch, can, p.ackQueued, s.Stats().SentPackets-sent, s.timerDue, ackAt)
+	}
+	wantTimer(t, s, env)
+
+	// (a) The second makes it due: one ACK leaves, the deadline falls back to
+	// the idle timeout, and the timer set for the ACK is left alone.
+	r.deliverAfter(50*time.Microsecond, &wire.PingFrame{})
+	if sch, can := env.calls(); sch != 0 || can != 0 || p.ackQueued || s.Stats().SentPackets != sent+1 || env.pending[0].at != ackAt {
+		t.Fatalf("two pings: %d Schedule, %d cancel, ACK queued %v, %d sent; want none, none, acknowledged in one packet", sch, can, p.ackQueued, s.Stats().SentPackets-sent)
+	}
+	wantTimer(t, s, env)
+	checkEarlyWake(t, r, env, tr)
 
 	// (b) A send pass puts a packet in flight: its PTO is earlier than the
 	// idle timeout.
@@ -154,25 +173,23 @@ func TestTimerTouchedOnlyWhenDeadlineMovesEarlier(t *testing.T) {
 
 	// (b) The second packet is acknowledged and the first is not: it is one
 	// reordering window away from being declared lost, and that loss time is
-	// earlier than the PTO.
+	// earlier than the PTO. The frame handler and HandleDatagram each re-arm;
+	// the second finds the timer already at the deadline and leaves it.
 	last := p.Space.PeekPN() - 1
 	r.deliverAfter(100*time.Microsecond, &wire.AckMPFrame{PathID: 0, Ranges: []wire.AckRange{{Smallest: last, Largest: last}}})
 	lossAt := p.Space.LossTime()
 	if lossAt == 0 || lossAt >= firstPTO {
 		t.Fatalf("test is mistimed: loss time %v, PTO timer at %v", lossAt, firstPTO)
 	}
-	// (The frame handler and HandleDatagram each re-arm; the second finds the
-	// timer already at the deadline and renews it.)
-	if sch, can := env.calls(); sch != 2 || can != 2 || s.timerDue != lossAt || env.pending[0].at != lossAt {
-		t.Fatalf("loss time set: %d Schedule, %d cancel, deadline %v, want 2 and 2 at %v", sch, can, s.timerDue, lossAt)
+	if sch, can := env.calls(); sch != 1 || can != 1 || s.timerDue != lossAt || env.pending[0].at != lossAt {
+		t.Fatalf("loss time set: %d Schedule, %d cancel, deadline %v, want 1 and 1 at %v", sch, can, s.timerDue, lossAt)
 	}
 	wantTimer(t, s, env)
 
-	// A re-arm with the deadline unchanged renews the timer where it is: the
-	// new one stands behind whatever was scheduled for that instant since.
+	// A re-arm with the deadline unchanged costs nothing.
 	s.rearmTimer()
-	if sch, can := env.calls(); sch != 1 || can != 1 || s.timerDue != lossAt || env.pending[0].at != lossAt {
-		t.Fatalf("deadline unchanged: %d Schedule, %d cancel, timer at %v, want 1 and 1 at %v", sch, can, env.pending[0].at, lossAt)
+	if sch, can := env.calls(); sch != 0 || can != 0 || s.timerDue != lossAt || env.pending[0].at != lossAt {
+		t.Fatalf("deadline unchanged: %d Schedule, %d cancel, timer at %v, want none at %v", sch, can, env.pending[0].at, lossAt)
 	}
 	wantTimer(t, s, env)
 
@@ -224,27 +241,42 @@ func checkEarlyWake(t *testing.T, r *gateRig, env *countingEnv, tr *obs.Trace) {
 // TestTimerReleasedWhenNothingIsDue: with no idle timeout, nothing in flight
 // and no ACK owed there is no deadline, and the timer is cancelled at once
 // rather than left to fire into nothing; the same holds for every way a
-// connection ends.
+// connection ends. An ACK queued below the threshold is such a deadline: it
+// outlives the call that queued it and leaves once, MaxAckDelay after its
+// packet arrived.
 func TestTimerReleasedWhenNothingIsDue(t *testing.T) {
 	r, env, _ := newTimerRig(t, 0)
 	s := r.s
-	ping := &wire.PingFrame{}
+	p := s.paths[0]
 	if s.nextDeadline() != 0 {
 		t.Fatalf("quiet connection without idle timeout has a deadline at %v", s.nextDeadline())
 	}
 	wantTimer(t, s, env)
 
-	r.deliverAfter(100*time.Microsecond, ping) // acknowledged on the spot: still nothing due
-	if sch, can := env.calls(); sch != 0 || can != 0 || s.nextDeadline() != 0 {
-		t.Fatalf("received packet, no deadline: %d Schedule, %d cancel, next deadline %v", sch, can, s.nextDeadline())
+	sent := s.Stats().SentPackets
+	r.deliverAfter(100*time.Microsecond, &wire.PingFrame{})
+	ackAt := p.largestRecvTime + s.cfg.MaxAckDelay
+	if sch, can := env.calls(); sch != 1 || can != 0 || !p.ackQueued || s.Stats().SentPackets != sent || s.timerDue != ackAt {
+		t.Fatalf("one ping: %d Schedule, %d cancel, ACK queued %v, %d sent, deadline %v; want one Schedule at %v and nothing sent",
+			sch, can, p.ackQueued, s.Stats().SentPackets-sent, s.timerDue, ackAt)
 	}
+	wantTimer(t, s, env)
+	env.fire(t)
+	if env.now != ackAt || p.ackQueued || s.Stats().SentPackets != sent+1 {
+		t.Fatalf("at %v (ACK due %v): ACK queued %v, %d packets sent, want one", env.now, ackAt, p.ackQueued, s.Stats().SentPackets-sent)
+	}
+	if sch, can := env.calls(); sch != 0 || can != 0 || s.nextDeadline() != 0 {
+		t.Fatalf("ACK sent, no deadline: %d Schedule, %d cancel, next deadline %v", sch, can, s.nextDeadline())
+	}
+	wantTimer(t, s, env)
+
 	st := s.OpenStream()
 	st.Write([]byte("one packet in flight")) // a PTO: a deadline, a timer
 	if sch, can := env.calls(); sch != 1 || can != 0 || len(env.pending) != 1 {
 		t.Fatalf("PTO from no timer: %d Schedule, %d cancel, %d pending", sch, can, len(env.pending))
 	}
 	wantTimer(t, s, env)
-	pn := s.paths[0].Space.PeekPN() - 1
+	pn := p.Space.PeekPN() - 1
 	r.deliverAfter(100*time.Microsecond, &wire.AckMPFrame{PathID: 0, Ranges: []wire.AckRange{{Smallest: 0, Largest: pn}}})
 	if sch, can := env.calls(); sch != 0 || can != 1 || s.nextDeadline() != 0 {
 		t.Fatalf("deadline gone: %d Schedule, %d cancel, next deadline %v; want one cancel", sch, can, s.nextDeadline())

@@ -1,6 +1,7 @@
 package video
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
@@ -127,12 +128,20 @@ func (s *Server) serve(streamID uint64, req Request) {
 }
 
 // SynthesizeContent generates deterministic bytes for a video range so
-// end-to-end integrity can be checked without storing real media.
+// end-to-end integrity can be checked without storing real media. Byte k of
+// a video is contentByte(seed, k), filled eight at a time from contentTable.
 func SynthesizeContent(id string, offset, length uint64) []byte {
 	seed := contentSeed(id)
 	out := make([]byte, length)
-	for i := range out {
-		out[i] = contentByte(seed, offset+uint64(i))
+	word, k := seedWord(seed), offset%contentPeriod
+	i := 0
+	for ; i+8 <= len(out); i += 8 {
+		binary.LittleEndian.PutUint64(out[i:], binary.LittleEndian.Uint64(contentTable[k:])^word)
+		k = (k + 8) % contentPeriod
+	}
+	for ; i < len(out); i++ {
+		out[i] = contentTable[k] ^ seed
+		k = (k + 1) % contentPeriod
 	}
 	return out
 }
@@ -141,10 +150,19 @@ func SynthesizeContent(id string, offset, length uint64) []byte {
 // for the range starting at offset, without materializing that range.
 func contentMatches(id string, offset uint64, data []byte) bool {
 	seed := contentSeed(id)
-	for i, b := range data {
-		if b != contentByte(seed, offset+uint64(i)) {
+	word, k := seedWord(seed), offset%contentPeriod
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		if binary.LittleEndian.Uint64(data[i:]) != binary.LittleEndian.Uint64(contentTable[k:])^word {
 			return false
 		}
+		k = (k + 8) % contentPeriod
+	}
+	for ; i < len(data); i++ {
+		if data[i] != contentTable[k]^seed {
+			return false
+		}
+		k = (k + 1) % contentPeriod
 	}
 	return true
 }
@@ -157,6 +175,25 @@ func contentSeed(id string) byte {
 	return seed
 }
 
+// contentByte is byte k of a video with the given seed — the definition the
+// table serves. It depends on k only through k mod contentPeriod: the low
+// byte of k*2654435761 on k's low byte, byte(k>>8) on its second.
 func contentByte(seed byte, k uint64) byte {
 	return byte(k*2654435761) ^ byte(k>>8) ^ seed
 }
+
+// contentPeriod is the period of contentByte in k.
+const contentPeriod = 1 << 16
+
+// contentTable holds contentByte(0, k) for one period, then its first seven
+// bytes again, so that an eight-byte load at any k < contentPeriod stays
+// inside it. A seed XORs every byte, so seedWord XORs eight.
+var contentTable = func() []byte {
+	t := make([]byte, contentPeriod+7)
+	for k := range t {
+		t[k] = contentByte(0, uint64(k))
+	}
+	return t
+}()
+
+func seedWord(seed byte) uint64 { return uint64(seed) * 0x0101010101010101 }

@@ -160,6 +160,42 @@ func TestSynthesizeContentDeterministic(t *testing.T) {
 	}
 }
 
+// TestContentTableMatchesReference: serving and verifying go eight bytes at a
+// time through the period table; both must agree with contentByte byte for
+// byte — at any alignment, across the table's wrap-around at k mod 2^16, with
+// odd lengths — and verification must notice any one byte flipped.
+func TestContentTableMatchesReference(t *testing.T) {
+	rng := sim.NewRNG(3)
+	offsets := []uint64{0, 1, 7, contentPeriod - 9, contentPeriod - 8, contentPeriod - 3, contentPeriod, 5*contentPeriod - 1, 1<<40 + 13}
+	for i := 0; i < 20; i++ {
+		offsets = append(offsets, uint64(rng.Int63()))
+	}
+	for _, id := range []string{"v", "alloc-gate", "probe"} {
+		seed := contentSeed(id)
+		for _, off := range offsets {
+			for _, n := range []uint64{0, 1, 7, 8, 9, 15, 17, 1000, 3*contentPeriod + 5} {
+				got := SynthesizeContent(id, off, n)
+				for i := range got {
+					if want := contentByte(seed, off+uint64(i)); got[i] != want {
+						t.Fatalf("%s at %d+%d: byte %#x, reference %#x", id, off, i, got[i], want)
+					}
+				}
+				if !contentMatches(id, off, got) {
+					t.Fatalf("%s at %d, %d bytes: its own content does not verify", id, off, n)
+				}
+				if n == 0 {
+					continue
+				}
+				i := rng.Intn(int(n))
+				got[i] ^= 1 << rng.Intn(8)
+				if contentMatches(id, off, got) {
+					t.Fatalf("%s at %d, %d bytes: byte %d flipped and still verified", id, off, n, i)
+				}
+			}
+		}
+	}
+}
+
 // endToEnd runs a full video fetch over an emulated two-path network.
 func endToEnd(t *testing.T, mode transport.ReinjectionMode, videoSize uint64) (*Player, *Requester, *transport.Pair, time.Duration) {
 	t.Helper()

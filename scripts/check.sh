@@ -65,9 +65,11 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # the receive buffer against its keep-everything reference model, a 256 MiB
 # stream held to the window on a lossy two-path network (about a minute and
 # a half here), and the poisoning of released send segments — under
-# xlinkdebug a read below a release floor fails content verification.
+# xlinkdebug a read below a release floor fails content verification. Then
+# when an ACK leaves and when the connection timer is touched (DESIGN.md §19,
+# §20): threshold, delay, gap, piggyback, early wakes, release.
 step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
-	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned'
+	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestAck|TestClientAcksEveryOtherPacket|TestTimer'
 # Frame and packet-record ownership (DESIGN.md §18) with assertions and the
 # race detector on: a recycled record is poisoned and must not be named by an
 # AckResult, the ledger or a SentFrom result; the free list stays within the
@@ -83,8 +85,9 @@ step go test -count=1 ./internal/chaos/ -run TestGoldenTrace
 # Sharded live event loop under the race detector (DESIGN.md §16): socket
 # readers posting to shard channels, shard goroutines batching into the
 # transports, foreign-goroutine writers and endpoint/group shutdown all
-# interleaving over real UDP.
-step go test -race -count=1 ./xlink/ -run TestLiveShardedEventLoop
+# interleaving over real UDP; and the endpoint's recycled timers (§20) under
+# cancel, re-arm and Close storms, stale callbacks included.
+step go test -race -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer'
 # Allocation gates (DESIGN.md §11): warm hot paths must hold their alloc/op
 # budgets — zero for sim timers, crypto seal/open, rangeset updates, the
 # telemetry record path (counters/gauges/histograms and the flight-recorder
@@ -92,12 +95,13 @@ step go test -race -count=1 ./xlink/ -run TestLiveShardedEventLoop
 # pull with nothing new in flight and the requester's in-order delivery, a
 # warm wire.Decoder parse and, inside transport + wire, a received STREAM
 # packet, a received 32-range ACK_MP and a send pass with or without a packet
-# (DESIGN.md §18), and a warm netem link carrying a 16-packet batch (§19); a
+# (DESIGN.md §18), a warm netem link carrying a 16-packet batch (§19) and a
+# live timer armed and cancelled or fired on a warm free list (§20); a
 # fixed ceiling for the transport round trip through the emulator, the
 # batched 16-packet receive, and a whole 4 MiB session per server packet (the
 # benchmark's allocs_per_pkt as a test).
 # -count=1 so the gates really re-measure instead of replaying a cached pass.
-step go test -count=1 -run 'TestAllocGate' ./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/wire/ ./internal/transport/ ./internal/obs/ ./internal/video/ ./internal/netem/ ./internal/core/
+step go test -count=1 -run 'TestAllocGate' ./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/wire/ ./internal/transport/ ./internal/obs/ ./internal/video/ ./internal/netem/ ./internal/core/ ./xlink/
 # Benchmark smoke: every benchmark must still run (one iteration — this
 # checks the harness, not performance; `make bench` measures for real, and
 # its allocs_per_pkt bound pins allocation-count growth end to end).

@@ -39,7 +39,7 @@ mkdir -p "$TREE" "$LOGS"
 	tar --null --ignore-failed-read -T - -cf - 2>/dev/null) | tar -xf - -C "$TREE"
 
 FUZZTIME=30s
-ALLOC_PKGS="./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/wire/ ./internal/transport/ ./internal/obs/ ./internal/video/ ./internal/netem/ ./internal/core/"
+ALLOC_PKGS="./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/wire/ ./internal/transport/ ./internal/obs/ ./internal/video/ ./internal/netem/ ./internal/core/ ./xlink/"
 
 # --- the mutation table ---------------------------------------------------
 
@@ -176,7 +176,7 @@ rep(qq~\t\tep.mu.Unlock()\n\t\tfn()\n\t\tep.mu.Lock()\n~, qq~\t\tfn()\n~);
 EOF
 mut L3 lockheld xlink/live.go "$X" \
 	"the timer body calls flushCallbacks before it unlocks ep.mu (self-deadlock)" <<'EOF'
-rep(qq~\t\te.ep.mu.Unlock()\n\t\te.ep.flushCallbacks()\n\t})~, qq~\t\te.ep.flushCallbacks()\n\t\te.ep.mu.Unlock()\n\t})~);
+rep(qq~\tep.mu.Unlock()\n\tep.flushCallbacks()\n}\n\n// stop cancels~, qq~\tep.flushCallbacks()\n\tep.mu.Unlock()\n}\n\n// stop cancels~);
 EOF
 mut L4 lockheld xlink/live.go "$X" \
 	"applyLive hands OnHandshakeDone to the transport undeferred: the user callback runs under ep.mu" <<'EOF'
@@ -194,8 +194,8 @@ rep(qq~func (ep *Endpoint) LocalAddrs() []net.Addr {\n\tep.mu.Lock()\n\tdefer ep
 EOF
 mut G3 guardedby xlink/live.go "$X" \
 	"the time.AfterFunc timer body drives the transport without taking ep.mu" <<'EOF'
-rep(qq~\t\te.ep.mu.Lock()\n\t\t// Timer callbacks~, qq~\t\t// Timer callbacks~);
-rep(qq~\t\te.ep.mu.Unlock()\n\t\te.ep.flushCallbacks()\n\t})~, qq~\t\te.ep.flushCallbacks()\n\t})~);
+rep(qq~\tep := lt.ep\n\tep.mu.Lock()\n~, qq~\tep := lt.ep\n~);
+rep(qq~\tep.mu.Unlock()\n\tep.flushCallbacks()\n}\n\n// stop cancels~, qq~\tep.flushCallbacks()\n}\n\n// stop cancels~);
 EOF
 mut G4 guardedby xlink/live.go "$X" \
 	"Stream.SetPriority touches the transport stream without ep.mu" <<'EOF'

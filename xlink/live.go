@@ -24,7 +24,7 @@ import (
 // until the lock is released (see Endpoint.flushCallbacks) so they can
 // safely call back into the endpoint. This is the real-time boundary of
 // the deterministic core: time flows in only through sim.RealClock and the
-// timer wheel below.
+// recycled timers below.
 type realEnv struct {
 	clock *sim.RealClock
 	ep    *Endpoint
@@ -33,23 +33,92 @@ type realEnv struct {
 // Now implements transport.Env.
 func (e realEnv) Now() time.Duration { return e.clock.Now() }
 
-// Schedule implements transport.Env.
+// Schedule implements transport.Env with a timer off the endpoint's free list,
+// restarted for at (DESIGN.md §20). Like every transport call it runs under
+// ep.mu.
+//
+// xlinkvet:hot
 func (e realEnv) Schedule(at time.Duration, fn func(now time.Duration)) func() {
-	delay := at - e.Now()
-	if delay < 0 {
-		delay = 0
+	ep := e.ep
+	//xlinkvet:cold — free list empty: one timer per high-water mark of timers armed at once
+	if len(ep.timerFree) == 0 {
+		ep.timerFree = append(ep.timerFree, newLiveTimer(ep))
 	}
+	n := len(ep.timerFree) - 1
+	lt := ep.timerFree[n]
+	ep.timerFree[n] = nil
+	ep.timerFree = ep.timerFree[:n]
+	lt.fn, lt.at = fn, at
+	lt.start(at - e.Now())
+	return lt.cancel
+}
+
+// liveTimer is one recyclable timer of an endpoint: a time.Timer made once and
+// restarted with Reset for each arm it serves. fn is the armed function, nil
+// while the timer is on the free list; fn and at are guarded by ep.mu. A
+// cancelled arm's callback may still run (time.Timer.Stop cannot always
+// prevent it) — possibly after the timer was armed again — so fire runs fn
+// only if the arm is current and its instant has come.
+type liveTimer struct {
+	ep     *Endpoint
+	t      *time.Timer
+	fn     func(now time.Duration)
+	at     time.Duration
+	cancel func() // lt.stop, bound once: what Schedule hands out
+}
+
+func newLiveTimer(ep *Endpoint) *liveTimer {
+	lt := &liveTimer{ep: ep}
+	lt.cancel = lt.stop
 	//xlinkvet:ignore determinism — real-time adapter: timers must fire on the wall clock
-	t := time.AfterFunc(delay, func() {
-		e.ep.mu.Lock()
-		// Timer callbacks are the transport's own event-loop turns; they run
-		// under the endpoint lock like every other entry point, and anything
-		// user-visible they produce is deferred through cbQ.
-		fn(e.Now()) //xlinkvet:ignore lockheld — transport-internal timer body, not a user callback
-		e.ep.mu.Unlock()
-		e.ep.flushCallbacks()
-	})
-	return func() { t.Stop() }
+	lt.t = time.AfterFunc(time.Hour, lt.fire)
+	lt.t.Stop()
+	return lt
+}
+
+// start (re)starts the timer to fire after d.
+func (lt *liveTimer) start(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	lt.t.Reset(d)
+}
+
+// fire is the time.AfterFunc callback. Timer callbacks are the transport's
+// own event-loop turns: they run under the endpoint lock like every other
+// entry point, and anything user-visible they produce is deferred through
+// cbQ.
+func (lt *liveTimer) fire() {
+	ep := lt.ep
+	ep.mu.Lock()
+	now := ep.env.Now()
+	// With fn nil this is a cancelled arm's callback and the timer is free.
+	if fn := lt.fn; fn != nil {
+		if now < lt.at {
+			// The callback of an arm cancelled and re-armed for later (or
+			// an early wake-up): wait for the current arm's instant.
+			lt.start(lt.at - now)
+		} else {
+			lt.fn = nil
+			ep.timerFree = append(ep.timerFree, lt)
+			fn(now) //xlinkvet:ignore lockheld — transport-internal timer body, not a user callback
+		}
+	}
+	ep.mu.Unlock()
+	ep.flushCallbacks()
+}
+
+// stop cancels the armed fn and frees the timer. The transport calls it under
+// ep.mu, at most once per arm and never after fn ran (transport.Env).
+func (lt *liveTimer) stop() {
+	armed := lt.fn != nil
+	assert.That(armed, "live timer cancelled twice or after it fired")
+	if !armed {
+		return // already free: a second entry on the free list would serve two arms
+	}
+	lt.t.Stop()
+	lt.fn = nil
+	lt.ep.timerFree = append(lt.ep.timerFree, lt)
 }
 
 // Endpoint is a live XLINK endpoint over real UDP sockets: a server with
@@ -88,6 +157,9 @@ type Endpoint struct {
 	// must observe stream data in delivery order.
 	cbQ      []func() // xlinkvet:guardedby mu
 	flushing bool     // xlinkvet:guardedby mu
+	// timerFree holds the transport's timers not armed now (see realEnv);
+	// like every Env call it is touched under mu.
+	timerFree []*liveTimer
 	// shard is the event loop this endpoint's packets are processed on,
 	// assigned once at creation (before any readLoop starts) and immutable
 	// after. ownedLoops is the private single-shard group created when the
