@@ -10,16 +10,15 @@ build:
 	$(GO) build ./...
 
 # Everything static in one shot: standard go vet, the xlinkvet fixture
-# self-test, and the full-tree xlinkvet sweep (the ten rules of DESIGN.md §7).
+# self-test, and the full-tree xlinkvet sweep (the seven rules of DESIGN.md §7).
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/xlinkvet -selftest
 	$(GO) run ./cmd/xlinkvet ./...
 
 # Repo-specific static analysis: determinism, wire error handling,
-# panic-free parse paths, ordered map iteration, registered trace and metric
-# names, lock discipline, guarded-by field access, wire-length taint,
-# hot-path allocation freedom, and the connection lifecycle. See DESIGN.md §7.
+# panic-free parse paths, ordered map iteration, lock discipline, guarded-by
+# field access and hot-path allocation freedom. See DESIGN.md §7.
 xlinkvet:
 	$(GO) run ./cmd/xlinkvet ./...
 
@@ -49,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseVarint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseHeader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseTransportParams -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzParseTrace -fuzztime $(FUZZTIME)
 
 # Chaos suite: the scripted fault-injection corpus plus the connection

@@ -38,14 +38,6 @@
 //	    on a `go` statement's line (or the line above): the goroutine
 //	    constructs every confined structure it drives, so `guardedby
 //	    confined` transfers into it.
-//	// xlinkvet:state <from>[,<from>] -> <to>
-//	    on a method: declares a lifecycle transition over
-//	    idle→handshaking→active→closing→draining→closed (rule connstate).
-//	// xlinkvet:requires <state>[,<state>]
-//	    on a method: callable only in the named lifecycle states.
-//	// xlinkvet:releases timers / // xlinkvet:closeevent
-//	    marks the timer-disarm function and the close-trace emitter that
-//	    every terminal transition must reach.
 package main
 
 import (
@@ -232,12 +224,9 @@ func runSelftest(loader *vet.Loader, verbose bool) int {
 		{"wireerr", "wireerr", 3},
 		{"panicpath", "panicpath", 2},
 		{"maprange", "maprange", 1},
-		{"obsevent", "obsevent", 7},
 		{"lockheld", "lockheld", 7},
 		{"guardedby", "guardedby", 4},
-		{"taintsize", "taintsize", 3},
 		{"hotalloc", "hotalloc", 8},
-		{"connstate", "connstate", 8},
 	}
 	failed := false
 	for _, tc := range cases {

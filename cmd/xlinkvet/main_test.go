@@ -23,7 +23,7 @@ func TestJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fixture := range []string{"hotalloc", "connstate"} {
+	for _, fixture := range []string{"hotalloc", "lockheld"} {
 		t.Run(fixture, func(t *testing.T) {
 			dir := filepath.Join(loader.ModDir, "internal", "vet", "testdata", "fixtures", fixture)
 			asPath := "fixture/" + fixture

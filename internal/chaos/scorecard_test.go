@@ -1,21 +1,57 @@
 package chaos
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/obs"
 )
 
+// lastConnState returns the new state of origin's last conn:state_changed
+// event in an NDJSON trace, "" when it traced none. Only lines naming the
+// event are decoded.
+func lastConnState(t *testing.T, trace []byte, origin string) string {
+	t.Helper()
+	last := ""
+	for _, line := range bytes.Split(trace, []byte{'\n'}) {
+		if !bytes.Contains(line, []byte(obs.EvConnState)) {
+			continue
+		}
+		evs, err := obs.ParseBytes(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range evs {
+			if e.Origin == origin && e.Name == obs.EvConnState {
+				last = e.Str("new")
+			}
+		}
+	}
+	return last
+}
+
 // TestChaosCorpusScorecards: every corpus scenario's Result carries a
 // composed per-session scorecard that reconciles with the Result's own
 // counters — the acceptance criterion that fleet rollups see exactly what
-// the harness measured.
+// the harness measured. The same runs carry a tracer for the lifecycle
+// invariant: an endpoint that ends terminated traced its entry into closed
+// (total-death gets there by idle timeout, handshake-death by the
+// handshake give-up; TestCloseLifecycleStates covers the drain expiry).
 func TestChaosCorpusScorecards(t *testing.T) {
 	for _, sc := range Corpus() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
+			sc.Tracer = obs.NewTrace(sc.Name)
 			res := Run(sc)
+			for _, ep := range []struct {
+				origin     string
+				terminated bool
+			}{{"client", res.ClientTerminated}, {"server", res.ServerTerminated}} {
+				if got := lastConnState(t, sc.Tracer.Bytes(), ep.origin); ep.terminated && got != "closed" {
+					t.Errorf("%s ended terminated, but its last traced state is %q", ep.origin, got)
+				}
+			}
 			card := res.Scorecard
 			// A failed handshake legitimately leaves no established
 			// paths; any session that moved payload must report them.

@@ -144,11 +144,9 @@ func (o *Origin) PrimaryChanged(now time.Duration, oldID, newID uint64) {
 }
 
 // ConnStateChanged records a connection lifecycle transition. code and
-// reason carry the close error when entering closing/draining/closed. This
-// is the lifecycle close event the connstate rule requires every terminal
-// transition to reach.
-//
-// xlinkvet:closeevent
+// reason carry the close error when entering closing/draining/closed. A
+// connection that ends closed must have traced its entry into closed with
+// it; the chaos corpus and the transport's lifecycle tests check that.
 func (o *Origin) ConnStateChanged(now time.Duration, oldState, newState string, code uint64, reason string) {
 	if o == nil {
 		return

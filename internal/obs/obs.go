@@ -12,10 +12,11 @@
 //
 // Layering: obs imports nothing above the standard library; every other
 // layer (transport, qoe, video, faults, xlink) imports obs. Event names
-// are the registered EventName constants below — the xlinkvet `obsevent`
-// rule rejects ad-hoc string names and wall-clock timestamps at emit
-// sites — and metric names are the registered MetricName catalog (see
-// registry.go), policed by the same rule.
+// are the registered EventName constants below and metric names the
+// registered MetricName catalog (see registry.go). The committed golden
+// trace (internal/chaos) pins the events a run emits, timestamps included,
+// and xlink's TestDebugHandlerLive parses a live /metrics scrape against
+// the exposition grammar.
 //
 // A Trace is not internally synchronized: it must be driven from a single
 // goroutine (the sim loop) or under an external lock (the live endpoint's
@@ -32,8 +33,8 @@ import (
 )
 
 // EventName is a registered trace event type. All names used with a Trace
-// must be the package-level constants below; the xlinkvet obsevent rule
-// enforces this so the event taxonomy stays a closed, greppable set.
+// must be the package-level constants below, so the event taxonomy stays a
+// closed, greppable set.
 type EventName string
 
 // The event taxonomy. Names are "category:event" in qlog style.
@@ -103,9 +104,9 @@ const formatHeader = "xlink-ndjson-01"
 // ring-only trace whose steady-state emit path allocates nothing at all.
 type Trace struct {
 	title  string
-	ndjson bool          // keep the full NDJSON stream in buf
-	buf    bytes.Buffer  // xlinkvet:guardedby confined
-	line   []byte        // xlinkvet:guardedby confined (per-event assembly buffer, reused)
+	ndjson bool         // keep the full NDJSON stream in buf
+	buf    bytes.Buffer // xlinkvet:guardedby confined
+	line   []byte       // xlinkvet:guardedby confined (per-event assembly buffer, reused)
 	ring   *FlightRecorder
 	reg    *Registry
 	events uint64 // xlinkvet:guardedby confined
@@ -200,8 +201,8 @@ type Origin struct {
 type KV struct{ K, V string }
 
 // Emit writes an event with free-form string fields. name must be a
-// registered EventName constant (enforced by xlinkvet's obsevent rule);
-// typed events should use the dedicated methods instead.
+// registered EventName constant; typed events should use the dedicated
+// methods instead.
 //
 // xlinkvet:hot
 func (o *Origin) Emit(now time.Duration, name EventName, kv ...KV) {

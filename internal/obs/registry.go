@@ -14,9 +14,8 @@ import (
 // convention: `[a-zA-Z_:][a-zA-Z0-9_:]*`, with an optional `{label="value"}`
 // suffix baked into the name string. All names recorded outside this
 // package must be the registered Metric* constants below (optionally
-// labeled via With) — the xlinkvet obsevent rule rejects ad-hoc names and
-// names with non-Prometheus characters, so the metric catalog stays a
-// closed, greppable set just like the event taxonomy.
+// labeled via With), so the metric catalog stays a closed, greppable set
+// just like the event taxonomy.
 type MetricName string
 
 // The metric catalog. trace_events_total is labeled per event name by the
@@ -65,10 +64,9 @@ const (
 )
 
 // With returns the name with a `{label="value"}` suffix appended. It is the
-// only sanctioned way to derive a labeled name from a catalog constant
-// (the obsevent rule accepts `Metric*.With(...)` where it would reject an
-// ad-hoc concatenation). It allocates; derive labeled names once at setup
-// and cache the returned handle, not per record.
+// only sanctioned way to derive a labeled name from a catalog constant. It
+// allocates; derive labeled names once at setup and cache the returned
+// handle, not per record.
 func (n MetricName) With(label, value string) MetricName {
 	return n + MetricName(`{`+label+`="`+value+`"}`)
 }
@@ -281,7 +279,9 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Dump writes the text exposition: one `name value` line per counter and
 // gauge, and `name_bucket{le="..."}`/`name_sum`/`name_count` lines per
-// histogram, all sorted by name for deterministic output.
+// histogram, all sorted by name for deterministic output. A labeled
+// histogram's suffixes go on the base name, its labels ahead of `le`:
+// `xlink_batch_size_bucket{path="0",le="1"}`.
 func (r *Registry) Dump(w io.Writer) {
 	snap := r.Snapshot()
 	for _, c := range snap.Counters {
@@ -291,6 +291,12 @@ func (r *Registry) Dump(w io.Writer) {
 		fmt.Fprintf(w, "%s %g\n", g.Name, g.Value)
 	}
 	for _, h := range snap.Hists {
+		// base `xlink_batch_size`, labels `{path="0"}`, open `{path="0",`.
+		base, labels, open := string(h.Name), "", "{"
+		if i := strings.IndexByte(base, '{'); i >= 0 {
+			base, labels = base[:i], base[i:]
+			open = strings.TrimSuffix(labels, "}") + ","
+		}
 		var cum uint64
 		for i, c := range h.Counts {
 			cum += c
@@ -298,10 +304,10 @@ func (r *Registry) Dump(w io.Writer) {
 			if i < len(h.Bounds) {
 				le = fmt.Sprintf("%g", h.Bounds[i])
 			}
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.Name, le, cum)
+			fmt.Fprintf(w, "%s_bucket%sle=%q} %d\n", base, open, le, cum)
 		}
-		fmt.Fprintf(w, "%s_sum %g\n", h.Name, h.Sum)
-		fmt.Fprintf(w, "%s_count %d\n", h.Name, h.Count)
+		fmt.Fprintf(w, "%s_sum%s %g\n", base, labels, h.Sum)
+		fmt.Fprintf(w, "%s_count%s %d\n", base, labels, h.Count)
 	}
 }
 

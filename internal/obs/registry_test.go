@@ -67,7 +67,8 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 
 // TestRegistryDumpFormat pins the text exposition shape the tooling and
 // golden tests rely on: sorted, counters as integers, gauges as %g,
-// histograms as cumulative le-buckets plus _sum/_count.
+// histograms as cumulative le-buckets plus _sum/_count, a labeled
+// histogram's labels kept inside the braces the suffixes follow.
 func TestRegistryDumpFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total").Add(2)
@@ -77,6 +78,7 @@ func TestRegistryDumpFormat(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(50)
+	r.Histogram(MetricName("size").With("path", "1"), []float64{4}).Observe(2)
 
 	want := strings.Join([]string{
 		"a_total 1",
@@ -87,6 +89,10 @@ func TestRegistryDumpFormat(t *testing.T) {
 		`lat_bucket{le="+Inf"} 3`,
 		"lat_sum 55.5",
 		"lat_count 3",
+		`size_bucket{path="1",le="4"} 1`,
+		`size_bucket{path="1",le="+Inf"} 1`,
+		`size_sum{path="1"} 2`,
+		`size_count{path="1"} 1`,
 	}, "\n") + "\n"
 	if got := r.DumpString(); got != want {
 		t.Errorf("dump:\n%s\nwant:\n%s", got, want)

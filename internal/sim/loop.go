@@ -57,7 +57,6 @@ func (t Timer) live() bool {
 // already stopped. It reports whether the event was still pending.
 //
 // xlinkvet:hot
-// xlinkvet:releases timers
 func (t Timer) Stop() bool {
 	if !t.live() {
 		return false

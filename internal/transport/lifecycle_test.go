@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -95,9 +97,15 @@ func TestIdleTimeoutTerminal(t *testing.T) {
 // TestCloseLifecycleStates walks the full §10.2 machine: a local Close
 // enters closing (close frame retained), the peer enters draining, and both
 // reach the terminal state after the drain period without leaking timers.
+// Each transition is traced, the drain expiry into closed included: a
+// connection that leaves service without a trace is undebuggable at fleet
+// scale (the chaos corpus checks the same of the idle-timeout and handshake
+// give-up paths).
 func TestCloseLifecycleStates(t *testing.T) {
 	loop := sim.NewLoop()
 	ccfg, scfg := defaultMPConfig()
+	tr := obs.NewTrace("close-lifecycle")
+	ccfg.Tracer, scfg.Tracer = tr.Origin("client"), tr.Origin("server")
 	pair := NewPair(loop, sim.NewRNG(13), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
 	var serverLocal, serverFired = true, false
 	pair.Server.SetOnClosed(func(now time.Duration, code uint64, reason string, local bool) {
@@ -129,6 +137,25 @@ func TestCloseLifecycleStates(t *testing.T) {
 	}
 	if n := loop.Run(64); n != 0 {
 		t.Fatalf("event loop still live after drain: %d events ran", n)
+	}
+
+	evs, err := obs.ParseBytes(tr.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := map[string][]string{}
+	for _, e := range evs {
+		if e.Name == obs.EvConnState {
+			traced[e.Origin] = append(traced[e.Origin], e.Str("old")+"→"+e.Str("new"))
+		}
+	}
+	for _, want := range []struct{ origin, transitions string }{
+		{"client", "handshake→established established→closing closing→closed"},
+		{"server", "handshake→established established→draining draining→closed"},
+	} {
+		if got := strings.Join(traced[want.origin], " "); got != want.transitions {
+			t.Errorf("%s traced %q, want %q", want.origin, got, want.transitions)
+		}
 	}
 }
 

@@ -1038,8 +1038,6 @@ func (c *Conn) settleAcks(sent bool) {
 // --- Timers ---
 
 // cancelTimer stops the pending timer if any.
-//
-// xlinkvet:releases timers
 func (c *Conn) cancelTimer() {
 	c.timerDue = 0
 	if c.timerCancel != nil {

@@ -139,8 +139,8 @@ func TestDirectiveArgs(t *testing.T) {
 	}{
 		{"bare", cg("// xlinkvet:hot"), "xlinkvet:hot", []string{}},
 		{"bare after prose", cg("// Seal is hot.", "// xlinkvet:hot"), "xlinkvet:hot", []string{}},
-		{"args", cg("// xlinkvet:state closing,draining -> closed"), "xlinkvet:state", []string{"closing,draining", "->", "closed"}},
-		{"one arg", cg("// xlinkvet:releases timers"), "xlinkvet:releases", []string{"timers"}},
+		{"one arg", cg("// xlinkvet:guardedby ep.mu"), "xlinkvet:guardedby", []string{"ep.mu"}},
+		{"args", cg("// xlinkvet:guardedby confined (reused buffer)"), "xlinkvet:guardedby", []string{"confined", "(reused", "buffer)"}},
 		{"prefix mismatch", cg("// xlinkvet:hotalloc"), "xlinkvet:hot", nil},
 		{"absent", cg("// just prose"), "xlinkvet:hot", nil},
 		{"nil group", nil, "xlinkvet:hot", nil},

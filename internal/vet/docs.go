@@ -46,13 +46,6 @@ var RuleDocs = []RuleDoc{
 		Fixture: "maprange",
 	},
 	{
-		Name: "obsevent",
-		Contract: "Observability events must be emitted through the obs.Origin " +
-			"singleton with registered event names, so the flight recorder and " +
-			"scorecards see a closed vocabulary.",
-		Fixture: "obsevent",
-	},
-	{
 		Name: "lockheld",
 		Contract: "No blocking operation (channel send/receive, Wait, I/O) may be " +
 			"reachable while a mutex is held, on any interprocedural path; findings " +
@@ -75,13 +68,6 @@ var RuleDocs = []RuleDoc{
 		Fixture: "guardedby",
 	},
 	{
-		Name: "taintsize",
-		Contract: "Attacker-controlled length fields must be bounds-checked before " +
-			"sizing allocations or slice operations; taint flows through assignments " +
-			"and calls until a comparison sanitizes it.",
-		Fixture: "taintsize",
-	},
-	{
 		Name: "hotalloc",
 		Contract: "Functions marked hot — and everything statically reachable from " +
 			"them — must be allocation-free in the steady state; documented cold " +
@@ -91,22 +77,6 @@ var RuleDocs = []RuleDoc{
 			"//xlinkvet:cold <why> — on (or above) an if statement guarding a slow path",
 		},
 		Fixture: "hotalloc",
-	},
-	{
-		Name: "connstate",
-		Contract: "Connection-lifecycle typestate over the annotated state machine " +
-			"idle → handshaking → active → closing → draining → closed: transitions " +
-			"must move forward; a method transitioning to closing or later must not " +
-			"reach methods gated on earlier states; every terminal transition to " +
-			"closed must release timers and trace a close event — silent deaths are " +
-			"undebuggable at fleet scale.",
-		Annotations: []string{
-			"// xlinkvet:state <from>[,<from>] -> <to> — on a transition method",
-			"// xlinkvet:requires <state>[,<state>] — on a state-gated method",
-			"// xlinkvet:releases timers — on the timer-disarm function",
-			"// xlinkvet:closeevent — on the close-trace emitter",
-		},
-		Fixture: "connstate",
 	},
 }
 

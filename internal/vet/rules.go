@@ -2,7 +2,6 @@ package vet
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"regexp"
 	"strconv"
@@ -320,192 +319,6 @@ func checkPanicPath(cfg *Config, pkgs []*Package) []Finding {
 					Rule: "panicpath",
 					Msg: "panic in " + n.decl.Name.Name +
 						", reachable from attacker-controlled parse path; return an error instead",
-				})
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// --- rule: obsevent ---
-
-// obsConstArg reports whether e resolves to a constant declared in an obs
-// package — the only admissible event-name argument.
-func obsConstArg(cfg *Config, pkg *Package, e ast.Expr) bool {
-	var id *ast.Ident
-	switch v := e.(type) {
-	case *ast.SelectorExpr:
-		id = v.Sel
-	case *ast.Ident:
-		id = v
-	default:
-		return false
-	}
-	if c, ok := pkg.Info.Uses[id].(*types.Const); ok {
-		return c.Pkg() != nil && matchPkg(c.Pkg().Path(), cfg.ObsPkgs)
-	}
-	return false
-}
-
-// metricWithCall reports whether e is a labeled-metric builder call — a
-// chain of .With(...) rooted at a constant from the obs catalog
-// (obs.MetricFoo.With("k", v), possibly nested) — the one non-constant
-// expression admissible where a MetricName is expected.
-func metricWithCall(cfg *Config, pkg *Package, e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "With" {
-		return false
-	}
-	return obsConstArg(cfg, pkg, sel.X) || metricWithCall(cfg, pkg, sel.X)
-}
-
-// validMetricName enforces the Prometheus metric-name charset
-// [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validMetricName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_', r == ':':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// checkMetricNameArg polices one argument in a MetricName position: it must
-// be a catalog constant (with a Prometheus-legal value) or a With() label
-// builder rooted at one — the metric families a fleet aggregates must be a
-// closed set, same as the event taxonomy.
-func checkMetricNameArg(cfg *Config, pkg *Package, callee string, arg ast.Expr) []Finding {
-	if cv := pkg.Info.Types[arg].Value; cv != nil && cv.Kind() == constant.String {
-		name := constant.StringVal(cv)
-		if !validMetricName(name) {
-			return []Finding{{
-				Pos:  pkg.Fset.Position(arg.Pos()),
-				Rule: "obsevent",
-				Msg: "metric name " + strconv.Quote(name) + " passed to " + callee +
-					" is not a legal Prometheus name ([a-zA-Z_:][a-zA-Z0-9_:]*)",
-			}}
-		}
-		if !obsConstArg(cfg, pkg, arg) {
-			return []Finding{{
-				Pos:  pkg.Fset.Position(arg.Pos()),
-				Rule: "obsevent",
-				Msg: "metric name passed to " + callee +
-					" is not a registered obs.MetricName constant; add it to the catalog in internal/obs",
-			}}
-		}
-		return nil
-	}
-	if metricWithCall(cfg, pkg, arg) {
-		return nil
-	}
-	return []Finding{{
-		Pos:  pkg.Fset.Position(arg.Pos()),
-		Rule: "obsevent",
-		Msg: "metric name passed to " + callee +
-			" is laundered through a variable; use an obs.MetricName catalog constant or its With() builder",
-	}}
-}
-
-// checkObsEvent keeps the trace event taxonomy closed and its timestamps
-// deterministic: every argument of obs.EventName type must be a constant
-// registered in the obs package (no ad-hoc strings, no laundering through
-// variables), every argument of obs.MetricName type must come from the
-// metric catalog (directly or through the With() label builder), and no
-// wall-clock expression may flow into any obs call — trace timestamps come
-// from the sim clock, which is what makes traces byte-reproducible and the
-// golden-trace gate meaningful.
-func checkObsEvent(cfg *Config, pkg *Package) []Finding {
-	if len(cfg.ObsPkgs) == 0 || matchPkg(pkg.Path, cfg.ObsPkgs) {
-		return nil
-	}
-	var out []Finding
-	for _, file := range pkg.Files {
-		imports := importsByName(file)
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
-			obsCallee := false
-			if fn != nil && fn.Pkg() != nil {
-				obsCallee = matchPkg(fn.Pkg().Path(), cfg.ObsPkgs)
-			} else if path := selectorPkgPath(pkg, imports, sel); path != "" {
-				obsCallee = matchPkg(path, cfg.ObsPkgs)
-			}
-			if !obsCallee {
-				return true
-			}
-			// Event-name and metric-name arguments must be registered
-			// constants (metric names may also be With() builders).
-			if fn != nil {
-				if sig, ok := fn.Type().(*types.Signature); ok {
-					params := sig.Params()
-					for i := 0; i < params.Len() && i < len(call.Args); i++ {
-						named, ok := params.At(i).Type().(*types.Named)
-						if !ok || named.Obj().Pkg() == nil ||
-							!matchPkg(named.Obj().Pkg().Path(), cfg.ObsPkgs) {
-							continue
-						}
-						switch named.Obj().Name() {
-						case "EventName":
-							if !obsConstArg(cfg, pkg, call.Args[i]) {
-								out = append(out, Finding{
-									Pos:  pkg.Fset.Position(call.Args[i].Pos()),
-									Rule: "obsevent",
-									Msg: "event name passed to " + sel.Sel.Name +
-										" is not a registered obs.EventName constant; add it to the taxonomy in internal/obs",
-								})
-							}
-						case "MetricName":
-							out = append(out, checkMetricNameArg(cfg, pkg, sel.Sel.Name, call.Args[i])...)
-						}
-					}
-				}
-			} else if sel.Sel.Name == "Emit" && len(call.Args) >= 2 {
-				// No type info: fall back to the one EventName-taking entry.
-				if !obsConstArg(cfg, pkg, call.Args[1]) {
-					out = append(out, Finding{
-						Pos:  pkg.Fset.Position(call.Args[1].Pos()),
-						Rule: "obsevent",
-						Msg:  "event name passed to Emit is not a registered obs.EventName constant; add it to the taxonomy in internal/obs",
-					})
-				}
-			}
-			// No wall-clock expression may feed a trace emit.
-			for _, arg := range call.Args {
-				ast.Inspect(arg, func(x ast.Node) bool {
-					s, ok := x.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					if selectorPkgPath(pkg, imports, s) == "time" && forbiddenTimeFuncs[s.Sel.Name] {
-						out = append(out, Finding{
-							Pos:  pkg.Fset.Position(s.Pos()),
-							Rule: "obsevent",
-							Msg: "wall-clock time." + s.Sel.Name + " flows into a trace emit; " +
-								"trace timestamps must come from the sim clock so traces stay byte-reproducible",
-						})
-					}
-					return true
 				})
 			}
 			return true

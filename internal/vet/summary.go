@@ -10,8 +10,7 @@ package vet
 // statement, plus the module-wide closures over the static call graph
 // (reachable operations, transitively acquired locks, goroutine-reachable
 // functions) that the rules in rules_lock.go consume. The same walk records
-// the allocation sites hotalloc reports and the lifecycle annotations
-// connstate checks.
+// the allocation sites hotalloc reports.
 //
 // Precision notes, in the direction of the trade-offs taken:
 //
@@ -71,7 +70,6 @@ type funcOp struct {
 	pos  token.Pos
 	desc string
 	held map[lockID]bool
-	fn   *types.Func // resolved emit target (opEmit only); nil otherwise
 }
 
 // callSite is one static call to a module-internal function.
@@ -80,16 +78,6 @@ type callSite struct {
 	pos    token.Pos
 	held   map[lockID]bool
 	cold   bool // made on an assert.Enabled / xlinkvet:cold branch
-}
-
-// stateTransition is one parsed `xlinkvet:state <from>[,<from>] -> <to>`
-// annotation. A failed parse keeps raw and leaves to empty so the connstate
-// rule can report the malformed directive.
-type stateTransition struct {
-	froms []string
-	to    string
-	raw   string
-	pos   token.Pos
 }
 
 // allocSite is one heap-allocation site recorded by the walker: the raw
@@ -120,7 +108,6 @@ type lockEdge struct {
 type funcSummary struct {
 	pkg  *Package
 	fn   *types.Func // nil for function literals
-	node ast.Node    // *ast.FuncDecl or *ast.FuncLit
 	name string      // display name for findings
 
 	ops        []funcOp
@@ -132,12 +119,6 @@ type funcSummary struct {
 	goTargets  []*types.Func        // static callees launched with `go`
 	goLaunched bool                 // literal launched with `go` at its definition
 	hot        bool                 // declared `// xlinkvet:hot`
-
-	// Lifecycle annotations (connstate).
-	transition *stateTransition // parsed `xlinkvet:state` annotation
-	requires   []string         // raw `xlinkvet:requires` state names
-	releases   bool             // declared `// xlinkvet:releases timers`
-	closeEvent bool             // declared `// xlinkvet:closeevent`
 }
 
 // guardInfo is one resolved `xlinkvet:guardedby` field annotation.
@@ -153,7 +134,6 @@ type guardInfo struct {
 // engine holds the module-wide summaries and the memoized closures over
 // the call graph.
 type engine struct {
-	cfg  *Config
 	pkgs []*Package
 	sums []*funcSummary
 
@@ -170,20 +150,12 @@ type engine struct {
 	acqBusy   map[*types.Func]bool
 
 	goReach map[*funcSummary]bool
-
-	// Lifecycle tables (connstate).
-	reqMemo    map[*types.Func][]reqRef
-	reqBusy    map[*types.Func]bool
-	releasers  map[*types.Func]bool // funcs declared `xlinkvet:releases timers`
-	closeEmits map[*types.Func]bool // funcs declared `xlinkvet:closeevent`
-	requiresOf map[*types.Func][]string
 }
 
 // newEngine builds summaries for every function in pkgs (which must
 // already exclude skipped packages) and the derived module-wide tables.
 func newEngine(cfg *Config, pkgs []*Package) *engine {
 	eng := &engine{
-		cfg:         cfg,
 		pkgs:        pkgs,
 		byFn:        map[*types.Func]*funcSummary{},
 		guards:      map[*types.Var]*guardInfo{},
@@ -194,11 +166,6 @@ func newEngine(cfg *Config, pkgs []*Package) *engine {
 		acqMemo:     map[*types.Func]map[lockID]token.Pos{},
 		acqBusy:     map[*types.Func]bool{},
 		goReach:     map[*funcSummary]bool{},
-		reqMemo:     map[*types.Func][]reqRef{},
-		reqBusy:     map[*types.Func]bool{},
-		releasers:   map[*types.Func]bool{},
-		closeEmits:  map[*types.Func]bool{},
-		requiresOf:  map[*types.Func][]string{},
 	}
 	// Per-package summary construction is independent; run it in parallel
 	// and splice the results back in package order so everything downstream
@@ -216,15 +183,6 @@ func newEngine(cfg *Config, pkgs []*Package) *engine {
 	for _, sum := range eng.sums {
 		if sum.fn != nil {
 			eng.byFn[sum.fn] = sum
-			if sum.releases {
-				eng.releasers[sum.fn] = true
-			}
-			if sum.closeEvent {
-				eng.closeEmits[sum.fn] = true
-			}
-			if sum.requires != nil {
-				eng.requiresOf[sum.fn] = sum.requires
-			}
 		}
 	}
 	for _, sum := range eng.sums {
@@ -254,17 +212,9 @@ func summarizePackage(cfg *Config, pkg *Package) []*funcSummary {
 			}
 			fn, _ := pkg.Info.Defs[decl.Name].(*types.Func)
 			sum := &funcSummary{
-				pkg: pkg, fn: fn, node: decl, name: declName(decl),
+				pkg: pkg, fn: fn, name: declName(decl),
 				acquires: map[lockID]token.Pos{},
 				hot:      hasDirective(decl.Doc, hotDirective),
-				requires: parseRequires(decl.Doc),
-			}
-			if rel := directiveArgs(decl.Doc, releasesDirective); len(rel) > 0 && rel[0] == "timers" {
-				sum.releases = true
-			}
-			sum.closeEvent = hasDirective(decl.Doc, closeEventDirective)
-			if args := directiveArgs(decl.Doc, stateDirective); args != nil {
-				sum.transition = parseTransition(args, decl.Name.Pos())
 			}
 			w := &walker{cfg: cfg, pkg: pkg, sum: sum, out: &sums}
 			w.addParams(decl.Type)
@@ -276,76 +226,9 @@ func summarizePackage(cfg *Config, pkg *Package) []*funcSummary {
 	return sums
 }
 
-// Annotation directives recognized on declarations (beyond the loader's
-// `xlinkvet:ignore`, `xlinkvet:cold` and `xlinkvet:confines` line
-// directives).
-const (
-	hotDirective        = "xlinkvet:hot"
-	stateDirective      = "xlinkvet:state"      // lifecycle transition: <from>[,<from>] -> <to>
-	requiresDirective   = "xlinkvet:requires"   // method is only legal in the listed states
-	releasesDirective   = "xlinkvet:releases"   // `timers`: cancels pending timers
-	closeEventDirective = "xlinkvet:closeevent" // emits the lifecycle close trace event
-)
-
-// parseRequires extracts the states of an `xlinkvet:requires` annotation,
-// accepting both `xlinkvet:requires active,closing` and the parenthesized
-// `xlinkvet:requires(active,closing)` spelling. nil means no annotation; an
-// empty slice means an annotation that names no states (reported by the
-// connstate rule).
-func parseRequires(cg *ast.CommentGroup) []string {
-	if cg == nil {
-		return nil
-	}
-	for _, c := range cg.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		rest, ok := strings.CutPrefix(text, requiresDirective)
-		if !ok {
-			continue
-		}
-		rest = strings.TrimSpace(rest)
-		if r, ok := strings.CutPrefix(rest, "("); ok {
-			rest = r
-			if i := strings.IndexByte(rest, ')'); i >= 0 {
-				rest = rest[:i]
-			}
-		}
-		fields := strings.Fields(rest)
-		out := []string{}
-		if len(fields) > 0 {
-			for _, s := range strings.Split(fields[0], ",") {
-				if s = strings.TrimSpace(s); s != "" {
-					out = append(out, s)
-				}
-			}
-		}
-		return out
-	}
-	return nil
-}
-
-// parseTransition parses `xlinkvet:state <from>[,<from>] -> <to>` argument
-// fields. On malformed input the returned transition keeps the raw text and
-// an empty `to`, which the connstate rule reports.
-func parseTransition(args []string, pos token.Pos) *stateTransition {
-	raw := strings.Join(args, " ")
-	t := &stateTransition{raw: raw, pos: pos}
-	parts := strings.Split(raw, "->")
-	if len(parts) != 2 {
-		return t
-	}
-	for _, s := range strings.Split(parts[0], ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			t.froms = append(t.froms, s)
-		}
-	}
-	toFields := strings.Fields(parts[1])
-	if len(t.froms) == 0 || len(toFields) == 0 {
-		t.froms = nil
-		return t
-	}
-	t.to = toFields[0]
-	return t
-}
+// hotDirective, on a function declaration, makes it the root of a hot
+// closure (rule hotalloc).
+const hotDirective = "xlinkvet:hot"
 
 // hasDirective reports whether a comment group carries the given directive
 // as a whole word at the start of a comment line.
@@ -815,7 +698,7 @@ func (w *walker) access(sel *ast.Ident, f *flow) {
 // set starts empty.
 func (w *walker) valueLit(lit *ast.FuncLit, goLaunched bool) {
 	sum := &funcSummary{
-		pkg: w.pkg, node: lit,
+		pkg:        w.pkg,
 		name:       "function literal in " + w.sum.name,
 		acquires:   map[lockID]token.Pos{},
 		goLaunched: goLaunched,
@@ -926,10 +809,7 @@ func (w *walker) call(call *ast.CallExpr, f *flow) {
 func (w *walker) staticCall(fn *types.Func, call *ast.CallExpr, f *flow) {
 	pkg := fn.Pkg()
 	if pkg == nil {
-		if fn.Name() == "Error" {
-			return
-		}
-		return
+		return // a universe-scope method such as error.Error
 	}
 	switch pkg.Path() {
 	case "fmt":
@@ -969,10 +849,7 @@ func (w *walker) staticCall(fn *types.Func, call *ast.CallExpr, f *flow) {
 		return
 	}
 	if matchPkg(pkg.Path(), w.cfg.ObsPkgs) && recvTypeName(fn) == "Origin" {
-		w.sum.ops = append(w.sum.ops, funcOp{
-			kind: opEmit, pos: call.Pos(), desc: "obs trace emit " + fn.Name(),
-			held: f.heldSnapshot(), fn: fn,
-		})
+		w.op(opEmit, call.Pos(), "obs trace emit "+fn.Name(), f)
 		return
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok {
@@ -1387,19 +1264,8 @@ func (eng *engine) collectGuards(pkg *Package) {
 // guardSpecOf extracts the guard text from a field's doc or line comment.
 func guardSpecOf(field *ast.Field) string {
 	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			rest, ok := strings.CutPrefix(text, guardedByDirective)
-			if !ok {
-				continue
-			}
-			fields := strings.Fields(rest)
-			if len(fields) > 0 {
-				return fields[0]
-			}
+		if args := directiveArgs(cg, guardedByDirective); len(args) > 0 {
+			return args[0]
 		}
 	}
 	return ""
@@ -1588,91 +1454,6 @@ func (eng *engine) computeGoReach() {
 			}
 		}
 	}
-}
-
-// --- lifecycle closures (connstate) ---
-
-// reqRef is one reachable state-gated method (declared xlinkvet:requires):
-// the method, the call position in the querying function, and the chain of
-// intermediate callees.
-type reqRef struct {
-	fn  *types.Func
-	pos token.Pos
-	via []string
-}
-
-// reqMethods returns every requires-annotated method reachable from fn
-// through synchronous module-internal calls. Descent stops at each
-// annotated method: its own callees run under a contract it re-checked at
-// its boundary.
-func (eng *engine) reqMethods(fn *types.Func) []reqRef {
-	if rs, ok := eng.reqMemo[fn]; ok {
-		return rs
-	}
-	if eng.reqBusy[fn] {
-		return nil
-	}
-	eng.reqBusy[fn] = true
-	defer delete(eng.reqBusy, fn)
-
-	var out []reqRef
-	seen := map[*types.Func]bool{}
-	sum := eng.byFn[fn]
-	if sum == nil {
-		eng.reqMemo[fn] = out
-		return out
-	}
-	for _, cs := range sum.calls {
-		if _, gated := eng.requiresOf[cs.callee]; gated {
-			if !seen[cs.callee] {
-				seen[cs.callee] = true
-				out = append(out, reqRef{fn: cs.callee, pos: cs.pos})
-			}
-			continue
-		}
-		for _, sub := range eng.reqMethods(cs.callee) {
-			if seen[sub.fn] {
-				continue
-			}
-			seen[sub.fn] = true
-			via := append([]string{cs.callee.Name()}, sub.via...)
-			if len(via) > 5 {
-				via = via[:5]
-			}
-			out = append(out, reqRef{fn: sub.fn, pos: cs.pos, via: via})
-		}
-	}
-	eng.reqMemo[fn] = out
-	return out
-}
-
-// reachesMarked reports whether fn, any synchronous module-internal callee,
-// or any obs emit performed along the way is in the marked set. The
-// connstate terminal-hygiene checks use it with the releasers and
-// closeEmits tables.
-func (eng *engine) reachesMarked(fn *types.Func, marked map[*types.Func]bool, seen map[*types.Func]bool) bool {
-	if marked[fn] {
-		return true
-	}
-	if seen[fn] {
-		return false
-	}
-	seen[fn] = true
-	sum := eng.byFn[fn]
-	if sum == nil {
-		return false
-	}
-	for _, op := range sum.ops {
-		if op.fn != nil && marked[op.fn] {
-			return true
-		}
-	}
-	for _, cs := range sum.calls {
-		if eng.reachesMarked(cs.callee, marked, seen) {
-			return true
-		}
-	}
-	return false
 }
 
 // heldNames formats a held set for findings.

@@ -180,25 +180,3 @@ func TestGoReach(t *testing.T) {
 		t.Fatal("an xlinkvet:confines spawn must not seed goroutine reachability")
 	}
 }
-
-// TestTaintParamSink checks the param-sink fixpoint: alloc's make() makes
-// its parameter a sink, so the unchecked decoded length flowing into the
-// call is reported at the call site, not inside alloc.
-func TestTaintParamSink(t *testing.T) {
-	cfg, pkg := loadFixturePkg(t, "taintsize")
-	var viaParam, insideAlloc int
-	for _, f := range checkTaintSize(cfg, []*Package{pkg}) {
-		if strings.Contains(f.Msg, "flows unchecked into alloc") {
-			viaParam++
-		}
-		if f.Pos.Line >= 28 && f.Pos.Line <= 31 { // alloc's own body
-			insideAlloc++
-		}
-	}
-	if viaParam != 1 {
-		t.Fatalf("want 1 finding at the alloc call site, got %d", viaParam)
-	}
-	if insideAlloc != 0 {
-		t.Fatalf("alloc's body must not be reported (its param is the sink); got %d findings there", insideAlloc)
-	}
-}

@@ -11,10 +11,6 @@
 //     paths (wire parsers, transport packet ingestion).
 //   - maprange: no unordered map iteration in deterministic packages unless
 //     the enclosing function re-establishes order with a sort.
-//   - obsevent: trace event names and metric names must be constants
-//     registered in internal/obs (closed taxonomy, Prometheus-legal names)
-//     and no wall-clock expression may feed a trace emit — timestamps come
-//     from the sim clock, keeping traces byte-reproducible.
 //   - lockheld: nothing blocking, re-entrant, or observable may happen while
 //     a sync.Mutex/RWMutex is held — no channel ops, net I/O, time.Sleep or
 //     sync waits, no call through a function value (user callbacks re-enter),
@@ -24,33 +20,22 @@
 //     be accessed where the interprocedural summary proves <mu> held
 //     (`confined` marks event-loop-owned state that goroutine-launched paths
 //     must not touch without re-serializing through a lock).
-//   - taintsize: a length decoded by internal/wire must pass a bounds
-//     comparison before it reaches an allocation or a slice bound, including
-//     through callee parameters.
 //   - hotalloc: a function annotated `xlinkvet:hot` — and everything
 //     statically reachable from it — must be allocation-free in the steady
 //     state; make/new, escaping composite literals, unproven append growth,
 //     closures, interface boxing, string concatenation and fmt calls are
 //     flagged with the hot path that reaches them. Sites behind
 //     `assert.Enabled` or an `xlinkvet:cold` branch are pruned.
-//   - connstate: an annotated lifecycle state machine
-//     (idle→handshaking→active→closing→draining→closed). `xlinkvet:state
-//     <from>[,<from>] -> <to>` marks transition methods; `xlinkvet:requires
-//     <states>` gates methods to states. Transitions must move forward,
-//     methods gated on early states must not be reachable from closing+
-//     transitions, and every transition to closed must release timers
-//     (`xlinkvet:releases timers`) and trace a close event
-//     (`xlinkvet:closeevent`).
 //
 // Each rule is here because the mutation audit in DESIGN.md §7
 // (scripts/mutate.sh) found a bug in the real tree that only it catches. A
 // file that does not parse aborts the sweep with the parser's error.
 //
-// The lockheld, guardedby, hotalloc and connstate rules run on the
-// interprocedural summary engine in summary.go: per-function summaries of
-// lock transitions, blocking operations, callback invocations, trace emits,
-// guarded-field accesses, allocation sites, lifecycle annotations and static
-// call sites, with module-wide closures over the call graph.
+// The lockheld, guardedby and hotalloc rules run on the interprocedural
+// summary engine in summary.go: per-function summaries of lock transitions,
+// blocking operations, callback invocations, trace emits, guarded-field
+// accesses, allocation sites and static call sites, with module-wide
+// closures over the call graph.
 //
 // Findings can be suppressed per line with `//xlinkvet:ignore <rules>` on
 // the same or the preceding line, where <rules> is a comma-separated rule
@@ -93,16 +78,13 @@ type Config struct {
 	// package itself, which owns the real clock).
 	NonDeterministicPkgs []string
 	// WirePkgs hold the wire codec: parse-function error results must be
-	// checked (wireerr), parse functions must not panic (panicpath), and
-	// decoded lengths must be bounds-checked before allocation (taintsize).
+	// checked (wireerr) and parse functions must not panic (panicpath).
 	WirePkgs []string
 	// IngestPkgs receive attacker-controlled datagrams: their ingestion
-	// functions must not panic (panicpath) and wire-decoded lengths flowing
-	// through them must be bounds-checked (taintsize).
+	// functions must not panic (panicpath).
 	IngestPkgs []string
-	// ObsPkgs hold the structured tracer: callers must pass registered
-	// EventName constants and sim-clock timestamps (obsevent), and emits
-	// count as forbidden operations under a lock (lockheld).
+	// ObsPkgs hold the structured tracer: its emits count as forbidden
+	// operations under a lock (lockheld).
 	ObsPkgs []string
 	// SkipPkgs are not analyzed at all (binaries, examples, tooling).
 	SkipPkgs []string
@@ -177,7 +159,6 @@ func Run(cfg *Config, pkgs []*Package) []Finding {
 		fs = append(fs, checkDeterminism(cfg, pkg)...)
 		fs = append(fs, checkWireErr(cfg, pkg)...)
 		fs = append(fs, checkMapRange(cfg, pkg)...)
-		fs = append(fs, checkObsEvent(cfg, pkg)...)
 		perPkg[i] = fs
 	})
 	var findings []Finding
@@ -186,14 +167,12 @@ func Run(cfg *Config, pkgs []*Package) []Finding {
 	}
 
 	// Interprocedural rules over the summary engine, plus the module-wide
-	// panic-path and taint analyses.
+	// panic-path analysis.
 	eng := newEngine(cfg, active)
 	findings = append(findings, checkLockHeld(eng)...)
 	findings = append(findings, checkGuardedBy(eng)...)
 	findings = append(findings, checkHotAlloc(eng)...)
-	findings = append(findings, checkConnState(eng)...)
 	findings = append(findings, checkPanicPath(cfg, active)...)
-	findings = append(findings, checkTaintSize(cfg, active)...)
 
 	var kept []Finding
 	for _, f := range findings {

@@ -56,12 +56,9 @@ func TestFixturesFire(t *testing.T) {
 		{"wireerr", "wireerr", 3},
 		{"panicpath", "panicpath", 2},
 		{"maprange", "maprange", 1},
-		{"obsevent", "obsevent", 7},
 		{"lockheld", "lockheld", 7},
 		{"guardedby", "guardedby", 4},
-		{"taintsize", "taintsize", 3},
 		{"hotalloc", "hotalloc", 8},
-		{"connstate", "connstate", 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {

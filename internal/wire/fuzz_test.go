@@ -174,6 +174,33 @@ func FuzzParseFrame(f *testing.F) {
 	})
 }
 
+// FuzzParseTransportParams checks the handshake's parameter parser — the
+// first peer-controlled input a connection decodes, and where the
+// enable_multipath / enable_fec exchange is read: it never panics, and a
+// block it accepts re-encodes to one that parses to the same parameters.
+// The input is cut to its own length and capacity, so a value sliced past
+// the end of the block panics instead of reading spare capacity. Seeds,
+// including the rejection boundaries, are the committed corpus that go run
+// ./internal/wire/testdata writes.
+func FuzzParseTransportParams(f *testing.F) {
+	f.Add(DefaultTransportParams().Append(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := len(data)
+		p, err := ParseTransportParams(data[:n:n])
+		if err != nil {
+			return
+		}
+		enc := p.Append(nil)
+		p2, err := ParseTransportParams(enc)
+		if err != nil {
+			t.Fatalf("re-encoded parameters rejected: %v\n%x", err, enc)
+		}
+		if p2 != p {
+			t.Fatalf("round trip:\n first %+v\n again %+v", p, p2)
+		}
+	})
+}
+
 // FuzzParseFECFrame targets the FEC extension frames specifically: any
 // input that parses as FEC_WINDOW, FEC_REPAIR or FEC_RECOVERED must satisfy
 // the invariants the transport's decoder assumes — it sizes window buffers

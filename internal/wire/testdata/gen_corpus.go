@@ -31,6 +31,7 @@ func main() {
 	writeAll(filepath.Join(root, "FuzzParseHeader"), headerSeeds())
 	writeAll(filepath.Join(root, "FuzzParseFrame"), frameSeeds())
 	writeAll(filepath.Join(root, "FuzzParseFECFrame"), fecSeeds())
+	writeAll(filepath.Join(root, "FuzzParseTransportParams"), transportParamSeeds())
 }
 
 func varintSeeds() [][]byte {
@@ -158,6 +159,37 @@ func fecSeeds() [][]byte {
 		seeds = append(seeds, f.Append(nil))
 	}
 	return seeds
+}
+
+func transportParamSeeds() [][]byte {
+	intParam := func(id, v uint64) []byte {
+		b := wire.AppendVarint(nil, id)
+		b = wire.AppendVarint(b, uint64(wire.VarintLen(v)))
+		return wire.AppendVarint(b, v)
+	}
+	flag := func(id uint64) []byte { return wire.AppendVarint(wire.AppendVarint(nil, id), 0) }
+	unknown := append(wire.AppendVarint(wire.AppendVarint(nil, 0x7777), 2), 0xde, 0xad)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+	full := wire.DefaultTransportParams()
+	full.EnableMultipath, full.InitialReinjection, full.EnableFEC = true, true, true
+	full.QoEFeedbackInterval = 100
+	idle := intParam(wire.ParamMaxIdleTimeout, 30000) // a four-byte value
+	return [][]byte{
+		wire.DefaultTransportParams().Append(nil),
+		full.Append(nil),
+		{},
+		cat(unknown, flag(wire.ParamEnableMultipath)),
+		// Rejection boundaries (TestParseTransportParamsRejects has the same
+		// rows): the last value shorter than its length varint, a value longer
+		// than its varint, a repeated integer parameter and a repeated flag.
+		idle[:len(idle)-1],
+		cat(wire.AppendVarint(wire.AppendVarint(nil, wire.ParamMaxIdleTimeout), 2), []byte{0x05, 0x00}),
+		cat(intParam(wire.ParamInitialMaxData, 1), intParam(wire.ParamInitialMaxData, 2)),
+		cat(flag(wire.ParamEnableFEC), flag(wire.ParamEnableFEC)),
+		// A repeated unknown parameter stays legal.
+		cat(unknown, unknown),
+	}
 }
 
 func writeAll(dir string, seeds [][]byte) {

@@ -78,10 +78,20 @@ func (p TransportParams) Append(b []byte) []byte {
 	return b
 }
 
+// knownParams lists the parameter IDs ParseTransportParams decodes; an ID's
+// index is its bit in the parser's seen mask.
+var knownParams = [...]uint64{
+	ParamMaxIdleTimeout, ParamInitialMaxData, ParamInitialMaxStreamData,
+	ParamInitialMaxStreams, ParamActiveCIDLimit, ParamEnableMultipath,
+	ParamInitialReinjection, ParamQoEFeedbackIntervalMS, ParamEnableFEC,
+}
+
 // ParseTransportParams decodes a parameter block. Unknown parameters are
-// skipped, as QUIC requires.
+// skipped, as QUIC requires; a known parameter that appears twice is an
+// error (RFC 9000 §7.4: TRANSPORT_PARAMETER_ERROR).
 func ParseTransportParams(b []byte) (TransportParams, error) {
 	var p TransportParams
+	var seen uint16
 	for len(b) > 0 {
 		id, n, err := ParseVarint(b)
 		if err != nil {
@@ -98,6 +108,15 @@ func ParseTransportParams(b []byte) (TransportParams, error) {
 		}
 		val := b[:length]
 		b = b[length:]
+		for i, known := range knownParams {
+			if id != known {
+				continue
+			}
+			if seen&(1<<i) != 0 {
+				return p, fmt.Errorf("wire: transport param 0x%x repeated", id)
+			}
+			seen |= 1 << i
+		}
 		intVal := func() (uint64, error) {
 			v, n, err := ParseVarint(val)
 			if err != nil {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -322,6 +323,50 @@ func TestTransportParamsSkipsUnknown(t *testing.T) {
 	}
 	if !got.EnableMultipath {
 		t.Fatal("must parse past unknown params")
+	}
+}
+
+// TestParseTransportParamsRejects: a value shorter than its length varint is
+// ErrTruncated, and a known parameter sent twice is refused (RFC 9000 §7.4)
+// while a repeated unknown one is skipped like any unknown. Each block is cut
+// to its own capacity, so a parser that slices past the end panics here
+// rather than reading spare capacity. FuzzParseTransportParams has the same
+// blocks as seeds.
+func TestParseTransportParamsRejects(t *testing.T) {
+	intParam := func(id, v uint64) []byte {
+		return AppendVarint(AppendVarint(AppendVarint(nil, id), uint64(VarintLen(v))), v)
+	}
+	flag := func(id uint64) []byte { return AppendVarint(AppendVarint(nil, id), 0) }
+	unknown := append(AppendVarint(AppendVarint(nil, 0x7777), 2), 0xde, 0xad)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	idle := intParam(ParamMaxIdleTimeout, 30000) // a four-byte value
+	for _, tc := range []struct {
+		name  string
+		block []byte
+		ok    bool
+		want  error // when non-nil, the error must wrap it
+	}{
+		{"value shorter than its length", idle[:len(idle)-1], false, ErrTruncated},
+		{"repeated integer parameter", cat(intParam(ParamInitialMaxData, 1), intParam(ParamInitialMaxData, 2)), false, nil},
+		{"repeated flag", cat(flag(ParamEnableFEC), flag(ParamEnableFEC)), false, nil},
+		{"repeated unknown parameter", cat(unknown, unknown, flag(ParamEnableMultipath)), true, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.block)
+			p, err := ParseTransportParams(tc.block[:n:n])
+			if tc.ok {
+				if err != nil || !p.EnableMultipath {
+					t.Fatalf("got %+v, %v; want the flag after the repeats", p, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("accepted as %+v", p)
+			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("error %v, want %v", err, tc.want)
+			}
+		})
 	}
 }
 

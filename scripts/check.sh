@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full verification gate for the XLINK reproduction: build, go vet, the
 # repo-specific xlinkvet analyzer (self-test first, then the real tree: the
-# ten rules DESIGN.md §7 lists, so a wall-clock read in the deterministic
+# seven rules DESIGN.md §7 lists, so a wall-clock read in the deterministic
 # core, a dropped wire-parse error, a new heap allocation on a hot path or
 # a field read without its lock fails here, before any test runs), the test
 # suite in release and xlinkdebug-assertion modes, the race detector, the
@@ -110,6 +110,7 @@ step go test ./internal/wire/ -run '^$' -fuzz FuzzParseVarint -fuzztime "$FUZZTI
 step go test ./internal/wire/ -run '^$' -fuzz FuzzParseHeader -fuzztime "$FUZZTIME"
 step go test ./internal/wire/ -run '^$' -fuzz 'FuzzParseFrame$' -fuzztime "$FUZZTIME"
 step go test ./internal/wire/ -run '^$' -fuzz FuzzParseFECFrame -fuzztime "$FUZZTIME"
+step go test ./internal/wire/ -run '^$' -fuzz FuzzParseTransportParams -fuzztime "$FUZZTIME"
 step go test ./internal/obs/ -run '^$' -fuzz FuzzParseTrace -fuzztime "$FUZZTIME"
 
 echo "check: all gates passed"

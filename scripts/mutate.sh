@@ -216,7 +216,7 @@ mut T3 taintsize internal/wire/frames_data.go "$W" \
 rep(qq~\tif uint64(len(b)-pos) < dataLen {\n\t\treturn 0, ErrTruncated\n\t}\n~, '');
 EOF
 mut T4 taintsize internal/wire/transport_params.go "$W" \
-	"ParseTransportParams slices a parameter value by its length varint without the remaining-bytes check" <<'EOF'
+	"ParseTransportParams slices a parameter value by its length varint without the remaining-bytes check" fuzz=FuzzParseTransportParams <<'EOF'
 rep(qq~\t\tif uint64(len(b)) < length {\n\t\t\treturn p, ErrTruncated\n\t\t}\n~, '');
 EOF
 mut T5 taintsize internal/wire/frames_ack.go "$W" \

@@ -857,8 +857,6 @@ func (ep *Endpoint) LocalAddrs() []net.Addr {
 // Close shuts the endpoint down. The first Close emits the connection's
 // scorecard (conn:scorecard) and merges it into the registry, so /metrics
 // served after shutdown carries the session rollup.
-//
-// xlinkvet:state active,closing -> closed
 func (ep *Endpoint) Close() {
 	ep.mu.Lock()
 	if ep.conn != nil {

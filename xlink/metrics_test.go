@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -157,12 +159,40 @@ func TestDebugHandlerLive(t *testing.T) {
 	if !strings.Contains(m, "xlink_path_sent_packets_total") {
 		t.Errorf("/metrics missing per-path family:\n%s", m)
 	}
+	// Every scrape refreshes the stream-buffer gauges through Metrics(), so
+	// this one carries them, and every line must be one a Prometheus server
+	// accepts: a metric name that breaks the grammar drops the whole scrape.
+	for _, name := range []obs.MetricName{obs.MetricSendBufferedBytes, obs.MetricSendBufferedPeak,
+		obs.MetricRecvBufferedBytes, obs.MetricRecvBufferedPeak} {
+		if !strings.Contains(m, "\n"+string(name)+" ") {
+			t.Errorf("/metrics missing the %s gauge", name)
+		}
+	}
+	for i, line := range strings.Split(strings.TrimSuffix(m, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		sample := sampleLine.FindStringSubmatch(line)
+		if sample == nil {
+			t.Errorf("/metrics line %d breaks the exposition grammar: %q", i+1, line)
+		} else if _, err := strconv.ParseFloat(sample[1], 64); err != nil {
+			t.Errorf("/metrics line %d: value %q is not a float", i+1, sample[1])
+		}
+	}
 
 	// And the registry accessor agrees with the exposition.
 	if n := client.Metrics().Counter(obs.MetricSessions).Value(); n != 1 {
 		t.Errorf("MetricSessions = %d, want 1", n)
 	}
 }
+
+// sampleLine is one sample of the Prometheus text exposition format: a
+// metric name, an optional {label="value",...} set, the value (checked as a
+// float separately) and an optional timestamp.
+var sampleLine = func() *regexp.Regexp {
+	label := `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*"`
+	return regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{(?:` + label + `(?:,` + label + `)*,?)?\})? (\S+)(?: -?[0-9]+)?$`)
+}()
 
 // TestServeDebugCleanExit proves the debug scrape server has a real
 // shutdown path: ServeDebug's goroutine serves requests, stop() blocks
