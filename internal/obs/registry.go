@@ -58,6 +58,10 @@ const (
 	MetricSendBufferedPeak  MetricName = "xlink_send_buffered_peak_bytes"
 	MetricRecvBufferedBytes MetricName = "xlink_recv_buffered_bytes"
 	MetricRecvBufferedPeak  MetricName = "xlink_recv_buffered_peak_bytes"
+	// Stream halves the connection holds (DESIGN.md §17), labeled
+	// {half="send"} and {half="recv"}: what it has open, not what it ever
+	// carried.
+	MetricOpenStreams MetricName = "xlink_open_streams"
 	// Load-balancer routing outcomes, labeled per backend.
 	MetricLBRouted  MetricName = "xlink_lb_routed_total"
 	MetricLBDropped MetricName = "xlink_lb_dropped_total"

@@ -194,8 +194,11 @@ type Conn struct {
 	paths      map[uint64]*Path // xlinkvet:guardedby confined
 	pathOrder  []uint64         // xlinkvet:guardedby confined
 
+	// Open stream halves; an ended one leaves for sendClosed/recvClosed (§17).
 	sendStreams  map[uint64]*SendStream // xlinkvet:guardedby confined
 	recvStreams  map[uint64]*RecvStream // xlinkvet:guardedby confined
+	sendClosed   streamIDSet
+	recvClosed   streamIDSet
 	nextStreamID uint64
 
 	// Connection-level flow control.
@@ -276,15 +279,15 @@ type Conn struct {
 	ackDirty           []*Path // xlinkvet:guardedby confined
 	batchCoalescedAcks int
 
-	// Cached per-pass orderings (DESIGN.md §11): rebuilt only when their
-	// dirty flag is set, instead of re-filtered and re-sorted on every send
-	// pass. streamOrder is (priority, id) over sendStreams; usableBase is
-	// pathOrder filtered to Usable()&&DCID!=nil.
-	streamOrder      []*SendStream // xlinkvet:guardedby confined
-	streamOrderDirty bool
-	usableBase       []*Path // xlinkvet:guardedby confined
-	pathsDirty       bool
-	sendablePaths    []*Path // per-call CanSend filter scratch
+	// Orderings kept across send passes (DESIGN.md §11) instead of
+	// re-filtered and re-sorted on every one. streamOrder is (priority, id)
+	// over the send streams not retired, edited in place (streamsInOrder);
+	// usableBase is pathOrder filtered to Usable()&&DCID!=nil, rebuilt when
+	// pathsDirty is set.
+	streamOrder   []*SendStream // xlinkvet:guardedby confined
+	usableBase    []*Path       // xlinkvet:guardedby confined
+	pathsDirty    bool
+	sendablePaths []*Path // per-call CanSend filter scratch
 
 	// Lifecycle hardening state (DESIGN.md §8).
 	primaryID        uint64                     // current primary path ID
@@ -1070,16 +1073,19 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 	case *wire.DataBlockedFrame, *wire.StreamDataBlockedFrame:
 		// Informational; our auto-tuned limits react via MAX_DATA below.
 	case *wire.ResetStreamFrame:
-		// A reset of a stream nothing arrived on has nothing to release.
+		// A reset of a stream nothing arrived on, or of one finished and
+		// forgotten, has nothing to release.
 		if c.recvStreams[fr.StreamID] != nil {
 			if rs := c.admitStreamData(now, fr.StreamID, fr.FinalSize, true); rs != nil {
 				rs.finSeen, rs.finOffset = true, fr.FinalSize
 				rs.finish()
+				c.maybeForgetRecv(rs)
 			}
 		}
 	case *wire.StopSendingFrame:
 		// The peer no longer wants this stream: abort our sending side
-		// with RESET_STREAM, as RFC 9000 §3.5 requires.
+		// with RESET_STREAM, as RFC 9000 §3.5 requires — unless the peer
+		// holds all of it already (Reset) or it was forgotten.
 		if s := c.sendStreams[fr.StreamID]; s != nil {
 			s.Reset(fr.ErrorCode)
 		}
@@ -1146,10 +1152,16 @@ func (c *Conn) handlePathStatus(now time.Duration, fr *wire.PathStatusFrame) {
 // solvable (missing count dropped to the repairs in hand).
 func (c *Conn) handleStreamFrame(now time.Duration, fr *wire.StreamFrame) {
 	rs := c.admitStreamData(now, fr.StreamID, fr.Offset+uint64(len(fr.Data)), fr.Fin)
-	if rs == nil {
+	switch {
+	case rs != nil:
+		c.deliverStreamData(now, rs, fr.Offset, fr.Data, fr.Fin)
+	case c.Closed():
 		return
+	default:
+		// The stream finished and was forgotten: the frame is a copy of
+		// bytes it delivered, counted as a finished stream counts one.
+		c.stats.DuplicateBytesRecv += uint64(len(fr.Data))
 	}
-	c.deliverStreamData(now, rs, fr.Offset, fr.Data, fr.Fin)
 	if c.fecEnabled && c.fecDec.hasOpenWindows(fr.StreamID) {
 		c.fecOnStreamData(now, fr.StreamID)
 	}
@@ -1162,7 +1174,9 @@ func (c *Conn) handleStreamFrame(now time.Duration, fr *wire.StreamFrame) {
 // FLOW_CONTROL_ERROR, a final size that contradicts an earlier one or lies
 // below data already sent closes it with FINAL_SIZE_ERROR. Every stream
 // buffer's bound rests on this check. It returns the stream, created on
-// first contact, or nil after closing the connection.
+// first contact, or nil after closing the connection — or for a stream
+// finished and forgotten, whose frames are ignored unchecked: they buffer
+// nothing, and RFC 9000 lets an endpoint discard frames for a closed stream.
 //
 // xlinkvet:hot
 func (c *Conn) admitStreamData(now time.Duration, id, end uint64, final bool) *RecvStream {
@@ -1170,6 +1184,8 @@ func (c *Conn) admitStreamData(now time.Duration, id, end uint64, final bool) *R
 	highest := uint64(0)
 	if rs != nil {
 		highest = rs.highest
+	} else if c.recvClosed.has(id) {
+		return nil
 	}
 	//xlinkvet:cold — protocol violation: the connection ends here
 	if end > c.recvLimit(rs) || (end > highest && c.recvHighest+(end-highest) > c.localMaxData) {
@@ -1204,13 +1220,14 @@ func (c *Conn) recvLimit(rs *RecvStream) uint64 {
 }
 
 // streamForRecv returns the receive half of a stream, creating it (and
-// announcing it to the application) on first contact.
+// announcing it to the application) on first contact. The callers have ruled
+// out a stream already forgotten.
 //
 // xlinkvet:hot
 func (c *Conn) streamForRecv(now time.Duration, id uint64) *RecvStream {
 	rs := c.recvStreams[id]
 	if rs == nil {
-		//xlinkvet:ignore hotalloc — one RecvStream per stream lifetime, retained in recvStreams
+		//xlinkvet:ignore hotalloc — one RecvStream per stream lifetime, held in recvStreams until it is forgotten
 		rs = &RecvStream{
 			id:          id,
 			conn:        c,
@@ -1255,6 +1272,19 @@ func (c *Conn) deliverStreamData(now time.Duration, rs *RecvStream, offset uint6
 		c.localMaxData = c.connDelivered + c.cfg.Params.InitialMaxData
 		//xlinkvet:ignore hotalloc — flow-control frame is queued (outlives the call); amortized to one per half-window delivered
 		c.queueCtrl(&wire.MaxDataFrame{MaxData: c.localMaxData}, -1, true)
+	}
+	if rs.finished {
+		c.maybeForgetRecv(rs)
+	}
+}
+
+// maybeForgetRecv forgets rs once nothing the peer sends can change it:
+// delivery is over and its final size is known and counted against
+// connection flow control (DESIGN.md §17).
+func (c *Conn) maybeForgetRecv(rs *RecvStream) {
+	if rs.finished && rs.finSeen && rs.highest == rs.finOffset {
+		delete(c.recvStreams, rs.id)
+		c.recvClosed.add(rs.id)
 	}
 }
 
@@ -1372,10 +1402,14 @@ func (c *Conn) OpenStream() *SendStream {
 
 // Stream returns the send half for a stream ID, creating it if needed
 // (servers respond on the client's stream IDs this way). Call it on an
-// established connection.
+// established connection. A send half already forgotten comes back detached:
+// finished, so that Write, Close and Reset send nothing.
 func (c *Conn) Stream(id uint64) *SendStream {
 	if s := c.sendStreams[id]; s != nil {
 		return s
+	}
+	if c.sendClosed.has(id) {
+		return &SendStream{id: id, conn: c, prio: int(id), fin: true, retired: true}
 	}
 	s := &SendStream{
 		id:          id,
@@ -1389,8 +1423,14 @@ func (c *Conn) Stream(id uint64) *SendStream {
 		s.peerMaxData = c.peerStreamLimit()
 	}
 	c.sendStreams[id] = s
-	c.streamOrderDirty = true
+	c.insertInOrder(s)
 	return s
+}
+
+// OpenStreams returns how many send and receive stream halves the connection
+// holds, retired send halves with packets in flight included (DESIGN.md §17).
+func (c *Conn) OpenStreams() (send, recv int) {
+	return len(c.sendStreams), len(c.recvStreams)
 }
 
 // peerStreamLimit returns the per-stream limit the peer advertised in the
@@ -1402,12 +1442,13 @@ func (c *Conn) peerStreamLimit() uint64 { return c.peerMaxStrData }
 // established connection.
 func (c *Conn) StopSending(id uint64, code uint64) {
 	rs := c.recvStreams[id]
-	if rs != nil && rs.finished {
+	if rs != nil && rs.finished || rs == nil && c.recvClosed.has(id) {
 		return
 	}
 	c.queueCtrl(&wire.StopSendingFrame{StreamID: id, ErrorCode: code}, -1, true)
 	if rs != nil {
 		rs.finish() // stop delivering further data to the app
+		c.maybeForgetRecv(rs)
 	}
 }
 

@@ -528,8 +528,10 @@ func TestStreamResetStopsSending(t *testing.T) {
 	var resetSeen bool
 	pair.Client.cfg.OnStreamData = func(now time.Duration, rs *RecvStream, data []byte, fin bool) {}
 	payload := make([]byte, 4<<20) // would take ~4s at 8 Mbit/s aggregate
+	// Held: a reset stream leaves the connection once its last packet resolves.
+	var ss *SendStream
 	pair.Server.cfg.OnStreamOpen = func(now time.Duration, rs *RecvStream) {
-		ss := pair.Server.Stream(rs.ID())
+		ss = pair.Server.Stream(rs.ID())
 		ss.Write(payload)
 		ss.Close()
 	}
@@ -547,7 +549,7 @@ func TestStreamResetStopsSending(t *testing.T) {
 	})
 	pair.RunUntil(800 * time.Millisecond)
 	sentAtCancel := pair.Server.Stats().StreamBytesSent
-	if ss := pair.Server.sendStreams[0]; ss == nil || !ss.IsReset() {
+	if ss == nil || !ss.IsReset() {
 		t.Fatal("server stream should be reset after STOP_SENDING")
 	} else {
 		resetSeen = true

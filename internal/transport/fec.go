@@ -425,9 +425,11 @@ func (c *Conn) handleFECWindow(now time.Duration, fr *wire.FECWindowFrame) {
 	if d.find(fr.WindowID) != nil {
 		return // duplicate announcement
 	}
-	if fr.BaseOffset+fr.DataLen > c.recvLimit(c.recvStreams[fr.StreamID]) {
+	rs := c.recvStreams[fr.StreamID]
+	if fr.BaseOffset+fr.DataLen > c.recvLimit(rs) && (rs != nil || !c.recvClosed.has(fr.StreamID)) {
 		// Source data is sent within flow control, so no honest window
-		// reaches beyond it; recovered bytes must not either.
+		// reaches beyond it; recovered bytes must not either. A forgotten
+		// stream's window retires on arrival, as a finished stream's does.
 		return
 	}
 	// Compact retired windows, then make room.
@@ -563,7 +565,8 @@ func (c *Conn) fecTryRecoverWindow(now time.Duration, w *fecRecvWindow) {
 	}
 	d := &c.fecDec
 	rs := c.recvStreams[w.streamID]
-	if rs != nil && (rs.finished || rs.received.Contains(w.base, w.base+w.dataLen)) {
+	if rs == nil && c.recvClosed.has(w.streamID) ||
+		rs != nil && (rs.finished || rs.received.Contains(w.base, w.base+w.dataLen)) {
 		w.done = true // everything arrived through the stream lane, or the stream is over
 		return
 	}
@@ -724,8 +727,10 @@ func (c *Conn) fecSolveWindow(now time.Duration, w *fecRecvWindow, rs *RecvStrea
 		data := syn[col*sym : col*sym+int(end-start)]
 		c.stats.FECRecoveredBytes += end - start
 		c.tr.FECRecovered(now, w.id, w.streamID, start, int(end-start))
-		dst := c.streamForRecv(now, w.streamID)
-		c.deliverStreamData(now, dst, start, data, false)
+		if rs == nil { // held across symbols: the one that completes the stream forgets it
+			rs = c.streamForRecv(now, w.streamID)
+		}
+		c.deliverStreamData(now, rs, start, data, false)
 		//xlinkvet:ignore hotalloc — FEC_RECOVERED is queued (outlives the call); fires once per recovered symbol
 		c.queueCtrl(&wire.FECRecoveredFrame{StreamID: w.streamID, Offset: start, Length: end - start}, -1, false)
 	}
@@ -756,4 +761,7 @@ func (c *Conn) handleFECRecovered(now time.Duration, fr *wire.FECRecoveredFrame)
 	s.rtx.Subtract(fr.Offset, end)
 	c.stats.FECSuppressedBytes += before - s.rtx.Size()
 	s.releaseDelivered()
+	// The report may fill the stream's last hole after its last packet
+	// resolved: no acknowledgement is coming to retire it.
+	c.maybeForget(s)
 }

@@ -347,6 +347,45 @@ func TestFECRecoversLostDataEndToEnd(t *testing.T) {
 	if sst.FECSuppressedBytes == 0 {
 		t.Fatal("sender never suppressed a retransmission from FEC_RECOVERED")
 	}
+	// A byte the decoder rebuilt is held by the client but never
+	// acknowledged, since it is never sent again: the response stream still
+	// retires, and both ends forget the exchange.
+	for _, c := range []*Conn{pair.Server, pair.Client} {
+		if send, recv := c.OpenStreams(); send != 0 || recv != 0 {
+			t.Fatalf("after the transfer, %s holds %d send and %d receive halves", c.StateName(), send, recv)
+		}
+	}
+	if !pair.Server.sendClosed.has(0) {
+		t.Fatal("the server's response stream was not retired")
+	}
+}
+
+// TestFECRecoveredRetiresStream: when the peer's FEC_RECOVERED fills a
+// stream's last hole after the packet that lost it was declared lost and the
+// FIN acknowledged, no acknowledgement is left to come, so the report itself
+// must retire the stream and forget it.
+func TestFECRecoveredRetiresStream(t *testing.T) {
+	pair := fecPair(t, 14)
+	srv := pair.Server
+	srv.inSend = true // the chunks are cut by hand below, not by a send pass
+	s := srv.Stream(0)
+	s.Write(make([]byte, 20))
+	s.Close()
+	lost, _ := s.nextNewChunk(10)
+	last, _ := s.nextNewChunk(10)
+	s.inFlight += 2
+	s.onChunkLost(lost)
+	srv.chunkResolved(s)
+	s.onChunkAcked(last)
+	srv.chunkResolved(s)
+	if !last.fin || s.retired || srv.sendStreams[0] == nil {
+		t.Fatalf("set-up: FIN on the last chunk %v, retired %v", last.fin, s.retired)
+	}
+	injectFrames(pair, &wire.FECRecoveredFrame{StreamID: 0, Offset: 0, Length: 10})
+	if !s.retired || srv.sendStreams[0] != nil || !s.rtx.Empty() {
+		t.Fatalf("after the recovery report: retired %v, held %v, %d bytes queued for retransmission",
+			s.retired, srv.sendStreams[0] != nil, s.rtx.Size())
+	}
 }
 
 func TestFECNegotiationFallback(t *testing.T) {

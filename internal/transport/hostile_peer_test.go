@@ -139,3 +139,127 @@ func TestAckOfUnsentPacketClosesConnection(t *testing.T) {
 		})
 	}
 }
+
+// queuedResets counts the RESET_STREAM frames waiting in c's control queue.
+func queuedResets(c *Conn) int {
+	n := 0
+	for _, item := range c.ctrlQ {
+		if _, ok := item.frame.(*wire.ResetStreamFrame); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// TestForgottenStreamFramesIgnored: once both halves of a stream have ended
+// — the request delivered with its final size, the response held by the peer
+// in full — the connection forgets them, and what the peer still sends for
+// the stream meets a closed ID instead of a fresh stream at offset 0. A
+// duplicate STREAM frame opens nothing, delivers nothing and is counted as
+// duplicate bytes; a frame beyond the final size is ignored, where on a live
+// stream it still closes the connection with FINAL_SIZE_ERROR; RESET_STREAM,
+// STOP_SENDING and MAX_STREAM_DATA change nothing and queue nothing.
+func TestForgottenStreamFramesIgnored(t *testing.T) {
+	pair := establishedPair(t, 34)
+	srv := pair.Server
+	opened, delivered := 0, 0
+	srv.SetOnStreamOpen(func(time.Duration, *RecvStream) { opened++ })
+	srv.SetOnStreamData(func(_ time.Duration, rs *RecvStream, data []byte, fin bool) {
+		delivered += len(data)
+		if fin && rs.ID() == 0 {
+			s := srv.Stream(0)
+			s.Write(make([]byte, 200))
+			s.Close()
+		}
+	})
+	req := &wire.StreamFrame{StreamID: 0, Data: make([]byte, 100), Fin: true}
+	injectFrames(pair, req)
+	pair.RunUntil(pair.Loop.Now() + time.Second) // the response is delivered and acknowledged
+	if send, recv := srv.OpenStreams(); opened != 1 || delivered != 100 || send != 0 || recv != 0 {
+		t.Fatalf("opened %d, delivered %d, holding %d send and %d receive halves; want 1, 100, 0, 0", opened, delivered, send, recv)
+	}
+	if !srv.recvClosed.has(0) || !srv.sendClosed.has(0) {
+		t.Fatal("stream 0 not recorded closed")
+	}
+
+	srv.inSend = true // park the send pass: whatever is queued stays queued
+	dup := srv.Stats().DuplicateBytesRecv
+	for _, f := range []wire.Frame{
+		req, // a duplicate
+		&wire.StreamFrame{StreamID: 0, Offset: 100, Data: make([]byte, 1)}, // beyond the final size
+		&wire.ResetStreamFrame{StreamID: 0, FinalSize: 101},
+		&wire.StopSendingFrame{StreamID: 0, ErrorCode: 9},
+		&wire.MaxStreamDataFrame{StreamID: 0, MaxStreamData: 1 << 30},
+	} {
+		injectFrames(pair, f)
+	}
+	if got := srv.Stats().DuplicateBytesRecv - dup; got != 101 {
+		t.Fatalf("%d duplicate bytes counted, want 101", got)
+	}
+	if send, recv := srv.OpenStreams(); opened != 1 || delivered != 100 || srv.Closed() || send != 0 || recv != 0 || queuedResets(srv) != 0 {
+		t.Fatalf("after frames for the forgotten stream: opened %d, delivered %d, closed %v, holding %d/%d, %d resets queued",
+			opened, delivered, srv.Closed(), send, recv, queuedResets(srv))
+	}
+
+	// The same frame beyond the final size on a live stream is a violation.
+	injectFrames(pair, &wire.StreamFrame{StreamID: 4, Offset: 50, Data: make([]byte, 50), Fin: true})
+	injectFrames(pair, &wire.StreamFrame{StreamID: 4, Offset: 100, Data: make([]byte, 1)})
+	if st := srv.Stats(); !srv.Closed() || st.CloseErrorCode != ErrCodeFinalSize {
+		t.Fatalf("live stream: closed %v with code %#x, want FINAL_SIZE_ERROR", srv.Closed(), st.CloseErrorCode)
+	}
+}
+
+// TestStreamsOpenInAnyOrder: with several paths a stream's first frame can
+// overtake a lower-numbered stream's (RFC 9000 §3.2), and forgetting stream 8
+// must not close stream 4 — which is why the closed IDs are a set, not a
+// highest-ID watermark. Streams that ended out of order merge back into one
+// range once the gap fills.
+func TestStreamsOpenInAnyOrder(t *testing.T) {
+	pair := establishedPair(t, 35)
+	srv := pair.Server
+	var opened []uint64
+	delivered := map[uint64]int{}
+	srv.SetOnStreamOpen(func(_ time.Duration, rs *RecvStream) { opened = append(opened, rs.ID()) })
+	srv.SetOnStreamData(func(_ time.Duration, rs *RecvStream, data []byte, _ bool) { delivered[rs.ID()] += len(data) })
+	for i, id := range []uint64{8, 4, 0} {
+		injectFrames(pair, &wire.StreamFrame{StreamID: id, Data: make([]byte, 10*(i+1)), Fin: true})
+	}
+	if len(opened) != 3 || opened[0] != 8 || opened[1] != 4 || opened[2] != 0 {
+		t.Fatalf("streams opened %v, want [8 4 0]", opened)
+	}
+	if delivered[8] != 10 || delivered[4] != 20 || delivered[0] != 30 {
+		t.Fatalf("delivered %v", delivered)
+	}
+	if _, recv := srv.OpenStreams(); recv != 0 || len(srv.recvClosed[0].All()) != 1 {
+		t.Fatalf("%d receive halves held, closed IDs %v; want none held and one range", recv, srv.recvClosed[0].All())
+	}
+}
+
+// TestForgottenStreamFECIgnored: an FEC window and its repair symbol for a
+// stream already finished and forgotten recover nothing. Were the stream
+// taken for one never seen, the window's single missing symbol would be
+// rebuilt and delivered into a fresh stream 8.
+func TestForgottenStreamFECIgnored(t *testing.T) {
+	pair := fecPair(t, 36)
+	srv := pair.Server
+	opened, delivered := 0, 0
+	srv.SetOnStreamOpen(func(time.Duration, *RecvStream) { opened++ })
+	srv.SetOnStreamData(func(_ time.Duration, _ *RecvStream, data []byte, _ bool) { delivered += len(data) })
+	data := make([]byte, 64)
+	for i := range data {
+		data[i] = byte(i*5 + 1)
+	}
+	injectFrames(pair, &wire.StreamFrame{StreamID: 8, Data: data, Fin: true})
+	before := srv.Stats()
+	injectFrames(pair, &wire.FECWindowFrame{
+		WindowID: 1, StreamID: 8, DataLen: 64, SymbolSize: 64, Scheme: wire.FECSchemeXOR, Repairs: 1,
+	})
+	injectFrames(pair, &wire.FECRepairFrame{WindowID: 1, Data: fecRepairFor(wire.FECSchemeXOR, 0, 64, data)})
+	st := srv.Stats()
+	if st.FECWindowsRecv != before.FECWindowsRecv+1 || st.FECRepairsRecv != before.FECRepairsRecv+1 {
+		t.Fatal("the window and repair never arrived")
+	}
+	if _, recv := srv.OpenStreams(); opened != 1 || delivered != 64 || recv != 0 || st.FECRecoveredBytes != 0 {
+		t.Fatalf("opened %d, delivered %d, holding %d, recovered %d bytes; want 1, 64, 0, 0", opened, delivered, recv, st.FECRecoveredBytes)
+	}
+}

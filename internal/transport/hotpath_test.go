@@ -93,8 +93,9 @@ func ids(paths []*Path) []uint64 {
 	return out
 }
 
-// TestStreamOrderCacheMatchesSort checks the cached (priority, ID) stream
-// order against a reference rebuild across creation and re-prioritization.
+// TestStreamOrderCacheMatchesSort checks the (priority, ID) stream order,
+// kept in place, against a reference sort across creation,
+// re-prioritization and retirement.
 func TestStreamOrderCacheMatchesSort(t *testing.T) {
 	var got uint64
 	pair := benchPair(t, &got)
@@ -123,7 +124,7 @@ func TestStreamOrderCacheMatchesSort(t *testing.T) {
 		gotOrder := c.streamsInOrder()
 		want := ref()
 		if len(gotOrder) != len(want) {
-			t.Fatalf("%s: %d streams cached, want %d", step, len(gotOrder), len(want))
+			t.Fatalf("%s: %d streams in order, want %d", step, len(gotOrder), len(want))
 		}
 		for i := range want {
 			if gotOrder[i] != want[i] {
@@ -144,14 +145,17 @@ func TestStreamOrderCacheMatchesSort(t *testing.T) {
 	s4.SetPriority(-1) // tie with s8: ID breaks it
 	check("priority tie")
 
-	c.Stream(2) // a new stream invalidates the cache
+	c.Stream(2) // inserted between the promoted streams and stream 12
 	check("fourth stream added")
 
-	c.retireStream(s4) // cut out of the cached order in place
+	c.retireStream(s4) // cut out of the order in place
 	check("stream 4 retired")
 
-	s8.SetPriority(7) // a rebuild must not bring the retired stream back
-	check("rebuilt after a retirement")
+	s8.SetPriority(7) // moving a stream must not bring the retired one back
+	check("moved after a retirement")
+
+	s4.SetPriority(3) // a retired stream has no place to move to
+	check("retired stream re-prioritized")
 }
 
 // TestRecvScratchCopyOnRetain asserts the copy-on-retain discipline end to

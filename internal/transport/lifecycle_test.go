@@ -1,12 +1,14 @@
 package transport
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // TestHandshakeTimeoutTerminal checks the hardened handshake failure path:
@@ -394,5 +396,125 @@ func TestBatchOnlySenderSeesEveryPacketOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStreamStateBoundedByOpenStreams: a connection that carries one stream
+// per request costs what it has open, not every stream it ever carried. Over
+// 20 000 sequential exchanges (64-byte request, 1 000-byte response) each end
+// holds at most two halves of each kind — the exchange in progress and the
+// one before it, whose last acknowledgement may still be on its way — the
+// closed IDs stay one range per stream type, and the live heap does not grow
+// between exchange 1 000 and exchange 20 000.
+func TestStreamStateBoundedByOpenStreams(t *testing.T) {
+	const exchanges, warm = 20000, 1000
+	ccfg, scfg := defaultMPConfig()
+	pair := NewPair(sim.NewLoop(), sim.NewRNG(37), TwoPathConfig(20, 20, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
+	cli, srv := pair.Client, pair.Server
+	req, resp := make([]byte, 64), make([]byte, 1000)
+	srv.SetOnStreamData(func(_ time.Duration, rs *RecvStream, _ []byte, fin bool) {
+		if fin {
+			s := srv.Stream(rs.ID())
+			s.Write(resp)
+			s.Close()
+		}
+	})
+	next := func() {
+		s := cli.OpenStream()
+		s.Write(req)
+		s.Close()
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	done := 0
+	var warmHeap, endHeap uint64
+	cli.SetOnStreamData(func(_ time.Duration, _ *RecvStream, _ []byte, fin bool) {
+		if !fin {
+			return
+		}
+		done++
+		for _, c := range []*Conn{cli, srv} {
+			if send, recv := c.OpenStreams(); send > 2 || recv > 2 {
+				t.Fatalf("exchange %d: %s holds %d send and %d receive halves", done, c.StateName(), send, recv)
+			}
+			for typ := range c.sendClosed {
+				if n, m := len(c.sendClosed[typ].All()), len(c.recvClosed[typ].All()); n > 1 || m > 1 {
+					t.Fatalf("exchange %d: closed IDs of type %d in %d send and %d receive ranges", done, typ, n, m)
+				}
+			}
+		}
+		switch done {
+		case warm:
+			warmHeap = heap()
+		case exchanges:
+			endHeap = heap()
+			return
+		}
+		next()
+	})
+	cli.SetOnHandshakeDone(func(time.Duration) { next() })
+	if err := pair.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for done < exchanges && !cli.Closed() && pair.Loop.Run(1<<16) > 0 {
+	}
+	if done != exchanges {
+		t.Fatalf("%d of %d exchanges completed", done, exchanges)
+	}
+	if endHeap > warmHeap+64<<10 {
+		t.Fatalf("live heap grew %d bytes from exchange %d to %d", endHeap-warmHeap, warm, exchanges)
+	}
+}
+
+// TestResetOfDeliveredStreamQueuesNothing: a stream the peer holds in full
+// is in RFC 9000's terminal "Data Recvd" state (§3.1), so resetting it —
+// through the handle, a detached handle of the forgotten stream, or a late
+// STOP_SENDING from the peer — queues no RESET_STREAM. That holds before the
+// stream retires too, while a copy of its data is still in flight.
+func TestResetOfDeliveredStreamQueuesNothing(t *testing.T) {
+	pair := establishedPair(t, 38)
+	srv := pair.Server
+	held := srv.Stream(0)
+	held.Write(make([]byte, 10<<10))
+	held.Close()
+	pair.RunUntil(pair.Loop.Now() + time.Second)
+	if !held.retired || srv.sendStreams[0] != nil {
+		t.Fatal("the delivered stream was not forgotten")
+	}
+
+	srv.inSend = true // park the send pass: whatever is queued stays queued
+	held.Reset(7)
+	detached := srv.Stream(0)
+	detached.Write([]byte("late"))
+	detached.Close()
+	detached.Reset(7)
+	injectFrames(pair, &wire.StopSendingFrame{StreamID: 0, ErrorCode: 9})
+	if n := queuedResets(srv); n != 0 || held.IsReset() || detached.Buffered() != 0 || srv.sendStreams[0] != nil {
+		t.Fatalf("%d resets queued, held reset %v, detached buffered %d, stream held again %v",
+			n, held.IsReset(), detached.Buffered(), srv.sendStreams[0] != nil)
+	}
+
+	// Held in full but not retired: a copy of its one chunk is in flight.
+	s := srv.Stream(4)
+	s.Write(make([]byte, 10))
+	s.Close()
+	ch, _ := s.nextNewChunk(1000)
+	s.inFlight++
+	s.onChunkAcked(ch)
+	s.Reset(7)
+	injectFrames(pair, &wire.StopSendingFrame{StreamID: 4, ErrorCode: 9})
+	if n := queuedResets(srv); n != 0 || s.IsReset() || s.retired {
+		t.Fatalf("%d resets queued, reset %v, retired %v", n, s.IsReset(), s.retired)
+	}
+
+	// A stream the peer does not hold yet is reset as before.
+	srv.Stream(8).Write(make([]byte, 10))
+	srv.Stream(8).Reset(7)
+	if n := queuedResets(srv); n != 1 {
+		t.Fatalf("%d resets queued for a stream in progress, want 1", n)
 	}
 }

@@ -20,10 +20,13 @@ type refScheduler struct {
 	c      *Conn
 	q      map[uint64]*[]chunk
 	global []chunk
+	// opened is every send stream the connection ever held: it forgets the
+	// ones that can never send again, the reference does not.
+	opened map[uint64]*SendStream
 }
 
 func newRefScheduler(c *Conn) *refScheduler {
-	return &refScheduler{c: c, q: map[uint64]*[]chunk{}}
+	return &refScheduler{c: c, q: map[uint64]*[]chunk{}, opened: map[uint64]*SendStream{}}
 }
 
 func (r *refScheduler) queue(s *SendStream) *[]chunk {
@@ -38,8 +41,11 @@ func (r *refScheduler) queue(s *SendStream) *[]chunk {
 // streams is every send stream ever opened in (priority, ID) order: the
 // reference never retires one.
 func (r *refScheduler) streams() []*SendStream {
-	out := make([]*SendStream, 0, len(r.c.sendStreams))
-	for _, s := range r.c.sendStreams {
+	for id, s := range r.c.sendStreams {
+		r.opened[id] = s
+	}
+	out := make([]*SendStream, 0, len(r.opened))
+	for _, s := range r.opened {
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -56,13 +62,13 @@ func (r *refScheduler) streams() []*SendStream {
 // that rides along with the incremental scheduler).
 func (r *refScheduler) dropReset() {
 	for id, q := range r.q {
-		if r.c.sendStreams[id].reset {
+		if r.opened[id].reset {
 			*q = nil
 		}
 	}
 	kept := r.global[:0]
 	for _, ch := range r.global {
-		if !r.c.sendStreams[ch.streamID].reset {
+		if !r.opened[ch.streamID].reset {
 			kept = append(kept, ch)
 		}
 	}
@@ -70,6 +76,16 @@ func (r *refScheduler) dropReset() {
 }
 
 func (r *refScheduler) pull(now time.Duration, p *Path, maxLen int) (chunk, bool) {
+	ch, ok := r.next(now, p, maxLen)
+	if ok && r.c.sendStreams[ch.streamID] == nil {
+		// The connection forgot a stream whose copy only the reference had
+		// queued; the reference never forgets one, so it puts it back.
+		r.c.sendStreams[ch.streamID] = r.opened[ch.streamID]
+	}
+	return ch, ok
+}
+
+func (r *refScheduler) next(now time.Duration, p *Path, maxLen int) (chunk, bool) {
 	c := r.c
 	if maxLen <= 0 {
 		return chunk{}, false
@@ -212,7 +228,7 @@ func (r *refScheduler) pop(q *[]chunk, p *Path, maxLen int) (chunk, bool) {
 
 func (r *refScheduler) takeAt(q *[]chunk, i int, maxLen int) (chunk, bool) {
 	ch := (*q)[i]
-	s := r.c.sendStreams[ch.streamID]
+	s := r.opened[ch.streamID]
 	for ch.length > 0 && (s.acked.Contains(ch.offset, ch.offset+1) ||
 		s.recovered.Contains(ch.offset, ch.offset+1)) {
 		covered := s.acked.CoveredPrefix(ch.offset)

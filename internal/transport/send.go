@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/assert"
@@ -341,9 +340,10 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 		if !ok {
 			break
 		}
-		// Every chunk is cut from a stream in sendStreams, which nothing
-		// is ever deleted from.
+		// Every chunk is cut from a stream in sendStreams: one leaves it
+		// retired, and nothing cuts from a retired stream (maybeForget).
 		s := c.sendStreams[ch.streamID]
+		assert.That(s != nil, "chunk cut from a forgotten stream")
 		s.inFlight++
 		sf := c.nextStreamFrame()
 		*sf = wire.StreamFrame{
@@ -531,39 +531,59 @@ func (c *Conn) nextStreamFrame() *wire.StreamFrame {
 }
 
 // streamsInOrder returns the send streams that can still send, sorted by
-// (priority, ID) — the paper's early-stream-first order. The sort is cached
-// and rebuilt only when a stream is created or re-prioritized (retireStream
-// removes in place), hoisting a per-pullChunk sort out of the send loop.
-// (priority, ID) is a total order — IDs are unique — so the rebuild is
-// deterministic despite map iteration.
+// (priority, ID) — the paper's early-stream-first order. The order is kept in
+// place, never rebuilt: Stream inserts a new stream, SetPriority moves one and
+// retireStream cuts one out, each by binary search. (priority, ID) is a total
+// order — IDs are unique.
 //
 // xlinkvet:hot
 func (c *Conn) streamsInOrder() []*SendStream {
-	//xlinkvet:cold — rebuilt only when a stream is created or re-prioritized
-	if c.streamOrderDirty {
-		c.streamOrder = c.streamOrder[:0]
-		for _, s := range c.sendStreams {
-			if !s.retired {
-				c.streamOrder = append(c.streamOrder, s)
-			}
-		}
-		sort.Slice(c.streamOrder, func(i, j int) bool {
-			a, b := c.streamOrder[i], c.streamOrder[j]
-			if a.prio != b.prio {
-				return a.prio < b.prio
-			}
-			return a.id < b.id
-		})
-		c.streamOrderDirty = false
-	}
 	if assert.Enabled {
 		for i := 1; i < len(c.streamOrder); i++ {
-			a, b := c.streamOrder[i-1], c.streamOrder[i]
-			assert.That(a.prio < b.prio || (a.prio == b.prio && a.id < b.id),
-				"cached stream order stale at %d", i)
+			assert.That(sendsBefore(c.streamOrder[i-1], c.streamOrder[i]),
+				"stream order broken at %d", i)
 		}
 	}
 	return c.streamOrder
+}
+
+// sendsBefore reports whether a precedes b in (priority, ID) order.
+func sendsBefore(a, b *SendStream) bool {
+	return a.prio < b.prio || (a.prio == b.prio && a.id < b.id)
+}
+
+// orderIndex returns s's place in streamOrder: the first stream not before it.
+func (c *Conn) orderIndex(s *SendStream) int {
+	lo, hi := 0, len(c.streamOrder)
+	for lo < hi {
+		if mid := (lo + hi) / 2; sendsBefore(c.streamOrder[mid], s) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// insertInOrder puts s at its place in streamOrder. A new stream's priority
+// is its ID, above every ID before it, so this is an append.
+func (c *Conn) insertInOrder(s *SendStream) {
+	i := c.orderIndex(s)
+	c.streamOrder = append(c.streamOrder, nil)
+	copy(c.streamOrder[i+1:], c.streamOrder[i:])
+	c.streamOrder[i] = s
+}
+
+// dropFromOrder cuts s out of streamOrder and reports whether it was there.
+func (c *Conn) dropFromOrder(s *SendStream) bool {
+	i, last := c.orderIndex(s), len(c.streamOrder)-1
+	if i > last || c.streamOrder[i] != s {
+		return false
+	}
+	copy(c.streamOrder[i:], c.streamOrder[i+1:])
+	c.streamOrder[last] = nil
+	c.streamOrder = c.streamOrder[:last]
+	return true
 }
 
 // maxDeliverTime computes Eq. 1: max over paths with unacked packets of
@@ -851,36 +871,48 @@ func (c *Conn) dropReinjections(s *SendStream) {
 }
 
 // chunkResolved notes that a packet carrying one of s's chunks was acked or
-// declared lost, and retires s once it can never send again: finished and
-// delivered, nothing left in flight for a scan to find, no copy queued.
+// declared lost.
 func (c *Conn) chunkResolved(s *SendStream) {
 	s.inFlight--
 	assert.That(s.inFlight >= 0, "more chunks resolved than were sent")
-	if s.inFlight > 0 || s.retired || len(s.reinjQ) > 0 || !s.complete() {
-		return
-	}
-	for _, e := range c.globalReinjQ {
-		if e.streamID == s.id {
-			return
-		}
-	}
-	c.retireStream(s)
+	c.maybeForget(s)
 }
 
-// retireStream takes s out of the cached stream order, so pullChunk walks
-// only streams that can still send. A retired stream holds no segments: it
-// was delivered in full or reset, and either released them.
-func (c *Conn) retireStream(s *SendStream) {
-	s.retired = true
-	for i, o := range c.streamOrder {
-		if o == s {
-			last := len(c.streamOrder) - 1
-			copy(c.streamOrder[i:], c.streamOrder[i+1:])
-			c.streamOrder[last] = nil
-			c.streamOrder = c.streamOrder[:last]
+// maybeForget retires s once it can never send again — finished and held
+// by the peer in full, nothing in flight for a scan to find, no copy queued
+// — and forgets a retired stream once nothing of it is in flight: no packet
+// or queue can name it again (DESIGN.md §17).
+func (c *Conn) maybeForget(s *SendStream) {
+	if s.inFlight > 0 {
+		return
+	}
+	if !s.retired {
+		if len(s.reinjQ) > 0 || !s.complete() {
 			return
 		}
+		for _, e := range c.globalReinjQ {
+			if e.streamID == s.id {
+				return
+			}
+		}
+		c.retireStream(s)
 	}
+	if assert.Enabled {
+		assert.That(len(s.reinjQ) == 0, "stream forgotten with copies queued")
+		for _, e := range c.globalReinjQ {
+			assert.That(e.streamID != s.id, "stream forgotten with copies in the shared queue")
+		}
+	}
+	delete(c.sendStreams, s.id)
+	c.sendClosed.add(s.id)
+}
+
+// retireStream takes s out of the stream order, so pullChunk walks only
+// streams that can still send. A retired stream holds no segments: it was
+// delivered in full or reset, and either released them.
+func (c *Conn) retireStream(s *SendStream) {
+	s.retired = true
+	c.dropFromOrder(s)
 }
 
 // --- Acknowledgements ---

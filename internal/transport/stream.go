@@ -72,7 +72,7 @@ type SendStream struct {
 	inFlight int
 	// retired marks a stream that can never send again (finished and
 	// delivered with nothing in flight or queued, or reset): it has left the
-	// connection's streamOrder.
+	// connection's streamOrder, and leaves sendStreams once inFlight is 0.
 	retired bool
 	// fecCovered tracks ranges the FEC encoder protected with repair
 	// symbols: the re-injection scanner skips them, since the QoE gate
@@ -113,17 +113,27 @@ type SendStream struct {
 // than any tagged video frame.
 const defaultFramePrio = 1 << 20
 
+// streamIDSet is a set of stream IDs: one range set per stream type (the two
+// low bits of an ID) over the IDs shifted right by two, so the streams of one
+// type that close in order are a single range, however many there were.
+type streamIDSet [4]rangeset.Set
+
+func (s *streamIDSet) add(id uint64)      { s[id&3].Add(id>>2, id>>2+1) }
+func (s *streamIDSet) has(id uint64) bool { return s[id&3].Contains(id>>2, id>>2+1) }
+
 // ID returns the stream ID.
 func (s *SendStream) ID() uint64 { return s.id }
 
 // Priority returns the scheduling priority (lower = more urgent).
 func (s *SendStream) Priority() int { return s.prio }
 
-// SetPriority overrides the stream priority.
+// SetPriority overrides the stream priority, moving the stream to its new
+// place in the connection's send order (a retired stream has none).
 func (s *SendStream) SetPriority(p int) {
-	if s.prio != p {
-		s.prio = p
-		s.conn.streamOrderDirty = true // cached (prio, id) order is stale
+	moved := s.prio != p && s.conn.dropFromOrder(s)
+	s.prio = p
+	if moved {
+		s.conn.insertInOrder(s)
 	}
 }
 
@@ -183,9 +193,11 @@ func (s *SendStream) frameAfter(offset uint64) int {
 
 // Reset abruptly terminates the sending side of the stream (swipe-away in
 // a short-video UI): pending data, retransmissions and re-injections are
-// dropped and a RESET_STREAM tells the peer the final size.
+// dropped and a RESET_STREAM tells the peer the final size. A stream the
+// peer already holds in full is in RFC 9000's terminal "Data Recvd" state
+// (§3.1): there is nothing left to abort, and Reset does nothing.
 func (s *SendStream) Reset(code uint64) {
-	if s.reset {
+	if s.reset || s.retired || s.complete() {
 		return
 	}
 	s.reset = true
@@ -200,6 +212,7 @@ func (s *SendStream) Reset(code uint64) {
 		ErrorCode: code,
 		FinalSize: s.nextOffset,
 	}, -1, true)
+	s.conn.maybeForget(s)
 }
 
 // IsReset reports whether the stream was abruptly terminated.
@@ -366,10 +379,12 @@ func (s *SendStream) onChunkAcked(c chunk) {
 	s.releaseDelivered()
 }
 
-// complete reports whether the peer acknowledged the FIN and every byte
-// before it.
+// complete reports whether the peer acknowledged the FIN and holds every
+// byte before it. A byte its FEC decoder rebuilt is held but never
+// acknowledged — it is not sent again — so the test is the release floor,
+// which advances over both (releaseDelivered).
 func (s *SendStream) complete() bool {
-	return s.finAcked && s.acked.Contains(0, s.finOffset)
+	return s.finAcked && s.released == s.finOffset
 }
 
 // trimDelivered drops the prefix of a queued re-injection that the peer

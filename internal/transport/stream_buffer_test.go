@@ -243,7 +243,7 @@ func TestFlowControlAndFinalSizeEnforced(t *testing.T) {
 			&wire.StreamFrame{StreamID: 0, Offset: 0, Data: data(100)},
 			&wire.ResetStreamFrame{StreamID: 0, FinalSize: 99}}, ErrCodeFinalSize},
 		{"RESET_STREAM contradicting the FIN", []wire.Frame{
-			&wire.StreamFrame{StreamID: 0, Offset: 0, Data: data(100), Fin: true},
+			&wire.StreamFrame{StreamID: 0, Offset: 50, Data: data(50), Fin: true},
 			&wire.ResetStreamFrame{StreamID: 0, FinalSize: 101}}, ErrCodeFinalSize},
 		{"RESET_STREAM beyond the stream limit", []wire.Frame{
 			&wire.StreamFrame{StreamID: 0, Offset: 0, Data: data(100)},
@@ -304,9 +304,10 @@ func TestTerminalEventsReleaseBuffers(t *testing.T) {
 	if got := srv.Stats().RecvBufferedBytes; got == 0 {
 		t.Fatal("out-of-order data not buffered")
 	}
+	rs8 := srv.recvStreams[8]
 	injectFrames(pair, &wire.ResetStreamFrame{StreamID: 8, FinalSize: 2 << 20})
-	if got := srv.Stats().RecvBufferedBytes; got != 0 || !srv.recvStreams[8].Finished() {
-		t.Fatalf("reset receive stream buffers %d bytes", got)
+	if got := srv.Stats().RecvBufferedBytes; got != 0 || !rs8.Finished() || srv.recvStreams[8] != nil {
+		t.Fatalf("reset receive stream buffers %d bytes, finished %v, held %v", got, rs8.Finished(), srv.recvStreams[8] != nil)
 	}
 	// ...and the application abandoning a stream does the same.
 	injectFrames(pair, &wire.StreamFrame{StreamID: 12, Offset: 1 << 20, Data: payload[:1000]})

@@ -67,9 +67,13 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # a half here), and the poisoning of released send segments — under
 # xlinkdebug a read below a release floor fails content verification. Then
 # when an ACK leaves and when the connection timer is touched (DESIGN.md §19,
-# §20): threshold, delay, gap, piggyback, early wakes, release.
+# §20): threshold, delay, gap, piggyback, early wakes, release. Then stream
+# state that ends with the stream (§17): 20 000 exchanges held to the streams
+# open, frames for forgotten streams ignored, FEC-repaired and reset streams
+# retired — with the assertion that a stream leaves only with nothing in
+# flight or queued, and that every chunk cut finds its stream.
 step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
-	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestAck|TestClientAcksEveryOtherPacket|TestTimer'
+	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
 # Frame and packet-record ownership (DESIGN.md §18) with assertions and the
 # race detector on: a recycled record is poisoned and must not be named by an
 # AckResult, the ledger or a SentFrom result; the free list stays within the

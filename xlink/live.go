@@ -807,11 +807,17 @@ func (ep *Endpoint) TraceBytes() []byte {
 	return append([]byte(nil), ep.trace.Bytes()...)
 }
 
+// The open-stream gauges' labeled names, derived once: With allocates.
+var (
+	metricOpenSendStreams = obs.MetricOpenStreams.With("half", "send")
+	metricOpenRecvStreams = obs.MetricOpenStreams.With("half", "recv")
+)
+
 // Metrics returns the endpoint's metric registry (the trace's registry; an
-// internal one when no Tracer was configured), with the stream-buffer gauges
-// brought up to date — the same numbers ConnStats and /debug report. The
-// registry is internally synchronized, so callers may read it from any
-// goroutine.
+// internal one when no Tracer was configured), with the stream-buffer and
+// open-stream gauges brought up to date — the same numbers ConnStats,
+// Conn.OpenStreams and /debug report. The registry is internally
+// synchronized, so callers may read it from any goroutine.
 func (ep *Endpoint) Metrics() *obs.Registry {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -820,6 +826,9 @@ func (ep *Endpoint) Metrics() *obs.Registry {
 	reg.Gauge(obs.MetricSendBufferedPeak).Set(float64(st.SendBufferedPeak))
 	reg.Gauge(obs.MetricRecvBufferedBytes).Set(float64(st.RecvBufferedBytes))
 	reg.Gauge(obs.MetricRecvBufferedPeak).Set(float64(st.RecvBufferedPeak))
+	send, recv := ep.conn.OpenStreams()
+	reg.Gauge(metricOpenSendStreams).Set(float64(send))
+	reg.Gauge(metricOpenRecvStreams).Set(float64(recv))
 	return reg
 }
 

@@ -16,10 +16,18 @@ type debugState struct {
 	Established bool            `json:"established"`
 	Terminated  bool            `json:"terminated"`
 	Stats       json.RawMessage `json:"stats"`
+	OpenStreams openStreamsJSON `json:"open_streams"`
 	Scorecard   scorecardJSON   `json:"scorecard"`
 	Anomalies   uint64          `json:"anomalies"`
 	FirstReason string          `json:"first_anomaly,omitempty"`
 	Dumps       []anomalyJSON   `json:"anomaly_dumps,omitempty"`
+}
+
+// openStreamsJSON is Conn.OpenStreams: the stream halves the connection
+// holds.
+type openStreamsJSON struct {
+	Send int `json:"send"`
+	Recv int `json:"recv"`
 }
 
 // scorecardJSON mirrors obs.Scorecard with JSON-friendly field names and
@@ -89,7 +97,8 @@ func scorecardToJSON(card obs.Scorecard) scorecardJSON {
 //
 //	/metrics — the metric registry in Prometheus text exposition
 //	/debug   — a JSON snapshot: lifecycle state, transport counters, the
-//	           current scorecard, and any flight-recorder anomaly dumps
+//	           stream halves held, the current scorecard, and any
+//	           flight-recorder anomaly dumps
 //
 // /metrics reads only the internally-synchronized registry and never takes
 // the endpoint lock; /debug snapshots under the lock, so it is safe (if
@@ -113,6 +122,7 @@ func (ep *Endpoint) DebugHandler() http.Handler {
 			Stats:       stats,
 			Scorecard:   scorecardToJSON(ep.scorecardLocked()),
 		}
+		st.OpenStreams.Send, st.OpenStreams.Recv = ep.conn.OpenStreams()
 		fr := ep.trace.Flight()
 		st.Anomalies = fr.Anomalies()
 		st.FirstReason = fr.FirstAnomaly()

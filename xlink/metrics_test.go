@@ -127,7 +127,10 @@ func TestDebugHandlerLive(t *testing.T) {
 	var dbg struct {
 		State       string `json:"state"`
 		Established bool   `json:"established"`
-		Scorecard   struct {
+		OpenStreams *struct {
+			Send, Recv int
+		} `json:"open_streams"`
+		Scorecard struct {
 			StreamBytes uint64 `json:"stream_bytes"`
 			Paths       []struct {
 				SentPackets uint64 `json:"sent_packets"`
@@ -142,6 +145,11 @@ func TestDebugHandlerLive(t *testing.T) {
 	}
 	if len(dbg.Scorecard.Paths) == 0 {
 		t.Error("/debug scorecard has no paths")
+	}
+	// The exchange is over: the response's receive half is forgotten, and
+	// the request's send half is too unless a copy of it is still in flight.
+	if o := dbg.OpenStreams; o == nil || o.Send > 1 || o.Recv != 0 {
+		t.Errorf("/debug open_streams = %+v, want at most 1 send and no receive half", o)
 	}
 
 	// /metrics before close: the trace-event families exist, no session yet.
@@ -159,11 +167,13 @@ func TestDebugHandlerLive(t *testing.T) {
 	if !strings.Contains(m, "xlink_path_sent_packets_total") {
 		t.Errorf("/metrics missing per-path family:\n%s", m)
 	}
-	// Every scrape refreshes the stream-buffer gauges through Metrics(), so
-	// this one carries them, and every line must be one a Prometheus server
-	// accepts: a metric name that breaks the grammar drops the whole scrape.
+	// Every scrape refreshes the stream-buffer and open-stream gauges
+	// through Metrics(), so this one carries them, and every line must be one
+	// a Prometheus server accepts: a metric name that breaks the grammar drops
+	// the whole scrape.
 	for _, name := range []obs.MetricName{obs.MetricSendBufferedBytes, obs.MetricSendBufferedPeak,
-		obs.MetricRecvBufferedBytes, obs.MetricRecvBufferedPeak} {
+		obs.MetricRecvBufferedBytes, obs.MetricRecvBufferedPeak,
+		obs.MetricOpenStreams.With("half", "send"), obs.MetricOpenStreams.With("half", "recv")} {
 		if !strings.Contains(m, "\n"+string(name)+" ") {
 			t.Errorf("/metrics missing the %s gauge", name)
 		}
