@@ -109,8 +109,8 @@ func BenchmarkConnPacketsPerSec(b *testing.B) {
 }
 
 // TestAllocGateBatchFill gates the send-side batch machinery at zero
-// steady-state allocations: filling the send ring to a full batch and
-// flushing it must reuse the ring buffers, the per-path pending slice and
+// steady-state allocations: filling a full batch from the seal free list and
+// flushing it must reuse the seal buffers, the per-path pending slice and
 // the flush order scratch (scripts/check.sh runs every TestAllocGate*).
 func TestAllocGateBatchFill(t *testing.T) {
 	if testing.Short() {
@@ -130,7 +130,7 @@ func TestAllocGateBatchFill(t *testing.T) {
 		c.flushBatches(now)
 		c.batching = false
 	}
-	for i := 0; i < 8; i++ { // warm the ring to its high-water mark
+	for i := 0; i < 8; i++ { // warm the seal free list to its high-water mark
 		fill()
 	}
 	if avg := testing.AllocsPerRun(100, fill); avg > 0 {
@@ -175,7 +175,7 @@ func TestAllocGateBatchRecv(t *testing.T) {
 		now += time.Microsecond
 		s.HandleDatagramBatch(now, p.NetIdx, pkts)
 	}
-	for i := 0; i < 8; i++ { // warm recv scratch, ack scratch, send ring
+	for i := 0; i < 8; i++ { // warm recv scratch, ack scratch, seal buffers
 		ingest()
 	}
 	const gate = 1

@@ -209,10 +209,8 @@ type Conn struct {
 	connDelivered  uint64
 	recvHighest    uint64 // sum of the receive streams' highest offsets
 
-	// Stream buffer accounting and the free list of send segments
-	// (DESIGN.md §17).
+	// Stream buffer accounting (DESIGN.md §17).
 	sendAcct, recvAcct bufAcct
-	segFree            segPool
 
 	ctrlQ []ctrlItem // xlinkvet:guardedby confined
 	// globalReinjQ is the appending-mode re-injection queue: every stream's
@@ -260,9 +258,10 @@ type Conn struct {
 	decoder    wire.Decoder // xlinkvet:guardedby confined
 	inRecv     bool
 
-	// Batch I/O state (DESIGN.md §16). Send side: sendRing holds the seal
-	// buffers for packets parked on per-path pending batches within one
-	// maybeSend pass, batchOrder is the first-touch flush order, and
+	// Batch I/O state (DESIGN.md §16). Send side: sealFree is the free list
+	// of seal buffers; a packet's buffer is on its path's batchPend from
+	// dispatch until SendBatch returns, so the list stays within paths ×
+	// SendBatchSize. batchOrder is the first-touch flush order, and
 	// batching is true only inside a batched pass (SendBatchSize > 1);
 	// outside one, sendOne hands each packet over in the reusable oneBatch.
 	// Receive side: inBatch marks a HandleDatagramBatch in progress —
@@ -270,9 +269,8 @@ type Conn struct {
 	// and ackDirty lists the paths owing that deferred loss pass at batch
 	// end. batchCoalescedAcks counts the ACK frames whose loss detection
 	// was coalesced this batch, for the ack_coalesced trace event.
-	sendRing           [][]byte // xlinkvet:guardedby confined
-	sendRingUsed       int
-	batchOrder         []*Path // xlinkvet:guardedby confined
+	sealFree           [][]byte // xlinkvet:guardedby confined
+	batchOrder         []*Path  // xlinkvet:guardedby confined
 	batching           bool
 	oneBatch           [1][]byte
 	inBatch            bool
@@ -1416,7 +1414,7 @@ func (c *Conn) Stream(id uint64) *SendStream {
 		conn:        c,
 		prio:        int(id),
 		peerMaxData: c.cfg.Params.InitialMaxStrData,
-		data:        segBuf{acct: &c.sendAcct, pool: &c.segFree},
+		data:        segBuf{acct: &c.sendAcct, pooled: true},
 	}
 	if c.state == stateEstablished {
 		// Use the peer's advertised default once known.
@@ -1633,13 +1631,12 @@ func (c *Conn) recordClose(now time.Duration, code uint64, reason string, local 
 	// streams now, or an endpoint that turns connections over faster than
 	// that holds every closed connection's payload at once.
 	for _, s := range c.streamsInOrder() { // a retired stream holds nothing
-		s.data.release(releaseAll)
+		s.data.drop()
 	}
 	//xlinkvet:ignore maprange — release order reaches nothing: receive segments go to the garbage collector
 	for _, rs := range c.recvStreams {
-		rs.data.release(releaseAll)
+		rs.data.drop()
 	}
-	c.segFree = segPool{}
 	clear(c.sendStreams)
 	clear(c.recvStreams)
 	c.streamOrder, c.globalReinjQ = nil, nil

@@ -104,7 +104,7 @@ type Path struct {
 
 	// batchPend holds packets sealed for this path during the current
 	// batched send pass (DESIGN.md §16), waiting for one SendBatch flush.
-	// The buffers are slots of the connection's send ring; the slice is
+	// The buffers come off the connection's seal free list; the slice is
 	// per-pass scratch whose capacity reaches SendBatchSize and is reused.
 	batchPend [][]byte // xlinkvet:guardedby confined
 

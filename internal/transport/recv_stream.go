@@ -14,7 +14,7 @@ type RecvStream struct {
 
 	// data holds the received bytes that were not delivered in order yet,
 	// plus history bytes below that for the FEC decoder. Its segments are
-	// never recycled: the application holds slices of them (see segPool).
+	// never recycled: the application holds slices of them (see sendSegs).
 	data     segBuf
 	history  uint64
 	received rangeset.Set

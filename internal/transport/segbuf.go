@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/assert"
 )
@@ -16,9 +17,6 @@ import (
 // segSize is the unit stream buffers grow and shrink by.
 const segSize = 32 << 10
 
-// segPoolCap bounds the send segments a connection parks for reuse (1 MiB).
-const segPoolCap = 32
-
 // releaseAll is the floor that releases every segment.
 const releaseAll = math.MaxUint64
 
@@ -26,39 +24,36 @@ const releaseAll = math.MaxUint64
 // hold, and the most they ever held.
 type bufAcct struct{ bytes, peak uint64 }
 
-// segPool is the per-connection free list of send segments. Only the send
-// side recycles: a receive segment is handed to the application inside the
-// delivered slice, and xlink's live endpoint runs that callback after the
-// transport call has returned, so the transport can never know when a
-// receive segment is free again — those are left to the garbage collector
-// (a nil *segPool does exactly that).
-type segPool struct{ free [][]byte }
+// sendSegs is the process-wide pool of send segments, as *[segSize]byte so
+// that Put boxes nothing; the collector empties it, so an idle connection
+// holds none. Receive segments are never pooled: one is handed to the
+// application inside the delivered slice, and xlink's live endpoint runs
+// that callback after the transport call has returned, so the transport
+// can never know when it is free again.
+var sendSegs sync.Pool
 
-// get returns a whole segment, reused if one is parked.
-func (p *segPool) get() []byte {
-	if p != nil && len(p.free) > 0 {
-		seg := p.free[len(p.free)-1]
-		p.free[len(p.free)-1] = nil
-		p.free = p.free[:len(p.free)-1]
-		return seg
+// getSeg returns a whole segment, reused if the pool has one.
+func getSeg() []byte {
+	if seg, ok := sendSegs.Get().(*[segSize]byte); ok {
+		return seg[:]
 	}
 	return make([]byte, segSize)
 }
 
-// put parks a released segment. Under xlinkdebug it is overwritten first, so
-// a read through a stale reference fails content verification instead of
-// quietly returning the old bytes.
-func (p *segPool) put(seg []byte) {
-	if p == nil || cap(seg) != segSize || len(p.free) == segPoolCap {
+// putSeg returns a released whole segment to the pool. Under xlinkdebug it
+// is overwritten first, so a read through a stale reference fails content
+// verification instead of quietly returning the old bytes.
+func putSeg(seg []byte) {
+	if cap(seg) != segSize {
 		return
 	}
-	seg = seg[:segSize]
+	whole := (*[segSize]byte)(seg[:segSize])
 	if assert.Enabled {
-		for i := range seg {
-			seg[i] = 0xdb
+		for i := range whole {
+			whole[i] = 0xdb
 		}
 	}
-	p.free = append(p.free, seg)
+	sendSegs.Put(whole)
 }
 
 // segBuf is an offset-addressed byte store over a list of segments: segs[i]
@@ -71,9 +66,9 @@ type segBuf struct {
 	end uint64
 	// one backs segs while the stream fits a single segment, so a small
 	// stream costs one allocation — its bytes — as it did in a plain slice.
-	one  [1][]byte
-	acct *bufAcct
-	pool *segPool
+	one    [1][]byte
+	acct   *bufAcct
+	pooled bool // a send buffer: released segments go back to sendSegs
 }
 
 // size is what the buffer is accounted as holding: from the start of its
@@ -142,10 +137,13 @@ func (b *segBuf) grow(seg []byte, streamStart bool, need int) []byte {
 		return seg[:need]
 	}
 	var g []byte
-	if c := max(2*cap(seg), need); streamStart && c < segSize {
+	switch c := max(2*cap(seg), need); {
+	case streamStart && c < segSize:
 		g = make([]byte, need, c)
-	} else {
-		g = b.pool.get()
+	case b.pooled:
+		g = getSeg()
+	default: // a receive segment: fresh and zeroed, and never recycled
+		g = make([]byte, segSize)
 	}
 	copy(g, seg)
 	return g
@@ -181,7 +179,9 @@ func (b *segBuf) base() uint64 { return b.first * segSize }
 func (b *segBuf) release(floor uint64) {
 	before := b.size()
 	for len(b.segs) > 0 && (b.first+1)*segSize <= floor {
-		b.pool.put(b.segs[0])
+		if b.pooled {
+			putSeg(b.segs[0])
+		}
 		b.segs[0] = nil
 		b.segs = b.segs[1:]
 		b.first++
@@ -190,4 +190,11 @@ func (b *segBuf) release(floor uint64) {
 		b.segs = nil
 	}
 	b.resized(before)
+}
+
+// drop is the terminal release: every segment goes to the collector, not to
+// the pool, which would keep a closed connection's window one cycle longer.
+func (b *segBuf) drop() {
+	b.pooled = false
+	b.release(releaseAll)
 }

@@ -76,20 +76,19 @@ func (c *Conn) maybeSend(now time.Duration) {
 
 // nextSendBuf hands out the buffer the next packet is sealed into. In
 // immediate mode that is the connection's single reusable sendBuf; in batch
-// mode it is the next slot of the send ring, which stays referenced from
-// the path's pending batch until flushBatches hands it to the sender, so
-// packets sealed later in the same pass cannot clobber it.
+// mode it is the top of the seal free list, which dispatchPacket takes off
+// the list until the packet's batch is flushed.
 //
 // xlinkvet:hot
 func (c *Conn) nextSendBuf() []byte {
 	if !c.batching {
 		return c.sendBuf[:0]
 	}
-	//xlinkvet:cold — ring growth: one buffer per pass high-water mark, reused forever after
-	if c.sendRingUsed == len(c.sendRing) {
-		c.sendRing = append(c.sendRing, make([]byte, 0, cc.MaxDatagramSize))
+	//xlinkvet:cold — one buffer per pending-batch high-water mark, at most paths × SendBatchSize
+	if len(c.sealFree) == 0 {
+		c.sealFree = append(c.sealFree, make([]byte, 0, cc.MaxDatagramSize))
 	}
-	return c.sendRing[c.sendRingUsed][:0]
+	return c.sealFree[len(c.sealFree)-1][:0]
 }
 
 // dispatchPacket hands a freshly sealed packet to the network: immediately
@@ -103,15 +102,10 @@ func (c *Conn) dispatchPacket(now time.Duration, p *Path, pkt []byte) {
 		c.sendOne(p.NetIdx, pkt)
 		return
 	}
-	// Write the (possibly grown) backing array back into its ring slot so
-	// the capacity is kept for the next pass.
-	c.sendRing[c.sendRingUsed] = pkt[:0]
-	c.sendRingUsed++
+	c.sealFree = c.sealFree[:len(c.sealFree)-1] // pkt's buffer leaves the free list for the batch
 	if len(p.batchPend) == 0 {
-		//xlinkvet:ignore hotalloc — batchOrder/batchPend are per-pass scratch, capacity reaches its high-water mark and is reused
 		c.batchOrder = append(c.batchOrder, p)
 	}
-	//xlinkvet:ignore hotalloc — batchPend is per-pass scratch, capacity reaches its high-water mark and is reused
 	p.batchPend = append(p.batchPend, pkt)
 	if len(p.batchPend) >= c.cfg.SendBatchSize {
 		c.flushBatchPath(now, p)
@@ -130,9 +124,9 @@ func (c *Conn) sendOne(netIdx int, pkt []byte) {
 	c.oneBatch[0] = nil
 }
 
-// flushBatchPath sends p's pending batch in one SendBatch call. The packet
-// buffers are ring slots owned by the connection; the sender borrows them
-// for the duration of the call (DatagramSender's ownership note).
+// flushBatchPath sends p's pending batch in one SendBatch call. The sender
+// borrows the packet buffers for the call (DatagramSender's ownership note);
+// then they go back on the seal free list.
 //
 // xlinkvet:hot
 func (c *Conn) flushBatchPath(now time.Duration, p *Path) {
@@ -142,7 +136,8 @@ func (c *Conn) flushBatchPath(now time.Duration, p *Path) {
 	n := len(p.batchPend)
 	c.sender.SendBatch(p.NetIdx, p.batchPend)
 	c.tr.BatchFlush(now, p.ID, n)
-	for i := range p.batchPend {
+	for i, pkt := range p.batchPend {
+		c.sealFree = append(c.sealFree, pkt[:0])
 		p.batchPend[i] = nil
 	}
 	p.batchPend = p.batchPend[:0]
@@ -150,8 +145,7 @@ func (c *Conn) flushBatchPath(now time.Duration, p *Path) {
 
 // flushBatches drains every path's pending batch in first-touch order —
 // the order the first packet for each path was sealed in, which keeps the
-// cross-link event-scheduling order identical to immediate sends — and
-// recycles the send ring for the next pass.
+// cross-link event-scheduling order identical to immediate sends.
 //
 // xlinkvet:hot
 func (c *Conn) flushBatches(now time.Duration) {
@@ -163,7 +157,6 @@ func (c *Conn) flushBatches(now time.Duration) {
 		c.batchOrder[i] = nil
 	}
 	c.batchOrder = c.batchOrder[:0]
-	c.sendRingUsed = 0
 }
 
 // sendCtrlBypass flushes queued unpinned control frames when every path is

@@ -204,7 +204,7 @@ func (s *SendStream) Reset(code uint64) {
 	s.resetCode = code
 	s.rtx = rangeset.Set{}
 	s.conn.dropReinjections(s)
-	s.data.release(releaseAll)
+	s.data.drop()
 	s.frames = nil
 	//xlinkvet:ignore hotalloc — RESET_STREAM is queued (outlives the call); a stream resets at most once
 	s.conn.queueCtrl(&wire.ResetStreamFrame{

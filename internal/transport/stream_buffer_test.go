@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -127,31 +128,56 @@ func TestStreamMemoryBoundedByWindow(t *testing.T) {
 }
 
 // TestReleasedSegmentsArePoisoned checks the xlinkdebug half of the release
-// contract: a send segment is overwritten before it re-enters the free list,
-// and the next stream to take it gets it back whole.
+// contract: a send segment is overwritten before it re-enters the
+// process-wide pool, and another connection's stream that takes it gets it
+// back whole.
 func TestReleasedSegmentsArePoisoned(t *testing.T) {
-	var pool segPool
-	b := segBuf{pool: &pool}
 	data := make([]byte, 3*segSize)
 	fillStream(data, 0)
-	b.put(0, data)
-	stale := b.span(segSize, 16) // a reference held across the release
-	b.release(2 * segSize)
-	if len(pool.free) != 2 || b.base() != 2*segSize {
-		t.Fatalf("released %d segments, base %d", len(pool.free), b.base())
-	}
-	if assert.Enabled {
-		for _, v := range stale {
-			if v != 0xdb {
-				t.Fatalf("released segment not poisoned: % x", stale)
+	want := make([]byte, segSize)
+	// The pool is per-P and, under the race detector, drops a quarter of
+	// what it is given, so one release is not sure to reach the next take;
+	// the exchange repeats until a taken segment is one just released.
+	for round := uint64(0); ; round++ {
+		if round == 100 {
+			t.Fatal("no released segment was ever taken by the other connection")
+		}
+		var acctA, acctB bufAcct
+		a := segBuf{acct: &acctA, pooled: true}
+		a.put(0, data)
+		released := [][]byte{a.span(0, 16), a.span(segSize, 16)} // references held across the release
+		a.release(2 * segSize)
+		if acctA.bytes != segSize || a.base() != 2*segSize {
+			t.Fatalf("holds %d bytes from base %d after the release", acctA.bytes, a.base())
+		}
+		if assert.Enabled {
+			for _, stale := range released {
+				for _, v := range stale {
+					if v != 0xdb {
+						t.Fatalf("released segment not poisoned: % x", stale)
+					}
+				}
 			}
 		}
-	}
-	if got := b.span(2*segSize, segSize); got[0] != streamByte(2*segSize) || len(got) != segSize {
-		t.Fatal("the segment above the floor was disturbed")
-	}
-	if seg := pool.get(); len(seg) != segSize || len(pool.free) != 1 {
-		t.Fatalf("free list handed out %d bytes, %d left", len(seg), len(pool.free))
+		if got := a.span(2*segSize, segSize); got[0] != streamByte(2*segSize) || len(got) != segSize {
+			t.Fatal("the segment above the floor was disturbed")
+		}
+
+		b := segBuf{acct: &acctB, pooled: true}
+		fillStream(want, (round+3)*segSize) // new content each round, so a leftover byte cannot pass
+		b.put(0, want)
+		got := b.span(0, segSize)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: a taken segment did not come back whole", round)
+		}
+		a.release(releaseAll)
+		b.release(releaseAll)
+		if acctA.bytes != 0 || acctB.bytes != 0 {
+			t.Fatalf("released buffers still account %d and %d bytes", acctA.bytes, acctB.bytes)
+		}
+		if &got[0] == &released[0][0] || &got[0] == &released[1][0] {
+			return
+		}
 	}
 }
 
@@ -325,8 +351,8 @@ func TestTerminalEventsReleaseBuffers(t *testing.T) {
 	rs := srv.recvStreams[16]
 	cli.Close(0, "done")
 	srv.Close(0, "done")
-	if cs, ss := cli.Stats(), srv.Stats(); cs.SendBufferedBytes != 0 || ss.RecvBufferedBytes != 0 || len(srv.segFree.free) != 0 {
-		t.Fatalf("closed connections buffer %d / %d bytes, %d parked segments", cs.SendBufferedBytes, ss.RecvBufferedBytes, len(srv.segFree.free))
+	if cs, ss := cli.Stats(), srv.Stats(); cs.SendBufferedBytes != 0 || ss.RecvBufferedBytes != 0 || held.data.pooled {
+		t.Fatalf("closed connections buffer %d / %d bytes; send segments still pooled: %v", cs.SendBufferedBytes, ss.RecvBufferedBytes, held.data.pooled)
 	}
 	held.Write(payload) // a write on a closed connection is dropped, not buffered
 	if cli.Terminated() || held.data.segs != nil || rs.data.segs != nil {

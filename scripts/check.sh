@@ -64,8 +64,11 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # Stream buffering (DESIGN.md §17) with assertions and the race detector on:
 # the receive buffer against its keep-everything reference model, a 256 MiB
 # stream held to the window on a lossy two-path network (about a minute and
-# a half here), and the poisoning of released send segments — under
-# xlinkdebug a read below a release floor fails content verification. Then
+# a half here), the poisoning of released send segments handed from one
+# connection's stream to another's through the process-wide pool — under
+# xlinkdebug a read below a release floor fails content verification — and
+# an idle connection that holds no send segment and at most
+# paths × SendBatchSize seal buffers. Then
 # when an ACK leaves and when the connection timer is touched (DESIGN.md §19,
 # §20): threshold, delay, gap, piggyback, early wakes, release. Then stream
 # state that ends with the stream (§17): 20 000 exchanges held to the streams
@@ -73,7 +76,7 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # retired — with the assertion that a stream leaves only with nothing in
 # flight or queued, and that every chunk cut finds its stream.
 step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
-	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
+	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestIdleConnectionHoldsNoBuffers|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
 # Frame and packet-record ownership (DESIGN.md §18) with assertions and the
 # race detector on: a recycled record is poisoned and must not be named by an
 # AckResult, the ledger or a SentFrom result; the free list stays within the
@@ -90,8 +93,9 @@ step go test -count=1 ./internal/chaos/ -run TestGoldenTrace
 # readers posting to shard channels, shard goroutines batching into the
 # transports, foreign-goroutine writers and endpoint/group shutdown all
 # interleaving over real UDP; and the endpoint's recycled timers (§20) under
-# cancel, re-arm and Close storms, stale callbacks included.
-step go test -race -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer'
+# cancel, re-arm and Close storms, stale callbacks included; and a drained
+# shard ring whose fallback buffers are counted.
+step go test -race -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestShardRingExhaustionCounted'
 # Allocation gates (DESIGN.md §11): warm hot paths must hold their alloc/op
 # budgets — zero for sim timers, crypto seal/open, rangeset updates, the
 # telemetry record path (counters/gauges/histograms and the flight-recorder

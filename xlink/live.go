@@ -166,6 +166,10 @@ type Endpoint struct {
 	// user supplied no LiveConfig.Loops; Close signals it.
 	shard      *eventLoopShard
 	ownedLoops *EventLoopGroup
+	// ringExhausted counts the datagrams this endpoint's readers received
+	// into a fresh buffer because the shard's ring was empty. Like shard it
+	// is set before any readLoop starts; the counter itself is atomic.
+	ringExhausted *obs.Counter
 }
 
 // enqueueCallback defers a user callback; the endpoint lock must be held.
@@ -453,6 +457,7 @@ func applyLive(ep *Endpoint, tcfg *transport.Config, cfg LiveConfig) *obs.Trace 
 	}
 	tr.AttachFlightRecorder(0)
 	tcfg.Tracer = tr.Origin(label)
+	ep.ringExhausted = tr.Registry().Counter(obs.MetricShardRingExhausted)
 	return tr
 }
 
@@ -575,12 +580,14 @@ func (g *EventLoopGroup) attach() *eventLoopShard {
 
 // takeBuf hands a ring buffer to a socket reader, falling back to a fresh
 // allocation when the ring is exhausted (slow shard under burst load) so
-// readers never deadlock against their own consumer.
-func (sh *eventLoopShard) takeBuf() []byte {
+// readers never deadlock against their own consumer. Each fallback is
+// counted on exhausted.
+func (sh *eventLoopShard) takeBuf(exhausted *obs.Counter) []byte {
 	select {
 	case buf := <-sh.free:
 		return buf
 	default:
+		exhausted.Inc()
 		//xlinkvet:ignore hotalloc — ring exhausted under burst: grow instead of blocking the reader
 		return make([]byte, readBufSize)
 	}
@@ -699,7 +706,7 @@ func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 func (ep *Endpoint) readLoop(netIdx int, sock *net.UDPConn) {
 	sh := ep.shard
 	for {
-		buf := sh.takeBuf()
+		buf := sh.takeBuf(ep.ringExhausted)
 		n, from, err := sock.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			sh.recycle(buf)

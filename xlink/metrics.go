@@ -21,6 +21,10 @@ type debugState struct {
 	Anomalies   uint64          `json:"anomalies"`
 	FirstReason string          `json:"first_anomaly,omitempty"`
 	Dumps       []anomalyJSON   `json:"anomaly_dumps,omitempty"`
+
+	// RingExhausted is xlink_shard_ring_exhausted_total: datagrams read
+	// into a fresh buffer because the shard's free ring was empty.
+	RingExhausted uint64 `json:"shard_ring_exhausted"`
 }
 
 // openStreamsJSON is Conn.OpenStreams: the stream halves the connection
@@ -97,8 +101,8 @@ func scorecardToJSON(card obs.Scorecard) scorecardJSON {
 //
 //	/metrics — the metric registry in Prometheus text exposition
 //	/debug   — a JSON snapshot: lifecycle state, transport counters, the
-//	           stream halves held, the current scorecard, and any
-//	           flight-recorder anomaly dumps
+//	           stream halves held, the current scorecard, any
+//	           flight-recorder anomaly dumps, and shard ring exhaustion
 //
 // /metrics reads only the internally-synchronized registry and never takes
 // the endpoint lock; /debug snapshots under the lock, so it is safe (if
@@ -123,6 +127,7 @@ func (ep *Endpoint) DebugHandler() http.Handler {
 			Scorecard:   scorecardToJSON(ep.scorecardLocked()),
 		}
 		st.OpenStreams.Send, st.OpenStreams.Recv = ep.conn.OpenStreams()
+		st.RingExhausted = ep.ringExhausted.Value()
 		fr := ep.trace.Flight()
 		st.Anomalies = fr.Anomalies()
 		st.FirstReason = fr.FirstAnomaly()
