@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Event is a callback scheduled to run at a virtual time instant.
 type Event func(now time.Duration)
@@ -24,17 +21,27 @@ type Receiver interface {
 // xlinkvet:hot
 func (fn Event) Fire(now time.Duration, _ int) { fn(now) }
 
-// scheduledEvent is a heap node. Nodes are recycled through Loop.free once
-// they fire, are collected dead, or are swept by compaction; gen is bumped
-// on every recycle so stale Timer handles can detect reuse.
+// scheduledEvent is what a pending event delivers, and where its heap entry
+// is. Nodes are recycled through Loop.free once they fire or are stopped;
+// gen is bumped on every recycle so stale Timer handles can detect reuse.
 type scheduledEvent struct {
-	at   time.Duration
-	seq  uint64 // tie-breaker: FIFO among events at the same instant
-	gen  uint64
-	to   Receiver
-	arg  int
-	dead bool
-	idx  int
+	gen uint64
+	to  Receiver
+	arg int
+	idx int // the event's entry in Loop.heap
+}
+
+// heapEntry is one pending event in the heap, with the key it is ordered by
+// held inline, so that sifting compares values and follows no pointer.
+type heapEntry struct {
+	at  time.Duration
+	seq uint64 // tie-breaker: FIFO among events at the same instant
+	ev  *scheduledEvent
+}
+
+// before is the heap order, a total order on (at, seq).
+func (e heapEntry) before(o heapEntry) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // Timer is a handle to a scheduled event that can be cancelled. The zero
@@ -46,24 +53,23 @@ type Timer struct {
 	loop *Loop
 }
 
-// live reports whether the handle still refers to a pending event: the node
-// must not have been recycled out from under us (gen), stopped (dead), or
-// popped (idx).
+// live reports whether the handle still refers to a pending event: a node
+// that fired or was stopped has been recycled, which moved its gen on.
 func (t Timer) live() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.dead && t.ev.idx >= 0
+	return t.ev != nil && t.ev.gen == t.gen
 }
 
-// Stop cancels the timer. It is a no-op if the event already fired or was
-// already stopped. It reports whether the event was still pending.
+// Stop cancels the timer, taking its event out of the heap. It is a no-op
+// if the event already fired or was already stopped. It reports whether the
+// event was still pending.
 //
 // xlinkvet:hot
 func (t Timer) Stop() bool {
 	if !t.live() {
 		return false
 	}
-	t.ev.dead = true
-	t.loop.dead++
-	t.loop.maybeCompact()
+	l := t.loop
+	l.recycle(l.remove(t.ev.idx))
 	return true
 }
 
@@ -76,58 +82,24 @@ func (t Timer) When() time.Duration {
 	if !t.live() {
 		return 0
 	}
-	return t.ev.at
-}
-
-type eventHeap []*scheduledEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*scheduledEvent)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
+	return t.loop.heap[t.ev.idx].at
 }
 
 // Loop is a single-threaded discrete-event simulation loop with its own
 // virtual clock. It is not safe for concurrent use; all simulated components
 // must be driven from loop callbacks.
 type Loop struct {
-	now    time.Duration
-	seq    uint64
-	events eventHeap
-	fired  uint64
-
-	free        []*scheduledEvent // recycled nodes, capped at maxFree
-	dead        int               // stopped events still in the heap
-	compactions uint64
+	now   time.Duration
+	seq   uint64
+	fired uint64
+	// heap is a 4-ary min-heap on (at, seq), half as deep as a binary one:
+	// a pop sifts through fewer levels, comparing adjacent entries.
+	heap []heapEntry
+	free []*scheduledEvent // recycled nodes, capped at maxFree
 }
 
 // maxFree bounds the recycling pool; beyond it, nodes are left to the GC.
 const maxFree = 256
-
-// compactMinDead is the floor below which stopped events are left for their
-// deadline pop to collect; sweeping tiny heaps isn't worth the work.
-const compactMinDead = 64
 
 // NewLoop returns an empty loop at virtual time zero.
 func NewLoop() *Loop {
@@ -140,17 +112,8 @@ func (l *Loop) Now() time.Duration { return l.now }
 // Fired returns the number of events executed so far.
 func (l *Loop) Fired() uint64 { return l.fired }
 
-// Pending returns the number of events still scheduled (including stopped
-// timers not yet collected).
-func (l *Loop) Pending() int { return len(l.events) }
-
-// DeadPending returns the number of stopped events still occupying the heap.
-// Bounded by construction: compaction sweeps them once they exceed half the
-// heap (past compactMinDead).
-func (l *Loop) DeadPending() int { return l.dead }
-
-// Compactions returns how many dead-event sweeps have run.
-func (l *Loop) Compactions() uint64 { return l.compactions }
+// Pending returns the number of events still scheduled.
+func (l *Loop) Pending() int { return len(l.heap) }
 
 // At schedules fn to run at the absolute virtual time at. Events scheduled
 // in the past run at the current time, never rewinding the clock.
@@ -177,9 +140,10 @@ func (l *Loop) AtRecv(at time.Duration, to Receiver, arg int) Timer {
 		//xlinkvet:ignore hotalloc — free-list refill: amortized by recycle(), measured by TestAllocGateScheduleFire
 		ev = &scheduledEvent{}
 	}
-	ev.at, ev.seq, ev.to, ev.arg, ev.dead = at, l.seq, to, arg, false
+	ev.to, ev.arg = to, arg
+	l.heap = append(l.heap, heapEntry{at: at, seq: l.seq, ev: ev})
 	l.seq++
-	heap.Push(&l.events, ev)
+	l.up(len(l.heap) - 1)
 	return Timer{ev: ev, gen: ev.gen, loop: l}
 }
 
@@ -190,8 +154,9 @@ func (l *Loop) After(d time.Duration, fn Event) Timer {
 	return l.At(l.now+d, fn)
 }
 
-// recycle returns a popped or swept node to the free pool, invalidating any
-// outstanding Timer handles and releasing the event's receiver.
+// recycle returns a node that fired or was stopped to the free pool,
+// invalidating any outstanding Timer handles and releasing the event's
+// receiver.
 //
 // xlinkvet:hot
 func (l *Loop) recycle(ev *scheduledEvent) {
@@ -202,34 +167,70 @@ func (l *Loop) recycle(ev *scheduledEvent) {
 	}
 }
 
-// maybeCompact sweeps stopped events out of the heap once they outnumber
-// the live ones. Heap layout does not affect pop order — Less is a total
-// order on (at, seq) — so sweeping preserves event-loop determinism.
+// up moves the entry at i towards the root until its parent comes before it.
 //
 // xlinkvet:hot
-func (l *Loop) maybeCompact() {
-	if l.dead <= compactMinDead || l.dead*2 <= len(l.events) {
-		return
-	}
-	live := l.events[:0]
-	for _, ev := range l.events {
-		if ev.dead {
-			ev.idx = -1
-			l.recycle(ev)
-		} else {
-			live = append(live, ev)
+func (l *Loop) up(i int) {
+	h := l.heap
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(h[p]) {
+			break
 		}
+		h[i] = h[p]
+		h[i].ev.idx = i
+		i = p
 	}
-	for i := len(live); i < len(l.events); i++ {
-		l.events[i] = nil
+	h[i] = e
+	e.ev.idx = i
+}
+
+// down moves the entry at i towards the leaves until it comes before all its
+// children, and reports whether it moved.
+//
+// xlinkvet:hot
+func (l *Loop) down(i int) bool {
+	h := l.heap
+	e, start := h[i], i
+	for {
+		first := 4*i + 1
+		if first >= len(h) {
+			break
+		}
+		m := first
+		for c := first + 1; c < min(first+4, len(h)); c++ {
+			if h[c].before(h[m]) {
+				m = c
+			}
+		}
+		if !h[m].before(e) {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.idx = i
+		i = m
 	}
-	l.events = live
-	for i, ev := range l.events {
-		ev.idx = i
+	h[i] = e
+	e.ev.idx = i
+	return i != start
+}
+
+// remove takes the entry at i out of the heap and returns its node. The
+// last entry fills the hole and is sifted to its place; the order is a total
+// order on (at, seq), so where an entry sits never changes what pops next.
+//
+// xlinkvet:hot
+func (l *Loop) remove(i int) *scheduledEvent {
+	ev := l.heap[i].ev
+	last := len(l.heap) - 1
+	l.heap[i] = l.heap[last]
+	l.heap[last] = heapEntry{}
+	l.heap = l.heap[:last]
+	if i < last && !l.down(i) {
+		l.up(i)
 	}
-	heap.Init(&l.events)
-	l.dead = 0
-	l.compactions++
+	return ev
 }
 
 // Step executes the next pending event, advancing the clock to its time.
@@ -237,38 +238,23 @@ func (l *Loop) maybeCompact() {
 //
 // xlinkvet:hot
 func (l *Loop) Step() bool {
-	for len(l.events) > 0 {
-		ev := heap.Pop(&l.events).(*scheduledEvent)
-		if ev.dead {
-			l.dead--
-			l.recycle(ev)
-			continue
-		}
-		l.now = ev.at
-		l.fired++
-		to, arg := ev.to, ev.arg
-		l.recycle(ev)
-		to.Fire(l.now, arg)
-		return true
+	if len(l.heap) == 0 {
+		return false
 	}
-	return false
+	l.now = l.heap[0].at
+	ev := l.remove(0)
+	l.fired++
+	to, arg := ev.to, ev.arg
+	l.recycle(ev)
+	to.Fire(l.now, arg)
+	return true
 }
 
 // RunUntil executes events until the clock would pass deadline or no events
 // remain. Events at exactly deadline are executed. The clock finishes at
 // deadline if it was reached.
 func (l *Loop) RunUntil(deadline time.Duration) {
-	for len(l.events) > 0 {
-		// Peek.
-		next := l.events[0]
-		if next.dead {
-			l.dead--
-			l.recycle(heap.Pop(&l.events).(*scheduledEvent))
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
+	for len(l.heap) > 0 && l.heap[0].at <= deadline {
 		l.Step()
 	}
 	if l.now < deadline {

@@ -174,7 +174,9 @@ type Config struct {
 	QoEStandaloneInterval time.Duration
 	// OnQoE, on the server, observes client QoE signals.
 	OnQoE func(now time.Duration, sig wire.QoESignal)
-	// OnStreamData delivers in-order stream data to the application.
+	// OnStreamData delivers in-order stream data to the application. data is
+	// valid for the call only: it aliases buffers the connection reuses once
+	// the callback returns, so a callback that keeps bytes copies them.
 	OnStreamData func(now time.Duration, s *RecvStream, data []byte, fin bool)
 	// OnStreamOpen announces a peer-initiated stream.
 	OnStreamOpen func(now time.Duration, s *RecvStream)

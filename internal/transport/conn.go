@@ -338,7 +338,8 @@ func (c *Conn) Stats() ConnStats {
 	return st
 }
 
-// SetOnStreamData installs the in-order stream data callback. Call before
+// SetOnStreamData installs the in-order stream data callback
+// (Config.OnStreamData: data is valid for the call only). Call before
 // traffic flows.
 func (c *Conn) SetOnStreamData(fn func(now time.Duration, s *RecvStream, data []byte, fin bool)) {
 	c.cfg.OnStreamData = fn
@@ -1231,7 +1232,7 @@ func (c *Conn) streamForRecv(now time.Duration, id uint64) *RecvStream {
 			conn:        c,
 			initialMax:  c.cfg.Params.InitialMaxStrData,
 			maxDataSent: c.cfg.Params.InitialMaxStrData,
-			data:        segBuf{acct: &c.recvAcct},
+			data:        segBuf{acct: &c.recvAcct, pooled: true},
 		}
 		if c.fecEnabled {
 			rs.history = fecHistory
@@ -1248,19 +1249,24 @@ func (c *Conn) streamForRecv(now time.Duration, id uint64) *RecvStream {
 // the stream's reassembly and runs the shared delivery and flow-control
 // tail. Both recovery lanes converge here, so recovered bytes are
 // indistinguishable from received ones downstream. payload is valid for the
-// call only: the reassembly copies what it keeps.
+// call only: the reassembly copies what it keeps. The callback in turn
+// borrows what it is handed: the segments under it, or the gather buffer,
+// are released only once it has returned.
 //
 // xlinkvet:hot
 func (c *Conn) deliverStreamData(now time.Duration, rs *RecvStream, offset uint64, payload []byte, fin bool) {
 	beforeDup := rs.DuplicateBytes
-	data, finished := rs.onFrame(offset, payload, fin)
+	from, n, finished := rs.onFrame(offset, payload, fin)
 	c.stats.DuplicateBytesRecv += rs.DuplicateBytes - beforeDup
-	if len(data) > 0 {
-		c.connDelivered += uint64(len(data))
-	}
-	if (len(data) > 0 || finished) && c.cfg.OnStreamData != nil {
+	c.connDelivered += n
+	if (n > 0 || finished) && c.cfg.OnStreamData != nil {
+		data, gather := rs.borrow(from, n)
 		c.cfg.OnStreamData(now, rs, data, finished)
+		if gather != nil {
+			returnGather(gather)
+		}
 	}
+	rs.releaseDelivered()
 	// Flow control updates.
 	if rs.needsMaxDataUpdate() {
 		//xlinkvet:ignore hotalloc — flow-control frame is queued (outlives the call); amortized to one per half-window delivered

@@ -13,7 +13,7 @@ import (
 
 // Tests for the hot-path scratch/caching work of DESIGN.md §11: cached path
 // and stream orderings must be indistinguishable from a full rebuild, and
-// buffer reuse must never corrupt data an upper layer retained.
+// buffer reuse must never corrupt data during the call that lends it.
 
 // refUsablePaths is the uncached reference implementation usableSendPaths
 // replaced: filter pathOrder by Usable, window space and a known DCID.
@@ -158,20 +158,24 @@ func TestStreamOrderCacheMatchesSort(t *testing.T) {
 	check("retired stream re-prioritized")
 }
 
-// TestRecvScratchCopyOnRetain asserts the copy-on-retain discipline end to
-// end: the receive path parses frames out of a reused decrypt scratch, so
-// data handed to the application must have been copied into stream-owned
-// storage. The callback retains the delivered slices WITHOUT copying; if any
-// layer below handed out scratch-backed bytes, later packets would overwrite
-// them and the final comparison would fail.
-func TestRecvScratchCopyOnRetain(t *testing.T) {
+// TestDeliveredDataIsBorrowed asserts the receive side's copy-on-retain
+// contract end to end: OnStreamData's data is valid for the call only. The
+// bytes come out of a reused decrypt scratch into stream segments that go
+// back to the shared pool once the callback has returned, or are gathered
+// into a pooled buffer when a run crosses segments. A callback that copies
+// must get every byte exactly; under xlinkdebug, where a released segment or
+// gather buffer is overwritten with 0xdb, slices kept past the call must read
+// poison once later deliveries released what they alias.
+func TestDeliveredDataIsBorrowed(t *testing.T) {
 	params := wire.DefaultTransportParams()
 	params.EnableMultipath = true
 	ccfg := Config{Params: params, Seed: 1, MaxAckDelay: time.Millisecond}
 	scfg := Config{Params: params, Seed: 2, MaxAckDelay: time.Millisecond}
-	var parts [][]byte // retained verbatim across subsequent packets
+	var gotBytes []byte
+	var kept [][]byte // retained without a copy, against the contract
 	scfg.OnStreamData = func(now time.Duration, s *RecvStream, data []byte, fin bool) {
-		parts = append(parts, data)
+		gotBytes = append(gotBytes, data...)
+		kept = append(kept, data)
 	}
 	loop := sim.NewLoop()
 	pair := NewPair(loop, sim.NewRNG(7),
@@ -184,8 +188,10 @@ func TestRecvScratchCopyOnRetain(t *testing.T) {
 		t.Fatal("pair did not establish")
 	}
 
-	// Distinctly patterned chunks, each spanning several packets.
-	const chunks = 16
+	// Distinctly patterned chunks, each spanning several packets, over more
+	// than four segments: the stream's own later segments can come from
+	// the pool, and its FIN releases the last ones.
+	const chunks = 48
 	const chunkLen = 3000
 	st := pair.Client.OpenStream()
 	var want []byte
@@ -195,22 +201,69 @@ func TestRecvScratchCopyOnRetain(t *testing.T) {
 		st.Write(chunk)
 		pair.RunUntil(pair.Loop.Now() + 20*time.Millisecond)
 	}
+	st.Close()
 	pair.RunUntil(pair.Loop.Now() + 200*time.Millisecond)
 
-	var gotBytes []byte
-	for _, p := range parts {
-		gotBytes = append(gotBytes, p...)
-	}
 	if len(gotBytes) != len(want) {
 		t.Fatalf("delivered %d bytes, want %d", len(gotBytes), len(want))
 	}
-	if !bytes.Equal(gotBytes, want) {
-		for i := range want {
-			if gotBytes[i] != want[i] {
-				t.Fatalf("retained delivery corrupted at offset %d: got 0x%02x want 0x%02x",
-					i, gotBytes[i], want[i])
+	for i := range want {
+		if gotBytes[i] != want[i] {
+			t.Fatalf("copied delivery corrupted at offset %d: got 0x%02x want 0x%02x", i, gotBytes[i], want[i])
+		}
+	}
+	if !assert.Enabled {
+		return
+	}
+	poisoned := 0
+	for _, p := range kept {
+		poisoned += bytes.Count(p, []byte{0xdb})
+	}
+	if poisoned == 0 {
+		t.Fatalf("%d slices kept past their callbacks still read what was delivered: released buffers are not poisoned", len(kept))
+	}
+	t.Logf("%d of %d kept bytes read poison", poisoned, len(want))
+}
+
+// TestCallbackWriteKeepsItsInput pins why receive segments are released after
+// the callback and not before: a callback that writes — a server answering a
+// request — takes send segments from the same pool the receive segments go
+// back to. Here every callback writes more than two segments before it reads
+// its input, and the input must still be what the peer sent. The frames
+// arrive in order, 1 KiB each, so a run ends on every segment boundary and
+// the FIN's run lies inside the last, whole segment: released before the
+// callback, each of those segments is the first one the write takes back,
+// and under xlinkdebug it is poisoned either way.
+func TestCallbackWriteKeepsItsInput(t *testing.T) {
+	pair := establishedPair(t, 29)
+	srv := pair.Server
+	const size, frame = 3*segSize + 5000, 1 << 10
+	reply := srv.OpenStream()
+	filler := bytes.Repeat([]byte{0x5a}, 2*segSize+1)
+	var got, bad int
+	var finished bool
+	srv.SetOnStreamData(func(_ time.Duration, rs *RecvStream, data []byte, fin bool) {
+		reply.Write(filler)
+		off := rs.Delivered() - uint64(len(data))
+		for i, b := range data {
+			if b != streamByte(off+uint64(i)) {
+				bad++
 			}
 		}
+		got += len(data)
+		finished = finished || fin
+	})
+	content := make([]byte, size)
+	fillStream(content, 0)
+	for off := 0; off < size; off += frame {
+		end := min(off+frame, size)
+		injectFrames(pair, &wire.StreamFrame{StreamID: 0, Offset: uint64(off), Data: content[off:end], Fin: end == size})
+	}
+	if got != size || !finished {
+		t.Fatalf("delivered %d of %d bytes, finished %v", got, size, finished)
+	}
+	if bad > 0 {
+		t.Fatalf("%d delivered bytes changed under the callback that was reading them", bad)
 	}
 }
 

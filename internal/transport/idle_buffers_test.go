@@ -31,14 +31,17 @@ func liveHeap() uint64 {
 }
 
 // TestIdleConnectionHoldsNoBuffers: once a multi-MiB transfer is over, an
-// open connection with nothing to send holds no send segment, and its seal
-// buffers number at most paths × SendBatchSize — the most that can wait on
-// pending batches at once — even after a single pass that sealed hundreds
-// of packets. While each connection parked up to 32 released segments and
-// kept one seal buffer per packet of its longest pass, this pair held
-// 2 241 KiB; with the segments in a process-wide pool and the seal buffers
-// back on their free list at every flush it holds about 700 KiB, most of it
-// the emulated links and their rate traces.
+// open connection with nothing to send holds no send segment, its receiving
+// end holds no receive segment, and its seal buffers number at most paths ×
+// SendBatchSize — the most that can wait on pending batches at once — even
+// after a single pass that sealed hundreds of packets. While each connection
+// parked up to 32 released segments and kept one seal buffer per packet of
+// its longest pass, this pair held 2 241 KiB; with the segments of both
+// directions in a process-wide pool and the seal buffers back on their free
+// list at every flush it holds about 700 KiB, most of it the emulated links
+// and their rate traces. Gather buffers — runs crossing a segment boundary —
+// are borrowed from a pool for the callback only; a per-connection gather
+// scratch would keep the longest run it ever gathered.
 func TestIdleConnectionHoldsNoBuffers(t *testing.T) {
 	const (
 		size     = 8 << 20
@@ -48,7 +51,15 @@ func TestIdleConnectionHoldsNoBuffers(t *testing.T) {
 	base := liveHeap()
 	ccfg, scfg := defaultMPConfig()
 	var received uint64
-	ccfg.OnStreamData = func(_ time.Duration, _ *RecvStream, data []byte, _ bool) { received += uint64(len(data)) }
+	var rs *RecvStream
+	gathered := 0 // runs that crossed a segment boundary
+	ccfg.OnStreamData = func(_ time.Duration, s *RecvStream, data []byte, _ bool) {
+		if off := s.Delivered() - uint64(len(data)); len(data) > 0 && off/segSize != (s.Delivered()-1)/segSize {
+			gathered++
+		}
+		rs = s
+		received += uint64(len(data))
+	}
 	pair := NewPair(sim.NewLoop(), sim.NewRNG(28), TwoPathConfig(200, 100, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
@@ -90,6 +101,9 @@ func TestIdleConnectionHoldsNoBuffers(t *testing.T) {
 	}
 	if st := srv.Stats(); st.SendBufferedBytes != 0 || s.data.segs != nil {
 		t.Fatalf("idle server buffers %d bytes in %d segments", st.SendBufferedBytes, len(s.data.segs))
+	}
+	if st := pair.Client.Stats(); st.RecvBufferedBytes != 0 || rs.data.segs != nil || gathered == 0 {
+		t.Fatalf("idle client buffers %d bytes in %d receive segments (%d runs gathered)", st.RecvBufferedBytes, len(rs.data.segs), gathered)
 	}
 	for _, c := range []*Conn{pair.Client, srv} {
 		if bound := len(c.paths) * c.cfg.SendBatchSize; len(c.sealFree) > bound {

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"sync"
+
 	"repro/internal/rangeset"
 	"repro/internal/wire"
 )
@@ -13,8 +15,8 @@ type RecvStream struct {
 	conn *Conn
 
 	// data holds the received bytes that were not delivered in order yet,
-	// plus history bytes below that for the FEC decoder. Its segments are
-	// never recycled: the application holds slices of them (see sendSegs).
+	// plus history bytes below that for the FEC decoder. Its segments come
+	// from segPool and go back once delivered and no callback borrows them.
 	data     segBuf
 	history  uint64
 	received rangeset.Set
@@ -57,11 +59,11 @@ func (r *RecvStream) Delivered() uint64 { return r.delivered }
 // delivery point, so this much history always covers it.
 const fecHistory = wire.MaxFECSourceSymbols * wire.MaxFECSymbolSize
 
-// onFrame ingests one STREAM frame. It returns the data newly deliverable
-// in order (possibly nil) and whether the stream just finished. The returned
-// slice is the application's to keep: nothing writes below the delivery
-// point again, and the segment under it is garbage-collected, not reused.
-func (r *RecvStream) onFrame(offset uint64, data []byte, fin bool) ([]byte, bool) {
+// onFrame ingests one STREAM frame. It returns the run newly deliverable in
+// order, as its first offset and its length (0 when there is none), and
+// whether the stream just finished. It releases nothing: the run's segments
+// stay until the callback that borrows them has returned (releaseDelivered).
+func (r *RecvStream) onFrame(offset uint64, data []byte, fin bool) (from, n uint64, justFinished bool) {
 	end := offset + uint64(len(data))
 	if fin {
 		r.finSeen = true
@@ -70,7 +72,7 @@ func (r *RecvStream) onFrame(offset uint64, data []byte, fin bool) ([]byte, bool
 	if r.finished {
 		r.TotalBytes += uint64(len(data))
 		r.DuplicateBytes += uint64(len(data))
-		return nil, false
+		return r.delivered, 0, false
 	}
 	if len(data) > 0 {
 		r.TotalBytes += uint64(len(data))
@@ -81,32 +83,73 @@ func (r *RecvStream) onFrame(offset uint64, data []byte, fin bool) ([]byte, bool
 			r.data.put(offset+skip, data[skip:])
 		}
 	}
-	// Deliver the newly contiguous prefix.
-	newEnd := r.received.CoveredPrefix(r.delivered)
-	var out []byte
-	if n := newEnd - r.delivered; n > 0 {
-		out = r.data.span(r.delivered, n)
-		//xlinkvet:cold — a run crossing a segment boundary (once per segment in order, or a filled hole): the callback takes one slice
-		if uint64(len(out)) < n {
-			out = r.data.appendTo(make([]byte, 0, n), r.delivered, n)
-		}
-		r.delivered = newEnd
-	}
-	justFinished := false
+	from = r.delivered
+	r.delivered = r.received.CoveredPrefix(from)
 	if r.finSeen && r.delivered == r.finOffset {
-		r.finish()
+		r.finished = true
 		justFinished = true
-	} else {
-		r.data.release(r.delivered - min(r.delivered, r.history))
 	}
-	return out, justFinished
+	return from, r.delivered - from, justFinished
 }
 
-// finish ends delivery on the stream — everything arrived, the peer reset
-// it, or the application stopped it — and lets go of what it buffered.
+// gathers lends the buffer that a delivery crossing a segment boundary is
+// gathered into, as *[]byte so that Put boxes nothing. The callback borrows
+// it for the call only, so no connection holds one while idle.
+var gathers sync.Pool
+
+// borrow returns the n stored bytes at from as one slice, valid until the
+// caller gives back the gather buffer it returns with it (returnGather):
+// the segment's own bytes when the run lies in one segment, else a copy in a
+// buffer from gathers (nil when none was needed).
+//
+// xlinkvet:hot
+func (r *RecvStream) borrow(from, n uint64) ([]byte, *[]byte) {
+	if n == 0 {
+		return nil, nil
+	}
+	if out := r.data.span(from, n); uint64(len(out)) == n {
+		return out, nil
+	}
+	// A run crossing a segment boundary: once per segment for in-order
+	// arrival, or a filled hole.
+	g, _ := gathers.Get().(*[]byte)
+	//xlinkvet:cold — pool empty: one buffer per gather in progress at once
+	if g == nil {
+		g = new([]byte)
+	}
+	//xlinkvet:cold — the buffer grows to the longest run gathered since the collector last emptied the pool
+	if uint64(cap(*g)) < n {
+		*g = make([]byte, 0, n)
+	}
+	*g = r.data.appendTo((*g)[:0], from, n)
+	return *g, g
+}
+
+// returnGather gives a gather buffer back to the pool, poisoned under
+// xlinkdebug like a released segment.
+func returnGather(g *[]byte) {
+	poison(*g)
+	gathers.Put(g)
+}
+
+// releaseDelivered lets go of the segments below the receive floor, or of
+// every one once the stream finished. deliverStreamData runs it after the
+// callback has returned: the delivered run may alias them, and a callback
+// that writes takes its send segments from the same pool.
+func (r *RecvStream) releaseDelivered() {
+	if r.finished {
+		r.data.release(releaseAll)
+		return
+	}
+	r.data.release(r.delivered - min(r.delivered, r.history))
+}
+
+// finish ends delivery on a stream the peer reset or the application
+// stopped, and drops what it buffered. The segments go to the collector:
+// StopSending may run inside the very callback that is reading them.
 func (r *RecvStream) finish() {
 	r.finished = true
-	r.data.release(releaseAll)
+	r.data.drop()
 }
 
 // needsMaxDataUpdate reports whether a MAX_STREAM_DATA update should be

@@ -17,6 +17,13 @@ import (
 // segSize is the unit stream buffers grow and shrink by.
 const segSize = 32 << 10
 
+// firstSegMax is the most a stream's first segment grows to by doubling
+// before it is replaced by a whole segment from the pool. Small streams —
+// requests, tiny responses — keep costing their bytes; a stream that grows
+// past it stops leaving each doubled copy behind as garbage, which on the
+// receive side, one packet at a time, came to 40 KiB per stream.
+const firstSegMax = 4 << 10
+
 // releaseAll is the floor that releases every segment.
 const releaseAll = math.MaxUint64
 
@@ -24,17 +31,17 @@ const releaseAll = math.MaxUint64
 // hold, and the most they ever held.
 type bufAcct struct{ bytes, peak uint64 }
 
-// sendSegs is the process-wide pool of send segments, as *[segSize]byte so
-// that Put boxes nothing; the collector empties it, so an idle connection
-// holds none. Receive segments are never pooled: one is handed to the
-// application inside the delivered slice, and xlink's live endpoint runs
-// that callback after the transport call has returned, so the transport
-// can never know when it is free again.
-var sendSegs sync.Pool
+// segPool is the process-wide pool of stream segments, send and receive
+// alike, as *[segSize]byte so that Put boxes nothing; the collector empties
+// it, so an idle connection holds none. A send segment returns once the peer
+// holds its bytes; a receive segment once its bytes were delivered and the
+// callback that borrowed them has returned (deliverStreamData), since the
+// delivered slice aliases it.
+var segPool sync.Pool
 
 // getSeg returns a whole segment, reused if the pool has one.
 func getSeg() []byte {
-	if seg, ok := sendSegs.Get().(*[segSize]byte); ok {
+	if seg, ok := segPool.Get().(*[segSize]byte); ok {
 		return seg[:]
 	}
 	return make([]byte, segSize)
@@ -48,12 +55,17 @@ func putSeg(seg []byte) {
 		return
 	}
 	whole := (*[segSize]byte)(seg[:segSize])
+	poison(whole[:])
+	segPool.Put(whole)
+}
+
+// poison overwrites a buffer going back to a pool with 0xdb under xlinkdebug.
+func poison(b []byte) {
 	if assert.Enabled {
-		for i := range whole {
-			whole[i] = 0xdb
+		for i := range b {
+			b[i] = 0xdb
 		}
 	}
-	sendSegs.Put(whole)
 }
 
 // segBuf is an offset-addressed byte store over a list of segments: segs[i]
@@ -68,7 +80,7 @@ type segBuf struct {
 	// stream costs one allocation — its bytes — as it did in a plain slice.
 	one    [1][]byte
 	acct   *bufAcct
-	pooled bool // a send buffer: released segments go back to sendSegs
+	pooled bool // a stream's buffer: segments come from and go back to segPool
 }
 
 // size is what the buffer is accounted as holding: from the start of its
@@ -93,8 +105,8 @@ func (b *segBuf) resized(before uint64) {
 
 // put stores data at stream offset off, which must not lie below a released
 // segment. The stream's very first segment is sized to what it holds and
-// doubles as it fills — a 64-byte request must not cost 32 KiB; every other
-// segment is allocated whole.
+// doubles as it fills up to firstSegMax — a 64-byte request must not cost
+// 32 KiB; every other segment is a whole one.
 func (b *segBuf) put(off uint64, data []byte) {
 	if off < b.base() {
 		assert.That(false, "write below the released prefix")
@@ -138,11 +150,11 @@ func (b *segBuf) grow(seg []byte, streamStart bool, need int) []byte {
 	}
 	var g []byte
 	switch c := max(2*cap(seg), need); {
-	case streamStart && c < segSize:
+	case streamStart && c <= firstSegMax:
 		g = make([]byte, need, c)
 	case b.pooled:
 		g = getSeg()
-	default: // a receive segment: fresh and zeroed, and never recycled
+	default: // an unpooled buffer: a fresh segment the collector frees
 		g = make([]byte, segSize)
 	}
 	copy(g, seg)
@@ -193,7 +205,9 @@ func (b *segBuf) release(floor uint64) {
 }
 
 // drop is the terminal release: every segment goes to the collector, not to
-// the pool, which would keep a closed connection's window one cycle longer.
+// the pool, which would keep a closed connection's window one cycle longer —
+// and would hand a receive segment on while a callback that closed the
+// connection or stopped the stream may still be reading it.
 func (b *segBuf) drop() {
 	b.pooled = false
 	b.release(releaseAll)

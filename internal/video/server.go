@@ -1,9 +1,12 @@
 package video
 
 import (
+	"bytes"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/transport"
@@ -109,8 +112,17 @@ func (s *Server) serve(streamID uint64, req Request) {
 	}
 	length := end - req.Offset
 	ss := s.conn.Stream(streamID)
-	// Synthesize deterministic content: byte k of video = hash-ish of k.
-	payload := SynthesizeContent(req.ID, req.Offset, length)
+	// Synthesize deterministic content (byte k of video = hash-ish of k)
+	// into a borrowed buffer: Write copies it into the stream's segments.
+	buf, _ := contentBufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if uint64(cap(*buf)) < length {
+		*buf = make([]byte, length)
+	}
+	payload := (*buf)[:length]
+	fillContent(payload, req.ID, req.Offset)
 	if s.FirstFramePriority && req.Offset < v.FirstFrameSize {
 		ffEnd := v.FirstFrameSize
 		if ffEnd > end {
@@ -123,48 +135,69 @@ func (s *Server) serve(streamID uint64, req Request) {
 	} else {
 		ss.Write(payload)
 	}
+	contentBufs.Put(buf)
 	ss.Close()
 	s.Served[req.ID] += length
 }
 
+// contentBufs lends serve the buffer it synthesizes a response into, as
+// *[]byte so that Put boxes nothing. A buffer per Server would keep a chunk
+// of every session's content alive between requests.
+var contentBufs sync.Pool
+
 // SynthesizeContent generates deterministic bytes for a video range so
-// end-to-end integrity can be checked without storing real media. Byte k of
-// a video is contentByte(seed, k), filled eight at a time from contentTable.
+// end-to-end integrity can be checked without storing real media.
 func SynthesizeContent(id string, offset, length uint64) []byte {
-	seed := contentSeed(id)
 	out := make([]byte, length)
-	word, k := seedWord(seed), offset%contentPeriod
-	i := 0
-	for ; i+8 <= len(out); i += 8 {
-		binary.LittleEndian.PutUint64(out[i:], binary.LittleEndian.Uint64(contentTable[k:])^word)
-		k = (k + 8) % contentPeriod
-	}
-	for ; i < len(out); i++ {
-		out[i] = contentTable[k] ^ seed
-		k = (k + 1) % contentPeriod
-	}
+	fillContent(out, id, offset)
 	return out
 }
 
-// contentMatches reports whether data is what SynthesizeContent generates
-// for the range starting at offset, without materializing that range.
-func contentMatches(id string, offset uint64, data []byte) bool {
-	seed := contentSeed(id)
-	word, k := seedWord(seed), offset%contentPeriod
-	i := 0
-	for ; i+8 <= len(data); i += 8 {
-		if binary.LittleEndian.Uint64(data[i:]) != binary.LittleEndian.Uint64(contentTable[k:])^word {
-			return false
-		}
-		k = (k + 8) % contentPeriod
+// fillContent writes the video's bytes from offset on into out. Byte k of a
+// video is contentByte(seed, k): contentTable XORed with a row of the seed,
+// contentRow bytes at a time.
+func fillContent(out []byte, id string, offset uint64) {
+	row := seedRow(contentSeed(id))
+	k := int(offset % contentPeriod)
+	for len(out) > 0 {
+		n := min(len(out), contentRow, contentPeriod-k)
+		subtle.XORBytes(out[:n], contentTable[k:k+n], row[:n])
+		out = out[n:]
+		k = (k + n) % contentPeriod
 	}
-	for ; i < len(data); i++ {
-		if data[i] != contentTable[k]^seed {
+}
+
+// contentMatches reports whether data is what SynthesizeContent generates
+// for the range starting at offset, without materializing that range: each
+// piece is un-XORed into a stack row and compared with the table.
+func contentMatches(id string, offset uint64, data []byte) bool {
+	row := seedRow(contentSeed(id))
+	var plain [contentRow]byte
+	k := int(offset % contentPeriod)
+	for len(data) > 0 {
+		n := min(len(data), contentRow, contentPeriod-k)
+		subtle.XORBytes(plain[:n], data[:n], row[:n])
+		if !bytes.Equal(plain[:n], contentTable[k:k+n]) {
 			return false
 		}
-		k = (k + 1) % contentPeriod
+		data = data[n:]
+		k = (k + n) % contentPeriod
 	}
 	return true
+}
+
+// contentRow is how many bytes one XOR pass of fillContent and
+// contentMatches covers.
+const contentRow = 512
+
+// seedRow is contentRow copies of the seed, the operand every table byte is
+// XORed with.
+func seedRow(seed byte) (row [contentRow]byte) {
+	word := uint64(seed) * 0x0101010101010101
+	for i := 0; i < contentRow; i += 8 {
+		binary.LittleEndian.PutUint64(row[i:], word)
+	}
+	return row
 }
 
 func contentSeed(id string) byte {
@@ -185,15 +218,12 @@ func contentByte(seed byte, k uint64) byte {
 // contentPeriod is the period of contentByte in k.
 const contentPeriod = 1 << 16
 
-// contentTable holds contentByte(0, k) for one period, then its first seven
-// bytes again, so that an eight-byte load at any k < contentPeriod stays
-// inside it. A seed XORs every byte, so seedWord XORs eight.
+// contentTable holds contentByte(0, k) for one period; a seed XORs every
+// byte.
 var contentTable = func() []byte {
-	t := make([]byte, contentPeriod+7)
+	t := make([]byte, contentPeriod)
 	for k := range t {
 		t[k] = contentByte(0, uint64(k))
 	}
 	return t
 }()
-
-func seedWord(seed byte) uint64 { return uint64(seed) * 0x0101010101010101 }

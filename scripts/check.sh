@@ -43,7 +43,8 @@ fi
 # of a lossy session's allocations for eight PRs (DESIGN.md §7). The count
 # in the tree (fixtures and the rule's own source aside) may not exceed
 # HOTALLOC_MAY; raising it means editing the next line, where a reviewer
-# sees it. (wire 37, transport 21, xlink 5, cc 3, sim 1, recovery 1, netem 1.)
+# sees it. (67 in the tree: wire 37, transport 19, xlink 5, cc 3, sim 1,
+# recovery 1, netem 1.)
 HOTALLOC_MAY=69
 echo "==> hotalloc suppression ratchet"
 HOTALLOC_HAVE="$(grep -rho --include='*.go' --exclude-dir=vet 'xlinkvet:ignore hotalloc' cmd internal xlink examples benchmark | wc -l)"
@@ -64,11 +65,14 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # Stream buffering (DESIGN.md §17) with assertions and the race detector on:
 # the receive buffer against its keep-everything reference model, a 256 MiB
 # stream held to the window on a lossy two-path network (about a minute and
-# a half here), the poisoning of released send segments handed from one
+# a half here), the poisoning of released segments handed from one
 # connection's stream to another's through the process-wide pool — under
 # xlinkdebug a read below a release floor fails content verification — and
-# an idle connection that holds no send segment and at most
-# paths × SendBatchSize seal buffers. Then
+# an idle connection that holds no send or receive segment, no gather
+# buffer and at most paths × SendBatchSize seal buffers. The borrowed
+# receive contract: a callback that copies gets exact bytes, one that keeps
+# the slice reads poison, and one that writes before it reads still reads
+# its input (segments are released after the callback, not before). Then
 # when an ACK leaves and when the connection timer is touched (DESIGN.md §19,
 # §20): threshold, delay, gap, piggyback, early wakes, release. Then stream
 # state that ends with the stream (§17): 20 000 exchanges held to the streams
@@ -76,7 +80,7 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # retired — with the assertion that a stream leaves only with nothing in
 # flight or queued, and that every chunk cut finds its stream.
 step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
-	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestIdleConnectionHoldsNoBuffers|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
+	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
 # Frame and packet-record ownership (DESIGN.md §18) with assertions and the
 # race detector on: a recycled record is poisoned and must not be named by an
 # AckResult, the ledger or a SentFrom result; the free list stays within the
@@ -93,9 +97,11 @@ step go test -count=1 ./internal/chaos/ -run TestGoldenTrace
 # readers posting to shard channels, shard goroutines batching into the
 # transports, foreign-goroutine writers and endpoint/group shutdown all
 # interleaving over real UDP; and the endpoint's recycled timers (§20) under
-# cancel, re-arm and Close storms, stale callbacks included; and a drained
-# shard ring whose fallback buffers are counted.
-step go test -race -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestShardRingExhaustionCounted'
+# cancel, re-arm and Close storms, stale callbacks included; a drained
+# shard ring whose fallback buffers are counted; and deferred data callbacks
+# that read the endpoint's copy, in order, while another goroutine writes,
+# with the copy's arena given back at Close.
+step go test -race -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestShardRingExhaustionCounted|TestLiveDataCallbacksKeepOrderAndContent|TestCloseGivesTheArenaBack'
 # Allocation gates (DESIGN.md §11): warm hot paths must hold their alloc/op
 # budgets — zero for sim timers, crypto seal/open, rangeset updates, the
 # telemetry record path (counters/gauges/histograms and the flight-recorder
@@ -103,8 +109,9 @@ step go test -race -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTime
 # pull with nothing new in flight and the requester's in-order delivery, a
 # warm wire.Decoder parse and, inside transport + wire, a received STREAM
 # packet, a received 32-range ACK_MP and a send pass with or without a packet
-# (DESIGN.md §18), a warm netem link carrying a 16-packet batch (§19) and a
-# live timer armed and cancelled or fired on a warm free list (§20); a
+# (DESIGN.md §18), a warm netem link carrying a 16-packet batch (§19), a
+# live timer armed and cancelled or fired on a warm free list (§20) and a
+# live data callback queued and run (§16); a
 # fixed ceiling for the transport round trip through the emulator, the
 # batched 16-packet receive, and a whole 4 MiB session per server packet (the
 # benchmark's allocs_per_pkt as a test).

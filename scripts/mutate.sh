@@ -172,7 +172,7 @@ rep(qq~\tep.mu.Unlock()\n\tfor _, s := range socks {\n\t\ts.Close()\n\t}\n~,
 EOF
 mut L2 lockheld xlink/live.go "$X" \
 	"flushCallbacks runs the user callbacks without releasing ep.mu" <<'EOF'
-rep(qq~\t\tep.mu.Unlock()\n\t\tfn()\n\t\tep.mu.Lock()\n~, qq~\t\tfn()\n~);
+rep(qq~\t\t\tep.mu.Unlock()\n\t\t\tep.run(cb, data)\n\t\t\tep.mu.Lock()\n~, qq~\t\t\tep.run(cb, data)\n~);
 EOF
 mut L3 lockheld xlink/live.go "$X" \
 	"the timer body calls flushCallbacks before it unlocks ep.mu (self-deadlock)" <<'EOF'
@@ -180,7 +180,7 @@ rep(qq~\tep.mu.Unlock()\n\tep.flushCallbacks()\n}\n\n// stop cancels~, qq~\tep.f
 EOF
 mut L4 lockheld xlink/live.go "$X" \
 	"applyLive hands OnHandshakeDone to the transport undeferred: the user callback runs under ep.mu" <<'EOF'
-rep(q~ep.enqueueCallback(func() { fn(now) })~, q~fn(now)~);
+rep(q~tcfg.OnHandshakeDone = ep.queueHandshakeDone~, q~tcfg.OnHandshakeDone = cfg.OnHandshakeDone~);
 EOF
 
 # guardedby: annotated fields only with their mutex held / on their loop.
@@ -255,6 +255,16 @@ mut N3 loan internal/wire/frames_fec.go "$W" \
 	"parseFECRepair aliases the packet instead of copying the symbol the decoder parks past it" fuzz=FuzzParseFECFrame <<'EOF'
 rep(q~Data: append([]byte(nil), b[pos:pos+int(length)]...),~, q~Data: b[pos : pos+int(length)],~);
 EOF
+mut N4 loan internal/transport/conn.go "$T" \
+	"deliverStreamData releases the delivered run's segments to the pool before the callback that borrows them" <<'EOF'
+rep(qq~\t\tdata, gather := rs.borrow(from, n)\n~, qq~\t\tdata, gather := rs.borrow(from, n)\n\t\trs.releaseDelivered()\n~);
+EOF
+mut N5 loan xlink/live.go "$X" \
+	"the live OnStreamData wrapper queues the transport's slice instead of a copy in the batch's arena" <<'EOF'
+rep(qq~\toff, n int\n}~, qq~\toff, n int\n\traw    []byte\n}~);
+rep(qq~\tcb.off, cb.n = len(b.arena), len(data)\n\tb.arena = append(b.arena, data...)\n~, qq~\tcb.raw, cb.n = data, len(data)\n~);
+rep(qq~\t\t\t\tdata = b.arena[cb.off : cb.off+cb.n : cb.off+cb.n]\n~, qq~\t\t\t\tdata = cb.raw\n~);
+EOF
 
 # goleak: every goroutine has an exit path and a join.
 mut K1 goleak xlink/live.go "$X" \
@@ -301,6 +311,10 @@ EOF
 mut S4 connstate internal/transport/conn.go "$T" \
 	"enterTerminal reaches closed without tracing the state change" <<'EOF'
 rep(qq~\told := c.state\n\tc.state = stateClosed\n\tc.tr.ConnStateChanged(now, old.String(), c.state.String(),\n\t\tc.stats.CloseErrorCode, c.stats.CloseReason)\n~, qq~\tc.state = stateClosed\n~);
+EOF
+mut S5 connstate internal/sim/loop.go "./internal/sim/ ./internal/netem/ ./internal/transport/" \
+	"Timer.Stop recycles its event's node but leaves the entry in the heap" <<'EOF'
+rep(q~l.recycle(l.remove(t.ev.idx))~, q~l.recycle(t.ev)~);
 EOF
 
 # loaderr: a tree that does not parse or type-check is reported, not skipped.

@@ -150,13 +150,20 @@ type Endpoint struct {
 	closed bool // xlinkvet:guardedby mu
 	done   chan struct{}
 	// cbQ holds user callbacks raised while the lock was held; they run
-	// after release so they may re-enter the endpoint. flushing marks the
-	// goroutine currently draining cbQ so a second flusher (each readLoop,
-	// the timer goroutine, and every API entry point flush) cannot pop a
-	// later callback and run it ahead of an earlier one — user callbacks
-	// must observe stream data in delivery order.
-	cbQ      []func() // xlinkvet:guardedby mu
-	flushing bool     // xlinkvet:guardedby mu
+	// after release so they may re-enter the endpoint. It is borrowed from
+	// batches while callbacks are queued and nil otherwise, so an idle
+	// endpoint holds no queue. flushing marks the goroutine currently
+	// draining cbQ so a second flusher (each readLoop, the timer goroutine,
+	// and every API entry point flush) cannot pop a later callback and run it
+	// ahead of an earlier one — user callbacks must observe stream data in
+	// delivery order.
+	cbQ      *callbackBatch // xlinkvet:guardedby mu
+	flushing bool           // xlinkvet:guardedby mu
+	// The user's callbacks, set by applyLive before the endpoint is
+	// published and read-only after.
+	onStreamData    func(now time.Duration, s *RecvStream, data []byte, fin bool)
+	onStreamOpen    func(now time.Duration, s *RecvStream)
+	onHandshakeDone func(now time.Duration)
 	// timerFree holds the transport's timers not armed now (see realEnv);
 	// like every Env call it is touched under mu.
 	timerFree []*liveTimer
@@ -172,13 +179,77 @@ type Endpoint struct {
 	ringExhausted *obs.Counter
 }
 
-// enqueueCallback defers a user callback; the endpoint lock must be held.
-// It is invoked only from the transport callback wrappers installed by
-// applyLive, and the transport itself only runs under ep.mu (every entry
-// point in this file locks before calling in), so the guard holds — but the
-// proof is one hop beyond what the analyzer's caller credit covers.
-func (ep *Endpoint) enqueueCallback(fn func()) {
-	ep.cbQ = append(ep.cbQ, fn) //xlinkvet:ignore guardedby — transport-invoked under ep.mu; see comment above
+// cbKind says which user callback a pendingCallback runs.
+type cbKind uint8
+
+const (
+	cbStreamData cbKind = iota
+	cbStreamOpen
+	cbHandshakeDone
+)
+
+// pendingCallback is one deferred user callback, held as a value so that
+// queuing it allocates nothing. A data callback's bytes are
+// arena[off:off+n] of its batch.
+type pendingCallback struct {
+	kind   cbKind
+	fin    bool
+	now    time.Duration
+	s      *RecvStream
+	off, n int
+}
+
+// callbackBatch is an endpoint's queue while it is not empty: the callbacks
+// in the order raised, and the bytes of the data ones, copied out of the
+// transport's buffers, which are valid for the transport's call only.
+type callbackBatch struct {
+	q     []pendingCallback
+	arena []byte
+}
+
+// batches lends the endpoints their callback batches.
+var batches sync.Pool
+
+// push queues cb, with a copy of data, on b — on a batch from the pool when
+// b is nil — and returns the batch.
+func (b *callbackBatch) push(cb pendingCallback, data []byte) *callbackBatch {
+	if b == nil {
+		b, _ = batches.Get().(*callbackBatch)
+		//xlinkvet:cold — pool empty: one batch per endpoint with callbacks queued at once
+		if b == nil {
+			b = new(callbackBatch)
+		}
+	}
+	cb.off, cb.n = len(b.arena), len(data)
+	b.arena = append(b.arena, data...)
+	b.q = append(b.q, cb)
+	return b
+}
+
+// queueStreamData is the OnStreamData applyLive hands the transport. The
+// transport's data is valid for this call only, and the user's callback runs
+// after it returns, so push copies the bytes into the batch.
+func (ep *Endpoint) queueStreamData(now time.Duration, s *RecvStream, data []byte, fin bool) {
+	ep.enqueue(pendingCallback{kind: cbStreamData, now: now, s: s, fin: fin}, data)
+}
+
+// queueStreamOpen is the OnStreamOpen applyLive hands the transport.
+func (ep *Endpoint) queueStreamOpen(now time.Duration, s *RecvStream) {
+	ep.enqueue(pendingCallback{kind: cbStreamOpen, now: now, s: s}, nil)
+}
+
+// queueHandshakeDone is the OnHandshakeDone applyLive hands the transport.
+func (ep *Endpoint) queueHandshakeDone(now time.Duration) {
+	ep.enqueue(pendingCallback{kind: cbHandshakeDone, now: now}, nil)
+}
+
+// enqueue defers a user callback; the endpoint lock must be held. It is
+// invoked only from the transport callbacks installed by applyLive, and the
+// transport itself only runs under ep.mu (every entry point in this file
+// locks before calling in), so the guard holds — but the proof is one hop
+// beyond what the analyzer's caller credit covers.
+func (ep *Endpoint) enqueue(cb pendingCallback, data []byte) {
+	ep.cbQ = ep.cbQ.push(cb, data) //xlinkvet:ignore guardedby — transport-invoked under ep.mu; see comment above
 }
 
 // flushCallbacks runs deferred user callbacks outside the lock, in order.
@@ -194,20 +265,41 @@ func (ep *Endpoint) flushCallbacks() {
 		return
 	}
 	ep.flushing = true
-	// Popped by index, not by re-slicing: the array keeps its front, so once
-	// the queue is empty enqueueCallback fills the same array again instead
-	// of growing a new one every few callbacks. Entries are cleared as they
-	// are taken so a finished closure is not pinned by the array.
-	for i := 0; i < len(ep.cbQ); i++ {
-		fn := ep.cbQ[i]
-		ep.cbQ[i] = nil
-		ep.mu.Unlock()
-		fn()
-		ep.mu.Lock()
+	// Popped by index under the lock, since an enqueue may append while a
+	// callback runs. Entries are cleared as they are taken so a finished
+	// stream is not pinned by the array. A data callback's bytes stay put
+	// while it runs: the arena is only appended to (a reallocation leaves
+	// them in the old array). The batch goes back to the pool once empty.
+	if b := ep.cbQ; b != nil {
+		for i := 0; i < len(b.q); i++ {
+			cb := b.q[i]
+			b.q[i] = pendingCallback{}
+			var data []byte
+			if cb.n > 0 {
+				data = b.arena[cb.off : cb.off+cb.n : cb.off+cb.n]
+			}
+			ep.mu.Unlock()
+			ep.run(cb, data)
+			ep.mu.Lock()
+		}
+		b.q, b.arena = b.q[:0], b.arena[:0]
+		batches.Put(b)
+		ep.cbQ = nil
 	}
-	ep.cbQ = ep.cbQ[:0]
 	ep.flushing = false
 	ep.mu.Unlock()
+}
+
+// run calls the user callback cb names, with data for a data callback.
+func (ep *Endpoint) run(cb pendingCallback, data []byte) {
+	switch cb.kind {
+	case cbStreamData:
+		ep.onStreamData(cb.now, cb.s, data, cb.fin)
+	case cbStreamOpen:
+		ep.onStreamOpen(cb.now, cb.s)
+	case cbHandshakeDone:
+		ep.onHandshakeDone(cb.now)
+	}
 }
 
 // Stream is the sending half of a stream on a live endpoint. It wraps the
@@ -285,7 +377,9 @@ type LiveConfig struct {
 	// PSK must match between client and server (stands in for TLS; see
 	// DESIGN.md).
 	PSK []byte
-	// OnStreamData receives in-order stream data.
+	// OnStreamData receives in-order stream data. data is valid for the call
+	// only: the endpoint reuses its buffer once the callback returns, so a
+	// callback that keeps bytes copies them.
 	OnStreamData func(now time.Duration, s *RecvStream, data []byte, fin bool)
 	// OnStreamOpen announces peer-initiated streams.
 	OnStreamOpen func(now time.Duration, s *RecvStream)
@@ -427,20 +521,15 @@ func applyLive(ep *Endpoint, tcfg *transport.Config, cfg LiveConfig) *obs.Trace 
 	if len(cfg.PSK) > 0 {
 		tcfg.PSK = cfg.PSK
 	}
-	if fn := cfg.OnStreamData; fn != nil {
-		tcfg.OnStreamData = func(now time.Duration, s *transport.RecvStream, data []byte, fin bool) {
-			ep.enqueueCallback(func() { fn(now, s, data, fin) })
-		}
+	ep.onStreamData, ep.onStreamOpen, ep.onHandshakeDone = cfg.OnStreamData, cfg.OnStreamOpen, cfg.OnHandshakeDone
+	if cfg.OnStreamData != nil {
+		tcfg.OnStreamData = ep.queueStreamData
 	}
-	if fn := cfg.OnStreamOpen; fn != nil {
-		tcfg.OnStreamOpen = func(now time.Duration, s *transport.RecvStream) {
-			ep.enqueueCallback(func() { fn(now, s) })
-		}
+	if cfg.OnStreamOpen != nil {
+		tcfg.OnStreamOpen = ep.queueStreamOpen
 	}
-	if fn := cfg.OnHandshakeDone; fn != nil {
-		tcfg.OnHandshakeDone = func(now time.Duration) {
-			ep.enqueueCallback(func() { fn(now) })
-		}
+	if cfg.OnHandshakeDone != nil {
+		tcfg.OnHandshakeDone = ep.queueHandshakeDone
 	}
 	if cfg.QoEProvider != nil {
 		// The provider is a pure read; it runs inline (no re-entrancy).
@@ -903,4 +992,8 @@ func (ep *Endpoint) Close() {
 	if ep.ownedLoops != nil {
 		ep.ownedLoops.Close()
 	}
+	// Like every entry point, run what is still queued — data that arrived
+	// before the close — so the batch goes back to the pool now rather than
+	// with the endpoint.
+	ep.flushCallbacks()
 }
