@@ -15,6 +15,7 @@ package abtest
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -152,32 +153,50 @@ func badLTETrace(rng *sim.RNG, dur time.Duration) *trace.Trace {
 	})
 }
 
-// drawSession generates the video and network for one session.
-func drawSession(rng *sim.RNG) (video.Video, []netem.PathConfig) {
-	var class conditionClass
-	switch x := rng.Float64(); {
-	case x < 0.45:
-		class = condGood
-	case x < 0.70:
-		class = condUnstableWiFi
-	case x < 0.82:
-		class = condCongested
-	default:
-		class = condBadSecondary
-	}
-	return drawSessionClass(rng, class)
+// session is one play of the population, drawn in two halves from its own
+// fork of the day's RNG. The caller forks the RNGs in session order (the fork
+// chain is order-sensitive) and draws the class and video, which are cheap
+// and fix the job order; the network — trace synthesis, the expensive half —
+// and the seed are drawn on a worker, once, by whichever of the session's
+// arms starts first, continuing the same fork. Either way the draws are the
+// ones a single sequential pass makes.
+type session struct {
+	rng   *sim.RNG
+	class conditionClass
+	v     video.Video
+
+	drawn sync.Once
+	paths []netem.PathConfig // shared read-only by every arm of the session
+	seed  int64
 }
 
-// drawSessionClass generates a session for a specific condition class.
-func drawSessionClass(rng *sim.RNG, class conditionClass) (video.Video, []netem.PathConfig) {
-	v := video.Video{
+// drawClass picks a session's network mixture component.
+func drawClass(rng *sim.RNG) conditionClass {
+	switch x := rng.Float64(); {
+	case x < 0.45:
+		return condGood
+	case x < 0.70:
+		return condUnstableWiFi
+	case x < 0.82:
+		return condCongested
+	default:
+		return condBadSecondary
+	}
+}
+
+// drawVideo generates the video of a session.
+func drawVideo(rng *sim.RNG) video.Video {
+	return video.Video{
 		ID:             "v",
 		Size:           uint64(rng.Uniform(1.5, 5)) << 20,
 		BitrateBps:     uint64(rng.Uniform(1.5e6, 3.5e6)),
 		FPS:            []uint64{24, 25, 30}[rng.Intn(3)],
 		FirstFrameSize: uint64(rng.Uniform(40, 120)) << 10,
 	}
+}
 
+// drawNetwork generates the paths of a session of the given class playing v.
+func drawNetwork(rng *sim.RNG, class conditionClass, v video.Video) []netem.PathConfig {
 	wifiDelay := trace.DelayWiFi.SampleOneWay(rng)
 	lteDelay := trace.DelayLTE.SampleOneWay(rng)
 	// Secondary (LTE) path often crosses ISP borders (Appendix A).
@@ -212,118 +231,105 @@ func drawSessionClass(rng *sim.RNG, class conditionClass) (video.Video, []netem.
 		wifiLoss, lteLoss = 0.001, rng.Uniform(0.02, 0.05)
 		lteDelay += time.Duration(rng.Uniform(150, 350)) * time.Millisecond
 	}
-	paths := []netem.PathConfig{
+	return []netem.PathConfig{
 		{Name: "wifi", Tech: trace.TechWiFi, Up: wifi, OneWayDelay: wifiDelay, LossRate: wifiLoss},
 		{Name: "lte", Tech: trace.TechLTE, Up: lte, OneWayDelay: lteDelay, LossRate: lteLoss},
 	}
-	return v, paths
 }
 
-// Run executes the population under every arm with paired conditions.
-func Run(pop Population, arms []Arm) map[string]*ArmResult {
-	results := make(map[string]*ArmResult, len(arms))
-	for _, arm := range arms {
-		results[arm.Name] = &ArmResult{Name: arm.Name}
+// drawRest draws the worker's half of the session: its network, then its seed.
+func (s *session) drawRest() {
+	s.paths = drawNetwork(s.rng, s.class, s.v)
+	s.seed = s.rng.Int63()
+}
+
+// config is the emulated play of the session under arm.
+func (s *session) config(arm Arm) core.SessionConfig {
+	return core.SessionConfig{
+		Scheme:    arm.Scheme,
+		Options:   arm.Options,
+		Paths:     s.paths,
+		Video:     s.v,
+		Seed:      s.seed,
+		Requester: video.RequesterConfig{ChunkSize: 256 << 10, MaxConcurrent: 2, MaxBufferAhead: 2500 * time.Millisecond},
+		Deadline:  s.v.Duration() + 30*time.Second,
 	}
+}
+
+// Run executes the population under every arm with paired conditions. It is
+// RunParallel on one worker: every session-arm runs on the calling goroutine.
+func Run(pop Population, arms []Arm) map[string]*ArmResult {
+	return RunParallel(pop, arms, 1)
+}
+
+// RunParallel executes the population under every arm with paired conditions
+// on up to workers goroutines, and returns what Run does whatever the worker
+// count (DESIGN.md §21). The sessions' RNGs are forked in order on the
+// caller; the jobs are session-arms, handed out largest video first so that
+// the longest plays do not start last and leave the other workers idle at
+// the end; a session's network is drawn by the first of its arms to start;
+// and the outcomes are folded in session order, arms in the order given.
+// Each job writes only its own outcome slot, so the slots need no lock; the
+// WaitGroup join publishes the writes. workers <= 1 starts no goroutine.
+func RunParallel(pop Population, arms []Arm, workers int) map[string]*ArmResult {
 	base := sim.NewRNG(pop.Seed).Fork(fmt.Sprintf("day-%d", pop.Day))
-	for sess := 0; sess < pop.Sessions; sess++ {
-		srng := base.Fork(fmt.Sprintf("session-%d", sess))
-		v, paths := drawSession(srng)
-		sessionSeed := srng.Int63()
-		for _, arm := range arms {
-			res, err := core.RunSession(core.SessionConfig{
-				Scheme:    arm.Scheme,
-				Options:   arm.Options,
-				Paths:     paths,
-				Video:     v,
-				Seed:      sessionSeed,
-				Requester: video.RequesterConfig{ChunkSize: 256 << 10, MaxConcurrent: 2, MaxBufferAhead: 2500 * time.Millisecond},
-				Deadline:  v.Duration() + 30*time.Second,
-			})
-			if err != nil {
-				continue
-			}
-			accumulate(results[arm.Name], v, res)
+	sessions := make([]session, pop.Sessions)
+	order := make([]int, 0, pop.Sessions*len(arms)) // job i is session i/len(arms), arm i%len(arms)
+	for i := range sessions {
+		s := &sessions[i]
+		s.rng = base.Fork(fmt.Sprintf("session-%d", i))
+		s.class = drawClass(s.rng)
+		s.v = drawVideo(s.rng)
+		for a := range arms {
+			order = append(order, i*len(arms)+a)
 		}
 	}
-	return results
-}
+	sort.SliceStable(order, func(i, j int) bool {
+		return sessions[order[i]/len(arms)].v.Size > sessions[order[j]/len(arms)].v.Size
+	})
 
-// RunParallel executes the same workload as Run across a pool of worker
-// goroutines and produces identical results: the session draws come from
-// the same order-sensitive RNG fork chain, so they are all made up front on
-// the calling goroutine, and the per-session outcomes are folded in session
-// order afterwards. Workers receive session indices from a jobs channel
-// until it closes and are joined with a WaitGroup before aggregation.
-// workers <= 1 falls back to the sequential Run.
-func RunParallel(pop Population, arms []Arm, workers int) map[string]*ArmResult {
-	if workers <= 1 || pop.Sessions <= 1 {
-		return Run(pop, arms)
-	}
-	base := sim.NewRNG(pop.Seed).Fork(fmt.Sprintf("day-%d", pop.Day))
-	type drawn struct {
-		v     video.Video
-		paths []netem.PathConfig
-		seed  int64
-	}
-	draws := make([]drawn, pop.Sessions)
-	for sess := range draws {
-		srng := base.Fork(fmt.Sprintf("session-%d", sess))
-		v, paths := drawSession(srng)
-		draws[sess] = drawn{v: v, paths: paths, seed: srng.Int63()}
-	}
-
-	// Each worker writes only its own session's slot, so the outcome slice
-	// needs no lock; the WaitGroup join publishes the writes.
 	type outcome struct {
-		ok  []bool
-		res []core.SessionResult
+		ok  bool
+		res core.SessionResult
 	}
-	outs := make([]outcome, pop.Sessions)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//xlinkvet:confines each worker runs complete sessions whose transport state is created inside this goroutine
-		go func() {
-			defer wg.Done()
-			for sess := range jobs {
-				d := draws[sess]
-				out := outcome{ok: make([]bool, len(arms)), res: make([]core.SessionResult, len(arms))}
-				for i, arm := range arms {
-					res, err := core.RunSession(core.SessionConfig{
-						Scheme:    arm.Scheme,
-						Options:   arm.Options,
-						Paths:     d.paths,
-						Video:     d.v,
-						Seed:      d.seed,
-						Requester: video.RequesterConfig{ChunkSize: 256 << 10, MaxConcurrent: 2, MaxBufferAhead: 2500 * time.Millisecond},
-						Deadline:  d.v.Duration() + 30*time.Second,
-					})
-					if err != nil {
-						continue
-					}
-					out.ok[i], out.res[i] = true, res
+	outs := make([]outcome, len(order))
+	run := func(job int) {
+		s := &sessions[job/len(arms)]
+		s.drawn.Do(s.drawRest)
+		res, err := core.RunSession(s.config(arms[job%len(arms)]))
+		outs[job] = outcome{ok: err == nil, res: res}
+	}
+	if workers = min(workers, len(order)); workers <= 1 {
+		for _, job := range order {
+			run(job)
+		}
+	} else {
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			//xlinkvet:confines each job runs a complete session-arm whose transport state is created inside this goroutine
+			go func() {
+				defer wg.Done()
+				for job := range jobs {
+					run(job)
 				}
-				outs[sess] = out
-			}
-		}()
+			}()
+		}
+		for _, job := range order {
+			jobs <- job
+		}
+		close(jobs)
+		wg.Wait()
 	}
-	for sess := 0; sess < pop.Sessions; sess++ {
-		jobs <- sess
-	}
-	close(jobs)
-	wg.Wait()
 
 	results := make(map[string]*ArmResult, len(arms))
 	for _, arm := range arms {
 		results[arm.Name] = &ArmResult{Name: arm.Name}
 	}
-	for sess := range outs {
-		for i, arm := range arms {
-			if outs[sess].ok[i] {
-				accumulate(results[arm.Name], draws[sess].v, outs[sess].res[i])
-			}
+	for job, o := range outs {
+		if o.ok {
+			accumulate(results[arms[job%len(arms)].Name], sessions[job/len(arms)].v, o.res)
 		}
 	}
 	return results
@@ -357,18 +363,24 @@ func accumulate(a *ArmResult, v video.Video, res core.SessionResult) {
 	a.RtxBytes += res.ServerStats.RtxBytesSent
 	a.ReinjBytes += res.ServerStats.ReinjectedBytesSent
 
-	// Buffer-level distribution after start-up (Sec 7.1 footnote 16). A
-	// fill-up grace period after playback starts is excluded: every
-	// scheme begins with a near-empty buffer, and schemes that start
-	// *sooner* would otherwise be charged extra danger samples for the
-	// ramp the slower schemes skip by starting later.
+	// Buffer-level distribution during playback (Sec 7.1 footnote 16): after
+	// start-up and before the finish instant. A fill-up grace period after
+	// playback starts is excluded: every scheme begins with a near-empty
+	// buffer, and schemes that start *sooner* would otherwise be charged
+	// extra danger samples for the ramp the slower schemes skip by starting
+	// later. Samples from the finish on are excluded too: the session keeps
+	// ticking until its deadline, 30 s past the video's duration, and an
+	// empty buffer after the last frame played is no graze.
 	rate := v.BytesPerSecond()
-	if rate > 0 && res.BufferSeries != nil {
+	if rate > 0 && res.BufferSeries != nil && m.StartupLatency > 0 {
 		grace := m.StartupLatency + 2*time.Second
 		for i, bytes := range res.BufferSeries.Values {
 			ts := res.BufferSeries.Times[i]
-			if m.StartupLatency == 0 || ts <= grace {
+			if ts <= grace {
 				continue
+			}
+			if m.Finished && ts >= m.FinishedAt {
+				break
 			}
 			dt := bytes / rate
 			a.BufferLevels = append(a.BufferLevels, dt)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -129,7 +130,7 @@ func Fig1cTable1(scale Scale, seed int64) Report {
 	reb := stats.Table{Header: []string{"Day", "SP rate", "MP rate", "reduction (%)"}}
 	var worstP99, worstRebuffer float64
 	for day := 1; day <= scale.Days; day++ {
-		res := abtest.Run(abtest.Population{Day: day, Sessions: scale.SessionsPerDay, Seed: seed}, vanillaArms())
+		res := abtest.RunParallel(abtest.Population{Day: day, Sessions: scale.SessionsPerDay, Seed: seed}, vanillaArms(), runtime.NumCPU())
 		sp, mp := res["SP"], res["vanilla-MP"]
 		ssp, smp := sp.RCTSummary(), mp.RCTSummary()
 		rct.AddRow(fmt.Sprintf("%d", day),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -39,7 +40,7 @@ var fig10Settings = []thresholdSetting{
 func Fig10Table2(scale Scale, seed int64) Report {
 	// Step 1: calibration run with re-injection always on (no QoE gate).
 	calArms := []abtest.Arm{{Name: "cal", Scheme: core.SchemeReinjNoQoE}}
-	cal := abtest.Run(abtest.Population{Day: 1, Sessions: scale.SessionsPerDay, Seed: seed}, calArms)["cal"]
+	cal := abtest.RunParallel(abtest.Population{Day: 1, Sessions: scale.SessionsPerDay, Seed: seed}, calArms, runtime.NumCPU())["cal"]
 	samples := make([]time.Duration, len(cal.BufferLevels))
 	for i, s := range cal.BufferLevels {
 		samples[i] = time.Duration(s * float64(time.Second))
@@ -58,7 +59,7 @@ func Fig10Table2(scale Scale, seed int64) Report {
 		}
 		baselineArms = append(baselineArms, arm)
 	}
-	res := abtest.Run(abtest.Population{Day: 2, Sessions: scale.SessionsPerDay, Seed: seed}, baselineArms)
+	res := abtest.RunParallel(abtest.Population{Day: 2, Sessions: scale.SessionsPerDay, Seed: seed}, baselineArms, runtime.NumCPU())
 	sp := res["SP"]
 	spBuf := stats.Summarize(sp.BufferLevels)
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/abtest"
@@ -21,7 +22,7 @@ func Fig11Table3(scale Scale, seed int64) Report {
 	reb := stats.Table{Header: []string{"Day", "SP rate", "XLINK rate", "reduction (%)"}}
 	var p50s, p95s, p99s, rebs []float64
 	for day := 1; day <= scale.Days; day++ {
-		res := abtest.Run(abtest.Population{Day: day, Sessions: scale.SessionsPerDay, Seed: seed}, arms)
+		res := abtest.RunParallel(abtest.Population{Day: day, Sessions: scale.SessionsPerDay, Seed: seed}, arms, runtime.NumCPU())
 		sp, xl := res["SP"], res["XLINK"]
 		ssp, sxl := sp.RCTSummary(), xl.RCTSummary()
 		rct.AddRow(fmt.Sprintf("%d", day),
@@ -70,7 +71,7 @@ func Fig12FirstFrame(scale Scale, seed int64) Report {
 	// Pool several days for a stable tail.
 	agg := map[string][]float64{}
 	for day := 1; day <= scale.Days; day++ {
-		res := abtest.Run(abtest.Population{Day: day, Sessions: scale.SessionsPerDay, Seed: seed + 1000}, arms)
+		res := abtest.RunParallel(abtest.Population{Day: day, Sessions: scale.SessionsPerDay, Seed: seed + 1000}, arms, runtime.NumCPU())
 		for _, arm := range arms {
 			agg[arm.Name] = append(agg[arm.Name], res[arm.Name].FirstFrames...)
 		}

@@ -9,6 +9,7 @@
 package netem
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/assert"
@@ -18,11 +19,11 @@ import (
 
 // DeliverFunc receives a packet that finished traversing a link.
 //
-// Ownership: data is the link's own packet buffer, on loan for the duration
-// of the call only — the link reuses it for a later Send as soon as the call
-// returns (and overwrites it at once under -tags xlinkdebug). A receiver that
-// keeps the bytes must copy them. This mirrors the send side, where the link
-// copies what it is handed (see transport.DatagramSender).
+// Ownership: data is a pooled packet buffer, on loan for the duration of the
+// call only — it goes back to the pool, for any link's later Send, as soon as
+// the call returns (and is overwritten at once under -tags xlinkdebug). A
+// receiver that keeps the bytes must copy them. This mirrors the send side,
+// where the link copies what it is handed (see transport.DatagramSender).
 type DeliverFunc func(now time.Duration, data []byte)
 
 // LinkConfig configures one direction of an emulated path.
@@ -109,13 +110,10 @@ type Link struct {
 	// slots holds the packets that have left the queue and are waiting out
 	// their propagation delay; the delivery event of each carries its index
 	// (Fire), freeSlots the indices not in use. A slot is vacated before its
-	// packet is delivered.
+	// packet is delivered. A packet buffer belongs to exactly one of: the
+	// queue, a slot, the deliver call in progress, a pool.
 	slots     [][]byte
 	freeSlots []int
-	// free holds the packet buffers not in use, one list per size class
-	// (bufClass). A buffer belongs to exactly one of: the queue, a slot, the
-	// deliver call in progress, a free list.
-	free [len(bufCaps)][][]byte
 
 	stats LinkStats
 	down  bool // administratively down (interface off)
@@ -128,85 +126,61 @@ type Link struct {
 	reorderDelay time.Duration // how long held-back packets are delayed
 }
 
-// Packet buffers come in two capacities: one that fits an acknowledgement
-// and one that fits any packet a delivery opportunity carries.
-var bufCaps = [...]int{smallBuf, trace.MTU}
+// Packet buffers come from process-wide pools of fixed-size arrays, one per
+// size class: one that fits an acknowledgement and one that fits any packet a
+// delivery opportunity carries (DESIGN.md §19). A link holds a buffer only
+// while its packet is queued, propagating or being delivered, so an idle link
+// holds none, and a new session starts from the buffers the sessions before
+// it gave back. The pools hold pointers to arrays, so Put boxes nothing; the
+// collector empties them.
+var (
+	smallBufs sync.Pool // *[smallBuf]byte
+	mtuBufs   sync.Pool // *[trace.MTU]byte
+)
 
 const smallBuf = 256
 
-// idleKeepBytes is how much free buffer space of each class a link keeps
-// once it has nothing queued and nothing in flight (32 full-size buffers, 187
-// small ones); the rest goes to the garbage collector. It trades allocations
-// against memory pinned by links that are done, and was set with the
-// benchmark in hand (sim-bulk-clean, table in DESIGN.md §19): keeping every
-// buffer costs 0.6 allocations per server packet less than this but retains
-// half as much again as the whole finished session; this retains 8 % more.
-// Do not raise it without reading retained_heap_MiB.
-const idleKeepBytes = 32 * trace.MTU
-
-// bufClass returns the index into bufCaps of the class a packet of n bytes
-// draws from.
-func bufClass(n int) int {
-	if n <= smallBuf {
-		return 0
-	}
-	return 1
-}
-
-// getBuf returns a buffer of length n from the free list of its class.
+// getBuf returns a buffer of length n from the pool of its class.
 //
 // xlinkvet:hot
-func (l *Link) getBuf(n int) []byte {
-	c := bufClass(n)
-	if k := len(l.free[c]); k > 0 && n <= bufCaps[c] {
-		b := l.free[c][k-1]
-		l.free[c][k-1] = nil
-		l.free[c] = l.free[c][:k-1]
-		return b[:n]
-	}
+func getBuf(n int) []byte {
 	// A packet larger than an opportunity — nothing the transport builds —
 	// gets a buffer of its own size, which putBuf does not keep.
-	//xlinkvet:ignore hotalloc — free-list refill: amortized by putBuf, measured by TestAllocGateLinkSteadyState
-	return make([]byte, n, max(n, bufCaps[c]))
+	c := n
+	switch {
+	case n <= smallBuf:
+		if b, ok := smallBufs.Get().(*[smallBuf]byte); ok {
+			return b[:n]
+		}
+		c = smallBuf
+	case n <= trace.MTU:
+		if b, ok := mtuBufs.Get().(*[trace.MTU]byte); ok {
+			return b[:n]
+		}
+		c = trace.MTU
+	}
+	//xlinkvet:ignore hotalloc — pool refill: once per buffer the collector took, measured by TestAllocGateLinkSteadyState
+	return make([]byte, n, c)
 }
 
-// putBuf takes back a buffer the link is done with, and lets go of all but
-// idleKeepBytes per class when that leaves the link idle.
+// putBuf gives a buffer the link is done with back to the pool of its class.
 //
 // xlinkvet:hot
-func (l *Link) putBuf(b []byte) {
+func putBuf(b []byte) {
+	b = b[:cap(b)]
 	if assert.Enabled {
 		// Whoever kept the slice past its deliver call reads this, not the
 		// next packet.
-		b = b[:cap(b)]
 		for i := range b {
 			b[i] = 0xdb
 		}
 	}
-	if c := bufClass(cap(b)); cap(b) == bufCaps[c] {
-		l.free[c] = append(l.free[c], b[:0])
+	switch len(b) {
+	case smallBuf:
+		smallBufs.Put((*[smallBuf]byte)(b))
+	case trace.MTU:
+		mtuBufs.Put((*[trace.MTU]byte)(b))
 	}
-	if l.QueueLen() == 0 && len(l.freeSlots) == len(l.slots) {
-		for c, f := range l.free {
-			if keep := idleKeepBytes / bufCaps[c]; len(f) > keep {
-				clear(f[keep:])
-				l.free[c] = f[:keep]
-			}
-		}
-	}
-}
-
-// MaxIdleBuffers is the most free buffers a link with nothing queued and
-// nothing in flight holds.
-const MaxIdleBuffers = idleKeepBytes/smallBuf + idleKeepBytes/trace.MTU
-
-// FreeBuffers returns how many packet buffers the link holds for reuse.
-func (l *Link) FreeBuffers() int {
-	n := 0
-	for _, f := range l.free {
-		n += len(f)
-	}
-	return n
 }
 
 // NewLink creates a link on loop delivering packets to deliver.
@@ -246,7 +220,7 @@ func (l *Link) SetDown(down bool) {
 		for _, qp := range flushed {
 			l.stats.DroppedPkts++
 			l.stats.DroppedBytes += uint64(len(qp.data))
-			l.putBuf(qp.data)
+			putBuf(qp.data)
 		}
 	}
 	l.down = down
@@ -275,8 +249,8 @@ func (l *Link) SetReorder(rate float64, extra time.Duration) {
 }
 
 // Send offers a packet to the link. It is dropped on loss, droptail
-// overflow, or when the link is down; otherwise it is copied into one of the
-// link's buffers and delivered to the far end after queueing and propagation
+// overflow, or when the link is down; otherwise it is copied into a pooled
+// buffer and delivered to the far end after queueing and propagation
 // delay.
 //
 // xlinkvet:hot
@@ -294,7 +268,7 @@ func (l *Link) Send(data []byte) {
 		l.stats.DroppedBytes += uint64(len(data))
 		return
 	}
-	buf := l.getBuf(len(data))
+	buf := getBuf(len(data))
 	copy(buf, data)
 	if len(l.queue) == cap(l.queue) && 2*l.head >= len(l.queue) {
 		// Full, and at least half of it already delivered: move the waiting
@@ -418,7 +392,7 @@ func (l *Link) deliverHead() {
 		l.stats.CorruptedPkts++
 	}
 	if l.dupRate > 0 && l.rng != nil && l.rng.Bool(l.dupRate) {
-		dup := l.getBuf(len(data))
+		dup := getBuf(len(data))
 		copy(dup, data)
 		l.stats.DuplicatedPkts++
 		l.stats.DeliveredPkts++
@@ -445,7 +419,7 @@ func (l *Link) propagate(delay time.Duration, data []byte) {
 }
 
 // Fire implements sim.Receiver: the packet in slot has arrived. The receiver
-// borrows the buffer for the call; it is back in the free list afterwards.
+// borrows the buffer for the call; it is back in its pool afterwards.
 //
 // xlinkvet:hot
 func (l *Link) Fire(arrive time.Duration, slot int) {
@@ -455,5 +429,5 @@ func (l *Link) Fire(arrive time.Duration, slot int) {
 	if l.deliver != nil {
 		l.deliver(arrive, data)
 	}
-	l.putBuf(data)
+	putBuf(data)
 }

@@ -322,7 +322,7 @@ func TestByteGranularNoCreditBanking(t *testing.T) {
 
 // TestLinkQueueReusesItsArray: dequeuing moves a head index instead of
 // re-slicing, so the queue's array is reused — with the packet buffers
-// recycled and deliveries scheduled by slot a warm link allocates nothing —
+// pooled and deliveries scheduled by slot a warm link allocates nothing —
 // QueueLen counts only what is waiting, and an interface going down drops
 // exactly those.
 func TestLinkQueueReusesItsArray(t *testing.T) {
@@ -345,7 +345,7 @@ func TestLinkQueueReusesItsArray(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		burst()
 	}
-	if avg := testing.AllocsPerRun(200, burst); avg != 0 {
+	if avg := testing.AllocsPerRun(200, burst); avg != 0 && !raceEnabled {
 		t.Fatalf("a burst of 5 packets costs a warm link %.1f allocations, want 0", avg)
 	}
 

@@ -3,6 +3,7 @@ package netem
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,12 +12,14 @@ import (
 	"repro/internal/trace"
 )
 
-// TestAllocGateLinkSteadyState: a warm link — packet buffers recycled,
+// TestAllocGateLinkSteadyState: a warm link — packet buffers from the pools,
 // deliveries scheduled as (link, slot), the loop's nodes recycled — carries a
 // batch of full-size packets from SendBatch to the receiver without
-// allocating. The batch stays inside what an idle link keeps, so this holds
-// across idle periods too.
+// allocating, idle periods between batches included.
 func TestAllocGateLinkSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("measures allocations of a pooled path")
+	}
 	loop := sim.NewLoop()
 	delivered := 0
 	l := NewLink(loop, LinkConfig{Trace: trace.ConstantRate("100mbps", 100, time.Second), Delay: 5 * time.Millisecond},
@@ -34,9 +37,6 @@ func TestAllocGateLinkSteadyState(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		round()
 	}
-	if 16*trace.MTU > idleKeepBytes {
-		t.Fatalf("the batch no longer fits what an idle link keeps (%d B); shrink it", idleKeepBytes)
-	}
 	before := delivered
 	if avg := testing.AllocsPerRun(100, round); avg != 0 {
 		t.Fatalf("16 full-size packets through a warm link cost %.1f allocations, want 0", avg)
@@ -46,12 +46,57 @@ func TestAllocGateLinkSteadyState(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// heldBuffers counts the packet buffers a link holds: queued or propagating.
+func heldBuffers(l *Link) int {
+	n := l.QueueLen()
+	for _, b := range l.slots {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestIdleLinkHoldsNoBuffer: once everything sent has been delivered or
+// dropped, a link holds no packet buffer — not after a burst, not after the
+// interface went down with packets waiting — and every slot is vacated.
+func TestIdleLinkHoldsNoBuffer(t *testing.T) {
+	loop := sim.NewLoop()
+	l := NewLink(loop, LinkConfig{
+		Trace: trace.ConstantRate("50mbps", 50, time.Second), Delay: 10 * time.Millisecond,
+		QueueBytes: 400 * trace.MTU,
+	}, sim.NewRNG(3), nil)
+	l.SetDuplicate(0.2)
+	for i := 0; i < 300; i++ {
+		l.Send(make([]byte, 60+(i%3)*700))
+	}
+	if heldBuffers(l) == 0 {
+		t.Fatal("a link with 300 packets sent holds nothing")
+	}
+	loop.Run(0)
+	if n := heldBuffers(l); n != 0 {
+		t.Fatalf("an idle link holds %d packet buffers", n)
+	}
+	for i := 0; i < 300; i++ {
+		l.Send(make([]byte, trace.MTU))
+	}
+	loop.RunUntil(loop.Now() + 20*time.Millisecond)
+	l.SetDown(true)
+	loop.Run(0)
+	if n := heldBuffers(l); n != 0 || len(l.freeSlots) != len(l.slots) {
+		t.Fatalf("after the flush: %d packet buffers held, %d of %d slots occupied",
+			n, len(l.slots)-len(l.freeSlots), len(l.slots))
+	}
+}
+
 // TestLinkRecyclesBuffersWithoutMixingPackets drives everything that takes or
 // returns a buffer — admission, the duplicate fault's copy, reordered
-// deliveries overtaking each other, an interface going down with packets
-// waiting — and checks that every delivery carries exactly the bytes that
-// were sent, that the free lists never exceed MaxIdleBuffers once the link
-// is idle, and that every slot is vacated.
+// deliveries overtaking each other, a packet larger than any class, an
+// interface going down with packets waiting — and checks that every delivery
+// carries exactly the bytes that were sent and that every slot is vacated.
 func TestLinkRecyclesBuffersWithoutMixingPackets(t *testing.T) {
 	loop := sim.NewLoop()
 	var got []uint32
@@ -59,12 +104,8 @@ func TestLinkRecyclesBuffersWithoutMixingPackets(t *testing.T) {
 		Trace: trace.ConstantRate("50mbps", 50, time.Second), Delay: 10 * time.Millisecond,
 		QueueBytes: 400 * trace.MTU,
 	}, sim.NewRNG(7), func(_ time.Duration, data []byte) {
-		seq := binary.BigEndian.Uint32(data)
-		want := payload(seq, len(data))
-		if !bytes.Equal(data, want) {
-			t.Fatalf("packet %d arrived with another packet's bytes", seq)
-		}
-		got = append(got, seq)
+		checkPayload(t, data)
+		got = append(got, binary.BigEndian.Uint32(data))
 	})
 	l.SetDuplicate(0.2)
 	l.SetReorder(0.2, 3*time.Millisecond)
@@ -80,22 +121,11 @@ func TestLinkRecyclesBuffersWithoutMixingPackets(t *testing.T) {
 	for b := 0; b < 6; b++ {
 		burst(300)
 		loop.Run(0)
-		if l.QueueLen() != 0 || l.FreeBuffers() > MaxIdleBuffers {
-			t.Fatalf("idle link: %d queued, %d free buffers (limit %d)", l.QueueLen(), l.FreeBuffers(), MaxIdleBuffers)
-		}
 	}
-	// A packet larger than an opportunity travels in a buffer of its own,
-	// which is not kept.
+	// A packet larger than an opportunity travels in a buffer of its own.
 	l.Send(payload(seq, 2*trace.MTU+10))
 	seq++
 	loop.Run(0)
-	for c, f := range l.free {
-		for _, b := range f {
-			if cap(b) != bufCaps[c] {
-				t.Fatalf("a buffer of %d bytes is kept in the %d-byte class", cap(b), bufCaps[c])
-			}
-		}
-	}
 	burst(300)
 	loop.RunUntil(loop.Now() + 20*time.Millisecond) // some delivered, some in flight, some queued
 	waiting := l.QueueLen()
@@ -105,9 +135,6 @@ func TestLinkRecyclesBuffersWithoutMixingPackets(t *testing.T) {
 	l.SetDown(true)
 	loop.Run(0)
 	l.SetDown(false)
-	if l.FreeBuffers() > MaxIdleBuffers {
-		t.Fatalf("%d free buffers after the flush, limit %d", l.FreeBuffers(), MaxIdleBuffers)
-	}
 	st := l.Stats()
 	if uint64(len(got)) != st.DeliveredPkts || st.DuplicatedPkts == 0 || st.ReorderedPkts == 0 ||
 		st.SentPackets != st.DeliveredPkts-st.DuplicatedPkts+st.DroppedPkts {
@@ -126,6 +153,16 @@ func payload(seq uint32, size int) []byte {
 		b[i] = byte(seq) + byte(i)
 	}
 	return b
+}
+
+// checkPayload fails unless data is exactly the payload its first four bytes
+// name.
+func checkPayload(t *testing.T, data []byte) {
+	t.Helper()
+	seq := binary.BigEndian.Uint32(data)
+	if !bytes.Equal(data, payload(seq, len(data))) {
+		t.Errorf("packet %#x arrived with another packet's bytes", seq)
+	}
 }
 
 // TestDeliveredDataIsPoisonedAfterTheCall: under -tags xlinkdebug a receiver
@@ -148,5 +185,60 @@ func TestDeliveredDataIsPoisonedAfterTheCall(t *testing.T) {
 	loop.Run(0)
 	if !bytes.Equal(kept, bytes.Repeat([]byte{0xdb}, len("loaned"))) {
 		t.Fatalf("a retained delivery buffer reads %q after the call, want poison", kept)
+	}
+}
+
+// TestLinksOnTwoGoroutinesShareThePool: two links, each on its own loop and
+// goroutine as fleet workers run them, draw from and return to the same
+// pools. Every delivery still carries exactly its own bytes, and under -tags
+// xlinkdebug every slice a receiver kept reads poison once both are done —
+// a buffer's last owner, whichever link it was, poisoned it on the way back.
+// Under -race this is also the check that the pools hand a buffer from one
+// goroutine to the other without a data race.
+func TestLinksOnTwoGoroutinesShareThePool(t *testing.T) {
+	var wg sync.WaitGroup
+	kept := make([][][]byte, 2)
+	delivered := make([]int, 2)
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			loop := sim.NewLoop()
+			l := NewLink(loop, LinkConfig{
+				Trace: trace.ConstantRate("50mbps", 50, time.Second), Delay: 2 * time.Millisecond,
+				QueueBytes: 400 * trace.MTU,
+			}, sim.NewRNG(int64(g)), func(_ time.Duration, data []byte) {
+				checkPayload(t, data)
+				if delivered[g]%16 == 0 {
+					kept[g] = append(kept[g], data)
+				}
+				delivered[g]++
+			})
+			l.SetDuplicate(0.1)
+			for b := 0; b < 20; b++ {
+				for i := 0; i < 100; i++ {
+					seq := uint32(g)<<24 | uint32(b*100+i)
+					l.Send(payload(seq, 60+i%3*700))
+				}
+				loop.Run(0)
+			}
+			if n := heldBuffers(l); n != 0 {
+				t.Errorf("link %d holds %d packet buffers when idle", g, n)
+			}
+		}()
+	}
+	wg.Wait()
+	if delivered[0] < 2000 || delivered[1] < 2000 {
+		t.Fatalf("delivered %v, want at least 2000 on each link", delivered)
+	}
+	if !assert.Enabled {
+		return
+	}
+	for g := range kept {
+		for _, b := range kept[g] {
+			if !bytes.Equal(b, bytes.Repeat([]byte{0xdb}, len(b))) {
+				t.Fatalf("link %d: a kept delivery buffer reads %x..., want poison", g, b[:4])
+			}
+		}
 	}
 }

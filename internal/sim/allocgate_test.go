@@ -48,3 +48,31 @@ func TestAllocGateScheduleFire(t *testing.T) {
 		t.Fatalf("receiver fired %d times with arguments summing to %d, want 201 and %d", r.fired, r.sum, 3*201)
 	}
 }
+
+// TestAllocGateScheduleCancel gates the timer shape the transport uses
+// (transport.SimEnv is Loop.Schedule): once the free list is warm, an arm
+// followed by its cancel, and an arm that fires, allocate nothing — the cancel
+// function is the node's, bound once. A cancelled arm does not fire, and
+// the events around it keep their order.
+func TestAllocGateScheduleCancel(t *testing.T) {
+	l := NewLoop()
+	fired := 0
+	fn := func(time.Duration) { fired++ }
+	for i := 0; i < 64; i++ { // warm the free list and bind the nodes' cancels
+		l.Schedule(l.Now()+time.Millisecond, fn)()
+		l.Schedule(l.Now()+time.Millisecond, fn)
+	}
+	l.Run(1 << 20)
+	fired = 0
+	if avg := testing.AllocsPerRun(200, func() {
+		cancel := l.Schedule(l.Now()+time.Hour, fn)
+		l.Schedule(l.Now()+time.Millisecond, fn)
+		cancel()
+		l.Run(1 << 20)
+	}); avg != 0 {
+		t.Fatalf("arm→cancel plus arm→fire allocates %.1f/op, want 0", avg)
+	}
+	if fired != 201 || l.Pending() != 0 {
+		t.Fatalf("%d of 201 uncancelled arms fired, %d events left pending", fired, l.Pending())
+	}
+}

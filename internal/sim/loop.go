@@ -1,6 +1,10 @@
 package sim
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/assert"
+)
 
 // Event is a callback scheduled to run at a virtual time instant.
 type Event func(now time.Duration)
@@ -29,6 +33,9 @@ type scheduledEvent struct {
 	to  Receiver
 	arg int
 	idx int // the event's entry in Loop.heap
+	// cancel is what Schedule hands out for this node, bound the first time
+	// the node served such an arm and reused for every later one.
+	cancel func()
 }
 
 // heapEntry is one pending event in the heap, with the key it is ordered by
@@ -145,6 +152,34 @@ func (l *Loop) AtRecv(at time.Duration, to Receiver, arg int) Timer {
 	l.seq++
 	l.up(len(l.heap) - 1)
 	return Timer{ev: ev, gen: ev.gen, loop: l}
+}
+
+// Schedule schedules fn at the absolute virtual time at, as At does, and
+// returns a function that cancels it: transport.Env's shape. The function
+// belongs to the event's node and is bound once per node, so on a warm loop an
+// arm and its cancel allocate nothing. It must be called at most once, and
+// only before fn runs — after either, the node serves other events, and a
+// late call would cancel one of them.
+//
+// xlinkvet:hot
+func (l *Loop) Schedule(at time.Duration, fn Event) (cancel func()) {
+	ev := l.AtRecv(at, fn, 0).ev
+	//xlinkvet:cold — bound once per node, which serves every later arm with it
+	if ev.cancel == nil {
+		ev.cancel = func() { l.cancel(ev) }
+	}
+	return ev.cancel
+}
+
+// cancel takes a Schedule arm's pending event out of the heap.
+//
+// xlinkvet:hot
+func (l *Loop) cancel(ev *scheduledEvent) {
+	pending := ev.to != nil
+	assert.That(pending, "sim timer cancelled twice or after it fired")
+	if pending {
+		l.recycle(l.remove(ev.idx))
+	}
 }
 
 // After schedules fn to run d from now.

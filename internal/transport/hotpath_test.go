@@ -271,12 +271,12 @@ func TestCallbackWriteKeepsItsInput(t *testing.T) {
 // send→recv→ack round trip (scripts/check.sh runs every TestAllocGate*).
 // The seed baseline was 98 allocs/op and pooling brought it to 20; since the
 // decoder owns received frames and packet records are recycled (DESIGN.md
-// §18) transport and wire contribute none, and since the link recycles its
-// packet buffers and schedules a delivery as (link, slot) the emulator
-// contributes none either (DESIGN.md §19). The 1 that is left is the cancel
-// closure SimEnv.Schedule returns when the client's packet goes in flight
-// and sets a PTO where there was no deadline that early: the deadline moved
-// earlier, which still costs a Schedule. The gate is that plus 1.
+// §18) transport and wire contribute none, and since the link takes its
+// packet buffers from pools and schedules a delivery as (link, slot) the
+// emulator contributes none either (DESIGN.md §19). The last one was the
+// cancel closure SimEnv.Schedule returned when the client's packet went in
+// flight and set a PTO; the loop now hands out a cancel bound once per event
+// node, and the round trip measures 0. The gate is that plus 1.
 func TestAllocGateRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state warmup")
@@ -291,7 +291,7 @@ func TestAllocGateRoundTrip(t *testing.T) {
 	for i := 0; i < 32; i++ { // warm scratch buffers and pools
 		roundTrip(pair, st, payload)
 	}
-	const gate = 2
+	const gate = 1
 	avg := testing.AllocsPerRun(200, func() {
 		roundTrip(pair, st, payload)
 	})

@@ -277,6 +277,10 @@ type Metrics struct {
 	PlayTime time.Duration
 	// Finished reports whether the video played to the end.
 	Finished bool
+	// FinishedAt is the instant playback reached the end of the video, zero
+	// if it has not. From then on the buffer is empty by definition, so a
+	// buffer sample taken after it says nothing about the transport.
+	FinishedAt time.Duration
 	// DangerFraction is the fraction of samples with <50 ms of buffer.
 	DangerFraction float64
 }
@@ -303,6 +307,9 @@ func (p *Player) Metrics(now time.Duration) Metrics {
 		RebufferCount: p.rebufferCount,
 		PlayTime:      time.Duration(playSeconds * float64(time.Second)),
 		Finished:      p.state == stateFinished,
+	}
+	if m.Finished {
+		m.FinishedAt = p.finishedAt
 	}
 	if p.haveFirstFrame {
 		m.FirstFrameLatency = p.firstFrameAt

@@ -60,8 +60,11 @@ step go test -race ./...
 # (plain `go test ./...` above already ran it once without either). Under
 # xlinkdebug a link overwrites a packet buffer the moment its delivery
 # callback returns (DESIGN.md §19), so a consumer that kept the slice reads
-# poison here; netem's own tests check that it does.
-step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
+# poison here; netem's own tests check that it does, with two links on two
+# goroutines sharing the process-wide buffer pools. The A/B fleet runs here
+# too: its workers share those pools, and the two arms of one session read
+# its traces from different goroutines (DESIGN.md §21).
+step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/ ./internal/abtest/
 # Stream buffering (DESIGN.md §17) with assertions and the race detector on:
 # the receive buffer against its keep-everything reference model, a 256 MiB
 # stream held to the window on a lossy two-path network (about a minute and
@@ -109,7 +112,8 @@ step go test -race -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTime
 # pull with nothing new in flight and the requester's in-order delivery, a
 # warm wire.Decoder parse and, inside transport + wire, a received STREAM
 # packet, a received 32-range ACK_MP and a send pass with or without a packet
-# (DESIGN.md §18), a warm netem link carrying a 16-packet batch (§19), a
+# (DESIGN.md §18), a warm netem link carrying a 16-packet batch (§19), a sim
+# timer armed and cancelled through the cancel its node binds once (§19), a
 # live timer armed and cancelled or fired on a warm free list (§20) and a
 # live data callback queued and run (§16); a
 # fixed ceiling for the transport round trip through the emulator, the

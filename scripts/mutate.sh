@@ -80,7 +80,7 @@ rep(q~c.stats.HandshakeRTT = now~, q~c.stats.HandshakeRTT = time.Duration(time.N
 EOF
 mut D3 determinism internal/netem/link.go "./internal/netem/ ./internal/chaos/ ./internal/transport/" \
 	"link jitter drawn from global math/rand instead of the link's forked RNG" <<'EOF'
-rep(qq~import (\n\t"time"\n~, qq~import (\n\t"math/rand"\n\t"time"\n~);
+rep(qq~import (\n\t"sync"\n\t"time"\n~, qq~import (\n\t"math/rand"\n\t"sync"\n\t"time"\n~);
 rep(q~delay += time.Duration(l.rng.Uniform(0, float64(l.cfg.JitterMax)))~,
     q~delay += time.Duration(rand.Int63n(int64(l.cfg.JitterMax)))~);
 EOF
@@ -239,7 +239,7 @@ s~(func \(c \*Conn\) fecOnStreamData\(.*?)for _, w := range c\.fecDec\.wins \{~$
 EOF
 mut H4 hotalloc internal/netem/link.go "./internal/netem/ ./internal/chaos/ ./internal/transport/" \
 	"Link.Send copies each packet into a fresh slice instead of a recycled buffer" <<'EOF'
-rep(qq~\tbuf := l.getBuf(len(data))\n\tcopy(buf, data)\n~, qq~\tbuf := append([]byte(nil), data...)\n~);
+rep(qq~\tbuf := getBuf(len(data))\n\tcopy(buf, data)\n~, qq~\tbuf := append([]byte(nil), data...)\n~);
 EOF
 
 # loan: a borrowed buffer is not kept past the call.
@@ -249,7 +249,7 @@ rep(q~pkt := append(scratch[:0], data...)~, q~pkt := data~);
 EOF
 mut N2 loan internal/netem/link.go "./internal/netem/ ./internal/chaos/ ./internal/transport/" \
 	"Link.Send queues the sender's buffer itself instead of a copy" <<'EOF'
-rep(qq~\tbuf := l.getBuf(len(data))\n\tcopy(buf, data)\n~, qq~\tbuf := data\n~);
+rep(qq~\tbuf := getBuf(len(data))\n\tcopy(buf, data)\n~, qq~\tbuf := data\n~);
 EOF
 mut N3 loan internal/wire/frames_fec.go "$W" \
 	"parseFECRepair aliases the packet instead of copying the symbol the decoder parks past it" fuzz=FuzzParseFECFrame <<'EOF'
@@ -277,7 +277,7 @@ rep(qq~\t\t\tsh.recycle(buf)\n\t\t\treturn // socket closed by Endpoint.Close\n~
 EOF
 mut K3 goleak internal/abtest/abtest.go "./internal/abtest/" \
 	"the A/B fleet forgets wg.Wait(): results are read while the workers still run" <<'EOF'
-rep(qq~\tclose(jobs)\n\twg.Wait()\n~, qq~\tclose(jobs)\n~);
+rep(qq~\t\tclose(jobs)\n\t\twg.Wait()\n~, qq~\t\tclose(jobs)\n~);
 EOF
 
 # chandir: one closer per channel, no double close, no send after close.
