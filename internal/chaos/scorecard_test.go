@@ -191,3 +191,36 @@ func TestScorecardInTrace(t *testing.T) {
 		t.Errorf("xlink_sessions_total = %d, want 1", n)
 	}
 }
+
+// TestFlightRingMatchesStream: the ring keeps records and renders them when
+// read, the NDJSON stream renders them as they are emitted, and both use
+// one renderer. So over every corpus scenario, traced in full with the ring
+// attached, the ring's snapshot is byte for byte the stream's last lines —
+// scorecards excluded, since no record holds one.
+func TestFlightRingMatchesStream(t *testing.T) {
+	for _, sc := range Corpus() {
+		t.Run(sc.Name, func(t *testing.T) {
+			tr := obs.NewTrace(sc.Name)
+			sc.Tracer = tr
+			Run(sc)
+			fr := tr.Flight()
+			lines := bytes.SplitAfter(tr.Bytes(), []byte("\n"))[1:] // past the header
+			var kept [][]byte
+			for _, l := range lines {
+				if len(l) > 0 && !bytes.Contains(l, []byte(`"name":"`+obs.EvScorecard+`"`)) {
+					kept = append(kept, l)
+				}
+			}
+			if len(kept) > obs.DefaultFlightSlots {
+				kept = kept[len(kept)-obs.DefaultFlightSlots:]
+			}
+			if want, got := bytes.Join(kept, nil), fr.Snapshot(); !bytes.Equal(got, want) {
+				t.Fatalf("ring snapshot (%d bytes) differs from the stream's last %d lines (%d bytes)",
+					len(got), len(kept), len(want))
+			}
+			if fr.Truncated() != 1 {
+				t.Errorf("truncated = %d, want 1: the session's one scorecard", fr.Truncated())
+			}
+		})
+	}
+}

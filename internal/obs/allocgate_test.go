@@ -44,13 +44,12 @@ func TestAllocGateRegistryLookup(t *testing.T) {
 }
 
 // TestAllocGateFlightRecorder gates the always-on capture promise: with a
-// ring-only trace, a full typed emit (format + ring append + per-name
-// counter) is 0 allocs/op once warm.
+// ring-only trace, a full typed emit (record fill + per-event counter) is 0
+// allocs/op once warm.
 func TestAllocGateFlightRecorder(t *testing.T) {
 	tr := NewFlightTrace("gate", 64)
 	o := tr.Origin("client")
-	// Warm: first emit of each name creates its counter; first lines grow
-	// the reused buffer.
+	// Warm: first emit of each event creates its counter.
 	o.PacketSent(0, 0, 1, 1200, "1rtt")
 	o.PacketLost(0, 0, 1, 1200, "pto")
 	var pn uint64

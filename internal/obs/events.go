@@ -5,10 +5,94 @@ import (
 	"time"
 )
 
+// evIndex numbers the events of the taxonomy: it picks an event's spec and
+// its emit counter without a string lookup.
+type evIndex uint8
+
+const (
+	evPacketSent evIndex = iota
+	evPacketReceived
+	evPacketAcked
+	evPacketLost
+	evMetricsUpdated
+	evPathAdded
+	evPathValidated
+	evPathState
+	evPathAbandoned
+	evPrimaryChanged
+	evConnState
+	evScorecard
+	evQoESignal
+	evQoEDecision
+	evReinjectSend
+	evReinjectCancel
+	evFECSymbolSent
+	evFECSymbolReceived
+	evFECRecovered
+	evFECGiveUp
+	evFECDecision
+	evVideoFrameCached
+	evVideoFramesDecoded
+	evVideoPlaybackStart
+	evVideoRebufferStart
+	evVideoRebufferEnd
+	evVideoFinished
+	evBatchFlush
+	evAckCoalesced
+	evFaultInjected
+	evAnomaly
+	numEvents
+)
+
+// Field constructors for the spec table: an unsigned, signed (durations
+// included), boolean or string data field.
+func fu(key string) field { return field{key, kindU64} }
+func fi(key string) field { return field{key, kindInt} }
+func fb(key string) field { return field{key, kindBool} }
+func fs(key string) field { return field{key, kindStr} }
+
+// eventSpecs lists each event's name and data fields in rendering order.
+// An emitter fills its record's numeric values in the order its numeric
+// fields appear here, and its strings likewise.
+var eventSpecs = [numEvents]eventSpec{
+	evPacketSent:         {EvPacketSent, []field{fu("path"), fu("pn"), fi("bytes"), fs("kind")}},
+	evPacketReceived:     {EvPacketReceived, []field{fi("net"), fi("bytes")}},
+	evPacketAcked:        {EvPacketAcked, []field{fu("path"), fu("pn")}},
+	evPacketLost:         {EvPacketLost, []field{fu("path"), fu("pn"), fi("bytes"), fs("trigger")}},
+	evMetricsUpdated:     {EvMetricsUpdated, []field{fu("path"), fi("cwnd"), fi("in_flight"), fb("slow_start"), fi("srtt")}},
+	evPathAdded:          {EvPathAdded, []field{fu("path"), fi("net"), fs("tech")}},
+	evPathValidated:      {EvPathValidated, []field{fu("path")}},
+	evPathState:          {EvPathState, []field{fu("path"), fs("state"), fs("reason")}},
+	evPathAbandoned:      {EvPathAbandoned, []field{fu("path"), fs("reason")}},
+	evPrimaryChanged:     {EvPrimaryChanged, []field{fu("old"), fu("new")}},
+	evConnState:          {EvConnState, []field{fs("old"), fs("new"), fu("code"), fs("reason")}},
+	evScorecard:          {EvScorecard, nil},
+	evQoESignal:          {EvQoESignal, []field{fu("cached_bytes"), fu("cached_frames")}},
+	evQoEDecision:        {EvQoEDecision, []field{fi("dt"), fi("tth1"), fi("tth2"), fi("max_deliver"), fb("enable")}},
+	evReinjectSend:       {EvReinjectSend, []field{fu("path"), fu("stream"), fu("offset"), fi("bytes")}},
+	evReinjectCancel:     {EvReinjectCancel, []field{fu("stream"), fu("offset"), fi("bytes"), fs("reason")}},
+	evFECSymbolSent:      {EvFECSymbolSent, []field{fu("window"), fu("stream"), fi("index"), fi("bytes")}},
+	evFECSymbolReceived:  {EvFECSymbolReceived, []field{fu("window"), fi("index"), fi("bytes")}},
+	evFECRecovered:       {EvFECRecovered, []field{fu("window"), fu("stream"), fu("offset"), fi("bytes")}},
+	evFECGiveUp:          {EvFECGiveUp, []field{fu("window"), fs("reason")}},
+	evFECDecision:        {EvFECDecision, []field{fi("dt"), fi("loss_ppm"), fi("k"), fi("repairs"), fb("protect")}},
+	evVideoFrameCached:   {EvVideoFrameCached, []field{fu("bytes")}},
+	evVideoFramesDecoded: {EvVideoFramesDecoded, []field{fu("frames")}},
+	evVideoPlaybackStart: {EvVideoPlaybackStart, nil},
+	evVideoRebufferStart: {EvVideoRebufferStart, []field{fi("count")}},
+	evVideoRebufferEnd:   {EvVideoRebufferEnd, []field{fi("stall")}},
+	evVideoFinished:      {EvVideoFinished, nil},
+	evBatchFlush:         {EvBatchFlush, []field{fu("path"), fi("packets")}},
+	evAckCoalesced:       {EvAckCoalesced, []field{fi("acks"), fi("paths")}},
+	evFaultInjected:      {EvFaultInjected, []field{fs("op"), fs("phase")}},
+	evAnomaly:            {EvAnomaly, []field{fs("reason")}},
+}
+
 // Typed event emitters. Every method is nil-receiver-safe and takes only
 // scalar arguments so the disabled (nil Origin) path performs no work and
 // no allocations — the zero-overhead guarantee the transport hot paths
-// rely on (see TestNoopTracerZeroAlloc).
+// rely on (see TestNoopTracerZeroAlloc). Each fills the record open hands
+// it, in its spec's order, and commits it.
 
 // PacketSent records a datagram leaving on a path. kind distinguishes
 // "initial", "1rtt", "ack", "probe", "ctrl" and "close" packets.
@@ -18,12 +102,10 @@ func (o *Origin) PacketSent(now time.Duration, pathID, pn uint64, size int, kind
 	if o == nil {
 		return
 	}
-	o.begin(now, EvPacketSent)
-	o.u64("path", pathID)
-	o.u64("pn", pn)
-	o.i("bytes", int64(size))
-	o.s("kind", kind)
-	o.end()
+	r := o.open(now, evPacketSent)
+	r.u[0], r.u[1], r.u[2] = pathID, pn, uint64(size)
+	r.s[0] = kind
+	o.commit(r)
 }
 
 // PacketReceived records a datagram arriving on a network interface. It is
@@ -35,10 +117,9 @@ func (o *Origin) PacketReceived(now time.Duration, netIdx, size int) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvPacketReceived)
-	o.i("net", int64(netIdx))
-	o.i("bytes", int64(size))
-	o.end()
+	r := o.open(now, evPacketReceived)
+	r.u[0], r.u[1] = uint64(netIdx), uint64(size)
+	o.commit(r)
 }
 
 // PacketAcked records one packet newly acknowledged by the peer.
@@ -48,10 +129,9 @@ func (o *Origin) PacketAcked(now time.Duration, pathID, pn uint64) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvPacketAcked)
-	o.u64("path", pathID)
-	o.u64("pn", pn)
-	o.end()
+	r := o.open(now, evPacketAcked)
+	r.u[0], r.u[1] = pathID, pn
+	o.commit(r)
 }
 
 // PacketLost records one packet declared lost. trigger attributes the loss
@@ -62,12 +142,10 @@ func (o *Origin) PacketLost(now time.Duration, pathID, pn uint64, size int, trig
 	if o == nil {
 		return
 	}
-	o.begin(now, EvPacketLost)
-	o.u64("path", pathID)
-	o.u64("pn", pn)
-	o.i("bytes", int64(size))
-	o.s("trigger", trigger)
-	o.end()
+	r := o.open(now, evPacketLost)
+	r.u[0], r.u[1], r.u[2] = pathID, pn, uint64(size)
+	r.s[0] = trigger
+	o.commit(r)
 }
 
 // MetricsUpdated records a congestion-controller state change on a path.
@@ -77,13 +155,9 @@ func (o *Origin) MetricsUpdated(now time.Duration, pathID uint64, cwnd, inFlight
 	if o == nil {
 		return
 	}
-	o.begin(now, EvMetricsUpdated)
-	o.u64("path", pathID)
-	o.i("cwnd", int64(cwnd))
-	o.i("in_flight", int64(inFlight))
-	o.b("slow_start", slowStart)
-	o.d("srtt", srtt)
-	o.end()
+	r := o.open(now, evMetricsUpdated)
+	r.u[0], r.u[1], r.u[2], r.u[3], r.u[4] = pathID, uint64(cwnd), uint64(inFlight), flag(slowStart), uint64(srtt)
+	o.commit(r)
 }
 
 // PathAdded records a new path joining the connection.
@@ -91,11 +165,10 @@ func (o *Origin) PathAdded(now time.Duration, pathID uint64, netIdx int, tech st
 	if o == nil {
 		return
 	}
-	o.begin(now, EvPathAdded)
-	o.u64("path", pathID)
-	o.i("net", int64(netIdx))
-	o.s("tech", tech)
-	o.end()
+	r := o.open(now, evPathAdded)
+	r.u[0], r.u[1] = pathID, uint64(netIdx)
+	r.s[0] = tech
+	o.commit(r)
 }
 
 // PathValidated records PATH_RESPONSE completing validation of a path.
@@ -103,9 +176,9 @@ func (o *Origin) PathValidated(now time.Duration, pathID uint64) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvPathValidated)
-	o.u64("path", pathID)
-	o.end()
+	r := o.open(now, evPathValidated)
+	r.u[0] = pathID
+	o.commit(r)
 }
 
 // PathStateChanged records a local path state transition with its cause
@@ -114,11 +187,10 @@ func (o *Origin) PathStateChanged(now time.Duration, pathID uint64, state, reaso
 	if o == nil {
 		return
 	}
-	o.begin(now, EvPathState)
-	o.u64("path", pathID)
-	o.s("state", state)
-	o.s("reason", reason)
-	o.end()
+	r := o.open(now, evPathState)
+	r.u[0] = pathID
+	r.s[0], r.s[1] = state, reason
+	o.commit(r)
 }
 
 // PathAbandoned records a path leaving service permanently.
@@ -126,10 +198,10 @@ func (o *Origin) PathAbandoned(now time.Duration, pathID uint64, reason string) 
 	if o == nil {
 		return
 	}
-	o.begin(now, EvPathAbandoned)
-	o.u64("path", pathID)
-	o.s("reason", reason)
-	o.end()
+	r := o.open(now, evPathAbandoned)
+	r.u[0] = pathID
+	r.s[0] = reason
+	o.commit(r)
 }
 
 // PrimaryChanged records a primary-path re-election.
@@ -137,10 +209,9 @@ func (o *Origin) PrimaryChanged(now time.Duration, oldID, newID uint64) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvPrimaryChanged)
-	o.u64("old", oldID)
-	o.u64("new", newID)
-	o.end()
+	r := o.open(now, evPrimaryChanged)
+	r.u[0], r.u[1] = oldID, newID
+	o.commit(r)
 }
 
 // ConnStateChanged records a connection lifecycle transition. code and
@@ -151,12 +222,10 @@ func (o *Origin) ConnStateChanged(now time.Duration, oldState, newState string, 
 	if o == nil {
 		return
 	}
-	o.begin(now, EvConnState)
-	o.s("old", oldState)
-	o.s("new", newState)
-	o.u64("code", code)
-	o.s("reason", reason)
-	o.end()
+	r := o.open(now, evConnState)
+	r.u[0] = code
+	r.s[0], r.s[1], r.s[2] = oldState, newState, reason
+	o.commit(r)
 }
 
 // QoESignal records a client QoE feedback arriving at the server-side
@@ -165,10 +234,9 @@ func (o *Origin) QoESignal(now time.Duration, cachedBytes, cachedFrames uint64) 
 	if o == nil {
 		return
 	}
-	o.begin(now, EvQoESignal)
-	o.u64("cached_bytes", cachedBytes)
-	o.u64("cached_frames", cachedFrames)
-	o.end()
+	r := o.open(now, evQoESignal)
+	r.u[0], r.u[1] = cachedBytes, cachedFrames
+	o.commit(r)
 }
 
 // QoEDecision records one Alg. 1 double-threshold evaluation: the play-time
@@ -178,13 +246,9 @@ func (o *Origin) QoEDecision(now, dt, tth1, tth2, maxDeliver time.Duration, enab
 	if o == nil {
 		return
 	}
-	o.begin(now, EvQoEDecision)
-	o.d("dt", dt)
-	o.d("tth1", tth1)
-	o.d("tth2", tth2)
-	o.d("max_deliver", maxDeliver)
-	o.b("enable", enable)
-	o.end()
+	r := o.open(now, evQoEDecision)
+	r.u[0], r.u[1], r.u[2], r.u[3], r.u[4] = uint64(dt), uint64(tth1), uint64(tth2), uint64(maxDeliver), flag(enable)
+	o.commit(r)
 }
 
 // ReinjectSend records a re-injected chunk leaving on a path.
@@ -192,12 +256,9 @@ func (o *Origin) ReinjectSend(now time.Duration, pathID, streamID, offset uint64
 	if o == nil {
 		return
 	}
-	o.begin(now, EvReinjectSend)
-	o.u64("path", pathID)
-	o.u64("stream", streamID)
-	o.u64("offset", offset)
-	o.i("bytes", int64(size))
-	o.end()
+	r := o.open(now, evReinjectSend)
+	r.u[0], r.u[1], r.u[2], r.u[3] = pathID, streamID, offset, uint64(size)
+	o.commit(r)
 }
 
 // ReinjectCancel records a queued re-injection discarded unsent because its
@@ -207,12 +268,10 @@ func (o *Origin) ReinjectCancel(now time.Duration, streamID, offset uint64, size
 	if o == nil {
 		return
 	}
-	o.begin(now, EvReinjectCancel)
-	o.u64("stream", streamID)
-	o.u64("offset", offset)
-	o.i("bytes", int64(size))
-	o.s("reason", reason)
-	o.end()
+	r := o.open(now, evReinjectCancel)
+	r.u[0], r.u[1], r.u[2] = streamID, offset, uint64(size)
+	r.s[0] = reason
+	o.commit(r)
 }
 
 // VideoFrameCached records the first video frame being fully buffered.
@@ -220,9 +279,9 @@ func (o *Origin) VideoFrameCached(now time.Duration, bytes uint64) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvVideoFrameCached)
-	o.u64("bytes", bytes)
-	o.end()
+	r := o.open(now, evVideoFrameCached)
+	r.u[0] = bytes
+	o.commit(r)
 }
 
 // VideoFramesDecoded records playback progress as a cumulative decoded
@@ -231,9 +290,9 @@ func (o *Origin) VideoFramesDecoded(now time.Duration, frames uint64) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvVideoFramesDecoded)
-	o.u64("frames", frames)
-	o.end()
+	r := o.open(now, evVideoFramesDecoded)
+	r.u[0] = frames
+	o.commit(r)
 }
 
 // VideoPlaybackStarted records startup completing.
@@ -241,8 +300,7 @@ func (o *Origin) VideoPlaybackStarted(now time.Duration) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvVideoPlaybackStart)
-	o.end()
+	o.commit(o.open(now, evVideoPlaybackStart))
 }
 
 // VideoRebufferStart records the player stalling. at is the model's exact
@@ -251,9 +309,9 @@ func (o *Origin) VideoRebufferStart(now time.Duration, count int) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvVideoRebufferStart)
-	o.i("count", int64(count))
-	o.end()
+	r := o.open(now, evVideoRebufferStart)
+	r.u[0] = uint64(count)
+	o.commit(r)
 }
 
 // VideoRebufferEnd records the player resuming after a stall.
@@ -261,9 +319,9 @@ func (o *Origin) VideoRebufferEnd(now, stall time.Duration) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvVideoRebufferEnd)
-	o.d("stall", stall)
-	o.end()
+	r := o.open(now, evVideoRebufferEnd)
+	r.u[0] = uint64(stall)
+	o.commit(r)
 }
 
 // VideoFinished records playback completing.
@@ -271,8 +329,7 @@ func (o *Origin) VideoFinished(now time.Duration) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvVideoFinished)
-	o.end()
+	o.commit(o.open(now, evVideoFinished))
 }
 
 // FaultInjected records a scripted fault op taking effect. op is the op's
@@ -281,10 +338,9 @@ func (o *Origin) FaultInjected(now time.Duration, op, phase string) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvFaultInjected)
-	o.s("op", op)
-	o.s("phase", phase)
-	o.end()
+	r := o.open(now, evFaultInjected)
+	r.s[0], r.s[1] = op, phase
+	o.commit(r)
 }
 
 // FECSymbolSent records one FEC repair symbol (or, for index<0, the window
@@ -295,12 +351,9 @@ func (o *Origin) FECSymbolSent(now time.Duration, windowID, streamID uint64, ind
 	if o == nil {
 		return
 	}
-	o.begin(now, EvFECSymbolSent)
-	o.u64("window", windowID)
-	o.u64("stream", streamID)
-	o.i("index", int64(index))
-	o.i("bytes", int64(size))
-	o.end()
+	r := o.open(now, evFECSymbolSent)
+	r.u[0], r.u[1], r.u[2], r.u[3] = windowID, streamID, uint64(index), uint64(size)
+	o.commit(r)
 }
 
 // FECSymbolReceived records one FEC repair symbol arriving at the decoder.
@@ -310,11 +363,9 @@ func (o *Origin) FECSymbolReceived(now time.Duration, windowID uint64, index int
 	if o == nil {
 		return
 	}
-	o.begin(now, EvFECSymbolReceived)
-	o.u64("window", windowID)
-	o.i("index", int64(index))
-	o.i("bytes", int64(size))
-	o.end()
+	r := o.open(now, evFECSymbolReceived)
+	r.u[0], r.u[1], r.u[2] = windowID, uint64(index), uint64(size)
+	o.commit(r)
 }
 
 // FECRecovered records the decoder rebuilding lost stream bytes from
@@ -325,12 +376,9 @@ func (o *Origin) FECRecovered(now time.Duration, windowID, streamID, offset uint
 	if o == nil {
 		return
 	}
-	o.begin(now, EvFECRecovered)
-	o.u64("window", windowID)
-	o.u64("stream", streamID)
-	o.u64("offset", offset)
-	o.i("bytes", int64(size))
-	o.end()
+	r := o.open(now, evFECRecovered)
+	r.u[0], r.u[1], r.u[2], r.u[3] = windowID, streamID, offset, uint64(size)
+	o.commit(r)
 }
 
 // FECGiveUp records the decoder abandoning a window. reason attributes the
@@ -341,10 +389,10 @@ func (o *Origin) FECGiveUp(now time.Duration, windowID uint64, reason string) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvFECGiveUp)
-	o.u64("window", windowID)
-	o.s("reason", reason)
-	o.end()
+	r := o.open(now, evFECGiveUp)
+	r.u[0] = windowID
+	r.s[0] = reason
+	o.commit(r)
 }
 
 // FECDecision records the QoE redundancy controller's per-window verdict:
@@ -355,13 +403,9 @@ func (o *Origin) FECDecision(now, dt time.Duration, lossRate float64, sourceSymb
 	if o == nil {
 		return
 	}
-	o.begin(now, EvFECDecision)
-	o.d("dt", dt)
-	o.i("loss_ppm", int64(lossRate*1e6))
-	o.i("k", int64(sourceSymbols))
-	o.i("repairs", int64(repairs))
-	o.b("protect", protect)
-	o.end()
+	r := o.open(now, evFECDecision)
+	r.u[0], r.u[1], r.u[2], r.u[3], r.u[4] = uint64(dt), uint64(int64(lossRate*1e6)), uint64(sourceSymbols), uint64(repairs), flag(protect)
+	o.commit(r)
 }
 
 // batchSizeBounds buckets the per-path batch-size histogram: batches are
@@ -379,10 +423,9 @@ func (o *Origin) BatchFlush(now time.Duration, pathID uint64, n int) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvBatchFlush)
-	o.u64("path", pathID)
-	o.i("packets", int64(n))
-	o.end()
+	r := o.open(now, evBatchFlush)
+	r.u[0], r.u[1] = pathID, uint64(n)
+	o.commit(r)
 	t := o.t
 	//xlinkvet:cold — first flush builds and caches the counter handle
 	if t.batchFlushes == nil {
@@ -410,10 +453,9 @@ func (o *Origin) AckCoalesced(now time.Duration, acks, paths int) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvAckCoalesced)
-	o.i("acks", int64(acks))
-	o.i("paths", int64(paths))
-	o.end()
+	r := o.open(now, evAckCoalesced)
+	r.u[0], r.u[1] = uint64(acks), uint64(paths)
+	o.commit(r)
 	t := o.t
 	//xlinkvet:cold — first coalesced batch builds and caches the counter handle
 	if t.coalescedAcks == nil {

@@ -3,33 +3,22 @@ package obs
 import "time"
 
 // Flight recorder (DESIGN.md §14): a fixed-size ring of the most recent
-// trace event lines, kept even when full NDJSON tracing is off, so that
-// when something goes wrong in production there is a last-N record of what
-// the connection was doing. Recording overwrites the oldest slot and
-// allocates nothing; only an anomaly trigger (rare, already off the hot
-// path) materializes a dump.
+// trace events, kept even when full NDJSON tracing is off, so that when
+// something goes wrong in production there is a last-N record of what the
+// connection was doing. A slot is one record (see record): recording fills
+// it in place, renders nothing and allocates nothing; the ring is rendered
+// as NDJSON only when read — an anomaly trigger (rare, already off the hot
+// path) or Snapshot.
 
 // DefaultFlightSlots is the ring capacity when the caller does not choose
 // one: 256 events is a few RTTs of packet-level history for one
-// connection at typical rates, at ~96 KiB fixed cost.
+// connection at typical rates, at 28 KiB fixed cost.
 const DefaultFlightSlots = 256
-
-// flightSlotBytes bounds one recorded line. Event lines are short
-// (typically < 200 bytes); a line that exceeds the slot is recorded
-// truncated and excluded from dumps (counted in Truncated) so every dump
-// stays valid NDJSON.
-const flightSlotBytes = 384
 
 // maxAnomalyDumps caps retained dumps per recorder. The first anomalies of
 // a session are the diagnostic ones (later ones are usually cascade);
 // beyond the cap only the trigger counter advances.
 const maxAnomalyDumps = 8
-
-type flightSlot struct {
-	n     int // bytes used; 0 = empty
-	trunc bool
-	buf   [flightSlotBytes]byte
-}
 
 // AnomalyDump is one flight-recorder capture: the ring contents at the
 // moment an anomaly fired, oldest event first, ending with the
@@ -46,13 +35,16 @@ type AnomalyDump struct {
 // safe for concurrent use (the registry carries the cross-goroutine
 // metrics instead).
 type FlightRecorder struct {
-	slots []flightSlot // fixed at construction
-	next  int          // xlinkvet:guardedby confined
+	slots []record // fixed at construction
+	next  int      // xlinkvet:guardedby confined
+	// held is how many slots hold an event: it grows to len(slots).
+	held  int // xlinkvet:guardedby confined
 	dumps []AnomalyDump
 	// anomalies counts triggers, including those past maxAnomalyDumps.
 	anomalies uint64
-	// truncated counts lines too long for a slot (excluded from dumps).
-	truncated uint64
+	// truncated counts events no record can hold (scorecards), left out of
+	// the ring and its dumps.
+	truncated   uint64
 	firstReason string
 }
 
@@ -60,42 +52,39 @@ func newFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
 		n = DefaultFlightSlots
 	}
-	return &FlightRecorder{slots: make([]flightSlot, n)}
+	return &FlightRecorder{slots: make([]record, n)}
 }
 
-// record copies one finished event line into the next ring slot,
-// overwriting the oldest. Zero allocation; lines longer than a slot are
-// kept truncated and flagged.
+// slot hands out the next ring slot, overwriting the oldest event, for an
+// emitter to fill.
 //
 // xlinkvet:hot
-func (r *FlightRecorder) record(line []byte) {
+func (r *FlightRecorder) slot() *record {
 	s := &r.slots[r.next]
-	s.n = copy(s.buf[:], line)
-	s.trunc = s.n < len(line)
-	if s.trunc {
-		r.truncated++
-	}
 	r.next++
 	if r.next == len(r.slots) {
 		r.next = 0
 	}
+	if r.held < len(r.slots) {
+		r.held++
+	}
+	return s
 }
 
-// snapshot concatenates the ring contents oldest-first, skipping empty and
-// truncated slots, into a fresh NDJSON buffer.
+// snapshotLineBytes sizes a snapshot's buffer: event lines run about
+// 100–200 bytes.
+const snapshotLineBytes = 160
+
+// snapshot renders the ring's events oldest-first into a fresh NDJSON
+// buffer.
 func (r *FlightRecorder) snapshot() []byte {
-	var total int
-	for i := range r.slots {
-		if r.slots[i].n > 0 && !r.slots[i].trunc {
-			total += r.slots[i].n
-		}
+	out := make([]byte, 0, r.held*snapshotLineBytes)
+	first := 0
+	if r.held == len(r.slots) {
+		first = r.next
 	}
-	out := make([]byte, 0, total)
-	for k := 0; k < len(r.slots); k++ {
-		s := &r.slots[(r.next+k)%len(r.slots)]
-		if s.n > 0 && !s.trunc {
-			out = append(out, s.buf[:s.n]...)
-		}
+	for k := 0; k < r.held; k++ {
+		out = r.slots[(first+k)%len(r.slots)].render(out)
 	}
 	return out
 }
@@ -122,7 +111,8 @@ func (r *FlightRecorder) Anomalies() uint64 { return r.anomalies }
 // FirstAnomaly returns the reason of the first trigger ("" when none).
 func (r *FlightRecorder) FirstAnomaly() string { return r.firstReason }
 
-// Truncated returns how many recorded lines exceeded the slot size.
+// Truncated returns how many events were too large for a record (the
+// variable-length scorecards) and so are absent from the ring.
 func (r *FlightRecorder) Truncated() uint64 { return r.truncated }
 
 // Snapshot returns the current ring contents as NDJSON, oldest first —
@@ -138,11 +128,11 @@ func (o *Origin) Anomaly(now time.Duration, reason string) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvAnomaly)
-	o.s("reason", reason)
-	o.end()
+	r := o.open(now, evAnomaly)
+	r.s[0] = reason
+	o.commit(r)
 	o.t.anomalies.Inc()
-	if r := o.t.ring; r != nil {
-		r.capture(now, reason)
+	if ring := o.t.ring; ring != nil {
+		ring.capture(now, reason)
 	}
 }

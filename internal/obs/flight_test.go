@@ -85,22 +85,33 @@ func TestFlightRecorderDumpCap(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderTruncation checks an oversized line is excluded from
-// dumps (keeping them valid NDJSON) and counted.
+// TestFlightRecorderTruncation checks what a record cannot hold: a
+// scorecard, whose field count varies, is counted and left out of the ring
+// (keeping dumps valid NDJSON), while a long string is kept whole — a
+// record holds the string, not a copy of its bytes.
 func TestFlightRecorderTruncation(t *testing.T) {
 	tr := NewFlightTrace("trunc", 4)
 	o := tr.Origin("c")
 	o.PacketAcked(0, 0, 7)
-	o.Emit(time.Millisecond, EvFaultInjected, KV{K: "op", V: strings.Repeat("x", flightSlotBytes)})
+	long := strings.Repeat("x", 1024)
+	o.FaultInjected(time.Millisecond, long, "start")
+	o.Scorecard(2*time.Millisecond, &Scorecard{NumPaths: 2})
 	snap := tr.Flight().Snapshot()
-	if bytes.Contains(snap, []byte("xxxx")) {
-		t.Error("truncated line leaked into snapshot")
+	evs, err := ParseBytes(snap)
+	if err != nil {
+		t.Fatalf("snapshot not valid NDJSON: %v", err)
 	}
-	if _, err := ParseBytes(snap); err != nil {
-		t.Errorf("snapshot not valid NDJSON: %v", err)
+	if len(evs) != 2 || evs[1].Name != EvFaultInjected || evs[1].Str("op") != long {
+		t.Errorf("ring = %d events, want the ack and the whole fault op", len(evs))
+	}
+	if bytes.Contains(snap, []byte(EvScorecard)) {
+		t.Error("scorecard leaked into the snapshot")
 	}
 	if tr.Flight().Truncated() != 1 {
 		t.Errorf("truncated = %d, want 1", tr.Flight().Truncated())
+	}
+	if tr.EventCount() != 3 {
+		t.Errorf("EventCount = %d, want 3: a scorecard left out of the ring is still an event", tr.EventCount())
 	}
 }
 

@@ -98,21 +98,24 @@ const formatHeader = "xlink-ndjson-01"
 // xlink.Endpoint.TraceBytes), which the confined annotations below let
 // xlinkvet enforce.
 //
-// Each event is assembled in a reused line buffer and then fanned out to
-// the sinks: the append-only NDJSON buffer (full traces) and/or the
-// flight-recorder ring (always-on last-N capture). NewFlightTrace builds a
-// ring-only trace whose steady-state emit path allocates nothing at all.
+// Each typed emitter fills one fixed-size record (see record) and hands it
+// to the sinks: the NDJSON stream (full traces) renders it at once, the
+// flight-recorder ring (always-on last-N capture) keeps the record and
+// renders it only when read. NewFlightTrace builds a ring-only trace, whose
+// emit path renders nothing and allocates nothing.
 type Trace struct {
 	title  string
 	ndjson bool         // keep the full NDJSON stream in buf
 	buf    bytes.Buffer // xlinkvet:guardedby confined
-	line   []byte       // xlinkvet:guardedby confined (per-event assembly buffer, reused)
+	// rec is the record an event is filled into when no ring is attached.
+	rec    record // xlinkvet:guardedby confined
 	ring   *FlightRecorder
 	reg    *Registry
 	events uint64 // xlinkvet:guardedby confined
-	// evCounters caches the per-name emit counter so the steady-state emit
-	// path neither concatenates the metric name nor walks the registry map.
-	evCounters map[EventName]*Counter // xlinkvet:guardedby confined
+	// evCounters caches the per-event emit counter, indexed by event, so
+	// the steady-state emit path neither builds the metric name nor looks
+	// it up.
+	evCounters [numEvents]*Counter // xlinkvet:guardedby confined
 	// anomalies caches the anomaly-trigger counter handle.
 	anomalies *Counter
 	// Batching metric handles (DESIGN.md §16): the per-path batch-size
@@ -128,7 +131,7 @@ type Trace struct {
 // scenario name).
 func NewTrace(title string) *Trace { return newTrace(title, true, 0) }
 
-// NewFlightTrace creates a ring-only trace: events are formatted into the
+// NewFlightTrace creates a ring-only trace: events are kept in the
 // flight-recorder ring of the given capacity (DefaultFlightSlots when
 // n <= 0) and the NDJSON buffer stays empty, so always-on capture costs a
 // fixed allocation at construction and nothing per event. Bytes returns
@@ -136,11 +139,7 @@ func NewTrace(title string) *Trace { return newTrace(title, true, 0) }
 func NewFlightTrace(title string, n int) *Trace { return newTrace(title, false, n) }
 
 func newTrace(title string, ndjson bool, ringSlots int) *Trace {
-	t := &Trace{
-		title: title, ndjson: ndjson,
-		reg:        NewRegistry(),
-		evCounters: make(map[EventName]*Counter),
-	}
+	t := &Trace{title: title, ndjson: ndjson, reg: NewRegistry()}
 	t.anomalies = t.reg.Counter(MetricAnomalies)
 	if !ndjson || ringSlots > 0 {
 		t.ring = newFlightRecorder(ringSlots)
@@ -189,6 +188,20 @@ func (t *Trace) Bytes() []byte { return t.buf.Bytes() }
 // EventCount returns how many events (excluding the header) were emitted.
 func (t *Trace) EventCount() uint64 { return t.events }
 
+// count advances the emit counters of one event.
+//
+// xlinkvet:hot
+func (t *Trace) count(ev evIndex) {
+	c := t.evCounters[ev]
+	//xlinkvet:cold — first emit of each event builds and caches its counter; steady state is the array hit
+	if c == nil {
+		c = t.reg.Counter(MetricTraceEvents.With("name", string(eventSpecs[ev].name)))
+		t.evCounters[ev] = c
+	}
+	c.Inc()
+	t.events++
+}
+
 // Origin is a component's handle onto a shared Trace. The label names the
 // emitting vantage point ("client", "server", "net") on every event. All
 // event methods are nil-receiver-safe no-ops.
@@ -197,145 +210,203 @@ type Origin struct {
 	label string
 }
 
-// KV is one extension field of an ad-hoc Emit event.
-type KV struct{ K, V string }
-
-// Emit writes an event with free-form string fields. name must be a
-// registered EventName constant; typed events should use the dedicated
-// methods instead.
+// open starts one event and returns the record its emitter fills: the
+// ring's next slot, or the trace's own record when no ring is attached.
+// The emitter sets the values its event's spec names and calls commit.
 //
 // xlinkvet:hot
-func (o *Origin) Emit(now time.Duration, name EventName, kv ...KV) {
-	if o == nil {
-		return
-	}
-	o.begin(now, name)
-	for _, f := range kv {
-		o.s(f.K, f.V)
-	}
-	o.end()
-}
-
-// --- low-level NDJSON plumbing (deterministic field order, no maps) ---
-
-// begin opens one event line in the reused line buffer: fixed header
-// fields, then the data object.
-//
-// xlinkvet:hot
-func (o *Origin) begin(now time.Duration, name EventName) {
+func (o *Origin) open(now time.Duration, ev evIndex) *record {
 	t := o.t
-	t.line = append(t.line[:0], `{"time":`...)
-	t.line = strconv.AppendInt(t.line, int64(now), 10)
-	t.line = append(t.line, `,"origin":`...)
-	t.line = appendJSONString(t.line, o.label)
-	t.line = append(t.line, `,"name":`...)
-	t.line = appendJSONString(t.line, string(name))
-	t.line = append(t.line, `,"data":{`...)
-	c := t.evCounters[name]
-	//xlinkvet:cold — first emit of each name builds and caches its counter; steady state is the map hit
-	if c == nil {
-		c = t.reg.Counter(MetricTraceEvents.With("name", string(name)))
-		t.evCounters[name] = c
-	}
-	c.Inc()
-}
-
-// end closes the event line and fans it out to the enabled sinks.
-//
-// xlinkvet:hot
-func (o *Origin) end() {
-	t := o.t
-	t.line = append(t.line, '}', '}', '\n')
-	if t.ndjson {
-		t.buf.Write(t.line)
-	}
+	r := &t.rec
 	if t.ring != nil {
-		t.ring.record(t.line)
+		r = t.ring.slot()
 	}
-	t.events++
+	r.at, r.o, r.ev = now, o, ev
+	return r
 }
+
+// commit finishes the record open returned: a full trace renders it onto
+// the NDJSON stream now, in the stream's spare capacity when it has room;
+// a ring already holds it.
+//
+// xlinkvet:hot
+func (o *Origin) commit(r *record) {
+	t := o.t
+	if t.ndjson {
+		t.buf.Write(r.render(t.buf.AvailableBuffer()))
+	}
+	t.count(r.ev)
+}
+
+// --- records ---
+
+// The most values one record holds: every typed event fits, and the
+// variable-length scorecard is the one event that does not use a record.
+const (
+	recordNums = 5
+	recordStrs = 3
+)
+
+// record is one event as its emitter filled it: the instant, the origin,
+// which event, and its values. Numeric values (signed ones and durations
+// as their two's-complement bits, booleans as 0/1) fill u in the order the
+// event's spec lists them, strings fill s likewise. A string keeps its
+// header only: strings are immutable, so no byte is copied. 112 bytes.
+type record struct {
+	at time.Duration
+	o  *Origin
+	ev evIndex
+	u  [recordNums]uint64
+	s  [recordStrs]string
+}
+
+// fieldKind says how the renderer writes one data field of a record.
+type fieldKind uint8
+
+const (
+	kindU64  fieldKind = iota // the next u value, unsigned
+	kindInt                   // the next u value, signed (durations in ns)
+	kindBool                  // the next u value, non-zero = true
+	kindStr                   // the next s value
+)
+
+// field is one data field of an event: its key and how it renders.
+type field struct {
+	key  string
+	kind fieldKind
+}
+
+// eventSpec is how one event renders: its name and its data fields in
+// order. The scorecard's spec has no fields: it renders itself.
+type eventSpec struct {
+	name   EventName
+	fields []field
+}
+
+// flag stores a boolean in a record's numeric values.
+func flag(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// render appends the record as one NDJSON event line. The NDJSON sink
+// calls it as the event is emitted, the ring when it is read, so the two
+// produce the same bytes.
+//
+// xlinkvet:hot
+func (r *record) render(dst []byte) []byte {
+	spec := &eventSpecs[r.ev]
+	dst = begin(dst, r.at, r.o.label, spec.name)
+	nu, ns := 0, 0
+	for k := range spec.fields {
+		f := &spec.fields[k]
+		switch f.kind {
+		case kindU64:
+			dst = u64(dst, f.key, r.u[nu])
+			nu++
+		case kindInt:
+			dst = i(dst, f.key, int64(r.u[nu]))
+			nu++
+		case kindBool:
+			dst = b(dst, f.key, r.u[nu] != 0)
+			nu++
+		case kindStr:
+			dst = s(dst, f.key, r.s[ns])
+			ns++
+		}
+	}
+	return end(dst)
+}
+
+// --- the NDJSON renderer (deterministic field order, no maps) ---
+
+// begin opens one event line: fixed header fields, then the data object.
+//
+// xlinkvet:hot
+func begin(dst []byte, now time.Duration, origin string, name EventName) []byte {
+	dst = append(dst, `{"time":`...)
+	dst = strconv.AppendInt(dst, int64(now), 10)
+	dst = append(dst, `,"origin":`...)
+	dst = appendJSONString(dst, origin)
+	dst = append(dst, `,"name":`...)
+	dst = appendJSONString(dst, string(name))
+	return append(dst, `,"data":{`...)
+}
+
+// end closes the data object and the event line.
+//
+// xlinkvet:hot
+func end(dst []byte) []byte { return append(dst, '}', '}', '\n') }
 
 // sep writes the comma between data fields (the data object tracks its own
-// position: first field follows '{', later fields follow a value).
+// position: first field follows '{', later fields follow a value), then
+// the field's key.
 //
 // xlinkvet:hot
-func (o *Origin) sep() {
-	if b := o.t.line; len(b) > 0 && b[len(b)-1] != '{' {
-		o.t.line = append(b, ',')
+func sep(dst []byte, key string) []byte {
+	if len(dst) > 0 && dst[len(dst)-1] != '{' {
+		dst = append(dst, ',')
 	}
+	dst = appendJSONString(dst, key)
+	return append(dst, ':')
 }
 
 // u64 writes an unsigned integer field.
 //
 // xlinkvet:hot
-func (o *Origin) u64(key string, v uint64) {
-	o.sep()
-	t := o.t
-	t.line = appendJSONString(t.line, key)
-	t.line = append(t.line, ':')
-	t.line = strconv.AppendUint(t.line, v, 10)
+func u64(dst []byte, key string, v uint64) []byte {
+	return strconv.AppendUint(sep(dst, key), v, 10)
 }
 
 // i writes a signed integer field.
 //
 // xlinkvet:hot
-func (o *Origin) i(key string, v int64) {
-	o.sep()
-	t := o.t
-	t.line = appendJSONString(t.line, key)
-	t.line = append(t.line, ':')
-	t.line = strconv.AppendInt(t.line, v, 10)
+func i(dst []byte, key string, v int64) []byte {
+	return strconv.AppendInt(sep(dst, key), v, 10)
 }
 
 // d writes a duration field in nanoseconds.
-//
-// xlinkvet:hot
-func (o *Origin) d(key string, v time.Duration) { o.i(key, int64(v)) }
+func d(dst []byte, key string, v time.Duration) []byte { return i(dst, key, int64(v)) }
 
 // s writes a string field.
 //
 // xlinkvet:hot
-func (o *Origin) s(key, v string) {
-	o.sep()
-	t := o.t
-	t.line = appendJSONString(t.line, key)
-	t.line = append(t.line, ':')
-	t.line = appendJSONString(t.line, v)
+func s(dst []byte, key, v string) []byte {
+	return appendJSONString(sep(dst, key), v)
 }
 
 // b writes a boolean field.
 //
 // xlinkvet:hot
-func (o *Origin) b(key string, v bool) {
-	o.sep()
-	t := o.t
-	t.line = appendJSONString(t.line, key)
-	if v {
-		t.line = append(t.line, `:true`...)
-	} else {
-		t.line = append(t.line, `:false`...)
-	}
+func b(dst []byte, key string, v bool) []byte {
+	return strconv.AppendBool(sep(dst, key), v)
 }
 
 // appendJSONString appends a JSON string. Event payloads are internal
 // identifiers and short reasons; the escape loop handles quotes,
 // backslashes and control bytes so arbitrary reasons still produce valid
-// JSON.
+// JSON. Runs that need no escape are copied whole.
 //
 // xlinkvet:hot
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
+	start := 0
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			dst = append(dst, '\\', c)
-		case c < 0x20:
+		if c != '"' && c != '\\' && c >= 0x20 {
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		if c < 0x20 {
 			const hex = "0123456789abcdef"
 			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		default:
-			dst = append(dst, c)
+		} else {
+			dst = append(dst, '\\', c)
 		}
+		start = i + 1
 	}
+	dst = append(dst, s[start:]...)
 	return append(dst, '"')
 }

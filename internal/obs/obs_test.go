@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -84,9 +85,42 @@ func TestNoopTracerZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestNilOriginAdHocEmit(t *testing.T) {
+// TestNilOriginIsSilent calls the emitters TestNoopTracerZeroAlloc leaves
+// out on the disabled tracer: none may panic.
+func TestNilOriginIsSilent(t *testing.T) {
 	var o *Origin
-	o.Emit(time.Second, EvFaultInjected, KV{K: "op", V: "x"}) // must not panic
+	o.FaultInjected(time.Second, "blackout(path=0)", "start")
+	o.Anomaly(time.Second, "error_close")
+	o.Scorecard(time.Second, &Scorecard{NumPaths: 1})
+	o.BatchFlush(time.Second, 0, 16)
+	o.AckCoalesced(time.Second, 4, 2)
+}
+
+// TestEventSpecsFitARecord checks the spec table against the record: every
+// event but the scorecard is named once, and its values fit.
+func TestEventSpecsFitARecord(t *testing.T) {
+	seen := map[EventName]bool{}
+	for ev, spec := range eventSpecs {
+		if spec.name == "" || seen[spec.name] {
+			t.Fatalf("event %d: name %q missing or repeated", ev, spec.name)
+		}
+		seen[spec.name] = true
+		var nums, strs int
+		for _, f := range spec.fields {
+			if f.kind == kindStr {
+				strs++
+			} else {
+				nums++
+			}
+		}
+		if nums > recordNums || strs > recordStrs {
+			t.Errorf("%s: %d numeric and %d string fields, a record holds %d and %d",
+				spec.name, nums, strs, recordNums, recordStrs)
+		}
+	}
+	if size := unsafe.Sizeof(record{}); size > 112 {
+		t.Errorf("a record is %d bytes, want at most 112", size)
+	}
 }
 
 func TestRegistryDumpDeterministic(t *testing.T) {

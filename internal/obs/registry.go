@@ -62,10 +62,6 @@ const (
 	// {half="send"} and {half="recv"}: what it has open, not what it ever
 	// carried.
 	MetricOpenStreams MetricName = "xlink_open_streams"
-	// Datagrams a live socket reader received into a fresh buffer because
-	// its shard's free ring was empty (DESIGN.md §16): the shard is not
-	// keeping up with the readers.
-	MetricShardRingExhausted MetricName = "xlink_shard_ring_exhausted_total"
 	// Load-balancer routing outcomes, labeled per backend.
 	MetricLBRouted  MetricName = "xlink_lb_routed_total"
 	MetricLBDropped MetricName = "xlink_lb_dropped_total"

@@ -72,36 +72,46 @@ var pathKeys = func() [ScorecardMaxPaths][7]string {
 	return ks
 }()
 
-// Scorecard emits the session rollup as one conn:scorecard event.
+// Scorecard emits the session rollup as one conn:scorecard event. Its
+// field count varies with the paths, so it is the one event no record
+// holds: it renders straight onto the NDJSON stream, and a flight ring
+// counts it in Truncated and leaves it out of dumps.
 func (o *Origin) Scorecard(now time.Duration, sc *Scorecard) {
 	if o == nil {
 		return
 	}
-	o.begin(now, EvScorecard)
-	o.d("rct", sc.RCT)
-	o.b("completed", sc.Completed)
-	o.d("rebuffer", sc.RebufferTime)
-	o.u64("rebuffer_count", sc.RebufferCount)
-	o.u64("qoe_decisions", sc.QoEDecisions)
-	o.u64("qoe_enables", sc.QoEEnables)
-	o.u64("qoe_transitions", sc.QoETransitions)
-	o.u64("stream_bytes", sc.StreamBytes)
-	o.u64("rtx_bytes", sc.RtxBytes)
-	o.u64("reinj_bytes", sc.ReinjBytes)
-	o.u64("fec_recovered_bytes", sc.FECRecoveredBytes)
-	o.u64("close_code", sc.CloseCode)
-	o.i("paths", int64(sc.NumPaths))
-	for i := 0; i < sc.NumPaths && i < ScorecardMaxPaths; i++ {
-		p, k := &sc.Paths[i], &pathKeys[i]
-		o.u64(k[0], p.ID)
-		o.u64(k[1], p.SentPackets)
-		o.u64(k[2], p.LostPackets)
-		o.u64(k[3], p.SentBytes)
-		o.u64(k[4], p.ReinjBytes)
-		o.u64(k[5], p.UtilPermille)
-		o.u64(k[6], p.LossPermille)
+	t := o.t
+	if t.ndjson {
+		l := begin(t.buf.AvailableBuffer(), now, o.label, EvScorecard)
+		l = d(l, "rct", sc.RCT)
+		l = b(l, "completed", sc.Completed)
+		l = d(l, "rebuffer", sc.RebufferTime)
+		l = u64(l, "rebuffer_count", sc.RebufferCount)
+		l = u64(l, "qoe_decisions", sc.QoEDecisions)
+		l = u64(l, "qoe_enables", sc.QoEEnables)
+		l = u64(l, "qoe_transitions", sc.QoETransitions)
+		l = u64(l, "stream_bytes", sc.StreamBytes)
+		l = u64(l, "rtx_bytes", sc.RtxBytes)
+		l = u64(l, "reinj_bytes", sc.ReinjBytes)
+		l = u64(l, "fec_recovered_bytes", sc.FECRecoveredBytes)
+		l = u64(l, "close_code", sc.CloseCode)
+		l = i(l, "paths", int64(sc.NumPaths))
+		for n := 0; n < sc.NumPaths && n < ScorecardMaxPaths; n++ {
+			p, k := &sc.Paths[n], &pathKeys[n]
+			l = u64(l, k[0], p.ID)
+			l = u64(l, k[1], p.SentPackets)
+			l = u64(l, k[2], p.LostPackets)
+			l = u64(l, k[3], p.SentBytes)
+			l = u64(l, k[4], p.ReinjBytes)
+			l = u64(l, k[5], p.UtilPermille)
+			l = u64(l, k[6], p.LossPermille)
+		}
+		t.buf.Write(end(l))
 	}
-	o.end()
+	if t.ring != nil {
+		t.ring.truncated++
+	}
+	t.count(evScorecard)
 }
 
 // ScorecardFromEvent decodes a conn:scorecard event parsed back from a

@@ -46,7 +46,7 @@ func (s *server) CallbackUnderLock(cb func()) {
 // EmitUnderLock emits a trace event under mu: 1 finding.
 func (s *server) EmitUnderLock(now time.Duration) {
 	s.mu.Lock()
-	s.o.Emit(now, obs.EvPacketSent) // finding: lockheld
+	s.o.PacketAcked(now, 0, 1) // finding: lockheld
 	s.mu.Unlock()
 }
 

@@ -43,7 +43,7 @@ fi
 # of a lossy session's allocations for eight PRs (DESIGN.md §7). The count
 # in the tree (fixtures and the rule's own source aside) may not exceed
 # HOTALLOC_MAY; raising it means editing the next line, where a reviewer
-# sees it. (67 in the tree: wire 37, transport 19, xlink 5, cc 3, sim 1,
+# sees it. (66 in the tree: wire 37, transport 19, xlink 4, cc 3, sim 1,
 # recovery 1, netem 1.)
 HOTALLOC_MAY=69
 echo "==> hotalloc suppression ratchet"
@@ -96,19 +96,21 @@ step go test -race -tags xlinkdebug -count=1 ./internal/recovery/ ./internal/wir
 # golden NDJSON trace byte for byte (-count=1 defeats the test cache so the
 # gate re-runs even when nothing changed).
 step go test -count=1 ./internal/chaos/ -run TestGoldenTrace
-# Sharded live event loop under the race detector (DESIGN.md §16): socket
-# readers posting to shard channels, shard goroutines batching into the
-# transports, foreign-goroutine writers and endpoint/group shutdown all
-# interleaving over real UDP; and the endpoint's recycled timers (§20) under
-# cancel, re-arm and Close storms, stale callbacks included; a drained
-# shard ring whose fallback buffers are counted; and deferred data callbacks
-# that read the endpoint's copy, in order, while another goroutine writes,
-# with the copy's arena given back at Close.
-step go test -race -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestShardRingExhaustionCounted|TestLiveDataCallbacksKeepOrderAndContent|TestCloseGivesTheArenaBack'
+# Sharded live event loop under the race detector and assertions (DESIGN.md
+# §16): socket readers posting to shard channels, shard goroutines batching
+# into the transports, foreign-goroutine writers and endpoint/group shutdown
+# all interleaving over real UDP, with every read buffer poisoned as it goes
+# back to the process-wide pool; and the endpoint's recycled timers (§20)
+# under cancel, re-arm and Close storms, stale callbacks included; an idle
+# group that holds no read buffer, and a datagram kept past its batch that
+# reads poison; and deferred data callbacks that read the endpoint's copy, in
+# order, while another goroutine writes, with the copy's arena given back at
+# Close.
+step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestIdleGroupHoldsNoReadBuffers|TestKeptReadBufferReadsPoison|TestLiveDataCallbacksKeepOrderAndContent|TestCloseGivesTheArenaBack'
 # Allocation gates (DESIGN.md §11): warm hot paths must hold their alloc/op
 # budgets — zero for sim timers, crypto seal/open, rangeset updates, the
-# telemetry record path (counters/gauges/histograms and the flight-recorder
-# ring, DESIGN.md §14), the send-side batch fill/flush (§16), a re-injection
+# telemetry record path (counters/gauges/histograms and a record filled in
+# the flight-recorder ring, DESIGN.md §14), the send-side batch fill/flush (§16), a re-injection
 # pull with nothing new in flight and the requester's in-order delivery, a
 # warm wire.Decoder parse and, inside transport + wire, a received STREAM
 # packet, a received 32-range ACK_MP and a send pass with or without a packet
@@ -124,7 +126,7 @@ step go test -count=1 -run 'TestAllocGate' ./internal/sim/ ./internal/crypto/ ./
 # Benchmark smoke: every benchmark must still run (one iteration — this
 # checks the harness, not performance; `make bench` measures for real, and
 # its allocs_per_pkt bound pins allocation-count growth end to end).
-step go test -run '^$' -bench . -benchtime 1x ./internal/wire/ ./internal/crypto/ ./internal/rangeset/ ./internal/sim/ ./internal/transport/ ./internal/chaos/
+step go test -run '^$' -bench . -benchtime 1x ./internal/wire/ ./internal/crypto/ ./internal/rangeset/ ./internal/sim/ ./internal/transport/ ./internal/chaos/ ./internal/obs/ ./xlink/
 step go test ./internal/wire/ -run '^$' -fuzz FuzzParseVarint -fuzztime "$FUZZTIME"
 step go test ./internal/wire/ -run '^$' -fuzz FuzzParseHeader -fuzztime "$FUZZTIME"
 step go test ./internal/wire/ -run '^$' -fuzz 'FuzzParseFrame$' -fuzztime "$FUZZTIME"

@@ -160,7 +160,7 @@ mut O4 obsevent xlink/live.go "$X" \
 rep(q~Scorecard(ep.env.Now(), &card)~, q~Scorecard(time.Duration(time.Now().UnixNano()), &card)~);
 EOF
 mut O5 obsevent internal/transport/conn.go "$T" \
-	"startPathValidation emits an ad-hoc event name through Origin.Emit instead of a typed emitter" <<'EOF'
+	"startPathValidation emits an ad-hoc event name through a generic emit instead of a typed emitter (Origin.Emit is deleted: the build fails)" <<'EOF'
 rep(q~c.tr.PathStateChanged(now, p.ID, p.State.String(), "challenge-sent")~, q~c.tr.Emit(now, "path_challenge_sent")~);
 EOF
 
@@ -273,7 +273,7 @@ rep(qq~\t\tcase <-g.done:\n\t\t\treturn\n\t\tcase rp := <-sh.in:~, qq~\t\tcase r
 EOF
 mut K2 goleak xlink/live.go "$X" \
 	"readLoop retries on a read error instead of returning: it spins on the closed socket forever" <<'EOF'
-rep(qq~\t\t\tsh.recycle(buf)\n\t\t\treturn // socket closed by Endpoint.Close\n~, qq~\t\t\tsh.recycle(buf)\n\t\t\tcontinue\n~);
+rep(qq~\t\t\tputReadBuf(buf)\n\t\t\treturn // socket closed by Endpoint.Close\n~, qq~\t\t\tputReadBuf(buf)\n\t\t\tcontinue\n~);
 EOF
 mut K3 goleak internal/abtest/abtest.go "./internal/abtest/" \
 	"the A/B fleet forgets wg.Wait(): results are read while the workers still run" <<'EOF'
@@ -287,7 +287,7 @@ rep(qq~\tselect {\n\tcase <-ep.done:\n\tdefault:\n\t\tclose(ep.done)\n\t}\n~, qq
 EOF
 mut C2 chandir xlink/live.go "$X" \
 	"readLoop (not the owner) closes ep.done when its socket fails" <<'EOF'
-rep(qq~\t\t\tsh.recycle(buf)\n\t\t\treturn // socket closed by Endpoint.Close\n~, qq~\t\t\tsh.recycle(buf)\n\t\t\tclose(ep.done)\n\t\t\treturn\n~);
+rep(qq~\t\t\tputReadBuf(buf)\n\t\t\treturn // socket closed by Endpoint.Close\n~, qq~\t\t\tputReadBuf(buf)\n\t\t\tclose(ep.done)\n\t\t\treturn\n~);
 EOF
 mut C3 chandir xlink/live.go "$X" \
 	"EventLoopGroup.Close loses its once-guard: a second Close panics" <<'EOF'

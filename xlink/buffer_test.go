@@ -28,7 +28,7 @@ func TestCloseReleasesStreamBuffers(t *testing.T) {
 				st := server.StreamFor(s.ID())
 				st.Write(make([]byte, size))
 				st.Close()
-				out.Store(st)
+				out.Store(&st)
 			}
 		},
 	})
@@ -50,9 +50,7 @@ func TestCloseReleasesStreamBuffers(t *testing.T) {
 	}
 	defer client.Close()
 	waitFor(t, 15*time.Second, client.Established, "handshake")
-	runtime.GC()
-	var base runtime.MemStats
-	runtime.ReadMemStats(&base)
+	base := heapAfterGC()
 
 	req := client.OpenStream()
 	req.Write([]byte("GET\n"))
@@ -73,9 +71,7 @@ func TestCloseReleasesStreamBuffers(t *testing.T) {
 
 	server.Close()
 	client.Close()
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
+	after := heapAfterGC()
 	if server.Terminated() && client.Terminated() {
 		t.Skip("both drain timers already fired; nothing left to observe")
 	}
@@ -90,7 +86,7 @@ func TestCloseReleasesStreamBuffers(t *testing.T) {
 	}
 	// The handles are still reachable: at the parent commit they pinned the
 	// whole payload through the drain period.
-	if grown := int64(after.HeapAlloc) - int64(base.HeapAlloc); grown > 8<<20 {
+	if grown := after - base; grown > 8<<20 {
 		t.Errorf("heap grew by %d MiB across a closed %d MiB transfer while the drain timers are pending", grown>>20, size>>20)
 	}
 	runtime.KeepAlive(out.Load())

@@ -127,6 +127,8 @@ type Endpoint struct {
 	mu   sync.Mutex
 	env  realEnv
 	conn *transport.Conn // xlinkvet:guardedby mu
+	// socks are the bound sockets: a client's one per interface, a server's
+	// one, which answers every path.
 	// xlinkvet:guardedby mu
 	socks []*net.UDPConn
 	// xlinkvet:guardedby mu
@@ -173,10 +175,6 @@ type Endpoint struct {
 	// user supplied no LiveConfig.Loops; Close signals it.
 	shard      *eventLoopShard
 	ownedLoops *EventLoopGroup
-	// ringExhausted counts the datagrams this endpoint's readers received
-	// into a fresh buffer because the shard's ring was empty. Like shard it
-	// is set before any readLoop starts; the counter itself is atomic.
-	ringExhausted *obs.Counter
 }
 
 // cbKind says which user callback a pendingCallback runs.
@@ -304,15 +302,17 @@ func (ep *Endpoint) run(cb pendingCallback, data []byte) {
 
 // Stream is the sending half of a stream on a live endpoint. It wraps the
 // transport stream with the endpoint lock, making it safe to use from any
-// goroutine — the transport itself is single-threaded by design. See the
-// internal documentation for WriteFrame's video-frame priority semantics.
+// goroutine — the transport itself is single-threaded by design. It is a
+// handle of two pointers, passed by value, so opening a stream costs the
+// transport's stream and nothing more. See the internal documentation for
+// WriteFrame's video-frame priority semantics.
 type Stream struct {
 	ep *Endpoint
 	s  *transport.SendStream // xlinkvet:guardedby ep.mu
 }
 
 // ID returns the stream ID.
-func (st *Stream) ID() uint64 {
+func (st Stream) ID() uint64 {
 	st.ep.mu.Lock()
 	defer st.ep.mu.Unlock()
 	return st.s.ID()
@@ -328,7 +328,7 @@ func (st *Stream) ID() uint64 {
 // OnStreamOpen, OnHandshakeDone) or synchronous pure providers
 // (QoEProvider, CCFactory) that do not re-enter the endpoint; OnClosed is
 // never installed in live mode.
-func (st *Stream) Write(data []byte) {
+func (st Stream) Write(data []byte) {
 	st.ep.mu.Lock()
 	st.s.Write(data) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
 	st.ep.mu.Unlock()
@@ -336,7 +336,7 @@ func (st *Stream) Write(data []byte) {
 }
 
 // WriteFrame queues one video frame with a priority.
-func (st *Stream) WriteFrame(data []byte, prio int) {
+func (st Stream) WriteFrame(data []byte, prio int) {
 	st.ep.mu.Lock()
 	st.s.WriteFrame(data, prio) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
 	st.ep.mu.Unlock()
@@ -344,14 +344,14 @@ func (st *Stream) WriteFrame(data []byte, prio int) {
 }
 
 // SetPriority sets the stream priority.
-func (st *Stream) SetPriority(p int) {
+func (st Stream) SetPriority(p int) {
 	st.ep.mu.Lock()
 	st.s.SetPriority(p)
 	st.ep.mu.Unlock()
 }
 
 // Close marks the stream finished after all queued data.
-func (st *Stream) Close() {
+func (st Stream) Close() {
 	st.ep.mu.Lock()
 	st.s.Close() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
 	st.ep.mu.Unlock()
@@ -359,7 +359,7 @@ func (st *Stream) Close() {
 }
 
 // Reset abandons the stream with an error code.
-func (st *Stream) Reset(code uint64) {
+func (st Stream) Reset(code uint64) {
 	st.ep.mu.Lock()
 	st.s.Reset(code) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
 	st.ep.mu.Unlock()
@@ -546,7 +546,6 @@ func applyLive(ep *Endpoint, tcfg *transport.Config, cfg LiveConfig) *obs.Trace 
 	}
 	tr.AttachFlightRecorder(0)
 	tcfg.Tracer = tr.Origin(label)
-	ep.ringExhausted = tr.Registry().Counter(obs.MetricShardRingExhausted)
 	return tr
 }
 
@@ -563,12 +562,14 @@ func applyLive(ep *Endpoint, tcfg *transport.Config, cfg LiveConfig) *obs.Trace 
 // beyond the analyzer's one-level caller credit, hence the suppression.
 func (ep *Endpoint) SendBatch(netIdx int, pkts [][]byte) int {
 	socks, peer := ep.socks, ep.peer //xlinkvet:ignore guardedby — invoked by the transport under ep.mu; see doc comment
-	if netIdx >= len(socks) || netIdx >= len(peer) || !peer[netIdx].IsValid() {
+	if netIdx >= len(peer) || !peer[netIdx].IsValid() {
 		return 0
 	}
+	// A client sends on the interface's socket; a server has one socket.
+	sock := socks[min(netIdx, len(socks)-1)]
 	sent := 0
 	for _, d := range pkts {
-		if _, err := socks[netIdx].WriteToUDPAddrPort(d, peer[netIdx]); err == nil {
+		if _, err := sock.WriteToUDPAddrPort(d, peer[netIdx]); err == nil {
 			sent++
 		}
 	}
@@ -576,18 +577,52 @@ func (ep *Endpoint) SendBatch(netIdx int, pkts [][]byte) int {
 }
 
 // readBufSize fits any datagram the transport seals (MaxDatagramSize plus
-// headroom); every ring buffer is this large.
+// headroom); every read buffer is this large.
 const readBufSize = 2048
+
+// readBufs is the process-wide pool of socket read buffers, held as
+// *[readBufSize]byte so that Put boxes nothing (DESIGN.md §19, the pool
+// rule). A reader takes one per datagram and the shard gives it back once
+// the batch was delivered; the collector empties the pool, so an idle group
+// holds none.
+var readBufs sync.Pool
+
+// getReadBuf returns a whole read buffer, reused if the pool has one.
+//
+// xlinkvet:hot
+func getReadBuf() []byte {
+	b, _ := readBufs.Get().(*[readBufSize]byte)
+	//xlinkvet:cold — pool empty: one buffer per datagram in flight at the high-water mark since the last collection
+	if b == nil {
+		b = new([readBufSize]byte)
+	}
+	return b[:]
+}
+
+// putReadBuf gives a read buffer back to the pool. Under xlinkdebug it is
+// overwritten first, so a consumer that kept the datagram past
+// HandleDatagramBatch reads 0xdb instead of the next datagram.
+//
+// xlinkvet:hot
+func putReadBuf(buf []byte) {
+	whole := (*[readBufSize]byte)(buf[:readBufSize])
+	if assert.Enabled {
+		for i := range whole {
+			whole[i] = 0xdb
+		}
+	}
+	readBufs.Put(whole)
+}
 
 // liveBatchSize caps how many raw packets one shard turn drains into a
 // single locked HandleDatagramBatch pass.
 const liveBatchSize = 16
 
 // rawPacket is one datagram handed from a socket reader to its endpoint's
-// shard. buf is a ring buffer on loan from the shard's free list: the shard
-// returns it after the batch is delivered, and the transport's receive
-// boundary (see transport.DatagramSender's ownership note) guarantees the
-// connection does not retain it past HandleDatagramBatch.
+// shard. buf is a read buffer from readBufs: the shard gives it back after
+// the batch is delivered, and the transport's receive boundary (see
+// transport.DatagramSender's ownership note) guarantees the connection does
+// not retain it past HandleDatagramBatch.
 type rawPacket struct {
 	ep   *Endpoint
 	sock int // receiving socket's netIdx (client); servers resolve per packet
@@ -615,14 +650,11 @@ type EventLoopGroup struct {
 	closed atomic.Bool
 }
 
-// eventLoopShard is one event loop: an inbound raw-packet channel and the
-// buffer free list backing its readers. in is written by socket readers and
-// drained only by the shard goroutine; free recycles ring buffers between
-// the two. Neither channel is ever closed — lifecycle runs through the
-// group's done channel.
+// eventLoopShard is one event loop: its inbound raw-packet channel,
+// written by socket readers and drained only by the shard goroutine. The
+// channel is never closed — lifecycle runs through the group's done channel.
 type eventLoopShard struct {
-	in   chan rawPacket
-	free chan []byte
+	in chan rawPacket
 }
 
 // NewEventLoopGroup starts a group of n shard goroutines (n <= 0 means one
@@ -633,14 +665,7 @@ func NewEventLoopGroup(n int) *EventLoopGroup {
 	}
 	g := &EventLoopGroup{done: make(chan struct{})}
 	for i := 0; i < n; i++ {
-		ring := 4 * liveBatchSize
-		sh := &eventLoopShard{
-			in:   make(chan rawPacket, ring),
-			free: make(chan []byte, ring),
-		}
-		for j := 0; j < ring; j++ {
-			sh.free <- make([]byte, readBufSize)
-		}
+		sh := &eventLoopShard{in: make(chan rawPacket, 4*liveBatchSize)}
 		g.shards = append(g.shards, sh)
 		g.wg.Add(1)
 		// One goroutine per shard, joined by Close/Wait via g.done and g.wg.
@@ -667,35 +692,11 @@ func (g *EventLoopGroup) attach() *eventLoopShard {
 	return g.shards[int(g.next.Add(1)-1)%len(g.shards)]
 }
 
-// takeBuf hands a ring buffer to a socket reader, falling back to a fresh
-// allocation when the ring is exhausted (slow shard under burst load) so
-// readers never deadlock against their own consumer. Each fallback is
-// counted on exhausted.
-func (sh *eventLoopShard) takeBuf(exhausted *obs.Counter) []byte {
-	select {
-	case buf := <-sh.free:
-		return buf
-	default:
-		exhausted.Inc()
-		//xlinkvet:ignore hotalloc — ring exhausted under burst: grow instead of blocking the reader
-		return make([]byte, readBufSize)
-	}
-}
-
-// recycle returns a ring buffer to the free list, dropping it when the list
-// is full (it was an overflow allocation).
-func (sh *eventLoopShard) recycle(buf []byte) {
-	select {
-	case sh.free <- buf[:cap(buf)]:
-	default:
-	}
-}
-
 // run is one shard's event loop: block for the first packet of a turn,
 // opportunistically drain whatever else is already queued (up to
 // liveBatchSize), and deliver the turn as per-endpoint batches. This is the
 // per-batch hot loop: its steady state allocates nothing — buffers come
-// from the ring and the batch scratch is reused across turns.
+// from readBufs and the batch scratch is reused across turns.
 //
 // xlinkvet:hot
 func (g *EventLoopGroup) run(sh *eventLoopShard) {
@@ -719,17 +720,17 @@ func (g *EventLoopGroup) run(sh *eventLoopShard) {
 					break drain
 				}
 			}
-			sh.dispatch(batch, &pkts)
+			dispatch(batch, &pkts)
 		}
 	}
 }
 
 // dispatch splits a turn's packets into contiguous per-endpoint runs,
-// delivers each run under that endpoint's lock, and recycles the ring
-// buffers.
+// delivers each run under that endpoint's lock, and gives the read buffers
+// back.
 //
 // xlinkvet:hot
-func (sh *eventLoopShard) dispatch(batch []rawPacket, pkts *[][]byte) {
+func dispatch(batch []rawPacket, pkts *[][]byte) {
 	i := 0
 	for i < len(batch) {
 		ep := batch[i].ep
@@ -741,7 +742,7 @@ func (sh *eventLoopShard) dispatch(batch []rawPacket, pkts *[][]byte) {
 		i = j
 	}
 	for k := range batch {
-		sh.recycle(batch[k].buf)
+		putReadBuf(batch[k].buf)
 		batch[k] = rawPacket{}
 	}
 }
@@ -785,33 +786,33 @@ func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 }
 
 // readLoop pumps one socket into the endpoint's shard. It owns no
-// connection state: each datagram lands in a ring buffer on loan from the
-// shard's free list and is posted over the handoff channel; the shard
-// returns the buffer after delivery (see rawPacket). Compared to the old
-// per-packet make+copy+lock loop, the steady state here allocates nothing:
-// the source address comes back by value.
+// connection state: each datagram lands in a buffer from readBufs and is
+// posted over the handoff channel; the shard gives the buffer back after
+// delivery (see rawPacket). The steady state allocates nothing: the source
+// address comes back by value.
 //
 // xlinkvet:hot
 func (ep *Endpoint) readLoop(netIdx int, sock *net.UDPConn) {
 	sh := ep.shard
 	for {
-		buf := sh.takeBuf(ep.ringExhausted)
+		buf := getReadBuf()
 		n, from, err := sock.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			sh.recycle(buf)
+			putReadBuf(buf)
 			return // socket closed by Endpoint.Close
 		}
 		select {
 		case sh.in <- rawPacket{ep: ep, sock: netIdx, from: unmapped(from), buf: buf[:n]}:
 		case <-ep.done:
-			sh.recycle(buf)
+			putReadBuf(buf)
 			return
 		}
 	}
 }
 
 // learnPeerLocked maps a client source address to a stable interface
-// index, appending new addresses as new paths.
+// index, appending new addresses as new paths. All of them are answered
+// from the server's one socket (SendBatch).
 func (ep *Endpoint) learnPeerLocked(from netip.AddrPort) int {
 	for i, p := range ep.peer {
 		if p == from {
@@ -819,11 +820,6 @@ func (ep *Endpoint) learnPeerLocked(from netip.AddrPort) int {
 		}
 	}
 	ep.peer = append(ep.peer, from)
-	for len(ep.socks) < len(ep.peer) {
-		// Server replies out of its single socket regardless of index.
-		ep.socks = append(ep.socks, ep.socks[0])
-	}
-	assert.That(len(ep.socks) >= len(ep.peer), "peer table outgrew socket table")
 	return len(ep.peer) - 1
 }
 
@@ -835,18 +831,18 @@ func unmapped(ap netip.AddrPort) netip.AddrPort {
 }
 
 // OpenStream opens a new stream.
-func (ep *Endpoint) OpenStream() *Stream {
+func (ep *Endpoint) OpenStream() Stream {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return &Stream{ep: ep, s: ep.conn.OpenStream()}
+	return Stream{ep: ep, s: ep.conn.OpenStream()}
 }
 
 // StreamFor returns (creating if needed) the send half of a stream ID —
 // how a server responds on a client-initiated stream.
-func (ep *Endpoint) StreamFor(id uint64) *Stream {
+func (ep *Endpoint) StreamFor(id uint64) Stream {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	return &Stream{ep: ep, s: ep.conn.Stream(id)}
+	return Stream{ep: ep, s: ep.conn.Stream(id)}
 }
 
 // AbandonPath closes one path of a live connection explicitly — e.g. the
@@ -973,10 +969,8 @@ func (ep *Endpoint) Close() {
 		}
 		ep.conn.Close(0, "closed") //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
 	}
-	// Snapshot under the lock: the server side appends to ep.socks as it
-	// learns client addresses (learnPeerLocked), and done may be closed by
-	// a concurrent Close.
-	socks := append([]*net.UDPConn(nil), ep.socks...)
+	// Read under the lock: done may be closed by a concurrent Close.
+	socks := ep.socks
 	select {
 	case <-ep.done:
 	default:

@@ -204,7 +204,7 @@ func BenchmarkLiveFleetEndpoints(b *testing.B) {
 	defer closeFleet(fleet)
 
 	msg := make([]byte, 1200)
-	streams := make([]*Stream, pairs)
+	streams := make([]Stream, pairs)
 	for i, fp := range fleet {
 		streams[i] = fp.client.OpenStream()
 	}

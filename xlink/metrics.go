@@ -10,7 +10,7 @@ import (
 
 // debugState is the JSON document served at /debug: a consistent snapshot
 // of the connection taken under the endpoint lock, plus the flight
-// recorder's anomaly post-mortems.
+// recorder's recent events and anomaly post-mortems.
 type debugState struct {
 	State       string          `json:"state"`
 	Established bool            `json:"established"`
@@ -21,10 +21,8 @@ type debugState struct {
 	Anomalies   uint64          `json:"anomalies"`
 	FirstReason string          `json:"first_anomaly,omitempty"`
 	Dumps       []anomalyJSON   `json:"anomaly_dumps,omitempty"`
-
-	// RingExhausted is xlink_shard_ring_exhausted_total: datagrams read
-	// into a fresh buffer because the shard's free ring was empty.
-	RingExhausted uint64 `json:"shard_ring_exhausted"`
+	// RecentEvents is the flight recorder's ring as NDJSON, oldest first.
+	RecentEvents string `json:"recent_events"`
 }
 
 // openStreamsJSON is Conn.OpenStreams: the stream halves the connection
@@ -101,8 +99,8 @@ func scorecardToJSON(card obs.Scorecard) scorecardJSON {
 //
 //	/metrics — the metric registry in Prometheus text exposition
 //	/debug   — a JSON snapshot: lifecycle state, transport counters, the
-//	           stream halves held, the current scorecard, any
-//	           flight-recorder anomaly dumps, and shard ring exhaustion
+//	           stream halves held, the current scorecard, the
+//	           flight recorder's recent events and any anomaly dumps
 //
 // /metrics reads only the internally-synchronized registry and never takes
 // the endpoint lock; /debug snapshots under the lock, so it is safe (if
@@ -127,8 +125,8 @@ func (ep *Endpoint) DebugHandler() http.Handler {
 			Scorecard:   scorecardToJSON(ep.scorecardLocked()),
 		}
 		st.OpenStreams.Send, st.OpenStreams.Recv = ep.conn.OpenStreams()
-		st.RingExhausted = ep.ringExhausted.Value()
 		fr := ep.trace.Flight()
+		st.RecentEvents = string(fr.Snapshot())
 		st.Anomalies = fr.Anomalies()
 		st.FirstReason = fr.FirstAnomaly()
 		for _, d := range fr.Dumps() {

@@ -130,8 +130,8 @@ func TestDebugHandlerLive(t *testing.T) {
 		OpenStreams *struct {
 			Send, Recv int
 		} `json:"open_streams"`
-		RingExhausted *uint64 `json:"shard_ring_exhausted"`
-		Scorecard struct {
+		RecentEvents string `json:"recent_events"`
+		Scorecard    struct {
 			StreamBytes uint64 `json:"stream_bytes"`
 			Paths       []struct {
 				SentPackets uint64 `json:"sent_packets"`
@@ -147,8 +147,12 @@ func TestDebugHandlerLive(t *testing.T) {
 	if len(dbg.Scorecard.Paths) == 0 {
 		t.Error("/debug scorecard has no paths")
 	}
-	if dbg.RingExhausted == nil {
-		t.Error("/debug lacks shard_ring_exhausted")
+	// The flight recorder's ring: the last events of the exchange, as
+	// NDJSON a trace tool reads.
+	if recent, err := obs.ParseBytes([]byte(dbg.RecentEvents)); err != nil {
+		t.Errorf("/debug recent_events is not NDJSON: %v", err)
+	} else if len(recent) == 0 || recent[len(recent)-1].Origin != "client" {
+		t.Errorf("/debug recent_events holds %d events, want the client's latest", len(recent))
 	}
 	// The exchange is over: the response's receive half is forgotten, and
 	// the request's send half is too unless a copy of it is still in flight.
@@ -177,8 +181,7 @@ func TestDebugHandlerLive(t *testing.T) {
 	// the whole scrape.
 	for _, name := range []obs.MetricName{obs.MetricSendBufferedBytes, obs.MetricSendBufferedPeak,
 		obs.MetricRecvBufferedBytes, obs.MetricRecvBufferedPeak,
-		obs.MetricOpenStreams.With("half", "send"), obs.MetricOpenStreams.With("half", "recv"),
-		obs.MetricShardRingExhausted} {
+		obs.MetricOpenStreams.With("half", "send"), obs.MetricOpenStreams.With("half", "recv")} {
 		if !strings.Contains(m, "\n"+string(name)+" ") {
 			t.Errorf("/metrics missing the %s family", name)
 		}
@@ -249,29 +252,5 @@ func TestServeDebugCleanExit(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Fatal("debug server still serving after stop()")
-	}
-}
-
-// TestShardRingExhaustionCounted drains a shard's free ring: the reader
-// buffer handed out next is a fresh allocation and is counted, and once a
-// buffer is recycled the ring serves again without counting.
-func TestShardRingExhaustionCounted(t *testing.T) {
-	g := NewEventLoopGroup(1)
-	defer func() { g.Close(); g.Wait() }()
-	sh := g.shards[0]
-	var exhausted obs.Counter
-	var held [][]byte
-	for len(sh.free) > 0 {
-		held = append(held, sh.takeBuf(&exhausted))
-	}
-	if len(held) == 0 || exhausted.Value() != 0 {
-		t.Fatalf("draining a ring of %d buffers counted %d exhaustions", len(held), exhausted.Value())
-	}
-	if buf := sh.takeBuf(&exhausted); len(buf) != readBufSize || exhausted.Value() != 1 {
-		t.Fatalf("empty ring: got a %d-byte buffer, %d exhaustions counted", len(buf), exhausted.Value())
-	}
-	sh.recycle(held[0])
-	if buf := sh.takeBuf(&exhausted); &buf[0] != &held[0][0] || exhausted.Value() != 1 {
-		t.Fatalf("a recycled buffer was not served from the ring (%d exhaustions)", exhausted.Value())
 	}
 }

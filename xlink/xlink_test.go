@@ -227,3 +227,32 @@ func TestLiveCallbacksDeferredPastTheLock(t *testing.T) {
 		t.Fatalf("flushCallbacks ran %v, want %v", ran, want)
 	}
 }
+
+// TestServerReportsItsSocketOnce: a server learns one path per client
+// address but answers all of them from the one socket it bound, so after a
+// two-path dial LocalAddrs still names that socket once (and Close closes it
+// once).
+func TestServerReportsItsSocketOnce(t *testing.T) {
+	server, err := Listen("127.0.0.1:0", LiveConfig{Scheme: SchemeXLINK, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client, err := Dial(server.LocalAddrs()[0].String(), []string{"127.0.0.1:0", "127.0.0.1:0"},
+		[]Technology{TechWiFi, TechLTE}, LiveConfig{Scheme: SchemeXLINK, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	waitFor(t, 10*time.Second, func() bool {
+		server.mu.Lock()
+		defer server.mu.Unlock()
+		return len(server.peer) == 2
+	}, "the server to learn both client paths")
+	if addrs := server.LocalAddrs(); len(addrs) != 1 {
+		t.Errorf("server LocalAddrs = %v, want its one socket", addrs)
+	}
+	if addrs := client.LocalAddrs(); len(addrs) != 2 {
+		t.Errorf("client LocalAddrs = %v, want one socket per interface", addrs)
+	}
+}
