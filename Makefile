@@ -10,15 +10,15 @@ build:
 	$(GO) build ./...
 
 # Everything static in one shot: standard go vet, the xlinkvet fixture
-# self-test, and the full-tree xlinkvet sweep (the seven rules of DESIGN.md §7).
+# self-test, and the full-tree xlinkvet sweep (the six rules of DESIGN.md §7).
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/xlinkvet -selftest
 	$(GO) run ./cmd/xlinkvet ./...
 
 # Repo-specific static analysis: determinism, wire error handling,
-# panic-free parse paths, ordered map iteration, lock discipline, guarded-by
-# field access and hot-path allocation freedom. See DESIGN.md §7.
+# panic-free parse paths, ordered map iteration, lock discipline and guarded-by
+# field access. See DESIGN.md §7.
 xlinkvet:
 	$(GO) run ./cmd/xlinkvet ./...
 

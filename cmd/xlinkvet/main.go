@@ -20,14 +20,6 @@
 //
 // Annotation grammar (comment directives read by the analyzer):
 //
-//	// xlinkvet:hot
-//	    on a function declaration: the function — and everything statically
-//	    reachable from it — must be allocation-free in the steady state
-//	    (rule hotalloc).
-//	//xlinkvet:cold <why>
-//	    on (or directly above) an if statement: the guarded branch is a
-//	    documented slow path; hotalloc prunes allocations inside it, as it
-//	    does for branches guarded by assert.Enabled.
 //	//xlinkvet:ignore <rule>[,<rule>] <why>
 //	    on the same or preceding line: suppress the listed rules' findings
 //	    (empty list = all rules) with a free-form justification.
@@ -226,7 +218,6 @@ func runSelftest(loader *vet.Loader, verbose bool) int {
 		{"maprange", "maprange", 1},
 		{"lockheld", "lockheld", 7},
 		{"guardedby", "guardedby", 4},
-		{"hotalloc", "hotalloc", 8},
 	}
 	failed := false
 	for _, tc := range cases {

@@ -13,8 +13,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden -json files")
 
-// TestJSONGolden pins the -json output of two summary-engine rules byte for
-// byte: finding order (vet.Run sorts by file, line, rule, column),
+// TestJSONGolden pins the -json output of the two summary-engine rules byte
+// for byte: finding order (vet.Run sorts by file, line, rule, column),
 // field names, and message wording are all part of the machine-readable
 // contract other tooling parses. Absolute fixture paths are relativized to
 // the module root so the golden files are machine-independent.
@@ -23,7 +23,7 @@ func TestJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fixture := range []string{"hotalloc", "lockheld"} {
+	for _, fixture := range []string{"guardedby", "lockheld"} {
 		t.Run(fixture, func(t *testing.T) {
 			dir := filepath.Join(loader.ModDir, "internal", "vet", "testdata", "fixtures", fixture)
 			asPath := "fixture/" + fixture

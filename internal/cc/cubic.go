@@ -33,7 +33,6 @@ type Cubic struct {
 
 // NewCubic returns a Cubic controller at the initial window.
 func NewCubic() *Cubic {
-	//xlinkvet:ignore hotalloc — constructor: one controller per path lifetime
 	return &Cubic{window: InitialWindow, ssthresh: 1 << 30}
 }
 

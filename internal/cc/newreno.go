@@ -15,7 +15,6 @@ type NewReno struct {
 
 // NewNewReno returns a NewReno controller at the initial window.
 func NewNewReno() *NewReno {
-	//xlinkvet:ignore hotalloc — constructor: one controller per path lifetime
 	return &NewReno{window: InitialWindow, ssthresh: 1 << 30}
 }
 

@@ -29,7 +29,6 @@ type RTTEstimator struct {
 
 // NewRTTEstimator returns an estimator with RFC defaults.
 func NewRTTEstimator() *RTTEstimator {
-	//xlinkvet:ignore hotalloc — constructor: one estimator per path lifetime
 	return &RTTEstimator{}
 }
 

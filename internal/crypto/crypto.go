@@ -96,8 +96,6 @@ func NewSealer(secret []byte, label string) (*Sealer, error) {
 // left-padded to the IV length, XOR IV. Writing into Sealer-owned scratch
 // (instead of returning an array) keeps the value off the heap when it is
 // passed through the cipher.AEAD interface.
-//
-// xlinkvet:hot
 func (s *Sealer) nonce(pathID uint32, pn uint64) []byte {
 	n := &s.nbuf
 	// 96-bit path-and-packet-number: 4 bytes path, 8 bytes (2 zero bits +
@@ -118,8 +116,6 @@ func (s *Sealer) nonce(pathID uint32, pn uint64) []byte {
 // Seal encrypts payload for packet pn on path pathID, authenticating header
 // as associated data. The ciphertext (payload + 16-byte tag) is appended to
 // dst. Passing payload[:0] as dst encrypts in place.
-//
-// xlinkvet:hot
 func (s *Sealer) Seal(dst, header, payload []byte, pathID uint32, pn uint64) []byte {
 	return s.aead.Seal(dst, s.nonce(pathID, pn), payload, header)
 }
@@ -127,8 +123,6 @@ func (s *Sealer) Seal(dst, header, payload []byte, pathID uint32, pn uint64) []b
 // Open decrypts ciphertext for packet pn on path pathID. It returns
 // ErrDecrypt if authentication fails (wrong key, wrong path, tampering).
 // Passing ciphertext[:0] as dst decrypts in place.
-//
-// xlinkvet:hot
 func (s *Sealer) Open(dst, header, ciphertext []byte, pathID uint32, pn uint64) ([]byte, error) {
 	out, err := s.aead.Open(dst, s.nonce(pathID, pn), ciphertext, header)
 	if err != nil {
@@ -139,8 +133,6 @@ func (s *Sealer) Open(dst, header, ciphertext []byte, pathID uint32, pn uint64) 
 
 // HeaderMask returns the 5-byte header protection mask for a ciphertext
 // sample, per the QUIC header protection construction.
-//
-// xlinkvet:hot
 func (s *Sealer) HeaderMask(sample []byte) [5]byte {
 	n := copy(s.hpIn[:], sample)
 	for i := n; i < len(s.hpIn); i++ {
@@ -156,8 +148,6 @@ func (s *Sealer) HeaderMask(sample []byte) [5]byte {
 // length bits of the first byte and the packet number bytes are masked
 // using a sample of ciphertext. sample must be at least 16 bytes of
 // ciphertext taken after the packet number field.
-//
-// xlinkvet:hot
 func (s *Sealer) ProtectHeader(first *byte, pnBytes []byte, sample []byte) {
 	mask := s.HeaderMask(sample)
 	if *first&0x80 != 0 {
@@ -172,8 +162,6 @@ func (s *Sealer) ProtectHeader(first *byte, pnBytes []byte, sample []byte) {
 
 // UnprotectHeader removes header protection in place, mirrored from
 // ProtectHeader.
-//
-// xlinkvet:hot
 func (s *Sealer) UnprotectHeader(first *byte, pnBytes []byte, sample []byte) {
 	s.ProtectHeader(first, pnBytes, sample) // XOR is its own inverse
 }

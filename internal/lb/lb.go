@@ -189,8 +189,6 @@ func (r *Router) Route(data []byte) (Backend, bool) {
 
 // countRouted bumps the chosen backend's labeled counter (no-op without a
 // registry).
-//
-// xlinkvet:hot
 func (r *Router) countRouted(id byte) {
 	if c := r.routed[id]; c != nil {
 		c.Inc()
@@ -198,8 +196,6 @@ func (r *Router) countRouted(id byte) {
 }
 
 // drop bumps both the struct counter and the registry counter.
-//
-// xlinkvet:hot
 func (r *Router) drop() {
 	r.Dropped++
 	if r.dropped != nil {

@@ -141,8 +141,6 @@ var (
 const smallBuf = 256
 
 // getBuf returns a buffer of length n from the pool of its class.
-//
-// xlinkvet:hot
 func getBuf(n int) []byte {
 	// A packet larger than an opportunity — nothing the transport builds —
 	// gets a buffer of its own size, which putBuf does not keep.
@@ -159,13 +157,11 @@ func getBuf(n int) []byte {
 		}
 		c = trace.MTU
 	}
-	//xlinkvet:ignore hotalloc — pool refill: once per buffer the collector took, measured by TestAllocGateLinkSteadyState
+	// Pool refill: once per buffer the collector took.
 	return make([]byte, n, c)
 }
 
 // putBuf gives a buffer the link is done with back to the pool of its class.
-//
-// xlinkvet:hot
 func putBuf(b []byte) {
 	b = b[:cap(b)]
 	if assert.Enabled {
@@ -252,8 +248,6 @@ func (l *Link) SetReorder(rate float64, extra time.Duration) {
 // overflow, or when the link is down; otherwise it is copied into a pooled
 // buffer and delivered to the far end after queueing and propagation
 // delay.
-//
-// xlinkvet:hot
 func (l *Link) Send(data []byte) {
 	l.stats.SentPackets++
 	l.stats.SentBytes += uint64(len(data))
@@ -293,8 +287,6 @@ func (l *Link) Send(data []byte) {
 // same first-enqueue delivery scheduling — as one that calls Send in a
 // loop. The packets are copied on admission; the slice and its buffers are
 // borrowed for the duration of the call only.
-//
-// xlinkvet:hot
 func (l *Link) SendBatch(pkts [][]byte) int {
 	accepted := 0
 	for _, d := range pkts {
@@ -366,8 +358,6 @@ func (l *Link) onOpportunity(now time.Duration) {
 
 // deliverHead dequeues the head packet and schedules its delivery after the
 // propagation delay (plus jitter), applying bit corruption if configured.
-//
-// xlinkvet:hot
 func (l *Link) deliverHead() {
 	pkt := l.queue[l.head]
 	l.queue[l.head] = queuedPacket{}
@@ -403,8 +393,6 @@ func (l *Link) deliverHead() {
 }
 
 // propagate parks a packet in a slot and schedules the slot's delivery.
-//
-// xlinkvet:hot
 func (l *Link) propagate(delay time.Duration, data []byte) {
 	var slot int
 	if n := len(l.freeSlots); n > 0 {
@@ -420,8 +408,6 @@ func (l *Link) propagate(delay time.Duration, data []byte) {
 
 // Fire implements sim.Receiver: the packet in slot has arrived. The receiver
 // borrows the buffer for the call; it is back in its pool afterwards.
-//
-// xlinkvet:hot
 func (l *Link) Fire(arrive time.Duration, slot int) {
 	data := l.slots[slot]
 	l.slots[slot] = nil

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
@@ -59,5 +60,47 @@ func TestAllocGateFlightRecorder(t *testing.T) {
 		o.PacketLost(time.Duration(pn)*time.Millisecond, 1, pn, 1200, "pto")
 	}); allocs != 0 {
 		t.Errorf("flight-recorder emit allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestAllocGateFullTrace gates the NDJSON sink: once the stream's buffer has
+// grown, a typed emit renders its record straight into the spare capacity —
+// the numeric, boolean and string fields, a reason that needs escaping — at
+// 0 allocs/op. Each run emits the FEC and coalesced-ACK events the ring-only
+// gate above does not reach, then drops the rendered lines so the buffer
+// never grows again.
+func TestAllocGateFullTrace(t *testing.T) {
+	tr := NewTrace("gate")
+	o := tr.Origin("server")
+	var n uint64
+	emit := func() {
+		n++
+		now := time.Duration(n) * time.Millisecond
+		o.PacketSent(now, 0, n, 1200, "1rtt")
+		o.FECSymbolSent(now, n, 4, -1, 40)
+		o.FECSymbolSent(now, n, 4, 0, 1024)
+		o.FECDecision(now, 80*time.Millisecond, 0.02, 8, 1, true)
+		o.FECGiveUp(now, n, "too_many\tlosses")
+		o.AckCoalesced(now, 16, 2)
+	}
+	for i := 0; i < 64; i++ { // grow the buffer, create every event's counter
+		emit()
+	}
+	line := func() string {
+		b := tr.Bytes()
+		return string(b[bytes.LastIndexByte(b[:len(b)-1], '\n')+1:])
+	}
+	const want = `{"time":64000000,"origin":"server","name":"transport:ack_coalesced","data":{"acks":16,"paths":2}}` + "\n"
+	if got := line(); got != want {
+		t.Fatalf("last line %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tr.buf.Truncate(0)
+		emit()
+	}); allocs != 0 {
+		t.Errorf("full-trace emit allocates %.1f allocs/op, want 0", allocs)
+	}
+	if got := tr.EventCount(); got != 6*(64+1001) {
+		t.Fatalf("%d events counted, want %d", got, 6*(64+1001))
 	}
 }

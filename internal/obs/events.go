@@ -96,8 +96,6 @@ var eventSpecs = [numEvents]eventSpec{
 
 // PacketSent records a datagram leaving on a path. kind distinguishes
 // "initial", "1rtt", "ack", "probe", "ctrl" and "close" packets.
-//
-// xlinkvet:hot
 func (o *Origin) PacketSent(now time.Duration, pathID, pn uint64, size int, kind string) {
 	if o == nil {
 		return
@@ -111,8 +109,6 @@ func (o *Origin) PacketSent(now time.Duration, pathID, pn uint64, size int, kind
 // PacketReceived records a datagram arriving on a network interface. It is
 // emitted exactly where ConnStats.RecvPackets is incremented, so
 // trace-derived receive counts reconcile with the counter.
-//
-// xlinkvet:hot
 func (o *Origin) PacketReceived(now time.Duration, netIdx, size int) {
 	if o == nil {
 		return
@@ -123,8 +119,6 @@ func (o *Origin) PacketReceived(now time.Duration, netIdx, size int) {
 }
 
 // PacketAcked records one packet newly acknowledged by the peer.
-//
-// xlinkvet:hot
 func (o *Origin) PacketAcked(now time.Duration, pathID, pn uint64) {
 	if o == nil {
 		return
@@ -136,8 +130,6 @@ func (o *Origin) PacketAcked(now time.Duration, pathID, pn uint64) {
 
 // PacketLost records one packet declared lost. trigger attributes the loss
 // declaration ("reordering", "time", "pto", "evacuated").
-//
-// xlinkvet:hot
 func (o *Origin) PacketLost(now time.Duration, pathID, pn uint64, size int, trigger string) {
 	if o == nil {
 		return
@@ -149,8 +141,6 @@ func (o *Origin) PacketLost(now time.Duration, pathID, pn uint64, size int, trig
 }
 
 // MetricsUpdated records a congestion-controller state change on a path.
-//
-// xlinkvet:hot
 func (o *Origin) MetricsUpdated(now time.Duration, pathID uint64, cwnd, inFlight int, slowStart bool, srtt time.Duration) {
 	if o == nil {
 		return
@@ -345,8 +335,6 @@ func (o *Origin) FaultInjected(now time.Duration, op, phase string) {
 
 // FECSymbolSent records one FEC repair symbol (or, for index<0, the window
 // announcement itself) leaving the sender.
-//
-// xlinkvet:hot
 func (o *Origin) FECSymbolSent(now time.Duration, windowID, streamID uint64, index int, size int) {
 	if o == nil {
 		return
@@ -357,8 +345,6 @@ func (o *Origin) FECSymbolSent(now time.Duration, windowID, streamID uint64, ind
 }
 
 // FECSymbolReceived records one FEC repair symbol arriving at the decoder.
-//
-// xlinkvet:hot
 func (o *Origin) FECSymbolReceived(now time.Duration, windowID uint64, index int, size int) {
 	if o == nil {
 		return
@@ -370,8 +356,6 @@ func (o *Origin) FECSymbolReceived(now time.Duration, windowID uint64, index int
 
 // FECRecovered records the decoder rebuilding lost stream bytes from
 // repair symbols — the third recovery lane actually firing.
-//
-// xlinkvet:hot
 func (o *Origin) FECRecovered(now time.Duration, windowID, streamID, offset uint64, size int) {
 	if o == nil {
 		return
@@ -383,8 +367,6 @@ func (o *Origin) FECRecovered(now time.Duration, windowID, streamID, offset uint
 
 // FECGiveUp records the decoder abandoning a window. reason attributes the
 // give-up ("too_many_losses", "evicted", "malformed_repair").
-//
-// xlinkvet:hot
 func (o *Origin) FECGiveUp(now time.Duration, windowID uint64, reason string) {
 	if o == nil {
 		return
@@ -397,8 +379,6 @@ func (o *Origin) FECGiveUp(now time.Duration, windowID uint64, reason string) {
 
 // FECDecision records the QoE redundancy controller's per-window verdict:
 // whether to protect at all and with how many repair symbols.
-//
-// xlinkvet:hot
 func (o *Origin) FECDecision(now, dt time.Duration, lossRate float64, sourceSymbols, repairs int, protect bool) {
 	if o == nil {
 		return
@@ -417,8 +397,6 @@ var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64}
 // (DESIGN.md §16). Besides the trace event it feeds the batching metrics:
 // the per-path batch-size histogram and the flush counter, both cached on
 // the trace so the steady-state record path does not allocate.
-//
-// xlinkvet:hot
 func (o *Origin) BatchFlush(now time.Duration, pathID uint64, n int) {
 	if o == nil {
 		return
@@ -427,12 +405,10 @@ func (o *Origin) BatchFlush(now time.Duration, pathID uint64, n int) {
 	r.u[0], r.u[1] = pathID, uint64(n)
 	o.commit(r)
 	t := o.t
-	//xlinkvet:cold — first flush builds and caches the counter handle
 	if t.batchFlushes == nil {
 		t.batchFlushes = t.reg.Counter(MetricBatchFlushes)
 	}
 	h := t.batchSizeHists[pathID]
-	//xlinkvet:cold — first flush per path builds and caches its labeled histogram handle (With allocates)
 	if h == nil {
 		if t.batchSizeHists == nil {
 			t.batchSizeHists = make(map[uint64]*Histogram)
@@ -447,8 +423,6 @@ func (o *Origin) BatchFlush(now time.Duration, pathID uint64, n int) {
 // AckCoalesced records one batch-end coalesced loss-detection pass
 // (DESIGN.md §16): acks ACK frames, spread over paths paths, were folded
 // into a single detectLost/gc sweep per path instead of one per frame.
-//
-// xlinkvet:hot
 func (o *Origin) AckCoalesced(now time.Duration, acks, paths int) {
 	if o == nil {
 		return
@@ -457,7 +431,6 @@ func (o *Origin) AckCoalesced(now time.Duration, acks, paths int) {
 	r.u[0], r.u[1] = uint64(acks), uint64(paths)
 	o.commit(r)
 	t := o.t
-	//xlinkvet:cold — first coalesced batch builds and caches the counter handle
 	if t.coalescedAcks == nil {
 		t.coalescedAcks = t.reg.Counter(MetricCoalescedAcks)
 	}

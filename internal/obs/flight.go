@@ -57,8 +57,6 @@ func newFlightRecorder(n int) *FlightRecorder {
 
 // slot hands out the next ring slot, overwriting the oldest event, for an
 // emitter to fill.
-//
-// xlinkvet:hot
 func (r *FlightRecorder) slot() *record {
 	s := &r.slots[r.next]
 	r.next++

@@ -78,8 +78,6 @@ func LogBuckets(start, factor float64, n int) []float64 {
 // Observe records one value. Lock-free: the shard is picked by mixing the
 // value bits (splitmix64 finalizer), the bucket by binary search over the
 // immutable bounds, and all updates are atomic.
-//
-// xlinkvet:hot
 func (h *Histogram) Observe(v float64) {
 	bits := math.Float64bits(v)
 	// splitmix64 finalizer: spreads even near-identical values across

@@ -189,11 +189,8 @@ func (t *Trace) Bytes() []byte { return t.buf.Bytes() }
 func (t *Trace) EventCount() uint64 { return t.events }
 
 // count advances the emit counters of one event.
-//
-// xlinkvet:hot
 func (t *Trace) count(ev evIndex) {
 	c := t.evCounters[ev]
-	//xlinkvet:cold — first emit of each event builds and caches its counter; steady state is the array hit
 	if c == nil {
 		c = t.reg.Counter(MetricTraceEvents.With("name", string(eventSpecs[ev].name)))
 		t.evCounters[ev] = c
@@ -213,8 +210,6 @@ type Origin struct {
 // open starts one event and returns the record its emitter fills: the
 // ring's next slot, or the trace's own record when no ring is attached.
 // The emitter sets the values its event's spec names and calls commit.
-//
-// xlinkvet:hot
 func (o *Origin) open(now time.Duration, ev evIndex) *record {
 	t := o.t
 	r := &t.rec
@@ -228,8 +223,6 @@ func (o *Origin) open(now time.Duration, ev evIndex) *record {
 // commit finishes the record open returned: a full trace renders it onto
 // the NDJSON stream now, in the stream's spare capacity when it has room;
 // a ring already holds it.
-//
-// xlinkvet:hot
 func (o *Origin) commit(r *record) {
 	t := o.t
 	if t.ndjson {
@@ -294,8 +287,6 @@ func flag(v bool) uint64 {
 // render appends the record as one NDJSON event line. The NDJSON sink
 // calls it as the event is emitted, the ring when it is read, so the two
 // produce the same bytes.
-//
-// xlinkvet:hot
 func (r *record) render(dst []byte) []byte {
 	spec := &eventSpecs[r.ev]
 	dst = begin(dst, r.at, r.o.label, spec.name)
@@ -323,8 +314,6 @@ func (r *record) render(dst []byte) []byte {
 // --- the NDJSON renderer (deterministic field order, no maps) ---
 
 // begin opens one event line: fixed header fields, then the data object.
-//
-// xlinkvet:hot
 func begin(dst []byte, now time.Duration, origin string, name EventName) []byte {
 	dst = append(dst, `{"time":`...)
 	dst = strconv.AppendInt(dst, int64(now), 10)
@@ -336,15 +325,11 @@ func begin(dst []byte, now time.Duration, origin string, name EventName) []byte 
 }
 
 // end closes the data object and the event line.
-//
-// xlinkvet:hot
 func end(dst []byte) []byte { return append(dst, '}', '}', '\n') }
 
 // sep writes the comma between data fields (the data object tracks its own
 // position: first field follows '{', later fields follow a value), then
 // the field's key.
-//
-// xlinkvet:hot
 func sep(dst []byte, key string) []byte {
 	if len(dst) > 0 && dst[len(dst)-1] != '{' {
 		dst = append(dst, ',')
@@ -354,15 +339,11 @@ func sep(dst []byte, key string) []byte {
 }
 
 // u64 writes an unsigned integer field.
-//
-// xlinkvet:hot
 func u64(dst []byte, key string, v uint64) []byte {
 	return strconv.AppendUint(sep(dst, key), v, 10)
 }
 
 // i writes a signed integer field.
-//
-// xlinkvet:hot
 func i(dst []byte, key string, v int64) []byte {
 	return strconv.AppendInt(sep(dst, key), v, 10)
 }
@@ -371,15 +352,11 @@ func i(dst []byte, key string, v int64) []byte {
 func d(dst []byte, key string, v time.Duration) []byte { return i(dst, key, int64(v)) }
 
 // s writes a string field.
-//
-// xlinkvet:hot
 func s(dst []byte, key, v string) []byte {
 	return appendJSONString(sep(dst, key), v)
 }
 
 // b writes a boolean field.
-//
-// xlinkvet:hot
 func b(dst []byte, key string, v bool) []byte {
 	return strconv.AppendBool(sep(dst, key), v)
 }
@@ -388,8 +365,6 @@ func b(dst []byte, key string, v bool) []byte {
 // identifiers and short reasons; the escape loop handles quotes,
 // backslashes and control bytes so arbitrary reasons still produce valid
 // JSON. Runs that need no escape are copied whole.
-//
-// xlinkvet:hot
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0

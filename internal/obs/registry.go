@@ -119,13 +119,9 @@ func (r *Registry) stripeFor(name MetricName) *regStripe {
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-//
-// xlinkvet:hot
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-//
-// xlinkvet:hot
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -136,13 +132,9 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set replaces the value.
-//
-// xlinkvet:hot
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adjusts the value by d (atomic compare-and-swap loop).
-//
-// xlinkvet:hot
 func (g *Gauge) Add(d float64) {
 	for {
 		old := g.bits.Load()

@@ -22,8 +22,6 @@ type Set struct {
 // Add inserts [start, end), merging as needed, and returns the number of
 // values that were not already present. The set is edited in place; steady
 // state (extending or merging into existing ranges) does not allocate.
-//
-// xlinkvet:hot
 func (s *Set) Add(start, end uint64) uint64 {
 	if start >= end {
 		return 0
@@ -83,8 +81,6 @@ func (s *Set) checkWellFormed(op string) {
 }
 
 // Contains reports whether every value in [start, end) is present.
-//
-// xlinkvet:hot
 func (s *Set) Contains(start, end uint64) bool {
 	if start >= end {
 		return true
@@ -99,8 +95,6 @@ func (s *Set) Contains(start, end uint64) bool {
 
 // CoveredPrefix returns the end of the contiguous covered region starting
 // at from (from itself if not covered).
-//
-// xlinkvet:hot
 func (s *Set) CoveredPrefix(from uint64) uint64 {
 	for _, r := range s.ranges {
 		if r.Start <= from && from < r.End {
@@ -112,8 +106,6 @@ func (s *Set) CoveredPrefix(from uint64) uint64 {
 
 // FirstMissing returns the first gap at or after from within [from, limit).
 // If everything is covered it returns limit, limit.
-//
-// xlinkvet:hot
 func (s *Set) FirstMissing(from, limit uint64) (start, end uint64) {
 	cur := from
 	for _, r := range s.ranges {
@@ -143,8 +135,6 @@ func (s *Set) FirstMissing(from, limit uint64) (start, end uint64) {
 
 // Subtract removes [start, end) from the set. The set is edited in place;
 // only the split case (carving a hole out of one range) can allocate.
-//
-// xlinkvet:hot
 func (s *Set) Subtract(start, end uint64) {
 	if start >= end {
 		return
@@ -210,8 +200,6 @@ func (s *Set) First() (Range, bool) {
 
 // All returns a view of the ranges in ascending order, valid only until
 // the set is next edited. The slice must not be mutated or retained.
-//
-// xlinkvet:hot
 func (s *Set) All() []Range { return s.ranges }
 
 func min64(a, b uint64) uint64 {

@@ -119,7 +119,6 @@ type Stats struct {
 
 // NewSpace creates a Space reporting RTT samples to rtt.
 func NewSpace(rtt *cc.RTTEstimator) *Space {
-	//xlinkvet:ignore hotalloc — constructor: one recovery space per path lifetime
 	return &Space{rtt: rtt, largestAcked: -1}
 }
 
@@ -143,11 +142,9 @@ func (s *Space) LargestAcked() int64 { return s.largestAcked }
 // recycled from a packet resolved earlier, whose Meta it keeps so that the
 // caller's metadata and its storage are reused with it, or a new one when
 // none is free. The Space recycles only records it handed out here.
-//
-// xlinkvet:hot
 func (s *Space) Acquire() *SentPacket {
 	n := len(s.free)
-	//xlinkvet:cold — nothing to recycle yet: more packets are tracked than ever before
+	// Nothing to recycle: more packets are tracked than ever before.
 	if n == 0 {
 		return &SentPacket{pooled: true}
 	}
@@ -161,8 +158,6 @@ func (s *Space) Acquire() *SentPacket {
 // reclaim frees the records the previous loss-detection call retired: its
 // result has expired, so nothing names them any more. Every loss-detection
 // entry point starts here.
-//
-// xlinkvet:hot
 func (s *Space) reclaim() {
 	for i, sp := range s.retired {
 		s.retired[i] = nil
@@ -191,8 +186,6 @@ func assertLive(pkts []*SentPacket, what string) {
 }
 
 // OnPacketSent records a transmitted packet. PN must come from NextPN.
-//
-// xlinkvet:hot
 func (s *Space) OnPacketSent(sp *SentPacket) {
 	if len(s.sent) > 0 {
 		assert.MonotonicU64(s.sent[len(s.sent)-1].PN, sp.PN, "per-path packet number")
@@ -216,8 +209,6 @@ func (sp *SentPacket) InFlight() bool {
 // re-walking the ledger. Resolved packets stay in it until gc trims them, so
 // filter with InFlight. The slice aliases the ledger and is valid until the
 // next call that mutates the Space.
-//
-// xlinkvet:hot
 func (s *Space) SentFrom(pn uint64) []*SentPacket {
 	from := s.sent[s.search(pn):]
 	assertLive(from, "the ledger")
@@ -237,8 +228,6 @@ func (s *Space) HasUnacked() bool {
 
 // search returns the index in sent of the first tracked packet whose PN is
 // at least pn, or len(sent) if there is none.
-//
-// xlinkvet:hot
 func (s *Space) search(pn uint64) int {
 	lo, hi := 0, len(s.sent)
 	for lo < hi {
@@ -269,8 +258,6 @@ func (s *Space) lossDelay() time.Duration {
 // peer's reported ackDelay. It returns newly acked and newly lost packets
 // and resets the PTO backoff if progress was made. ranges must be in wire
 // order, descending and disjoint, as the ACK parser yields them.
-//
-// xlinkvet:hot
 func (s *Space) OnAck(ranges []wire.AckRange, ackDelay time.Duration, now time.Duration) AckResult {
 	return s.onAck(ranges, ackDelay, now, true)
 }
@@ -282,16 +269,12 @@ func (s *Space) OnAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 // OnLossTimeout at the same now before the next timer re-arm, or the
 // packet/time thresholds crossed by these acks go undetected until the
 // loss timer fires.
-//
-// xlinkvet:hot
 func (s *Space) OnAckNoLoss(ranges []wire.AckRange, ackDelay time.Duration, now time.Duration) AckResult {
 	return s.onAck(ranges, ackDelay, now, false)
 }
 
 // onAck is the shared ACK-processing body; detect selects whether the
 // trailing loss-detection + gc pass runs now or is deferred to the caller.
-//
-// xlinkvet:hot
 func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.Duration, detect bool) AckResult {
 	var res AckResult
 	s.reclaim()
@@ -346,8 +329,6 @@ func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 
 // detectLost applies packet- and time-threshold loss detection. The
 // returned slice aliases the Space's scratch buffer (see AckResult).
-//
-// xlinkvet:hot
 func (s *Space) detectLost(now time.Duration) []*SentPacket {
 	if s.largestAcked < 0 {
 		return nil
@@ -385,8 +366,6 @@ func (s *Space) detectLost(now time.Duration) []*SentPacket {
 
 // OnLossTimeout runs time-threshold loss detection when the loss timer
 // fires; it returns newly lost packets.
-//
-// xlinkvet:hot
 func (s *Space) OnLossTimeout(now time.Duration) []*SentPacket {
 	s.reclaim()
 	lost := s.detectLost(now)
@@ -428,8 +407,6 @@ func (s *Space) PTODeadline() time.Duration {
 // OnPTO handles a probe timeout at now: it backs off and returns up to two
 // of the oldest unacked packets whose frames should be probed
 // (retransmitted). The packets are not declared lost.
-//
-// xlinkvet:hot
 func (s *Space) OnPTO(now time.Duration) []*SentPacket {
 	s.reclaim()
 	s.ptoCount++
@@ -455,8 +432,6 @@ func (s *Space) OnPTO(now time.Duration) []*SentPacket {
 // DeclareAllLost marks every outstanding ack-eliciting packet as lost and
 // returns them. It is used when a path is abandoned or demoted so its
 // stranded data can be rescheduled onto surviving paths.
-//
-// xlinkvet:hot
 func (s *Space) DeclareAllLost(now time.Duration) []*SentPacket {
 	s.reclaim()
 	lost := s.lostScratch[:0]
@@ -485,8 +460,6 @@ func (s *Space) PTOCount() int { return s.ptoCount }
 // shifting the retained tail down in place. SentFrom can no longer reach a
 // trimmed record, but the result of the loss-detection call gc runs in may
 // name it, so pooled ones are retired here and freed by the next reclaim.
-//
-// xlinkvet:hot
 func (s *Space) gc() {
 	i := 0
 	for i < len(s.sent) && (s.sent[i].acked || s.sent[i].declaredLost) {

@@ -21,8 +21,6 @@ type Receiver interface {
 // Fire implements Receiver, so a plain callback is scheduled and dispatched
 // the same way as any other receiver (a func value is pointer-shaped: putting
 // it in the interface does not allocate).
-//
-// xlinkvet:hot
 func (fn Event) Fire(now time.Duration, _ int) { fn(now) }
 
 // scheduledEvent is what a pending event delivers, and where its heap entry
@@ -69,8 +67,6 @@ func (t Timer) live() bool {
 // Stop cancels the timer, taking its event out of the heap. It is a no-op
 // if the event already fired or was already stopped. It reports whether the
 // event was still pending.
-//
-// xlinkvet:hot
 func (t Timer) Stop() bool {
 	if !t.live() {
 		return false
@@ -124,16 +120,12 @@ func (l *Loop) Pending() int { return len(l.heap) }
 
 // At schedules fn to run at the absolute virtual time at. Events scheduled
 // in the past run at the current time, never rewinding the clock.
-//
-// xlinkvet:hot
 func (l *Loop) At(at time.Duration, fn Event) Timer {
 	return l.AtRecv(at, fn, 0)
 }
 
 // AtRecv schedules to.Fire(now, arg) at the absolute virtual time at, with
 // At's clamping and FIFO order among events at one instant.
-//
-// xlinkvet:hot
 func (l *Loop) AtRecv(at time.Duration, to Receiver, arg int) Timer {
 	if at < l.now {
 		at = l.now
@@ -144,7 +136,6 @@ func (l *Loop) AtRecv(at time.Duration, to Receiver, arg int) Timer {
 		l.free[n-1] = nil
 		l.free = l.free[:n-1]
 	} else {
-		//xlinkvet:ignore hotalloc — free-list refill: amortized by recycle(), measured by TestAllocGateScheduleFire
 		ev = &scheduledEvent{}
 	}
 	ev.to, ev.arg = to, arg
@@ -160,11 +151,9 @@ func (l *Loop) AtRecv(at time.Duration, to Receiver, arg int) Timer {
 // arm and its cancel allocate nothing. It must be called at most once, and
 // only before fn runs — after either, the node serves other events, and a
 // late call would cancel one of them.
-//
-// xlinkvet:hot
 func (l *Loop) Schedule(at time.Duration, fn Event) (cancel func()) {
 	ev := l.AtRecv(at, fn, 0).ev
-	//xlinkvet:cold — bound once per node, which serves every later arm with it
+	// Bound once per node, which serves every later arm with it.
 	if ev.cancel == nil {
 		ev.cancel = func() { l.cancel(ev) }
 	}
@@ -172,8 +161,6 @@ func (l *Loop) Schedule(at time.Duration, fn Event) (cancel func()) {
 }
 
 // cancel takes a Schedule arm's pending event out of the heap.
-//
-// xlinkvet:hot
 func (l *Loop) cancel(ev *scheduledEvent) {
 	pending := ev.to != nil
 	assert.That(pending, "sim timer cancelled twice or after it fired")
@@ -183,8 +170,6 @@ func (l *Loop) cancel(ev *scheduledEvent) {
 }
 
 // After schedules fn to run d from now.
-//
-// xlinkvet:hot
 func (l *Loop) After(d time.Duration, fn Event) Timer {
 	return l.At(l.now+d, fn)
 }
@@ -192,8 +177,6 @@ func (l *Loop) After(d time.Duration, fn Event) Timer {
 // recycle returns a node that fired or was stopped to the free pool,
 // invalidating any outstanding Timer handles and releasing the event's
 // receiver.
-//
-// xlinkvet:hot
 func (l *Loop) recycle(ev *scheduledEvent) {
 	ev.gen++
 	ev.to = nil
@@ -203,8 +186,6 @@ func (l *Loop) recycle(ev *scheduledEvent) {
 }
 
 // up moves the entry at i towards the root until its parent comes before it.
-//
-// xlinkvet:hot
 func (l *Loop) up(i int) {
 	h := l.heap
 	e := h[i]
@@ -223,8 +204,6 @@ func (l *Loop) up(i int) {
 
 // down moves the entry at i towards the leaves until it comes before all its
 // children, and reports whether it moved.
-//
-// xlinkvet:hot
 func (l *Loop) down(i int) bool {
 	h := l.heap
 	e, start := h[i], i
@@ -254,8 +233,6 @@ func (l *Loop) down(i int) bool {
 // remove takes the entry at i out of the heap and returns its node. The
 // last entry fills the hole and is sifted to its place; the order is a total
 // order on (at, seq), so where an entry sits never changes what pops next.
-//
-// xlinkvet:hot
 func (l *Loop) remove(i int) *scheduledEvent {
 	ev := l.heap[i].ev
 	last := len(l.heap) - 1
@@ -270,8 +247,6 @@ func (l *Loop) remove(i int) *scheduledEvent {
 
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
-//
-// xlinkvet:hot
 func (l *Loop) Step() bool {
 	if len(l.heap) == 0 {
 		return false

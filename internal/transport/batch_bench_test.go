@@ -51,14 +51,15 @@ func benchBatchPair(tb testing.TB, batch int) *Pair {
 
 var pingFrames = []wire.Frame{&wire.PingFrame{}}
 
-// craftPings seals count fresh ack-eliciting 1-RTT packets from the
-// client's sealer toward the server on path p, consuming the client's real
-// packet-number sequence so the server's truncated-PN decode stays in
-// range. Buffers are reused from bufs; the sealed packets land in pkts.
-func craftPings(c *Conn, p *Path, bufs, pkts [][]byte, count int) {
+// craftPings seals count fresh ack-eliciting 1-RTT packets carrying frames
+// from the client's sealer toward the server on path p, consuming the
+// client's real packet-number sequence so the server's truncated-PN decode
+// stays in range. Buffers are reused from bufs; the sealed packets land in
+// pkts.
+func craftPings(c *Conn, p *Path, bufs, pkts [][]byte, count int, frames []wire.Frame) {
 	for j := 0; j < count; j++ {
 		pn := p.Space.NextPN()
-		pkts[j] = sealShortInto(bufs[j][:0], c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), pingFrames)
+		pkts[j] = sealShortInto(bufs[j][:0], c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), frames)
 		bufs[j] = pkts[j][:0]
 	}
 }
@@ -93,7 +94,7 @@ func BenchmarkConnPacketsPerSec(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i += group {
 				b.StopTimer()
-				craftPings(c, p, bufs, pkts, group)
+				craftPings(c, p, bufs, pkts, group, pingFrames)
 				now += time.Microsecond
 				b.StartTimer()
 				if bc.batch > 1 {
@@ -141,14 +142,18 @@ func TestAllocGateBatchFill(t *testing.T) {
 // TestAllocGateBatchRecv gates the receive side: one 16-packet batch
 // through HandleDatagramBatch — open, parse, record, coalesced ACK
 // assembly, one maybeSend and one timer re-arm — must run on owned scratch.
-// The per-packet ingest is allocation-free, so is the ack-only response the
-// batch elicits (it touches no packet record, DESIGN.md §18), and so is the
-// timer re-arm: the batch moves the deadline later, which leaves the timer
-// the Env holds alone (DESIGN.md §19). Measured 0; the gate is that plus one.
-// The point of the gate: the bound is per BATCH, not per packet — losing the
-// coalescing (16 responses instead of 1) or any reused scratch trips it
-// immediately. Packet crafting inside the measured closure is itself
-// allocation-free (sealing reuses bufs; see BenchmarkSealPacket).
+// Every packet carries an ACK_MP for each of the server's paths, as the live
+// plane's batches do, so the batch also runs the deferred loss detection:
+// OnAckNoLoss per frame, one OnLossTimeout per path at batch end. Between
+// batches the server writes a small chunk, so each batch acknowledges one
+// packet in flight. The per-packet ingest is allocation-free, so is the
+// ack-only response the batch elicits (it touches no packet record, DESIGN.md
+// §18), and so is the timer re-arm: the batch moves the deadline later, which
+// leaves the timer the Env holds alone (DESIGN.md §19). Measured 0; the gate
+// is that plus one. The point of the gate: the bound is per BATCH, not per
+// packet — losing the coalescing (16 responses instead of 1) or any reused
+// scratch trips it immediately. Packet crafting inside the measured closure
+// is itself allocation-free (sealing reuses bufs; see BenchmarkSealPacket).
 func TestAllocGateBatchRecv(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state warmup")
@@ -169,17 +174,40 @@ func TestAllocGateBatchRecv(t *testing.T) {
 		bufs[i] = make([]byte, 0, cc.MaxDatagramSize)
 	}
 	pkts := make([][]byte, group)
+	frames := []wire.Frame{&wire.PingFrame{}}
+	var acks []*wire.AckMPFrame
+	for _, id := range s.pathOrder {
+		ack := &wire.AckMPFrame{PathID: id, Ranges: make([]wire.AckRange, 1)}
+		acks = append(acks, ack)
+		frames = append(frames, ack)
+	}
+	st := s.OpenStream()
+	chunk := make([]byte, 200)
 	now := pair.Loop.Now()
 	ingest := func() {
-		craftPings(c, p, bufs, pkts, group)
+		st.Write(chunk)
+		for _, ack := range acks {
+			ack.Ranges[0] = wire.AckRange{Largest: s.paths[ack.PathID].Space.PeekPN() - 1}
+		}
+		craftPings(c, p, bufs, pkts, group, frames)
 		now += time.Microsecond
 		s.HandleDatagramBatch(now, p.NetIdx, pkts)
 	}
-	for i := 0; i < 8; i++ { // warm recv scratch, ack scratch, seal buffers
+	for i := 0; i < 8; i++ { // warm recv scratch, ack scratch, seal buffers, packet records
 		ingest()
 	}
+	before := s.Stats()
 	const gate = 1
 	if avg := testing.AllocsPerRun(100, ingest); avg > gate {
 		t.Fatalf("batched 16-packet receive allocates %.1f/batch warm, gate is %d", avg, gate)
+	}
+	after := s.Stats()
+	if sent := after.StreamBytesSent - before.StreamBytesSent; sent != 101*uint64(len(chunk)) {
+		t.Fatalf("server wrote %d stream bytes, want %d", sent, 101*len(chunk))
+	}
+	for _, id := range s.pathOrder {
+		if s.paths[id].Space.HasUnacked() {
+			t.Fatalf("path %d has packets in flight after the batches that acknowledge them", id)
+		}
 	}
 }

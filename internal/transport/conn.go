@@ -535,8 +535,6 @@ func (c *Conn) deriveSessionKeys(clientRandom, serverRandom []byte) error {
 
 // HandleDatagram ingests a received UDP payload that arrived on local
 // interface netIdx.
-//
-// xlinkvet:hot
 func (c *Conn) HandleDatagram(now time.Duration, netIdx int, data []byte) {
 	if !c.ingestDatagram(now, netIdx, data) {
 		return
@@ -555,8 +553,6 @@ func (c *Conn) HandleDatagram(now time.Duration, netIdx int, data []byte) {
 // one datagram per event — behaves byte-identically to the unbatched
 // transport. The slice and every packet buffer are borrowed from the I/O
 // layer for the duration of the call (see DatagramSender's ownership note).
-//
-// xlinkvet:hot
 func (c *Conn) HandleDatagramBatch(now time.Duration, netIdx int, pkts [][]byte) {
 	if len(pkts) == 0 || c.state == stateClosed {
 		return
@@ -571,7 +567,6 @@ func (c *Conn) HandleDatagramBatch(now time.Duration, netIdx int, pkts [][]byte)
 		if c.ingestDatagram(now, netIdx, d) {
 			tail = true
 		}
-		//xlinkvet:cold — terminal close mid-batch: not the steady-state receive path
 		if c.state == stateClosed {
 			break
 		}
@@ -590,13 +585,10 @@ func (c *Conn) HandleDatagramBatch(now time.Duration, netIdx int, pkts [][]byte)
 // guards, stats, trace, decrypt and frame dispatch — without the trailing
 // send pass and timer re-arm. It reports whether the caller owes that tail
 // (false for packets absorbed in a terminal state).
-//
-// xlinkvet:hot
 func (c *Conn) ingestDatagram(now time.Duration, netIdx int, data []byte) bool {
 	if c.state == stateClosed || len(data) == 0 {
 		return false
 	}
-	//xlinkvet:cold — draining: terminal state, not the steady-state receive path
 	if c.state == stateDraining {
 		// RFC 9000 §10.2.2: in draining we send nothing, but keep absorbing
 		// the peer's stragglers until the drain deadline.
@@ -605,7 +597,6 @@ func (c *Conn) ingestDatagram(now time.Duration, netIdx int, data []byte) bool {
 		c.tr.PacketReceived(now, netIdx, len(data))
 		return false
 	}
-	//xlinkvet:cold — closing: terminal state, not the steady-state receive path
 	if c.state == stateClosing {
 		// §10.2.1: answer stray packets with the retained CONNECTION_CLOSE,
 		// exponentially rate-limited (every 1st, 2nd, 4th, 8th... packet) so
@@ -622,7 +613,6 @@ func (c *Conn) ingestDatagram(now time.Duration, netIdx int, data []byte) bool {
 	c.stats.RecvPackets++
 	c.stats.RecvBytes += uint64(len(data))
 	c.tr.PacketReceived(now, netIdx, len(data))
-	//xlinkvet:cold — long-header packets are handshake-only, never steady state
 	if wire.IsLongHeader(data[0]) {
 		c.handleInitialDatagram(now, netIdx, data)
 	} else {
@@ -633,23 +623,18 @@ func (c *Conn) ingestDatagram(now time.Duration, netIdx int, data []byte) bool {
 
 // noteAckDirty registers p for the batch-end deferred loss-detection pass,
 // deduplicating with a linear scan (connections hold a handful of paths).
-//
-// xlinkvet:hot
 func (c *Conn) noteAckDirty(p *Path) {
 	for _, q := range c.ackDirty {
 		if q == p {
 			return
 		}
 	}
-	//xlinkvet:ignore hotalloc — ackDirty is per-batch scratch; capacity reaches the path count and is reused
 	c.ackDirty = append(c.ackDirty, p)
 }
 
 // flushAckDirty runs the loss detection deferred by OnAckNoLoss: one pass
 // per path that processed ACKs this batch, at the same now the ACKs were
 // processed at, so a batch is outcome-equivalent to per-packet processing.
-//
-// xlinkvet:hot
 func (c *Conn) flushAckDirty(now time.Duration) {
 	if c.batchCoalescedAcks > 0 {
 		c.tr.AckCoalesced(now, c.batchCoalescedAcks, len(c.ackDirty))
@@ -831,7 +816,6 @@ func (c *Conn) maybeInitSecondaryPaths(now time.Duration) {
 		if now < ready {
 			if !c.secondaryTimerArmed {
 				c.secondaryTimerArmed = true
-				//xlinkvet:ignore hotalloc — secondary-path timer armed at most once per connection
 				c.env.Schedule(ready, func(at time.Duration) {
 					c.maybeInitSecondaryPaths(at)
 					c.maybeSend(at)
@@ -879,7 +863,6 @@ func (c *Conn) startPathValidation(now time.Duration, p *Path) {
 	}
 	p.challengeSent = true
 	c.tr.PathStateChanged(now, p.ID, p.State.String(), "challenge-sent")
-	//xlinkvet:ignore hotalloc — PATH_CHALLENGE is queued (outlives the call); validation runs once per path
 	ch := &wire.PathChallengeFrame{Data: p.pendingChallenge}
 	c.queueCtrl(ch, int64(p.ID), true)
 	c.wakeSend()
@@ -1004,7 +987,6 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 		c.handshakeDone = true
 		c.maybeInitSecondaryPaths(now)
 	case *wire.NewConnectionIDFrame:
-		//xlinkvet:cold — protocol violation: the connection ends here
 		if fr.Sequence >= uint64(cidLimit(c.cfg.Params.ActiveCIDLimit)) {
 			c.Close(ErrCodeConnectionIDLimit, "connection ID sequence beyond the limit")
 			return
@@ -1021,7 +1003,6 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 		// CID rotation is out of scope; accept silently.
 	case *wire.PathChallengeFrame:
 		// Respond on the same path, as required for validation.
-		//xlinkvet:ignore hotalloc — PATH_RESPONSE is queued (outlives the call); challenges arrive once per validation
 		c.queueCtrl(&wire.PathResponseFrame{Data: fr.Data}, int64(p.ID), false)
 		if !p.validatedPeer && !p.challengeSent {
 			// Validate the reverse direction too.
@@ -1109,7 +1090,6 @@ func (c *Conn) unsuspectPath(now time.Duration, p *Path) {
 		p.advertisedStandby = false
 		p.lastStatusSeq++
 		c.tr.PathStateChanged(now, p.ID, p.State.String(), "recovered")
-		//xlinkvet:ignore hotalloc — PATH_STATUS is queued (outlives the call); path recovery is rare
 		c.queueCtrl(&wire.PathStatusFrame{
 			PathID: p.ID, StatusSeq: p.lastStatusSeq, Status: wire.PathAvailable,
 		}, -1, false)
@@ -1176,8 +1156,6 @@ func (c *Conn) handleStreamFrame(now time.Duration, fr *wire.StreamFrame) {
 // first contact, or nil after closing the connection — or for a stream
 // finished and forgotten, whose frames are ignored unchecked: they buffer
 // nothing, and RFC 9000 lets an endpoint discard frames for a closed stream.
-//
-// xlinkvet:hot
 func (c *Conn) admitStreamData(now time.Duration, id, end uint64, final bool) *RecvStream {
 	rs := c.recvStreams[id]
 	highest := uint64(0)
@@ -1186,12 +1164,10 @@ func (c *Conn) admitStreamData(now time.Duration, id, end uint64, final bool) *R
 	} else if c.recvClosed.has(id) {
 		return nil
 	}
-	//xlinkvet:cold — protocol violation: the connection ends here
 	if end > c.recvLimit(rs) || (end > highest && c.recvHighest+(end-highest) > c.localMaxData) {
 		c.Close(ErrCodeFlowControl, "stream data beyond the advertised limit")
 		return nil
 	}
-	//xlinkvet:cold — protocol violation: the connection ends here
 	if (final && end < highest) || (rs != nil && rs.finSeen && (end > rs.finOffset || (final && end != rs.finOffset))) {
 		c.Close(ErrCodeFinalSize, "stream final size contradicted")
 		return nil
@@ -1209,8 +1185,6 @@ func (c *Conn) admitStreamData(now time.Duration, id, end uint64, final bool) *R
 // recvLimit is the highest offset the peer may use on a stream: the limit
 // last advertised for it, the initial one if nothing arrived on it yet (rs
 // is nil).
-//
-// xlinkvet:hot
 func (c *Conn) recvLimit(rs *RecvStream) uint64 {
 	if rs != nil {
 		return rs.maxDataSent
@@ -1221,12 +1195,9 @@ func (c *Conn) recvLimit(rs *RecvStream) uint64 {
 // streamForRecv returns the receive half of a stream, creating it (and
 // announcing it to the application) on first contact. The callers have ruled
 // out a stream already forgotten.
-//
-// xlinkvet:hot
 func (c *Conn) streamForRecv(now time.Duration, id uint64) *RecvStream {
 	rs := c.recvStreams[id]
 	if rs == nil {
-		//xlinkvet:ignore hotalloc — one RecvStream per stream lifetime, held in recvStreams until it is forgotten
 		rs = &RecvStream{
 			id:          id,
 			conn:        c,
@@ -1252,8 +1223,6 @@ func (c *Conn) streamForRecv(now time.Duration, id uint64) *RecvStream {
 // call only: the reassembly copies what it keeps. The callback in turn
 // borrows what it is handed: the segments under it, or the gather buffer,
 // are released only once it has returned.
-//
-// xlinkvet:hot
 func (c *Conn) deliverStreamData(now time.Duration, rs *RecvStream, offset uint64, payload []byte, fin bool) {
 	beforeDup := rs.DuplicateBytes
 	from, n, finished := rs.onFrame(offset, payload, fin)
@@ -1269,12 +1238,10 @@ func (c *Conn) deliverStreamData(now time.Duration, rs *RecvStream, offset uint6
 	rs.releaseDelivered()
 	// Flow control updates.
 	if rs.needsMaxDataUpdate() {
-		//xlinkvet:ignore hotalloc — flow-control frame is queued (outlives the call); amortized to one per half-window delivered
 		c.queueCtrl(&wire.MaxStreamDataFrame{StreamID: rs.id, MaxStreamData: rs.nextMaxData()}, -1, true)
 	}
 	if c.connDelivered > c.localMaxData-min64(c.localMaxData, c.cfg.Params.InitialMaxData/2) {
 		c.localMaxData = c.connDelivered + c.cfg.Params.InitialMaxData
-		//xlinkvet:ignore hotalloc — flow-control frame is queued (outlives the call); amortized to one per half-window delivered
 		c.queueCtrl(&wire.MaxDataFrame{MaxData: c.localMaxData}, -1, true)
 	}
 	if rs.finished {
@@ -1299,7 +1266,6 @@ func (c *Conn) processAck(now time.Duration, target *Path, ranges []wire.AckRang
 	if target == nil {
 		return
 	}
-	//xlinkvet:cold — protocol violation: the connection ends here
 	if len(ranges) > 0 && ranges[0].Largest >= target.Space.PeekPN() {
 		// RFC 9000 §13.1. Left to the ledger, the range would acknowledge
 		// what it covers, move largestAcked past every packet in flight —

@@ -38,8 +38,6 @@ func (e SimEnv) Now() time.Duration { return e.Loop.Now() }
 
 // Schedule implements Env with the loop's own cancel, which allocates nothing
 // once the loop is warm.
-//
-// xlinkvet:hot
 func (e SimEnv) Schedule(at time.Duration, fn func(now time.Duration)) func() {
 	return e.Loop.Schedule(at, fn)
 }

@@ -58,8 +58,6 @@ func init() {
 }
 
 // gfMul multiplies in GF(256).
-//
-// xlinkvet:hot
 func gfMul(a, b byte) byte {
 	if a == 0 || b == 0 {
 		return 0
@@ -68,8 +66,6 @@ func gfMul(a, b byte) byte {
 }
 
 // gfInv inverts a nonzero GF(256) element.
-//
-// xlinkvet:hot
 func gfInv(a byte) byte {
 	return gfExp[255-int(gfLog[a])]
 }
@@ -77,8 +73,6 @@ func gfInv(a byte) byte {
 // fecCoeff returns the code coefficient of source symbol i in repair
 // symbol j. XOR is the all-ones row; RS is the Cauchy matrix described in
 // the package comment.
-//
-// xlinkvet:hot
 func fecCoeff(scheme uint64, j, i int) byte {
 	if scheme == wire.FECSchemeXOR {
 		return 1
@@ -89,8 +83,6 @@ func fecCoeff(scheme uint64, j, i int) byte {
 // fecMulAddInto accumulates dst ^= c·src over GF(256). src may be shorter
 // than dst (a short final source symbol): the implicit zero padding
 // contributes nothing, so iterating src's length is exact.
-//
-// xlinkvet:hot
 func fecMulAddInto(dst, src []byte, c byte) {
 	if c == 0 {
 		return
@@ -110,8 +102,6 @@ func fecMulAddInto(dst, src []byte, c byte) {
 }
 
 // fecScaleRow multiplies row in place by nonzero c over GF(256).
-//
-// xlinkvet:hot
 func fecScaleRow(row []byte, c byte) {
 	if c == 1 {
 		return
@@ -204,8 +194,6 @@ type fecDecoder struct {
 }
 
 // find returns the live window with the given ID, or nil.
-//
-// xlinkvet:hot
 func (d *fecDecoder) find(id uint64) *fecRecvWindow {
 	for _, w := range d.wins {
 		if w.id == id {
@@ -217,8 +205,6 @@ func (d *fecDecoder) find(id uint64) *fecRecvWindow {
 
 // hasOpenWindows reports whether any undone window protects streamID —
 // the cheap guard handleStreamFrame uses before walking windows.
-//
-// xlinkvet:hot
 func (d *fecDecoder) hasOpenWindows(streamID uint64) bool {
 	for _, w := range d.wins {
 		if !w.done && w.streamID == streamID {
@@ -241,8 +227,6 @@ func (c *Conn) fecInit() {
 // first; a window reaching capacity or a chunk ending a tagged video frame
 // (or carrying FIN) flushes immediately, so a window never straddles the
 // boundary the QoE re-injection lane schedules around.
-//
-// xlinkvet:hot
 func (c *Conn) fecAddSource(now time.Duration, s *SendStream, ch chunk) {
 	e := &c.fecEnc
 	if ch.length == 0 {
@@ -272,8 +256,6 @@ func (c *Conn) fecAddSource(now time.Duration, s *SendStream, ch chunk) {
 // fecTailFlush protects the tail of the current window at the end of a
 // send pass — but only when the pass stopped because data ran out, not
 // because congestion windows closed (more contiguous data is coming).
-//
-// xlinkvet:hot
 func (c *Conn) fecTailFlush(now time.Duration) {
 	if !c.fecEnc.active {
 		return
@@ -290,8 +272,6 @@ func (c *Conn) fecTailFlush(now time.Duration) {
 // to protect it, generates the repair symbols, and queues the FEC_WINDOW
 // and FEC_REPAIR frames (unreliable — retransmitting redundancy defeats
 // its purpose).
-//
-// xlinkvet:hot
 func (c *Conn) fecFlush(now time.Duration) {
 	e := &c.fecEnc
 	if !e.active {
@@ -343,7 +323,6 @@ func (c *Conn) fecFlush(now time.Duration) {
 		}
 	}
 
-	//xlinkvet:ignore hotalloc — FEC_WINDOW is queued (outlives the call); one per window of ~K packets
 	win := &wire.FECWindowFrame{
 		WindowID:   winID,
 		StreamID:   e.streamID,
@@ -357,9 +336,8 @@ func (c *Conn) fecFlush(now time.Duration) {
 	c.stats.FECWindowsSent++
 	c.tr.FECSymbolSent(now, winID, e.streamID, -1, win.Len())
 	for j := 0; j < repairs; j++ {
-		//xlinkvet:ignore hotalloc — repair payload is owned by the queued frame (outlives the call and the scratch reuse)
+		// The queued frame owns its payload: the scratch is reused by the next window.
 		payload := append([]byte(nil), scratch[j*sym:(j+1)*sym]...)
-		//xlinkvet:ignore hotalloc — FEC_REPAIR is queued (outlives the call); bounded by the window's repair count
 		c.queueCtrl(&wire.FECRepairFrame{WindowID: winID, Index: uint64(j), Data: payload}, -1, false)
 		c.stats.FECRepairsSent++
 		c.stats.FECRepairBytesSent += uint64(len(payload))
@@ -377,8 +355,6 @@ func (c *Conn) fecFlush(now time.Duration) {
 // how many repair symbols. The configured gate (the QoE redundancy
 // controller) wins; the default is loss-proportional: ceil(k·loss) repairs
 // clamped to [1, 4], always protecting.
-//
-// xlinkvet:hot
 func (c *Conn) fecPlan(now time.Duration, k int) (bool, int) {
 	loss := c.pathLossRate()
 	if c.cfg.FECGate != nil {
@@ -398,8 +374,6 @@ func (c *Conn) fecPlan(now time.Duration, k int) (bool, int) {
 // recovery spaces' counters, summed over paths (order-independent, so the
 // estimate is deterministic). Below 32 sent packets it reports 0 — too few
 // samples to size redundancy from.
-//
-// xlinkvet:hot
 func (c *Conn) pathLossRate() float64 {
 	var sent, lost uint64
 	for _, id := range c.pathOrder {
@@ -450,17 +424,15 @@ func (c *Conn) handleFECWindow(now time.Duration, fr *wire.FECWindowFrame) {
 		d.wins[len(d.wins)-1] = nil
 		d.wins = d.wins[:len(d.wins)-1]
 	}
-	//xlinkvet:ignore hotalloc — one window object (and its repair table) per announced window, bounded by maxActiveFECWindows
 	win := &fecRecvWindow{
-		id:       fr.WindowID,
-		streamID: fr.StreamID,
-		base:     fr.BaseOffset,
-		dataLen:  fr.DataLen,
-		symSize:  int(fr.SymbolSize),
-		scheme:   fr.Scheme,
-		repairs:  int(fr.Repairs),
-		k:        fr.SourceSymbols(),
-		//xlinkvet:ignore hotalloc — one repair table per announced window, bounded by maxActiveFECWindows
+		id:         fr.WindowID,
+		streamID:   fr.StreamID,
+		base:       fr.BaseOffset,
+		dataLen:    fr.DataLen,
+		symSize:    int(fr.SymbolSize),
+		scheme:     fr.Scheme,
+		repairs:    int(fr.Repairs),
+		k:          fr.SourceSymbols(),
 		repairData: make([][]byte, fr.Repairs),
 	}
 	d.wins = append(d.wins, win)
@@ -546,8 +518,6 @@ func (c *Conn) fecGiveUp(now time.Duration, w *fecRecvWindow, reason string) {
 // fecOnStreamData re-examines the stream's live windows after new stream
 // data arrived: windows whose range is now fully present retire, and a
 // window whose missing count just dropped to its repair count may solve.
-//
-// xlinkvet:hot
 func (c *Conn) fecOnStreamData(now time.Duration, streamID uint64) {
 	for _, w := range c.fecDec.wins {
 		if !w.done && w.streamID == streamID {
@@ -631,11 +601,9 @@ func (c *Conn) fecSolveWindow(now time.Duration, w *fecRecvWindow, rs *RecvStrea
 			r++
 		}
 	}
-	//xlinkvet:cold — solve scratch grows to the high-water mark once, reused across recoveries
 	if cap(d.synBuf) < m*sym {
 		d.synBuf = make([]byte, m*sym)
 	}
-	//xlinkvet:cold — row-swap scratch grows to the symbol size once, reused across recoveries
 	if cap(d.swapBuf) < sym {
 		d.swapBuf = make([]byte, sym)
 	}
@@ -731,7 +699,6 @@ func (c *Conn) fecSolveWindow(now time.Duration, w *fecRecvWindow, rs *RecvStrea
 			rs = c.streamForRecv(now, w.streamID)
 		}
 		c.deliverStreamData(now, rs, start, data, false)
-		//xlinkvet:ignore hotalloc — FEC_RECOVERED is queued (outlives the call); fires once per recovered symbol
 		c.queueCtrl(&wire.FECRecoveredFrame{StreamID: w.streamID, Offset: start, Length: end - start}, -1, false)
 	}
 }

@@ -438,9 +438,13 @@ func TestFECCoverageSuppressesReinjection(t *testing.T) {
 
 // --- allocation gates (DESIGN.md §11/§13) --------------------------------
 
-// TestAllocGateFECKernel pins the GF(256) coding kernels and the encoder
-// accumulate path at zero steady-state allocations: repair generation runs
-// inside the send loop for every first transmission when FEC is negotiated.
+// TestAllocGateFECKernel pins the FEC lane's per-packet work at its
+// allocation budget: the GF(256) coding kernels and the encoder accumulate
+// path at zero, closing a window at exactly the frames it queues, a STREAM
+// frame arriving while a window waits for its repairs at zero, and a warm
+// two-loss decode within a fixed ceiling. Repair generation runs inside the
+// send loop for every first transmission when FEC is negotiated, and every
+// received STREAM frame of a protected stream walks the open windows.
 func TestAllocGateFECKernel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state measurement")
@@ -459,8 +463,7 @@ func TestAllocGateFECKernel(t *testing.T) {
 	}
 
 	// Encoder accumulate: chunks flow into the pre-sized window buffer
-	// without growing it. Flushing is excluded — it queues frames, which
-	// allocate by design (the justified sites in fecFlush).
+	// without growing it. Flushing is gated separately below.
 	c := &Conn{}
 	c.fecInit()
 	// The buffer extends past the accumulated range so no chunk ends at a
@@ -478,52 +481,109 @@ func TestAllocGateFECKernel(t *testing.T) {
 		t.Fatalf("encoder accumulate allocates %.1f/op, want 0", n)
 	}
 
-	// Decoder solve scratch: after the first recovery grew the buffers,
-	// repeated solves of same-shaped windows must not allocate beyond the
-	// queued FEC_RECOVERED frame and the recovered-range bookkeeping.
+	// Window close: a send pass that runs out of data protects the tail.
+	// fecTailFlush closes the two-symbol window, the default plan (no gate,
+	// no loss measured) asks for one repair, and the flush queues exactly what
+	// outlives it — the FEC_WINDOW frame, the repair's payload and its
+	// FEC_REPAIR frame. Like maybeSend, the closure runs as a send pass, so
+	// queuing wakes no second one.
 	pair := fecPair(t, 13)
+	srv := pair.Server
 	now := 2 * time.Second
-	const symSize, streamID = 64, 8
+	closeWindow := func() {
+		srv.inSend = true
+		for off := uint64(0); off < 2048; off += 512 {
+			srv.fecAddSource(now, s, chunk{streamID: 1, offset: off, length: 512, isNew: true})
+		}
+		srv.fecTailFlush(now)
+		srv.inSend = false
+		clear(srv.ctrlQ) // the frames would leave with the pass's next packet
+		srv.ctrlQ = srv.ctrlQ[:0]
+	}
+	closeWindow()
+	windows, repairs := srv.stats.FECWindowsSent, srv.stats.FECRepairsSent
+	if n := testing.AllocsPerRun(200, closeWindow); n != 3 {
+		t.Fatalf("closing a one-repair window allocates %.1f/op, want the 3 queued objects", n)
+	}
+	if w, r := srv.stats.FECWindowsSent-windows, srv.stats.FECRepairsSent-repairs; w != 201 || r != 201 {
+		t.Fatalf("%d windows with %d repairs sent, want 201 of each", w, r)
+	}
+
+	// Warm receive: a window is announced and its repairs have not arrived,
+	// so every in-order STREAM frame of its stream passes through
+	// fecOnStreamData, which finds the window still open and waiting.
+	cli := pair.Client
+	const recvStream, symSize = 4, 64
+	cli.handleFECWindow(now, &wire.FECWindowFrame{
+		WindowID: 1 << 20, StreamID: recvStream, BaseOffset: 0,
+		DataLen: wire.MaxFECSourceSymbols * symSize * 8, SymbolSize: symSize * 8,
+		Scheme: wire.FECSchemeRS, Repairs: 2,
+	})
+	sf := &wire.StreamFrame{StreamID: recvStream, Data: make([]byte, symSize)}
+	recv := func() {
+		cli.handleStreamFrame(now, sf)
+		sf.Offset += symSize
+	}
+	recv()
+	// The xlinkdebug assertions allocate on the reassembly path by design,
+	// so the precise budgets only hold in release mode.
+	recvGate, solveGate := 0.0, 16.0
+	if assert.Enabled {
+		recvGate, solveGate = 2, 48
+	}
+	if n := testing.AllocsPerRun(200, recv); n > recvGate {
+		t.Fatalf("a STREAM frame under an open window allocates %.1f/op, gate %.0f", n, recvGate)
+	}
+	if w := cli.fecDec.find(1 << 20); w == nil || w.done || cli.recvStreams[recvStream].delivered != sf.Offset {
+		t.Fatalf("window retired early or %d of %d bytes delivered", cli.recvStreams[recvStream].delivered, sf.Offset)
+	}
+
+	// Decoder solve: the window is announced first, so its source symbols
+	// pass through fecOnStreamData; two of four are lost and two RS repairs
+	// rebuild them (Gauss-Jordan over GF(256)). After the first recovery grew
+	// the buffers, repeated solves of same-shaped windows must not allocate
+	// beyond the window object and its repair table, the queued
+	// FEC_RECOVERED frames, the recovered-range bookkeeping and the frames
+	// the closure builds itself. Measured 12.
+	const streamID = 8
 	data := make([]byte, symSize*4)
 	for i := range data {
 		data[i] = byte(i * 3)
+	}
+	repair := [2][]byte{
+		fecRepairFor(wire.FECSchemeRS, 0, symSize, data),
+		fecRepairFor(wire.FECSchemeRS, 1, symSize, data),
 	}
 	winID := uint64(0)
 	solveOnce := func() {
 		winID++
 		base := (winID - 1) * uint64(len(data))
-		for i := 0; i < 4; i++ {
-			if i == 1 {
-				continue
-			}
-			pair.Client.handleStreamFrame(now, &wire.StreamFrame{
+		cli.handleFECWindow(now, &wire.FECWindowFrame{
+			WindowID: winID, StreamID: streamID, BaseOffset: base,
+			DataLen: uint64(len(data)), SymbolSize: symSize,
+			Scheme: wire.FECSchemeRS, Repairs: 2,
+		})
+		for _, i := range []int{0, 2} {
+			cli.handleStreamFrame(now, &wire.StreamFrame{
 				StreamID: streamID,
 				Offset:   base + uint64(i*symSize),
 				Data:     data[i*symSize : (i+1)*symSize],
 			})
 		}
-		pair.Client.handleFECWindow(now, &wire.FECWindowFrame{
-			WindowID: winID, StreamID: streamID, BaseOffset: base,
-			DataLen: uint64(len(data)), SymbolSize: symSize,
-			Scheme: wire.FECSchemeXOR, Repairs: 1,
-		})
-		pair.Client.handleFECRepair(now, &wire.FECRepairFrame{
-			WindowID: winID, Index: 0, Data: fecRepairFor(wire.FECSchemeXOR, 0, symSize, data),
-		})
+		for j := range repair {
+			cli.handleFECRepair(now, &wire.FECRepairFrame{WindowID: winID, Index: uint64(j), Data: repair[j]})
+		}
 	}
 	for i := 0; i < 8; i++ {
 		solveOnce() // warm scratch, stream buffer, control queue
 	}
-	// The xlinkdebug assertions allocate on the reassembly path by design,
-	// so the precise budget only holds in release mode.
-	solveGate := 24.0
-	if assert.Enabled {
-		solveGate = 48
-	}
 	if n := testing.AllocsPerRun(100, solveOnce); n > solveGate {
 		t.Fatalf("warm decode cycle allocates %.1f/op, gate %.0f", n, solveGate)
 	}
-	if pair.Client.Stats().FECRecoveredBytes == 0 {
-		t.Fatal("solve loop never recovered")
+	if got, want := cli.recvStreams[streamID].delivered, winID*uint64(len(data)); got != want {
+		t.Fatalf("stream delivered %d bytes after %d windows, want %d", got, winID, want)
+	}
+	if cli.Stats().FECRecoveredBytes != 2*symSize*winID {
+		t.Fatalf("%d bytes recovered over %d windows, want %d", cli.Stats().FECRecoveredBytes, winID, 2*symSize*winID)
 	}
 }

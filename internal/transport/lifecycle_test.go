@@ -102,7 +102,8 @@ func TestIdleTimeoutTerminal(t *testing.T) {
 // Each transition is traced, the drain expiry into closed included: a
 // connection that leaves service without a trace is undebuggable at fleet
 // scale (the chaos corpus checks the same of the idle-timeout and handshake
-// give-up paths).
+// give-up paths). Draining only waits: the server abandons no path and keeps
+// its primary.
 func TestCloseLifecycleStates(t *testing.T) {
 	loop := sim.NewLoop()
 	ccfg, scfg := defaultMPConfig()
@@ -118,6 +119,7 @@ func TestCloseLifecycleStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	pair.RunUntil(time.Second)
+	primary := pair.Server.PrimaryPathID()
 	pair.Client.Close(7, "bye")
 	if got := pair.Client.StateName(); got != "closing" {
 		t.Fatalf("client state after Close: %q, want closing", got)
@@ -150,6 +152,12 @@ func TestCloseLifecycleStates(t *testing.T) {
 		if e.Name == obs.EvConnState {
 			traced[e.Origin] = append(traced[e.Origin], e.Str("old")+"→"+e.Str("new"))
 		}
+		if e.Name == obs.EvPathAbandoned && e.Origin == "server" {
+			t.Errorf("the draining server traced %s at %v", e.Name, e.Time)
+		}
+	}
+	if got, st := pair.Server.PrimaryPathID(), pair.Server.Stats(); got != primary || st.PrimaryReElections != 0 {
+		t.Errorf("server primary %d → %d with %d re-elections, want it kept", primary, got, st.PrimaryReElections)
 	}
 	for _, want := range []struct{ origin, transitions string }{
 		{"client", "handshake→established established→closing closing→closed"},

@@ -22,8 +22,6 @@ const headerSampleLen = 16
 // away from buf). The returned packet aliases buf when capacity suffices;
 // callers reuse a per-connection scratch and must treat the previous packet
 // as invalid once the next one is assembled.
-//
-// xlinkvet:hot
 func sealShortInto(buf []byte, sealer *crypto.Sealer, dcid wire.ConnectionID, pathID uint32,
 	pn uint64, largestAcked int64, frames []wire.Frame) []byte {
 	pnLen := wire.PacketNumberLen(pn, largestAcked)
@@ -36,7 +34,7 @@ func sealShortInto(buf []byte, sealer *crypto.Sealer, dcid wire.ConnectionID, pa
 	for len(buf)-hdrLen < 4-pnLen {
 		buf = append(buf, 0) // PADDING frame
 	}
-	//xlinkvet:cold — scratch growth: runs until the caller's reusable buffer reaches steady-state size
+	// Grows only until the caller's reusable buffer reaches its steady-state size.
 	if need := len(buf) + crypto.Overhead; cap(buf) < need {
 		grown := make([]byte, len(buf), need)
 		copy(grown, buf)
@@ -73,8 +71,6 @@ func sealShort(sealer *crypto.Sealer, dcid wire.ConnectionID, pathID uint32,
 // before calling. It returns the packet number, the plaintext payload
 // (aliasing the returned buffer), and the possibly-grown buffer to retain
 // for the next call. data is never modified, even on failure.
-//
-// xlinkvet:hot
 func openShort(sealer *crypto.Sealer, scratch, data []byte, cidLen int,
 	pathID uint32, largestPN int64) (uint64, []byte, []byte, error) {
 	pnOffset := 1 + cidLen

@@ -119,7 +119,6 @@ type Path struct {
 
 func newPath(id uint64, netIdx int, tech trace.Technology, alg cc.Algorithm) *Path {
 	rtt := cc.NewRTTEstimator()
-	//xlinkvet:ignore hotalloc — constructor: one Path per path lifetime
 	return &Path{
 		ID:            id,
 		NetIdx:        netIdx,
@@ -181,8 +180,6 @@ func (p *Path) ackSent() {
 // buildAckRanges converts received PNs into wire ACK ranges (descending),
 // capped at maxRanges. The returned slice aliases the path's scratch and is
 // valid until the next call for this path.
-//
-// xlinkvet:hot
 func (p *Path) buildAckRanges(maxRanges int) []wire.AckRange {
 	rs := p.recvPNs.All()
 	if len(rs) == 0 {

@@ -101,8 +101,6 @@ var gathers sync.Pool
 // caller gives back the gather buffer it returns with it (returnGather):
 // the segment's own bytes when the run lies in one segment, else a copy in a
 // buffer from gathers (nil when none was needed).
-//
-// xlinkvet:hot
 func (r *RecvStream) borrow(from, n uint64) ([]byte, *[]byte) {
 	if n == 0 {
 		return nil, nil
@@ -113,11 +111,11 @@ func (r *RecvStream) borrow(from, n uint64) ([]byte, *[]byte) {
 	// A run crossing a segment boundary: once per segment for in-order
 	// arrival, or a filled hole.
 	g, _ := gathers.Get().(*[]byte)
-	//xlinkvet:cold — pool empty: one buffer per gather in progress at once
+	// Pool empty: one buffer per gather in progress at once.
 	if g == nil {
 		g = new([]byte)
 	}
-	//xlinkvet:cold — the buffer grows to the longest run gathered since the collector last emptied the pool
+	// The buffer grows to the longest run gathered since the collector last emptied the pool.
 	if uint64(cap(*g)) < n {
 		*g = make([]byte, 0, n)
 	}

@@ -116,7 +116,7 @@ func (b *segBuf) put(off uint64, data []byte) {
 	for len(data) > 0 {
 		idx, in := off/segSize, int(off%segSize)
 		n := min(len(data), segSize-in)
-		//xlinkvet:cold — the segment table grows once per segSize of stream
+		// The segment table grows once per segSize of stream.
 		if idx-b.first >= uint64(len(b.segs)) {
 			if b.segs == nil {
 				b.segs = b.one[:0]
@@ -129,7 +129,7 @@ func (b *segBuf) put(off uint64, data []byte) {
 			}
 		}
 		seg := &b.segs[idx-b.first]
-		//xlinkvet:cold — one allocation per segSize of stream (log₂ more while the first segment doubles)
+		// One allocation per segSize of stream (log₂ more while the first segment doubles).
 		if in+n > len(*seg) {
 			*seg = b.grow(*seg, idx == 0, in+n)
 		}

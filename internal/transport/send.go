@@ -29,8 +29,6 @@ func (c *Conn) wakeSend() {
 
 // maybeSend drains acknowledgements and data while congestion windows and
 // data allow.
-//
-// xlinkvet:hot
 func (c *Conn) maybeSend(now time.Duration) {
 	if c.inSend || c.state != stateEstablished || c.txSealer == nil {
 		return
@@ -78,13 +76,11 @@ func (c *Conn) maybeSend(now time.Duration) {
 // immediate mode that is the connection's single reusable sendBuf; in batch
 // mode it is the top of the seal free list, which dispatchPacket takes off
 // the list until the packet's batch is flushed.
-//
-// xlinkvet:hot
 func (c *Conn) nextSendBuf() []byte {
 	if !c.batching {
 		return c.sendBuf[:0]
 	}
-	//xlinkvet:cold — one buffer per pending-batch high-water mark, at most paths × SendBatchSize
+	// One buffer per pending-batch high-water mark, at most paths × SendBatchSize.
 	if len(c.sealFree) == 0 {
 		c.sealFree = append(c.sealFree, make([]byte, 0, cc.MaxDatagramSize))
 	}
@@ -94,8 +90,6 @@ func (c *Conn) nextSendBuf() []byte {
 // dispatchPacket hands a freshly sealed packet to the network: immediately
 // in unbatched mode, or onto p's pending batch otherwise. pkt must have
 // been sealed into nextSendBuf's return.
-//
-// xlinkvet:hot
 func (c *Conn) dispatchPacket(now time.Duration, p *Path, pkt []byte) {
 	if !c.batching {
 		c.sendBuf = pkt[:0]
@@ -116,8 +110,6 @@ func (c *Conn) dispatchPacket(now time.Duration, p *Path, pkt []byte) {
 // is the path for packets outside a batched pass — Initials, closing-state
 // resends and every packet at SendBatchSize 1 — and, not being a flush of
 // accumulated packets, emits no batch_flush event.
-//
-// xlinkvet:hot
 func (c *Conn) sendOne(netIdx int, pkt []byte) {
 	c.oneBatch[0] = pkt
 	c.sender.SendBatch(netIdx, c.oneBatch[:])
@@ -127,8 +119,6 @@ func (c *Conn) sendOne(netIdx int, pkt []byte) {
 // flushBatchPath sends p's pending batch in one SendBatch call. The sender
 // borrows the packet buffers for the call (DatagramSender's ownership note);
 // then they go back on the seal free list.
-//
-// xlinkvet:hot
 func (c *Conn) flushBatchPath(now time.Duration, p *Path) {
 	if len(p.batchPend) == 0 {
 		return
@@ -146,8 +136,6 @@ func (c *Conn) flushBatchPath(now time.Duration, p *Path) {
 // flushBatches drains every path's pending batch in first-touch order —
 // the order the first packet for each path was sealed in, which keeps the
 // cross-link event-scheduling order identical to immediate sends.
-//
-// xlinkvet:hot
 func (c *Conn) flushBatches(now time.Duration) {
 	if !c.batching {
 		return
@@ -163,8 +151,6 @@ func (c *Conn) flushBatches(now time.Duration) {
 // congestion-blocked. Path management (PATH_STATUS, MAX_DATA, CID issuance)
 // must not deadlock behind a stalled window: these frames are tiny and, as
 // with PTO probes, may exceed the congestion window.
-//
-// xlinkvet:hot
 func (c *Conn) sendCtrlBypass(now time.Duration) {
 	if len(c.ctrlQ) == 0 || len(c.usableSendPaths()) > 0 {
 		return
@@ -234,7 +220,6 @@ func (c *Conn) updatePathHealth(now time.Duration) {
 		if newest > prog && now-prog > threshold {
 			p.suspect = true
 			c.tr.PathStateChanged(now, p.ID, p.State.String(), "recv-stale")
-			//xlinkvet:ignore hotalloc — one-off PING queued when a path turns suspect (outlives the call); suspicion is rare
 			c.queueCtrl(&wire.PingFrame{}, int64(p.ID), false)
 		}
 	}
@@ -246,8 +231,6 @@ func (c *Conn) updatePathHealth(now time.Duration) {
 // pathsDirty is set (once per maybeSend pass); only the volatile CanSend
 // filter runs per call, into the sendablePaths scratch. The result is valid
 // until the next call.
-//
-// xlinkvet:hot
 func (c *Conn) usableSendPaths() []*Path {
 	if c.pathsDirty {
 		c.usableBase = c.usableBase[:0]
@@ -286,8 +269,6 @@ func (c *Conn) usableSendPaths() []*Path {
 
 // sendOnePacket builds and transmits at most one data packet. It returns
 // false when nothing further can be sent.
-//
-// xlinkvet:hot
 func (c *Conn) sendOnePacket(now time.Duration) bool {
 	// Control frames pinned to probing paths (PATH_CHALLENGE/RESPONSE)
 	// must be able to leave before validation completes.
@@ -354,7 +335,8 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 				sf.Data = c.gather[n:]
 			}
 		}
-		//xlinkvet:ignore hotalloc — frames aliases the conn's sendFrames scratch (threaded through appendAcksFor/appendCtrl); capacity reserved at construction
+		// frames aliases the conn's sendFrames scratch (threaded through
+		// appendAcksFor and appendCtrl), whose capacity is reserved at construction.
 		frames = append(frames, sf)
 		if meta == nil {
 			meta = c.packetRecord(p)
@@ -401,8 +383,6 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 
 // sendProbePacket sends pending path-pinned control frames for paths not
 // yet usable (validation traffic). Returns true if a packet was sent.
-//
-// xlinkvet:hot
 func (c *Conn) sendProbePacket(now time.Duration) bool {
 	for i, item := range c.ctrlQ {
 		if item.pathID < 0 {
@@ -438,8 +418,6 @@ func (c *Conn) sendProbePacket(now time.Duration) bool {
 // appendCtrl moves queued control frames into the packet being built for p.
 // meta is the packet's record, nil while it carries nothing ack-eliciting;
 // the first such frame acquires it.
-//
-// xlinkvet:hot
 func (c *Conn) appendCtrl(p *Path, frames []wire.Frame, meta *packetMeta, budget *int) ([]wire.Frame, *packetMeta) {
 	// Compact kept items in place (w trails the read index) so draining the
 	// queue never allocates a replacement slice.
@@ -480,12 +458,9 @@ func (c *Conn) appendCtrl(p *Path, frames []wire.Frame, meta *packetMeta, budget
 // for p: a recovery.SentPacket recycled by p's space together with the
 // packetMeta it carries and the chunk and control-frame storage of that, all
 // blank (DESIGN.md §18). The caller fills it in and hands it to recordSent.
-//
-// xlinkvet:hot
 func (c *Conn) packetRecord(p *Path) *packetMeta {
 	sp := p.Space.Acquire()
 	meta, _ := sp.Meta.(*packetMeta)
-	//xlinkvet:cold — a record's first use; from then on its metadata is recycled with it
 	if meta == nil {
 		meta = &packetMeta{sp: sp}
 		sp.Meta = meta
@@ -499,8 +474,6 @@ func (c *Conn) packetRecord(p *Path) *packetMeta {
 
 // recordSent enters the ack-eliciting packet just sealed as pn into p's
 // ledger.
-//
-// xlinkvet:hot
 func recordSent(now time.Duration, p *Path, meta *packetMeta, pn uint64, size int) {
 	sp := meta.sp
 	sp.PN, sp.SentAt, sp.Bytes, sp.AckEliciting = pn, now, size, true
@@ -511,10 +484,7 @@ func recordSent(now time.Duration, p *Path, meta *packetMeta, pn uint64, size in
 // scratch pool, growing it on first use. Every field of the returned frame
 // is overwritten by the caller; the frame is only referenced until the
 // packet holding it is serialized, so reuse across packets is safe.
-//
-// xlinkvet:hot
 func (c *Conn) nextStreamFrame() *wire.StreamFrame {
-	//xlinkvet:cold — pool growth: one frame per high-water mark, reused forever after
 	if c.sfUsed == len(c.sfScratch) {
 		c.sfScratch = append(c.sfScratch, &wire.StreamFrame{})
 	}
@@ -528,8 +498,6 @@ func (c *Conn) nextStreamFrame() *wire.StreamFrame {
 // place, never rebuilt: Stream inserts a new stream, SetPriority moves one and
 // retireStream cuts one out, each by binary search. (priority, ID) is a total
 // order — IDs are unique.
-//
-// xlinkvet:hot
 func (c *Conn) streamsInOrder() []*SendStream {
 	if assert.Enabled {
 		for i := 1; i < len(c.streamOrder); i++ {
@@ -735,7 +703,6 @@ func (c *Conn) scanReinjections(s *SendStream) {
 	}
 	for i, id := range c.pathOrder {
 		src := c.paths[id].Space
-		//xlinkvet:cold — one cursor per path, grown when the stream first sees the path
 		if i == len(s.scanned) {
 			s.scanned = append(s.scanned, 0)
 		}
@@ -936,8 +903,6 @@ func (c *Conn) ackSendPath(on *Path) *Path {
 
 // buildAckFrame builds the ACK or ACK_MP frame for a path's receive state,
 // attaching QoE feedback when configured.
-//
-// xlinkvet:hot
 func (c *Conn) buildAckFrame(now time.Duration, p *Path) wire.Frame {
 	ranges := p.buildAckRanges(32)
 	if len(ranges) == 0 {
@@ -986,8 +951,6 @@ func (c *Conn) buildAckFrame(now time.Duration, p *Path) wire.Frame {
 // ack-only packets; the rest wait for a packet to ride on or for their delay
 // to run out. If force is true, every pending one leaves (used on ack-delay
 // expiry).
-//
-// xlinkvet:hot
 func (c *Conn) flushAcks(now time.Duration, force bool) {
 	if c.txSealer == nil {
 		return
@@ -1022,8 +985,6 @@ func (c *Conn) flushAcks(now time.Duration, force bool) {
 
 // appendAcksFor puts pending acks whose policy path is p into the packet being
 // built for p, marking each riding; settleAcks decides whether they left.
-//
-// xlinkvet:hot
 func (c *Conn) appendAcksFor(now time.Duration, p *Path, frames []wire.Frame, budget *int) []wire.Frame {
 	for _, id := range c.pathOrder {
 		rp := c.paths[id]
@@ -1046,8 +1007,6 @@ func (c *Conn) appendAcksFor(now time.Duration, p *Path, frames []wire.Frame, bu
 
 // settleAcks ends the ride appendAcksFor began: the acks went out with the
 // packet (sent) or stay queued (the packet carried nothing else).
-//
-// xlinkvet:hot
 func (c *Conn) settleAcks(sent bool) {
 	for _, id := range c.pathOrder {
 		rp := c.paths[id]
@@ -1128,7 +1087,6 @@ func (c *Conn) maybeSendStandaloneQoE(now time.Duration) {
 		return
 	}
 	c.qoeSeq++
-	//xlinkvet:ignore hotalloc — QoE signal frame is queued (outlives the call); rate-limited to one per standalone interval
 	c.queueCtrl(&wire.QoEControlSignalsFrame{Sequence: c.qoeSeq, QoE: sig}, -1, false)
 }
 
@@ -1141,8 +1099,6 @@ func (c *Conn) maybeSendStandaloneQoE(now time.Duration) {
 // costs one onTimer call that re-schedules itself, so a pending timer at or
 // before timerDue is left alone. Only no timer, or a pending one after the
 // deadline, costs a Schedule (and a cancel).
-//
-// xlinkvet:hot
 func (c *Conn) rearmTimer() {
 	if c.state == stateClosed {
 		c.cancelTimer()

@@ -206,7 +206,6 @@ func (s *SendStream) Reset(code uint64) {
 	s.conn.dropReinjections(s)
 	s.data.drop()
 	s.frames = nil
-	//xlinkvet:ignore hotalloc — RESET_STREAM is queued (outlives the call); a stream resets at most once
 	s.conn.queueCtrl(&wire.ResetStreamFrame{
 		StreamID:  s.id,
 		ErrorCode: code,

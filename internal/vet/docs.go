@@ -67,17 +67,6 @@ var RuleDocs = []RuleDoc{
 		},
 		Fixture: "guardedby",
 	},
-	{
-		Name: "hotalloc",
-		Contract: "Functions marked hot — and everything statically reachable from " +
-			"them — must be allocation-free in the steady state; documented cold " +
-			"branches are pruned.",
-		Annotations: []string{
-			"// xlinkvet:hot — on a function declaration",
-			"//xlinkvet:cold <why> — on (or above) an if statement guarding a slow path",
-		},
-		Fixture: "hotalloc",
-	},
 }
 
 // DocFor returns the documentation entry for a rule name, or nil.

@@ -31,11 +31,6 @@ type Package struct {
 	// ignores maps filename -> line -> rules suppressed on that line ("" =
 	// all rules). Every parsed file has an entry, possibly empty.
 	ignores map[string]map[int][]string
-	// colds maps filename -> lines carrying an `xlinkvet:cold` directive:
-	// an if statement on (or right below) such a line has a cold then-branch,
-	// pruned from the hotalloc reachability analysis like assert.Enabled
-	// guards.
-	colds map[string]map[int]bool
 	// confines maps filename -> lines carrying an `xlinkvet:confines`
 	// directive: a `go` statement annotated this way launches a goroutine
 	// that constructs every confined structure it drives, so event-loop
@@ -48,13 +43,6 @@ type Package struct {
 // `//xlinkvet:confines` directive.
 func (p *Package) confinesLine(pos token.Position) bool {
 	lines := p.confines[pos.Filename]
-	return lines[pos.Line] || lines[pos.Line-1]
-}
-
-// coldLine reports whether pos sits on (or directly below) an
-// `//xlinkvet:cold` directive.
-func (p *Package) coldLine(pos token.Position) bool {
-	lines := p.colds[pos.Filename]
 	return lines[pos.Line] || lines[pos.Line-1]
 }
 
@@ -387,7 +375,6 @@ func (l *Loader) parseDir(dir, path string) (*Package, error) {
 	pkg := &Package{
 		Path: path, Dir: dir, Fset: l.Fset,
 		ignores:  map[string]map[int][]string{},
-		colds:    map[string]map[int]bool{},
 		confines: map[string]map[int]bool{},
 	}
 	for _, e := range entries {
@@ -406,7 +393,6 @@ func (l *Loader) parseDir(dir, path string) (*Package, error) {
 		}
 		pkg.Files = append(pkg.Files, file)
 		pkg.ignores[fpath] = collectIgnores(l.Fset, file)
-		pkg.colds[fpath] = collectDirectiveLines(l.Fset, file, "xlinkvet:cold")
 		pkg.confines[fpath] = collectDirectiveLines(l.Fset, file, "xlinkvet:confines")
 	}
 	if len(pkg.Files) == 0 {
@@ -465,9 +451,7 @@ func buildableDefault(file *ast.File) bool {
 }
 
 // collectDirectiveLines extracts the lines carrying a line-level directive
-// followed by its stated reason: `xlinkvet:cold` on or right above an if
-// statement makes its then-branch cold for hotalloc (not part of the
-// steady-state hot path), `xlinkvet:confines` on or right above a `go`
+// followed by its stated reason: `xlinkvet:confines` on or right above a `go`
 // statement says the goroutine owns everything confined it touches.
 func collectDirectiveLines(fset *token.FileSet, file *ast.File, directive string) map[int]bool {
 	out := map[int]bool{}

@@ -9,8 +9,7 @@ package vet
 // that tracks the set of sync.Mutex/sync.RWMutex locks held at every
 // statement, plus the module-wide closures over the static call graph
 // (reachable operations, transitively acquired locks, goroutine-reachable
-// functions) that the rules in rules_lock.go consume. The same walk records
-// the allocation sites hotalloc reports.
+// functions) that the rules in rules_lock.go consume.
 //
 // Precision notes, in the direction of the trade-offs taken:
 //
@@ -77,17 +76,6 @@ type callSite struct {
 	callee *types.Func
 	pos    token.Pos
 	held   map[lockID]bool
-	cold   bool // made on an assert.Enabled / xlinkvet:cold branch
-}
-
-// allocSite is one heap-allocation site recorded by the walker: the raw
-// material of the hotalloc rule. Sites on cold branches (assert.Enabled
-// guards, `xlinkvet:cold` annotated ifs) are recorded but pruned from hot
-// reachability.
-type allocSite struct {
-	pos  token.Pos
-	desc string
-	cold bool
 }
 
 // fieldAccess is one read or write of a guardedby-annotated struct field.
@@ -114,11 +102,9 @@ type funcSummary struct {
 	calls      []callSite
 	accesses   []fieldAccess
 	edges      []lockEdge
-	allocs     []allocSite
 	acquires   map[lockID]token.Pos // every lock this function acquires anywhere
 	goTargets  []*types.Func        // static callees launched with `go`
 	goLaunched bool                 // literal launched with `go` at its definition
-	hot        bool                 // declared `// xlinkvet:hot`
 }
 
 // guardInfo is one resolved `xlinkvet:guardedby` field annotation.
@@ -214,7 +200,6 @@ func summarizePackage(cfg *Config, pkg *Package) []*funcSummary {
 			sum := &funcSummary{
 				pkg: pkg, fn: fn, name: declName(decl),
 				acquires: map[lockID]token.Pos{},
-				hot:      hasDirective(decl.Doc, hotDirective),
 			}
 			w := &walker{cfg: cfg, pkg: pkg, sum: sum, out: &sums}
 			w.addParams(decl.Type)
@@ -224,16 +209,6 @@ func summarizePackage(cfg *Config, pkg *Package) []*funcSummary {
 		}
 	}
 	return sums
-}
-
-// hotDirective, on a function declaration, makes it the root of a hot
-// closure (rule hotalloc).
-const hotDirective = "xlinkvet:hot"
-
-// hasDirective reports whether a comment group carries the given directive
-// as a whole word at the start of a comment line.
-func hasDirective(cg *ast.CommentGroup, directive string) bool {
-	return directiveArgs(cg, directive) != nil
 }
 
 // directiveArgs returns the whitespace-separated arguments following the
@@ -276,13 +251,12 @@ func declName(decl *ast.FuncDecl) string {
 type flow struct {
 	held       map[lockID]bool
 	terminated bool
-	cold       bool // inside an assert.Enabled / xlinkvet:cold region
 }
 
 func newFlow() *flow { return &flow{held: map[lockID]bool{}} }
 
 func (f *flow) clone() *flow {
-	c := &flow{held: make(map[lockID]bool, len(f.held)), terminated: f.terminated, cold: f.cold}
+	c := &flow{held: make(map[lockID]bool, len(f.held)), terminated: f.terminated}
 	for k := range f.held {
 		c.held[k] = true
 	}
@@ -302,9 +276,7 @@ func (f *flow) heldSnapshot() map[lockID]bool {
 
 // joinInto merges branch outcomes back into f: the held set becomes the
 // intersection of the non-terminated branches; if every branch terminated,
-// f terminates too. Coldness survives a join only when every live branch is
-// cold — so `if !assert.Enabled { return }` leaves the remainder of the
-// body cold, while an ordinary if rejoins hot.
+// f terminates too.
 func joinInto(f *flow, branches ...*flow) {
 	live := branches[:0:0]
 	for _, b := range branches {
@@ -329,16 +301,8 @@ func joinInto(f *flow, branches ...*flow) {
 			held[k] = true
 		}
 	}
-	cold := true
-	for _, b := range live {
-		if !b.cold {
-			cold = false
-			break
-		}
-	}
 	f.held = held
 	f.terminated = false
-	f.cold = cold
 }
 
 // --- the walker ---
@@ -354,13 +318,6 @@ type walker struct {
 	// these, or through a struct field, is a callback invocation; a call
 	// through a plain local (a helper closure) is not.
 	params map[*types.Var]bool
-
-	// owned marks locals proven to refer to reserved storage (assigned from
-	// a field, parameter, package-level scratch, or a make/append chain over
-	// one): appending to them is amortized growth, not a fresh allocation.
-	// Tracked flow-insensitively in source order — good enough for the
-	// `x := s.scratch[:0]; x = append(x, ...)` idiom the repo uses.
-	owned map[*types.Var]bool
 
 	noChanOps int // >0 while walking a select comm clause (non-blocking there)
 }
@@ -408,7 +365,6 @@ func (w *walker) stmt(s ast.Stmt, f *flow) {
 		for _, e := range s.Lhs {
 			w.expr(e, f)
 		}
-		w.trackOwned(s)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -443,12 +399,6 @@ func (w *walker) stmt(s ast.Stmt, f *flow) {
 		w.expr(s.Cond, f)
 		thenF := f.clone()
 		elseF := f.clone()
-		switch {
-		case w.coldWhen(s.Cond, true) || w.pkg.coldLine(w.pkg.Fset.Position(s.If)):
-			thenF.cold = true
-		case w.coldWhen(s.Cond, false):
-			elseF.cold = true
-		}
 		w.stmt(s.Body, thenF)
 		if s.Else != nil {
 			w.stmt(s.Else, elseF)
@@ -566,7 +516,6 @@ func (w *walker) goStmt(s *ast.GoStmt, f *flow) {
 	for _, a := range s.Call.Args {
 		w.expr(a, f)
 	}
-	w.alloc(s.Go, "goroutine launch", f)
 	// An `xlinkvet:confines` spawn constructs every confined structure it
 	// drives (e.g. a worker running complete self-contained sessions), so it
 	// does not seed the goroutine-reachability set guardedby's confined
@@ -613,35 +562,18 @@ func (w *walker) expr(e ast.Expr, f *flow) {
 				w.op(opBlock, e.OpPos, "channel receive", f)
 			}
 		}
-		if e.Op == token.AND {
-			if _, isLit := unparen(e.X).(*ast.CompositeLit); isLit {
-				w.alloc(e.Pos(), "composite literal allocated on the heap (&T{...})", f)
-			}
-		}
 	case *ast.BinaryExpr:
 		w.expr(e.X, f)
 		w.expr(e.Y, f)
-		if e.Op == token.ADD {
-			if tv, ok := w.pkg.Info.Types[e]; ok && tv.Type != nil && tv.Value == nil && isStringType(tv.Type) {
-				w.alloc(e.OpPos, "string concatenation", f)
-			}
-		}
 	case *ast.SelectorExpr:
 		w.expr(e.X, f)
 		w.access(e.Sel, f)
 	case *ast.FuncLit:
-		w.alloc(e.Pos(), "function literal escapes as a value (closure allocation)", f)
 		w.valueLit(e, false)
 	case *ast.CompositeLit:
 		structLit := false
 		if tv, ok := w.pkg.Info.Types[e]; ok && tv.Type != nil {
 			_, structLit = tv.Type.Underlying().(*types.Struct)
-			switch tv.Type.Underlying().(type) {
-			case *types.Slice:
-				w.alloc(e.Pos(), "slice literal allocation", f)
-			case *types.Map:
-				w.alloc(e.Pos(), "map literal allocation", f)
-			}
 		}
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
@@ -727,13 +659,12 @@ func (w *walker) op(kind opKind, pos token.Pos, desc string, f *flow) {
 // static calls record call sites; calls through function values record
 // callback invocations.
 func (w *walker) call(call *ast.CallExpr, f *flow) {
-	// Type conversions are not calls, but some of them allocate.
+	// Type conversions are not calls.
 	if tv, ok := w.pkg.Info.Types[call.Fun]; ok && tv.IsType() {
 		w.expr(call.Fun, f)
 		for _, a := range call.Args {
 			w.expr(a, f)
 		}
-		w.convAlloc(tv.Type, call, f)
 		return
 	}
 	if id, name := w.lockMethod(call); id != "" {
@@ -772,17 +703,8 @@ func (w *walker) call(call *ast.CallExpr, f *flow) {
 
 	switch obj := callee.(type) {
 	case *types.Builtin:
-		switch obj.Name() {
-		case "panic":
+		if obj.Name() == "panic" {
 			f.terminated = true
-		case "make":
-			w.alloc(call.Pos(), "make allocation", f)
-		case "new":
-			w.alloc(call.Pos(), "new allocation", f)
-		case "append":
-			if len(call.Args) > 0 && !w.ownedSlice(call.Args[0]) {
-				w.alloc(call.Pos(), "append without a proven capacity reservation (base is not owned scratch)", f)
-			}
 		}
 	case *types.Func:
 		w.staticCall(obj, call, f)
@@ -812,16 +734,6 @@ func (w *walker) staticCall(fn *types.Func, call *ast.CallExpr, f *flow) {
 		return // a universe-scope method such as error.Error
 	}
 	switch pkg.Path() {
-	case "fmt":
-		// Every fmt entry point allocates (formatting state, boxing of the
-		// variadic arguments); one site, one record.
-		w.alloc(call.Pos(), "fmt."+fn.Name()+" call", f)
-		return
-	case "errors":
-		if fn.Name() == "New" || fn.Name() == "Join" {
-			w.alloc(call.Pos(), "errors."+fn.Name()+" call", f)
-		}
-		return
 	case "time":
 		if fn.Name() == "Sleep" {
 			w.op(opBlock, call.Pos(), "time.Sleep", f)
@@ -852,247 +764,12 @@ func (w *walker) staticCall(fn *types.Func, call *ast.CallExpr, f *flow) {
 		w.op(opEmit, call.Pos(), "obs trace emit "+fn.Name(), f)
 		return
 	}
-	if sig, ok := fn.Type().(*types.Signature); ok {
-		w.boxingArgs(sig, call, f)
-	}
 	// Module-internal static call (methods included). Interface methods
 	// resolve to *types.Func too but never have a summary; the engine
 	// treats them as leaves.
 	w.sum.calls = append(w.sum.calls, callSite{
-		callee: fn, pos: call.Pos(),
-		held: f.heldSnapshot(), cold: f.cold,
+		callee: fn, pos: call.Pos(), held: f.heldSnapshot(),
 	})
-}
-
-// alloc records one heap-allocation site under the current flow.
-func (w *walker) alloc(pos token.Pos, desc string, f *flow) {
-	w.sum.allocs = append(w.sum.allocs, allocSite{pos: pos, desc: desc, cold: f.cold})
-}
-
-// convAlloc flags allocating type conversions: boxing a concrete value into
-// an interface, and the copying string<->[]byte/[]rune conversions.
-func (w *walker) convAlloc(to types.Type, call *ast.CallExpr, f *flow) {
-	if len(call.Args) != 1 {
-		return
-	}
-	arg := call.Args[0]
-	if types.IsInterface(to.Underlying()) {
-		if w.boxes(to, arg) {
-			w.alloc(call.Pos(), "conversion boxes a concrete value into "+to.String(), f)
-		}
-		return
-	}
-	tv, ok := w.pkg.Info.Types[arg]
-	if !ok || tv.Type == nil || tv.Value != nil {
-		return // constants convert at compile time (static storage)
-	}
-	fromStr, toStr := isStringType(tv.Type), isStringType(to)
-	fromBytes, toBytes := isByteOrRuneSlice(tv.Type), isByteOrRuneSlice(to)
-	if (fromStr && toBytes) || (fromBytes && toStr) {
-		w.alloc(call.Pos(), "string/[]byte conversion copies its operand", f)
-	}
-}
-
-// boxingArgs flags call arguments boxed into interface parameters: a
-// non-pointer-shaped concrete value stored into an interface escapes to the
-// heap. Constants are exempt (the compiler backs them with static storage),
-// as are pointer-shaped values (the pointer itself becomes the interface
-// word).
-func (w *walker) boxingArgs(sig *types.Signature, call *ast.CallExpr, f *flow) {
-	if call.Ellipsis.IsValid() {
-		return // spread of an existing slice: no per-element boxing here
-	}
-	params := sig.Params()
-	n := params.Len()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= n-1:
-			if n == 0 {
-				continue
-			}
-			slice, ok := params.At(n - 1).Type().(*types.Slice)
-			if !ok {
-				continue
-			}
-			pt = slice.Elem()
-		case i < n:
-			pt = params.At(i).Type()
-		default:
-			continue
-		}
-		if !types.IsInterface(pt.Underlying()) {
-			continue
-		}
-		if w.boxes(pt, arg) {
-			w.alloc(arg.Pos(), fmt.Sprintf("argument %d boxed into interface %s", i+1, pt.String()), f)
-		}
-	}
-}
-
-// boxes reports whether storing arg into an interface of type `to`
-// heap-allocates.
-func (w *walker) boxes(to types.Type, arg ast.Expr) bool {
-	tv, ok := w.pkg.Info.Types[arg]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	if tv.Value != nil || tv.IsNil() {
-		return false // constants and nil need no box
-	}
-	t := tv.Type
-	if types.IsInterface(t.Underlying()) {
-		return false // interface-to-interface: the word is copied
-	}
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return false // pointer-shaped: stored directly in the interface word
-	}
-	return true
-}
-
-// ownedSlice reports whether an append base refers to reserved storage: a
-// struct field, a parameter, a package-level variable, or a local that was
-// assigned from one of those (tracked by trackOwned). Appending to owned
-// scratch is amortized growth — the repo's `s.buf = append(s.buf[:0], ...)`
-// recycle idiom — not a per-call allocation.
-func (w *walker) ownedSlice(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		return w.ownedSlice(e.X)
-	case *ast.SliceExpr:
-		return w.ownedSlice(e.X)
-	case *ast.IndexExpr:
-		return w.ownedSlice(e.X)
-	case *ast.SelectorExpr:
-		// A field of anything reachable is retained storage; a package
-		// selector resolves through Uses below.
-		if v, ok := w.pkg.Info.Uses[e.Sel].(*types.Var); ok {
-			return v.IsField() || isPackageLevel(v)
-		}
-		return false
-	case *ast.Ident:
-		v, ok := w.pkg.Info.Uses[e].(*types.Var)
-		if !ok {
-			return false
-		}
-		return v.IsField() || w.params[v] || isPackageLevel(v) || w.owned[v]
-	}
-	return false
-}
-
-// trackOwned updates the walker's owned-local table from one assignment:
-// `x := s.scratch[:0]` (or any owned-slice right-hand side, including an
-// append over one) marks x owned; reassigning from a fresh value clears it.
-func (w *walker) trackOwned(s *ast.AssignStmt) {
-	if len(s.Lhs) != len(s.Rhs) {
-		return
-	}
-	for i, lhs := range s.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		var v *types.Var
-		if s.Tok == token.DEFINE {
-			v, _ = w.pkg.Info.Defs[id].(*types.Var)
-		}
-		if v == nil {
-			v, _ = w.pkg.Info.Uses[id].(*types.Var)
-		}
-		if v == nil {
-			continue
-		}
-		if w.ownedExpr(s.Rhs[i]) {
-			if w.owned == nil {
-				w.owned = map[*types.Var]bool{}
-			}
-			w.owned[v] = true
-		} else {
-			delete(w.owned, v)
-		}
-	}
-}
-
-// ownedExpr reports whether an expression yields owned storage for append
-// purposes: owned slices and their re-slices, append chains over them, and
-// fresh make results (the make itself is the one recorded allocation).
-func (w *walker) ownedExpr(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		return w.ownedExpr(e.X)
-	case *ast.SliceExpr:
-		return w.ownedExpr(e.X)
-	case *ast.CallExpr:
-		if id, ok := unparen(e.Fun).(*ast.Ident); ok {
-			if b, ok := w.pkg.Info.Uses[id].(*types.Builtin); ok {
-				switch b.Name() {
-				case "make":
-					return true
-				case "append":
-					return len(e.Args) > 0 && w.ownedExpr(e.Args[0])
-				}
-			}
-		}
-		return false
-	default:
-		return w.ownedSlice(e)
-	}
-}
-
-func isPackageLevel(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-func isStringType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-func isByteOrRuneSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune ||
-		b.Kind() == types.Uint8 || b.Kind() == types.Int32)
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// coldWhen reports whether cond proves the assert.Enabled debug mode when
-// it evaluates to `val`: `assert.Enabled` is cold-when-true,
-// `!assert.Enabled` is cold-when-false, and a conjunction is cold when
-// either operand is.
-func (w *walker) coldWhen(cond ast.Expr, val bool) bool {
-	switch e := unparen(cond).(type) {
-	case *ast.UnaryExpr:
-		if e.Op == token.NOT {
-			return w.coldWhen(e.X, !val)
-		}
-	case *ast.BinaryExpr:
-		if e.Op == token.LAND && val {
-			return w.coldWhen(e.X, true) || w.coldWhen(e.Y, true)
-		}
-		if e.Op == token.LOR && !val {
-			return w.coldWhen(e.X, false) || w.coldWhen(e.Y, false)
-		}
-	case *ast.SelectorExpr:
-		if obj := w.pkg.Info.Uses[e.Sel]; obj != nil && obj.Pkg() != nil &&
-			obj.Pkg().Name() == "assert" && obj.Name() == "Enabled" {
-			return val
-		}
-	}
-	return false
 }
 
 // netBlocking names the net package calls modeled as blocking I/O. Pure

@@ -1,6 +1,7 @@
 package vet
 
 import (
+	"go/ast"
 	"strings"
 	"testing"
 )
@@ -178,5 +179,43 @@ func TestGoReach(t *testing.T) {
 	confined := sumByName(t, eng, "function literal in ConfinedWorker")
 	if eng.goReach[confined] {
 		t.Fatal("an xlinkvet:confines spawn must not seed goroutine reachability")
+	}
+}
+
+// TestDirectiveArgs pins the annotation grammar parser: bare directives,
+// argument lists, prefix non-matches, and absence.
+func TestDirectiveArgs(t *testing.T) {
+	cg := func(lines ...string) *ast.CommentGroup {
+		g := &ast.CommentGroup{}
+		for _, l := range lines {
+			g.List = append(g.List, &ast.Comment{Text: l})
+		}
+		return g
+	}
+	cases := []struct {
+		name string
+		cg   *ast.CommentGroup
+		dir  string
+		want []string // nil = absent
+	}{
+		{"bare", cg("// xlinkvet:guardedby"), "xlinkvet:guardedby", []string{}},
+		{"after prose", cg("// n counts hits.", "// xlinkvet:guardedby mu"), "xlinkvet:guardedby", []string{"mu"}},
+		{"one arg", cg("// xlinkvet:guardedby ep.mu"), "xlinkvet:guardedby", []string{"ep.mu"}},
+		{"args", cg("// xlinkvet:guardedby confined (reused buffer)"), "xlinkvet:guardedby", []string{"confined", "(reused", "buffer)"}},
+		{"prefix mismatch", cg("// xlinkvet:guardedbyx mu"), "xlinkvet:guardedby", nil},
+		{"absent", cg("// just prose"), "xlinkvet:guardedby", nil},
+		{"nil group", nil, "xlinkvet:guardedby", nil},
+	}
+	for _, tc := range cases {
+		got := directiveArgs(tc.cg, tc.dir)
+		if (got == nil) != (tc.want == nil) || len(got) != len(tc.want) {
+			t.Errorf("%s: directiveArgs = %#v, want %#v", tc.name, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: arg %d = %q, want %q", tc.name, i, got[i], tc.want[i])
+			}
+		}
 	}
 }

@@ -20,22 +20,15 @@
 //     be accessed where the interprocedural summary proves <mu> held
 //     (`confined` marks event-loop-owned state that goroutine-launched paths
 //     must not touch without re-serializing through a lock).
-//   - hotalloc: a function annotated `xlinkvet:hot` — and everything
-//     statically reachable from it — must be allocation-free in the steady
-//     state; make/new, escaping composite literals, unproven append growth,
-//     closures, interface boxing, string concatenation and fmt calls are
-//     flagged with the hot path that reaches them. Sites behind
-//     `assert.Enabled` or an `xlinkvet:cold` branch are pruned.
 //
 // Each rule is here because the mutation audit in DESIGN.md §7
 // (scripts/mutate.sh) found a bug in the real tree that only it catches. A
 // file that does not parse aborts the sweep with the parser's error.
 //
-// The lockheld, guardedby and hotalloc rules run on the interprocedural
-// summary engine in summary.go: per-function summaries of lock transitions,
-// blocking operations, callback invocations, trace emits, guarded-field
-// accesses, allocation sites and static call sites, with module-wide
-// closures over the call graph.
+// The lockheld and guardedby rules run on the interprocedural summary engine
+// in summary.go: per-function summaries of lock transitions, blocking
+// operations, callback invocations, trace emits, guarded-field accesses and
+// static call sites, with module-wide closures over the call graph.
 //
 // Findings can be suppressed per line with `//xlinkvet:ignore <rules>` on
 // the same or the preceding line, where <rules> is a comma-separated rule
@@ -171,7 +164,6 @@ func Run(cfg *Config, pkgs []*Package) []Finding {
 	eng := newEngine(cfg, active)
 	findings = append(findings, checkLockHeld(eng)...)
 	findings = append(findings, checkGuardedBy(eng)...)
-	findings = append(findings, checkHotAlloc(eng)...)
 	findings = append(findings, checkPanicPath(cfg, active)...)
 
 	var kept []Finding

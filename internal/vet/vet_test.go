@@ -58,7 +58,6 @@ func TestFixturesFire(t *testing.T) {
 		{"maprange", "maprange", 1},
 		{"lockheld", "lockheld", 7},
 		{"guardedby", "guardedby", 4},
-		{"hotalloc", "hotalloc", 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {

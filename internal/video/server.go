@@ -73,9 +73,16 @@ func NewServer(conn *transport.Conn, catalog []Video) *Server {
 }
 
 // OnStreamData is the transport callback: accumulate the request line and
-// serve the range when complete.
+// serve the range when complete. The Requester closes its stream after the
+// request line, so the FIN usually arrives alone, after the request was
+// served: a FIN with no data and no pending bytes ends the stream and parses
+// nothing.
 func (s *Server) OnStreamData(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
 	b := s.pending[rs.ID()]
+	if len(data) == 0 && (b == nil || b.Len() == 0) {
+		delete(s.pending, rs.ID())
+		return
+	}
 	if b == nil {
 		b = &strings.Builder{}
 		s.pending[rs.ID()] = b

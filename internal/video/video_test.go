@@ -390,3 +390,46 @@ func TestAllocGateDeliverInOrder(t *testing.T) {
 		t.Fatalf("delivered up to %d, want %d", r.deliverPos, cs.offset+cs.received)
 	}
 }
+
+// TestServerBareFINParsesNothing: the Requester closes each request stream
+// right after the request line, so the FIN usually reaches the server in a
+// packet of its own, after the request was served. That bare FIN ends the
+// stream: it allocates nothing, builds no pending line and parses no request.
+func TestServerBareFINParsesNothing(t *testing.T) {
+	loop := sim.NewLoop()
+	params := wire.DefaultTransportParams()
+	params.EnableMultipath = true
+	pair := transport.NewPair(loop, sim.NewRNG(9),
+		transport.TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond),
+		transport.Config{Params: params, Seed: 1}, transport.Config{Params: params, Seed: 2})
+	v := testVideo()
+	v.Size = 64 << 10
+	player := NewPlayer(v, DefaultPlayerConfig())
+	requester := NewRequester(pair.Client, v, player, DefaultRequesterConfig())
+	server := NewServer(pair.Server, []Video{v})
+	var req *transport.RecvStream
+	bareFINs := 0
+	pair.Server.SetOnStreamData(func(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
+		req = rs
+		if fin && len(data) == 0 {
+			bareFINs++
+		}
+		server.OnStreamData(now, rs, data, fin)
+	})
+	pair.Client.SetOnStreamData(requester.OnStreamData)
+	pair.Client.SetOnHandshakeDone(func(now time.Duration) { requester.Start(now) })
+	if err := pair.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pair.RunUntil(10 * time.Second)
+	if !requester.Done() || bareFINs == 0 || server.Served[v.ID] != v.Size {
+		t.Fatalf("fetch done %v, %d bare FINs, %d of %d bytes served",
+			requester.Done(), bareFINs, server.Served[v.ID], v.Size)
+	}
+	if avg := testing.AllocsPerRun(100, func() { server.OnStreamData(loop.Now(), req, nil, true) }); avg != 0 {
+		t.Fatalf("a bare FIN after a served request allocates %.1f, want 0", avg)
+	}
+	if len(server.pending) != 0 || server.Served[v.ID] != v.Size {
+		t.Fatalf("after the bare FINs: %d pending lines, %d bytes served", len(server.pending), server.Served[v.ID])
+	}
+}

@@ -21,7 +21,7 @@ func (c ConnectionID) String() string { return hex.EncodeToString(c) }
 
 // Clone returns an independent copy.
 func (c ConnectionID) Clone() ConnectionID {
-	//xlinkvet:ignore hotalloc — deliberate defensive copy; called only during CID issuance (once per path)
+	// Called only during CID issuance, once per path.
 	out := make(ConnectionID, len(c))
 	copy(out, c)
 	return out

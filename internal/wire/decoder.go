@@ -30,7 +30,6 @@ type Decoder struct {
 // the frames pointing at them remain valid.
 func slot[T any](slab *[]T) *T {
 	var zero T
-	//xlinkvet:ignore hotalloc — slab growth: capacity reaches the most frames of one type any packet carried and is reused
 	s := append(*slab, zero)
 	*slab = s
 	return &s[len(s)-1]
@@ -131,7 +130,6 @@ func (d *Decoder) parseFrame(b []byte) (Frame, int, error) {
 	case typ == TypeConnectionClose:
 		f, m, err = parseConnectionClose(rest)
 	case typ == TypeHandshakeDone:
-		//xlinkvet:ignore hotalloc — once per connection, allocated individually like every frame type outside the slabs
 		return &HandshakeDoneFrame{}, n, nil
 	case typ == TypeAckMP:
 		af := slot(&d.ackMP)
@@ -150,7 +148,6 @@ func (d *Decoder) parseFrame(b []byte) (Frame, int, error) {
 	case typ == TypeFECRecovered:
 		f, m, err = parseFECRecovered(rest)
 	default:
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: unknown frame type 0x%x", typ)
 	}
 	if err != nil {

@@ -217,7 +217,6 @@ func parseQoE(b []byte) (QoESignal, int, error) {
 	for i := range v {
 		x, n, err := ParseVarint(b[pos:])
 		if err != nil {
-			//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 			return QoESignal{}, 0, fmt.Errorf("wire: qoe field %d: %w", i, err)
 		}
 		v[i] = x

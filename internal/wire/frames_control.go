@@ -77,7 +77,6 @@ func parseDataBlocked(b []byte) (Frame, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &DataBlockedFrame{Limit: v}, n, nil
 }
 
@@ -113,7 +112,6 @@ func parseStreamDataBlocked(b []byte) (Frame, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &StreamDataBlockedFrame{StreamID: id, Limit: v}, n + m, nil
 }
 
@@ -143,10 +141,8 @@ func (f *ResetStreamFrame) String() string {
 }
 
 func parseResetStream(b []byte) (Frame, int, error) {
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &ResetStreamFrame{}
 	pos := 0
-	//xlinkvet:ignore hotalloc — pointer-table literal is ranged over in place and never escapes
 	for _, dst := range []*uint64{&f.StreamID, &f.ErrorCode, &f.FinalSize} {
 		v, n, err := ParseVarint(b[pos:])
 		if err != nil {
@@ -190,7 +186,6 @@ func parseStopSending(b []byte) (Frame, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &StopSendingFrame{StreamID: id, ErrorCode: v}, n + m, nil
 }
 
@@ -225,7 +220,6 @@ func (f *NewConnectionIDFrame) String() string {
 }
 
 func parseNewConnectionID(b []byte) (Frame, int, error) {
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &NewConnectionIDFrame{}
 	seq, n, err := ParseVarint(b)
 	if err != nil {
@@ -245,13 +239,11 @@ func parseNewConnectionID(b []byte) (Frame, int, error) {
 	cidLen := int(b[pos])
 	pos++
 	if cidLen > MaxCIDLen {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: cid too long: %d", cidLen)
 	}
 	if len(b)-pos < cidLen+16 {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f.ConnectionID = append(ConnectionID(nil), b[pos:pos+cidLen]...)
 	pos += cidLen
 	copy(f.ResetToken[:], b[pos:pos+16])
@@ -283,7 +275,6 @@ func parseRetireConnectionID(b []byte) (Frame, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &RetireConnectionIDFrame{Sequence: v}, n, nil
 }
 
@@ -309,7 +300,6 @@ func parsePathChallenge(b []byte) (Frame, int, error) {
 	if len(b) < 8 {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &PathChallengeFrame{}
 	copy(f.Data[:], b[:8])
 	return f, 8, nil
@@ -336,7 +326,6 @@ func parsePathResponse(b []byte) (Frame, int, error) {
 	if len(b) < 8 {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &PathResponseFrame{}
 	copy(f.Data[:], b[:8])
 	return f, 8, nil
@@ -380,9 +369,7 @@ func parseConnectionClose(b []byte) (Frame, int, error) {
 	if uint64(len(b)-pos) < rl {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	reason := string(b[pos : pos+int(rl)])
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &ConnectionCloseFrame{ErrorCode: code, Reason: reason}, pos + int(rl), nil
 }
 
@@ -451,7 +438,6 @@ func (f *PathStatusFrame) String() string {
 }
 
 func parsePathStatus(b []byte) (Frame, int, error) {
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &PathStatusFrame{}
 	pos := 0
 	id, n, err := ParseVarint(b)
@@ -471,7 +457,6 @@ func parsePathStatus(b []byte) (Frame, int, error) {
 		return nil, 0, err
 	}
 	if st > uint64(PathAvailable) {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: invalid path status %d", st)
 	}
 	f.Status = PathState(st)

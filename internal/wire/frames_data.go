@@ -149,7 +149,6 @@ func (f *CryptoFrame) String() string {
 }
 
 func parseCrypto(b []byte) (Frame, int, error) {
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &CryptoFrame{}
 	off, n, err := ParseVarint(b)
 	if err != nil {
@@ -165,7 +164,6 @@ func parseCrypto(b []byte) (Frame, int, error) {
 	if uint64(len(b)-pos) < length {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f.Data = append([]byte(nil), b[pos:pos+int(length)]...)
 	return f, pos + int(length), nil
 }

@@ -90,10 +90,8 @@ func (f *FECWindowFrame) String() string {
 }
 
 func parseFECWindow(b []byte) (Frame, int, error) {
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &FECWindowFrame{}
 	pos := 0
-	//xlinkvet:ignore hotalloc — pointer-table literal is ranged over in place and never escapes
 	for _, dst := range []*uint64{&f.WindowID, &f.StreamID, &f.BaseOffset,
 		&f.DataLen, &f.SymbolSize, &f.Scheme, &f.Repairs} {
 		v, n, err := ParseVarint(b[pos:])
@@ -104,27 +102,21 @@ func parseFECWindow(b []byte) (Frame, int, error) {
 		pos += n
 	}
 	if f.SymbolSize == 0 || f.SymbolSize > MaxFECSymbolSize {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: fec window symbol size %d out of range", f.SymbolSize)
 	}
 	if f.DataLen == 0 || f.DataLen > MaxFECSourceSymbols*f.SymbolSize {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: fec window data length %d out of range", f.DataLen)
 	}
 	if f.BaseOffset+f.DataLen < f.BaseOffset {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: fec window range overflow")
 	}
 	if f.Scheme > FECSchemeRS {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: fec window unknown scheme %d", f.Scheme)
 	}
 	if f.Repairs == 0 || f.Repairs > MaxFECRepairSymbols {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: fec window repair count %d out of range", f.Repairs)
 	}
 	if f.Scheme == FECSchemeXOR && f.Repairs != 1 {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: fec xor window with %d repairs", f.Repairs)
 	}
 	return f, pos, nil
@@ -173,7 +165,6 @@ func parseFECRepair(b []byte) (Frame, int, error) {
 	}
 	pos += n
 	if idx >= MaxFECRepairSymbols {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: fec repair index %d out of range", idx)
 	}
 	length, n, err := ParseVarint(b[pos:])
@@ -182,17 +173,15 @@ func parseFECRepair(b []byte) (Frame, int, error) {
 	}
 	pos += n
 	if length == 0 || length > MaxFECSymbolSize {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: fec repair payload %d out of range", length)
 	}
 	if uint64(len(b)-pos) < length {
 		return nil, 0, ErrTruncated
 	}
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	f := &FECRepairFrame{
 		WindowID: winID,
 		Index:    idx,
-		//xlinkvet:ignore hotalloc — payload copy must outlive the datagram buffer; FEC repair frames are parked past the packet (DESIGN.md §18)
+		// The copy must outlive the datagram buffer: repair frames are parked past the packet (DESIGN.md §18).
 		Data: append([]byte(nil), b[pos:pos+int(length)]...),
 	}
 	return f, pos + int(length), nil
@@ -244,13 +233,10 @@ func parseFECRecovered(b []byte) (Frame, int, error) {
 	}
 	pos += n
 	if length == 0 {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: fec recovered empty range")
 	}
 	if off+length < off {
-		//xlinkvet:ignore hotalloc — malformed-input error path, never taken on well-formed traffic
 		return nil, 0, fmt.Errorf("wire: fec recovered range overflow")
 	}
-	//xlinkvet:ignore hotalloc — frame type outside the decoder's slabs (DESIGN.md §18): allocated individually, the receiver may keep it
 	return &FECRecoveredFrame{StreamID: streamID, Offset: off, Length: length}, pos, nil
 }

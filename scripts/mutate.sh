@@ -39,7 +39,7 @@ mkdir -p "$TREE" "$LOGS"
 	tar --null --ignore-failed-read -T - -cf - 2>/dev/null) | tar -xf - -C "$TREE"
 
 FUZZTIME=30s
-ALLOC_PKGS="./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/wire/ ./internal/transport/ ./internal/obs/ ./internal/video/ ./internal/netem/ ./internal/core/ ./xlink/"
+ALLOC_PKGS="./internal/sim/ ./internal/crypto/ ./internal/rangeset/ ./internal/wire/ ./internal/transport/ ./internal/recovery/ ./internal/obs/ ./internal/video/ ./internal/netem/ ./internal/core/ ./internal/lb/ ./xlink/"
 
 # --- the mutation table ---------------------------------------------------
 
@@ -224,7 +224,8 @@ mut T5 taintsize internal/wire/frames_ack.go "$W" \
 rep(qq~\t\tif uint64(len(b)-pos) < qLen {\n\t\t\treturn 0, ErrTruncated\n\t\t}\n~, '');
 EOF
 
-# hotalloc: nothing reachable from an xlinkvet:hot function allocates.
+# hotalloc (retired: the TestAllocGate* tests are the allocation contract):
+# no per-packet function allocates.
 mut H1 hotalloc internal/transport/path.go "$T" \
 	"buildAckRanges makes a fresh slice per ACK instead of reusing the path's scratch" <<'EOF'
 rep(q~out := p.ackRangesScratch[:0]~, q~out := make([]wire.AckRange, 0, maxRanges)~);

@@ -36,11 +36,9 @@ func (e realEnv) Now() time.Duration { return e.clock.Now() }
 // Schedule implements transport.Env with a timer off the endpoint's free list,
 // restarted for at (DESIGN.md §20). Like every transport call it runs under
 // ep.mu.
-//
-// xlinkvet:hot
 func (e realEnv) Schedule(at time.Duration, fn func(now time.Duration)) func() {
 	ep := e.ep
-	//xlinkvet:cold — free list empty: one timer per high-water mark of timers armed at once
+	// Free list empty: one timer per high-water mark of timers armed at once.
 	if len(ep.timerFree) == 0 {
 		ep.timerFree = append(ep.timerFree, newLiveTimer(ep))
 	}
@@ -213,7 +211,7 @@ var batches sync.Pool
 func (b *callbackBatch) push(cb pendingCallback, data []byte) *callbackBatch {
 	if b == nil {
 		b, _ = batches.Get().(*callbackBatch)
-		//xlinkvet:cold — pool empty: one batch per endpoint with callbacks queued at once
+		// Pool empty: one batch per endpoint with callbacks queued at once.
 		if b == nil {
 			b = new(callbackBatch)
 		}
@@ -588,11 +586,9 @@ const readBufSize = 2048
 var readBufs sync.Pool
 
 // getReadBuf returns a whole read buffer, reused if the pool has one.
-//
-// xlinkvet:hot
 func getReadBuf() []byte {
 	b, _ := readBufs.Get().(*[readBufSize]byte)
-	//xlinkvet:cold — pool empty: one buffer per datagram in flight at the high-water mark since the last collection
+	// Pool empty: one buffer per datagram in flight at the high-water mark since the last collection.
 	if b == nil {
 		b = new([readBufSize]byte)
 	}
@@ -602,8 +598,6 @@ func getReadBuf() []byte {
 // putReadBuf gives a read buffer back to the pool. Under xlinkdebug it is
 // overwritten first, so a consumer that kept the datagram past
 // HandleDatagramBatch reads 0xdb instead of the next datagram.
-//
-// xlinkvet:hot
 func putReadBuf(buf []byte) {
 	whole := (*[readBufSize]byte)(buf[:readBufSize])
 	if assert.Enabled {
@@ -697,13 +691,9 @@ func (g *EventLoopGroup) attach() *eventLoopShard {
 // liveBatchSize), and deliver the turn as per-endpoint batches. This is the
 // per-batch hot loop: its steady state allocates nothing — buffers come
 // from readBufs and the batch scratch is reused across turns.
-//
-// xlinkvet:hot
 func (g *EventLoopGroup) run(sh *eventLoopShard) {
 	defer g.wg.Done()
-	//xlinkvet:ignore hotalloc — per-shard scratch, allocated once at goroutine start and reused every turn
 	batch := make([]rawPacket, 0, liveBatchSize)
-	//xlinkvet:ignore hotalloc — per-shard scratch, allocated once at goroutine start and reused every turn
 	pkts := make([][]byte, 0, liveBatchSize)
 	for {
 		select {
@@ -728,8 +718,6 @@ func (g *EventLoopGroup) run(sh *eventLoopShard) {
 // dispatch splits a turn's packets into contiguous per-endpoint runs,
 // delivers each run under that endpoint's lock, and gives the read buffers
 // back.
-//
-// xlinkvet:hot
 func dispatch(batch []rawPacket, pkts *[][]byte) {
 	i := 0
 	for i < len(batch) {
@@ -751,8 +739,6 @@ func dispatch(batch []rawPacket, pkts *[][]byte) {
 // lock acquisition, grouping contiguous same-interface packets into
 // HandleDatagramBatch calls. Servers resolve the interface index per packet
 // (learnPeerLocked needs ep.mu, which is held here).
-//
-// xlinkvet:hot
 func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 	ep.mu.Lock()
 	now := ep.env.Now()
@@ -763,7 +749,6 @@ func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 		if !isClient {
 			idx = ep.learnPeerLocked(run[i].from)
 		}
-		//xlinkvet:ignore hotalloc — pkts is the shard's per-turn scratch; capacity tops out at liveBatchSize and is reused
 		ps := append((*pkts)[:0], run[i].buf)
 		j := i + 1
 		for j < len(run) {
@@ -774,7 +759,7 @@ func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 			if jdx != idx {
 				break
 			}
-			ps = append(ps, run[j].buf) //xlinkvet:ignore hotalloc — shard scratch; see above
+			ps = append(ps, run[j].buf)
 			j++
 		}
 		ep.conn.HandleDatagramBatch(now, idx, ps) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
@@ -790,8 +775,6 @@ func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 // posted over the handoff channel; the shard gives the buffer back after
 // delivery (see rawPacket). The steady state allocates nothing: the source
 // address comes back by value.
-//
-// xlinkvet:hot
 func (ep *Endpoint) readLoop(netIdx int, sock *net.UDPConn) {
 	sh := ep.shard
 	for {

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/assert"
 )
@@ -85,4 +86,66 @@ func BenchmarkReadBufferTakeReturn(b *testing.B) {
 			}
 		})
 	})
+}
+
+// TestAllocGateLiveShardTurn gates a warm request/response over loopback at
+// the shard turn's budget (scripts/check.sh runs every TestAllocGate*). Each
+// exchange runs every stage of the live receive plane on both endpoints:
+// readLoop takes a buffer from readBufs per datagram and posts it, the shard
+// goroutine drains its turn (EventLoopGroup.run), dispatch groups it by
+// endpoint, deliverBatch hands the run to the transport under one lock, and
+// the buffers go back to the pool. The count is process-wide, so it covers
+// the socket readers and shard goroutines, not just the caller.
+func TestAllocGateLiveShardTurn(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("measures allocations of a pooled path")
+	}
+	if assert.Enabled {
+		t.Skip("xlinkdebug: the transport's per-packet assertions allocate by design")
+	}
+	var server *Endpoint
+	serverReady := make(chan struct{})
+	server, err := Listen("127.0.0.1:0", LiveConfig{
+		Scheme: SchemeXLINK, Seed: 41,
+		OnStreamData: func(_ time.Duration, s *RecvStream, data []byte, _ bool) {
+			<-serverReady
+			server.StreamFor(s.ID()).Write(data) // echo
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(serverReady)
+	defer server.Close()
+	// One send per data callback; an echo may arrive in several, and the
+	// buffer keeps the client's shard from waiting on this goroutine.
+	echoed := make(chan int, 16)
+	client, err := Dial(server.LocalAddrs()[0].String(), []string{"127.0.0.1:0"},
+		[]Technology{TechWiFi}, LiveConfig{
+			Scheme: SchemeXLINK, Seed: 42,
+			OnStreamData: func(_ time.Duration, _ *RecvStream, data []byte, _ bool) { echoed <- len(data) },
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	waitFor(t, 10*time.Second, client.Established, "handshake")
+	st := client.OpenStream()
+	req := make([]byte, 64)
+	exchange := func() {
+		st.Write(req)
+		for n := 0; n < len(req); {
+			n += <-echoed
+		}
+	}
+	for i := 0; i < 64; i++ {
+		exchange()
+	}
+	before := server.Stats().RecvPackets
+	if avg := testing.AllocsPerRun(200, exchange); avg != 0 {
+		t.Fatalf("a warm 64-byte echo over loopback allocates %.1f, want 0", avg)
+	}
+	if got := server.Stats().RecvPackets - before; got < 201 {
+		t.Fatalf("the server received %d datagrams in 201 exchanges", got)
+	}
 }
