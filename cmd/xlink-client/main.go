@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,6 +29,11 @@ func main() {
 		FirstFrameSize: 128 << 10,
 	}
 	player := video.NewPlayer(v, video.DefaultPlayerConfig())
+	// playerMu guards player: data callbacks feed it, the transport reads its
+	// QoE signal whenever it sends an acknowledgement — on a shard or timer
+	// goroutine, also after the last chunk's callback — and main reads the
+	// metrics at the end.
+	var playerMu sync.Mutex
 	start := time.Now()
 
 	type chunkState struct {
@@ -72,8 +78,12 @@ func main() {
 		[]string{"127.0.0.1:0", "127.0.0.1:0"},
 		[]xlink.Technology{xlink.TechWiFi, xlink.TechLTE},
 		xlink.LiveConfig{
-			Scheme:      xlink.SchemeXLINK,
-			QoEProvider: player.QoESignal,
+			Scheme: xlink.SchemeXLINK,
+			QoEProvider: func() xlink.QoESignal {
+				playerMu.Lock()
+				defer playerMu.Unlock()
+				return player.QoESignal()
+			},
 			OnHandshakeDone: func(now time.Duration) {
 				<-ready
 				log.Printf("handshake done in %v", time.Since(start))
@@ -87,7 +97,9 @@ func main() {
 				}
 				c.got += uint64(len(data))
 				delivered.Add(uint64(len(data)))
+				playerMu.Lock()
 				player.OnData(time.Since(start), uint64(len(data)))
+				playerMu.Unlock()
 				if fin {
 					log.Printf("chunk [%d,%d) done in %v", c.offset, c.offset+c.length, time.Since(c.sentAt))
 					issue()
@@ -108,7 +120,9 @@ func main() {
 	case <-time.After(2 * time.Minute):
 		log.Fatalf("timed out with %d of %d bytes", delivered.Load(), v.Size)
 	}
+	playerMu.Lock()
 	m := player.Metrics(time.Since(start))
+	playerMu.Unlock()
 	st := client.Stats()
 	fmt.Printf("downloaded %d bytes in %v\n", delivered.Load(), time.Since(start))
 	fmt.Printf("first-frame latency: %v   startup: %v\n", m.FirstFrameLatency, m.StartupLatency)

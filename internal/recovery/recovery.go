@@ -61,9 +61,9 @@ type Poisoner interface{ Poison() }
 
 // AckResult reports the outcome of processing one ACK frame. The Acked and
 // Lost slices alias per-Space scratch buffers, and the records they name may
-// be recycled after that: both are valid until the next loss-detection call
-// (OnAck, OnLossTimeout, DeclareAllLost, OnPTO) on the same Space and must be
-// copied to be retained.
+// be recycled after that: both are valid until the caller calls Reclaim, or
+// until the next loss-detection call (OnAck, OnLossTimeout, DeclareAllLost,
+// OnPTO) on the same Space, and must be copied to be retained.
 type AckResult struct {
 	// Acked are newly acknowledged packets, ascending by PN.
 	Acked []*SentPacket
@@ -95,10 +95,9 @@ type Space struct {
 	lostScratch  []*SentPacket
 
 	// Record recycling (DESIGN.md §18). retired holds the pooled records gc
-	// trimmed during the current loss-detection call, which the result of
-	// that call may still name; the next such call moves them to free, where
-	// Acquire finds them. peak is the ledger's high-water mark and bounds
-	// free.
+	// trimmed during the last loss-detection call, which the result of that
+	// call may still name; Reclaim moves them to free, where Acquire finds
+	// them. peak is the ledger's high-water mark and bounds free.
 	retired []*SentPacket
 	free    []*SentPacket
 	peak    int
@@ -155,10 +154,13 @@ func (s *Space) Acquire() *SentPacket {
 	return sp
 }
 
-// reclaim frees the records the previous loss-detection call retired: its
-// result has expired, so nothing names them any more. Every loss-detection
-// entry point starts here.
-func (s *Space) reclaim() {
+// Reclaim frees the records the last loss-detection call retired. The caller
+// states that it is done with that call's result: nothing names them any
+// more. The transport calls it as soon as it has reacted to the result, so
+// the next packet sent reuses them; every loss-detection entry point starts
+// with it too, which expires the previous result for a caller that never
+// calls it.
+func (s *Space) Reclaim() {
 	for i, sp := range s.retired {
 		s.retired[i] = nil
 		if len(s.free) >= s.peak {
@@ -175,9 +177,11 @@ func (s *Space) reclaim() {
 	s.retired = s.retired[:0]
 }
 
-// assertLive checks, in xlinkdebug builds, that none of pkts sits on the free
-// list.
-func assertLive(pkts []*SentPacket, what string) {
+// AssertLive checks, in xlinkdebug builds, that none of pkts sits on the free
+// list: a consumer of a loss-detection result calls it on what it is about to
+// react to, so that a record freed before its result was consumed is caught
+// where it is read.
+func AssertLive(pkts []*SentPacket, what string) {
 	if assert.Enabled {
 		for _, sp := range pkts {
 			assert.That(sp.PN != recycledPN, "%s names a recycled packet record", what)
@@ -211,7 +215,7 @@ func (sp *SentPacket) InFlight() bool {
 // next call that mutates the Space.
 func (s *Space) SentFrom(pn uint64) []*SentPacket {
 	from := s.sent[s.search(pn):]
-	assertLive(from, "the ledger")
+	AssertLive(from, "the ledger")
 	return from
 }
 
@@ -277,7 +281,7 @@ func (s *Space) OnAckNoLoss(ranges []wire.AckRange, ackDelay time.Duration, now 
 // trailing loss-detection + gc pass runs now or is deferred to the caller.
 func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.Duration, detect bool) AckResult {
 	var res AckResult
-	s.reclaim()
+	s.Reclaim()
 	if len(ranges) == 0 {
 		return res
 	}
@@ -322,8 +326,8 @@ func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 		res.Lost = s.detectLost(now)
 		s.gc()
 	}
-	assertLive(res.Acked, "AckResult.Acked")
-	assertLive(res.Lost, "AckResult.Lost")
+	AssertLive(res.Acked, "AckResult.Acked")
+	AssertLive(res.Lost, "AckResult.Lost")
 	return res
 }
 
@@ -367,10 +371,10 @@ func (s *Space) detectLost(now time.Duration) []*SentPacket {
 // OnLossTimeout runs time-threshold loss detection when the loss timer
 // fires; it returns newly lost packets.
 func (s *Space) OnLossTimeout(now time.Duration) []*SentPacket {
-	s.reclaim()
+	s.Reclaim()
 	lost := s.detectLost(now)
 	s.gc()
-	assertLive(lost, "the lost list")
+	AssertLive(lost, "the lost list")
 	return lost
 }
 
@@ -408,7 +412,7 @@ func (s *Space) PTODeadline() time.Duration {
 // of the oldest unacked packets whose frames should be probed
 // (retransmitted). The packets are not declared lost.
 func (s *Space) OnPTO(now time.Duration) []*SentPacket {
-	s.reclaim()
+	s.Reclaim()
 	s.ptoCount++
 	s.stats.PTOs++
 	s.lastProbeAt = now
@@ -433,7 +437,7 @@ func (s *Space) OnPTO(now time.Duration) []*SentPacket {
 // returns them. It is used when a path is abandoned or demoted so its
 // stranded data can be rescheduled onto surviving paths.
 func (s *Space) DeclareAllLost(now time.Duration) []*SentPacket {
-	s.reclaim()
+	s.Reclaim()
 	lost := s.lostScratch[:0]
 	for _, sp := range s.sent {
 		if sp.acked || sp.declaredLost || !sp.AckEliciting {
@@ -459,7 +463,7 @@ func (s *Space) PTOCount() int { return s.ptoCount }
 // gc trims fully resolved packets from the front of the send history,
 // shifting the retained tail down in place. SentFrom can no longer reach a
 // trimmed record, but the result of the loss-detection call gc runs in may
-// name it, so pooled ones are retired here and freed by the next reclaim.
+// name it, so pooled ones are retired here and freed by the next Reclaim.
 func (s *Space) gc() {
 	i := 0
 	for i < len(s.sent) && (s.sent[i].acked || s.sent[i].declaredLost) {
@@ -468,7 +472,7 @@ func (s *Space) gc() {
 		}
 		i++
 	}
-	assertLive(s.sent, "the ledger")
+	AssertLive(s.sent, "the ledger")
 	if i > 0 {
 		n := copy(s.sent, s.sent[i:])
 		for j := n; j < len(s.sent); j++ {

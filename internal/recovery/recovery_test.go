@@ -451,10 +451,37 @@ func TestRecordRecycledAfterResultExpires(t *testing.T) {
 	}
 }
 
+// TestReclaimFreesTheResultsRecords: a caller done with a loss-detection
+// result frees the records that call retired itself, with Reclaim, and the
+// next Acquire — with no loss-detection call in between — hands one out
+// again. This is how the transport's response to an ACK reuses the records
+// the ACK resolved.
+func TestReclaimFreesTheResultsRecords(t *testing.T) {
+	s := NewSpace(cc.NewRTTEstimator())
+	rec := acquireAndSend(s, 0)
+	res := s.OnAck([]wire.AckRange{{Smallest: 0, Largest: 0}}, 0, 10*time.Millisecond)
+	if len(res.Acked) != 1 || res.Acked[0] != rec || len(s.free) != 0 {
+		t.Fatalf("acked %d, free list %d", len(res.Acked), len(s.free))
+	}
+	s.Reclaim()
+	if assert.Enabled && rec.PN != recycledPN {
+		t.Fatalf("record freed by Reclaim not poisoned: PN %#x", rec.PN)
+	}
+	if again := s.Acquire(); again != rec || len(s.free) != 0 {
+		t.Fatalf("Acquire after Reclaim did not reuse the record (free list %d)", len(s.free))
+	}
+	s.Reclaim() // nothing retired: a no-op
+	if len(s.free) != 0 {
+		t.Fatalf("a second Reclaim freed %d records", len(s.free))
+	}
+}
+
 // TestFreeListBoundedByPeakTracked drives a 32 MiB session's worth of packets
 // (24 000 of them) through one Space on an ack clock with reordering losses,
-// windows growing and shrinking: the free list never exceeds the ledger's
-// high-water mark, and all but that many packets ride a recycled record.
+// windows growing and shrinking, reclaiming each result once it is read, as
+// the transport does: the free list never exceeds the ledger's high-water
+// mark, and no more records are ever made than that mark — every other packet
+// rides a recycled one.
 func TestFreeListBoundedByPeakTracked(t *testing.T) {
 	s := NewSpace(cc.NewRTTEstimator())
 	const total = 24_000
@@ -488,6 +515,7 @@ func TestFreeListBoundedByPeakTracked(t *testing.T) {
 		}
 		res := s.OnAck(ranges, 0, now)
 		acked += uint64(len(res.Acked))
+		s.Reclaim()
 		if len(s.free) > s.peak || s.peak != ledgerPeak {
 			t.Fatalf("at PN %d: free list %d, peak %d, observed ledger peak %d", s.PeekPN(), len(s.free), s.peak, ledgerPeak)
 		}
@@ -497,7 +525,7 @@ func TestFreeListBoundedByPeakTracked(t *testing.T) {
 	if len(s.free) > s.peak || len(s.SentFrom(0)) != 0 {
 		t.Fatalf("after the session: free list %d, peak %d, ledger %d", len(s.free), s.peak, len(s.SentFrom(0)))
 	}
-	if len(records) > 2*ledgerPeak || acked < total*9/10 {
+	if len(records) > ledgerPeak || acked < total*9/10 {
 		t.Fatalf("%d packets (%d acked) used %d records, ledger peak %d", total, acked, len(records), ledgerPeak)
 	}
 	t.Logf("%d packets, %d acked, ledger peak %d, %d records ever allocated, %d free at the end", total, acked, ledgerPeak, len(records), len(s.free))

@@ -237,6 +237,9 @@ type Conn struct {
 	timerAt, timerDue   time.Duration
 	inSend              bool
 	secondaryTimerArmed bool
+	// held marks a hold (Hold/Release): every send pass and timer re-arm is
+	// deferred, and passOwed records that one was asked for meanwhile.
+	held, passOwed bool
 	// onTimerFn is c.onTimer bound once, so re-arming the timer does not
 	// build a new method value per packet.
 	onTimerFn func(now time.Duration)
@@ -531,6 +534,27 @@ func (c *Conn) deriveSessionKeys(clientRandom, serverRandom []byte) error {
 		return err
 	}
 	return nil
+}
+
+// Hold defers the connection's send passes and timer re-arms until Release
+// (DESIGN.md §16, the live turn). While it is held, wakeSend, the trailing
+// pass of HandleDatagram and HandleDatagramBatch and the timer's pass only
+// note that a pass is owed, so the frames that several calls queue leave
+// together. The simulator never holds a connection; a live endpoint holds
+// its connection for a shard turn.
+func (c *Conn) Hold() { c.held = true }
+
+// Release ends a hold and runs the pass it deferred, if one was owed: one
+// maybeSend and one rearmTimer, however many calls asked for a pass.
+// Releasing a connection that is not held does nothing.
+func (c *Conn) Release() {
+	c.held = false
+	if !c.passOwed {
+		return
+	}
+	c.passOwed = false
+	c.maybeSend(c.env.Now())
+	c.rearmTimer()
 }
 
 // HandleDatagram ingests a received UDP payload that arrived on local
@@ -1313,8 +1337,13 @@ func (c *Conn) processAck(now time.Duration, target *Path, ranges []wire.AckRang
 
 // handleLost reacts to packets declared lost on a path. fallbackTrigger
 // attributes bulk declarations (DeclareAllLost leaves SentPacket.LostTrigger
-// empty) in the trace: "pto" or "evacuated".
+// empty) in the trace: "pto" or "evacuated". It is the last reader of every
+// loss-detection result on p.Space — processAck has walked the acked list
+// before it, flushAckDirty and the timer's loss and PTO paths hand it the lost
+// list and touch no record after — so it frees the records that call retired
+// (DESIGN.md §18): the send pass it may wake, and the next one, reuse them.
 func (c *Conn) handleLost(now time.Duration, p *Path, lost []*recovery.SentPacket, fallbackTrigger string) {
+	recovery.AssertLive(lost, "the lost list handleLost reacts to")
 	for _, sp := range lost {
 		trigger := sp.LostTrigger
 		if trigger == "" {
@@ -1345,6 +1374,7 @@ func (c *Conn) handleLost(now time.Duration, p *Path, lost []*recovery.SentPacke
 			c.ctrlQ = append(c.ctrlQ, ctrlItem{frame: f, pathID: pathID, reliable: true})
 		}
 	}
+	p.Space.Reclaim()
 	if len(lost) > 0 {
 		c.tr.MetricsUpdated(now, p.ID, p.CC.Window(),
 			p.CC.BytesInFlight(), p.CC.InSlowStart(), p.RTT.Smoothed())

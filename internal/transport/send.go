@@ -15,7 +15,8 @@ func (c *Conn) shortHeaderOverhead() int {
 
 // wakeSend requests a send pass. Safe to call from any handler; the pass
 // runs inline unless we are already inside one, or inside a receive batch
-// — HandleDatagramBatch runs exactly one pass at batch end instead.
+// — HandleDatagramBatch runs exactly one pass at batch end instead — or the
+// connection is held, when Release runs it.
 func (c *Conn) wakeSend() {
 	if c.inSend || c.inBatch || c.state >= stateClosing {
 		return
@@ -28,8 +29,12 @@ func (c *Conn) wakeSend() {
 }
 
 // maybeSend drains acknowledgements and data while congestion windows and
-// data allow.
+// data allow. On a held connection it only notes the pass for Release.
 func (c *Conn) maybeSend(now time.Duration) {
+	if c.held {
+		c.passOwed = true
+		return
+	}
 	if c.inSend || c.state != stateEstablished || c.txSealer == nil {
 		return
 	}
@@ -1098,8 +1103,13 @@ func (c *Conn) maybeSendStandaloneQoE(now time.Duration) {
 // delayed ACK's deadline on a newer packet), and a timer that fires early
 // costs one onTimer call that re-schedules itself, so a pending timer at or
 // before timerDue is left alone. Only no timer, or a pending one after the
-// deadline, costs a Schedule (and a cancel).
+// deadline, costs a Schedule (and a cancel). On a held connection the re-arm
+// waits for Release, which runs it after the pass it owes.
 func (c *Conn) rearmTimer() {
+	if c.held {
+		c.passOwed = true
+		return
+	}
 	if c.state == stateClosed {
 		c.cancelTimer()
 		return

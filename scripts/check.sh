@@ -67,17 +67,21 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # state that ends with the stream (§17): 20 000 exchanges held to the streams
 # open, frames for forgotten streams ignored, FEC-repaired and reset streams
 # retired — with the assertion that a stream leaves only with nothing in
-# flight or queued, and that every chunk cut finds its stream.
+# flight or queued, and that every chunk cut finds its stream. And a packet
+# record reused by the pass right after the ACK that resolved it (§18): warm
+# request/response exchanges take no new record.
 step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
-	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
+	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference|TestAllocGateRecordReusedByNextPass'
 # Frame and packet-record ownership (DESIGN.md §18) with assertions and the
 # race detector on: a recycled record is poisoned and must not be named by an
-# AckResult, the ledger or a SentFrom result; the free list stays within the
-# ledger's high-water mark; a warm decoder agrees with the package-level
-# parsers over the fuzz corpora. The lossy two-path session that exercises
-# recycling end to end is TestStreamMemoryBoundedByWindow above.
+# AckResult, the ledger or a SentFrom result; Reclaim frees a consumed
+# result's records at once; the free list, and every record ever made, stay
+# within the ledger's high-water mark; a warm decoder agrees with the
+# package-level parsers over the fuzz corpora. The lossy two-path session that
+# exercises recycling end to end is TestStreamMemoryBoundedByWindow above, and
+# TestAllocGateRecordReusedByNextPass there holds the reuse at zero new records.
 step go test -race -tags xlinkdebug -count=1 ./internal/recovery/ ./internal/wire/ \
-	-run 'TestRecordRecycledAfterResultExpires|TestFreeListBoundedByPeakTracked|TestDecoderMatchesPackageLevel'
+	-run 'TestRecordRecycledAfterResultExpires|TestReclaimFreesTheResultsRecords|TestFreeListBoundedByPeakTracked|TestDecoderMatchesPackageLevel'
 # Trace determinism: the same (scenario, seed) must reproduce the committed
 # golden NDJSON trace byte for byte (-count=1 defeats the test cache so the
 # gate re-runs even when nothing changed).
@@ -91,8 +95,10 @@ step go test -count=1 ./internal/chaos/ -run TestGoldenTrace
 # group that holds no read buffer, and a datagram kept past its batch that
 # reads poison; and deferred data callbacks that read the endpoint's copy, in
 # order, while another goroutine writes, with the copy's arena given back at
-# Close.
-step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestIdleGroupHoldsNoReadBuffers|TestKeptReadBufferReadsPoison|TestLiveDataCallbacksKeepOrderAndContent|TestCloseGivesTheArenaBack'
+# Close; and the shard turn: a tiny exchange in one datagram each way, a
+# callback that writes 200 streams in its turn without posting a wake to its
+# own shard, and bytes written just before Endpoint.Close that still arrive.
+step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestIdleGroupHoldsNoReadBuffers|TestKeptReadBufferReadsPoison|TestLiveDataCallbacksKeepOrderAndContent|TestCloseGivesTheArenaBack|TestLiveTinyExchangeOneDatagramEachWay|TestLiveCallbackWritesManyStreamsInOneTurn|TestLiveWriteBeforeCloseReachesPeer'
 # Allocation gates (DESIGN.md §7, §11): the one allocation contract; DESIGN.md
 # §7 maps every gate to the per-packet functions it drives. Warm paths must
 # hold their alloc/op budgets — zero for sim timers, crypto seal/open,
@@ -108,7 +114,8 @@ step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEvent
 # carrying a 16-packet batch (§19), a sim timer armed and cancelled through
 # the cancel its node binds once (§19), a live timer armed and cancelled or
 # fired on a warm free list (§20), a live data callback queued and run and a
-# warm request/response through the live shard turn over loopback (§16); the
+# warm request/response through the live shard turn over loopback (§16), a
+# packet record that the send pass after its ACK reuses (§18); the
 # queued frames for a closed FEC window; a fixed ceiling for a FEC decode,
 # the transport round trip through the emulator, the batched 16-packet
 # receive with ACKs, and a whole 4 MiB session per server packet (the

@@ -332,6 +332,19 @@ mut E3 loaderr internal/assert/assert_on.go "./internal/assert/ ./internal/trans
 rep(q~func That(cond bool, format string, args ...any) {~, q~func That(cond bool, format string, args ...any {~);
 EOF
 
+# recycle (no rule): a packet record is freed only once the loss-detection
+# result that names it has been consumed (DESIGN.md §18). Under xlinkdebug a
+# freed record is poisoned, and recovery.AssertLive on every result and on the
+# lost list handleLost reads is the check.
+mut R1 recycle internal/transport/conn.go "$T" \
+	"processAck frees the records its ACK retired before handleLost has reacted to the lost list" <<'EOF'
+rep(qq~\tc.handleLost(now, target, res.Lost, "time")\n~, qq~\ttarget.Space.Reclaim()\n\tc.handleLost(now, target, res.Lost, "time")\n~);
+EOF
+mut R2 recycle internal/recovery/recovery.go "./internal/recovery/ ./internal/transport/" \
+	"OnAck frees the records gc retired before it returns the result that names them" <<'EOF'
+rep(qq~\t\tres.Lost = s.detectLost(now)\n\t\ts.gc()\n~, qq~\t\tres.Lost = s.detectLost(now)\n\t\ts.gc()\n\t\ts.Reclaim()\n~);
+EOF
+
 # --- running one mutation -------------------------------------------------
 
 apply() { # file, perl body: edit in place, fail if the edit does not apply
@@ -498,6 +511,8 @@ for class in $(for id in "${SELECTED[@]}"; do echo "${CLASS[$id]}"; done | awk '
 	done
 	if live "$class"; then
 		echo "| $class | $tried | $caught | ${sole:-—} | ${misses:-—} |"
+	elif [ "$class" = recycle ]; then
+		echo "| $class (no rule) | $tried | — | — | caught by:${misses:- nothing} |"
 	else
 		echo "| $class (retired) | $tried | — | — | caught now by:${misses:- nothing to catch} |"
 	fi

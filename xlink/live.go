@@ -85,7 +85,8 @@ func (lt *liveTimer) start(d time.Duration) {
 // fire is the time.AfterFunc callback. Timer callbacks are the transport's
 // own event-loop turns: they run under the endpoint lock like every other
 // entry point, and anything user-visible they produce is deferred through
-// cbQ.
+// cbQ. One that fires while the connection is held — a wake posted, or a
+// shard turn open — joins that turn: its send pass runs at the release.
 func (lt *liveTimer) fire() {
 	ep := lt.ep
 	ep.mu.Lock()
@@ -149,12 +150,16 @@ type Endpoint struct {
 	// closed gates the one-shot scorecard emission at Close.
 	closed bool // xlinkvet:guardedby mu
 	done   chan struct{}
+	// held records that the endpoint holds its connection (transport
+	// Conn.Hold) for a shard turn: the one open now, or the one a user call
+	// posted a wake for. The turn's end releases it (DESIGN.md §16).
+	held bool // xlinkvet:guardedby mu
 	// cbQ holds user callbacks raised while the lock was held; they run
 	// after release so they may re-enter the endpoint. It is borrowed from
 	// batches while callbacks are queued and nil otherwise, so an idle
 	// endpoint holds no queue. flushing marks the goroutine currently
-	// draining cbQ so a second flusher (each readLoop, the timer goroutine,
-	// and every API entry point flush) cannot pop a later callback and run it
+	// draining cbQ so a second flusher (every shard turn, the timer
+	// goroutines, Dial and Close flush) cannot pop a later callback and run it
 	// ahead of an earlier one — user callbacks must observe stream data in
 	// delivery order.
 	cbQ      *callbackBatch // xlinkvet:guardedby mu
@@ -316,7 +321,9 @@ func (st Stream) ID() uint64 {
 	return st.s.ID()
 }
 
-// Write queues data for sending.
+// Write queues data for sending. The data leaves at the end of the shard turn
+// the call joins (see joinTurnLocked), together with whatever else the turn
+// queued, not before Write returns.
 //
 // The lockheld suppressions on the transport calls below (and in Close,
 // AbandonPath, readLoop, Dial and Endpoint.Close) share one justification:
@@ -328,17 +335,17 @@ func (st Stream) ID() uint64 {
 // never installed in live mode.
 func (st Stream) Write(data []byte) {
 	st.ep.mu.Lock()
+	st.ep.joinTurnLocked()
 	st.s.Write(data) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
 	st.ep.mu.Unlock()
-	st.ep.flushCallbacks()
 }
 
 // WriteFrame queues one video frame with a priority.
 func (st Stream) WriteFrame(data []byte, prio int) {
 	st.ep.mu.Lock()
+	st.ep.joinTurnLocked()
 	st.s.WriteFrame(data, prio) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
 	st.ep.mu.Unlock()
-	st.ep.flushCallbacks()
 }
 
 // SetPriority sets the stream priority.
@@ -348,20 +355,21 @@ func (st Stream) SetPriority(p int) {
 	st.ep.mu.Unlock()
 }
 
-// Close marks the stream finished after all queued data.
+// Close marks the stream finished after all queued data. Like Write, it
+// joins a shard turn: a Write and a Close made in a row leave together.
 func (st Stream) Close() {
 	st.ep.mu.Lock()
+	st.ep.joinTurnLocked()
 	st.s.Close() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
 	st.ep.mu.Unlock()
-	st.ep.flushCallbacks()
 }
 
 // Reset abandons the stream with an error code.
 func (st Stream) Reset(code uint64) {
 	st.ep.mu.Lock()
+	st.ep.joinTurnLocked()
 	st.s.Reset(code) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
 	st.ep.mu.Unlock()
-	st.ep.flushCallbacks()
 }
 
 // RecvStream is the receiving half of a stream.
@@ -377,7 +385,8 @@ type LiveConfig struct {
 	PSK []byte
 	// OnStreamData receives in-order stream data. data is valid for the call
 	// only: the endpoint reuses its buffer once the callback returns, so a
-	// callback that keeps bytes copies them.
+	// callback that keeps bytes copies them. What a callback writes on its
+	// endpoint leaves after it returns, with the rest of its shard turn.
 	OnStreamData func(now time.Duration, s *RecvStream, data []byte, fin bool)
 	// OnStreamOpen announces peer-initiated streams.
 	OnStreamOpen func(now time.Duration, s *RecvStream)
@@ -616,7 +625,8 @@ const liveBatchSize = 16
 // shard. buf is a read buffer from readBufs: the shard gives it back after
 // the batch is delivered, and the transport's receive boundary (see
 // transport.DatagramSender's ownership note) guarantees the connection does
-// not retain it past HandleDatagramBatch.
+// not retain it past HandleDatagramBatch. A rawPacket with no buf is a wake:
+// a user call asking for a turn of its endpoint (joinTurnLocked).
 type rawPacket struct {
 	ep   *Endpoint
 	sock int // receiving socket's netIdx (client); servers resolve per packet
@@ -730,28 +740,45 @@ func dispatch(batch []rawPacket, pkts *[][]byte) {
 		i = j
 	}
 	for k := range batch {
-		putReadBuf(batch[k].buf)
+		if batch[k].buf != nil {
+			putReadBuf(batch[k].buf)
+		}
 		batch[k] = rawPacket{}
 	}
 }
 
-// deliverBatch ingests one endpoint's run of raw packets under a single
-// lock acquisition, grouping contiguous same-interface packets into
-// HandleDatagramBatch calls. Servers resolve the interface index per packet
-// (learnPeerLocked needs ep.mu, which is held here).
+// deliverBatch runs one turn of an endpoint (DESIGN.md §16): it holds the
+// connection, ingests the run of raw packets under a single lock
+// acquisition — contiguous same-interface packets as one HandleDatagramBatch
+// call, wakes skipped — runs the user callbacks the packets raised, and then
+// releases the hold. The send pass that every packet, callback and user call
+// in the turn asked for runs once, at the release, so an ACK, the response a
+// callback wrote and its FIN leave in one datagram. Servers resolve the
+// interface index per packet (learnPeerLocked needs ep.mu, which is held
+// here).
 func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 	ep.mu.Lock()
+	if !ep.held {
+		ep.held = true
+		ep.conn.Hold() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
+	}
 	now := ep.env.Now()
 	isClient := ep.conn.IsClient()
-	i := 0
-	for i < len(run) {
+	for i := 0; i < len(run); {
+		if run[i].buf == nil {
+			i++ // a wake: the turn itself is what it asked for
+			continue
+		}
 		idx := run[i].sock
 		if !isClient {
 			idx = ep.learnPeerLocked(run[i].from)
 		}
 		ps := append((*pkts)[:0], run[i].buf)
 		j := i + 1
-		for j < len(run) {
+		for ; j < len(run); j++ {
+			if run[j].buf == nil {
+				continue
+			}
 			jdx := run[j].sock
 			if !isClient {
 				jdx = ep.learnPeerLocked(run[j].from)
@@ -760,7 +787,6 @@ func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 				break
 			}
 			ps = append(ps, run[j].buf)
-			j++
 		}
 		ep.conn.HandleDatagramBatch(now, idx, ps) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
 		*pkts = ps[:0]
@@ -768,6 +794,40 @@ func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 	}
 	ep.mu.Unlock()
 	ep.flushCallbacks()
+	ep.mu.Lock()
+	ep.releaseLocked() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
+	ep.mu.Unlock()
+}
+
+// joinTurnLocked makes the user call about to drive the connection part of a
+// shard turn, so that its send pass runs once, at the turn's release, on the
+// shard goroutine. A call made while a turn is open — a callback's write —
+// or while a posted wake is pending joins that turn. Otherwise the call holds
+// the connection and posts a wake, a rawPacket with no buffer, to the
+// endpoint's shard: it costs a channel slot and no allocation. The post never
+// blocks: the caller may be the shard's own goroutine (a callback writing to
+// another endpoint on the same shard), which a full channel would deadlock,
+// so a full channel leaves the call unheld, and it sends before it returns.
+// A closed endpoint takes no hold: its shard may be gone.
+func (ep *Endpoint) joinTurnLocked() {
+	if ep.held || ep.closed {
+		return
+	}
+	select {
+	case ep.shard.in <- rawPacket{ep: ep}:
+		ep.held = true
+		ep.conn.Hold() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
+	default:
+	}
+}
+
+// releaseLocked ends the endpoint's hold, if it has one, running the send
+// pass the turn owes.
+func (ep *Endpoint) releaseLocked() {
+	if ep.held {
+		ep.held = false
+		ep.conn.Release() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
+	}
 }
 
 // readLoop pumps one socket into the endpoint's shard. It owns no
@@ -832,9 +892,9 @@ func (ep *Endpoint) StreamFor(id uint64) Stream {
 // app detected that Wi-Fi was switched off (Sec 6, "Path close").
 func (ep *Endpoint) AbandonPath(id uint64) {
 	ep.mu.Lock()
+	ep.joinTurnLocked()
 	ep.conn.AbandonPath(id) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
 	ep.mu.Unlock()
-	ep.flushCallbacks()
 }
 
 // Established reports handshake completion.
@@ -944,6 +1004,8 @@ func (ep *Endpoint) LocalAddrs() []net.Addr {
 func (ep *Endpoint) Close() {
 	ep.mu.Lock()
 	if ep.conn != nil {
+		// What a held call queued leaves before CONNECTION_CLOSE.
+		ep.releaseLocked() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
 		if !ep.closed {
 			ep.closed = true
 			card := ep.scorecardLocked()

@@ -231,3 +231,31 @@ func BenchmarkLiveFleetEndpoints(b *testing.B) {
 	}
 	b.StopTimer()
 }
+
+// BenchmarkLiveTinyExchange prices one tiny exchange over loopback end to
+// end — a 64 B request and its FIN from the calling goroutine, a 1 000 B
+// response and its FIN from the server's data callback — and reports what
+// allocs_per_pkt hides by dividing by server datagrams: datagrams per
+// exchange on each side and allocations per exchange, counted process-wide
+// (socket readers, shard goroutines and timers included).
+func BenchmarkLiveTinyExchange(b *testing.B) {
+	tp := newTinyPair(b, 71)
+	req := make([]byte, 64)
+	for i := 0; i < 16; i++ {
+		tp.exchange(b, req)
+	}
+	srv0, cli0 := tp.server.Stats().SentPackets, tp.client.Stats().SentPackets
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tp.exchange(b, req)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	n := float64(b.N)
+	b.ReportMetric(float64(tp.server.Stats().SentPackets-srv0)/n, "server-dgrams/exchange")
+	b.ReportMetric(float64(tp.client.Stats().SentPackets-cli0)/n, "client-dgrams/exchange")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/n, "allocs/exchange")
+}
