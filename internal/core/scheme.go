@@ -53,8 +53,6 @@ type Options struct {
 	// Thresholds are the double-thresholding parameters; zero means the
 	// paper's recommended (95, 80)-calibrated defaults (DefaultThresholds).
 	Thresholds qoe.Thresholds
-	// AckPolicy selects the ACK_MP return path (default min-RTT).
-	AckPolicy transport.AckPolicy
 	// ReinjectionMode overrides the scheme's re-injection mode;
 	// ReinjectNone means "use the scheme default".
 	ReinjectionMode transport.ReinjectionMode
@@ -69,8 +67,6 @@ type Options struct {
 	CoupledCC bool
 	// QoEFeedbackInterval throttles client QoE piggybacks.
 	QoEFeedbackInterval time.Duration
-	// Extrapolate controls Δt extrapolation in the controller.
-	DisableExtrapolation bool
 }
 
 // DefaultThresholds is a production-flavoured setting: re-inject urgently
@@ -95,11 +91,7 @@ func New(s Scheme, opts Options) *XLINK {
 	if !th.Valid() || th == (qoe.Thresholds{}) {
 		th = DefaultThresholds
 	}
-	ctrl := qoe.NewController(th)
-	if opts.DisableExtrapolation {
-		ctrl.SetExtrapolation(false)
-	}
-	return &XLINK{Scheme: s, Options: opts, Controller: ctrl}
+	return &XLINK{Scheme: s, Options: opts, Controller: qoe.NewController(th)}
 }
 
 // reinjectionMode returns the transport mode for the scheme.
@@ -132,7 +124,6 @@ func (x *XLINK) ServerConfig(seed int64) transport.Config {
 		Params:          params,
 		Seed:            seed,
 		CCAlgorithm:     x.Options.CCAlgorithm,
-		AckPolicy:       x.Options.AckPolicy,
 		ReinjectionMode: x.reinjectionMode(),
 	}
 	if x.Options.CoupledCC {
@@ -160,7 +151,6 @@ func (x *XLINK) ClientConfig(seed int64) transport.Config {
 		Params:              params,
 		Seed:                seed,
 		CCAlgorithm:         x.Options.CCAlgorithm,
-		AckPolicy:           x.Options.AckPolicy,
 		QoEFeedbackInterval: x.Options.QoEFeedbackInterval,
 	}
 	if x.Scheme == SchemeVanillaMP {

@@ -118,6 +118,15 @@ func (l *Loop) Fired() uint64 { return l.fired }
 // Pending returns the number of events still scheduled.
 func (l *Loop) Pending() int { return len(l.heap) }
 
+// Next returns the instant of the earliest pending event, and false when
+// none is pending.
+func (l *Loop) Next() (time.Duration, bool) {
+	if len(l.heap) == 0 {
+		return 0, false
+	}
+	return l.heap[0].at, true
+}
+
 // At schedules fn to run at the absolute virtual time at. Events scheduled
 // in the past run at the current time, never rewinding the clock.
 func (l *Loop) At(at time.Duration, fn Event) Timer {

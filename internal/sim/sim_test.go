@@ -95,12 +95,18 @@ func TestRunUntil(t *testing.T) {
 	if l.Now() != 5*time.Second {
 		t.Fatalf("clock = %v, want 5s", l.Now())
 	}
+	if at, ok := l.Next(); !ok || at != 6*time.Second {
+		t.Fatalf("Next() = %v, %v; want 6s, true", at, ok)
+	}
 	l.RunUntil(20 * time.Second)
 	if n != 10 {
 		t.Fatalf("fired %d events, want 10", n)
 	}
 	if l.Now() != 20*time.Second {
 		t.Fatalf("clock = %v, want 20s (advance past last event)", l.Now())
+	}
+	if _, ok := l.Next(); ok {
+		t.Fatal("Next() reports a pending event on an empty loop")
 	}
 }
 

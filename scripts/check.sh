@@ -90,8 +90,8 @@ step go test -count=1 ./internal/chaos/ -run TestGoldenTrace
 # §16): socket readers posting to shard channels, shard goroutines batching
 # into the transports, foreign-goroutine writers and endpoint/group shutdown
 # all interleaving over real UDP, with every read buffer poisoned as it goes
-# back to the process-wide pool; and the endpoint's recycled timers (§20)
-# under cancel, re-arm and Close storms, stale callbacks included; an idle
+# back to the process-wide pool; and the endpoint's timer loop and wall alarm
+# (§20) under cancel, re-arm and Close storms, fired in alarm turns; an idle
 # group that holds no read buffer, and a datagram kept past its batch that
 # reads poison; and deferred data callbacks that read the endpoint's copy, in
 # order, while another goroutine writes, with the copy's arena given back at

@@ -175,8 +175,8 @@ mut L2 lockheld xlink/live.go "$X" \
 rep(qq~\t\t\tep.mu.Unlock()\n\t\t\tep.run(cb, data)\n\t\t\tep.mu.Lock()\n~, qq~\t\t\tep.run(cb, data)\n~);
 EOF
 mut L3 lockheld xlink/live.go "$X" \
-	"the timer body calls flushCallbacks before it unlocks ep.mu (self-deadlock)" <<'EOF'
-rep(qq~\tep.mu.Unlock()\n\tep.flushCallbacks()\n}\n\n// stop cancels~, qq~\tep.flushCallbacks()\n\tep.mu.Unlock()\n}\n\n// stop cancels~);
+	"the shard turn whose advance ran the due timers calls flushCallbacks before it unlocks ep.mu (self-deadlock)" <<'EOF'
+rep(qq~\tep.mu.Unlock()\n\tep.flushCallbacks()\n\tep.mu.Lock()\n\tep.env.advance()\n~, qq~\tep.flushCallbacks()\n\tep.mu.Unlock()\n\tep.mu.Lock()\n\tep.env.advance()\n~);
 EOF
 mut L4 lockheld xlink/live.go "$X" \
 	"applyLive hands OnHandshakeDone to the transport undeferred: the user callback runs under ep.mu" <<'EOF'
@@ -193,9 +193,8 @@ mut G2 guardedby xlink/live.go "$X" \
 rep(qq~func (ep *Endpoint) LocalAddrs() []net.Addr {\n\tep.mu.Lock()\n\tdefer ep.mu.Unlock()\n~, qq~func (ep *Endpoint) LocalAddrs() []net.Addr {\n~);
 EOF
 mut G3 guardedby xlink/live.go "$X" \
-	"the time.AfterFunc timer body drives the transport without taking ep.mu" <<'EOF'
-rep(qq~\tep := lt.ep\n\tep.mu.Lock()\n~, qq~\tep := lt.ep\n~);
-rep(qq~\tep.mu.Unlock()\n\tep.flushCallbacks()\n}\n\n// stop cancels~, qq~\tep.flushCallbacks()\n}\n\n// stop cancels~);
+	"the wall alarm advances the loop itself, running the due timers on its own goroutine without ep.mu" <<'EOF'
+rep(qq~\tselect {\n\tcase ep.shard.in <- rawPacket{ep: ep}:\n\tcase <-ep.done:\n\t}\n~, qq~\tep.env.advance()\n~);
 EOF
 mut G4 guardedby xlink/live.go "$X" \
 	"Stream.SetPriority touches the transport stream without ep.mu" <<'EOF'

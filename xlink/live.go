@@ -2,6 +2,7 @@ package xlink
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
 	"runtime"
@@ -18,113 +19,69 @@ import (
 	"repro/internal/wire"
 )
 
-// realEnv adapts wall-clock time and time.AfterFunc timers to the
-// transport's event-driven environment. All connection entry points are
-// serialized by a mutex owned by the Endpoint; user callbacks are deferred
-// until the lock is released (see Endpoint.flushCallbacks) so they can
-// safely call back into the endpoint. This is the real-time boundary of
-// the deterministic core: time flows in only through sim.RealClock and the
-// recycled timers below.
-type realEnv struct {
-	clock *sim.RealClock
-	ep    *Endpoint
+// liveEnv is a live connection's transport.Env (DESIGN.md §20): its timers
+// wait in a sim.Loop, as in the sim, and the endpoint advances the loop to
+// the wall clock (advance) before it drives the connection, so the
+// connection reads one clock that never goes back. This is the real-time
+// boundary of the deterministic core: time flows in only through the wall
+// clock and the alarm. One alarm stands for the loop's earliest deadline. It
+// moves only when an arm comes earlier than it, a cancel leaves it alone,
+// and when it goes off it posts a wake to the endpoint's shard, whose turn
+// advances the loop (Endpoint.ring). Like every transport call, each method
+// runs under ep.mu.
+type liveEnv struct {
+	loop  *sim.Loop
+	wall  *sim.RealClock
+	alarm *time.Timer
+	// alarmAt is the instant the alarm goes off. Once the loop has reached
+	// it, the alarm is spent; a stopped alarm reads as pending forever.
+	alarmAt time.Duration
 }
 
-// Now implements transport.Env.
-func (e realEnv) Now() time.Duration { return e.clock.Now() }
+// Now implements transport.Env with the loop's clock.
+func (e *liveEnv) Now() time.Duration { return e.loop.Now() }
 
-// Schedule implements transport.Env with a timer off the endpoint's free list,
-// restarted for at (DESIGN.md §20). Like every transport call it runs under
-// ep.mu.
-func (e realEnv) Schedule(at time.Duration, fn func(now time.Duration)) func() {
-	ep := e.ep
-	// Free list empty: one timer per high-water mark of timers armed at once.
-	if len(ep.timerFree) == 0 {
-		ep.timerFree = append(ep.timerFree, newLiveTimer(ep))
+// Schedule implements transport.Env with the loop's own arm and cancel.
+func (e *liveEnv) Schedule(at time.Duration, fn func(now time.Duration)) func() {
+	cancel := e.loop.Schedule(at, fn)
+	e.arm(at)
+	return cancel
+}
+
+// advance runs every timer due by the wall clock, then points the alarm at
+// the earliest one left.
+func (e *liveEnv) advance() {
+	e.loop.RunUntil(e.wall.Now())
+	if at, ok := e.loop.Next(); ok {
+		e.arm(at)
 	}
-	n := len(ep.timerFree) - 1
-	lt := ep.timerFree[n]
-	ep.timerFree[n] = nil
-	ep.timerFree = ep.timerFree[:n]
-	lt.fn, lt.at = fn, at
-	lt.start(at - e.Now())
-	return lt.cancel
 }
 
-// liveTimer is one recyclable timer of an endpoint: a time.Timer made once and
-// restarted with Reset for each arm it serves. fn is the armed function, nil
-// while the timer is on the free list; fn and at are guarded by ep.mu. A
-// cancelled arm's callback may still run (time.Timer.Stop cannot always
-// prevent it) — possibly after the timer was armed again — so fire runs fn
-// only if the arm is current and its instant has come.
-type liveTimer struct {
-	ep     *Endpoint
-	t      *time.Timer
-	fn     func(now time.Duration)
-	at     time.Duration
-	cancel func() // lt.stop, bound once: what Schedule hands out
-}
-
-func newLiveTimer(ep *Endpoint) *liveTimer {
-	lt := &liveTimer{ep: ep}
-	lt.cancel = lt.stop
-	//xlinkvet:ignore determinism — real-time adapter: timers must fire on the wall clock
-	lt.t = time.AfterFunc(time.Hour, lt.fire)
-	lt.t.Stop()
-	return lt
-}
-
-// start (re)starts the timer to fire after d.
-func (lt *liveTimer) start(d time.Duration) {
-	if d < 0 {
-		d = 0
+// arm makes the alarm go off by at, unless it already goes off at or before
+// at and the loop has not reached it.
+func (e *liveEnv) arm(at time.Duration) {
+	now := e.loop.Now()
+	if e.alarmAt > now && e.alarmAt <= at {
+		return
 	}
-	lt.t.Reset(d)
+	e.alarmAt = at
+	// The loop's clock is at or behind the wall's, so the alarm never goes
+	// off before at.
+	e.alarm.Reset(at - now)
 }
 
-// fire is the time.AfterFunc callback. Timer callbacks are the transport's
-// own event-loop turns: they run under the endpoint lock like every other
-// entry point, and anything user-visible they produce is deferred through
-// cbQ. One that fires while the connection is held — a wake posted, or a
-// shard turn open — joins that turn: its send pass runs at the release.
-func (lt *liveTimer) fire() {
-	ep := lt.ep
-	ep.mu.Lock()
-	now := ep.env.Now()
-	// With fn nil this is a cancelled arm's callback and the timer is free.
-	if fn := lt.fn; fn != nil {
-		if now < lt.at {
-			// The callback of an arm cancelled and re-armed for later (or
-			// an early wake-up): wait for the current arm's instant.
-			lt.start(lt.at - now)
-		} else {
-			lt.fn = nil
-			ep.timerFree = append(ep.timerFree, lt)
-			fn(now) //xlinkvet:ignore lockheld — transport-internal timer body, not a user callback
-		}
-	}
-	ep.mu.Unlock()
-	ep.flushCallbacks()
-}
-
-// stop cancels the armed fn and frees the timer. The transport calls it under
-// ep.mu, at most once per arm and never after fn ran (transport.Env).
-func (lt *liveTimer) stop() {
-	armed := lt.fn != nil
-	assert.That(armed, "live timer cancelled twice or after it fired")
-	if !armed {
-		return // already free: a second entry on the free list would serve two arms
-	}
-	lt.t.Stop()
-	lt.fn = nil
-	lt.ep.timerFree = append(lt.ep.timerFree, lt)
+// stop stops the alarm for good: it reads as pending forever, so no later
+// arm restarts it.
+func (e *liveEnv) stop() {
+	e.alarm.Stop()
+	e.alarmAt = math.MaxInt64
 }
 
 // Endpoint is a live XLINK endpoint over real UDP sockets: a server with
 // one socket, or a multi-homed client with one socket per interface.
 type Endpoint struct {
 	mu   sync.Mutex
-	env  realEnv
+	env  liveEnv         // xlinkvet:guardedby mu
 	conn *transport.Conn // xlinkvet:guardedby mu
 	// socks are the bound sockets: a client's one per interface, a server's
 	// one, which answers every path.
@@ -158,10 +115,9 @@ type Endpoint struct {
 	// after release so they may re-enter the endpoint. It is borrowed from
 	// batches while callbacks are queued and nil otherwise, so an idle
 	// endpoint holds no queue. flushing marks the goroutine currently
-	// draining cbQ so a second flusher (every shard turn, the timer
-	// goroutines, Dial and Close flush) cannot pop a later callback and run it
-	// ahead of an earlier one — user callbacks must observe stream data in
-	// delivery order.
+	// draining cbQ so a second flusher (every shard turn, Dial and Close
+	// flush) cannot pop a later callback and run it ahead of an earlier one —
+	// user callbacks must observe stream data in delivery order.
 	cbQ      *callbackBatch // xlinkvet:guardedby mu
 	flushing bool           // xlinkvet:guardedby mu
 	// The user's callbacks, set by applyLive before the endpoint is
@@ -169,9 +125,6 @@ type Endpoint struct {
 	onStreamData    func(now time.Duration, s *RecvStream, data []byte, fin bool)
 	onStreamOpen    func(now time.Duration, s *RecvStream)
 	onHandshakeDone func(now time.Duration)
-	// timerFree holds the transport's timers not armed now (see realEnv);
-	// like every Env call it is touched under mu.
-	timerFree []*liveTimer
 	// shard is the event loop this endpoint's packets are processed on,
 	// assigned once at creation (before any readLoop starts) and immutable
 	// after. ownedLoops is the private single-shard group created when the
@@ -398,9 +351,9 @@ type LiveConfig struct {
 	// The trace is driven under the endpoint mutex (obs.Trace itself is
 	// goroutine-confined; only its Registry is internally synchronized);
 	// read it with Endpoint.TraceBytes, which snapshots under the same
-	// lock. Timestamps come from the endpoint's monotonic clock, so live
-	// traces are time-consistent but — unlike sim traces — not
-	// byte-reproducible across runs. nil skips the NDJSON stream but not
+	// lock. Timestamps come from the endpoint's loop, which every entry
+	// advances to the wall clock, so they never decrease, but — unlike sim
+	// traces — live traces are not byte-reproducible across runs. nil skips the NDJSON stream but not
 	// the flight recorder: the endpoint always keeps a last-N event ring
 	// and a metric registry (see DebugHandler).
 	Tracer *obs.Trace
@@ -429,12 +382,11 @@ func Listen(addr string, cfg LiveConfig) (*Endpoint, error) {
 	x := core.New(cfg.Scheme, cfg.Options)
 	tcfg := x.ServerConfig(cfg.Seed)
 	tr := applyLive(ep, &tcfg, cfg)
-	conn := transport.NewConn(ep.env, ep, tcfg)
 	ep.mu.Lock()
 	ep.trace = tr
 	ep.userTrace = cfg.Tracer != nil
 	ep.ctrl = x.Controller
-	ep.conn = conn
+	ep.conn = transport.NewConn(&ep.env, ep, tcfg)
 	ep.mu.Unlock()
 	go ep.readLoop(0, sock)
 	return ep, nil
@@ -473,16 +425,17 @@ func Dial(remote string, ifaceAddrs []string, techs []Technology, cfg LiveConfig
 	tcfg := x.ClientConfig(cfg.Seed)
 	tcfg.IsClient = true
 	tr := applyLive(ep, &tcfg, cfg)
-	conn := transport.NewConn(ep.env, ep, tcfg)
-	for i, tech := range techs {
-		conn.AddInterface(i, tech)
-	}
 	ep.mu.Lock()
 	ep.trace = tr
 	ep.userTrace = cfg.Tracer != nil
 	ep.ctrl = x.Controller
 	ep.peer = peers
+	conn := transport.NewConn(&ep.env, ep, tcfg)
+	for i, tech := range techs {
+		conn.AddInterface(i, tech)
+	}
 	ep.conn = conn
+	ep.env.advance()
 	err = conn.Start() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
 	ep.mu.Unlock()
 	ep.flushCallbacks()
@@ -504,8 +457,26 @@ func newEndpoint(socks []*net.UDPConn) *Endpoint {
 		peer:  make([]netip.AddrPort, 0, len(socks)),
 		done:  make(chan struct{}),
 	}
-	ep.env = realEnv{clock: sim.NewRealClock(), ep: ep}
+	//xlinkvet:ignore determinism — real-time adapter: the alarm goes off on the wall clock
+	alarm := time.AfterFunc(time.Hour, ep.ring)
+	alarm.Stop()
+	// Set under the lock that guards it, like the fields Listen and Dial set.
+	ep.mu.Lock()
+	ep.env = liveEnv{loop: sim.NewLoop(), wall: sim.NewRealClock(), alarm: alarm}
+	ep.mu.Unlock()
 	return ep
+}
+
+// ring is the alarm's callback: it posts a wake, a rawPacket with no buffer,
+// to the endpoint's shard, whose turn advances the loop and so runs every
+// timer that came due under the turn's hold. It never runs on the shard
+// goroutine, so unlike joinTurnLocked it may wait for a slot; Close ends the
+// wait.
+func (ep *Endpoint) ring() {
+	select {
+	case ep.shard.in <- rawPacket{ep: ep}:
+	case <-ep.done:
+	}
 }
 
 // attachLoops binds the endpoint to a shard of the given group, creating a
@@ -748,20 +719,22 @@ func dispatch(batch []rawPacket, pkts *[][]byte) {
 }
 
 // deliverBatch runs one turn of an endpoint (DESIGN.md §16): it holds the
-// connection, ingests the run of raw packets under a single lock
-// acquisition — contiguous same-interface packets as one HandleDatagramBatch
-// call, wakes skipped — runs the user callbacks the packets raised, and then
-// releases the hold. The send pass that every packet, callback and user call
-// in the turn asked for runs once, at the release, so an ACK, the response a
-// callback wrote and its FIN leave in one datagram. Servers resolve the
-// interface index per packet (learnPeerLocked needs ep.mu, which is held
-// here).
+// connection, advances its loop to the wall clock, which runs the timers that
+// came due, ingests the run of raw packets under a single lock acquisition —
+// contiguous same-interface packets as one HandleDatagramBatch call, wakes
+// skipped — runs the user callbacks the packets raised, and then advances the
+// loop again and releases the hold. The send pass that every packet, timer,
+// callback and user call in the turn asked for runs once, at the release, so
+// an ACK, the response a callback wrote and its FIN leave in one datagram.
+// Servers resolve the interface index per packet (learnPeerLocked needs
+// ep.mu, which is held here).
 func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 	ep.mu.Lock()
 	if !ep.held {
 		ep.held = true
 		ep.conn.Hold() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
 	}
+	ep.env.advance()
 	now := ep.env.Now()
 	isClient := ep.conn.IsClient()
 	for i := 0; i < len(run); {
@@ -795,6 +768,7 @@ func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 	ep.mu.Unlock()
 	ep.flushCallbacks()
 	ep.mu.Lock()
+	ep.env.advance()
 	ep.releaseLocked() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
 	ep.mu.Unlock()
 }
@@ -808,17 +782,19 @@ func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
 // blocks: the caller may be the shard's own goroutine (a callback writing to
 // another endpoint on the same shard), which a full channel would deadlock,
 // so a full channel leaves the call unheld, and it sends before it returns.
-// A closed endpoint takes no hold: its shard may be gone.
+// A closed endpoint takes no hold: its shard may be gone. Either way the loop
+// is then advanced, so the timers that came due run before the call, under
+// the hold when there is one.
 func (ep *Endpoint) joinTurnLocked() {
-	if ep.held || ep.closed {
-		return
+	if !ep.held && !ep.closed {
+		select {
+		case ep.shard.in <- rawPacket{ep: ep}:
+			ep.held = true
+			ep.conn.Hold() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
+		default:
+		}
 	}
-	select {
-	case ep.shard.in <- rawPacket{ep: ep}:
-		ep.held = true
-		ep.conn.Hold() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
-	default:
-	}
+	ep.env.advance()
 }
 
 // releaseLocked ends the endpoint's hold, if it has one, running the send
@@ -1004,6 +980,7 @@ func (ep *Endpoint) LocalAddrs() []net.Addr {
 func (ep *Endpoint) Close() {
 	ep.mu.Lock()
 	if ep.conn != nil {
+		ep.env.advance()
 		// What a held call queued leaves before CONNECTION_CLOSE.
 		ep.releaseLocked() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
 		if !ep.closed {
@@ -1014,6 +991,8 @@ func (ep *Endpoint) Close() {
 		}
 		ep.conn.Close(0, "closed") //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
 	}
+	// After the drain timer conn.Close armed: the shard may be gone.
+	ep.env.stop()
 	// Read under the lock: done may be closed by a concurrent Close.
 	socks := ep.socks
 	select {

@@ -8,67 +8,49 @@ import (
 	"repro/internal/sim"
 )
 
-// Tests for the live Env's recycled timers (DESIGN.md §20): a timer serves
-// arm after arm, a callback left over from a cancelled arm never runs a newer
-// one early, and arming costs nothing once the free list is warm.
+// Tests for the live Env (DESIGN.md §20): a connection's timers wait in its
+// endpoint's sim.Loop, and the wall alarm wakes the shard, whose turn advances
+// the loop and runs the timers that came due. Arming costs nothing once the
+// loop is warm.
 
-// TestLiveTimerStaleFireWaitsForNewerArm forces the stale path: an arm's
-// callback has started and is blocked on the endpoint lock when the arm is
-// cancelled and the same timer re-armed for later. The stale callback must
-// neither run the cancelled fn nor the newer one before its instant.
-func TestLiveTimerStaleFireWaitsForNewerArm(t *testing.T) {
-	ep := newEndpoint(nil)
-	env := ep.env
-	ran := make(chan time.Duration, 2)
-	var first, second int
-
-	ep.mu.Lock()
-	cancel := env.Schedule(env.Now()+time.Millisecond, func(time.Duration) { first++ })
-	time.Sleep(20 * time.Millisecond) // the callback starts and waits for the lock
-	cancel()
-	lt := ep.timerFree[0]
-	at := env.Now() + 30*time.Millisecond
-	env.Schedule(at, func(now time.Duration) { second++; ran <- now })
-	if len(ep.timerFree) != 0 || lt.fn == nil {
-		t.Fatal("the re-arm did not take the freed timer")
+// listenIdle starts a server endpoint that no client dials: its connection
+// arms no timer of its own, so the test's arms are the only ones in its loop.
+func listenIdle(t *testing.T, seed int64) *Endpoint {
+	t.Helper()
+	ep, err := Listen("127.0.0.1:0", LiveConfig{Scheme: SchemeXLINK, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ep.mu.Unlock()
-
-	select {
-	case now := <-ran:
-		if now < at {
-			t.Fatalf("newer arm ran at %v, before its instant %v", now, at)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("newer arm never ran")
-	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if first != 0 || second != 1 || len(ep.timerFree) != 1 || ep.timerFree[0] != lt {
-		t.Fatalf("cancelled fn ran %d times, newer %d times, %d timers free; want 0, 1 and the one timer back", first, second, len(ep.timerFree))
-	}
+	t.Cleanup(ep.Close)
+	return ep
 }
 
 // TestLiveTimerStorm arms, cancels and re-arms from several goroutines at
 // once, the way connections do — at most one pending arm per owner, cancel
 // only before its fn ran — while the endpoint is closed underneath, and runs
-// under -race in scripts/check.sh. Every fn runs at most once and never
-// before its instant, and every arm not cancelled runs.
+// under -race in scripts/check.sh. The owners never advance the loop, so
+// until the Close every fn runs in a shard turn the alarm woke, and one does
+// before the Close. Every fn runs at most once and never before its instant
+// on the wall clock, and every arm not cancelled that came due before the
+// Close ran: Close advances the loop once more, then stops the alarm for
+// good.
 func TestLiveTimerStorm(t *testing.T) {
 	const owners, arms = 4, 300
-	ep := newEndpoint(nil)
-	env := ep.env
+	ep := listenIdle(t, 71)
 	type arm struct {
-		at     time.Duration
-		runs   int
-		early  bool
-		cancel func()
-		done   bool // ran or was cancelled
+		at       time.Duration
+		runs     int
+		early    bool
+		late     bool // armed after the Close
+		cancel   func()
+		done     bool // ran or was cancelled
+		canceled bool
 	}
 	var (
-		all     []*arm
-		wg      sync.WaitGroup
-		closeAt = make(chan struct{})
+		all       []*arm
+		ranBefore int // fns run before the Close, all of them in alarm turns
+		wg        sync.WaitGroup
+		closeAt   = make(chan struct{})
 	)
 	for o := 0; o < owners; o++ {
 		wg.Add(1)
@@ -83,14 +65,17 @@ func TestLiveTimerStorm(t *testing.T) {
 				ep.mu.Lock()
 				if pending != nil && !pending.done && rng.Intn(2) == 0 {
 					pending.cancel()
-					pending.done = true
+					pending.done, pending.canceled = true, true
 				}
 				if pending == nil || pending.done {
-					a := &arm{at: env.Now() + time.Duration(rng.Intn(2000))*time.Microsecond}
-					a.cancel = env.Schedule(a.at, func(now time.Duration) {
+					a := &arm{at: ep.env.wall.Now() + time.Duration(rng.Intn(2000))*time.Microsecond, late: ep.closed}
+					a.cancel = ep.env.Schedule(a.at, func(time.Duration) {
 						a.runs++
-						a.early = a.early || now < a.at
+						a.early = a.early || ep.env.wall.Now() < a.at
 						a.done = true
+						if !ep.closed {
+							ranBefore++
+						}
 					})
 					all = append(all, a)
 					pending = a
@@ -101,42 +86,36 @@ func TestLiveTimerStorm(t *testing.T) {
 		}(o)
 	}
 	<-closeAt
-	ep.Close()
-	wg.Wait()
 	waitFor(t, 5*time.Second, func() bool {
 		ep.mu.Lock()
 		defer ep.mu.Unlock()
-		for _, a := range all {
-			if !a.done {
-				return false
-			}
-		}
-		return true
-	}, "every arm to run or be cancelled")
-	time.Sleep(5 * time.Millisecond) // let stale callbacks drain
+		return ranBefore > 0
+	}, "an arm to run in an alarm turn")
+	closing := ep.env.wall.Now()
+	ep.Close()
+	wg.Wait()
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	ran := 0
 	for i, a := range all {
 		if a.runs > 1 || a.early {
 			t.Fatalf("arm %d: ran %d times, early %v", i, a.runs, a.early)
 		}
-		ran += a.runs
-	}
-	if ran == 0 || len(ep.timerFree) > owners {
-		t.Fatalf("%d of %d arms ran; %d timers on the free list for %d owners", ran, len(all), len(ep.timerFree), owners)
+		if !a.late && !a.canceled && a.at <= closing && a.runs == 0 {
+			t.Fatalf("arm %d, due %v before the Close at %v, never ran", i, closing-a.at, closing)
+		}
 	}
 }
 
-// TestAllocGateLiveTimerRearm: once the endpoint's free list is warm, arming a
-// timer and cancelling it, or arming one and letting it fire, allocates
-// nothing (scripts/check.sh runs every TestAllocGate*).
+// TestAllocGateLiveTimerRearm: once the endpoint's loop is warm, arming a
+// timer and cancelling it, or arming one and letting it fire — the alarm
+// posts a wake, and the shard turn it wakes runs the fn — allocates nothing
+// (scripts/check.sh runs every TestAllocGate*).
 func TestAllocGateLiveTimerRearm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures allocations")
 	}
-	ep := newEndpoint(nil)
-	env := ep.env
+	ep := listenIdle(t, 73)
+	env := &ep.env
 	fired := make(chan struct{}, 1)
 	fn := func(time.Duration) { fired <- struct{}{} }
 	never := func(time.Duration) {}
@@ -161,7 +140,9 @@ func TestAllocGateLiveTimerRearm(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, fire); avg != 0 {
 		t.Fatalf("arming a live timer and letting it fire allocates %.1f", avg)
 	}
-	if len(ep.timerFree) != 1 {
-		t.Fatalf("%d timers on the free list, want the one all arms shared", len(ep.timerFree))
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if n := env.loop.Pending(); n != 0 {
+		t.Fatalf("%d events left in the loop, want none: every arm was cancelled or ran", n)
 	}
 }

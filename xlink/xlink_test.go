@@ -55,7 +55,9 @@ func TestEmulatedSessionDeterminism(t *testing.T) {
 }
 
 // TestLiveUDPTransfer runs the real-socket path: a server and a two-socket
-// client on loopback moving half a megabyte.
+// client on loopback moving half a megabyte. Both sides are traced, and each
+// side's clock never goes back: every entry reads the loop it advanced to the
+// wall clock, and the timers run inside that advance.
 func TestLiveUDPTransfer(t *testing.T) {
 	payload := make([]byte, 512<<10)
 	for i := range payload {
@@ -73,6 +75,7 @@ func TestLiveUDPTransfer(t *testing.T) {
 	serverReady := make(chan struct{})
 	server, err := Listen("127.0.0.1:0", LiveConfig{
 		Scheme: SchemeXLINK,
+		Tracer: obs.NewTrace("live-server"),
 		OnStreamData: func(now time.Duration, s *RecvStream, data []byte, fin bool) {
 			// Request arrives: respond with the payload on the stream.
 			if fin {
@@ -189,6 +192,19 @@ func TestLiveUDPTransfer(t *testing.T) {
 	}
 	if sent == 0 || recv == 0 {
 		t.Fatalf("live trace missing packet events: %d sent, %d received", sent, recv)
+	}
+	srvEvs, err := obs.ParseBytes(server.TraceBytes())
+	if err != nil {
+		t.Fatalf("live server trace does not parse: %v", err)
+	}
+	for _, side := range [][]obs.Event{evs, srvEvs} {
+		last := map[string]obs.Event{}
+		for _, e := range side {
+			if prev, ok := last[e.Origin]; ok && e.Time < prev.Time {
+				t.Fatalf("%s clock went back: %s at %v after %s at %v", e.Origin, e.Name, e.Time, prev.Name, prev.Time)
+			}
+			last[e.Origin] = e
+		}
 	}
 	// Stats are read after the trace snapshot and only ever grow, so the
 	// trace count bounds the counter from below (exact reconciliation is
