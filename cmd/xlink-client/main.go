@@ -30,8 +30,8 @@ func main() {
 	}
 	player := video.NewPlayer(v, video.DefaultPlayerConfig())
 	// playerMu guards player: data callbacks feed it, the transport reads its
-	// QoE signal whenever it sends an acknowledgement — on a shard or timer
-	// goroutine, also after the last chunk's callback — and main reads the
+	// QoE signal whenever it sends an acknowledgement — on the endpoint's
+	// shard, also after the last chunk's callback — and main reads the
 	// metrics at the end.
 	var playerMu sync.Mutex
 	start := time.Now()
@@ -45,9 +45,9 @@ func main() {
 	var delivered atomic.Uint64
 	done := make(chan struct{})
 
-	// Callbacks run on the endpoint's read-loop goroutine and can fire
-	// before Dial returns; ready orders the client variable write below
-	// before the closures read it.
+	// Callbacks run on the endpoint's shard goroutine and can fire before
+	// Dial returns; ready orders the client variable write below before the
+	// closures read it.
 	ready := make(chan struct{})
 
 	var client *xlink.Endpoint

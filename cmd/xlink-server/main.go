@@ -34,7 +34,7 @@ func main() {
 
 	var server *xlink.Endpoint
 	pending := map[uint64]*strings.Builder{}
-	// The callback runs on the endpoint's read-loop goroutine and can fire
+	// The callback runs on the endpoint's shard goroutine and can fire
 	// before Listen returns; ready orders the server variable write below
 	// before the closure reads it.
 	ready := make(chan struct{})

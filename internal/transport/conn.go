@@ -199,7 +199,7 @@ type Conn struct {
 	recvStreams  map[uint64]*RecvStream // xlinkvet:guardedby confined
 	sendClosed   streamIDSet
 	recvClosed   streamIDSet
-	nextStreamID uint64
+	localStreams uint64 // locally initiated streams opened so far (LocalStreamID)
 
 	// Connection-level flow control.
 	connSent       uint64 // sum of stream send offsets (new data)
@@ -1395,9 +1395,19 @@ func (c *Conn) evacuatePath(now time.Duration, p *Path) {
 // OpenStream creates a new locally initiated stream on an established
 // connection.
 func (c *Conn) OpenStream() *SendStream {
-	id := c.nextStreamID
-	c.nextStreamID += 4
+	id := LocalStreamID(c.cfg.IsClient, c.localStreams)
+	c.localStreams++
 	return c.Stream(id)
+}
+
+// LocalStreamID returns the n-th (from 0) bidirectional stream ID an
+// endpoint initiates. RFC 9000 §2.1 spaces them 4 apart and marks the
+// initiator in the low bit, set for a server.
+func LocalStreamID(isClient bool, n uint64) uint64 {
+	if isClient {
+		return 4 * n
+	}
+	return 4*n + 1
 }
 
 // Stream returns the send half for a stream ID, creating it if needed

@@ -15,9 +15,13 @@ set -eu
 
 FUZZTIME="${FUZZTIME:-10s}"
 
+# step runs one gate and prints its wall-clock seconds, so one log says where
+# the time of a run went.
 step() {
 	echo "==> $*"
+	step_start="$(date +%s)"
 	"$@"
+	echo "<== $(( $(date +%s) - step_start ))s"
 }
 
 step go build ./...
@@ -86,19 +90,23 @@ step go test -race -tags xlinkdebug -count=1 ./internal/recovery/ ./internal/wir
 # golden NDJSON trace byte for byte (-count=1 defeats the test cache so the
 # gate re-runs even when nothing changed).
 step go test -count=1 ./internal/chaos/ -run TestGoldenTrace
-# Sharded live event loop under the race detector and assertions (DESIGN.md
-# §16): socket readers posting to shard channels, shard goroutines batching
-# into the transports, foreign-goroutine writers and endpoint/group shutdown
-# all interleaving over real UDP, with every read buffer poisoned as it goes
-# back to the process-wide pool; and the endpoint's timer loop and wall alarm
-# (§20) under cancel, re-arm and Close storms, fired in alarm turns; an idle
-# group that holds no read buffer, and a datagram kept past its batch that
-# reads poison; and deferred data callbacks that read the endpoint's copy, in
-# order, while another goroutine writes, with the copy's arena given back at
-# Close; and the shard turn: a tiny exchange in one datagram each way, a
-# callback that writes 200 streams in its turn without posting a wake to its
-# own shard, and bytes written just before Endpoint.Close that still arrive.
-step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestIdleGroupHoldsNoReadBuffers|TestKeptReadBufferReadsPoison|TestLiveDataCallbacksKeepOrderAndContent|TestCloseGivesTheArenaBack|TestLiveTinyExchangeOneDatagramEachWay|TestLiveCallbackWritesManyStreamsInOneTurn|TestLiveWriteBeforeCloseReachesPeer'
+# Shard-owned live connections under the race detector and assertions
+# (DESIGN.md §16): socket readers posting to shard channels, shard goroutines
+# batching into the transports, foreign-goroutine writers posting ops, and
+# endpoint/group shutdown all interleaving over real UDP, with every read
+# buffer and write chunk poisoned as it goes back to the process-wide pool;
+# the shard's loop and timer (§20) under cancel, re-arm and Close storms, with
+# no timer of a closed endpoint run; an idle group that holds no read buffer,
+# and a datagram kept past its batch that reads poison; data callbacks that
+# run inline on the shard, in order, while another goroutine writes; a
+# callback that calls every endpoint and stream method, Close last; two
+# shards whose callbacks write to each other's endpoints while both inbound
+# channels are full; a foreign writer held to the write backlog, and a
+# callback that writes past it without waiting for its own shard; and the
+# shard turn: a tiny exchange in one datagram each way, a callback that
+# writes 200 streams in its turn, and bytes written just before
+# Endpoint.Close that still arrive.
+step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestIdleGroupHoldsNoReadBuffers|TestKeptReadBufferReadsPoison|TestLiveDataCallbacksKeepOrderAndContent|TestLiveCallbackCallsEveryMethod|TestLiveCallbacksWriteAcrossFullShards|TestLiveWriteBacklogBoundsAForeignWriter|TestLiveCallbackWritesPastTheBacklog|TestLiveTinyExchangeOneDatagramEachWay|TestLiveCallbackWritesManyStreamsInOneTurn|TestLiveWriteBeforeCloseReachesPeer'
 # Allocation gates (DESIGN.md §7, §11): the one allocation contract; DESIGN.md
 # §7 maps every gate to the per-packet functions it drives. Warm paths must
 # hold their alloc/op budgets — zero for sim timers, crypto seal/open,
@@ -113,8 +121,9 @@ step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEvent
 # and a STREAM frame under an open FEC window (§13), a warm netem link
 # carrying a 16-packet batch (§19), a sim timer armed and cancelled through
 # the cancel its node binds once (§19), a live timer armed and cancelled or
-# fired on a warm free list (§20), a live data callback queued and run and a
-# warm request/response through the live shard turn over loopback (§16), a
+# fired through the shard's timer (§20), a foreign Write and Close posted as
+# ops and applied, and a warm request/response through the live shard turn
+# over loopback (§16), a
 # packet record that the send pass after its ACK reuses (§18); the
 # queued frames for a closed FEC window; a fixed ceiling for a FEC decode,
 # the transport round trip through the emulator, the batched 16-packet

@@ -156,7 +156,7 @@ mut O3 obsevent xlink/live.go "$X" \
 rep(q~reg.Gauge(obs.MetricRecvBufferedPeak)~, q~reg.Gauge("xlink-recv-buffered-peak")~);
 EOF
 mut O4 obsevent xlink/live.go "$X" \
-	"Endpoint.Close stamps the scorecard event from time.Now instead of the endpoint clock" <<'EOF'
+	"the endpoint's close (shut) stamps the scorecard event from time.Now instead of the endpoint clock" <<'EOF'
 rep(q~Scorecard(ep.env.Now(), &card)~, q~Scorecard(time.Duration(time.Now().UnixNano()), &card)~);
 EOF
 mut O5 obsevent internal/transport/conn.go "$T" \
@@ -164,41 +164,30 @@ mut O5 obsevent internal/transport/conn.go "$T" \
 rep(q~c.tr.PathStateChanged(now, p.ID, p.State.String(), "challenge-sent")~, q~c.tr.Emit(now, "path_challenge_sent")~);
 EOF
 
-# lockheld: nothing blocking or re-entrant under a mutex.
+# lockheld: nothing blocking or re-entrant under a mutex. L2-L4 (the
+# callback queue's flush, the turn's re-lock, a callback handed over
+# undeferred) went with ep.mu; L2 is now a shard-ownership row below.
 mut L1 lockheld xlink/live.go "$X" \
-	"Endpoint.Close closes the sockets while still holding ep.mu" <<'EOF'
-rep(qq~\tep.mu.Unlock()\n\tfor _, s := range socks {\n\t\ts.Close()\n\t}\n~,
-    qq~\tfor _, s := range socks {\n\t\ts.Close()\n\t}\n\tep.mu.Unlock()\n~);
-EOF
-mut L2 lockheld xlink/live.go "$X" \
-	"flushCallbacks runs the user callbacks without releasing ep.mu" <<'EOF'
-rep(qq~\t\t\tep.mu.Unlock()\n\t\t\tep.run(cb, data)\n\t\t\tep.mu.Lock()\n~, qq~\t\t\tep.run(cb, data)\n~);
-EOF
-mut L3 lockheld xlink/live.go "$X" \
-	"the shard turn whose advance ran the due timers calls flushCallbacks before it unlocks ep.mu (self-deadlock)" <<'EOF'
-rep(qq~\tep.mu.Unlock()\n\tep.flushCallbacks()\n\tep.mu.Lock()\n\tep.env.advance()\n~, qq~\tep.flushCallbacks()\n\tep.mu.Unlock()\n\tep.mu.Lock()\n\tep.env.advance()\n~);
-EOF
-mut L4 lockheld xlink/live.go "$X" \
-	"applyLive hands OnHandshakeDone to the transport undeferred: the user callback runs under ep.mu" <<'EOF'
-rep(q~tcfg.OnHandshakeDone = ep.queueHandshakeDone~, q~tcfg.OnHandshakeDone = cfg.OnHandshakeDone~);
+	"applyOps applies the ops while still holding the FIFO lock: an endpoint's close shuts its sockets under sh.mu" <<'EOF'
+rep(qq~\tsh.mu.Unlock()\n\tsh.loop.RunUntil(sh.wall.Now())\n\tfor i := range ops {\n\t\tops[i].apply()\n\t\tops[i] = op{}\n\t}\n~,
+    qq~\tsh.loop.RunUntil(sh.wall.Now())\n\tfor i := range ops {\n\t\tops[i].apply()\n\t\tops[i] = op{}\n\t}\n\tsh.mu.Unlock()\n~);
 EOF
 
 # guardedby: annotated fields only with their mutex held / on their loop.
+# G2 (LocalAddrs without ep.mu) went with ep.mu: the sockets are read-only
+# once the endpoint is published.
 mut G1 guardedby xlink/live.go "$X" \
-	"Endpoint.StateName reads ep.conn without ep.mu" <<'EOF'
-rep(qq~func (ep *Endpoint) StateName() string {\n\tep.mu.Lock()\n\tdefer ep.mu.Unlock()\n~, qq~func (ep *Endpoint) StateName() string {\n~);
-EOF
-mut G2 guardedby xlink/live.go "$X" \
-	"Endpoint.LocalAddrs reads ep.socks without ep.mu" <<'EOF'
-rep(qq~func (ep *Endpoint) LocalAddrs() []net.Addr {\n\tep.mu.Lock()\n\tdefer ep.mu.Unlock()\n~, qq~func (ep *Endpoint) LocalAddrs() []net.Addr {\n~);
+	"Endpoint.StateName reads the connection on the caller's goroutine instead of the shard's snapshot" <<'EOF'
+rep(q~func (ep *Endpoint) StateName() string { return ep.snapshot().state }~, q~func (ep *Endpoint) StateName() string { return ep.conn.StateName() }~);
 EOF
 mut G3 guardedby xlink/live.go "$X" \
-	"the wall alarm advances the loop itself, running the due timers on its own goroutine without ep.mu" <<'EOF'
-rep(qq~\tselect {\n\tcase ep.shard.in <- rawPacket{ep: ep}:\n\tcase <-ep.done:\n\t}\n~, qq~\tep.env.advance()\n~);
+	"publish writes the snapshot without snapMu" <<'EOF'
+rep(qq~\tep.snapMu.Lock()\n\tep.snap = s\n\tif ep.drained != nil {\n\t\tclose(ep.drained)\n\t\tep.drained = nil\n\t}\n\tep.snapMu.Unlock()\n~,
+    qq~\tep.snap = s\n\tif ep.drained != nil {\n\t\tclose(ep.drained)\n\t\tep.drained = nil\n\t}\n~);
 EOF
 mut G4 guardedby xlink/live.go "$X" \
-	"Stream.SetPriority touches the transport stream without ep.mu" <<'EOF'
-rep(qq~\tst.ep.mu.Lock()\n\tst.s.SetPriority(p)\n\tst.ep.mu.Unlock()\n~, qq~\tst.s.SetPriority(p)\n~);
+	"Stream.SetPriority re-prioritises the transport stream on the caller's goroutine instead of posting an op" <<'EOF'
+rep(q~st.ep.post(op{kind: opSetPriority, ep: st.ep, id: st.id, prio: p})~, q~st.ep.conn.Stream(st.id).SetPriority(p)~);
 EOF
 
 # taintsize: a wire-decoded length is bounded before it sizes anything.
@@ -260,20 +249,18 @@ mut N4 loan internal/transport/conn.go "$T" \
 rep(qq~\t\tdata, gather := rs.borrow(from, n)\n~, qq~\t\tdata, gather := rs.borrow(from, n)\n\t\trs.releaseDelivered()\n~);
 EOF
 mut N5 loan xlink/live.go "$X" \
-	"the live OnStreamData wrapper queues the transport's slice instead of a copy in the batch's arena" <<'EOF'
-rep(qq~\toff, n int\n}~, qq~\toff, n int\n\traw    []byte\n}~);
-rep(qq~\tcb.off, cb.n = len(b.arena), len(data)\n\tb.arena = append(b.arena, data...)\n~, qq~\tcb.raw, cb.n = data, len(data)\n~);
-rep(qq~\t\t\t\tdata = b.arena[cb.off : cb.off+cb.n : cb.off+cb.n]\n~, qq~\t\t\t\tdata = cb.raw\n~);
+	"postWrite queues the caller's bytes instead of a copy in a pooled chunk" <<'EOF'
+rep(qq~\t\t\to.buf = writeChunks.get()[:]\n\t\t\to.buf = o.buf[:copy(o.buf, data)]\n~, qq~\t\t\to.buf = data[:min(len(data), writeChunkSize)]\n~);
 EOF
 
 # goleak: every goroutine has an exit path and a join.
 mut K1 goleak xlink/live.go "$X" \
 	"the shard loop loses its exit case (<-g.done)" <<'EOF'
-rep(qq~\t\tcase <-g.done:\n\t\t\treturn\n\t\tcase rp := <-sh.in:~, qq~\t\tcase rp := <-sh.in:~);
+rep(qq~\t\tcase <-g.done:\n\t\t\t// The ops posted before the group's Close run in a last turn.\n\t\t\tsh.runTurn()\n\t\t\treturn\n~, '');
 EOF
 mut K2 goleak xlink/live.go "$X" \
 	"readLoop retries on a read error instead of returning: it spins on the closed socket forever" <<'EOF'
-rep(qq~\t\t\tputReadBuf(buf)\n\t\t\treturn // socket closed by Endpoint.Close\n~, qq~\t\t\tputReadBuf(buf)\n\t\t\tcontinue\n~);
+rep(qq~\t\t\treadBufs.put(buf)\n\t\t\treturn // socket closed by Endpoint.Close\n~, qq~\t\t\treadBufs.put(buf)\n\t\t\tcontinue\n~);
 EOF
 mut K3 goleak internal/abtest/abtest.go "./internal/abtest/" \
 	"the A/B fleet forgets wg.Wait(): results are read while the workers still run" <<'EOF'
@@ -282,12 +269,12 @@ EOF
 
 # chandir: one closer per channel, no double close, no send after close.
 mut C1 chandir xlink/live.go "$X" \
-	"Endpoint.Close closes ep.done unconditionally: a second Close panics" <<'EOF'
-rep(qq~\tselect {\n\tcase <-ep.done:\n\tdefault:\n\t\tclose(ep.done)\n\t}\n~, qq~\tclose(ep.done)\n~);
+	"apply runs a second Endpoint.Close: the scorecard is merged twice, and the turn's end closes ep.done again and panics" <<'EOF'
+rep(qq~\tif !ep.closed {\n\t\tep.join()~, qq~\tif !ep.closed || o.kind == opCloseEndpoint {\n\t\tep.join()~);
 EOF
 mut C2 chandir xlink/live.go "$X" \
 	"readLoop (not the owner) closes ep.done when its socket fails" <<'EOF'
-rep(qq~\t\t\tputReadBuf(buf)\n\t\t\treturn // socket closed by Endpoint.Close\n~, qq~\t\t\tputReadBuf(buf)\n\t\t\tclose(ep.done)\n\t\t\treturn\n~);
+rep(qq~\t\t\treadBufs.put(buf)\n\t\t\treturn // socket closed by Endpoint.Close\n~, qq~\t\t\treadBufs.put(buf)\n\t\t\tclose(ep.done)\n\t\t\treturn\n~);
 EOF
 mut C3 chandir xlink/live.go "$X" \
 	"EventLoopGroup.Close loses its once-guard: a second Close panics" <<'EOF'
@@ -342,6 +329,18 @@ EOF
 mut R2 recycle internal/recovery/recovery.go "./internal/recovery/ ./internal/transport/" \
 	"OnAck frees the records gc retired before it returns the result that names them" <<'EOF'
 rep(qq~\t\tres.Lost = s.detectLost(now)\n\t\ts.gc()\n~, qq~\t\tres.Lost = s.detectLost(now)\n\t\ts.gc()\n\t\ts.Reclaim()\n~);
+EOF
+
+# shard (no rule): only the shard goroutine touches a live connection, it
+# applies the ops user calls post in the order posted, and it never waits
+# for a write backlog it alone can drain (DESIGN.md §16).
+mut L2 shard xlink/live.go "$X" \
+	"applyOps applies the turn's ops newest first: a stream's Close runs before the Write posted ahead of it" <<'EOF'
+rep(qq~\tfor i := range ops {\n\t\tops[i].apply()~, qq~\tfor i := len(ops) - 1; i >= 0; i-- {\n\t\tops[i].apply()~);
+EOF
+mut L5 shard xlink/live.go "$X" \
+	"awaitBacklog makes a shard goroutine wait too: a callback that writes past the backlog to its own endpoint waits for itself" <<'EOF'
+rep(qq~\t\tif !wait || onShardGoroutine() {\n~, qq~\t\tif !wait {\n~);
 EOF
 
 # --- running one mutation -------------------------------------------------
@@ -510,7 +509,7 @@ for class in $(for id in "${SELECTED[@]}"; do echo "${CLASS[$id]}"; done | awk '
 	done
 	if live "$class"; then
 		echo "| $class | $tried | $caught | ${sole:-—} | ${misses:-—} |"
-	elif [ "$class" = recycle ]; then
+	elif [ "$class" = recycle ] || [ "$class" = shard ]; then
 		echo "| $class (no rule) | $tried | — | — | caught by:${misses:- nothing} |"
 	else
 		echo "| $class (retired) | $tried | — | — | caught now by:${misses:- nothing to catch} |"

@@ -21,10 +21,12 @@ func TestCloseReleasesStreamBuffers(t *testing.T) {
 	var received atomic.Uint64
 	var server *Endpoint
 	var out atomic.Pointer[Stream]
+	ready := make(chan struct{})
 	server, err := Listen("127.0.0.1:0", LiveConfig{
 		Scheme: SchemeXLINK, Seed: 5,
 		OnStreamData: func(now time.Duration, s *RecvStream, data []byte, fin bool) {
 			if fin {
+				<-ready
 				st := server.StreamFor(s.ID())
 				st.Write(make([]byte, size))
 				st.Close()
@@ -35,6 +37,7 @@ func TestCloseReleasesStreamBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(ready)
 	defer server.Close()
 	var firstRecv atomic.Pointer[RecvStream]
 	client, err := Dial(server.LocalAddrs()[0].String(), []string{"127.0.0.1:0", "127.0.0.1:0"},
@@ -71,6 +74,10 @@ func TestCloseReleasesStreamBuffers(t *testing.T) {
 
 	server.Close()
 	client.Close()
+	// Each Close is an op on its endpoint's shard: wait until both applied.
+	for _, ep := range []*Endpoint{server, client} {
+		waitFor(t, 5*time.Second, func() bool { return ep.StateName() != "established" }, "the close")
+	}
 	after := heapAfterGC()
 	if server.Terminated() && client.Terminated() {
 		t.Skip("both drain timers already fired; nothing left to observe")

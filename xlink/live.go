@@ -2,7 +2,6 @@ package xlink
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"net/netip"
 	"runtime"
@@ -16,313 +15,171 @@ import (
 	"repro/internal/qoe"
 	"repro/internal/sim"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // liveEnv is a live connection's transport.Env (DESIGN.md §20): its timers
-// wait in a sim.Loop, as in the sim, and the endpoint advances the loop to
-// the wall clock (advance) before it drives the connection, so the
-// connection reads one clock that never goes back. This is the real-time
-// boundary of the deterministic core: time flows in only through the wall
-// clock and the alarm. One alarm stands for the loop's earliest deadline. It
-// moves only when an arm comes earlier than it, a cancel leaves it alone,
-// and when it goes off it posts a wake to the endpoint's shard, whose turn
-// advances the loop (Endpoint.ring). Like every transport call, each method
-// runs under ep.mu.
+// wait in its shard's sim.Loop, as in the sim, and the shard advances that
+// loop to the wall clock at the start and the end of every turn, so the
+// connection reads one clock that never goes back. The connection's clock
+// starts at zero when its endpoint is made (origin is the shard's wall
+// instant then). Each arm is delivered through the env (Fire), which joins
+// the endpoint to the turn before the connection's fn runs and drops the fn
+// of a closed endpoint. Only the shard goroutine calls it.
 type liveEnv struct {
-	loop  *sim.Loop
-	wall  *sim.RealClock
-	alarm *time.Timer
-	// alarmAt is the instant the alarm goes off. Once the loop has reached
-	// it, the alarm is spent; a stopped alarm reads as pending forever.
-	alarmAt time.Duration
+	ep     *Endpoint
+	loop   *sim.Loop
+	origin time.Duration
+	// arms holds the pending arms by slot, free the idle slots. A slot binds
+	// its cancel once, so a warm arm allocates nothing.
+	arms []liveArm
+	free []int
+}
+
+// liveArm is one slot of liveEnv.arms.
+type liveArm struct {
+	fn     func(now time.Duration)
+	timer  sim.Timer
+	cancel func()
 }
 
 // Now implements transport.Env with the loop's clock.
-func (e *liveEnv) Now() time.Duration { return e.loop.Now() }
+func (e *liveEnv) Now() time.Duration { return e.loop.Now() - e.origin }
 
-// Schedule implements transport.Env with the loop's own arm and cancel.
+// Schedule implements transport.Env: fn waits in the loop in a free slot.
 func (e *liveEnv) Schedule(at time.Duration, fn func(now time.Duration)) func() {
-	cancel := e.loop.Schedule(at, fn)
-	e.arm(at)
-	return cancel
-}
-
-// advance runs every timer due by the wall clock, then points the alarm at
-// the earliest one left.
-func (e *liveEnv) advance() {
-	e.loop.RunUntil(e.wall.Now())
-	if at, ok := e.loop.Next(); ok {
-		e.arm(at)
+	var i int
+	if n := len(e.free); n > 0 {
+		i, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		i = len(e.arms)
+		e.arms = append(e.arms, liveArm{})
+		// Bound once per slot, which serves every later arm in it.
+		e.arms[i].cancel = func() {
+			e.arms[i].timer.Stop()
+			e.release(i)
+		}
 	}
+	e.arms[i].fn = fn
+	e.arms[i].timer = e.loop.AtRecv(e.origin+at, e, i)
+	return e.arms[i].cancel
 }
 
-// arm makes the alarm go off by at, unless it already goes off at or before
-// at and the loop has not reached it.
-func (e *liveEnv) arm(at time.Duration) {
-	now := e.loop.Now()
-	if e.alarmAt > now && e.alarmAt <= at {
-		return
+// Fire implements sim.Receiver: the arm in slot i came due.
+func (e *liveEnv) Fire(now time.Duration, i int) {
+	fn := e.arms[i].fn
+	e.release(i)
+	if e.ep.closed {
+		return // no timer of a closed endpoint runs
 	}
-	e.alarmAt = at
-	// The loop's clock is at or behind the wall's, so the alarm never goes
-	// off before at.
-	e.alarm.Reset(at - now)
+	e.ep.join()
+	fn(now - e.origin)
 }
 
-// stop stops the alarm for good: it reads as pending forever, so no later
-// arm restarts it.
-func (e *liveEnv) stop() {
-	e.alarm.Stop()
-	e.alarmAt = math.MaxInt64
+// release frees slot i.
+func (e *liveEnv) release(i int) {
+	e.arms[i].fn, e.arms[i].timer = nil, sim.Timer{}
+	e.free = append(e.free, i)
 }
 
 // Endpoint is a live XLINK endpoint over real UDP sockets: a server with
-// one socket, or a multi-homed client with one socket per interface.
+// one socket, or a multi-homed client with one socket per interface. Its
+// connection belongs to its shard (DESIGN.md §16): only the shard goroutine
+// touches it. The methods below post ops to the shard, read the snapshot
+// the shard publishes at the end of each turn, or, where noted, wait for
+// the shard; any goroutine, a callback included, may call them.
 type Endpoint struct {
-	mu   sync.Mutex
-	env  liveEnv         // xlinkvet:guardedby mu
-	conn *transport.Conn // xlinkvet:guardedby mu
+	// Set before the endpoint is published and read-only after.
+	shard *eventLoopShard
+	// ownedLoops is the private single-shard group made when the user
+	// supplied no LiveConfig.Loops; the endpoint's close tears it down.
+	ownedLoops *EventLoopGroup
 	// socks are the bound sockets: a client's one per interface, a server's
 	// one, which answers every path.
-	// xlinkvet:guardedby mu
 	socks []*net.UDPConn
-	// xlinkvet:guardedby mu
-	peer []netip.AddrPort // per netIdx: where to send (client side / learned), unmapped
-	// trace is always non-nil once the endpoint is published: the user's
-	// Tracer when one was configured, otherwise an internal ring-only
-	// flight trace — either way with a flight recorder attached, so a live
-	// connection keeps a last-N event ring for anomaly post-mortems
-	// (DESIGN.md §14). Emitted to under mu.
-	// xlinkvet:guardedby mu
-	trace *obs.Trace
+	// client is set on a dialed endpoint; label is this side's trace origin
+	// ("client" or "server").
+	client bool
+	label  string
 	// userTrace records whether cfg.Tracer was supplied; TraceBytes keeps
 	// its nil-return contract when it was not.
 	userTrace bool
-	// label is this side's trace origin ("client" or "server").
-	label string
-	// ctrl is the Alg. 1 controller when the scheme wires one (server
-	// side); driven by the transport under mu.
-	ctrl *qoe.Controller // xlinkvet:guardedby mu
-	// closed gates the one-shot scorecard emission at Close.
-	closed bool // xlinkvet:guardedby mu
-	done   chan struct{}
-	// held records that the endpoint holds its connection (transport
-	// Conn.Hold) for a shard turn: the one open now, or the one a user call
-	// posted a wake for. The turn's end releases it (DESIGN.md §16).
-	held bool // xlinkvet:guardedby mu
-	// cbQ holds user callbacks raised while the lock was held; they run
-	// after release so they may re-enter the endpoint. It is borrowed from
-	// batches while callbacks are queued and nil otherwise, so an idle
-	// endpoint holds no queue. flushing marks the goroutine currently
-	// draining cbQ so a second flusher (every shard turn, Dial and Close
-	// flush) cannot pop a later callback and run it ahead of an earlier one —
-	// user callbacks must observe stream data in delivery order.
-	cbQ      *callbackBatch // xlinkvet:guardedby mu
-	flushing bool           // xlinkvet:guardedby mu
-	// The user's callbacks, set by applyLive before the endpoint is
-	// published and read-only after.
-	onStreamData    func(now time.Duration, s *RecvStream, data []byte, fin bool)
-	onStreamOpen    func(now time.Duration, s *RecvStream)
-	onHandshakeDone func(now time.Duration)
-	// shard is the event loop this endpoint's packets are processed on,
-	// assigned once at creation (before any readLoop starts) and immutable
-	// after. ownedLoops is the private single-shard group created when the
-	// user supplied no LiveConfig.Loops; Close signals it.
-	shard      *eventLoopShard
-	ownedLoops *EventLoopGroup
+	// done is closed by the shard once it has closed the endpoint and
+	// published its last snapshot: from then on the shard no longer touches
+	// it.
+	done chan struct{}
+	// opened counts the locally initiated streams OpenStream has reserved.
+	opened atomic.Uint64
+	// queued counts the Write bytes posted and not yet applied.
+	queued atomic.Int64
+
+	// The shard's alone once the endpoint is published.
+	env  liveEnv
+	conn *transport.Conn
+	peer []netip.AddrPort // per netIdx: where to send (client side / learned), unmapped
+	// trace is the user's Tracer, or an internal ring-only flight trace —
+	// either way with a flight recorder attached, so a live connection keeps
+	// a last-N event ring for anomaly post-mortems (DESIGN.md §14).
+	trace *obs.Trace
+	// ctrl is the Alg. 1 controller when the scheme wires one (server side).
+	ctrl   *qoe.Controller
+	closed bool
+	// inTurn records that the endpoint joined the shard's current turn: its
+	// connection is held (transport Conn.Hold) until the turn's end.
+	inTurn bool
+
+	snapMu sync.Mutex
+	snap   snapshot // xlinkvet:guardedby snapMu
+	// drained, made by a writer that waits in awaitBacklog, is closed by the
+	// shard's next snapshot.
+	drained chan struct{} // xlinkvet:guardedby snapMu
 }
 
-// cbKind says which user callback a pendingCallback runs.
-type cbKind uint8
-
-const (
-	cbStreamData cbKind = iota
-	cbStreamOpen
-	cbHandshakeDone
-)
-
-// pendingCallback is one deferred user callback, held as a value so that
-// queuing it allocates nothing. A data callback's bytes are
-// arena[off:off+n] of its batch.
-type pendingCallback struct {
-	kind   cbKind
-	fin    bool
-	now    time.Duration
-	s      *RecvStream
-	off, n int
+// snapshot is what the value readers see: the connection as the last turn
+// that touched it left it.
+type snapshot struct {
+	stats              transport.ConnStats
+	state              string
+	established        bool
+	terminated         bool
+	card               obs.Scorecard
+	openSend, openRecv int
 }
 
-// callbackBatch is an endpoint's queue while it is not empty: the callbacks
-// in the order raised, and the bytes of the data ones, copied out of the
-// transport's buffers, which are valid for the transport's call only.
-type callbackBatch struct {
-	q     []pendingCallback
-	arena []byte
-}
-
-// batches lends the endpoints their callback batches.
-var batches sync.Pool
-
-// push queues cb, with a copy of data, on b — on a batch from the pool when
-// b is nil — and returns the batch.
-func (b *callbackBatch) push(cb pendingCallback, data []byte) *callbackBatch {
-	if b == nil {
-		b, _ = batches.Get().(*callbackBatch)
-		// Pool empty: one batch per endpoint with callbacks queued at once.
-		if b == nil {
-			b = new(callbackBatch)
-		}
-	}
-	cb.off, cb.n = len(b.arena), len(data)
-	b.arena = append(b.arena, data...)
-	b.q = append(b.q, cb)
-	return b
-}
-
-// queueStreamData is the OnStreamData applyLive hands the transport. The
-// transport's data is valid for this call only, and the user's callback runs
-// after it returns, so push copies the bytes into the batch.
-func (ep *Endpoint) queueStreamData(now time.Duration, s *RecvStream, data []byte, fin bool) {
-	ep.enqueue(pendingCallback{kind: cbStreamData, now: now, s: s, fin: fin}, data)
-}
-
-// queueStreamOpen is the OnStreamOpen applyLive hands the transport.
-func (ep *Endpoint) queueStreamOpen(now time.Duration, s *RecvStream) {
-	ep.enqueue(pendingCallback{kind: cbStreamOpen, now: now, s: s}, nil)
-}
-
-// queueHandshakeDone is the OnHandshakeDone applyLive hands the transport.
-func (ep *Endpoint) queueHandshakeDone(now time.Duration) {
-	ep.enqueue(pendingCallback{kind: cbHandshakeDone, now: now}, nil)
-}
-
-// enqueue defers a user callback; the endpoint lock must be held. It is
-// invoked only from the transport callbacks installed by applyLive, and the
-// transport itself only runs under ep.mu (every entry point in this file
-// locks before calling in), so the guard holds — but the proof is one hop
-// beyond what the analyzer's caller credit covers.
-func (ep *Endpoint) enqueue(cb pendingCallback, data []byte) {
-	ep.cbQ = ep.cbQ.push(cb, data) //xlinkvet:ignore guardedby — transport-invoked under ep.mu; see comment above
-}
-
-// flushCallbacks runs deferred user callbacks outside the lock, in order.
-// Only one goroutine drains at a time: a concurrent caller returns
-// immediately and leaves its callbacks to the active drainer, which loops
-// until the queue is empty. Without that exclusivity two flushers could
-// each pop a callback and race to run them, reordering OnStreamData
-// deliveries under scheduler pressure.
-func (ep *Endpoint) flushCallbacks() {
-	ep.mu.Lock()
-	if ep.flushing {
-		ep.mu.Unlock()
-		return
-	}
-	ep.flushing = true
-	// Popped by index under the lock, since an enqueue may append while a
-	// callback runs. Entries are cleared as they are taken so a finished
-	// stream is not pinned by the array. A data callback's bytes stay put
-	// while it runs: the arena is only appended to (a reallocation leaves
-	// them in the old array). The batch goes back to the pool once empty.
-	if b := ep.cbQ; b != nil {
-		for i := 0; i < len(b.q); i++ {
-			cb := b.q[i]
-			b.q[i] = pendingCallback{}
-			var data []byte
-			if cb.n > 0 {
-				data = b.arena[cb.off : cb.off+cb.n : cb.off+cb.n]
-			}
-			ep.mu.Unlock()
-			ep.run(cb, data)
-			ep.mu.Lock()
-		}
-		b.q, b.arena = b.q[:0], b.arena[:0]
-		batches.Put(b)
-		ep.cbQ = nil
-	}
-	ep.flushing = false
-	ep.mu.Unlock()
-}
-
-// run calls the user callback cb names, with data for a data callback.
-func (ep *Endpoint) run(cb pendingCallback, data []byte) {
-	switch cb.kind {
-	case cbStreamData:
-		ep.onStreamData(cb.now, cb.s, data, cb.fin)
-	case cbStreamOpen:
-		ep.onStreamOpen(cb.now, cb.s)
-	case cbHandshakeDone:
-		ep.onHandshakeDone(cb.now)
-	}
-}
-
-// Stream is the sending half of a stream on a live endpoint. It wraps the
-// transport stream with the endpoint lock, making it safe to use from any
-// goroutine — the transport itself is single-threaded by design. It is a
-// handle of two pointers, passed by value, so opening a stream costs the
-// transport's stream and nothing more. See the internal documentation for
-// WriteFrame's video-frame priority semantics.
+// Stream is the sending half of a stream on a live endpoint: its endpoint
+// and its ID, passed by value. Each call posts an op that the endpoint's
+// shard applies in the order posted, resolving the stream by ID, so a
+// Stream is safe to use from any goroutine, a callback included. See the
+// internal documentation for WriteFrame's video-frame priority semantics.
 type Stream struct {
 	ep *Endpoint
-	s  *transport.SendStream // xlinkvet:guardedby ep.mu
+	id uint64
 }
 
 // ID returns the stream ID.
-func (st Stream) ID() uint64 {
-	st.ep.mu.Lock()
-	defer st.ep.mu.Unlock()
-	return st.s.ID()
-}
+func (st Stream) ID() uint64 { return st.id }
 
-// Write queues data for sending. The data leaves at the end of the shard turn
-// the call joins (see joinTurnLocked), together with whatever else the turn
-// queued, not before Write returns.
-//
-// The lockheld suppressions on the transport calls below (and in Close,
-// AbandonPath, readLoop, Dial and Endpoint.Close) share one justification:
-// the endpoint deliberately drives the single-threaded transport under
-// ep.mu. Callbacks the transport may invoke on that path are either
-// deferred through cbQ by the applyLive wrappers (OnStreamData,
-// OnStreamOpen, OnHandshakeDone) or synchronous pure providers
-// (QoEProvider, CCFactory) that do not re-enter the endpoint; OnClosed is
-// never installed in live mode.
-func (st Stream) Write(data []byte) {
-	st.ep.mu.Lock()
-	st.ep.joinTurnLocked()
-	st.s.Write(data) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
-	st.ep.mu.Unlock()
-}
+// Write queues a copy of data for sending. The data leaves at the end of the
+// shard turn that applies the write, together with whatever else the turn
+// queued, not before Write returns. On a goroutine that is no shard's, Write
+// first waits while the endpoint's send backlog is over writeBacklog; a
+// callback never waits.
+func (st Stream) Write(data []byte) { st.ep.postWrite(st.id, data, false, 0) }
 
-// WriteFrame queues one video frame with a priority.
-func (st Stream) WriteFrame(data []byte, prio int) {
-	st.ep.mu.Lock()
-	st.ep.joinTurnLocked()
-	st.s.WriteFrame(data, prio) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
-	st.ep.mu.Unlock()
-}
+// WriteFrame queues a copy of one video frame with a priority.
+func (st Stream) WriteFrame(data []byte, prio int) { st.ep.postWrite(st.id, data, true, prio) }
 
 // SetPriority sets the stream priority.
 func (st Stream) SetPriority(p int) {
-	st.ep.mu.Lock()
-	st.s.SetPriority(p)
-	st.ep.mu.Unlock()
+	st.ep.post(op{kind: opSetPriority, ep: st.ep, id: st.id, prio: p})
 }
 
-// Close marks the stream finished after all queued data. Like Write, it
-// joins a shard turn: a Write and a Close made in a row leave together.
-func (st Stream) Close() {
-	st.ep.mu.Lock()
-	st.ep.joinTurnLocked()
-	st.s.Close() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
-	st.ep.mu.Unlock()
-}
+// Close marks the stream finished after all queued data. A Write and a
+// Close made in a row leave together when one turn applies both.
+func (st Stream) Close() { st.ep.post(op{kind: opClose, ep: st.ep, id: st.id}) }
 
 // Reset abandons the stream with an error code.
 func (st Stream) Reset(code uint64) {
-	st.ep.mu.Lock()
-	st.ep.joinTurnLocked()
-	st.s.Reset(code) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Write doc
-	st.ep.mu.Unlock()
+	st.ep.post(op{kind: opReset, ep: st.ep, id: st.id, arg: code})
 }
 
 // RecvStream is the receiving half of a stream.
@@ -336,26 +193,28 @@ type LiveConfig struct {
 	// PSK must match between client and server (stands in for TLS; see
 	// DESIGN.md).
 	PSK []byte
-	// OnStreamData receives in-order stream data. data is valid for the call
-	// only: the endpoint reuses its buffer once the callback returns, so a
-	// callback that keeps bytes copies them. What a callback writes on its
-	// endpoint leaves after it returns, with the rest of its shard turn.
+	// OnStreamData receives in-order stream data. It runs on the endpoint's
+	// shard, inside the transport call that delivered the data, as in the
+	// sim. data is the transport's, valid for the call only, so a callback
+	// that keeps bytes copies them. What a callback writes leaves after it
+	// returns, with the rest of its shard turn.
 	OnStreamData func(now time.Duration, s *RecvStream, data []byte, fin bool)
 	// OnStreamOpen announces peer-initiated streams.
 	OnStreamOpen func(now time.Duration, s *RecvStream)
 	// OnHandshakeDone fires once the connection is established.
 	OnHandshakeDone func(now time.Duration)
-	// QoEProvider supplies client player feedback.
+	// QoEProvider supplies client player feedback. The shard calls it for
+	// the ACKs a send pass builds.
 	QoEProvider func() QoESignal
 	// Tracer, when set, collects the connection's structured event stream.
-	// The trace is driven under the endpoint mutex (obs.Trace itself is
+	// Only the endpoint's shard emits to it (obs.Trace itself is
 	// goroutine-confined; only its Registry is internally synchronized);
-	// read it with Endpoint.TraceBytes, which snapshots under the same
-	// lock. Timestamps come from the endpoint's loop, which every entry
-	// advances to the wall clock, so they never decrease, but — unlike sim
-	// traces — live traces are not byte-reproducible across runs. nil skips the NDJSON stream but not
-	// the flight recorder: the endpoint always keeps a last-N event ring
-	// and a metric registry (see DebugHandler).
+	// read it with Endpoint.TraceBytes, which copies it on the shard.
+	// Timestamps come from the shard's loop, which every turn advances to
+	// the wall clock, so they never decrease, but — unlike sim traces — live
+	// traces are not byte-reproducible across runs. nil skips the NDJSON
+	// stream but not the flight recorder: the endpoint always keeps a
+	// last-N event ring and a metric registry (see DebugHandler).
 	Tracer *obs.Trace
 	Seed   int64
 	// Loops, when set, shards this endpoint's packet processing onto a
@@ -377,24 +236,15 @@ func Listen(addr string, cfg LiveConfig) (*Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep := newEndpoint([]*net.UDPConn{sock})
-	ep.attachLoops(cfg.Loops)
 	x := core.New(cfg.Scheme, cfg.Options)
-	tcfg := x.ServerConfig(cfg.Seed)
-	tr := applyLive(ep, &tcfg, cfg)
-	ep.mu.Lock()
-	ep.trace = tr
-	ep.userTrace = cfg.Tracer != nil
-	ep.ctrl = x.Controller
-	ep.conn = transport.NewConn(&ep.env, ep, tcfg)
-	ep.mu.Unlock()
+	ep := newEndpoint([]*net.UDPConn{sock}, x.ServerConfig(cfg.Seed), x.Controller, cfg)
 	go ep.readLoop(0, sock)
 	return ep, nil
 }
 
 // Dial starts a live client endpoint connecting every local interface
 // (one "ifaceAddrs" local bind per path, which may be ":0") to the remote
-// server.
+// server. The handshake starts on the endpoint's shard after Dial returns.
 func Dial(remote string, ifaceAddrs []string, techs []Technology, cfg LiveConfig) (*Endpoint, error) {
 	if len(ifaceAddrs) == 0 || len(ifaceAddrs) != len(techs) {
 		return nil, fmt.Errorf("xlink: need one local address and technology per interface")
@@ -415,139 +265,81 @@ func Dial(remote string, ifaceAddrs []string, techs []Technology, cfg LiveConfig
 		}
 		socks = append(socks, sock)
 	}
-	ep := newEndpoint(socks)
-	ep.attachLoops(cfg.Loops)
-	peers := make([]netip.AddrPort, 0, len(socks))
-	for range socks {
-		peers = append(peers, unmapped(raddr.AddrPort()))
-	}
 	x := core.New(cfg.Scheme, cfg.Options)
 	tcfg := x.ClientConfig(cfg.Seed)
 	tcfg.IsClient = true
-	tr := applyLive(ep, &tcfg, cfg)
-	ep.mu.Lock()
-	ep.trace = tr
-	ep.userTrace = cfg.Tracer != nil
-	ep.ctrl = x.Controller
-	ep.peer = peers
-	conn := transport.NewConn(&ep.env, ep, tcfg)
+	ep := newEndpoint(socks, tcfg, x.Controller, cfg)
 	for i, tech := range techs {
-		conn.AddInterface(i, tech)
+		ep.peer = append(ep.peer, unmapped(raddr.AddrPort()))
+		ep.conn.AddInterface(i, tech)
 	}
-	ep.conn = conn
-	ep.env.advance()
-	err = conn.Start() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
-	ep.mu.Unlock()
-	ep.flushCallbacks()
-	if err != nil {
-		ep.Close()
-		return nil, err
-	}
+	ep.post(op{kind: opStart, ep: ep})
 	for i, sock := range socks {
-		// One reader per dialed interface: readLoop exits when Close closes its
-		// socket and ep.done.
+		// One reader per dialed interface: readLoop exits when the close
+		// closes its socket and ep.done.
 		go ep.readLoop(i, sock)
 	}
 	return ep, nil
 }
 
-func newEndpoint(socks []*net.UDPConn) *Endpoint {
+// newEndpoint binds a new endpoint to a shard of cfg.Loops, or of a private
+// single-shard group when there is none, and makes its connection with the
+// user's callbacks and trace. The endpoint is published to the shard by its
+// first op or datagram.
+func newEndpoint(socks []*net.UDPConn, tcfg transport.Config, ctrl *qoe.Controller, cfg LiveConfig) *Endpoint {
 	ep := &Endpoint{
 		socks: socks,
 		peer:  make([]netip.AddrPort, 0, len(socks)),
 		done:  make(chan struct{}),
+		ctrl:  ctrl,
 	}
-	//xlinkvet:ignore determinism — real-time adapter: the alarm goes off on the wall clock
-	alarm := time.AfterFunc(time.Hour, ep.ring)
-	alarm.Stop()
-	// Set under the lock that guards it, like the fields Listen and Dial set.
-	ep.mu.Lock()
-	ep.env = liveEnv{loop: sim.NewLoop(), wall: sim.NewRealClock(), alarm: alarm}
-	ep.mu.Unlock()
-	return ep
-}
-
-// ring is the alarm's callback: it posts a wake, a rawPacket with no buffer,
-// to the endpoint's shard, whose turn advances the loop and so runs every
-// timer that came due under the turn's hold. It never runs on the shard
-// goroutine, so unlike joinTurnLocked it may wait for a slot; Close ends the
-// wait.
-func (ep *Endpoint) ring() {
-	select {
-	case ep.shard.in <- rawPacket{ep: ep}:
-	case <-ep.done:
-	}
-}
-
-// attachLoops binds the endpoint to a shard of the given group, creating a
-// private single-shard group when the user supplied none. Must run before
-// any readLoop starts (shard is immutable after publication).
-func (ep *Endpoint) attachLoops(g *EventLoopGroup) {
+	g := cfg.Loops
 	if g == nil {
 		g = NewEventLoopGroup(1)
 		ep.ownedLoops = g
 	}
 	ep.shard = g.attach()
-}
-
-// applyLive copies the user callbacks into the transport config, wrapping
-// each so it is deferred past the endpoint lock, and resolves the trace:
-// the user's Tracer or an internal ring-only flight trace, either way with
-// a flight recorder attached. It returns the trace for Listen/Dial to
-// assign under the lock; it must run before the endpoint is published.
-func applyLive(ep *Endpoint, tcfg *transport.Config, cfg LiveConfig) *obs.Trace {
+	ep.env = liveEnv{ep: ep, loop: ep.shard.loop, origin: ep.shard.wall.Now()}
 	if len(cfg.PSK) > 0 {
 		tcfg.PSK = cfg.PSK
 	}
-	ep.onStreamData, ep.onStreamOpen, ep.onHandshakeDone = cfg.OnStreamData, cfg.OnStreamOpen, cfg.OnHandshakeDone
-	if cfg.OnStreamData != nil {
-		tcfg.OnStreamData = ep.queueStreamData
+	// The callbacks run inline on the shard, inside the transport call that
+	// raised them.
+	tcfg.OnStreamData, tcfg.OnStreamOpen, tcfg.OnHandshakeDone = cfg.OnStreamData, cfg.OnStreamOpen, cfg.OnHandshakeDone
+	tcfg.QoEProvider = cfg.QoEProvider
+	ep.client, ep.label = tcfg.IsClient, "server"
+	if ep.client {
+		ep.label = "client"
 	}
-	if cfg.OnStreamOpen != nil {
-		tcfg.OnStreamOpen = ep.queueStreamOpen
+	// The user's Tracer or an internal ring-only flight trace, either way
+	// with a flight recorder attached.
+	ep.userTrace = cfg.Tracer != nil
+	ep.trace = cfg.Tracer
+	if ep.trace == nil {
+		ep.trace = obs.NewFlightTrace("live-"+ep.label, 0)
 	}
-	if cfg.OnHandshakeDone != nil {
-		tcfg.OnHandshakeDone = ep.queueHandshakeDone
-	}
-	if cfg.QoEProvider != nil {
-		// The provider is a pure read; it runs inline (no re-entrancy).
-		tcfg.QoEProvider = func() wire.QoESignal { return cfg.QoEProvider() }
-	}
-	label := "server"
-	if tcfg.IsClient {
-		label = "client"
-	}
-	ep.label = label
-	tr := cfg.Tracer
-	if tr == nil {
-		tr = obs.NewFlightTrace("live-"+label, 0)
-	}
-	tr.AttachFlightRecorder(0)
-	tcfg.Tracer = tr.Origin(label)
-	return tr
+	ep.trace.AttachFlightRecorder(0)
+	tcfg.Tracer = ep.trace.Origin(ep.label)
+	ep.conn = transport.NewConn(&ep.env, ep, tcfg)
+	ep.publish()
+	return ep
 }
 
 // SendBatch implements transport.DatagramSender over the sockets: one write
 // per packet on the interface's socket (the stdlib exposes no sendmmsg, so
 // the syscall batching point stays behind this single seam), returning how
 // many were written. The transport-side win — one virtual dispatch and one
-// flush per batch — is independent of the syscall count.
-//
-// The transport only invokes it while the endpoint holds ep.mu (every entry
-// point in this file locks before driving the connection), so the guarded
-// fields are safe to read here — taking the lock again would self-deadlock.
-// That inversion (callee relies on its caller's caller holding the lock) is
-// beyond the analyzer's one-level caller credit, hence the suppression.
+// flush per batch — is independent of the syscall count. Only the shard
+// calls it, through its connection.
 func (ep *Endpoint) SendBatch(netIdx int, pkts [][]byte) int {
-	socks, peer := ep.socks, ep.peer //xlinkvet:ignore guardedby — invoked by the transport under ep.mu; see doc comment
-	if netIdx >= len(peer) || !peer[netIdx].IsValid() {
+	if netIdx >= len(ep.peer) || !ep.peer[netIdx].IsValid() {
 		return 0
 	}
 	// A client sends on the interface's socket; a server has one socket.
-	sock := socks[min(netIdx, len(socks)-1)]
+	sock := ep.socks[min(netIdx, len(ep.socks)-1)]
 	sent := 0
 	for _, d := range pkts {
-		if _, err := sock.WriteToUDPAddrPort(d, peer[netIdx]); err == nil {
+		if _, err := sock.WriteToUDPAddrPort(d, ep.peer[netIdx]); err == nil {
 			sent++
 		}
 	}
@@ -558,46 +350,58 @@ func (ep *Endpoint) SendBatch(netIdx int, pkts [][]byte) int {
 // headroom); every read buffer is this large.
 const readBufSize = 2048
 
-// readBufs is the process-wide pool of socket read buffers, held as
-// *[readBufSize]byte so that Put boxes nothing (DESIGN.md §19, the pool
-// rule). A reader takes one per datagram and the shard gives it back once
-// the batch was delivered; the collector empties the pool, so an idle group
-// holds none.
-var readBufs sync.Pool
+// readBufs is the process-wide pool of socket read buffers. A reader takes
+// one per datagram and the shard gives it back once the batch was delivered.
+var readBufs bufPool[*[readBufSize]byte]
 
-// getReadBuf returns a whole read buffer, reused if the pool has one.
-func getReadBuf() []byte {
-	b, _ := readBufs.Get().(*[readBufSize]byte)
-	// Pool empty: one buffer per datagram in flight at the high-water mark since the last collection.
+// writeChunkSize is the size of the chunks a Write's payload is copied into.
+// It is above the 4 KiB to which the transport grows a stream's first
+// segment by doubling, so the first chunk of a larger Write takes a whole
+// pooled segment, as one transport call with the whole payload does;
+// read-buffer-sized chunks would cost every such stream two doublings.
+const writeChunkSize = 8 << 10
+
+// writeChunks is the process-wide pool of Write chunks: a Write takes one
+// per chunk of its copy, and the shard gives it back once the op is applied.
+var writeChunks bufPool[*[writeChunkSize]byte]
+
+// bufPool is a process-wide pool of byte buffers of one size, held as P, a
+// pointer to the array, so that Put boxes nothing (DESIGN.md §19, the pool
+// rule). The collector empties it, so an idle process holds none.
+type bufPool[P *[readBufSize]byte | *[writeChunkSize]byte] struct{ pool sync.Pool }
+
+// get returns a whole buffer, reused if the pool has one.
+func (bp *bufPool[P]) get() P {
+	b, _ := bp.pool.Get().(P)
+	// Pool empty: it grows to the most buffers in use at once since the last collection.
 	if b == nil {
-		b = new([readBufSize]byte)
+		b = P(make([]byte, len(b))) // len of a nil array pointer is the array's
 	}
-	return b[:]
+	return b
 }
 
-// putReadBuf gives a read buffer back to the pool. Under xlinkdebug it is
-// overwritten first, so a consumer that kept the datagram past
-// HandleDatagramBatch reads 0xdb instead of the next datagram.
-func putReadBuf(buf []byte) {
-	whole := (*[readBufSize]byte)(buf[:readBufSize])
+// put gives a buffer back to the pool: any slice of one that starts at its
+// first byte. Under xlinkdebug it is overwritten first, so a consumer that
+// kept the bytes (the transport past HandleDatagramBatch or SendStream.Write)
+// reads 0xdb instead of the buffer's next use.
+func (bp *bufPool[P]) put(buf []byte) {
+	whole := buf[:cap(buf)]
 	if assert.Enabled {
 		for i := range whole {
 			whole[i] = 0xdb
 		}
 	}
-	readBufs.Put(whole)
+	bp.pool.Put(P(whole))
 }
 
-// liveBatchSize caps how many raw packets one shard turn drains into a
-// single locked HandleDatagramBatch pass.
+// liveBatchSize caps how many raw packets one shard turn drains.
 const liveBatchSize = 16
 
 // rawPacket is one datagram handed from a socket reader to its endpoint's
 // shard. buf is a read buffer from readBufs: the shard gives it back after
 // the batch is delivered, and the transport's receive boundary (see
 // transport.DatagramSender's ownership note) guarantees the connection does
-// not retain it past HandleDatagramBatch. A rawPacket with no buf is a wake:
-// a user call asking for a turn of its endpoint (joinTurnLocked).
+// not retain it past HandleDatagramBatch.
 type rawPacket struct {
 	ep   *Endpoint
 	sock int // receiving socket's netIdx (client); servers resolve per packet
@@ -605,18 +409,154 @@ type rawPacket struct {
 	buf  []byte
 }
 
-// EventLoopGroup shards live-endpoint packet processing across per-core
-// event loops. Socket readers never touch a connection: they post raw
-// packets to their endpoint's shard over a channel (the lock-free handoff),
-// and the shard goroutine drains up to liveBatchSize packets per turn,
-// delivering each endpoint's run as one HandleDatagramBatch under one lock
-// acquisition. Endpoints attach round-robin at creation, so all traffic for
-// a connection stays on one shard and batches form naturally under load.
+// opKind says what an op does on the shard.
+type opKind uint8
+
+const (
+	opWrite opKind = iota
+	opClose
+	opReset
+	opSetPriority
+	opAbandonPath
+	opStart // the client's handshake (Dial)
+	opCloseEndpoint
+	opCall // fn, for a caller that waits (onShard)
+)
+
+// op is one user call on its way to the shard, held by value in the
+// shard's FIFO so that posting it allocates nothing.
+type op struct {
+	kind opKind
+	ep   *Endpoint
+	id   uint64 // the stream, or the path for opAbandonPath
+	// arg is opReset's code; on a WriteFrame's last chunk, the length of the
+	// frame, of priority prio, that ends with it.
+	arg  uint64
+	prio int
+	buf  []byte // opWrite's bytes: a writeChunks chunk
+	fn   func()
+}
+
+// post queues o on its endpoint's shard and wakes the shard. It never
+// blocks, so a callback may post to its own shard.
+func (ep *Endpoint) post(o op) {
+	if ep.isDone() {
+		return
+	}
+	sh := ep.shard
+	sh.mu.Lock()
+	sh.ops = append(sh.ops, o)
+	sh.mu.Unlock()
+	sh.wake()
+}
+
+// postWrite queues a copy of data for stream id as one op per Write chunk,
+// posted together so no other op comes between them.
+func (ep *Endpoint) postWrite(id uint64, data []byte, frame bool, prio int) {
+	if ep.isDone() {
+		return
+	}
+	ep.awaitBacklog()
+	n, sh := len(data), ep.shard
+	ep.queued.Add(int64(n))
+	sh.mu.Lock()
+	for first := true; first || len(data) > 0; first = false {
+		o := op{kind: opWrite, ep: ep, id: id}
+		if len(data) > 0 {
+			o.buf = writeChunks.get()[:]
+			o.buf = o.buf[:copy(o.buf, data)]
+			data = data[len(o.buf):]
+		}
+		if len(data) == 0 && frame {
+			o.arg, o.prio = uint64(n), prio
+		}
+		sh.ops = append(sh.ops, o)
+	}
+	sh.mu.Unlock()
+	sh.wake()
+}
+
+// isDone reports whether the endpoint is closed: its ops would do nothing,
+// and its shard may be gone.
+func (ep *Endpoint) isDone() bool {
+	select {
+	case <-ep.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// apply runs o on the shard. An op for a closed endpoint does nothing.
+func (o *op) apply() {
+	ep := o.ep
+	if !ep.closed {
+		ep.join()
+		switch o.kind {
+		case opWrite:
+			s := ep.conn.Stream(o.id)
+			end := s.Buffered() + uint64(len(o.buf))
+			s.Write(o.buf)
+			// A frame is tagged only if its last chunk was written: a finished
+			// or reset stream drops a Write, and every Write after it.
+			if o.arg > 0 && s.Buffered() == end {
+				s.MarkFrame(end-o.arg, end, o.prio)
+			}
+		case opClose:
+			ep.conn.Stream(o.id).Close()
+		case opReset:
+			ep.conn.Stream(o.id).Reset(o.arg)
+		case opSetPriority:
+			ep.conn.Stream(o.id).SetPriority(o.prio)
+		case opAbandonPath:
+			ep.conn.AbandonPath(o.id)
+		case opStart:
+			if ep.conn.Start() != nil {
+				ep.shut()
+			}
+		case opCloseEndpoint:
+			ep.shut()
+		case opCall:
+			o.fn()
+		}
+	}
+	if o.buf != nil {
+		ep.queued.Add(-int64(len(o.buf)))
+		writeChunks.put(o.buf)
+	}
+}
+
+// onShard runs fn on the endpoint's shard after every op posted before it
+// and waits for it to return; once the endpoint is closed, when the shard no
+// longer touches it, fn runs on the caller's goroutine instead. It must not
+// be called from a callback, which would wait for its own shard.
+func (ep *Endpoint) onShard(fn func()) {
+	ran := make(chan struct{})
+	ep.post(op{kind: opCall, ep: ep, fn: func() { fn(); close(ran) }})
+	select {
+	case <-ran:
+	case <-ep.done:
+		select {
+		case <-ran:
+		default:
+			fn()
+		}
+	}
+}
+
+// EventLoopGroup shards live endpoints across per-core event loops. Each
+// shard goroutine is the only one that touches its endpoints' connections
+// (DESIGN.md §16): socket readers post raw packets to it over a channel,
+// user calls post ops to its FIFO, and its one timer stands for the
+// earliest deadline of its one sim.Loop. Endpoints attach round-robin at
+// creation, so all traffic for a connection stays on one shard and batches
+// form naturally under load.
 //
 // A group may be shared by many endpoints (LiveConfig.Loops); endpoints
 // without one get a private single-shard group. Close the endpoints first,
-// then the group: Close signals the shard goroutines to exit and Wait joins
-// them.
+// then the group: Close signals the shard goroutines to apply the ops
+// already posted — the endpoints' closes among them — and exit, and Wait
+// joins them.
 type EventLoopGroup struct {
 	shards []*eventLoopShard
 	next   atomic.Uint64
@@ -625,11 +565,26 @@ type EventLoopGroup struct {
 	closed atomic.Bool
 }
 
-// eventLoopShard is one event loop: its inbound raw-packet channel,
-// written by socket readers and drained only by the shard goroutine. The
-// channel is never closed — lifecycle runs through the group's done channel.
+// eventLoopShard is one event loop. in is written by socket readers and
+// ops by any goroutine under mu, a leaf lock never held across a transport
+// call or a callback; everything else is the shard goroutine's. No channel
+// is ever closed — lifecycle runs through the group's done channel.
 type eventLoopShard struct {
-	in chan rawPacket
+	in   chan rawPacket
+	kick chan struct{} // one slot: ops were posted
+	mu   sync.Mutex
+	ops  []op // xlinkvet:guardedby mu
+
+	loop  *sim.Loop
+	wall  *sim.RealClock
+	timer *time.Timer
+	// timerAt is the loop instant the timer goes off at, -1 when it is not
+	// set.
+	timerAt time.Duration
+	spare   []op        // the FIFO's other array, swapped in by applyOps
+	turn    []*Endpoint // the endpoints joined to the current turn
+	batch   []rawPacket
+	pkts    [][]byte
 }
 
 // NewEventLoopGroup starts a group of n shard goroutines (n <= 0 means one
@@ -640,18 +595,30 @@ func NewEventLoopGroup(n int) *EventLoopGroup {
 	}
 	g := &EventLoopGroup{done: make(chan struct{})}
 	for i := 0; i < n; i++ {
-		sh := &eventLoopShard{in: make(chan rawPacket, 4*liveBatchSize)}
+		sh := &eventLoopShard{
+			in:   make(chan rawPacket, 4*liveBatchSize),
+			kick: make(chan struct{}, 1),
+			loop: sim.NewLoop(),
+			wall: sim.NewRealClock(),
+			//xlinkvet:ignore determinism — real-time adapter: the shard's timer goes off on the wall clock
+			timer:   time.NewTimer(time.Hour),
+			timerAt: -1,
+			batch:   make([]rawPacket, 0, liveBatchSize),
+			pkts:    make([][]byte, 0, liveBatchSize),
+		}
+		sh.timer.Stop()
 		g.shards = append(g.shards, sh)
 		g.wg.Add(1)
 		// One goroutine per shard, joined by Close/Wait via g.done and g.wg.
+		//xlinkvet:confines the shard goroutine is the only one that drives its endpoints' connections, which reach it through its FIFO and its channel (DESIGN.md §16)
 		go g.run(sh)
 	}
 	return g
 }
 
-// Close signals every shard goroutine to exit after its current batch. It
-// does not wait (an endpoint callback may Close re-entrantly from a shard
-// goroutine); use Wait to join.
+// Close signals every shard goroutine to exit after one last turn. It does
+// not wait (an endpoint's close may run it from a shard goroutine); use
+// Wait to join.
 func (g *EventLoopGroup) Close() {
 	if g.closed.CompareAndSwap(false, true) {
 		close(g.done)
@@ -659,7 +626,7 @@ func (g *EventLoopGroup) Close() {
 }
 
 // Wait joins the shard goroutines after Close. Must not be called from a
-// shard-delivered callback (it would wait on itself).
+// callback (it would wait on itself).
 func (g *EventLoopGroup) Wait() { g.wg.Wait() }
 
 // attach assigns the next endpoint to a shard, round-robin.
@@ -667,142 +634,208 @@ func (g *EventLoopGroup) attach() *eventLoopShard {
 	return g.shards[int(g.next.Add(1)-1)%len(g.shards)]
 }
 
-// run is one shard's event loop: block for the first packet of a turn,
-// opportunistically drain whatever else is already queued (up to
-// liveBatchSize), and deliver the turn as per-endpoint batches. This is the
-// per-batch hot loop: its steady state allocates nothing — buffers come
-// from readBufs and the batch scratch is reused across turns.
+// run is one shard's event loop: block for a datagram, an op or the timer,
+// drain whatever other datagrams are already queued (up to liveBatchSize),
+// and run a turn.
 func (g *EventLoopGroup) run(sh *eventLoopShard) {
 	defer g.wg.Done()
-	batch := make([]rawPacket, 0, liveBatchSize)
-	pkts := make([][]byte, 0, liveBatchSize)
+	defer sh.timer.Stop()
+	id := goid()
+	shardGoroutines.Store(id, true)
+	defer shardGoroutines.Delete(id)
 	for {
 		select {
 		case <-g.done:
+			// The ops posted before the group's Close run in a last turn.
+			sh.runTurn()
 			return
 		case rp := <-sh.in:
-			batch = append(batch[:0], rp)
+			sh.batch = append(sh.batch, rp)
 		drain:
-			for len(batch) < liveBatchSize {
+			for len(sh.batch) < liveBatchSize {
 				select {
 				case rp2 := <-sh.in:
-					batch = append(batch, rp2)
+					sh.batch = append(sh.batch, rp2)
 				default:
 					break drain
 				}
 			}
-			dispatch(batch, &pkts)
+		case <-sh.kick:
+		case <-sh.timer.C:
+			sh.timerAt = -1
 		}
+		sh.runTurn()
 	}
 }
 
-// dispatch splits a turn's packets into contiguous per-endpoint runs,
-// delivers each run under that endpoint's lock, and gives the read buffers
-// back.
-func dispatch(batch []rawPacket, pkts *[][]byte) {
-	i := 0
-	for i < len(batch) {
+// wake makes sure the shard runs a turn after the ops posted so far.
+func (sh *eventLoopShard) wake() {
+	select {
+	case sh.kick <- struct{}{}:
+	default:
+	}
+}
+
+// runTurn is one turn of the shard (DESIGN.md §16): advance the loop to the
+// wall clock, which runs the timers that came due; hand each endpoint's run
+// of datagrams to its connection, whose callbacks run inline; apply the ops
+// posted so far; advance again; then release every endpoint the turn
+// joined, which runs its one send pass, publish its snapshot (a closed
+// endpoint's last, after which its done channel closes), and point the
+// timer at the loop's next deadline. This is the per-batch hot loop: its
+// steady state allocates nothing.
+func (sh *eventLoopShard) runTurn() {
+	sh.loop.RunUntil(sh.wall.Now())
+	sh.ingest()
+	sh.applyOps()
+	sh.loop.RunUntil(sh.wall.Now())
+	for i, ep := range sh.turn {
+		ep.inTurn = false
+		ep.conn.Release() // a no-op once shut closed the connection
+		ep.publish()
+		if ep.closed {
+			close(ep.done)
+		}
+		sh.turn[i] = nil
+	}
+	sh.turn = sh.turn[:0]
+	if at, ok := sh.loop.Next(); ok && at != sh.timerAt {
+		sh.timerAt = at
+		// The loop's clock is at or behind the wall's, so the timer never
+		// goes off before at. A stale one costs an empty turn.
+		sh.timer.Reset(at - sh.loop.Now())
+	}
+}
+
+// ingest splits the turn's datagrams into contiguous per-endpoint runs,
+// delivers each run, and gives the read buffers back.
+func (sh *eventLoopShard) ingest() {
+	batch := sh.batch
+	for i := 0; i < len(batch); {
 		ep := batch[i].ep
 		j := i + 1
 		for j < len(batch) && batch[j].ep == ep {
 			j++
 		}
-		ep.deliverBatch(batch[i:j], pkts)
+		if !ep.closed {
+			ep.deliver(batch[i:j], &sh.pkts)
+		}
 		i = j
 	}
 	for k := range batch {
-		if batch[k].buf != nil {
-			putReadBuf(batch[k].buf)
-		}
+		readBufs.put(batch[k].buf)
 		batch[k] = rawPacket{}
+	}
+	sh.batch = batch[:0]
+}
+
+// applyOps applies the ops posted so far, in the order posted; ops posted
+// meanwhile wait for the next turn. It advances the loop to the wall clock
+// once it has taken them, so a timer due before an op was posted runs
+// before the op.
+func (sh *eventLoopShard) applyOps() {
+	sh.mu.Lock()
+	ops := sh.ops
+	sh.ops = sh.spare
+	sh.mu.Unlock()
+	sh.loop.RunUntil(sh.wall.Now())
+	for i := range ops {
+		ops[i].apply()
+		ops[i] = op{}
+	}
+	// A burst's array is left to the collector.
+	if cap(ops) > 1024 {
+		ops = nil
+	}
+	sh.spare = ops[:0]
+}
+
+// join makes the endpoint part of the shard's current turn: its connection
+// is held until the turn's end, so that every send pass the turn asks for
+// runs once, at the release.
+func (ep *Endpoint) join() {
+	if !ep.inTurn {
+		ep.inTurn = true
+		ep.conn.Hold()
+		ep.shard.turn = append(ep.shard.turn, ep)
 	}
 }
 
-// deliverBatch runs one turn of an endpoint (DESIGN.md §16): it holds the
-// connection, advances its loop to the wall clock, which runs the timers that
-// came due, ingests the run of raw packets under a single lock acquisition —
-// contiguous same-interface packets as one HandleDatagramBatch call, wakes
-// skipped — runs the user callbacks the packets raised, and then advances the
-// loop again and releases the hold. The send pass that every packet, timer,
-// callback and user call in the turn asked for runs once, at the release, so
-// an ACK, the response a callback wrote and its FIN leave in one datagram.
-// Servers resolve the interface index per packet (learnPeerLocked needs
-// ep.mu, which is held here).
-func (ep *Endpoint) deliverBatch(run []rawPacket, pkts *[][]byte) {
-	ep.mu.Lock()
-	if !ep.held {
-		ep.held = true
-		ep.conn.Hold() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
-	}
-	ep.env.advance()
+// deliver hands one endpoint's run of raw packets to its connection:
+// contiguous same-interface packets as one HandleDatagramBatch call.
+// Servers resolve the interface index per packet.
+func (ep *Endpoint) deliver(run []rawPacket, pkts *[][]byte) {
+	ep.join()
 	now := ep.env.Now()
 	isClient := ep.conn.IsClient()
 	for i := 0; i < len(run); {
-		if run[i].buf == nil {
-			i++ // a wake: the turn itself is what it asked for
-			continue
-		}
 		idx := run[i].sock
 		if !isClient {
-			idx = ep.learnPeerLocked(run[i].from)
+			idx = ep.learnPeer(run[i].from)
 		}
 		ps := append((*pkts)[:0], run[i].buf)
 		j := i + 1
 		for ; j < len(run); j++ {
-			if run[j].buf == nil {
-				continue
-			}
 			jdx := run[j].sock
 			if !isClient {
-				jdx = ep.learnPeerLocked(run[j].from)
+				jdx = ep.learnPeer(run[j].from)
 			}
 			if jdx != idx {
 				break
 			}
 			ps = append(ps, run[j].buf)
 		}
-		ep.conn.HandleDatagramBatch(now, idx, ps) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
+		ep.conn.HandleDatagramBatch(now, idx, ps)
 		*pkts = ps[:0]
 		i = j
 	}
-	ep.mu.Unlock()
-	ep.flushCallbacks()
-	ep.mu.Lock()
-	ep.env.advance()
-	ep.releaseLocked() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
-	ep.mu.Unlock()
 }
 
-// joinTurnLocked makes the user call about to drive the connection part of a
-// shard turn, so that its send pass runs once, at the turn's release, on the
-// shard goroutine. A call made while a turn is open — a callback's write —
-// or while a posted wake is pending joins that turn. Otherwise the call holds
-// the connection and posts a wake, a rawPacket with no buffer, to the
-// endpoint's shard: it costs a channel slot and no allocation. The post never
-// blocks: the caller may be the shard's own goroutine (a callback writing to
-// another endpoint on the same shard), which a full channel would deadlock,
-// so a full channel leaves the call unheld, and it sends before it returns.
-// A closed endpoint takes no hold: its shard may be gone. Either way the loop
-// is then advanced, so the timers that came due run before the call, under
-// the hold when there is one.
-func (ep *Endpoint) joinTurnLocked() {
-	if !ep.held && !ep.closed {
-		select {
-		case ep.shard.in <- rawPacket{ep: ep}:
-			ep.held = true
-			ep.conn.Hold() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
-		default:
-		}
+// publish copies the connection's state into the snapshot the value
+// readers see.
+func (ep *Endpoint) publish() {
+	s := snapshot{
+		stats:       ep.conn.Stats(),
+		state:       ep.conn.StateName(),
+		established: ep.conn.Established(),
+		terminated:  ep.conn.Terminated(),
+		card:        ep.scorecard(),
 	}
-	ep.env.advance()
+	s.openSend, s.openRecv = ep.conn.OpenStreams()
+	ep.snapMu.Lock()
+	ep.snap = s
+	if ep.drained != nil {
+		close(ep.drained)
+		ep.drained = nil
+	}
+	ep.snapMu.Unlock()
 }
 
-// releaseLocked ends the endpoint's hold, if it has one, running the send
-// pass the turn owes.
-func (ep *Endpoint) releaseLocked() {
-	if ep.held {
-		ep.held = false
-		ep.conn.Release() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
+// snapshot returns the last published snapshot.
+func (ep *Endpoint) snapshot() snapshot {
+	ep.snapMu.Lock()
+	defer ep.snapMu.Unlock()
+	return ep.snap
+}
+
+// shut closes the endpoint on its shard, in a turn it has joined. What the
+// turn queued leaves before CONNECTION_CLOSE; the connection's scorecard is
+// emitted (conn:scorecard) and merged into the registry once, so /metrics
+// served after shutdown carries the session rollup; the sockets are closed,
+// and a private group with them. The turn's end publishes the last snapshot
+// and closes done.
+func (ep *Endpoint) shut() {
+	ep.closed = true
+	ep.conn.Release()
+	card := ep.scorecard()
+	ep.trace.Origin(ep.label).Scorecard(ep.env.Now(), &card)
+	ep.trace.Registry().MergeScorecard(&card)
+	ep.conn.Close(0, "closed")
+	for _, s := range ep.socks {
+		s.Close()
+	}
+	if ep.ownedLoops != nil {
+		ep.ownedLoops.Close()
 	}
 }
 
@@ -814,25 +847,25 @@ func (ep *Endpoint) releaseLocked() {
 func (ep *Endpoint) readLoop(netIdx int, sock *net.UDPConn) {
 	sh := ep.shard
 	for {
-		buf := getReadBuf()
+		buf := readBufs.get()[:]
 		n, from, err := sock.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			putReadBuf(buf)
+			readBufs.put(buf)
 			return // socket closed by Endpoint.Close
 		}
 		select {
 		case sh.in <- rawPacket{ep: ep, sock: netIdx, from: unmapped(from), buf: buf[:n]}:
 		case <-ep.done:
-			putReadBuf(buf)
+			readBufs.put(buf)
 			return
 		}
 	}
 }
 
-// learnPeerLocked maps a client source address to a stable interface
-// index, appending new addresses as new paths. All of them are answered
-// from the server's one socket (SendBatch).
-func (ep *Endpoint) learnPeerLocked(from netip.AddrPort) int {
+// learnPeer maps a client source address to a stable interface index,
+// appending new addresses as new paths. All of them are answered from the
+// server's one socket (SendBatch).
+func (ep *Endpoint) learnPeer(from netip.AddrPort) int {
 	for i, p := range ep.peer {
 		if p == from {
 			return i
@@ -849,73 +882,47 @@ func unmapped(ap netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
-// OpenStream opens a new stream.
+// OpenStream opens a new locally initiated stream. It reserves the stream's
+// ID at once and never waits: the stream comes into being on the shard with
+// the first op on it.
 func (ep *Endpoint) OpenStream() Stream {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return Stream{ep: ep, s: ep.conn.OpenStream()}
+	return Stream{ep: ep, id: transport.LocalStreamID(ep.client, ep.opened.Add(1)-1)}
 }
 
-// StreamFor returns (creating if needed) the send half of a stream ID —
-// how a server responds on a client-initiated stream.
-func (ep *Endpoint) StreamFor(id uint64) Stream {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return Stream{ep: ep, s: ep.conn.Stream(id)}
-}
+// StreamFor returns the send half of a stream ID — how a server responds on
+// a client-initiated stream.
+func (ep *Endpoint) StreamFor(id uint64) Stream { return Stream{ep: ep, id: id} }
 
 // AbandonPath closes one path of a live connection explicitly — e.g. the
 // app detected that Wi-Fi was switched off (Sec 6, "Path close").
 func (ep *Endpoint) AbandonPath(id uint64) {
-	ep.mu.Lock()
-	ep.joinTurnLocked()
-	ep.conn.AbandonPath(id) //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
-	ep.mu.Unlock()
+	ep.post(op{kind: opAbandonPath, ep: ep, id: id})
 }
 
 // Established reports handshake completion.
-func (ep *Endpoint) Established() bool {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.conn.Established()
-}
+func (ep *Endpoint) Established() bool { return ep.snapshot().established }
 
-// Stats returns a copy of the transport counters, taken under the endpoint
-// lock. The transport.Conn itself is lock-free and event-loop-confined;
-// every cross-goroutine read must go through one of these locked accessors
-// (the ConnStats value type has no reference fields, so the copy is a
-// consistent snapshot).
-func (ep *Endpoint) Stats() transport.ConnStats {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.conn.Stats()
-}
+// Stats returns the transport counters as of the end of the last shard
+// turn that touched the connection.
+func (ep *Endpoint) Stats() transport.ConnStats { return ep.snapshot().stats }
 
-// StateName returns the connection lifecycle state, read under the lock.
-func (ep *Endpoint) StateName() string {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.conn.StateName()
-}
+// StateName returns the connection lifecycle state.
+func (ep *Endpoint) StateName() string { return ep.snapshot().state }
 
-// Terminated reports terminal closure, read under the lock.
-func (ep *Endpoint) Terminated() bool {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.conn.Terminated()
-}
+// Terminated reports terminal closure.
+func (ep *Endpoint) Terminated() bool { return ep.snapshot().terminated }
 
-// TraceBytes snapshots the NDJSON trace accumulated so far (nil when no
-// Tracer was configured — the internal flight trace keeps a ring, not a
-// stream). The copy is taken under the endpoint lock, so it is safe to
-// call while the connection is live.
+// TraceBytes copies the NDJSON trace accumulated so far (nil when no Tracer
+// was configured — the internal flight trace keeps a ring, not a stream).
+// It waits for the endpoint's shard to take the copy, so it must not be
+// called from a callback.
 func (ep *Endpoint) TraceBytes() []byte {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
 	if !ep.userTrace {
 		return nil
 	}
-	return append([]byte(nil), ep.trace.Bytes()...)
+	var out []byte
+	ep.onShard(func() { out = append([]byte(nil), ep.trace.Bytes()...) })
+	return out
 }
 
 // The open-stream gauges' labeled names, derived once: With allocates.
@@ -926,35 +933,30 @@ var (
 
 // Metrics returns the endpoint's metric registry (the trace's registry; an
 // internal one when no Tracer was configured), with the stream-buffer and
-// open-stream gauges brought up to date — the same numbers ConnStats,
-// Conn.OpenStreams and /debug report. The registry is internally
+// open-stream gauges brought up to the last snapshot — the same numbers
+// ConnStats, Conn.OpenStreams and /debug report. The registry is internally
 // synchronized, so callers may read it from any goroutine.
 func (ep *Endpoint) Metrics() *obs.Registry {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	reg, st := ep.trace.Registry(), ep.conn.Stats()
-	reg.Gauge(obs.MetricSendBufferedBytes).Set(float64(st.SendBufferedBytes))
-	reg.Gauge(obs.MetricSendBufferedPeak).Set(float64(st.SendBufferedPeak))
-	reg.Gauge(obs.MetricRecvBufferedBytes).Set(float64(st.RecvBufferedBytes))
-	reg.Gauge(obs.MetricRecvBufferedPeak).Set(float64(st.RecvBufferedPeak))
-	send, recv := ep.conn.OpenStreams()
-	reg.Gauge(metricOpenSendStreams).Set(float64(send))
-	reg.Gauge(metricOpenRecvStreams).Set(float64(recv))
+	s := ep.snapshot()
+	reg := ep.trace.Registry()
+	reg.Gauge(obs.MetricSendBufferedBytes).Set(float64(s.stats.SendBufferedBytes))
+	reg.Gauge(obs.MetricSendBufferedPeak).Set(float64(s.stats.SendBufferedPeak))
+	reg.Gauge(obs.MetricRecvBufferedBytes).Set(float64(s.stats.RecvBufferedBytes))
+	reg.Gauge(obs.MetricRecvBufferedPeak).Set(float64(s.stats.RecvBufferedPeak))
+	reg.Gauge(metricOpenSendStreams).Set(float64(s.openSend))
+	reg.Gauge(metricOpenRecvStreams).Set(float64(s.openRecv))
 	return reg
 }
 
-// Scorecard composes the connection's per-session QoE rollup as of now:
-// the transport base (lane attribution, per-path utilization/loss) plus
-// Alg. 1 activity when this side runs the controller. The player-level
-// fields (RCT, rebuffer, Completed) are the application's to fill — a live
-// endpoint moves bytes, not video.
-func (ep *Endpoint) Scorecard() obs.Scorecard {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.scorecardLocked()
-}
+// Scorecard returns the connection's per-session QoE rollup as of the last
+// snapshot: the transport base (lane attribution, per-path
+// utilization/loss) plus Alg. 1 activity when this side runs the
+// controller. The player-level fields (RCT, rebuffer, Completed) are the
+// application's to fill — a live endpoint moves bytes, not video.
+func (ep *Endpoint) Scorecard() obs.Scorecard { return ep.snapshot().card }
 
-func (ep *Endpoint) scorecardLocked() obs.Scorecard {
+// scorecard composes the rollup on the shard.
+func (ep *Endpoint) scorecard() obs.Scorecard {
 	card := ep.conn.Scorecard()
 	if c := ep.ctrl; c != nil {
 		card.QoEDecisions, card.QoEEnables = c.Stats()
@@ -965,8 +967,6 @@ func (ep *Endpoint) scorecardLocked() obs.Scorecard {
 
 // LocalAddrs returns the bound socket addresses.
 func (ep *Endpoint) LocalAddrs() []net.Addr {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
 	out := make([]net.Addr, len(ep.socks))
 	for i, s := range ep.socks {
 		out[i] = s.LocalAddr()
@@ -974,44 +974,11 @@ func (ep *Endpoint) LocalAddrs() []net.Addr {
 	return out
 }
 
-// Close shuts the endpoint down. The first Close emits the connection's
-// scorecard (conn:scorecard) and merges it into the registry, so /metrics
-// served after shutdown carries the session rollup.
-func (ep *Endpoint) Close() {
-	ep.mu.Lock()
-	if ep.conn != nil {
-		ep.env.advance()
-		// What a held call queued leaves before CONNECTION_CLOSE.
-		ep.releaseLocked() //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
-		if !ep.closed {
-			ep.closed = true
-			card := ep.scorecardLocked()
-			ep.trace.Origin(ep.label).Scorecard(ep.env.Now(), &card) //xlinkvet:ignore lockheld — the live trace is driven under ep.mu by design; see Stream.Write doc
-			ep.trace.Registry().MergeScorecard(&card)
-		}
-		ep.conn.Close(0, "closed") //xlinkvet:ignore lockheld — transport driven under ep.mu by design; see Stream.Write doc
-	}
-	// After the drain timer conn.Close armed: the shard may be gone.
-	ep.env.stop()
-	// Read under the lock: done may be closed by a concurrent Close.
-	socks := ep.socks
-	select {
-	case <-ep.done:
-	default:
-		close(ep.done)
-	}
-	ep.mu.Unlock()
-	for _, s := range socks {
-		s.Close()
-	}
-	// A privately owned event loop group dies with its endpoint; Close only
-	// signals (a user callback may Close re-entrantly from the shard
-	// goroutine), the goroutine exits after its current batch.
-	if ep.ownedLoops != nil {
-		ep.ownedLoops.Close()
-	}
-	// Like every entry point, run what is still queued — data that arrived
-	// before the close — so the batch goes back to the pool now rather than
-	// with the endpoint.
-	ep.flushCallbacks()
-}
+// Close shuts the endpoint down. It posts the close to the endpoint's shard
+// and returns at once, so a callback may call it. The shard applies it after
+// every op posted before it, so bytes written before Close leave ahead of
+// CONNECTION_CLOSE; the first Close emits the connection's scorecard
+// (conn:scorecard) and merges it into the registry, so /metrics served
+// after shutdown carries the session rollup. StateName reports the close
+// once it is applied.
+func (ep *Endpoint) Close() { ep.post(op{kind: opCloseEndpoint, ep: ep}) }

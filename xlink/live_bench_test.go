@@ -94,17 +94,17 @@ func waitFor(tb testing.TB, d time.Duration, cond func() bool, what string) {
 // goroutines, shard goroutines batching into the transports, endpoints
 // closing while the group keeps serving the rest. scripts/check.sh runs
 // this under -race: the channel handoff between socket readers and shard
-// loops, the per-endpoint locking in deliverBatch, and the group lifecycle
-// are exactly the kind of concurrency the detector must see clean.
+// loops, the ops foreign writers post to the shards' FIFOs, and the group
+// lifecycle are exactly the kind of concurrency the detector must see clean.
 //
 // Two things here are the run-time twins of static rules. The accessor
-// pollers are guardedby's: each locked accessor is read from its own foreign
-// goroutine — one accessor per goroutine, so that no neighbouring locked call
-// orders the read by accident — from before the first stream byte until after
-// the endpoints have closed, which spans every write of the fields behind them
-// (counters per packet, the peer and socket tables when the second path
-// appears, the state at close). An accessor that loses its lock is a race
-// report here, not a matter of timing. The goroutine count at the end is the
+// pollers are guardedby's: each reader is called from its own foreign
+// goroutine — one reader per goroutine, so that no neighbouring call orders
+// the read by accident — from before the first stream byte until after the
+// endpoints have closed, which spans every snapshot the shards publish
+// (counters per turn, the state at close). A reader that touched the
+// connection instead of the snapshot is a race report here, not a matter of
+// timing. The goroutine count at the end is the
 // leak check: every socket reader Listen and Dial started and every shard
 // loop must be gone once the endpoints and the group are closed.
 func TestLiveShardedEventLoop(t *testing.T) {
@@ -155,8 +155,10 @@ func TestLiveShardedEventLoop(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			st := fp.client.OpenStream()
-			// Chunked writes from a foreign goroutine: the endpoint lock is
-			// the only thing between this writer and the shard loops.
+			st.SetPriority(1)
+			// Chunked writes from a foreign goroutine: each is a copy posted
+			// to the shard's FIFO, the only thing between this writer and
+			// the shard loops.
 			for off := 0; off < payload; off += 8 << 10 {
 				end := off + 8<<10
 				if end > payload {
@@ -180,6 +182,7 @@ func TestLiveShardedEventLoop(t *testing.T) {
 	closeFleet(fleet)
 	stopPollers()
 	group.Close()
+	group.Close() // idempotent
 	done := make(chan struct{})
 	go func() { group.Wait(); close(done) }()
 	select {

@@ -8,9 +8,9 @@ import (
 	"repro/internal/obs"
 )
 
-// debugState is the JSON document served at /debug: a consistent snapshot
-// of the connection taken under the endpoint lock, plus the flight
-// recorder's recent events and anomaly post-mortems.
+// debugState is the JSON document served at /debug: the snapshot the
+// endpoint's shard published at the end of its last turn, plus the flight
+// recorder's recent events and anomaly post-mortems, copied on the shard.
 type debugState struct {
 	State       string          `json:"state"`
 	Established bool            `json:"established"`
@@ -102,9 +102,10 @@ func scorecardToJSON(card obs.Scorecard) scorecardJSON {
 //	           stream halves held, the current scorecard, the
 //	           flight recorder's recent events and any anomaly dumps
 //
-// /metrics reads only the internally-synchronized registry and never takes
-// the endpoint lock; /debug snapshots under the lock, so it is safe (if
-// momentarily serializing) to scrape while the connection moves data.
+// /metrics reads the internally-synchronized registry and the endpoint's
+// snapshot; /debug also waits for the shard to copy the flight recorder, so
+// it is safe to scrape while the connection moves data, but not from a
+// callback.
 // Mount it on a server you own the lifetime of — ServeDebug below does
 // exactly that — rather than a fire-and-forget ListenAndServe goroutine,
 // which has no shutdown path.
@@ -115,28 +116,29 @@ func (ep *Endpoint) DebugHandler() http.Handler {
 		ep.Metrics().Dump(w)
 	})
 	mux.HandleFunc("/debug", func(w http.ResponseWriter, r *http.Request) {
-		ep.mu.Lock()
-		stats, _ := json.Marshal(ep.conn.Stats())
+		snap := ep.snapshot()
+		stats, _ := json.Marshal(snap.stats)
 		st := debugState{
-			State:       ep.conn.StateName(),
-			Established: ep.conn.Established(),
-			Terminated:  ep.conn.Terminated(),
+			State:       snap.state,
+			Established: snap.established,
+			Terminated:  snap.terminated,
 			Stats:       stats,
-			Scorecard:   scorecardToJSON(ep.scorecardLocked()),
+			OpenStreams: openStreamsJSON{Send: snap.openSend, Recv: snap.openRecv},
+			Scorecard:   scorecardToJSON(snap.card),
 		}
-		st.OpenStreams.Send, st.OpenStreams.Recv = ep.conn.OpenStreams()
-		fr := ep.trace.Flight()
-		st.RecentEvents = string(fr.Snapshot())
-		st.Anomalies = fr.Anomalies()
-		st.FirstReason = fr.FirstAnomaly()
-		for _, d := range fr.Dumps() {
-			st.Dumps = append(st.Dumps, anomalyJSON{
-				Reason:      d.Reason,
-				TimeSeconds: d.Time.Seconds(),
-				Events:      string(d.Events),
-			})
-		}
-		ep.mu.Unlock()
+		ep.onShard(func() {
+			fr := ep.trace.Flight()
+			st.RecentEvents = string(fr.Snapshot())
+			st.Anomalies = fr.Anomalies()
+			st.FirstReason = fr.FirstAnomaly()
+			for _, d := range fr.Dumps() {
+				st.Dumps = append(st.Dumps, anomalyJSON{
+					Reason:      d.Reason,
+					TimeSeconds: d.Time.Seconds(),
+					Events:      string(d.Events),
+				})
+			}
+		})
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

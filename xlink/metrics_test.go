@@ -138,9 +138,15 @@ func TestDebugHandlerLive(t *testing.T) {
 			} `json:"paths"`
 		} `json:"scorecard"`
 	}
-	if err := json.Unmarshal([]byte(get("/debug")), &dbg); err != nil {
-		t.Fatalf("/debug is not valid JSON: %v", err)
-	}
+	// The FIN's callback runs inside the client's turn, and /debug reads the
+	// snapshot the turn publishes at its end: scrape until it has.
+	waitFor(t, 5*time.Second, func() bool {
+		dbg.OpenStreams = nil
+		if err := json.Unmarshal([]byte(get("/debug")), &dbg); err != nil {
+			t.Fatalf("/debug is not valid JSON: %v", err)
+		}
+		return dbg.OpenStreams != nil && dbg.OpenStreams.Recv == 0
+	}, "the snapshot of the turn that delivered the FIN")
 	if !dbg.Established || dbg.State != "established" {
 		t.Errorf("/debug state = %q established = %v", dbg.State, dbg.Established)
 	}
@@ -168,6 +174,8 @@ func TestDebugHandlerLive(t *testing.T) {
 	// Close emits and merges the scorecard exactly once.
 	client.Close()
 	client.Close() // idempotent: must not double-merge
+	// Close is an op on the client's shard: wait until it is applied.
+	waitFor(t, 5*time.Second, func() bool { return client.StateName() != "established" }, "the close")
 	m := get("/metrics")
 	if !strings.Contains(m, "xlink_sessions_total 1") {
 		t.Errorf("/metrics after Close missing session rollup:\n%s", m)

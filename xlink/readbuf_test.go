@@ -34,10 +34,10 @@ func TestIdleGroupHoldsNoReadBuffers(t *testing.T) {
 	}
 	bufs := make([][]byte, 4*liveBatchSize)
 	for k := range bufs {
-		bufs[k] = getReadBuf()
+		bufs[k] = readBufs.get()[:]
 	}
 	for _, b := range bufs {
-		putReadBuf(b)
+		readBufs.put(b)
 	}
 	clear(bufs)
 	if grown := heapAfterGC() - base; grown > 32<<10 {
@@ -58,11 +58,12 @@ func TestKeptReadBufferReadsPoison(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	buf := getReadBuf()
+	buf := readBufs.get()[:]
 	kept := buf[:copy(buf, "not a QUIC packet")]
-	pkts := make([][]byte, 0, liveBatchSize)
-	batch := []rawPacket{{ep: ep, from: netip.MustParseAddrPort("127.0.0.1:9"), buf: kept}}
-	dispatch(batch, &pkts)
+	ep.onShard(func() {
+		ep.shard.batch = append(ep.shard.batch, rawPacket{ep: ep, from: netip.MustParseAddrPort("127.0.0.1:9"), buf: kept})
+		ep.shard.ingest()
+	})
 	if want := bytes.Repeat([]byte{0xdb}, len(kept)); !bytes.Equal(kept, want) {
 		t.Fatalf("a datagram kept past its batch reads %q, want poison", kept)
 	}
@@ -75,14 +76,14 @@ func BenchmarkReadBufferTakeReturn(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
-			putReadBuf(getReadBuf())
+			readBufs.put(readBufs.get()[:])
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				putReadBuf(getReadBuf())
+				readBufs.put(readBufs.get()[:])
 			}
 		})
 	})
@@ -90,12 +91,14 @@ func BenchmarkReadBufferTakeReturn(b *testing.B) {
 
 // TestAllocGateLiveShardTurn gates a warm request/response over loopback at
 // the shard turn's budget (scripts/check.sh runs every TestAllocGate*). Each
-// exchange runs every stage of the live receive plane on both endpoints:
-// readLoop takes a buffer from readBufs per datagram and posts it, the shard
-// goroutine drains its turn (EventLoopGroup.run), dispatch groups it by
-// endpoint, deliverBatch hands the run to the transport under one lock, and
-// the buffers go back to the pool. The count is process-wide, so it covers
-// the socket readers and shard goroutines, not just the caller.
+// exchange runs every stage of the live plane on both endpoints: the
+// client's Write is an op on its shard's FIFO, readLoop takes a buffer from
+// readBufs per datagram and posts it, the shard goroutine drains its turn
+// (EventLoopGroup.run), ingest groups it by endpoint and hands each run to
+// the transport, whose data callback runs inline and posts the echo, the
+// turn applies the ops and releases, and the buffers go back to the pool.
+// The count is process-wide, so it covers the socket readers and shard
+// goroutines, not just the caller.
 func TestAllocGateLiveShardTurn(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("measures allocations of a pooled path")

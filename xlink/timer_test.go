@@ -9,15 +9,16 @@ import (
 )
 
 // Tests for the live Env (DESIGN.md §20): a connection's timers wait in its
-// endpoint's sim.Loop, and the wall alarm wakes the shard, whose turn advances
-// the loop and runs the timers that came due. Arming costs nothing once the
-// loop is warm.
+// shard's sim.Loop, and the shard's one timer wakes it for a turn that
+// advances the loop and runs the timers that came due. Arming costs nothing
+// once the loop is warm.
 
-// listenIdle starts a server endpoint that no client dials: its connection
-// arms no timer of its own, so the test's arms are the only ones in its loop.
-func listenIdle(t *testing.T, seed int64) *Endpoint {
+// listenIdle starts a server endpoint that no client dials, on group (nil:
+// a private one): its connection arms no timer of its own, so the test's
+// arms are the only ones it has.
+func listenIdle(t *testing.T, seed int64, group *EventLoopGroup) *Endpoint {
 	t.Helper()
-	ep, err := Listen("127.0.0.1:0", LiveConfig{Scheme: SchemeXLINK, Seed: seed})
+	ep, err := Listen("127.0.0.1:0", LiveConfig{Scheme: SchemeXLINK, Seed: seed, Loops: group})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,28 +28,35 @@ func listenIdle(t *testing.T, seed int64) *Endpoint {
 
 // TestLiveTimerStorm arms, cancels and re-arms from several goroutines at
 // once, the way connections do — at most one pending arm per owner, cancel
-// only before its fn ran — while the endpoint is closed underneath, and runs
-// under -race in scripts/check.sh. The owners never advance the loop, so
-// until the Close every fn runs in a shard turn the alarm woke, and one does
-// before the Close. Every fn runs at most once and never before its instant
-// on the wall clock, and every arm not cancelled that came due before the
-// Close ran: Close advances the loop once more, then stops the alarm for
-// good.
+// only before its fn ran — each step an op on the endpoint's shard, while
+// the endpoint is closed underneath; scripts/check.sh runs it under -race.
+// The endpoint shares its shard with another, so the shard's loop keeps
+// running after the Close. Every fn runs at most once, never before its
+// instant on the wall clock and never once the endpoint is closed, and every
+// arm not cancelled that came due before the Close ran: the shard advances
+// the loop to the wall clock after it takes ops from its FIFO and before it
+// applies them.
 func TestLiveTimerStorm(t *testing.T) {
 	const owners, arms = 4, 300
-	ep := listenIdle(t, 71)
+	group := NewEventLoopGroup(1)
+	t.Cleanup(func() { group.Close(); group.Wait() })
+	listenIdle(t, 70, group)
+	ep := listenIdle(t, 71, group)
+	env := &ep.env
+	wall := func() time.Duration { return ep.shard.wall.Now() - env.origin }
 	type arm struct {
 		at       time.Duration
 		runs     int
 		early    bool
-		late     bool // armed after the Close
+		closed   bool // ran on a closed endpoint
 		cancel   func()
 		done     bool // ran or was cancelled
 		canceled bool
 	}
 	var (
+		mu        sync.Mutex // onShard runs a step on its caller once the endpoint is closed
 		all       []*arm
-		ranBefore int // fns run before the Close, all of them in alarm turns
+		ranBefore int // fns run before the Close, all of them in timer turns
 		wg        sync.WaitGroup
 		closeAt   = make(chan struct{})
 	)
@@ -62,72 +70,87 @@ func TestLiveTimerStorm(t *testing.T) {
 				if o == 0 && i == arms/2 {
 					close(closeAt)
 				}
-				ep.mu.Lock()
-				if pending != nil && !pending.done && rng.Intn(2) == 0 {
-					pending.cancel()
-					pending.done, pending.canceled = true, true
-				}
-				if pending == nil || pending.done {
-					a := &arm{at: ep.env.wall.Now() + time.Duration(rng.Intn(2000))*time.Microsecond, late: ep.closed}
-					a.cancel = ep.env.Schedule(a.at, func(time.Duration) {
-						a.runs++
-						a.early = a.early || ep.env.wall.Now() < a.at
-						a.done = true
-						if !ep.closed {
+				ep.onShard(func() {
+					mu.Lock()
+					defer mu.Unlock()
+					if ep.closed {
+						return // the env is the shard's, and the shard is done with it
+					}
+					if pending != nil && !pending.done && rng.Intn(2) == 0 {
+						pending.cancel()
+						pending.done, pending.canceled = true, true
+					}
+					if pending == nil || pending.done {
+						a := &arm{at: wall() + time.Duration(rng.Intn(2000))*time.Microsecond}
+						a.cancel = env.Schedule(a.at, func(time.Duration) {
+							mu.Lock()
+							defer mu.Unlock()
+							a.runs++
+							a.early = a.early || wall() < a.at
+							a.closed = a.closed || ep.closed
+							a.done = true
 							ranBefore++
-						}
-					})
-					all = append(all, a)
-					pending = a
-				}
-				ep.mu.Unlock()
+						})
+						all = append(all, a)
+						pending = a
+					}
+				})
 				time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
 			}
 		}(o)
 	}
 	<-closeAt
 	waitFor(t, 5*time.Second, func() bool {
-		ep.mu.Lock()
-		defer ep.mu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
 		return ranBefore > 0
-	}, "an arm to run in an alarm turn")
-	closing := ep.env.wall.Now()
+	}, "an arm to run in a timer turn")
+	closing := wall()
 	ep.Close()
 	wg.Wait()
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
+	// Every arm left is due within 2 ms of the last step; the shard keeps
+	// turning for the other endpoint.
+	time.Sleep(10 * time.Millisecond)
+	ep.onShard(func() {})
+	mu.Lock()
+	defer mu.Unlock()
 	for i, a := range all {
-		if a.runs > 1 || a.early {
-			t.Fatalf("arm %d: ran %d times, early %v", i, a.runs, a.early)
+		if a.runs > 1 || a.early || a.closed {
+			t.Fatalf("arm %d: ran %d times, early %v, on a closed endpoint %v", i, a.runs, a.early, a.closed)
 		}
-		if !a.late && !a.canceled && a.at <= closing && a.runs == 0 {
+		if !a.canceled && a.at <= closing && a.runs == 0 {
 			t.Fatalf("arm %d, due %v before the Close at %v, never ran", i, closing-a.at, closing)
 		}
 	}
 }
 
-// TestAllocGateLiveTimerRearm: once the endpoint's loop is warm, arming a
-// timer and cancelling it, or arming one and letting it fire — the alarm
-// posts a wake, and the shard turn it wakes runs the fn — allocates nothing
-// (scripts/check.sh runs every TestAllocGate*).
+// TestAllocGateLiveTimerRearm: once the shard's loop is warm, arming a timer
+// and cancelling it, or arming one and letting it fire — the shard's timer
+// goes off, and the turn it wakes runs the fn — allocates nothing
+// (scripts/check.sh runs every TestAllocGate*). Each step is an op built
+// once, so posting it allocates nothing either.
 func TestAllocGateLiveTimerRearm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures allocations")
 	}
-	ep := listenIdle(t, 73)
+	ep := listenIdle(t, 73, nil)
 	env := &ep.env
+	stepped := make(chan struct{}, 1)
 	fired := make(chan struct{}, 1)
 	fn := func(time.Duration) { fired <- struct{}{} }
 	never := func(time.Duration) {}
-	rearm := func() {
-		ep.mu.Lock()
+	rearmOp := op{kind: opCall, ep: ep, fn: func() {
 		env.Schedule(env.Now()+time.Hour, never)()
-		ep.mu.Unlock()
+		stepped <- struct{}{}
+	}}
+	// Far enough ahead that the turn which arms it ends first.
+	fireOp := op{kind: opCall, ep: ep, fn: func() { env.Schedule(env.Now()+200*time.Microsecond, fn) }}
+	rearm := func() {
+		ep.post(rearmOp)
+		<-stepped
 	}
 	fire := func() {
-		ep.mu.Lock()
-		env.Schedule(env.Now(), fn)
-		ep.mu.Unlock()
+		ep.post(fireOp)
 		<-fired
 	}
 	for i := 0; i < 16; i++ {
@@ -140,9 +163,9 @@ func TestAllocGateLiveTimerRearm(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, fire); avg != 0 {
 		t.Fatalf("arming a live timer and letting it fire allocates %.1f", avg)
 	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if n := env.loop.Pending(); n != 0 {
-		t.Fatalf("%d events left in the loop, want none: every arm was cancelled or ran", n)
+	var pending int
+	ep.onShard(func() { pending = env.loop.Pending() })
+	if pending != 0 {
+		t.Fatalf("%d events left in the loop, want none: every arm was cancelled or ran", pending)
 	}
 }

@@ -7,10 +7,9 @@ import (
 	"time"
 )
 
-// Tests for the shard turn (DESIGN.md §16): a connection is held while its
-// shard handles a run of datagrams and the callbacks they raise, and a user
-// call made outside a turn holds it and posts a wake, so every send pass of a
-// turn runs once, at its end.
+// Tests for the shard turn (DESIGN.md §16): a connection is held from the
+// first datagram, op or timer of a turn that touches it to the turn's end,
+// so every send pass the turn asks for runs once, at its end.
 
 // tinyPair is a server that answers every request stream — once its FIN
 // arrives — with a 1 000 B response and a FIN, written from the callback, and
@@ -104,10 +103,9 @@ func TestLiveTinyExchangeOneDatagramEachWay(t *testing.T) {
 }
 
 // TestLiveCallbackWritesManyStreamsInOneTurn has a server callback open,
-// write and finish 200 streams in one turn: more than the shard's channel
-// holds. The calls join the open turn instead of posting a wake to the shard
-// they run on, which would block on a full channel that only that goroutine
-// drains.
+// write and finish 200 streams in one turn: more than the shard's datagram
+// channel holds. Posting never blocks, so the callback never waits for the
+// shard it runs on.
 func TestLiveCallbackWritesManyStreamsInOneTurn(t *testing.T) {
 	const streams = 200
 	var server *Endpoint

@@ -2,13 +2,11 @@ package xlink
 
 import (
 	"bytes"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 func TestEmulatedSessionAPI(t *testing.T) {
@@ -68,9 +66,9 @@ func TestLiveUDPTransfer(t *testing.T) {
 	var got bytes.Buffer
 	doneCh := make(chan struct{})
 
-	// Callbacks run on the endpoint's read-loop goroutine and can fire
-	// before Listen/Dial return; the ready channels order the endpoint
-	// variable writes before the closures read them.
+	// Callbacks run on the endpoint's shard and can fire before Listen/Dial
+	// return; the ready channels order the endpoint variable writes before
+	// the closures read them.
 	var server *Endpoint
 	serverReady := make(chan struct{})
 	server, err := Listen("127.0.0.1:0", LiveConfig{
@@ -119,9 +117,10 @@ func TestLiveUDPTransfer(t *testing.T) {
 	}
 	defer client.Close()
 
-	// Concurrent observer: under -race this proves the locked accessors
-	// (Stats/StateName/Terminated/TraceBytes snapshots) are safe to call
-	// from any goroutine while the connection is moving data.
+	// Concurrent observer: under -race this proves the readers (the
+	// Stats/StateName/Terminated snapshot, and TraceBytes, which waits for the
+	// shard) are safe to call from any goroutine while the connection is
+	// moving data.
 	readerStop := make(chan struct{})
 	var readerDone sync.WaitGroup
 	readerDone.Add(1)
@@ -215,35 +214,6 @@ func TestLiveUDPTransfer(t *testing.T) {
 	}
 }
 
-// TestLiveCallbacksDeferredPastTheLock: the transport runs under ep.mu, so
-// the callbacks applyLive hands it must only queue the user's; the user's run
-// from flushCallbacks, after the lock is released and in the order raised — a
-// user callback may call straight back into the endpoint (TestLiveUDPTransfer's
-// server answers from OnStreamData).
-func TestLiveCallbacksDeferredPastTheLock(t *testing.T) {
-	ep := newEndpoint(nil)
-	var ran []string
-	var tcfg transport.Config
-	applyLive(ep, &tcfg, LiveConfig{
-		OnHandshakeDone: func(time.Duration) { ran = append(ran, "handshake") },
-		OnStreamOpen:    func(time.Duration, *RecvStream) { ran = append(ran, "open") },
-		OnStreamData:    func(time.Duration, *RecvStream, []byte, bool) { ran = append(ran, "data") },
-	})
-	ep.mu.Lock()
-	tcfg.OnHandshakeDone(0)
-	tcfg.OnStreamOpen(0, nil)
-	tcfg.OnStreamData(0, nil, nil, false)
-	underLock := append([]string(nil), ran...)
-	ep.mu.Unlock()
-	if len(underLock) != 0 {
-		t.Fatalf("user callbacks ran under the endpoint lock: %v", underLock)
-	}
-	ep.flushCallbacks()
-	if want := []string{"handshake", "open", "data"}; !reflect.DeepEqual(ran, want) {
-		t.Fatalf("flushCallbacks ran %v, want %v", ran, want)
-	}
-}
-
 // TestServerReportsItsSocketOnce: a server learns one path per client
 // address but answers all of them from the one socket it bound, so after a
 // two-path dial LocalAddrs still names that socket once (and Close closes it
@@ -261,14 +231,83 @@ func TestServerReportsItsSocketOnce(t *testing.T) {
 	}
 	defer client.Close()
 	waitFor(t, 10*time.Second, func() bool {
-		server.mu.Lock()
-		defer server.mu.Unlock()
-		return len(server.peer) == 2
+		var paths int
+		server.onShard(func() { paths = len(server.peer) })
+		return paths == 2
 	}, "the server to learn both client paths")
 	if addrs := server.LocalAddrs(); len(addrs) != 1 {
 		t.Errorf("server LocalAddrs = %v, want its one socket", addrs)
 	}
 	if addrs := client.LocalAddrs(); len(addrs) != 2 {
 		t.Errorf("client LocalAddrs = %v, want one socket per interface", addrs)
+	}
+}
+
+// TestServerOpensServerInitiatedStreams: a server's OpenStream hands out
+// server-initiated stream IDs (RFC 9000 §2.1: the low bit set), so a stream
+// it opens while it answers the client's stream 0 is a new stream to the
+// client, not more bytes of the request stream.
+func TestServerOpensServerInitiatedStreams(t *testing.T) {
+	var server *Endpoint
+	ready := make(chan struct{})
+	pushID := make(chan uint64, 1)
+	server, err := Listen("127.0.0.1:0", LiveConfig{
+		Scheme: SchemeXLINK, Seed: 13,
+		OnStreamData: func(_ time.Duration, s *RecvStream, _ []byte, fin bool) {
+			if !fin {
+				return
+			}
+			<-ready
+			push := server.OpenStream()
+			pushID <- push.ID()
+			push.Write([]byte("push"))
+			push.Close()
+			resp := server.StreamFor(s.ID())
+			resp.Write([]byte("resp"))
+			resp.Close()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(ready)
+	defer server.Close()
+	var mu sync.Mutex
+	got := map[uint64]string{}
+	fins := make(chan struct{}, 2)
+	client, err := Dial(server.LocalAddrs()[0].String(), []string{"127.0.0.1:0"},
+		[]Technology{TechWiFi}, LiveConfig{
+			Scheme: SchemeXLINK, Seed: 14,
+			OnStreamData: func(_ time.Duration, s *RecvStream, data []byte, fin bool) {
+				mu.Lock()
+				got[s.ID()] += string(data)
+				mu.Unlock()
+				if fin {
+					fins <- struct{}{}
+				}
+			},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	waitFor(t, 10*time.Second, client.Established, "handshake")
+	req := client.OpenStream()
+	req.Write([]byte("req"))
+	req.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-fins:
+		case <-time.After(10 * time.Second):
+			mu.Lock()
+			defer mu.Unlock()
+			t.Fatalf("%d of 2 streams finished: %q", i, got)
+		}
+	}
+	id := <-pushID
+	mu.Lock()
+	defer mu.Unlock()
+	if id&3 != 1 || got[req.ID()] != "resp" || got[id] != "push" {
+		t.Fatalf("server opened stream %d; client received %q", id, got)
 	}
 }
