@@ -10,15 +10,14 @@ build:
 	$(GO) build ./...
 
 # Everything static in one shot: standard go vet, the xlinkvet fixture
-# self-test, and the full-tree xlinkvet sweep (the six rules of DESIGN.md §7).
+# self-test, and the full-tree xlinkvet sweep (the four rules of DESIGN.md §7).
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/xlinkvet -selftest
 	$(GO) run ./cmd/xlinkvet ./...
 
 # Repo-specific static analysis: determinism, wire error handling,
-# panic-free parse paths, ordered map iteration, lock discipline and guarded-by
-# field access. See DESIGN.md §7.
+# panic-free parse paths and ordered map iteration. See DESIGN.md §7.
 xlinkvet:
 	$(GO) run ./cmd/xlinkvet ./...
 

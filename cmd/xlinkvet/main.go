@@ -18,18 +18,11 @@
 //	                               it reads, and an example finding produced
 //	                               live from its fixture corpus
 //
-// Annotation grammar (comment directives read by the analyzer):
+// The one comment directive the analyzer reads:
 //
 //	//xlinkvet:ignore <rule>[,<rule>] <why>
 //	    on the same or preceding line: suppress the listed rules' findings
 //	    (empty list = all rules) with a free-form justification.
-//	// xlinkvet:guardedby <mutexField> | confined
-//	    on a struct field: the field is touched only with the named mutex
-//	    held, or only from its owner's event loop (rule guardedby).
-//	//xlinkvet:confines <why>
-//	    on a `go` statement's line (or the line above): the goroutine
-//	    constructs every confined structure it drives, so `guardedby
-//	    confined` transfers into it.
 package main
 
 import (
@@ -183,19 +176,16 @@ func runExplain(w io.Writer, loader *vet.Loader, rule string) int {
 			fmt.Fprintf(w, "  %s\n", a)
 		}
 	}
-	dir := loader.ModDir + "/internal/vet/testdata/fixtures/" + doc.Fixture
-	fixPath := "fixture/" + doc.Fixture
-	pkg, err := loader.LoadDirAs(dir, fixPath)
+	cfg, pkg, err := loader.LoadFixture(doc.Name)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "xlinkvet: load fixture %s: %v\n", doc.Fixture, err)
+		fmt.Fprintf(os.Stderr, "xlinkvet: load fixture %s: %v\n", doc.Name, err)
 		return 2
 	}
-	findings := vet.Run(vet.FixtureConfig(loader.ModPath, fixPath), []*vet.Package{pkg})
-	for _, f := range findings {
+	for _, f := range vet.Run(cfg, []*vet.Package{pkg}) {
 		if f.Rule != doc.Name {
 			continue
 		}
-		fmt.Fprintf(w, "\nexample finding (from testdata/fixtures/%s)\n\n", doc.Fixture)
+		fmt.Fprintf(w, "\nexample finding (from testdata/fixtures/%s)\n\n", doc.Name)
 		fmt.Fprintf(w, "  %s\n", f)
 		return 0
 	}
@@ -203,53 +193,39 @@ func runExplain(w io.Writer, loader *vet.Loader, rule string) int {
 	return 2
 }
 
-// runSelftest loads each fixture under internal/vet/testdata/fixtures and
-// checks that exactly the expected rules fire, proving the analyzer still
-// detects every violation class it promises to.
+// runSelftest loads each rule's fixture under internal/vet/testdata/fixtures
+// and checks that the rule, and no other, fires there as often as
+// vet.RuleDocs says, proving the analyzer still detects every violation
+// class it promises to.
 func runSelftest(loader *vet.Loader, verbose bool) int {
-	cases := []struct {
-		dir      string
-		rule     string
-		expected int
-	}{
-		{"determinism", "determinism", 5},
-		{"wireerr", "wireerr", 3},
-		{"panicpath", "panicpath", 2},
-		{"maprange", "maprange", 1},
-		{"lockheld", "lockheld", 7},
-		{"guardedby", "guardedby", 4},
-	}
 	failed := false
-	for _, tc := range cases {
-		dir := loader.ModDir + "/internal/vet/testdata/fixtures/" + tc.dir
-		asPath := "fixture/" + tc.dir
-		pkg, err := loader.LoadDirAs(dir, asPath)
+	for _, doc := range vet.RuleDocs {
+		cfg, pkg, err := loader.LoadFixture(doc.Name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "selftest %s: load: %v\n", tc.dir, err)
+			fmt.Fprintf(os.Stderr, "selftest %s: load: %v\n", doc.Name, err)
 			failed = true
 			continue
 		}
 		reportTypeErrs(verbose, pkg)
-		findings := vet.Run(vet.FixtureConfig(loader.ModPath, asPath), []*vet.Package{pkg})
 		got := 0
-		for _, f := range findings {
-			if f.Rule == tc.rule {
+		for _, f := range vet.Run(cfg, []*vet.Package{pkg}) {
+			if f.Rule == doc.Name {
 				got++
 			} else {
-				fmt.Fprintf(os.Stderr, "selftest %s: unexpected %s\n", tc.dir, f)
+				fmt.Fprintf(os.Stderr, "selftest %s: unexpected %s\n", doc.Name, f)
 				failed = true
 			}
 			if verbose {
 				fmt.Println(f)
 			}
 		}
-		if got != tc.expected {
-			fmt.Fprintf(os.Stderr, "selftest %s: rule %s fired %d time(s), want %d\n",
-				tc.dir, tc.rule, got, tc.expected)
+		if got != doc.Findings {
+			fmt.Fprintf(os.Stderr, "selftest %s: rule fired %d time(s), want %d\n",
+				doc.Name, got, doc.Findings)
 			failed = true
 			continue
 		}
-		fmt.Printf("selftest %-12s ok (%d finding(s))\n", tc.dir, got)
+		fmt.Printf("selftest %-12s ok (%d finding(s))\n", doc.Name, got)
 	}
 	if failed {
 		return 1

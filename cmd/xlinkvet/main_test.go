@@ -13,25 +13,23 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden -json files")
 
-// TestJSONGolden pins the -json output of the two summary-engine rules byte
-// for byte: finding order (vet.Run sorts by file, line, rule, column),
-// field names, and message wording are all part of the machine-readable
-// contract other tooling parses. Absolute fixture paths are relativized to
-// the module root so the golden files are machine-independent.
+// TestJSONGolden pins the -json output on two rule fixtures byte for byte:
+// finding order (vet.Run sorts by file, line, rule, column), field names,
+// and message wording are all part of the machine-readable contract other
+// tooling parses. Absolute fixture paths are relativized to the module root
+// so the golden files are machine-independent.
 func TestJSONGolden(t *testing.T) {
 	loader, err := vet.NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fixture := range []string{"guardedby", "lockheld"} {
+	for _, fixture := range []string{"determinism", "wireerr"} {
 		t.Run(fixture, func(t *testing.T) {
-			dir := filepath.Join(loader.ModDir, "internal", "vet", "testdata", "fixtures", fixture)
-			asPath := "fixture/" + fixture
-			pkg, err := loader.LoadDirAs(dir, asPath)
+			cfg, pkg, err := loader.LoadFixture(fixture)
 			if err != nil {
 				t.Fatal(err)
 			}
-			findings := vet.Run(vet.FixtureConfig(loader.ModPath, asPath), []*vet.Package{pkg})
+			findings := vet.Run(cfg, []*vet.Package{pkg})
 			var buf bytes.Buffer
 			if err := writeJSON(&buf, findings); err != nil {
 				t.Fatal(err)

@@ -308,7 +308,8 @@ func RunParallel(pop Population, arms []Arm, workers int) map[string]*ArmResult 
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			//xlinkvet:confines each job runs a complete session-arm whose transport state is created inside this goroutine
+			// Each job runs a complete session-arm whose transport state is
+			// created inside this goroutine and never leaves it.
 			go func() {
 				defer wg.Done()
 				for job := range jobs {

@@ -29,12 +29,13 @@ func (f BackendFunc) Deliver(netIdx int, data []byte) { f(netIdx, data) }
 // Router routes datagrams to backends by the server ID byte embedded in
 // connection IDs.
 // A Router is confined to the single goroutine that pumps its listen
-// socket; the annotated routing tables below are mutated by Add/Remove
-// without any lock, which xlinkvet's confined discipline enforces.
+// socket: Add and Remove mutate its routing tables and its per-backend
+// counter map without any lock, so they must be called from that
+// goroutine too.
 type Router struct {
 	cidLen   int
-	backends map[byte]Backend // xlinkvet:guardedby confined
-	ids      []byte           // xlinkvet:guardedby confined
+	backends map[byte]Backend
+	ids      []byte
 
 	// FallbackRoute, when true, re-routes short-header packets whose server
 	// ID matches no live backend to one chosen by the first CID byte instead
@@ -59,7 +60,7 @@ type Router struct {
 	// Registry metrics (optional, see SetRegistry): per-backend routed
 	// counters and a drop counter. Handles are cached at registration so
 	// the route path bumps atomics without lookups or allocation.
-	routed  map[byte]*obs.Counter // xlinkvet:guardedby confined
+	routed  map[byte]*obs.Counter
 	dropped *obs.Counter
 	reg     *obs.Registry
 }

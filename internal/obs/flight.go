@@ -31,14 +31,15 @@ type AnomalyDump struct {
 }
 
 // FlightRecorder is the always-on last-N event ring attached to a Trace.
-// Like the Trace it is confined to the driving goroutine/lock; it is NOT
-// safe for concurrent use (the registry carries the cross-goroutine
-// metrics instead).
+// Like the Trace it is confined to the goroutine that drives the
+// connection, which alone moves its cursor and fill count and reads its
+// dumps; it is NOT safe for concurrent use (the registry carries the
+// cross-goroutine metrics instead).
 type FlightRecorder struct {
 	slots []record // fixed at construction
-	next  int      // xlinkvet:guardedby confined
+	next  int
 	// held is how many slots hold an event: it grows to len(slots).
-	held  int // xlinkvet:guardedby confined
+	held  int
 	dumps []AnomalyDump
 	// anomalies counts triggers, including those past maxAnomalyDumps.
 	anomalies uint64

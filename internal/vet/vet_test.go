@@ -1,7 +1,6 @@
 package vet
 
 import (
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,65 +15,42 @@ var fixtures struct {
 	err    error
 }
 
-// loadFixturePkg type-checks one violation fixture under an assumed import
-// path and returns it with the config that applies every rule to it.
-func loadFixturePkg(t *testing.T, name string) (*Config, *Package) {
+// loadFixture runs every rule over one fixture, mirroring `xlinkvet
+// -selftest`.
+func loadFixture(t *testing.T, name string) []Finding {
 	t.Helper()
 	fixtures.once.Do(func() { fixtures.loader, fixtures.err = NewLoader(".") })
 	if fixtures.err != nil {
 		t.Fatal(fixtures.err)
 	}
-	loader := fixtures.loader
-	dir := filepath.Join(loader.ModDir, "internal", "vet", "testdata", "fixtures", name)
-	asPath := "fixture/" + name
-	pkg, err := loader.LoadDirAs(dir, asPath)
+	cfg, pkg, err := fixtures.loader.LoadFixture(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return FixtureConfig(loader.ModPath, asPath), pkg
-}
-
-// loadFixture runs every rule over one fixture, mirroring `xlinkvet
-// -selftest`.
-func loadFixture(t *testing.T, name string) []Finding {
-	t.Helper()
-	cfg, pkg := loadFixturePkg(t, name)
 	return Run(cfg, []*Package{pkg})
 }
 
 // TestFixturesFire pins the exact number of findings each rule produces on
-// its committed fixture, so a regression that silently disables a rule (or
-// one that over-reports) fails the ordinary test suite, not only the
-// `xlinkvet -selftest` gate.
+// its committed fixture (RuleDoc.Findings), so a regression that silently
+// disables a rule (or one that over-reports) fails the ordinary test suite,
+// not only the `xlinkvet -selftest` gate.
 func TestFixturesFire(t *testing.T) {
-	cases := []struct {
-		fixture  string
-		rule     string
-		expected int
-	}{
-		{"determinism", "determinism", 5},
-		{"wireerr", "wireerr", 3},
-		{"panicpath", "panicpath", 2},
-		{"maprange", "maprange", 1},
-		{"lockheld", "lockheld", 7},
-		{"guardedby", "guardedby", 4},
-	}
-	for _, tc := range cases {
-		t.Run(tc.fixture, func(t *testing.T) {
-			findings := loadFixture(t, tc.fixture)
+	for _, doc := range RuleDocs {
+		t.Run(doc.Name, func(t *testing.T) {
+			findings := loadFixture(t, doc.Name)
 			got := 0
 			for _, f := range findings {
-				if f.Rule != tc.rule {
+				if f.Rule != doc.Name {
 					t.Errorf("unexpected rule: %s", f)
 					continue
 				}
 				got++
 			}
-			if got != tc.expected {
+			if got != doc.Findings {
 				for _, f := range findings {
 					t.Logf("finding: %s", f)
 				}
-				t.Fatalf("rule %s fired %d time(s), want %d", tc.rule, got, tc.expected)
+				t.Fatalf("rule %s fired %d time(s), want %d", doc.Name, got, doc.Findings)
 			}
 		})
 	}

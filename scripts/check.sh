@@ -1,9 +1,9 @@
 #!/bin/sh
 # Full verification gate for the XLINK reproduction: build, go vet, the
 # repo-specific xlinkvet analyzer (self-test first, then the real tree: the
-# six rules DESIGN.md §7 lists, so a wall-clock read in the deterministic
-# core, a dropped wire-parse error or a field read without its lock fails
-# here, before any test runs), the test suite in release and
+# four rules DESIGN.md §7 lists, so a wall-clock read in the deterministic
+# core, a dropped wire-parse error, a panic on a parse path or an unordered
+# map walk fails here, before any test runs), the test suite in release and
 # xlinkdebug-assertion modes, the race detector, the allocation-gate tests
 # (the one allocation contract, DESIGN.md §7 and §11), and a short fuzz smoke
 # on every wire-format target.
@@ -28,8 +28,8 @@ step go build ./...
 step go vet ./...
 step go run ./cmd/xlinkvet -selftest
 # The analyzer's own suite under the race detector: the loader and the
-# engine work on packages in parallel, and the fixture counts, the explain
-# table and the JSON goldens must hold there too.
+# per-package rules work on packages in parallel, and the fixture counts,
+# the explain table and the JSON goldens must hold there too.
 # -count=1 so the gate re-checks instead of replaying a cached pass.
 step go test -race -count=1 ./internal/vet/ ./cmd/xlinkvet/
 # Whole-tree sweep under a wall-clock budget: it must stay far too cheap to
@@ -99,14 +99,15 @@ step go test -count=1 ./internal/chaos/ -run TestGoldenTrace
 # no timer of a closed endpoint run; an idle group that holds no read buffer,
 # and a datagram kept past its batch that reads poison; data callbacks that
 # run inline on the shard, in order, while another goroutine writes; a
-# callback that calls every endpoint and stream method, Close last; two
+# callback that calls every endpoint and stream method, Close last; an op
+# that posts to its own shard while the shard applies it; two
 # shards whose callbacks write to each other's endpoints while both inbound
 # channels are full; a foreign writer held to the write backlog, and a
 # callback that writes past it without waiting for its own shard; and the
 # shard turn: a tiny exchange in one datagram each way, a callback that
 # writes 200 streams in its turn, and bytes written just before
 # Endpoint.Close that still arrive.
-step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestIdleGroupHoldsNoReadBuffers|TestKeptReadBufferReadsPoison|TestLiveDataCallbacksKeepOrderAndContent|TestLiveCallbackCallsEveryMethod|TestLiveCallbacksWriteAcrossFullShards|TestLiveWriteBacklogBoundsAForeignWriter|TestLiveCallbackWritesPastTheBacklog|TestLiveTinyExchangeOneDatagramEachWay|TestLiveCallbackWritesManyStreamsInOneTurn|TestLiveWriteBeforeCloseReachesPeer'
+step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestIdleGroupHoldsNoReadBuffers|TestKeptReadBufferReadsPoison|TestLiveDataCallbacksKeepOrderAndContent|TestLiveCallbackCallsEveryMethod|TestLivePostFromAnAppliedOp|TestLiveCallbacksWriteAcrossFullShards|TestLiveWriteBacklogBoundsAForeignWriter|TestLiveCallbackWritesPastTheBacklog|TestLiveTinyExchangeOneDatagramEachWay|TestLiveCallbackWritesManyStreamsInOneTurn|TestLiveWriteBeforeCloseReachesPeer'
 # Allocation gates (DESIGN.md §7, §11): the one allocation contract; DESIGN.md
 # §7 maps every gate to the per-packet functions it drives. Warm paths must
 # hold their alloc/op budgets — zero for sim timers, crypto seal/open,

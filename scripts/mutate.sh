@@ -164,32 +164,6 @@ mut O5 obsevent internal/transport/conn.go "$T" \
 rep(q~c.tr.PathStateChanged(now, p.ID, p.State.String(), "challenge-sent")~, q~c.tr.Emit(now, "path_challenge_sent")~);
 EOF
 
-# lockheld: nothing blocking or re-entrant under a mutex. L2-L4 (the
-# callback queue's flush, the turn's re-lock, a callback handed over
-# undeferred) went with ep.mu; L2 is now a shard-ownership row below.
-mut L1 lockheld xlink/live.go "$X" \
-	"applyOps applies the ops while still holding the FIFO lock: an endpoint's close shuts its sockets under sh.mu" <<'EOF'
-rep(qq~\tsh.mu.Unlock()\n\tsh.loop.RunUntil(sh.wall.Now())\n\tfor i := range ops {\n\t\tops[i].apply()\n\t\tops[i] = op{}\n\t}\n~,
-    qq~\tsh.loop.RunUntil(sh.wall.Now())\n\tfor i := range ops {\n\t\tops[i].apply()\n\t\tops[i] = op{}\n\t}\n\tsh.mu.Unlock()\n~);
-EOF
-
-# guardedby: annotated fields only with their mutex held / on their loop.
-# G2 (LocalAddrs without ep.mu) went with ep.mu: the sockets are read-only
-# once the endpoint is published.
-mut G1 guardedby xlink/live.go "$X" \
-	"Endpoint.StateName reads the connection on the caller's goroutine instead of the shard's snapshot" <<'EOF'
-rep(q~func (ep *Endpoint) StateName() string { return ep.snapshot().state }~, q~func (ep *Endpoint) StateName() string { return ep.conn.StateName() }~);
-EOF
-mut G3 guardedby xlink/live.go "$X" \
-	"publish writes the snapshot without snapMu" <<'EOF'
-rep(qq~\tep.snapMu.Lock()\n\tep.snap = s\n\tif ep.drained != nil {\n\t\tclose(ep.drained)\n\t\tep.drained = nil\n\t}\n\tep.snapMu.Unlock()\n~,
-    qq~\tep.snap = s\n\tif ep.drained != nil {\n\t\tclose(ep.drained)\n\t\tep.drained = nil\n\t}\n~);
-EOF
-mut G4 guardedby xlink/live.go "$X" \
-	"Stream.SetPriority re-prioritises the transport stream on the caller's goroutine instead of posting an op" <<'EOF'
-rep(q~st.ep.post(op{kind: opSetPriority, ep: st.ep, id: st.id, prio: p})~, q~st.ep.conn.Stream(st.id).SetPriority(p)~);
-EOF
-
 # taintsize: a wire-decoded length is bounded before it sizes anything.
 mut T1 taintsize internal/wire/frames_fec.go "$W" \
 	"parseFECWindow stops bounding Repairs above: the varint sizes make([][]byte, fr.Repairs) in transport/fec.go" fuzz=FuzzParseFECFrame <<'EOF'
@@ -331,14 +305,33 @@ mut R2 recycle internal/recovery/recovery.go "./internal/recovery/ ./internal/tr
 rep(qq~\t\tres.Lost = s.detectLost(now)\n\t\ts.gc()\n~, qq~\t\tres.Lost = s.detectLost(now)\n\t\ts.gc()\n\t\ts.Reclaim()\n~);
 EOF
 
-# shard (no rule): only the shard goroutine touches a live connection, it
-# applies the ops user calls post in the order posted, and it never waits
-# for a write backlog it alone can drain (DESIGN.md §16).
+# shard (no rule): only the shard goroutine touches a live connection; it
+# applies the ops user calls post in the order posted and without the FIFO's
+# lock held, and it never waits for a write backlog it alone can drain;
+# value readers read the snapshot, under snapMu (DESIGN.md §16).
+mut L1 shard xlink/live.go "$X" \
+	"applyOps applies the ops while still holding the FIFO lock: an endpoint's close shuts its sockets under sh.mu" <<'EOF'
+rep(qq~\tsh.mu.Unlock()\n\tsh.loop.RunUntil(sh.wall.Now())\n\tfor i := range ops {\n\t\tops[i].apply()\n\t\tops[i] = op{}\n\t}\n~,
+    qq~\tsh.loop.RunUntil(sh.wall.Now())\n\tfor i := range ops {\n\t\tops[i].apply()\n\t\tops[i] = op{}\n\t}\n\tsh.mu.Unlock()\n~);
+EOF
+mut G1 shard xlink/live.go "$X" \
+	"Endpoint.StateName reads the connection on the caller's goroutine instead of the shard's snapshot" <<'EOF'
+rep(q~func (ep *Endpoint) StateName() string { return ep.snapshot().state }~, q~func (ep *Endpoint) StateName() string { return ep.conn.StateName() }~);
+EOF
+mut G3 shard xlink/live.go "$X" \
+	"publish writes the snapshot without snapMu" <<'EOF'
+rep(qq~\tep.snapMu.Lock()\n\tep.snap = s\n\tif ep.drained != nil {\n\t\tclose(ep.drained)\n\t\tep.drained = nil\n\t}\n\tep.snapMu.Unlock()\n~,
+    qq~\tep.snap = s\n\tif ep.drained != nil {\n\t\tclose(ep.drained)\n\t\tep.drained = nil\n\t}\n~);
+EOF
+mut G4 shard xlink/live.go "$X" \
+	"Stream.SetPriority re-prioritises the transport stream on the caller's goroutine instead of posting an op" <<'EOF'
+rep(q~st.ep.post(op{kind: opSetPriority, ep: st.ep, id: st.id, prio: p})~, q~st.ep.conn.Stream(st.id).SetPriority(p)~);
+EOF
 mut L2 shard xlink/live.go "$X" \
 	"applyOps applies the turn's ops newest first: a stream's Close runs before the Write posted ahead of it" <<'EOF'
 rep(qq~\tfor i := range ops {\n\t\tops[i].apply()~, qq~\tfor i := len(ops) - 1; i >= 0; i-- {\n\t\tops[i].apply()~);
 EOF
-mut L5 shard xlink/live.go "$X" \
+mut L5 shard xlink/backlog.go "$X" \
 	"awaitBacklog makes a shard goroutine wait too: a callback that writes past the backlog to its own endpoint waits for itself" <<'EOF'
 rep(qq~\t\tif !wait || onShardGoroutine() {\n~, qq~\t\tif !wait {\n~);
 EOF

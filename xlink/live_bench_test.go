@@ -97,16 +97,16 @@ func waitFor(tb testing.TB, d time.Duration, cond func() bool, what string) {
 // loops, the ops foreign writers post to the shards' FIFOs, and the group
 // lifecycle are exactly the kind of concurrency the detector must see clean.
 //
-// Two things here are the run-time twins of static rules. The accessor
-// pollers are guardedby's: each reader is called from its own foreign
+// The accessor pollers check that a value reader reads the snapshot, never
+// the shard-owned connection: each reader is called from its own foreign
 // goroutine — one reader per goroutine, so that no neighbouring call orders
 // the read by accident — from before the first stream byte until after the
 // endpoints have closed, which spans every snapshot the shards publish
 // (counters per turn, the state at close). A reader that touched the
 // connection instead of the snapshot is a race report here, not a matter of
-// timing. The goroutine count at the end is the
-// leak check: every socket reader Listen and Dial started and every shard
-// loop must be gone once the endpoints and the group are closed.
+// timing. The goroutine count at the end is the leak check: every socket
+// reader Listen and Dial started and every shard loop must be gone once the
+// endpoints and the group are closed.
 func TestLiveShardedEventLoop(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 	group := NewEventLoopGroup(4)
