@@ -57,7 +57,7 @@ chaos:
 	$(GO) test -race -tags xlinkdebug -count=1 ./internal/chaos/ \
 		-run 'TestChaos'
 	$(GO) test -race -tags xlinkdebug -count=1 ./internal/transport/ \
-		-run 'TestHandshakeTimeoutTerminal|TestIdleTimeoutTerminal|TestCloseLifecycleStates|TestKeepAliveSustainsIdleConnection|TestPTOGiveUpAbandonsDeadPath|TestPeerAbandonReelectsPrimary|TestEvacuatedPathLateAcksHarmless'
+		-run 'TestHandshakeTimeoutTerminal|TestIdleTimeoutTerminal|TestCloseLifecycleStates|TestPTOGiveUpAbandonsDeadPath|TestPeerAbandonReelectsPrimary|TestEvacuatedPathLateAcksHarmless'
 
 # Replay one chaos scenario with the qlog-style tracer attached and print
 # the summary views (per-path timelines, Alg. 1 decision table,

@@ -150,7 +150,7 @@ func Run(sc Scenario) Result {
 	// The FEC lane shares the same Δt feed: the redundancy controller sizes
 	// repair symbols off it. The gate is only consulted once both endpoints
 	// negotiate EnableFEC, which scenarios opt into via Tweak.
-	rctrl := qoe.NewRedundancyController(ctrl, qoe.RedundancyConfig{})
+	rctrl := qoe.NewRedundancyController(ctrl)
 	scfg.FECGate = rctrl.PlanFEC
 	ccfg.Tracer = tr.Origin("client")
 	scfg.Tracer = tr.Origin("server")

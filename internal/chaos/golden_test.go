@@ -87,16 +87,16 @@ func TestGoldenTrace(t *testing.T) {
 // commit before DESIGN.md §19: a timer that is left pending gets its place
 // among same-instant events earlier than one that is re-armed, and this is
 // the test that would show a delivery and a timer trading places. Like
-// golden.trace, a PR that changes behaviour on purpose (or adds a field to
+// golden.trace, a PR that changes behaviour on purpose (or the shape of
 // Result) replaces them — the failure prints the new ones.
 func TestLossySessionDigests(t *testing.T) {
 	for _, want := range []struct{ name, trace, result string }{
 		{"ge-dual-reinject-only",
 			"dfb6fc110214c40a11471c4c4e70a2c4b38fc92109625bba6472edf554f249b3",
-			"66c7703c0e797dd49b225d4e26b9c659ba52f4155a680483d29b1db2b600adf7"},
+			"8ab0d672f47a6b6040ae3dfd4973ae21483a63f55847619e0faf860a46fad936"},
 		{"ge-dual-both",
 			"ebf3136ba64de6353a0a957c8c879091d6da6f67a20d5ff65c46b5e962813c7d",
-			"7e8dc2b6bd694b9006b0861c2fda7b88a466acac169cade5a39c56ff4dbcfd60"},
+			"7cfc7cbdaceb89c79415f61fb83f96cac8d74bd658f714cff6a364933e37e2fc"},
 	} {
 		sc, ok := ScenarioByName(want.name)
 		if !ok {

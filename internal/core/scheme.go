@@ -65,8 +65,6 @@ type Options struct {
 	// paths instead of decoupled controllers — the fairness variant the
 	// paper recommends when paths share a bottleneck (Sec 9).
 	CoupledCC bool
-	// QoEFeedbackInterval throttles client QoE piggybacks.
-	QoEFeedbackInterval time.Duration
 }
 
 // DefaultThresholds is a production-flavoured setting: re-inject urgently
@@ -148,10 +146,9 @@ func (x *XLINK) ClientConfig(seed int64) transport.Config {
 	params := wire.DefaultTransportParams()
 	params.EnableMultipath = x.Multipath()
 	cfg := transport.Config{
-		Params:              params,
-		Seed:                seed,
-		CCAlgorithm:         x.Options.CCAlgorithm,
-		QoEFeedbackInterval: x.Options.QoEFeedbackInterval,
+		Params:      params,
+		Seed:        seed,
+		CCAlgorithm: x.Options.CCAlgorithm,
 	}
 	if x.Scheme == SchemeVanillaMP {
 		// Vanilla multi-path acknowledges on the original path, like

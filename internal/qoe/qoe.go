@@ -46,10 +46,9 @@ func (t Thresholds) Decide(playtimeLeft, maxDeliverTime time.Duration) bool {
 type Controller struct {
 	thresholds Thresholds
 
-	lastSignal  wire.QoESignal
-	lastUpdate  time.Duration
-	haveSignal  bool
-	extrapolate bool
+	lastSignal wire.QoESignal
+	lastUpdate time.Duration
+	haveSignal bool
 
 	// Decision counters for experiments.
 	decisions uint64
@@ -65,13 +64,9 @@ type Controller struct {
 }
 
 // NewController creates a controller with the given thresholds.
-// Extrapolation is enabled by default.
 func NewController(th Thresholds) *Controller {
-	return &Controller{thresholds: th, extrapolate: true}
+	return &Controller{thresholds: th}
 }
-
-// SetExtrapolation toggles Δt extrapolation between feedbacks.
-func (c *Controller) SetExtrapolation(on bool) { c.extrapolate = on }
 
 // SetTracer installs a structured event tracer recording every decision
 // (qoe:reinjection_decision with Δt, both thresholds and the verdict).
@@ -94,11 +89,8 @@ func (c *Controller) PlaytimeLeft(now time.Duration) time.Duration {
 		return 0 // no feedback yet: assume the most urgent state
 	}
 	dt := c.lastSignal.PlaytimeLeft()
-	if c.extrapolate {
-		age := now - c.lastUpdate
-		if age > 0 {
-			dt -= age
-		}
+	if age := now - c.lastUpdate; age > 0 {
+		dt -= age
 	}
 	if dt < 0 {
 		dt = 0

@@ -78,21 +78,21 @@ func TestControllerExtrapolation(t *testing.T) {
 	if got := c.PlaytimeLeft(10 * time.Second); got != 0 {
 		t.Fatalf("Δt clamp = %v", got)
 	}
-	// With extrapolation off, the raw value persists.
-	c.SetExtrapolation(false)
+	// A fresh signal restarts the extrapolation: at its own instant it
+	// reads as reported.
+	c.OnSignal(10*time.Second, wire.QoESignal{CachedFrames: 60, FramerateFPS: 30})
 	if got := c.PlaytimeLeft(10 * time.Second); got != 2*time.Second {
-		t.Fatalf("non-extrapolated Δt = %v", got)
+		t.Fatalf("Δt at a fresh signal = %v, want 2s", got)
 	}
 }
 
 func TestControllerStats(t *testing.T) {
 	c := NewController(Thresholds{Tth1: time.Second, Tth2: 2 * time.Second})
 	c.OnSignal(0, wire.QoESignal{CachedFrames: 300, FramerateFPS: 30}) // 10s
-	c.SetExtrapolation(false)
-	c.Decide(0, 0)                                                   // off
-	c.OnSignal(0, wire.QoESignal{CachedFrames: 3, FramerateFPS: 30}) // 100ms
-	c.Decide(0, 0)                                                   // on
-	c.Decide(0, 0)                                                   // on
+	c.Decide(0, 0)                                                     // off
+	c.OnSignal(0, wire.QoESignal{CachedFrames: 3, FramerateFPS: 30})   // 100ms
+	c.Decide(0, 0)                                                     // on
+	c.Decide(0, 0)                                                     // on
 	d, e := c.Stats()
 	if d != 3 || e != 2 {
 		t.Fatalf("stats d=%d e=%d", d, e)

@@ -7,33 +7,19 @@ import (
 	"repro/internal/obs"
 )
 
-// RedundancyConfig parameterizes the FEC redundancy controller.
-type RedundancyConfig struct {
-	// MinLossRate is the loss estimate below which proactive protection is
-	// not worth its overhead (default 0.5%): the paths are clean enough
-	// that the ACK-driven lane alone meets the deadline.
-	MinLossRate float64
-	// Headroom over-provisions the loss-proportional code rate (default
-	// 1.5): burst loss is correlated, so the empirical mean under-counts
-	// the per-window worst case.
-	Headroom float64
-	// MaxRepairs caps repair symbols per window (default 4).
-	MaxRepairs int
-}
-
-// withDefaults fills unset fields.
-func (c RedundancyConfig) withDefaults() RedundancyConfig {
-	if c.MinLossRate <= 0 {
-		c.MinLossRate = 0.005
-	}
-	if c.Headroom <= 0 {
-		c.Headroom = 1.5
-	}
-	if c.MaxRepairs <= 0 {
-		c.MaxRepairs = 4
-	}
-	return c
-}
+// The FEC redundancy controller's code-rate policy.
+const (
+	// fecMinLossRate is the loss estimate below which proactive protection
+	// is not worth its overhead: the paths are clean enough that the
+	// ACK-driven lane alone meets the deadline.
+	fecMinLossRate = 0.005
+	// fecHeadroom over-provisions the loss-proportional code rate: burst
+	// loss is correlated, so the empirical mean under-counts the per-window
+	// worst case.
+	fecHeadroom = 1.5
+	// fecMaxRepairs caps repair symbols per window.
+	fecMaxRepairs = 4
+)
 
 // RedundancyController extends Alg. 1 from *whether* to protect the tail
 // of the current video frame to *how*: re-injection duplicates it on a
@@ -45,7 +31,6 @@ func (c RedundancyConfig) withDefaults() RedundancyConfig {
 // implements transport.FECGate via PlanFEC.
 type RedundancyController struct {
 	ctrl *Controller
-	cfg  RedundancyConfig
 
 	// Decision counters for experiments.
 	decisions uint64
@@ -57,8 +42,8 @@ type RedundancyController struct {
 
 // NewRedundancyController wraps an Alg. 1 controller (sharing its QoE
 // signal feed and thresholds) with FEC code-rate policy.
-func NewRedundancyController(ctrl *Controller, cfg RedundancyConfig) *RedundancyController {
-	return &RedundancyController{ctrl: ctrl, cfg: cfg.withDefaults()}
+func NewRedundancyController(ctrl *Controller) *RedundancyController {
+	return &RedundancyController{ctrl: ctrl}
 }
 
 // SetTracer installs a structured event tracer recording every verdict.
@@ -79,12 +64,12 @@ func (r *RedundancyController) PlanFEC(now, maxDeliverTime time.Duration, lossRa
 		// redundancy is pure cost (Alg. 1's upper threshold, applied to
 		// the proactive lane too).
 		protect = false
-	case lossRate < r.cfg.MinLossRate:
+	case lossRate < fecMinLossRate:
 		// Paths are clean: the re-injection race and plain retransmission
 		// already cover the tail; skip the repair overhead.
 		protect = false
 	default:
-		repairs = int(math.Ceil(float64(sourceSymbols) * lossRate * r.cfg.Headroom))
+		repairs = int(math.Ceil(float64(sourceSymbols) * lossRate * fecHeadroom))
 		if repairs < 1 {
 			repairs = 1
 		}
@@ -94,8 +79,8 @@ func (r *RedundancyController) PlanFEC(now, maxDeliverTime time.Duration, lossRa
 			// otherwise certain (Fig 5's rebuffer cliff).
 			repairs++
 		}
-		if repairs > r.cfg.MaxRepairs {
-			repairs = r.cfg.MaxRepairs
+		if repairs > fecMaxRepairs {
+			repairs = fecMaxRepairs
 		}
 	}
 	if protect {

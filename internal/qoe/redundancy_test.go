@@ -7,9 +7,9 @@ import (
 	"repro/internal/wire"
 )
 
-func newRC(cfg RedundancyConfig) *RedundancyController {
+func newRC() *RedundancyController {
 	ctrl := NewController(Thresholds{Tth1: 100 * time.Millisecond, Tth2: time.Second})
-	return NewRedundancyController(ctrl, cfg)
+	return NewRedundancyController(ctrl)
 }
 
 // signal puts dt seconds of buffered video into the wrapped controller.
@@ -19,7 +19,7 @@ func signal(r *RedundancyController, now time.Duration, dt time.Duration) {
 }
 
 func TestPlanFECRegions(t *testing.T) {
-	r := newRC(RedundancyConfig{})
+	r := newRC()
 
 	// Ample buffer (dt > Tth2): never protect, whatever the loss.
 	signal(r, 0, 10*time.Second)
@@ -49,19 +49,19 @@ func TestPlanFECRegions(t *testing.T) {
 }
 
 func TestPlanFECClampsToMaxRepairs(t *testing.T) {
-	r := newRC(RedundancyConfig{MaxRepairs: 3})
+	r := newRC()
 	signal(r, 0, 50*time.Millisecond) // low buffer: +1 regime
-	// ceil(64 * 0.25 * 1.5) = 24, +1, clamped to 3.
+	// ceil(64 * 0.25 * 1.5) = 24, +1, clamped to 4.
 	on, n := r.PlanFEC(0, 200*time.Millisecond, 0.25, 64)
-	if !on || n != 3 {
-		t.Fatalf("got (%v, %d), want (true, 3)", on, n)
+	if !on || n != 4 {
+		t.Fatalf("got (%v, %d), want (true, 4)", on, n)
 	}
 }
 
 func TestPlanFECStartupProtects(t *testing.T) {
 	// No QoE feedback yet: Δt reads 0, the most urgent state — startup is
 	// exactly when a stall is costliest, so FEC is on with the +1 bonus.
-	r := newRC(RedundancyConfig{})
+	r := newRC()
 	on, n := r.PlanFEC(0, 200*time.Millisecond, 0.02, 8)
 	if !on || n < 2 {
 		t.Fatalf("startup: got (%v, %d), want protection with the low-buffer bonus", on, n)
@@ -69,19 +69,17 @@ func TestPlanFECStartupProtects(t *testing.T) {
 }
 
 func TestPlanFECHeadroomScalesRepairs(t *testing.T) {
-	lean := newRC(RedundancyConfig{Headroom: 1.0, MaxRepairs: 16})
-	fat := newRC(RedundancyConfig{Headroom: 3.0, MaxRepairs: 16})
-	signal(lean, 0, 500*time.Millisecond)
-	signal(fat, 0, 500*time.Millisecond)
-	_, nLean := lean.PlanFEC(0, 200*time.Millisecond, 0.10, 16)
-	_, nFat := fat.PlanFEC(0, 200*time.Millisecond, 0.10, 16)
-	if nLean != 2 || nFat != 5 {
-		t.Fatalf("headroom scaling: lean=%d want 2, fat=%d want 5", nLean, nFat)
+	r := newRC()
+	signal(r, 0, 500*time.Millisecond)
+	// The bare loss share would be ceil(16 * 0.10) = 2; the headroom makes
+	// it ceil(16 * 0.10 * 1.5) = 3.
+	if _, n := r.PlanFEC(0, 200*time.Millisecond, 0.10, 16); n != 3 {
+		t.Fatalf("headroom: %d repairs, want 3", n)
 	}
 }
 
 func TestRedundancyStats(t *testing.T) {
-	r := newRC(RedundancyConfig{})
+	r := newRC()
 	signal(r, 0, 10*time.Second)
 	r.PlanFEC(0, 0, 0.05, 8) // off: ample buffer
 	signal(r, 0, 500*time.Millisecond)
@@ -94,7 +92,7 @@ func TestRedundancyStats(t *testing.T) {
 	if f := r.ProtectFraction(); f < 0.66 || f > 0.67 {
 		t.Fatalf("ProtectFraction = %v, want 2/3", f)
 	}
-	if f := newRC(RedundancyConfig{}).ProtectFraction(); f != 0 {
+	if f := newRC().ProtectFraction(); f != 0 {
 		t.Fatalf("fresh controller ProtectFraction = %v, want 0", f)
 	}
 }

@@ -163,15 +163,8 @@ type Config struct {
 	// PTO. Default 25 ms (RFC 9000's max_ack_delay).
 	MaxAckDelay time.Duration
 	// QoEProvider, on the client, supplies the current player signal to
-	// piggyback on outgoing ACK_MP frames.
+	// piggyback on every outgoing ACK_MP frame; a zero signal rides none.
 	QoEProvider func() wire.QoESignal
-	// QoEFeedbackInterval throttles QoE piggybacks (0 = every ACK_MP).
-	QoEFeedbackInterval time.Duration
-	// QoEStandaloneInterval, when non-zero, additionally sends the
-	// draft's independent QOE_CONTROL_SIGNALS frame at this cadence, so
-	// feedback frequency is not bound to ACK frequency (Sec 6, "Frame
-	// extension").
-	QoEStandaloneInterval time.Duration
 	// OnQoE, on the server, observes client QoE signals.
 	OnQoE func(now time.Duration, sig wire.QoESignal)
 	// OnStreamData delivers in-order stream data to the application. data is
@@ -206,10 +199,6 @@ type Config struct {
 	// disables, preserving the pre-hardening behavior of experiments that
 	// let connections sit idle.
 	IdleTimeout time.Duration
-	// KeepAliveInterval sends a PING on the primary path after this much
-	// receive silence, keeping an idle-but-healthy connection from hitting
-	// IdleTimeout. Zero disables.
-	KeepAliveInterval time.Duration
 	// HandshakeMaxPTOs caps Initial retransmission attempts; once
 	// exhausted the connection enters a terminal error state (surfaced via
 	// Stats and OnClosed) instead of stalling silently. Zero means the

@@ -112,8 +112,6 @@ type ConnStats struct {
 	CloseErrorCode uint64
 	CloseReason    string
 	CloseLocal     bool
-	// KeepAlivesSent counts idle-keepalive PINGs on the primary path.
-	KeepAlivesSent uint64
 	// AutoAbandonedPaths counts paths dropped by the PTO give-up rule.
 	AutoAbandonedPaths uint64
 	// PrimaryReElections counts primary-path re-elections after the
@@ -222,13 +220,6 @@ type Conn struct {
 	// test-only reference scheduler drives a connection.
 	pullHook func(now time.Duration, p *Path, maxLen int) (chunk, bool)
 
-	// QoE piggyback throttling (client).
-	lastQoEAt  time.Duration
-	qoeSentAny bool
-	// Standalone QOE_CONTROL_SIGNALS scheduling.
-	nextStandaloneQoE time.Duration
-	qoeSeq            uint64
-
 	// timerCancel cancels the timer the Env holds (nil: none pending), which
 	// fires at timerAt; timerDue is when onTimer's body must next run (0:
 	// never). timerAt <= timerDue while a timer is pending — see rearmTimer.
@@ -292,7 +283,6 @@ type Conn struct {
 	// Lifecycle hardening state (DESIGN.md §8).
 	primaryID        uint64                     // current primary path ID
 	lastRecvActivity time.Duration              // last successfully processed packet
-	lastKeepAlive    time.Duration              // last keepalive PING queued
 	drainDeadline    time.Duration              // closing/draining → closed transition
 	closeFrame       *wire.ConnectionCloseFrame // retained for closing-state resends
 	closeRecvCount   uint64                     // incoming packets while closing
@@ -1489,8 +1479,7 @@ func (c *Conn) AbandonPath(id uint64) {
 
 // reelectPrimary promotes another path to primary after the old primary was
 // abandoned: prefer usable paths by wireless technology rank then smoothed
-// RTT, falling back to any non-closed path. Keepalives and close frames
-// follow the new primary.
+// RTT, falling back to any non-closed path.
 func (c *Conn) reelectPrimary(now time.Duration) {
 	var best *Path
 	for _, id := range c.pathOrder {

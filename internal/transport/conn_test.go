@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -399,23 +400,35 @@ func TestAbandonPathReschedulesData(t *testing.T) {
 	}
 }
 
-func TestStandaloneQoEFrames(t *testing.T) {
-	loop := sim.NewLoop()
-	ccfg, scfg := defaultMPConfig()
+// TestQoEControlSignalsFrameReachesOnQoE: the client here never sends the
+// draft's standalone QOE_CONTROL_SIGNALS frame, but a peer may. One arriving
+// at an established server hands its signal to Config.OnQoE and is traced as
+// a QoE signal, exactly as an ACK_MP's piggyback is.
+func TestQoEControlSignalsFrameReachesOnQoE(t *testing.T) {
 	sig := wire.QoESignal{CachedBytes: 4096, CachedFrames: 12, BitrateBps: 1_000_000, FramerateFPS: 30}
-	ccfg.QoEProvider = func() wire.QoESignal { return sig }
-	ccfg.QoEFeedbackInterval = time.Hour // suppress piggybacks
-	ccfg.QoEStandaloneInterval = 50 * time.Millisecond
-	var got int
-	scfg.OnQoE = func(now time.Duration, s wire.QoESignal) {
-		if s == sig {
-			got++
+	tr := obs.NewTrace("qoe-control-signals")
+	var got []wire.QoESignal
+	r := newRig(t, func(scfg *Config) {
+		scfg.Tracer = tr.Origin("server")
+		scfg.OnQoE = func(_ time.Duration, s wire.QoESignal) { got = append(got, s) }
+	})
+	r.deliver(&wire.QoEControlSignalsFrame{Sequence: 1, QoE: sig})
+	if len(got) != 1 || got[0] != sig {
+		t.Fatalf("OnQoE saw %+v, want the one signal %+v", got, sig)
+	}
+	evs, err := obs.ParseBytes(tr.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traced []obs.Event
+	for _, e := range evs {
+		if e.Name == obs.EvQoESignal {
+			traced = append(traced, e)
 		}
 	}
-	pair := NewPair(loop, sim.NewRNG(2), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
-	transfer(t, pair, 512<<10, 20*time.Second)
-	if got < 3 {
-		t.Fatalf("standalone QoE frames received %d, want several", got)
+	if len(traced) != 1 || traced[0].Time != r.env.now ||
+		traced[0].U64("cached_bytes") != sig.CachedBytes || traced[0].U64("cached_frames") != sig.CachedFrames {
+		t.Fatalf("traced %+v, want one %s at %v carrying the signal", traced, obs.EvQoESignal, r.env.now)
 	}
 }
 
@@ -619,23 +632,43 @@ func TestAppendingModeReinjects(t *testing.T) {
 	}
 }
 
-func TestQoEPiggybackThrottling(t *testing.T) {
+// TestQoEOnEveryAckMP: the client's player state rides every ACK_MP it
+// builds (PAPER.md §1) — the provider's non-zero sample on each one, two
+// built for the same path at the same instant included — and reaches the
+// server throughout a transfer. A zero sample is left off.
+func TestQoEOnEveryAckMP(t *testing.T) {
 	loop := sim.NewLoop()
 	ccfg, scfg := defaultMPConfig()
 	sig := wire.QoESignal{CachedBytes: 1000, BitrateBps: 8000}
 	ccfg.QoEProvider = func() wire.QoESignal { return sig }
-	ccfg.QoEFeedbackInterval = 200 * time.Millisecond
-	var received []time.Duration
-	scfg.OnQoE = func(now time.Duration, s wire.QoESignal) { received = append(received, now) }
+	received := 0
+	scfg.OnQoE = func(now time.Duration, s wire.QoESignal) {
+		if s != sig {
+			t.Fatalf("server heard %+v at %v, want %+v", s, now, sig)
+		}
+		received++
+	}
 	pair := NewPair(loop, sim.NewRNG(2), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
 	transfer(t, pair, 1<<20, 20*time.Second)
-	if len(received) < 2 {
-		t.Fatalf("expected several QoE feedbacks, got %d", len(received))
+	if received < 100 {
+		t.Fatalf("server heard %d QoE samples over a 1 MiB transfer", received)
 	}
-	for i := 1; i < len(received); i++ {
-		if gap := received[i] - received[i-1]; gap < 150*time.Millisecond {
-			t.Fatalf("feedbacks %d-%d only %v apart; interval not honoured", i-1, i, gap)
+	now := loop.Now()
+	paths := pair.Client.Paths()
+	if len(paths) != 2 {
+		t.Fatalf("client has %d paths, want 2", len(paths))
+	}
+	for _, p := range paths {
+		for i := 0; i < 2; i++ {
+			f, ok := pair.Client.buildAckFrame(now, p).(*wire.AckMPFrame)
+			if !ok || !f.HasQoE || f.QoE != sig {
+				t.Fatalf("ACK_MP %d for path %d at %v: %+v, want one carrying %+v", i, p.ID, now, f, sig)
+			}
 		}
+	}
+	sig = wire.QoESignal{}
+	if f := pair.Client.buildAckFrame(now, paths[0]).(*wire.AckMPFrame); f.HasQoE {
+		t.Fatalf("a zero sample was attached: %+v", f)
 	}
 }
 

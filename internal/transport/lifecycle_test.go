@@ -74,7 +74,7 @@ func TestIdleTimeoutTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Check establishment well before the idle timeout can fire: with no
-	// traffic and no keepalive, timing out after 1s of silence is correct.
+	// traffic, timing out after 1s of silence is correct.
 	pair.RunUntil(300 * time.Millisecond)
 	if !pair.Client.Established() || !pair.Server.Established() {
 		t.Fatal("handshake failed")
@@ -211,29 +211,6 @@ func TestClosedConnForgetsStreams(t *testing.T) {
 	}
 }
 
-// TestKeepAliveSustainsIdleConnection checks that primary-path keepalives
-// prevent a healthy-but-idle connection from tripping its own idle timeout.
-func TestKeepAliveSustainsIdleConnection(t *testing.T) {
-	loop := sim.NewLoop()
-	ccfg, scfg := defaultMPConfig()
-	ccfg.IdleTimeout = 500 * time.Millisecond
-	ccfg.KeepAliveInterval = 150 * time.Millisecond
-	scfg.IdleTimeout = 500 * time.Millisecond
-	scfg.KeepAliveInterval = 150 * time.Millisecond
-	pair := NewPair(loop, sim.NewRNG(14), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
-	if err := pair.Start(); err != nil {
-		t.Fatal(err)
-	}
-	pair.RunUntil(5 * time.Second) // ten idle timeouts' worth of silence
-	if pair.Client.Closed() || pair.Server.Closed() {
-		t.Fatalf("idle-but-healthy connection closed: client=%q server=%q",
-			pair.Client.StateName(), pair.Server.StateName())
-	}
-	if pair.Client.Stats().KeepAlivesSent == 0 {
-		t.Fatal("client sent no keepalives")
-	}
-}
-
 // TestPTOGiveUpAbandonsDeadPath checks the give-up rule: when a path's PTO
 // count crosses the threshold while another usable path exists, the path is
 // abandoned outright and, if it was the primary, a survivor is re-elected.
@@ -270,8 +247,7 @@ func TestPTOGiveUpAbandonsDeadPath(t *testing.T) {
 
 // TestPeerAbandonReelectsPrimary: a PATH_STATUS(abandon) from the peer for
 // the local primary closes it and re-elects a survivor, as a local
-// AbandonPath does — keepalives and CONNECTION_CLOSE follow the primary, so
-// one left on a closed path would go nowhere.
+// AbandonPath does, so the primary never names a closed path.
 func TestPeerAbandonReelectsPrimary(t *testing.T) {
 	ccfg, scfg := defaultMPConfig()
 	pair := NewPair(sim.NewLoop(), sim.NewRNG(17), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)

@@ -55,7 +55,6 @@ func (c *Conn) maybeSend(now time.Duration) {
 	c.pathsDirty = true
 
 	c.updatePathHealth(now)
-	c.maybeSendStandaloneQoE(now)
 	c.flushAcks(now, false)
 
 	for i := 0; i < 4096; i++ { // safety bound per pass
@@ -296,8 +295,7 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 	// Pending acks whose policy path is p ride along, but only on a packet
 	// that carries something else: a lone ACK leaves from flushAcks when it
 	// is due (DESIGN.md §20). Until the packet is known to leave they are
-	// provisional, and so is the QoE piggyback state building them moved.
-	qoeAt, qoeAny := c.lastQoEAt, c.qoeSentAny
+	// provisional.
 	frames = c.appendAcksFor(now, p, frames, &budget)
 	acks := len(frames)
 
@@ -367,7 +365,6 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 	send := len(frames) > acks
 	c.settleAcks(send)
 	if !send {
-		c.lastQoEAt, c.qoeSentAny = qoeAt, qoeAny
 		return false
 	}
 	pn := p.Space.NextPN()
@@ -938,15 +935,9 @@ func (c *Conn) buildAckFrame(now time.Duration, p *Path) wire.Frame {
 	f := &p.ackMPScratch
 	*f = wire.AckMPFrame{PathID: p.ID, Ranges: ranges, AckDelay: delay}
 	if c.cfg.QoEProvider != nil {
-		interval := c.cfg.QoEFeedbackInterval
-		if !c.qoeSentAny || interval == 0 || now-c.lastQoEAt >= interval {
-			sig := c.cfg.QoEProvider()
-			if !sig.Zero() {
-				f.HasQoE = true
-				f.QoE = sig
-				c.lastQoEAt = now
-				c.qoeSentAny = true
-			}
+		if sig := c.cfg.QoEProvider(); !sig.Zero() {
+			f.HasQoE = true
+			f.QoE = sig
 		}
 	}
 	return f
@@ -1059,40 +1050,8 @@ func (c *Conn) nextDeadline() time.Duration {
 				deadline = earlierDeadline(deadline, p.largestRecvTime+c.cfg.MaxAckDelay)
 			}
 		}
-		if c.cfg.QoEStandaloneInterval > 0 && c.cfg.QoEProvider != nil && c.multipath {
-			deadline = earlierDeadline(deadline, c.nextStandaloneQoE)
-		}
-		if c.cfg.KeepAliveInterval > 0 {
-			last := c.lastRecvActivity
-			if c.lastKeepAlive > last {
-				last = c.lastKeepAlive
-			}
-			deadline = earlierDeadline(deadline, last+c.cfg.KeepAliveInterval)
-		}
 	}
 	return deadline
-}
-
-// maybeSendStandaloneQoE emits a QOE_CONTROL_SIGNALS frame when the
-// standalone feedback cadence is due, independent of ACK scheduling.
-func (c *Conn) maybeSendStandaloneQoE(now time.Duration) {
-	if c.cfg.QoEStandaloneInterval <= 0 || c.cfg.QoEProvider == nil || !c.multipath {
-		return
-	}
-	if c.nextStandaloneQoE == 0 {
-		c.nextStandaloneQoE = now + c.cfg.QoEStandaloneInterval
-		return
-	}
-	if now < c.nextStandaloneQoE {
-		return
-	}
-	c.nextStandaloneQoE = now + c.cfg.QoEStandaloneInterval
-	sig := c.cfg.QoEProvider()
-	if sig.Zero() {
-		return
-	}
-	c.qoeSeq++
-	c.queueCtrl(&wire.QoEControlSignalsFrame{Sequence: c.qoeSeq, QoE: sig}, -1, false)
 }
 
 // rearmTimer records the deadline the connection wants to be woken at and
@@ -1195,7 +1154,6 @@ func (c *Conn) onTimer(now time.Duration) {
 		}
 	}
 	if c.state == stateEstablished {
-		c.maybeKeepAlive(now)
 		for _, id := range c.pathOrder {
 			p := c.paths[id]
 			if lt := p.Space.LossTime(); lt > 0 && now >= lt {
@@ -1212,25 +1170,6 @@ func (c *Conn) onTimer(now time.Duration) {
 		c.maybeSend(now)
 	}
 	c.rearmTimer()
-}
-
-// maybeKeepAlive queues a PING on the primary path when the connection has
-// been receive-silent for KeepAliveInterval, so an idle-but-healthy
-// connection never trips its own idle timeout.
-func (c *Conn) maybeKeepAlive(now time.Duration) {
-	if c.cfg.KeepAliveInterval <= 0 {
-		return
-	}
-	last := c.lastRecvActivity
-	if c.lastKeepAlive > last {
-		last = c.lastKeepAlive
-	}
-	if now < last+c.cfg.KeepAliveInterval {
-		return
-	}
-	c.lastKeepAlive = now
-	c.stats.KeepAlivesSent++
-	c.queueCtrl(&wire.PingFrame{}, int64(c.primaryID), false)
 }
 
 // onPathPTO probes a path after a timeout: the oldest unacked frames are

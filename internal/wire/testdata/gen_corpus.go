@@ -172,8 +172,7 @@ func transportParamSeeds() [][]byte {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 	full := wire.DefaultTransportParams()
-	full.EnableMultipath, full.InitialReinjection, full.EnableFEC = true, true, true
-	full.QoEFeedbackInterval = 100
+	full.EnableMultipath, full.EnableFEC = true, true
 	idle := intParam(wire.ParamMaxIdleTimeout, 30000) // a four-byte value
 	return [][]byte{
 		wire.DefaultTransportParams().Append(nil),
@@ -187,8 +186,11 @@ func transportParamSeeds() [][]byte {
 		cat(wire.AppendVarint(wire.AppendVarint(nil, wire.ParamMaxIdleTimeout), 2), []byte{0x05, 0x00}),
 		cat(intParam(wire.ParamInitialMaxData, 1), intParam(wire.ParamInitialMaxData, 2)),
 		cat(flag(wire.ParamEnableFEC), flag(wire.ParamEnableFEC)),
-		// A repeated unknown parameter stays legal.
+		// A repeated unknown parameter stays legal, the multipath draft's
+		// initial_reinjection and qoe_feedback_interval among them.
 		cat(unknown, unknown),
+		cat(flag(0x0f739bbc1b666d06), flag(0x0f739bbc1b666d06),
+			intParam(0x0f739bbc1b666d07, 100), intParam(0x0f739bbc1b666d07, 100)),
 	}
 }
 

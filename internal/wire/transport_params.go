@@ -7,28 +7,24 @@ import "fmt"
 // multi-path operation is enabled; otherwise both fall back to single-path
 // QUIC (Sec 6, "Multi-path initialization").
 const (
-	ParamMaxIdleTimeout        uint64 = 0x01
-	ParamInitialMaxData        uint64 = 0x04
-	ParamInitialMaxStreamData  uint64 = 0x05
-	ParamInitialMaxStreams     uint64 = 0x08
-	ParamActiveCIDLimit        uint64 = 0x0e
-	ParamEnableMultipath       uint64 = 0x0f739bbc1b666d05
-	ParamInitialReinjection    uint64 = 0x0f739bbc1b666d06
-	ParamQoEFeedbackIntervalMS uint64 = 0x0f739bbc1b666d07
-	ParamEnableFEC             uint64 = 0x0f739bbc1b666d08
+	ParamMaxIdleTimeout       uint64 = 0x01
+	ParamInitialMaxData       uint64 = 0x04
+	ParamInitialMaxStreamData uint64 = 0x05
+	ParamInitialMaxStreams    uint64 = 0x08
+	ParamActiveCIDLimit       uint64 = 0x0e
+	ParamEnableMultipath      uint64 = 0x0f739bbc1b666d05
+	ParamEnableFEC            uint64 = 0x0f739bbc1b666d08
 )
 
 // TransportParams is the simplified transport parameter set exchanged in
 // CRYPTO frames during the handshake.
 type TransportParams struct {
-	MaxIdleTimeoutMS    uint64
-	InitialMaxData      uint64
-	InitialMaxStrData   uint64
-	InitialMaxStreams   uint64
-	ActiveCIDLimit      uint64
-	EnableMultipath     bool
-	InitialReinjection  bool
-	QoEFeedbackInterval uint64 // milliseconds; 0 = every ACK_MP
+	MaxIdleTimeoutMS  uint64
+	InitialMaxData    uint64
+	InitialMaxStrData uint64
+	InitialMaxStreams uint64
+	ActiveCIDLimit    uint64
+	EnableMultipath   bool
 	// EnableFEC negotiates the forward-erasure-correction lane
 	// (DESIGN.md §13): like enable_multipath, both endpoints must offer
 	// it or both fall back to the two classic recovery lanes.
@@ -66,12 +62,6 @@ func (p TransportParams) Append(b []byte) []byte {
 	if p.EnableMultipath {
 		b = appendFlag(b, ParamEnableMultipath)
 	}
-	if p.InitialReinjection {
-		b = appendFlag(b, ParamInitialReinjection)
-	}
-	if p.QoEFeedbackInterval > 0 {
-		b = appendInt(b, ParamQoEFeedbackIntervalMS, p.QoEFeedbackInterval)
-	}
 	if p.EnableFEC {
 		b = appendFlag(b, ParamEnableFEC)
 	}
@@ -83,7 +73,7 @@ func (p TransportParams) Append(b []byte) []byte {
 var knownParams = [...]uint64{
 	ParamMaxIdleTimeout, ParamInitialMaxData, ParamInitialMaxStreamData,
 	ParamInitialMaxStreams, ParamActiveCIDLimit, ParamEnableMultipath,
-	ParamInitialReinjection, ParamQoEFeedbackIntervalMS, ParamEnableFEC,
+	ParamEnableFEC,
 }
 
 // ParseTransportParams decodes a parameter block. Unknown parameters are
@@ -150,14 +140,8 @@ func ParseTransportParams(b []byte) (TransportParams, error) {
 			}
 		case ParamEnableMultipath:
 			p.EnableMultipath = true
-		case ParamInitialReinjection:
-			p.InitialReinjection = true
 		case ParamEnableFEC:
 			p.EnableFEC = true
-		case ParamQoEFeedbackIntervalMS:
-			if p.QoEFeedbackInterval, err = intVal(); err != nil {
-				return p, err
-			}
 		default:
 			// Unknown parameter: ignore.
 		}

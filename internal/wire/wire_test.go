@@ -281,14 +281,13 @@ func TestHeaderTypeDetection(t *testing.T) {
 
 func TestTransportParamsRoundTrip(t *testing.T) {
 	p := TransportParams{
-		MaxIdleTimeoutMS:    15000,
-		InitialMaxData:      1 << 20,
-		InitialMaxStrData:   1 << 18,
-		InitialMaxStreams:   64,
-		ActiveCIDLimit:      4,
-		EnableMultipath:     true,
-		InitialReinjection:  true,
-		QoEFeedbackInterval: 100,
+		MaxIdleTimeoutMS:  15000,
+		InitialMaxData:    1 << 20,
+		InitialMaxStrData: 1 << 18,
+		InitialMaxStreams: 64,
+		ActiveCIDLimit:    4,
+		EnableMultipath:   true,
+		EnableFEC:         true,
 	}
 	b := p.Append(nil)
 	got, err := ParseTransportParams(b)
@@ -328,7 +327,9 @@ func TestTransportParamsSkipsUnknown(t *testing.T) {
 
 // TestParseTransportParamsRejects: a value shorter than its length varint is
 // ErrTruncated, and a known parameter sent twice is refused (RFC 9000 §7.4)
-// while a repeated unknown one is skipped like any unknown. Each block is cut
+// while a repeated unknown one is skipped like any unknown, the multipath
+// draft's initial_reinjection and qoe_feedback_interval IDs (0x0f739bbc1b666d06
+// and …07), which this parser does not decode, included. Each block is cut
 // to its own capacity, so a parser that slices past the end panics here
 // rather than reading spare capacity. FuzzParseTransportParams has the same
 // blocks as seeds.
@@ -350,6 +351,8 @@ func TestParseTransportParamsRejects(t *testing.T) {
 		{"repeated integer parameter", cat(intParam(ParamInitialMaxData, 1), intParam(ParamInitialMaxData, 2)), false, nil},
 		{"repeated flag", cat(flag(ParamEnableFEC), flag(ParamEnableFEC)), false, nil},
 		{"repeated unknown parameter", cat(unknown, unknown, flag(ParamEnableMultipath)), true, nil},
+		{"repeated retired parameters", cat(flag(0x0f739bbc1b666d06), flag(0x0f739bbc1b666d06),
+			intParam(0x0f739bbc1b666d07, 100), intParam(0x0f739bbc1b666d07, 100), flag(ParamEnableMultipath)), true, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := len(tc.block)

@@ -107,7 +107,7 @@ step go test -count=1 ./internal/chaos/ -run TestGoldenTrace
 # shard turn: a tiny exchange in one datagram each way, a callback that
 # writes 200 streams in its turn, and bytes written just before
 # Endpoint.Close that still arrive.
-step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestIdleGroupHoldsNoReadBuffers|TestKeptReadBufferReadsPoison|TestLiveDataCallbacksKeepOrderAndContent|TestLiveCallbackCallsEveryMethod|TestLivePostFromAnAppliedOp|TestLiveCallbacksWriteAcrossFullShards|TestLiveWriteBacklogBoundsAForeignWriter|TestLiveCallbackWritesPastTheBacklog|TestLiveTinyExchangeOneDatagramEachWay|TestLiveCallbackWritesManyStreamsInOneTurn|TestLiveWriteBeforeCloseReachesPeer'
+step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestIdleGroupHoldsNoReadBuffers|TestKeptReadBufferReadsPoison|TestLiveDataCallbacksKeepOrderAndContent|TestLiveCallbackCallsEveryMethod|TestLivePostFromAnAppliedOp|TestLiveCallbacksWriteAcrossFullShards|TestLiveWriteBacklogBoundsAForeignWriter|TestLiveBacklogCountsBytesATurnApplied|TestLiveCallbackWritesPastTheBacklog|TestLiveTinyExchangeOneDatagramEachWay|TestLiveCallbackWritesManyStreamsInOneTurn|TestLiveWriteBeforeCloseReachesPeer'
 # Allocation gates (DESIGN.md §7, §11): the one allocation contract; DESIGN.md
 # §7 maps every gate to the per-packet functions it drives. Warm paths must
 # hold their alloc/op budgets — zero for sim timers, crypto seal/open,

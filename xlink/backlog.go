@@ -9,11 +9,10 @@ import (
 // its endpoint's connection to drain; a shard never waits.
 
 // writeBacklog bounds what a writer that is no shard may have queued on one
-// endpoint: the bytes its Writes posted and the shard has not applied, plus
-// the connection's send buffer as of the last snapshot. Over it, such a
-// Write waits (awaitBacklog) until the connection drains, as the
-// endpoint's lock once slowed every writer, so a writer faster than the
-// connection cannot grow the FIFO and the send buffer without bound.
+// endpoint (backlogLocked). Over it, such a Write waits (awaitBacklog) until
+// the connection drains, as the endpoint's lock once slowed every writer, so
+// a writer faster than the connection cannot grow the FIFO and the send
+// buffer without bound.
 const writeBacklog = 4 << 20
 
 // awaitBacklog waits while the established connection's backlog is over
@@ -23,7 +22,7 @@ const writeBacklog = 4 << 20
 func (ep *Endpoint) awaitBacklog() {
 	for {
 		ep.snapMu.Lock()
-		wait := ep.snap.established && ep.queued.Load()+int64(ep.snap.stats.SendBufferedBytes) > writeBacklog
+		wait := ep.snap.established && ep.backlogLocked() > writeBacklog
 		if wait && ep.drained == nil {
 			ep.drained = make(chan struct{})
 		}
@@ -34,6 +33,15 @@ func (ep *Endpoint) awaitBacklog() {
 		}
 		<-drained
 	}
+}
+
+// backlogLocked returns the endpoint's write backlog: the connection's send
+// buffer as of the last snapshot, plus the bytes Writes posted that it does
+// not count yet — those the shard has not applied and those a turn applied
+// and has not published. publish moves bytes from the second term to the
+// first under snapMu, which the caller holds, so no byte drops out between.
+func (ep *Endpoint) backlogLocked() int64 {
+	return ep.queued.Load() + int64(ep.snap.stats.SendBufferedBytes)
 }
 
 // shardGoroutines holds the IDs of the running shard goroutines, each

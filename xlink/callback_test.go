@@ -439,7 +439,9 @@ func TestLiveWriteBacklogBoundsAForeignWriter(t *testing.T) {
 	var peak int64
 	for sent := 0; sent < size; sent += chunk {
 		st.Write(data)
-		peak = max(peak, client.queued.Load()+int64(client.Stats().SendBufferedBytes))
+		client.snapMu.Lock()
+		peak = max(peak, client.backlogLocked())
+		client.snapMu.Unlock()
 	}
 	st.Close()
 	select {
@@ -449,6 +451,37 @@ func TestLiveWriteBacklogBoundsAForeignWriter(t *testing.T) {
 	}
 	if peak > writeBacklog+1<<20 {
 		t.Fatalf("the backlog reached %d KiB, bound %d KiB", peak>>10, writeBacklog>>10)
+	}
+}
+
+// TestLiveBacklogCountsBytesATurnApplied: a Write's bytes leave the posted
+// count for the connection's send buffer, which the snapshot shows only once
+// the turn publishes; the backlog counts them all the while, so a foreign
+// writer never sees them vanish. The write op is applied on the shard by
+// hand, so the backlog is read inside the turn that applied it.
+func TestLiveBacklogCountsBytesATurnApplied(t *testing.T) {
+	const n = 1000
+	ep := listenIdle(t, 87, nil)
+	id := ep.OpenStream().ID()
+	backlog := func() int64 {
+		ep.snapMu.Lock()
+		defer ep.snapMu.Unlock()
+		return ep.backlogLocked()
+	}
+	var applied int64
+	ep.onShard(func() {
+		ep.queued.Add(n) // as postWrite counts the Write it posts
+		o := op{kind: opWrite, ep: ep, id: id, buf: writeChunks.get()[:n]}
+		o.apply()
+		applied = backlog()
+	})
+	if applied != n {
+		t.Fatalf("the backlog read %d bytes in the turn that applied a %d-byte Write", applied, n)
+	}
+	// An op posted now runs in a later turn, after this one published.
+	ep.onShard(func() {})
+	if got, buffered := backlog(), ep.Stats().SendBufferedBytes; got != n || buffered != n {
+		t.Fatalf("published: backlog %d bytes, send buffer %d, want %d both", got, buffered, n)
 	}
 }
 

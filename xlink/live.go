@@ -111,7 +111,8 @@ type Endpoint struct {
 	done chan struct{}
 	// opened counts the locally initiated streams OpenStream has reserved.
 	opened atomic.Uint64
-	// queued counts the Write bytes posted and not yet applied.
+	// queued counts the Write bytes posted and not yet in a published
+	// snapshot's send buffer.
 	queued atomic.Int64
 
 	// The shard's alone once the endpoint is published.
@@ -128,6 +129,10 @@ type Endpoint struct {
 	// inTurn records that the endpoint joined the shard's current turn: its
 	// connection is held (transport Conn.Hold) until the turn's end.
 	inTurn bool
+	// applied counts the Write bytes this turn applied to the connection.
+	// queued still counts them until publish takes them out, under snapMu,
+	// in the step that puts them in the snapshot's send buffer.
+	applied int64
 
 	snapMu sync.Mutex
 	snap   snapshot
@@ -523,7 +528,7 @@ func (o *op) apply() {
 		}
 	}
 	if o.buf != nil {
-		ep.queued.Add(-int64(len(o.buf)))
+		ep.applied += int64(len(o.buf))
 		writeChunks.put(o.buf)
 	}
 }
@@ -807,6 +812,8 @@ func (ep *Endpoint) publish() {
 	s.openSend, s.openRecv = ep.conn.OpenStreams()
 	ep.snapMu.Lock()
 	ep.snap = s
+	ep.queued.Add(-ep.applied)
+	ep.applied = 0
 	if ep.drained != nil {
 		close(ep.drained)
 		ep.drained = nil
