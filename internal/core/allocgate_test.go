@@ -14,11 +14,12 @@ import (
 // (allocs_per_pkt on sim-bulk-clean) as a go test failure: one clean 4 MiB
 // XLINK session on the benchmark's paths — set-up, content synthesis and
 // verification, both connections, the emulator under them — may cost at most
-// 2.0 heap allocations per packet the server sends. It measures 1.73 since
-// ACKs and the connection timer move only when due (DESIGN.md §20; the 32 MiB
-// benchmark session: 0.79; the session's fixed set-up weighs more here); it
-// was 2.11 before that, and 6.94 before the connection timer and the link
-// stopped allocating per packet (DESIGN.md §19).
+// 2.0 heap allocations per packet the server sends. It measures 1.00 since
+// packet records come from a process-wide pool (DESIGN.md §19's pool rule;
+// 1.10 before; the session's fixed set-up weighs more here than in the 32 MiB
+// benchmark session); it was 2.11 before ACKs and the connection timer moved
+// only when due (DESIGN.md §20), and 6.94 before the connection timer and the
+// link stopped allocating per packet (DESIGN.md §19).
 func TestAllocGateWholeSession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a whole session")

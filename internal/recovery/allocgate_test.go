@@ -9,22 +9,28 @@ import (
 	"repro/internal/wire"
 )
 
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
 // TestAllocGateLossDetection gates the loss-detection entry points of a warm
 // Space at zero allocations (scripts/check.sh runs every TestAllocGate*): the
 // batched receive's deferred form — OnAckNoLoss per ACK, one OnLossTimeout at
 // batch end — declaring a packet lost by the packet threshold, a probe
 // timeout, and DeclareAllLost evacuating what is still in flight. Records
-// come off the free list, and the result slices are the Space's scratch.
+// come from the pool, and the result slices are the Space's scratch.
 func TestAllocGateLossDetection(t *testing.T) {
 	if assert.Enabled {
 		t.Skip("xlinkdebug: the ledger assertions allocate by design")
+	}
+	if raceEnabled {
+		t.Skip("-race: the record pool drops records on purpose")
 	}
 	s := NewSpace(cc.NewRTTEstimator())
 	var now time.Duration
 	send := func(n int) uint64 {
 		first := s.PeekPN()
 		for i := 0; i < n; i++ {
-			sp := s.Acquire()
+			sp := Acquire()
 			sp.PN, sp.SentAt, sp.Bytes, sp.AckEliciting = s.NextPN(), now, 1200, true
 			s.OnPacketSent(sp)
 		}
@@ -45,7 +51,7 @@ func TestAllocGateLossDetection(t *testing.T) {
 		probes = len(s.OnPTO(now))
 		evacuated = len(s.DeclareAllLost(now))
 	}
-	for i := 0; i < 8; i++ { // grow the ledger, the free list and the scratch
+	for i := 0; i < 8; i++ { // grow the ledger, the pool and the scratch
 		round()
 	}
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {

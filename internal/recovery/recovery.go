@@ -6,6 +6,8 @@
 package recovery
 
 import (
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/assert"
@@ -45,18 +47,31 @@ type SentPacket struct {
 
 	declaredLost bool
 	acked        bool
-	// pooled marks a record the Space handed out (Acquire) and takes back
-	// once gc has trimmed it; records built by the caller are never recycled.
+	// pooled marks a record Acquire handed out, which a Space gives back to
+	// the pool once gc has trimmed it; records built by the caller are never
+	// recycled.
 	pooled bool
 }
 
-// recycledPN is what a record's PN reads while it sits on the free list of an
+// records is the process-wide pool of packet records (DESIGN.md §19, the
+// pool rule): a record a Space resolved serves the next packet on any path
+// of any connection, on any goroutine, and the collector empties the pool.
+var records sync.Pool // *SentPacket
+
+// recordsMade counts the records Acquire has allocated (see RecordsMade).
+var recordsMade atomic.Uint64
+
+// RecordsMade returns how many records Acquire has allocated in this process:
+// one per pool refill. Tests bound it by the records a run needs at once.
+func RecordsMade() uint64 { return recordsMade.Load() }
+
+// recycledPN is what a record's PN reads while it sits in the pool in an
 // xlinkdebug build: no packet number reaches it (varints end at 2^62-1).
 const recycledPN = 1 << 63
 
 // Poisoner is implemented by a Meta that carries storage of its own to be
 // recycled with the record: an xlinkdebug build calls Poison when the record
-// enters the free list, so that a stale reader finds nothing to act on.
+// goes back to the pool, so that a stale reader finds nothing to act on.
 type Poisoner interface{ Poison() }
 
 // AckResult reports the outcome of processing one ACK frame. The Acked and
@@ -96,11 +111,8 @@ type Space struct {
 
 	// Record recycling (DESIGN.md §18). retired holds the pooled records gc
 	// trimmed during the last loss-detection call, which the result of that
-	// call may still name; Reclaim moves them to free, where Acquire finds
-	// them. peak is the ledger's high-water mark and bounds free.
+	// call may still name; Reclaim gives them back to the pool.
 	retired []*SentPacket
-	free    []*SentPacket
-	peak    int
 
 	// Counters for instrumentation.
 	stats Stats
@@ -138,48 +150,44 @@ func (s *Space) PeekPN() uint64 { return s.nextPN }
 func (s *Space) LargestAcked() int64 { return s.largestAcked }
 
 // Acquire returns a blank record to fill in and pass to OnPacketSent: one
-// recycled from a packet resolved earlier, whose Meta it keeps so that the
-// caller's metadata and its storage are reused with it, or a new one when
-// none is free. The Space recycles only records it handed out here.
-func (s *Space) Acquire() *SentPacket {
-	n := len(s.free)
-	// Nothing to recycle: more packets are tracked than ever before.
-	if n == 0 {
+// recycled from a packet resolved earlier, on this path or any other, whose
+// Meta it keeps so that the caller's metadata and its storage are reused with
+// it, or a new one when the pool is empty. Only records handed out here are
+// recycled.
+func Acquire() *SentPacket {
+	sp, _ := records.Get().(*SentPacket)
+	if sp == nil {
+		// Pool refill: once per record the collector took.
+		recordsMade.Add(1)
 		return &SentPacket{pooled: true}
 	}
-	sp := s.free[n-1]
-	s.free[n-1] = nil
-	s.free = s.free[:n-1]
 	*sp = SentPacket{Meta: sp.Meta, pooled: true}
 	return sp
 }
 
-// Reclaim frees the records the last loss-detection call retired. The caller
-// states that it is done with that call's result: nothing names them any
-// more. The transport calls it as soon as it has reacted to the result, so
-// the next packet sent reuses them; every loss-detection entry point starts
-// with it too, which expires the previous result for a caller that never
-// calls it.
+// Reclaim gives the records the last loss-detection call retired back to the
+// pool. The caller states that it is done with that call's result: nothing
+// names them any more. The transport calls it as soon as it has reacted to
+// the result, so the next packet sent reuses them; every loss-detection entry
+// point starts with it too, which expires the previous result for a caller
+// that never calls it.
 func (s *Space) Reclaim() {
 	for i, sp := range s.retired {
 		s.retired[i] = nil
-		if len(s.free) >= s.peak {
-			continue // never more spares than packets were ever tracked at once
-		}
 		if assert.Enabled {
 			sp.PN = recycledPN
 			if m, ok := sp.Meta.(Poisoner); ok {
 				m.Poison()
 			}
 		}
-		s.free = append(s.free, sp)
+		records.Put(sp)
 	}
 	s.retired = s.retired[:0]
 }
 
-// AssertLive checks, in xlinkdebug builds, that none of pkts sits on the free
-// list: a consumer of a loss-detection result calls it on what it is about to
-// react to, so that a record freed before its result was consumed is caught
+// AssertLive checks, in xlinkdebug builds, that none of pkts was given back to
+// the pool: a consumer of a loss-detection result calls it on what it is about
+// to react to, so that a record freed before its result was consumed is caught
 // where it is read.
 func AssertLive(pkts []*SentPacket, what string) {
 	if assert.Enabled {
@@ -195,9 +203,6 @@ func (s *Space) OnPacketSent(sp *SentPacket) {
 		assert.MonotonicU64(s.sent[len(s.sent)-1].PN, sp.PN, "per-path packet number")
 	}
 	s.sent = append(s.sent, sp)
-	if len(s.sent) > s.peak {
-		s.peak = len(s.sent)
-	}
 	s.stats.SentPackets++
 	s.stats.SentBytes += uint64(sp.Bytes)
 }

@@ -59,7 +59,7 @@ type Interface struct {
 
 // packetMeta is the scheduler bookkeeping attached to each sent ack-eliciting
 // packet. It is one record with the recovery.SentPacket it rides on (sp, whose
-// Meta points back here): the path's space recycles the pair, chunk and
+// Meta points back here): the record pool recycles the pair, chunk and
 // control-frame storage included, once the packet is resolved (DESIGN.md §18).
 type packetMeta struct {
 	sp     *recovery.SentPacket
@@ -70,8 +70,8 @@ type packetMeta struct {
 	reinjected bool
 }
 
-// Poison implements recovery.Poisoner: under xlinkdebug a record entering the
-// free list forgets what its packet carried, so that a reader holding on to it
+// Poison implements recovery.Poisoner: under xlinkdebug a record going back to
+// the pool forgets what its packet carried, so that a reader holding on to it
 // retransmits and re-queues nothing and the stream it belonged to stalls
 // visibly instead of sending another packet's data.
 func (m *packetMeta) Poison() {

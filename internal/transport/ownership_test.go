@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/assert"
 	"repro/internal/cc"
+	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -132,9 +133,9 @@ func TestAllocGateRecvStreamPacket(t *testing.T) {
 }
 
 // TestAllocGateSendAndAck gates the sending side of the steady state in the
-// order it happens. With more than 200 records recycled into the path's free
-// list: a send pass that puts one full STREAM packet on the wire allocates
-// nothing (its record comes off the free list); with those packets in flight,
+// order it happens. With more than 200 records recycled into the record pool:
+// a send pass that puts one full STREAM packet on the wire allocates nothing
+// (its record comes from the pool); with those packets in flight,
 // receiving an ACK_MP of 32 ranges and a QoE signal that acknowledges one of
 // them — parse into the decoder's slabs, loss detection, congestion control,
 // stream bookkeeping, the record retired, an empty send pass — allocates
@@ -161,8 +162,8 @@ func TestAllocGateSendAndAck(t *testing.T) {
 	}
 
 	// Open the congestion window one acknowledged packet at a time, then put
-	// 300 packets in flight at once and acknowledge them all: the ledger's
-	// high-water mark, and with it the free list, now holds 300 records.
+	// 300 packets in flight at once and acknowledge them all: the pool now
+	// holds the 300 records they rode on.
 	for i := 0; i < 400; i++ {
 		st.Write(full)
 		ackOne(space.PeekPN() - 1)
@@ -247,8 +248,8 @@ func TestTruncatedPacketIsNotHalfApplied(t *testing.T) {
 }
 
 // TestRecycledRecordCarriesItsMeta checks the shape of the one record: after a
-// session, a record acquired from the server path's space is a recycled one,
-// still carries the packetMeta it had, and that meta points back at it.
+// session, a record acquired from the pool is a recycled one, still carries
+// the packetMeta it had, and that meta points back at it.
 func TestRecycledRecordCarriesItsMeta(t *testing.T) {
 	var got uint64
 	pair := benchPair(t, &got)
@@ -256,17 +257,12 @@ func TestRecycledRecordCarriesItsMeta(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		roundTrip(pair, st, make([]byte, 1200))
 	}
-	recycled := 0
-	for _, id := range pair.Client.pathOrder {
-		sp := pair.Client.paths[id].Space.Acquire()
-		if meta, ok := sp.Meta.(*packetMeta); ok {
-			recycled++
-			if meta.sp != sp {
-				t.Fatal("a record's meta does not point back at it")
-			}
-		}
+	sp := recovery.Acquire()
+	meta, ok := sp.Meta.(*packetMeta)
+	if !ok || got == 0 {
+		t.Fatalf("the pool had no record to recycle after 64 round trips (%d bytes delivered)", got)
 	}
-	if recycled == 0 || got == 0 {
-		t.Fatalf("no path had a record to recycle after 64 round trips (%d bytes delivered)", got)
+	if meta.sp != sp {
+		t.Fatal("a record's meta does not point back at it")
 	}
 }

@@ -221,3 +221,34 @@ func TestSegBufSmallStreamCostsItsBytes(t *testing.T) {
 		t.Fatalf("segments %d, first cap %d", len(b.segs), cap(b.segs[0]))
 	}
 }
+
+// TestAllocGateSegmentTableSlides: a warm stream that writes 64 segments and
+// releases each once four more follow it takes no segment table from the heap:
+// release slides the live segments down its table in place, and the segments
+// come from the pool.
+func TestAllocGateSegmentTableSlides(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: the segment pool drops segments on purpose")
+	}
+	b := segBuf{pooled: true}
+	data := make([]byte, segSize)
+	var off uint64
+	stream := func() {
+		for i := 0; i < 64; i++ {
+			b.put(off, data)
+			off += segSize
+			b.release(off - 4*segSize)
+		}
+	}
+	stream() // grow the table and fill the pool
+	if avg := testing.AllocsPerRun(20, stream); avg != 0 {
+		t.Fatalf("64 segments written and released cost %.1f allocations, want 0", avg)
+	}
+	if len(b.segs) != 4 || b.base() != off-4*segSize {
+		t.Fatalf("%d segments live from offset %d, want 4 from %d", len(b.segs), b.base(), off-4*segSize)
+	}
+	b.drop()
+	if b.segs != nil {
+		t.Fatal("drop kept the segment table")
+	}
+}

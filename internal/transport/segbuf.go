@@ -187,18 +187,27 @@ func (b *segBuf) appendTo(dst []byte, off, n uint64) []byte {
 // base is the lowest stream offset still addressable.
 func (b *segBuf) base() uint64 { return b.first * segSize }
 
-// release lets go of every segment that lies wholly below floor.
+// release lets go of every segment that lies wholly below floor. The live
+// segments slide down to the front of the table in place, so a stream that
+// keeps writing ahead of what it releases reuses one table; an emptied buffer
+// lets go of the table too.
 func (b *segBuf) release(floor uint64) {
 	before := b.size()
-	for len(b.segs) > 0 && (b.first+1)*segSize <= floor {
+	k := 0
+	for k < len(b.segs) && (b.first+uint64(k)+1)*segSize <= floor {
 		if b.pooled {
-			putSeg(b.segs[0])
+			putSeg(b.segs[k])
 		}
-		b.segs[0] = nil
-		b.segs = b.segs[1:]
-		b.first++
+		k++
 	}
-	if len(b.segs) == 0 {
+	if k == 0 {
+		return
+	}
+	n := copy(b.segs, b.segs[k:])
+	clear(b.segs[n:])
+	b.segs = b.segs[:n]
+	b.first += uint64(k)
+	if n == 0 {
 		b.segs = nil
 	}
 	b.resized(before)

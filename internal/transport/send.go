@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/assert"
 	"repro/internal/cc"
+	"repro/internal/recovery"
 	"repro/internal/wire"
 )
 
@@ -342,7 +343,7 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 		// appendAcksFor and appendCtrl), whose capacity is reserved at construction.
 		frames = append(frames, sf)
 		if meta == nil {
-			meta = c.packetRecord(p)
+			meta = packetRecord()
 		}
 		meta.chunks = append(meta.chunks, ch)
 		budget -= sf.Len()
@@ -400,7 +401,7 @@ func (c *Conn) sendProbePacket(now time.Duration) bool {
 		pn := p.Space.NextPN()
 		pkt := sealShortInto(c.nextSendBuf(), c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), frames)
 		if wire.AckEliciting(item.frame) {
-			meta := c.packetRecord(p)
+			meta := packetRecord()
 			if item.reliable {
 				meta.ctrl = append(meta.ctrl, item.frame)
 			}
@@ -440,7 +441,7 @@ func (c *Conn) appendCtrl(p *Path, frames []wire.Frame, meta *packetMeta, budget
 		*budget -= l
 		if wire.AckEliciting(item.frame) {
 			if meta == nil {
-				meta = c.packetRecord(p)
+				meta = packetRecord()
 			}
 			// Only a tracked packet can be found lost, so only an
 			// ack-eliciting frame can be re-queued.
@@ -456,12 +457,12 @@ func (c *Conn) appendCtrl(p *Path, frames []wire.Frame, meta *packetMeta, budget
 	return frames, meta
 }
 
-// packetRecord acquires the record of the ack-eliciting packet being built
-// for p: a recovery.SentPacket recycled by p's space together with the
+// packetRecord acquires the record of the ack-eliciting packet being built: a
+// recovery.SentPacket from the process-wide record pool together with the
 // packetMeta it carries and the chunk and control-frame storage of that, all
 // blank (DESIGN.md §18). The caller fills it in and hands it to recordSent.
-func (c *Conn) packetRecord(p *Path) *packetMeta {
-	sp := p.Space.Acquire()
+func packetRecord() *packetMeta {
+	sp := recovery.Acquire()
 	meta, _ := sp.Meta.(*packetMeta)
 	if meta == nil {
 		meta = &packetMeta{sp: sp}

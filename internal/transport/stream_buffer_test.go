@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/assert"
+	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -21,7 +22,7 @@ import (
 // released send segments are poisoned before reuse, so a read through a stale
 // reference fails the content check here; so are recycled packet records
 // (DESIGN.md §18: packet number out of range, chunk list emptied), and
-// recovery asserts on every loss-detection call that no free record is in
+// recovery asserts on every loss-detection call that no pooled record is in
 // AckResult.Acked or .Lost, in the ledger or behind the re-injection cursor —
 // a record reused too early would lose its chunks' retransmission and stall
 // the stream, or trip the assertion.
@@ -37,6 +38,7 @@ func TestStreamMemoryBoundedByWindow(t *testing.T) {
 	paths[0].LossRate, paths[1].LossRate = 0.005, 0.005
 	pair := NewPair(loop, sim.NewRNG(15), paths, ccfg, scfg)
 	window := ccfg.Params.InitialMaxStrData
+	made := recovery.RecordsMade()
 
 	var got uint64
 	var finished, corrupt bool
@@ -115,16 +117,15 @@ func TestStreamMemoryBoundedByWindow(t *testing.T) {
 	if srv.SendBufferedPeak > ahead+segSize || cli.RecvBufferedPeak > window+segSize {
 		t.Fatalf("peaks: send %d (limit %d), receive %d (limit %d)", srv.SendBufferedPeak, ahead+segSize, cli.RecvBufferedPeak, window+segSize)
 	}
-	for _, id := range pair.Server.pathOrder {
-		if _, ok := pair.Server.paths[id].Space.Acquire().Meta.(*packetMeta); !ok {
-			t.Fatalf("path %d has no recycled record to hand out: the session did not exercise the free list", id)
-		}
+	// Under -race the pool drops a quarter of the records on purpose.
+	if made = recovery.RecordsMade() - made; 2*made > srv.SentPackets {
+		t.Fatalf("%d records made for %d packets sent: the session did not recycle them", made, srv.SentPackets)
 	}
 	if srv.ReinjectedBytesSent == 0 || srv.RtxBytesSent == 0 {
 		t.Fatalf("scenario too tame: %d re-injected and %d retransmitted bytes", srv.ReinjectedBytesSent, srv.RtxBytesSent)
 	}
-	t.Logf("%d MiB in %v virtual, %d samples; peaks: send %d KiB, receive %d KiB; rtx %d KiB, re-injected %d KiB",
-		size>>20, doneAt, samples, srv.SendBufferedPeak>>10, cli.RecvBufferedPeak>>10, srv.RtxBytesSent>>10, srv.ReinjectedBytesSent>>10)
+	t.Logf("%d MiB in %v virtual, %d samples; peaks: send %d KiB, receive %d KiB; rtx %d KiB, re-injected %d KiB; %d records made for %d packets",
+		size>>20, doneAt, samples, srv.SendBufferedPeak>>10, cli.RecvBufferedPeak>>10, srv.RtxBytesSent>>10, srv.ReinjectedBytesSent>>10, made, srv.SentPackets)
 }
 
 // TestReleasedSegmentsArePoisoned checks the xlinkdebug half of the release

@@ -5,6 +5,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -21,10 +22,15 @@ type Request struct {
 
 // FormatRequest renders the request line.
 func FormatRequest(r Request) string {
-	return fmt.Sprintf("GET %s %d %d\n", r.ID, r.Offset, r.Length)
+	b := make([]byte, 0, len("GET   \n")+len(r.ID)+2*20)
+	b = append(append(append(b, "GET "...), r.ID...), ' ')
+	b = append(strconv.AppendUint(b, r.Offset, 10), ' ')
+	b = append(strconv.AppendUint(b, r.Length, 10), '\n')
+	return string(b)
 }
 
-// ParseRequest parses a request line.
+// ParseRequest parses a request line. Offset and length are decimal and
+// must each make up their whole field.
 func ParseRequest(line string) (Request, error) {
 	var r Request
 	fields := strings.Fields(strings.TrimSpace(line))
@@ -32,10 +38,11 @@ func ParseRequest(line string) (Request, error) {
 		return r, fmt.Errorf("video: malformed request %q", line)
 	}
 	r.ID = fields[1]
-	if _, err := fmt.Sscanf(fields[2], "%d", &r.Offset); err != nil {
+	var err error
+	if r.Offset, err = strconv.ParseUint(fields[2], 10, 64); err != nil {
 		return r, fmt.Errorf("video: bad offset: %w", err)
 	}
-	if _, err := fmt.Sscanf(fields[3], "%d", &r.Length); err != nil {
+	if r.Length, err = strconv.ParseUint(fields[3], 10, 64); err != nil {
 		return r, fmt.Errorf("video: bad length: %w", err)
 	}
 	return r, nil

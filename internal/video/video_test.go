@@ -1,7 +1,9 @@
 package video
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -138,8 +140,40 @@ func TestRequestRoundTrip(t *testing.T) {
 	if _, err := ParseRequest("POST x 1 2\n"); err == nil {
 		t.Fatal("bad verb must fail")
 	}
-	if _, err := ParseRequest("GET a b c\n"); err == nil {
-		t.Fatal("bad numbers must fail")
+	for _, line := range []string{
+		"GET a b c\n",
+		"GET v1 12abc 34\n",               // a number followed by junk
+		"GET v1 0x10 34\n",                // not decimal
+		"GET v1 5 7.5\n",                  // not an integer
+		"GET v1 +5 7\n",                   // signed
+		"GET v1 5 -7\n",                   // negative
+		"GET v1 5 18446744073709551616\n", // past uint64
+		"GET v1 5\n",                      // a field short
+		"GET v1 5 7 8\n",                  // a field long
+	} {
+		if r, err := ParseRequest(line); err == nil {
+			t.Errorf("ParseRequest(%q) = %+v, want an error", line, r)
+		}
+	}
+}
+
+// TestRequestRoundTripRandom: random requests survive FormatRequest and
+// ParseRequest, and the line is the one fmt renders from "GET %s %d %d\n".
+func TestRequestRoundTripRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		id := make([]byte, 1+rng.Intn(12))
+		for j := range id {
+			id[j] = byte('!' + rng.Intn('~'-'!'+1))
+		}
+		r := Request{ID: string(id), Offset: rng.Uint64() >> rng.Intn(64), Length: rng.Uint64() >> rng.Intn(64)}
+		line := FormatRequest(r)
+		if want := fmt.Sprintf("GET %s %d %d\n", r.ID, r.Offset, r.Length); line != want {
+			t.Fatalf("FormatRequest(%+v) = %q, want %q", r, line, want)
+		}
+		if got, err := ParseRequest(line); err != nil || got != r {
+			t.Fatalf("round trip of %q: %+v, %v", line, got, err)
+		}
 	}
 }
 

@@ -71,21 +71,21 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # state that ends with the stream (§17): 20 000 exchanges held to the streams
 # open, frames for forgotten streams ignored, FEC-repaired and reset streams
 # retired — with the assertion that a stream leaves only with nothing in
-# flight or queued, and that every chunk cut finds its stream. And a packet
-# record reused by the pass right after the ACK that resolved it (§18): warm
-# request/response exchanges take no new record.
+# flight or queued, and that every chunk cut finds its stream.
 step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
-	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference|TestAllocGateRecordReusedByNextPass'
+	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
 # Frame and packet-record ownership (DESIGN.md §18) with assertions and the
-# race detector on: a recycled record is poisoned and must not be named by an
-# AckResult, the ledger or a SentFrom result; Reclaim frees a consumed
-# result's records at once; the free list, and every record ever made, stay
-# within the ledger's high-water mark; a warm decoder agrees with the
+# race detector on: a record given back to the process-wide pool is poisoned
+# and must not be named by an AckResult, the ledger or a SentFrom result;
+# Reclaim frees a consumed result's records at once; the records made stay
+# within the ledger's high-water mark; two sim pairs on two goroutines share
+# the pool with every byte content-checked; a warm decoder agrees with the
 # package-level parsers over the fuzz corpora. The lossy two-path session that
-# exercises recycling end to end is TestStreamMemoryBoundedByWindow above, and
-# TestAllocGateRecordReusedByNextPass there holds the reuse at zero new records.
-step go test -race -tags xlinkdebug -count=1 ./internal/recovery/ ./internal/wire/ \
-	-run 'TestRecordRecycledAfterResultExpires|TestReclaimFreesTheResultsRecords|TestFreeListBoundedByPeakTracked|TestDecoderMatchesPackageLevel'
+# exercises recycling end to end is TestStreamMemoryBoundedByWindow above;
+# TestAllocGateRecordReusedByNextPass, in the allocation gates below, holds the
+# reuse at zero new records.
+step go test -race -tags xlinkdebug -count=1 ./internal/recovery/ ./internal/transport/ ./internal/wire/ \
+	-run 'TestRecordRecycledAfterResultExpires|TestReclaimFreesTheResultsRecords|TestRecordsMadeBoundedByPeakTracked|TestPairsOnTwoGoroutinesShareTheRecordPool|TestDecoderMatchesPackageLevel'
 # Trace determinism: the same (scenario, seed) must reproduce the committed
 # golden NDJSON trace byte for byte (-count=1 defeats the test cache so the
 # gate re-runs even when nothing changed).
@@ -111,7 +111,7 @@ step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEvent
 # Allocation gates (DESIGN.md §7, §11): the one allocation contract; DESIGN.md
 # §7 maps every gate to the per-packet functions it drives. Warm paths must
 # hold their alloc/op budgets — zero for sim timers, crypto seal/open,
-# rangeset updates, loss detection on a warm recovery space, the telemetry
+# rangeset updates (a fresh set's first range included), loss detection on a warm recovery space, the telemetry
 # record path (counters/gauges/histograms, a record filled in the
 # flight-recorder ring, and a full NDJSON trace rendering into a grown
 # buffer, DESIGN.md §14), the balancer's route path, the send-side batch
@@ -125,8 +125,9 @@ step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEvent
 # fired through the shard's timer (§20), a foreign Write and Close posted as
 # ops and applied, and a warm request/response through the live shard turn
 # over loopback (§16), a
-# packet record that the send pass after its ACK reuses (§18); the
-# queued frames for a closed FEC window; a fixed ceiling for a FEC decode,
+# packet record that the send pass after its ACK reuses (§18), counted as
+# records made with the collector held off, and a stream's segment table
+# sliding in place (§17); the queued frames for a closed FEC window; a fixed ceiling for a FEC decode,
 # the transport round trip through the emulator, the batched 16-packet
 # receive with ACKs, and a whole 4 MiB session per server packet (the
 # benchmark's allocs_per_pkt as a test).
