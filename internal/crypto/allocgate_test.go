@@ -28,3 +28,16 @@ func TestAllocGateSealOpen(t *testing.T) {
 		t.Fatalf("HeaderMask allocates %.1f/op, want 0", avg)
 	}
 }
+
+// TestAllocGateNewSealer gates the key schedule: expand hashes on the stack,
+// so a Sealer costs only its AES ciphers, its GCM and itself.
+func TestAllocGateNewSealer(t *testing.T) {
+	secret := make([]byte, 96) // a 1-RTT secret: PSK ‖ client random ‖ server random
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := NewSealer(secret, "client-initial"); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 4 {
+		t.Fatalf("NewSealer allocates %.1f/op, want at most 4", avg)
+	}
+}

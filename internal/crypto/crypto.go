@@ -5,8 +5,9 @@
 // two zero bits, and the 62-bit packet number, left-padded to the IV size
 // and XORed with the IV.
 //
-// Key material is derived from a session secret with an HMAC-SHA-256
-// expansion (an HKDF-expand analogue using only the standard library). The
+// Key material is derived from a session secret with HKDF-Expand (RFC 5869)
+// over SHA-256, of which every key, IV and header-protection key needs only
+// the first block. The
 // TLS 1.3 handshake itself is out of scope for this reproduction — the
 // mechanisms the paper evaluates live above it — so the session secret is
 // established by the simplified CRYPTO-frame handshake in the transport
@@ -16,7 +17,6 @@ package crypto
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -33,21 +33,34 @@ const (
 // ErrDecrypt is returned when a packet fails authentication.
 var ErrDecrypt = errors.New("crypto: packet authentication failed")
 
-// expand derives length bytes from secret and label, HKDF-expand style.
-func expand(secret []byte, label string, length int) []byte {
-	var out []byte
-	var prev []byte
-	counter := byte(1)
-	for len(out) < length {
-		mac := hmac.New(sha256.New, secret)
-		mac.Write(prev)
-		mac.Write([]byte(label))
-		mac.Write([]byte{counter})
-		prev = mac.Sum(nil)
-		out = append(out, prev...)
-		counter++
+// expand returns the first block of HKDF-Expand (RFC 5869, §2.3) with
+// SHA-256 and info = label ‖ use: HMAC-SHA-256(secret, label ‖ use ‖ 0x01).
+// The HMAC is computed with sha256.Sum256 over stack buffers (RFC 2104: a
+// key longer than the block is hashed first; every 1-RTT secret is, being a
+// PSK and two randoms), so a key schedule allocates nothing.
+func expand(secret []byte, label, use string) [sha256.Size]byte {
+	var key [sha256.BlockSize]byte
+	if len(secret) > sha256.BlockSize {
+		sum := sha256.Sum256(secret)
+		copy(key[:], sum[:])
+	} else {
+		copy(key[:], secret)
 	}
-	return out[:length]
+	// The inner message is (key ⊕ ipad) ‖ info ‖ 0x01; an info longer than
+	// the stack array still works, on a heap copy.
+	var ibuf [2 * sha256.BlockSize]byte
+	inner := ibuf[:sha256.BlockSize]
+	for i, k := range key {
+		inner[i] = k ^ 0x36
+	}
+	inner = append(append(append(inner, label...), use...), 1)
+	var outer [sha256.BlockSize + sha256.Size]byte
+	for i, k := range key {
+		outer[i] = k ^ 0x5c
+	}
+	sum := sha256.Sum256(inner)
+	copy(outer[sha256.BlockSize:], sum[:])
+	return sha256.Sum256(outer[:])
 }
 
 // Sealer protects and unprotects packets for one connection. It is safe to
@@ -71,10 +84,10 @@ func NewSealer(secret []byte, label string) (*Sealer, error) {
 	if len(secret) == 0 {
 		return nil, errors.New("crypto: empty secret")
 	}
-	key := expand(secret, label+" key", keyLen)
-	iv := expand(secret, label+" iv", ivLen)
-	hpKey := expand(secret, label+" hp", keyLen)
-	block, err := aes.NewCipher(key)
+	key := expand(secret, label, " key")
+	iv := expand(secret, label, " iv")
+	hpKey := expand(secret, label, " hp")
+	block, err := aes.NewCipher(key[:keyLen])
 	if err != nil {
 		return nil, fmt.Errorf("crypto: aead key: %w", err)
 	}
@@ -82,12 +95,12 @@ func NewSealer(secret []byte, label string) (*Sealer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crypto: gcm: %w", err)
 	}
-	hp, err := aes.NewCipher(hpKey)
+	hp, err := aes.NewCipher(hpKey[:keyLen])
 	if err != nil {
 		return nil, fmt.Errorf("crypto: hp key: %w", err)
 	}
 	s := &Sealer{aead: aead, hp: hp}
-	copy(s.iv[:], iv)
+	copy(s.iv[:], iv[:ivLen])
 	return s, nil
 }
 

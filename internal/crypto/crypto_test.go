@@ -2,6 +2,8 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +20,28 @@ func newPair(t *testing.T) (*Sealer, *Sealer) {
 		t.Fatal(err)
 	}
 	return a, b
+}
+
+// TestExpandIsHMACOfLabelAndCounter checks the key schedule against
+// crypto/hmac: expand is HKDF-Expand's first block, HMAC-SHA-256(secret,
+// label ‖ use ‖ 0x01), for secrets on both sides of the 64-byte key branch
+// and for an info too long for expand's stack buffer.
+func TestExpandIsHMACOfLabelAndCounter(t *testing.T) {
+	long := string(bytes.Repeat([]byte("l"), 200))
+	for n := 1; n <= 200; n++ {
+		secret := make([]byte, n)
+		for i := range secret {
+			secret[i] = byte(i*7 + n)
+		}
+		for _, info := range [][2]string{{"client-initial", " key"}, {"server", " iv"}, {"", ""}, {long, " hp"}} {
+			mac := hmac.New(sha256.New, secret)
+			mac.Write([]byte(info[0] + info[1]))
+			mac.Write([]byte{1})
+			if got := expand(secret, info[0], info[1]); !bytes.Equal(got[:], mac.Sum(nil)) {
+				t.Fatalf("%d-byte secret, info %.20q: expand differs from HMAC-SHA-256", n, info[0]+info[1])
+			}
+		}
+	}
 }
 
 func TestSealOpenRoundTrip(t *testing.T) {

@@ -309,7 +309,7 @@ func (s *Sender) onDataAck(now time.Duration, ack uint64) {
 	if s.dataAck >= s.total && !s.done {
 		s.done = true
 		s.DoneAt = now
-		s.rtoTimer.Stop()
+		s.stopRTO()
 		if s.onDone != nil {
 			s.onDone(now)
 		}
@@ -363,10 +363,19 @@ func (s *Sender) fastestSubflow() *subflow {
 	return best
 }
 
+// stopRTO cancels the retransmission timeout, if pending, and forgets its
+// handle: a stopped or fired event's node goes back to the process-wide
+// pool, where a loop on another goroutine may take it, so a kept handle must
+// not be checked again (sim.Timer).
+func (s *Sender) stopRTO() {
+	s.rtoTimer.Stop()
+	s.rtoTimer = sim.Timer{}
+}
+
 // armRTO schedules the retransmission timeout for the earliest outstanding
 // segment.
 func (s *Sender) armRTO(now time.Duration) {
-	s.rtoTimer.Stop()
+	s.stopRTO()
 	if s.done {
 		return
 	}
@@ -393,6 +402,7 @@ func (s *Sender) armRTO(now time.Duration) {
 // the window and queued for data-level retransmission on whichever subflow
 // has room; the timed-out subflow collapses to slow start.
 func (s *Sender) onRTO(now time.Duration) {
+	s.rtoTimer = sim.Timer{} // fired: its node is no longer this sender's
 	for _, sf := range s.subflows {
 		var expired []*segment
 		for _, seg := range sf.outstanding {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/assert"
@@ -24,16 +25,31 @@ type Receiver interface {
 func (fn Event) Fire(now time.Duration, _ int) { fn(now) }
 
 // scheduledEvent is what a pending event delivers, and where its heap entry
-// is. Nodes are recycled through Loop.free once they fire or are stopped;
-// gen is bumped on every recycle so stale Timer handles can detect reuse.
+// is. Nodes go back to nodePool once they fire or are stopped; gen is bumped
+// on every recycle so stale Timer handles can detect reuse, whichever loop
+// the node serves next.
 type scheduledEvent struct {
-	gen uint64
-	to  Receiver
-	arg int
-	idx int // the event's entry in Loop.heap
+	gen  uint64
+	to   Receiver
+	arg  int
+	loop *Loop // the loop whose heap holds the event; nil once recycled
+	idx  int   // the event's entry in loop.heap
 	// cancel is what Schedule hands out for this node, bound the first time
-	// the node served such an arm and reused for every later one.
+	// the node served such an arm and reused for every later one, on any loop.
 	cancel func()
+}
+
+// nodePool holds the event nodes of every loop in the process (DESIGN.md
+// §19's pool rule): a session's loop starts with the nodes, and their bound
+// cancels, that finished sessions gave back, and an idle loop holds none.
+var nodePool sync.Pool
+
+// getNode returns an unused node, reused if the pool has one.
+func getNode() *scheduledEvent {
+	if ev, ok := nodePool.Get().(*scheduledEvent); ok {
+		return ev
+	}
+	return &scheduledEvent{}
 }
 
 // heapEntry is one pending event in the heap, with the key it is ordered by
@@ -52,14 +68,22 @@ func (e heapEntry) before(o heapEntry) bool {
 // Timer is a handle to a scheduled event that can be cancelled. The zero
 // Timer is valid and behaves as already-fired. Timers are values; copying
 // one copies the handle, and all copies observe the same event.
+//
+// Once the event fired or was stopped, its node is back in the process-wide
+// pool, and a loop on another goroutine may take it. Stop, Pending and When
+// on such a handle are then no-ops only while no other goroutine runs a
+// loop: they read the node's generation, which that loop writes. Where loops
+// run concurrently, a holder drops the handle (sets it to the zero Timer)
+// when its event fires or is stopped, as mptcp.Sender and xlink's live
+// timers do.
 type Timer struct {
-	ev   *scheduledEvent
-	gen  uint64
-	loop *Loop
+	ev  *scheduledEvent
+	gen uint64
 }
 
 // live reports whether the handle still refers to a pending event: a node
-// that fired or was stopped has been recycled, which moved its gen on.
+// that fired or was stopped has been recycled, which moved its gen on, also
+// when it now serves another loop.
 func (t Timer) live() bool {
 	return t.ev != nil && t.ev.gen == t.gen
 }
@@ -71,8 +95,7 @@ func (t Timer) Stop() bool {
 	if !t.live() {
 		return false
 	}
-	l := t.loop
-	l.recycle(l.remove(t.ev.idx))
+	t.ev.loop.remove(t.ev.idx).recycle()
 	return true
 }
 
@@ -85,7 +108,7 @@ func (t Timer) When() time.Duration {
 	if !t.live() {
 		return 0
 	}
-	return t.loop.heap[t.ev.idx].at
+	return t.ev.loop.heap[t.ev.idx].at
 }
 
 // Loop is a single-threaded discrete-event simulation loop with its own
@@ -98,11 +121,7 @@ type Loop struct {
 	// heap is a 4-ary min-heap on (at, seq), half as deep as a binary one:
 	// a pop sifts through fewer levels, comparing adjacent entries.
 	heap []heapEntry
-	free []*scheduledEvent // recycled nodes, capped at maxFree
 }
-
-// maxFree bounds the recycling pool; beyond it, nodes are left to the GC.
-const maxFree = 256
 
 // NewLoop returns an empty loop at virtual time zero.
 func NewLoop() *Loop {
@@ -139,42 +158,36 @@ func (l *Loop) AtRecv(at time.Duration, to Receiver, arg int) Timer {
 	if at < l.now {
 		at = l.now
 	}
-	var ev *scheduledEvent
-	if n := len(l.free); n > 0 {
-		ev = l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-	} else {
-		ev = &scheduledEvent{}
-	}
-	ev.to, ev.arg = to, arg
+	ev := getNode()
+	ev.to, ev.arg, ev.loop = to, arg, l
 	l.heap = append(l.heap, heapEntry{at: at, seq: l.seq, ev: ev})
 	l.seq++
 	l.up(len(l.heap) - 1)
-	return Timer{ev: ev, gen: ev.gen, loop: l}
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 // Schedule schedules fn at the absolute virtual time at, as At does, and
 // returns a function that cancels it: transport.Env's shape. The function
-// belongs to the event's node and is bound once per node, so on a warm loop an
-// arm and its cancel allocate nothing. It must be called at most once, and
-// only before fn runs — after either, the node serves other events, and a
-// late call would cancel one of them.
+// belongs to the event's node, not to the loop, and is bound once per node,
+// so once the node pool is warm an arm and its cancel allocate nothing. It
+// must be called at most once, and only before fn runs — after either, the
+// node serves other events, of this loop or another, and a late call would
+// cancel one of them.
 func (l *Loop) Schedule(at time.Duration, fn Event) (cancel func()) {
 	ev := l.AtRecv(at, fn, 0).ev
 	// Bound once per node, which serves every later arm with it.
 	if ev.cancel == nil {
-		ev.cancel = func() { l.cancel(ev) }
+		ev.cancel = ev.cancelPending
 	}
 	return ev.cancel
 }
 
-// cancel takes a Schedule arm's pending event out of the heap.
-func (l *Loop) cancel(ev *scheduledEvent) {
-	pending := ev.to != nil
-	assert.That(pending, "sim timer cancelled twice or after it fired")
-	if pending {
-		l.recycle(l.remove(ev.idx))
+// cancelPending takes a Schedule arm's pending event out of its loop's heap.
+func (ev *scheduledEvent) cancelPending() {
+	l := ev.loop
+	assert.That(l != nil, "sim timer cancelled twice or after it fired")
+	if l != nil {
+		l.remove(ev.idx).recycle()
 	}
 }
 
@@ -183,15 +196,13 @@ func (l *Loop) After(d time.Duration, fn Event) Timer {
 	return l.At(l.now+d, fn)
 }
 
-// recycle returns a node that fired or was stopped to the free pool,
+// recycle returns a node that fired or was stopped to nodePool,
 // invalidating any outstanding Timer handles and releasing the event's
-// receiver.
-func (l *Loop) recycle(ev *scheduledEvent) {
+// receiver and loop.
+func (ev *scheduledEvent) recycle() {
 	ev.gen++
-	ev.to = nil
-	if len(l.free) < maxFree {
-		l.free = append(l.free, ev)
-	}
+	ev.to, ev.loop = nil, nil
+	nodePool.Put(ev)
 }
 
 // up moves the entry at i towards the root until its parent comes before it.
@@ -264,7 +275,7 @@ func (l *Loop) Step() bool {
 	ev := l.remove(0)
 	l.fired++
 	to, arg := ev.to, ev.arg
-	l.recycle(ev)
+	ev.recycle()
 	to.Fire(l.now, arg)
 	return true
 }

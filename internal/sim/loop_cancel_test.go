@@ -132,13 +132,14 @@ func TestTimerHandleSurvivesReuse(t *testing.T) {
 	}
 }
 
-// TestStopChurnDoesNotAllocate pins the free-list behavior: steady-state
-// schedule/stop/fire cycles must reuse nodes rather than allocate.
+// TestStopChurnDoesNotAllocate pins node recycling: steady-state
+// schedule/stop/fire cycles must reuse pooled nodes rather than allocate
+// (asserted without -race, as the TestAllocGate* gates are).
 func TestStopChurnDoesNotAllocate(t *testing.T) {
 	l := NewLoop()
 	n := 0
 	fn := func(time.Duration) { n++ }
-	// Warm the free list and the heap's backing array.
+	// Warm the node pool and the heap's backing array.
 	for i := 0; i < 100; i++ {
 		l.After(time.Millisecond, fn)
 		l.After(time.Hour, fn).Stop()
@@ -149,7 +150,7 @@ func TestStopChurnDoesNotAllocate(t *testing.T) {
 		l.After(time.Hour, fn).Stop()
 		l.Step()
 	})
-	if allocs > 0 {
+	if allocs > 0 && !raceEnabled {
 		t.Errorf("schedule/stop/fire churn allocates %v allocs/op, want 0", allocs)
 	}
 }

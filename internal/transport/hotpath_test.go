@@ -276,10 +276,15 @@ func TestCallbackWriteKeepsItsInput(t *testing.T) {
 // emulator contributes none either (DESIGN.md §19). The last one was the
 // cancel closure SimEnv.Schedule returned when the client's packet went in
 // flight and set a PTO; the loop now hands out a cancel bound once per event
-// node, and the round trip measures 0. The gate is that plus 1.
+// node, and the round trip measures 0. The gate is that plus 1. The nodes
+// come from a process-wide pool, which under -race drops a quarter of what
+// it is given on purpose, so the gate runs without it.
 func TestAllocGateRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state warmup")
+	}
+	if raceEnabled {
+		t.Skip("-race: the event-node pool drops nodes on purpose")
 	}
 	if assert.Enabled {
 		t.Skip("xlinkdebug: per-packet assertions allocate by design")

@@ -3,6 +3,8 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -197,29 +199,98 @@ func TestRecvStreamMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSegBufSmallStreamCostsItsBytes pins the ownership rule for small
-// streams: the first segment is sized to what is stored, in one allocation,
-// and a stream that outgrows it does not keep the small copy alive.
+// TestSegBufSmallStreamCostsItsBytes pins what a small stream holds: its
+// first segment is a small one, at most firstSegMax bytes, taken from and
+// given back to smallSegs, so on a warm pool a 64-byte stream stored and
+// released costs no allocation. A stream that outgrows it swaps it for a
+// whole segment and the small one goes back to its pool, and once the table
+// spills the inline slot pins no segment. The pool checks hold the collector
+// off and run on one P, whose private pool slot the other Ps cannot see.
 func TestSegBufSmallStreamCostsItsBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	req := make([]byte, 64)
-	if n := testing.AllocsPerRun(100, func() {
-		s := &RecvStream{}
-		s.data.put(0, req)
-		if cap(s.data.segs[0]) != 64 {
-			t.Fatalf("64-byte stream holds a %d-byte segment", cap(s.data.segs[0]))
-		}
-	}); n > 2 {
-		t.Fatalf("a 64-byte stream costs %.0f allocations, want 2: the stream and its bytes", n)
-	}
 	var b segBuf
-	b.put(0, make([]byte, 1000))
-	b.put(1000, make([]byte, 2*segSize))
-	if b.one[0] != nil {
+	small := func() {
+		b = segBuf{pooled: true}
+		b.put(0, req)
+		if c := cap(b.segs[0]); c > firstSegMax {
+			t.Fatalf("64-byte stream holds a %d-byte segment", c)
+		}
+		b.release(releaseAll)
+	}
+	small()
+	if n := testing.AllocsPerRun(100, small); n != 0 && !raceEnabled {
+		t.Fatalf("a 64-byte stream costs %.0f allocations on a warm pool, want 0", n)
+	}
+
+	c := segBuf{pooled: true}
+	c.put(0, make([]byte, 1000))
+	first := c.segs[0]
+	c.put(1000, make([]byte, firstSegMax))
+	if cap(c.segs[0]) != segSize || len(c.segs) != 1 {
+		t.Fatalf("a stream past firstSegMax holds %d segments, the first of %d bytes", len(c.segs), cap(c.segs[0]))
+	}
+	if !raceEnabled { // under -race the pool drops what it is given now and then
+		if g := getSmallSeg(); &g[0] != &first[0] {
+			t.Fatal("the outgrown small segment did not go back to its pool")
+		}
+	}
+	c.put(1000+firstSegMax, make([]byte, 2*segSize))
+	if c.one[0] != nil {
 		t.Fatal("inline table slot still pins segment 0 after the table grew")
 	}
-	if len(b.segs) != 3 || cap(b.segs[0]) != segSize {
-		t.Fatalf("segments %d, first cap %d", len(b.segs), cap(b.segs[0]))
+	if len(c.segs) != 3 || cap(c.segs[0]) != segSize {
+		t.Fatalf("segments %d, first cap %d", len(c.segs), cap(c.segs[0]))
 	}
+	c.drop()
+}
+
+// TestAllocGateSegmentTablePooled: on a warm pool a stream of 2 to 40
+// segments, written and then released, takes no segment table from the
+// heap — an emptied buffer gives its spilled table back to segTables and the
+// next spill takes it, whatever its length — and the table it gives back
+// holds no segment.
+func TestAllocGateSegmentTablePooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: the pools drop what they are given on purpose")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b := segBuf{pooled: true}
+	data := make([]byte, segSize)
+	streams := func() {
+		for n := 2; n <= 40; n++ {
+			base := b.base()
+			for i := 0; i < n; i++ {
+				b.put(base+uint64(i)*segSize, data)
+			}
+			if len(b.segs) != n || b.spilled == nil {
+				t.Fatalf("a %d-segment stream has a %d-entry table, spilled %v", n, len(b.segs), b.spilled != nil)
+			}
+			b.release(releaseAll)
+		}
+	}
+	streams() // grow the table and fill the pools
+	if avg := testing.AllocsPerRun(5, streams); avg != 0 {
+		t.Fatalf("streams of 2 to 40 segments cost %.1f allocations on a warm pool, want 0", avg)
+	}
+	if b.segs != nil || b.spilled != nil {
+		t.Fatal("an emptied buffer kept its table")
+	}
+	tab, ok := segTables.Get().(*[][]byte)
+	if !ok {
+		t.Fatal("the emptied buffer's table is not in the pool")
+	}
+	if len(*tab) != 0 || cap(*tab) < 40 {
+		t.Fatalf("the pooled table has length %d and capacity %d, want 0 and at least 40", len(*tab), cap(*tab))
+	}
+	for i, seg := range (*tab)[:cap(*tab)] {
+		if seg != nil {
+			t.Fatalf("the pooled table still names a segment at entry %d", i)
+		}
+	}
+	segTables.Put(tab)
 }
 
 // TestAllocGateSegmentTableSlides: a warm stream that writes 64 segments and

@@ -17,11 +17,10 @@ import (
 // segSize is the unit stream buffers grow and shrink by.
 const segSize = 32 << 10
 
-// firstSegMax is the most a stream's first segment grows to by doubling
-// before it is replaced by a whole segment from the pool. Small streams —
-// requests, tiny responses — keep costing their bytes; a stream that grows
-// past it stops leaving each doubled copy behind as garbage, which on the
-// receive side, one packet at a time, came to 40 KiB per stream.
+// firstSegMax is the size of a stream's first segment, a small one from
+// smallSegs, until the stream outgrows it and it is swapped for a whole
+// segment. A small stream — a request, a tiny response — holds 4 KiB, not
+// 32 KiB, while it waits for its acknowledgement or its reader.
 const firstSegMax = 4 << 10
 
 // releaseAll is the floor that releases every segment.
@@ -39,6 +38,17 @@ type bufAcct struct{ bytes, peak uint64 }
 // delivered slice aliases it.
 var segPool sync.Pool
 
+// smallSegs is the pool of first segments, *[firstSegMax]byte, the second
+// size class beside segPool (netem's packet buffers have the same two-class
+// shape): a stream's first segment comes from it and goes back to it once
+// released or outgrown.
+var smallSegs sync.Pool
+
+// segTables is the pool of spilled segment tables, as *[][]byte, of any
+// length: a buffer that needs more than its inline slot takes one, and gives
+// it back, cleared, when it empties.
+var segTables sync.Pool
+
 // getSeg returns a whole segment, reused if the pool has one.
 func getSeg() []byte {
 	if seg, ok := segPool.Get().(*[segSize]byte); ok {
@@ -47,16 +57,28 @@ func getSeg() []byte {
 	return make([]byte, segSize)
 }
 
-// putSeg returns a released whole segment to the pool. Under xlinkdebug it
-// is overwritten first, so a read through a stale reference fails content
-// verification instead of quietly returning the old bytes.
-func putSeg(seg []byte) {
-	if cap(seg) != segSize {
-		return
+// getSmallSeg returns a first segment, reused if the pool has one.
+func getSmallSeg() []byte {
+	if seg, ok := smallSegs.Get().(*[firstSegMax]byte); ok {
+		return seg[:]
 	}
-	whole := (*[segSize]byte)(seg[:segSize])
-	poison(whole[:])
-	segPool.Put(whole)
+	return make([]byte, firstSegMax)
+}
+
+// putSeg returns a released segment, whole or small, to its pool. Under
+// xlinkdebug it is overwritten first, so a read through a stale reference
+// fails content verification instead of quietly returning the old bytes.
+func putSeg(seg []byte) {
+	switch cap(seg) {
+	case segSize:
+		whole := (*[segSize]byte)(seg[:segSize])
+		poison(whole[:])
+		segPool.Put(whole)
+	case firstSegMax:
+		small := (*[firstSegMax]byte)(seg[:firstSegMax])
+		poison(small[:])
+		smallSegs.Put(small)
+	}
 }
 
 // poison overwrites a buffer going back to a pool with 0xdb under xlinkdebug.
@@ -77,10 +99,12 @@ type segBuf struct {
 	// end is the highest stream offset stored so far.
 	end uint64
 	// one backs segs while the stream fits a single segment, so a small
-	// stream costs one allocation — its bytes — as it did in a plain slice.
-	one    [1][]byte
-	acct   *bufAcct
-	pooled bool // a stream's buffer: segments come from and go back to segPool
+	// stream takes no table; past it, spilled holds the table from
+	// segTables.
+	one     [1][]byte
+	spilled *[][]byte
+	acct    *bufAcct
+	pooled  bool // a stream's buffer: segments go back to their pools
 }
 
 // size is what the buffer is accounted as holding: from the start of its
@@ -104,9 +128,9 @@ func (b *segBuf) resized(before uint64) {
 }
 
 // put stores data at stream offset off, which must not lie below a released
-// segment. The stream's very first segment is sized to what it holds and
-// doubles as it fills up to firstSegMax — a 64-byte request must not cost
-// 32 KiB; every other segment is a whole one.
+// segment. The stream's very first segment is a small one while it fits —
+// a 64-byte request must not hold 32 KiB; every other segment is a whole
+// one.
 func (b *segBuf) put(off uint64, data []byte) {
 	if off < b.base() {
 		assert.That(false, "write below the released prefix")
@@ -118,18 +142,9 @@ func (b *segBuf) put(off uint64, data []byte) {
 		n := min(len(data), segSize-in)
 		// The segment table grows once per segSize of stream.
 		if idx-b.first >= uint64(len(b.segs)) {
-			if b.segs == nil {
-				b.segs = b.one[:0]
-			}
-			for idx-b.first >= uint64(len(b.segs)) {
-				b.segs = append(b.segs, nil)
-			}
-			if len(b.segs) > 1 {
-				b.one[0] = nil // the table moved to the heap; do not pin segment 0 from here
-			}
+			b.extend(int(idx-b.first) + 1)
 		}
 		seg := &b.segs[idx-b.first]
-		// One allocation per segSize of stream (log₂ more while the first segment doubles).
 		if in+n > len(*seg) {
 			*seg = b.grow(*seg, idx == 0, in+n)
 		}
@@ -143,21 +158,43 @@ func (b *segBuf) put(off uint64, data []byte) {
 	b.resized(before)
 }
 
-// grow returns seg extended to at least need bytes.
+// extend lengthens the segment table to n entries, the new ones nil. Past
+// the inline slot the table spills to one from segTables, which append grows
+// from whatever length it had.
+func (b *segBuf) extend(n int) {
+	if b.segs == nil {
+		b.segs = b.one[:0]
+	}
+	if n > 1 && b.spilled == nil {
+		if t, ok := segTables.Get().(*[][]byte); ok {
+			b.spilled = t
+		} else {
+			b.spilled = new([][]byte)
+		}
+		b.segs = append((*b.spilled)[:0], b.segs...)
+		b.one[0] = nil // the table moved to the heap; do not pin segment 0 from here
+	}
+	for len(b.segs) < n {
+		b.segs = append(b.segs, nil)
+	}
+}
+
+// grow returns seg extended to at least need bytes. A stream's first
+// segment is small until it needs more than firstSegMax; then it is swapped
+// for a whole one and goes back to its pool. An unpooled buffer's segments
+// go to the collector instead.
 func (b *segBuf) grow(seg []byte, streamStart bool, need int) []byte {
 	if need <= cap(seg) {
 		return seg[:need]
 	}
-	var g []byte
-	switch c := max(2*cap(seg), need); {
-	case streamStart && c <= firstSegMax:
-		g = make([]byte, need, c)
-	case b.pooled:
-		g = getSeg()
-	default: // an unpooled buffer: a fresh segment the collector frees
-		g = make([]byte, segSize)
+	if streamStart && need <= firstSegMax { // seg is nil: small segments hold firstSegMax
+		return getSmallSeg()[:need]
 	}
+	g := getSeg()
 	copy(g, seg)
+	if b.pooled {
+		putSeg(seg)
+	}
 	return g
 }
 
@@ -190,7 +227,7 @@ func (b *segBuf) base() uint64 { return b.first * segSize }
 // release lets go of every segment that lies wholly below floor. The live
 // segments slide down to the front of the table in place, so a stream that
 // keeps writing ahead of what it releases reuses one table; an emptied buffer
-// lets go of the table too.
+// gives a spilled table back to segTables, cleared.
 func (b *segBuf) release(floor uint64) {
 	before := b.size()
 	k := 0
@@ -208,6 +245,12 @@ func (b *segBuf) release(floor uint64) {
 	b.segs = b.segs[:n]
 	b.first += uint64(k)
 	if n == 0 {
+		if b.spilled != nil {
+			clear(b.segs[:cap(b.segs)])
+			*b.spilled = b.segs[:0]
+			segTables.Put(b.spilled)
+			b.spilled = nil
+		}
 		b.segs = nil
 	}
 	b.resized(before)
@@ -216,7 +259,8 @@ func (b *segBuf) release(floor uint64) {
 // drop is the terminal release: every segment goes to the collector, not to
 // the pool, which would keep a closed connection's window one cycle longer —
 // and would hand a receive segment on while a callback that closed the
-// connection or stopped the stream may still be reading it.
+// connection or stopped the stream may still be reading it. The table, which
+// holds no bytes, goes back to segTables.
 func (b *segBuf) drop() {
 	b.pooled = false
 	b.release(releaseAll)

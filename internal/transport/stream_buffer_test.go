@@ -129,10 +129,12 @@ func TestStreamMemoryBoundedByWindow(t *testing.T) {
 }
 
 // TestReleasedSegmentsArePoisoned checks the xlinkdebug half of the release
-// contract: a send segment is overwritten before it re-enters the
-// process-wide pool, and another connection's stream that takes it gets it
-// back whole.
+// contract for both size classes: a send segment is overwritten before it
+// re-enters the process-wide pool, and another connection's stream that
+// takes it gets it back whole; so is a stream's small first segment, whether
+// the stream outgrew it or released it.
 func TestReleasedSegmentsArePoisoned(t *testing.T) {
+	t.Run("small", testReleasedSmallSegmentsArePoisoned)
 	data := make([]byte, 3*segSize)
 	fillStream(data, 0)
 	want := make([]byte, segSize)
@@ -177,6 +179,47 @@ func TestReleasedSegmentsArePoisoned(t *testing.T) {
 			t.Fatalf("released buffers still account %d and %d bytes", acctA.bytes, acctB.bytes)
 		}
 		if &got[0] == &released[0][0] || &got[0] == &released[1][0] {
+			return
+		}
+	}
+}
+
+// testReleasedSmallSegmentsArePoisoned is TestReleasedSegmentsArePoisoned
+// for the small class: a first segment outgrown by its stream, and one
+// released by it, reads poison under xlinkdebug, and the stream that takes
+// it next gets its own bytes back whole.
+func testReleasedSmallSegmentsArePoisoned(t *testing.T) {
+	data := make([]byte, 1000)
+	fillStream(data, 0)
+	want := make([]byte, 1000)
+	for round := uint64(0); ; round++ {
+		if round == 100 {
+			t.Fatal("no released small segment was ever taken by the other stream")
+		}
+		a := segBuf{pooled: true}
+		a.put(0, data)
+		outgrown := a.span(0, 16)
+		a.put(uint64(len(data)), make([]byte, firstSegMax)) // swaps the small segment for a whole one
+		if cap(a.segs[0]) != segSize || !bytes.Equal(a.appendTo(nil, 0, uint64(len(data))), data) {
+			t.Fatal("outgrowing the small segment lost the stream's first bytes")
+		}
+		b := segBuf{pooled: true}
+		fillStream(want, (round+3)*segSize) // new content each round, so a leftover byte cannot pass
+		b.put(0, want)
+		got := b.span(0, uint64(len(want)))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: a taken small segment did not come back whole", round)
+		}
+		b.release(releaseAll)
+		a.release(releaseAll)
+		if assert.Enabled {
+			for _, stale := range [][]byte{outgrown, got} {
+				if !bytes.Equal(stale, bytes.Repeat([]byte{0xdb}, len(stale))) {
+					t.Fatalf("a small segment gone back to its pool reads % x..., want poison", stale[:4])
+				}
+			}
+		}
+		if &got[0] == &outgrown[0] {
 			return
 		}
 	}

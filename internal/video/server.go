@@ -48,6 +48,12 @@ func ParseRequest(line string) (Request, error) {
 	return r, nil
 }
 
+// maxRequestLine bounds a pending request line, far above the longest line
+// FormatRequest renders for a catalog ID. It is a limit on what a peer may
+// send without a newline, not a tuning knob: without it a peer could make
+// the server hold, and rescan, up to a stream window of bytes per stream.
+const maxRequestLine = 4 << 10
+
 // Server is the media-server application: it answers range requests over
 // streams of a transport connection, tagging the first video frame with
 // the highest priority via the stream_send API so XLINK's frame-priority
@@ -83,7 +89,9 @@ func NewServer(conn *transport.Conn, catalog []Video) *Server {
 // serve the range when complete. The Requester closes its stream after the
 // request line, so the FIN usually arrives alone, after the request was
 // served: a FIN with no data and no pending bytes ends the stream and parses
-// nothing.
+// nothing. Only the new bytes are searched for the newline, and a stream
+// whose line would pass maxRequestLine loses its pending bytes and is asked
+// to stop sending.
 func (s *Server) OnStreamData(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
 	b := s.pending[rs.ID()]
 	if len(data) == 0 && (b == nil || b.Len() == 0) {
@@ -94,13 +102,17 @@ func (s *Server) OnStreamData(now time.Duration, rs *transport.RecvStream, data 
 		b = &strings.Builder{}
 		s.pending[rs.ID()] = b
 	}
+	if b.Len()+len(data) > maxRequestLine {
+		delete(s.pending, rs.ID())
+		s.conn.StopSending(rs.ID(), 0x11) // application: request line too long
+		return
+	}
 	b.Write(data)
-	line := b.String()
-	if !strings.Contains(line, "\n") && !fin {
+	if bytes.IndexByte(data, '\n') < 0 && !fin {
 		return
 	}
 	delete(s.pending, rs.ID())
-	req, err := ParseRequest(line)
+	req, err := ParseRequest(b.String())
 	if err != nil {
 		return
 	}

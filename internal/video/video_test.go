@@ -467,3 +467,53 @@ func TestServerBareFINParsesNothing(t *testing.T) {
 		t.Fatalf("after the bare FINs: %d pending lines, %d bytes served", len(server.pending), server.Served[v.ID])
 	}
 }
+
+// TestServerBoundsThePendingRequestLine: a peer that sends 64 KiB with no
+// newline on a request stream must not make the server hold them, nor rescan
+// every pending byte on each callback. The pending line never passes
+// maxRequestLine; once it would, the stream loses its entry and the server
+// stops it, so no further data reaches the server's callback.
+func TestServerBoundsThePendingRequestLine(t *testing.T) {
+	loop := sim.NewLoop()
+	params := wire.DefaultTransportParams()
+	params.EnableMultipath = true
+	pair := transport.NewPair(loop, sim.NewRNG(9),
+		transport.TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond),
+		transport.Config{Params: params, Seed: 1}, transport.Config{Params: params, Seed: 2})
+	server := NewServer(pair.Server, []Video{testVideo()})
+	peak, after := 0, 0
+	var stream *transport.RecvStream
+	pair.Server.SetOnStreamData(func(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
+		if stream != nil && stream.Finished() {
+			after += len(data)
+		}
+		stream = rs
+		server.OnStreamData(now, rs, data, fin)
+		if b := server.pending[rs.ID()]; b != nil && b.Len() > peak {
+			peak = b.Len()
+		}
+	})
+	junk := make([]byte, 1<<10)
+	for i := range junk {
+		junk[i] = 'x'
+	}
+	pair.Client.SetOnHandshakeDone(func(time.Duration) {
+		s := pair.Client.Stream(0)
+		for i := 0; i < 64; i++ {
+			s.Write(junk)
+		}
+	})
+	if err := pair.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pair.RunUntil(10 * time.Second)
+	if stream == nil {
+		t.Fatal("no request bytes reached the server")
+	}
+	if peak > maxRequestLine || len(server.pending) != 0 {
+		t.Fatalf("the server held a %d-byte pending line (bound %d) and ends with %d pending", peak, maxRequestLine, len(server.pending))
+	}
+	if !stream.Finished() || after != 0 {
+		t.Fatalf("the over-long stream was not stopped: finished %v, %d bytes delivered after", stream.Finished(), after)
+	}
+}

@@ -51,15 +51,19 @@ step go test -race ./...
 # xlinkdebug a link overwrites a packet buffer the moment its delivery
 # callback returns (DESIGN.md §19), so a consumer that kept the slice reads
 # poison here; netem's own tests check that it does, with two links on two
-# goroutines sharing the process-wide buffer pools. The A/B fleet runs here
-# too: its workers share those pools, and the two arms of one session read
-# its traces from different goroutines (DESIGN.md §21).
-step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/ ./internal/abtest/
+# goroutines sharing the process-wide buffer pools, and sim's that two loops
+# on two goroutines share the event-node pool with every event fired once in
+# order, and that a stale timer leaves its node's next loop alone. The A/B
+# fleet runs here too: its workers share those pools, and the two arms of one
+# session read its traces from different goroutines (DESIGN.md §21).
+step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/ ./internal/sim/ ./internal/abtest/
 # Stream buffering (DESIGN.md §17) with assertions and the race detector on:
 # the receive buffer against its keep-everything reference model, a 256 MiB
 # stream held to the window on a lossy two-path network (about a minute and
-# a half here), the poisoning of released segments handed from one
-# connection's stream to another's through the process-wide pool — under
+# a half here), the poisoning of released segments, whole and small first
+# ones, handed from one connection's stream to another's through the
+# process-wide pools, and a small stream's first segment going back to its
+# pool once outgrown — under
 # xlinkdebug a read below a release floor fails content verification — and
 # an idle connection that holds no send or receive segment, no gather
 # buffer and at most paths × SendBatchSize seal buffers. The borrowed
@@ -73,7 +77,7 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # retired — with the assertion that a stream leaves only with nothing in
 # flight or queued, and that every chunk cut finds its stream.
 step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
-	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
+	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestSegBufSmallStreamCostsItsBytes|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
 # Frame and packet-record ownership (DESIGN.md §18) with assertions and the
 # race detector on: a record given back to the process-wide pool is poisoned
 # and must not be named by an AckResult, the ledger or a SentFrom result;
@@ -110,7 +114,8 @@ step go test -count=1 ./internal/chaos/ -run TestGoldenTrace
 step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEventLoop|TestLiveTimer|TestIdleGroupHoldsNoReadBuffers|TestKeptReadBufferReadsPoison|TestLiveDataCallbacksKeepOrderAndContent|TestLiveCallbackCallsEveryMethod|TestLivePostFromAnAppliedOp|TestLiveCallbacksWriteAcrossFullShards|TestLiveWriteBacklogBoundsAForeignWriter|TestLiveBacklogCountsBytesATurnApplied|TestLiveCallbackWritesPastTheBacklog|TestLiveTinyExchangeOneDatagramEachWay|TestLiveCallbackWritesManyStreamsInOneTurn|TestLiveWriteBeforeCloseReachesPeer'
 # Allocation gates (DESIGN.md §7, §11): the one allocation contract; DESIGN.md
 # §7 maps every gate to the per-packet functions it drives. Warm paths must
-# hold their alloc/op budgets — zero for sim timers, crypto seal/open,
+# hold their alloc/op budgets — zero for sim timers, crypto seal/open (and
+# at most 4 for a Sealer's key schedule),
 # rangeset updates (a fresh set's first range included), loss detection on a warm recovery space, the telemetry
 # record path (counters/gauges/histograms, a record filled in the
 # flight-recorder ring, and a full NDJSON trace rendering into a grown
@@ -127,7 +132,7 @@ step go test -race -tags xlinkdebug -count=1 ./xlink/ -run 'TestLiveShardedEvent
 # over loopback (§16), a
 # packet record that the send pass after its ACK reuses (§18), counted as
 # records made with the collector held off, and a stream's segment table
-# sliding in place (§17); the queued frames for a closed FEC window; a fixed ceiling for a FEC decode,
+# sliding in place and, once emptied, going back to its pool (§17); the queued frames for a closed FEC window; a fixed ceiling for a FEC decode,
 # the transport round trip through the emulator, the batched 16-packet
 # receive with ACKs, and a whole 4 MiB session per server packet (the
 # benchmark's allocs_per_pkt as a test).

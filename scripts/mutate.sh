@@ -275,7 +275,7 @@ rep(qq~\told := c.state\n\tc.state = stateClosed\n\tc.tr.ConnStateChanged(now, o
 EOF
 mut S5 connstate internal/sim/loop.go "./internal/sim/ ./internal/netem/ ./internal/transport/" \
 	"Timer.Stop recycles its event's node but leaves the entry in the heap" <<'EOF'
-rep(q~l.recycle(l.remove(t.ev.idx))~, q~l.recycle(t.ev)~);
+rep(q~t.ev.loop.remove(t.ev.idx).recycle()~, q~t.ev.recycle()~);
 EOF
 
 # loaderr: a tree that does not parse or type-check is reported, not skipped.

@@ -362,10 +362,10 @@ const readBufSize = 2048
 var readBufs bufPool[*[readBufSize]byte]
 
 // writeChunkSize is the size of the chunks a Write's payload is copied into.
-// It is above the 4 KiB to which the transport grows a stream's first
-// segment by doubling, so the first chunk of a larger Write takes a whole
-// pooled segment, as one transport call with the whole payload does;
-// read-buffer-sized chunks would cost every such stream two doublings.
+// It is above the transport's 4 KiB small first segment, so the first chunk
+// of a larger Write takes a whole pooled segment, as one transport call with
+// the whole payload does; read-buffer-sized chunks would fill every such
+// stream's small segment first and then copy it into a whole one.
 const writeChunkSize = 8 << 10
 
 // writeChunks is the process-wide pool of Write chunks: a Write takes one
