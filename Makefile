@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet xlinkvet selftest mutate test debugtest race fuzz chaos trace bench check
+.PHONY: build vet xlinkvet selftest mutate test debugtest race fuzz chaos trace quick-golden bench check
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,11 @@ chaos:
 SCENARIO ?= interface-death
 trace:
 	$(GO) run ./cmd/xlinkqlog -run $(SCENARIO) -summary
+
+# Re-record the quick experiment output that check.sh diffs every run
+# against. Only for a change that moves an output on purpose.
+quick-golden:
+	$(GO) run ./cmd/xlink-bench -scale quick -seed 20210823 > cmd/xlink-bench/testdata/quick.txt
 
 # Run the repo's benchmark (BENCHMARK.json): four end-to-end workloads with
 # gated set-up, allocation and retained-heap metrics plus the per-layer

@@ -16,7 +16,6 @@ import (
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 const size = 4 << 20
@@ -32,60 +31,25 @@ func paths(pair trace.MobilityPair) []netem.PathConfig {
 
 func runScheme(scheme core.Scheme, pair trace.MobilityPair, seed int64) time.Duration {
 	x := core.New(scheme, core.Options{})
-	loop := sim.NewLoop()
-	tp := transport.NewPair(loop, sim.NewRNG(seed), paths(pair), x.ClientConfig(seed), x.ServerConfig(seed+1))
-	var done time.Duration
-	tp.Server.SetOnStreamOpen(func(now time.Duration, rs *transport.RecvStream) {
-		ss := tp.Server.Stream(rs.ID())
-		ss.Write(make([]byte, size))
-		ss.Close()
-	})
-	tp.Client.SetOnStreamData(func(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
-		if fin {
-			done = now
-		}
-	})
-	tp.Client.SetOnHandshakeDone(func(now time.Duration) {
-		s := tp.Client.OpenStream()
-		s.Write([]byte("GET"))
-		s.Close()
-	})
-	if tp.Start() != nil {
+	done, ok := core.Download(x.ClientConfig(seed), x.ServerConfig(seed+1), paths(pair), size, seed, 120*time.Second)
+	if !ok {
 		return 0
 	}
-	tp.RunUntil(120 * time.Second)
 	return done
 }
 
 func runCM(pair trace.MobilityPair, seed int64) time.Duration {
-	loop := sim.NewLoop()
 	x := core.New(core.SchemeSinglePath, core.Options{})
-	tp := transport.NewPair(loop, sim.NewRNG(seed), paths(pair), x.ClientConfig(seed), x.ServerConfig(seed+1))
-	ctrl := cm.NewController(loop, tp.Client, cm.DefaultConfig(), []cm.Interface{
+	dl := core.NewBulk(x.ClientConfig(seed), x.ServerConfig(seed+1), paths(pair), size, seed)
+	ctrl := cm.NewController(dl.Loop, dl.Pair.Client, cm.DefaultConfig(), []cm.Interface{
 		{NetIdx: 0, Tech: trace.TechLTE}, {NetIdx: 1, Tech: trace.TechWiFi},
 	})
-	var done time.Duration
-	tp.Server.SetOnStreamOpen(func(now time.Duration, rs *transport.RecvStream) {
-		ss := tp.Server.Stream(rs.ID())
-		ss.Write(make([]byte, size))
-		ss.Close()
-	})
-	tp.Client.SetOnStreamData(func(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
-		if fin {
-			done = now
-			ctrl.Stop()
-		}
-	})
-	tp.Client.SetOnHandshakeDone(func(now time.Duration) {
-		ctrl.Start()
-		s := tp.Client.OpenStream()
-		s.Write([]byte("GET"))
-		s.Close()
-	})
-	if tp.Start() != nil {
+	dl.OnStart = func(time.Duration) { ctrl.Start() }
+	dl.OnDone = func(time.Duration) { ctrl.Stop() }
+	done, ok := dl.Run(120 * time.Second)
+	if !ok {
 		return 0
 	}
-	tp.RunUntil(120 * time.Second)
 	return done
 }
 

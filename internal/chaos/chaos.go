@@ -1,6 +1,6 @@
-// Package chaos is the scripted fault-injection harness: it runs the full
-// client/server video pipeline (video.Requester + video.Server over a
-// transport.Pair) while a faults.Script degrades the emulated network, and
+// Package chaos is the scripted fault-injection harness: it runs a
+// core.Session (the full client/server video pipeline) while a
+// faults.Script degrades the emulated network, and
 // measures the invariants the robustness work promises (ISSUE 2):
 //
 //   - integrity: every received byte matches the synthesized content
@@ -25,7 +25,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/obs"
-	"repro/internal/qoe"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/video"
@@ -140,38 +139,37 @@ func Run(sc Scenario) Result {
 	}
 	tr.AttachFlightRecorder(0)
 
-	loop := sim.NewLoop()
 	rng := sim.NewRNG(sc.Seed)
 	// The server runs XLINK's QoE-gated stream-priority re-injection so the
-	// chaos corpus exercises Alg. 1 under faults (not just vanilla-MP).
-	x := core.New(core.SchemeXLINK, core.Options{ReinjectionMode: transport.ReinjectStreamPriority})
-	ctrl := x.Controller
-	ccfg, scfg := x.ClientConfig(sc.Seed), x.ServerConfig(sc.Seed+1)
-	// The FEC lane shares the same Δt feed: the redundancy controller sizes
-	// repair symbols off it. The gate is only consulted once both endpoints
-	// negotiate EnableFEC, which scenarios opt into via Tweak.
-	rctrl := qoe.NewRedundancyController(ctrl)
-	scfg.FECGate = rctrl.PlanFEC
-	ccfg.Tracer = tr.Origin("client")
-	scfg.Tracer = tr.Origin("server")
-	ctrl.SetTracer(tr.Origin("server"))
-	rctrl.SetTracer(tr.Origin("server"))
-	if sc.Tweak != nil {
-		sc.Tweak(&ccfg, &scfg)
-	}
-	pair := transport.NewPair(loop, rng.Fork("net"), sc.Paths, ccfg, scfg)
+	// chaos corpus exercises Alg. 1 under faults (not just vanilla-MP). The
+	// FEC lane's gate is wired too, but it is only consulted once both
+	// endpoints negotiate EnableFEC, which scenarios opt into via Tweak.
+	s := core.NewSession(core.SessionConfig{
+		Scheme: core.SchemeXLINK,
+		Paths:  sc.Paths,
+		Video: video.Video{
+			ID: "chaos", Size: sc.VideoBytes,
+			BitrateBps: 2_000_000, FPS: 30, FirstFrameSize: 32 << 10,
+		},
+		Seed:     rng.ForkSeed("net"),
+		Deadline: sc.Deadline,
+		Configure: func(ccfg, scfg *transport.Config) {
+			ccfg.Seed, scfg.Seed = sc.Seed, sc.Seed+1
+			scfg.ReinjectionMode = transport.ReinjectStreamPriority
+			ccfg.Tracer = tr.Origin("client")
+			scfg.Tracer = tr.Origin("server")
+			if sc.Tweak != nil {
+				sc.Tweak(ccfg, scfg)
+			}
+		},
+	})
+	loop, pair, req, x := s.Loop, s.Pair, s.Requester, s.XLINK
+	x.Controller.SetTracer(tr.Origin("server"))
+	x.Redundancy.SetTracer(tr.Origin("server"))
+	s.Player.SetTracer(tr.Origin("client"))
 	injector := faults.NewInjector(loop, pair.Network, rng.Fork("faults"))
 	injector.SetTracer(tr.Origin("net"))
 	injector.Apply(sc.Script)
-
-	v := video.Video{
-		ID: "chaos", Size: sc.VideoBytes,
-		BitrateBps: 2_000_000, FPS: 30, FirstFrameSize: 32 << 10,
-	}
-	player := video.NewPlayer(v, video.DefaultPlayerConfig())
-	player.SetTracer(tr.Origin("client"))
-	req := video.NewRequester(pair.Client, v, player, video.DefaultRequesterConfig())
-	srv := video.NewServer(pair.Server, []video.Video{v})
 
 	// Wrap the requester's stream callback to observe application-level
 	// progress: the liveness invariant is about payload reaching the
@@ -185,8 +183,6 @@ func Run(sc Scenario) Result {
 			completedAt = now
 		}
 	})
-	pair.Server.SetOnStreamData(srv.OnStreamData)
-	pair.Client.SetQoEProvider(player.QoESignal)
 
 	// The stall clock starts at the first possible data byte (handshake
 	// completion); handshake latency is the PTO machinery's problem and is
@@ -203,7 +199,7 @@ func Run(sc Scenario) Result {
 
 	var tick func(now time.Duration)
 	tick = func(now time.Duration) {
-		player.Advance(now)
+		s.Player.Advance(now)
 		req.Poll(now)
 		switch {
 		case !started, req.Done(), pair.Client.Closed(),
@@ -214,8 +210,8 @@ func Run(sc Scenario) Result {
 			lastBytes = streamBytes
 			lastProgress = now
 		default:
-			if s := now - lastProgress; s > maxStall {
-				maxStall = s
+			if stall := now - lastProgress; stall > maxStall {
+				maxStall = stall
 			}
 		}
 		// Stop rescheduling at the deadline so the sampler itself cannot
@@ -246,9 +242,9 @@ func Run(sc Scenario) Result {
 	res.ClientPrimary = pair.Client.PrimaryPathID()
 	res.AlivePaths = faults.AliveCount(pair.Network)
 	res.EventsAfter = int(loop.Run(quiesceBudget))
-	res.QoEDecisions, res.QoEEnables = ctrl.Stats()
-	res.FECDecisions, res.FECProtects = rctrl.Stats()
-	m := player.Metrics(sc.Deadline)
+	res.QoEDecisions, res.QoEEnables = x.Controller.Stats()
+	res.FECDecisions, res.FECProtects = x.Redundancy.Stats()
+	m := s.Player.Metrics(sc.Deadline)
 	res.RebufferTime = m.RebufferTime
 	res.RebufferCount = m.RebufferCount
 

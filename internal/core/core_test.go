@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cc"
 	"repro/internal/netem"
 	"repro/internal/qoe"
 	"repro/internal/sim"
@@ -46,8 +47,8 @@ func TestSchemeConfigs(t *testing.T) {
 	if scfg.ReinjectionMode != transport.ReinjectFramePriority {
 		t.Fatal("XLINK default should be frame-priority re-injection")
 	}
-	if scfg.ReinjectionGate == nil || scfg.OnQoE == nil {
-		t.Fatal("XLINK server must wire the QoE controller")
+	if scfg.ReinjectionGate == nil || scfg.FECGate == nil || scfg.OnQoE == nil {
+		t.Fatal("XLINK server must wire the QoE and redundancy controllers")
 	}
 	if !scfg.Params.EnableMultipath {
 		t.Fatal("XLINK negotiates multipath")
@@ -205,13 +206,21 @@ func TestBufferSeriesRecorded(t *testing.T) {
 	}
 }
 
+// coupledCC gives the server RFC 6356 linked increases across the
+// connection's paths instead of decoupled controllers — the fairness variant
+// the paper recommends when paths share a bottleneck (Sec 9).
+func coupledCC(_, s *transport.Config) {
+	group := cc.NewLIAGroup()
+	s.CCFactory = func() cc.Controller { return group.NewFlow() }
+}
+
 func TestCoupledCCSessionCompletes(t *testing.T) {
 	res, err := RunSession(SessionConfig{
-		Scheme:  SchemeXLINK,
-		Options: Options{CoupledCC: true},
-		Paths:   stablePaths(10, 10),
-		Video:   testVideo(2),
-		Seed:    21,
+		Scheme:    SchemeXLINK,
+		Paths:     stablePaths(10, 10),
+		Video:     testVideo(2),
+		Seed:      21,
+		Configure: coupledCC,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,13 +234,16 @@ func TestCoupledSlowerOrEqualOnDisjointBottlenecks(t *testing.T) {
 	// On disjoint last-mile bottlenecks the decoupled variant should be at
 	// least as fast — the reason the paper defaults to decoupled (Sec 9).
 	run := func(coupled bool) SessionResult {
-		res, err := RunSession(SessionConfig{
-			Scheme:  SchemeXLINK,
-			Options: Options{CoupledCC: coupled},
-			Paths:   stablePaths(8, 8),
-			Video:   testVideo(4),
-			Seed:    33,
-		})
+		cfg := SessionConfig{
+			Scheme: SchemeXLINK,
+			Paths:  stablePaths(8, 8),
+			Video:  testVideo(4),
+			Seed:   33,
+		}
+		if coupled {
+			cfg.Configure = coupledCC
+		}
+		res, err := RunSession(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,5 +257,35 @@ func TestCoupledSlowerOrEqualOnDisjointBottlenecks(t *testing.T) {
 	if decoupled.DownloadTime > coupled.DownloadTime+coupled.DownloadTime/4 {
 		t.Fatalf("decoupled (%v) should not be much slower than coupled (%v)",
 			decoupled.DownloadTime, coupled.DownloadTime)
+	}
+}
+
+func TestFECReachableThroughConfigure(t *testing.T) {
+	// FEC has no session field of its own: a lossy XLINK session that turns
+	// on EnableFEC at both ends sends repair symbols, and the redundancy
+	// controller core wires as the server's FEC gate protects windows.
+	paths := stablePaths(6, 4)
+	paths[0].LossRate, paths[1].LossRate = 0.03, 0.03
+	s := NewSession(SessionConfig{
+		Scheme: SchemeXLINK,
+		Paths:  paths,
+		Video:  testVideo(2),
+		Seed:   17,
+		Configure: func(c, s *transport.Config) {
+			c.Params.EnableFEC, s.Params.EnableFEC = true, true
+		},
+	})
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatal("FEC session incomplete")
+	}
+	if res.ServerStats.FECRepairsSent == 0 {
+		t.Fatal("no repair symbols sent with EnableFEC set through Configure")
+	}
+	if _, protects := s.XLINK.Redundancy.Stats(); protects == 0 {
+		t.Fatal("the redundancy controller protected no window")
 	}
 }

@@ -10,7 +10,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/qoe"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -48,23 +47,16 @@ func (s Scheme) String() string {
 	}
 }
 
-// Options tunes a scheme beyond its defaults, for the ablation benches.
+// Options are the two scheme knobs the A/B arms vary. Anything else a
+// variant changes (re-injection mode, congestion control, FEC) it sets on
+// the transport configs through SessionConfig.Configure.
 type Options struct {
 	// Thresholds are the double-thresholding parameters; zero means the
 	// paper's recommended (95, 80)-calibrated defaults (DefaultThresholds).
 	Thresholds qoe.Thresholds
-	// ReinjectionMode overrides the scheme's re-injection mode;
-	// ReinjectNone means "use the scheme default".
-	ReinjectionMode transport.ReinjectionMode
 	// DisableFrameAcceleration turns off first-video-frame tagging
 	// (Fig 12's "w/o first-frame acceleration" arm).
 	DisableFrameAcceleration bool
-	// CCAlgorithm selects congestion control (default Cubic).
-	CCAlgorithm cc.Algorithm
-	// CoupledCC uses RFC 6356 linked increases across the connection's
-	// paths instead of decoupled controllers — the fairness variant the
-	// paper recommends when paths share a bottleneck (Sec 9).
-	CoupledCC bool
 }
 
 // DefaultThresholds is a production-flavoured setting: re-inject urgently
@@ -81,6 +73,10 @@ type XLINK struct {
 	Scheme     Scheme
 	Options    Options
 	Controller *qoe.Controller
+	// Redundancy sizes the FEC lane off Controller's Δt feed (SchemeXLINK
+	// only; nil otherwise). The server consults it only once both endpoints
+	// negotiate Params.EnableFEC.
+	Redundancy *qoe.RedundancyController
 }
 
 // New creates the scheme assembly.
@@ -89,14 +85,15 @@ func New(s Scheme, opts Options) *XLINK {
 	if !th.Valid() || th == (qoe.Thresholds{}) {
 		th = DefaultThresholds
 	}
-	return &XLINK{Scheme: s, Options: opts, Controller: qoe.NewController(th)}
+	x := &XLINK{Scheme: s, Options: opts, Controller: qoe.NewController(th)}
+	if s == SchemeXLINK {
+		x.Redundancy = qoe.NewRedundancyController(x.Controller)
+	}
+	return x
 }
 
 // reinjectionMode returns the transport mode for the scheme.
 func (x *XLINK) reinjectionMode() transport.ReinjectionMode {
-	if x.Options.ReinjectionMode != transport.ReinjectNone {
-		return x.Options.ReinjectionMode
-	}
 	switch x.Scheme {
 	case SchemeReinjNoQoE:
 		return transport.ReinjectStreamPriority
@@ -114,19 +111,15 @@ func (x *XLINK) reinjectionMode() transport.ReinjectionMode {
 func (x *XLINK) Multipath() bool { return x.Scheme != SchemeSinglePath }
 
 // ServerConfig builds the server transport configuration: re-injection
-// mode, the QoE gate (Alg. 1) for XLINK, and the feedback hook.
+// mode, the QoE gate (Alg. 1) and the FEC gate for XLINK, and the feedback
+// hook.
 func (x *XLINK) ServerConfig(seed int64) transport.Config {
 	params := wire.DefaultTransportParams()
 	params.EnableMultipath = x.Multipath()
 	cfg := transport.Config{
 		Params:          params,
 		Seed:            seed,
-		CCAlgorithm:     x.Options.CCAlgorithm,
 		ReinjectionMode: x.reinjectionMode(),
-	}
-	if x.Options.CoupledCC {
-		group := cc.NewLIAGroup()
-		cfg.CCFactory = func() cc.Controller { return group.NewFlow() }
 	}
 	if x.Scheme == SchemeVanillaMP {
 		// Vanilla multi-path QUIC has no QoE-aware path management: the
@@ -136,6 +129,7 @@ func (x *XLINK) ServerConfig(seed int64) transport.Config {
 	}
 	if x.Scheme == SchemeXLINK {
 		cfg.ReinjectionGate = x.Controller.Decide
+		cfg.FECGate = x.Redundancy.PlanFEC
 		cfg.OnQoE = x.Controller.OnSignal
 	}
 	return cfg
@@ -145,11 +139,7 @@ func (x *XLINK) ServerConfig(seed int64) transport.Config {
 func (x *XLINK) ClientConfig(seed int64) transport.Config {
 	params := wire.DefaultTransportParams()
 	params.EnableMultipath = x.Multipath()
-	cfg := transport.Config{
-		Params:      params,
-		Seed:        seed,
-		CCAlgorithm: x.Options.CCAlgorithm,
-	}
+	cfg := transport.Config{Params: params, Seed: seed}
 	if x.Scheme == SchemeVanillaMP {
 		// Vanilla multi-path acknowledges on the original path, like
 		// MPTCP sub-flows; fastest-path ACK_MP is XLINK's (Sec 5.3).

@@ -28,9 +28,10 @@ type SessionConfig struct {
 	Seed int64
 	// Deadline bounds the session (default: 60s past nominal duration).
 	Deadline time.Duration
-	// FirstFramePriority controls server-side first-frame tagging; it is
-	// forced off when Options.DisableFrameAcceleration is set.
-	// (Tagging without frame-priority re-injection is harmless.)
+	// Configure, when set, adjusts the scheme's client and server transport
+	// configs before the pair is built: a re-injection mode, a congestion
+	// controller, Params.EnableFEC, the seeds, the tracers.
+	Configure func(client, server *transport.Config)
 }
 
 // SessionResult aggregates a session's measurements.
@@ -74,7 +75,9 @@ type Session struct {
 	downloadDone time.Duration
 }
 
-// NewSession builds the topology of Fig 2 under the scheme.
+// NewSession builds the topology of Fig 2 under the scheme. Nothing is
+// scheduled yet: a caller that drives the loop itself (the chaos harness)
+// may replace callbacks and add its own timers before starting the pair.
 func NewSession(cfg SessionConfig) *Session {
 	if cfg.Deadline == 0 {
 		cfg.Deadline = cfg.Video.Duration() + 60*time.Second
@@ -84,9 +87,11 @@ func NewSession(cfg SessionConfig) *Session {
 	}
 	x := New(cfg.Scheme, cfg.Options)
 	loop := sim.NewLoop()
-	rng := sim.NewRNG(cfg.Seed)
-	pair := transport.NewPair(loop, rng, cfg.Paths,
-		x.ClientConfig(cfg.Seed^0x11), x.ServerConfig(cfg.Seed^0x22))
+	ccfg, scfg := x.ClientConfig(cfg.Seed^0x11), x.ServerConfig(cfg.Seed^0x22)
+	if cfg.Configure != nil {
+		ccfg, scfg = configured(cfg.Configure, ccfg, scfg)
+	}
+	pair := transport.NewPair(loop, sim.NewRNG(cfg.Seed), cfg.Paths, ccfg, scfg)
 
 	player := video.NewPlayer(cfg.Video, cfg.Player)
 	requester := video.NewRequester(pair.Client, cfg.Video, player, cfg.Requester)
@@ -102,24 +107,30 @@ func NewSession(cfg SessionConfig) *Session {
 	pair.Client.SetQoEProvider(player.QoESignal)
 	requester.SetOnComplete(func(now time.Duration) { s.downloadDone = now })
 	pair.Client.SetOnHandshakeDone(func(now time.Duration) { requester.Start(now) })
-
-	// Sample the player buffer and server re-injection counters at a
-	// fixed cadence for the Fig 6 dynamics.
-	var tick func(now time.Duration)
-	tick = func(now time.Duration) {
-		player.Advance(now)
-		requester.Poll(now)
-		player.ReinjectSeries.Add(now, float64(pair.Server.Stats().ReinjectedBytesSent))
-		if now < cfg.Deadline {
-			loop.After(50*time.Millisecond, tick)
-		}
-	}
-	loop.After(50*time.Millisecond, tick)
 	return s
+}
+
+// configured applies fn to copies of the two configs, so that only a session
+// with a hook pays for moving them to the heap.
+func configured(fn func(client, server *transport.Config), c, s transport.Config) (transport.Config, transport.Config) {
+	fn(&c, &s)
+	return c, s
 }
 
 // Run starts the session and drives it to completion or deadline.
 func (s *Session) Run() (SessionResult, error) {
+	// Advance the player at a fixed cadence and sample the server's
+	// re-injection counter for the Fig 6 dynamics.
+	var tick func(now time.Duration)
+	tick = func(now time.Duration) {
+		s.Player.Advance(now)
+		s.Requester.Poll(now)
+		s.Player.ReinjectSeries.Add(now, float64(s.Pair.Server.Stats().ReinjectedBytesSent))
+		if now < s.cfg.Deadline {
+			s.Loop.After(50*time.Millisecond, tick)
+		}
+	}
+	s.Loop.After(50*time.Millisecond, tick)
 	if err := s.Pair.Start(); err != nil {
 		return SessionResult{}, err
 	}

@@ -57,12 +57,12 @@ func AblationReinjectionModes(scale Scale, seed int64) Report {
 		n := 0
 		for rep := 0; rep < scale.Repetitions; rep++ {
 			res, err := core.RunSession(core.SessionConfig{
-				Scheme:   core.SchemeXLINK,
-				Options:  core.Options{ReinjectionMode: m.mode},
-				Paths:    ablationPaths(seed+int64(rep), 30*time.Second),
-				Video:    ablationVideo(),
-				Seed:     seed + int64(rep),
-				Deadline: 60 * time.Second,
+				Scheme:    core.SchemeXLINK,
+				Paths:     ablationPaths(seed+int64(rep), 30*time.Second),
+				Video:     ablationVideo(),
+				Seed:      seed + int64(rep),
+				Deadline:  60 * time.Second,
+				Configure: func(_, scfg *transport.Config) { scfg.ReinjectionMode = m.mode },
 			})
 			if err != nil || !res.Completed {
 				continue
@@ -82,6 +82,7 @@ func AblationReinjectionModes(scale Scale, seed int64) Report {
 		key := strings.ReplaceAll(m.name, "-", "_")
 		metrics["ff_ms_"+key] = ff / f
 		metrics["download_s_"+key] = dl / f
+		metrics["redundancy_pct_"+key] = red / f
 	}
 	var b strings.Builder
 	b.WriteString("Re-injection placement ablation (Fig 4 modes):\n")
@@ -162,8 +163,11 @@ func AblationCC(scale Scale, seed int64) Report {
 	for _, alg := range []cc.Algorithm{cc.AlgCubic, cc.AlgNewReno} {
 		var total float64
 		for rep := 0; rep < scale.Repetitions; rep++ {
-			x := core.New(core.SchemeXLINK, core.Options{CCAlgorithm: alg})
-			d, _ := saturatedDownload(x, paths, 4<<20, seed+int64(rep*13), 60*time.Second)
+			repSeed := seed + int64(rep*13)
+			x := core.New(core.SchemeXLINK, core.Options{})
+			ccfg, scfg := x.ClientConfig(repSeed), x.ServerConfig(repSeed+1)
+			ccfg.CCAlgorithm, scfg.CCAlgorithm = alg, alg
+			d, _ := core.Download(ccfg, scfg, paths, 4<<20, repSeed, 60*time.Second)
 			total += d.Seconds()
 		}
 		mean := total / float64(scale.Repetitions)

@@ -170,6 +170,16 @@ func TestAblationReinjectionModes(t *testing.T) {
 	if ffFrame == 0 || ffAppend == 0 {
 		t.Fatalf("missing first-frame metrics: %v", r.KeyMetrics)
 	}
+	// Every mode reports its redundancy, and the "none" arm really runs
+	// without re-injection.
+	for _, mode := range []string{"none", "appending", "stream_priority", "frame_priority"} {
+		if _, ok := r.KeyMetrics["redundancy_pct_"+mode]; !ok {
+			t.Fatalf("missing redundancy_pct_%s: %v", mode, r.KeyMetrics)
+		}
+	}
+	if red := r.KeyMetrics["redundancy_pct_none"]; red != 0 {
+		t.Fatalf("the none arm re-injected: %.2f %% redundancy", red)
+	}
 }
 
 func TestAblationSingleThreshold(t *testing.T) {

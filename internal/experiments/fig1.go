@@ -13,7 +13,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/video"
 	"repro/internal/wire"
 )
 
@@ -28,32 +27,21 @@ func Fig1Dynamics(seed int64) Report {
 	wifiTrace := trace.WalkingWiFi(rng, duration)
 	lteTrace := trace.WalkingLTE(rng, duration)
 
-	loop := sim.NewLoop()
 	params := wire.DefaultTransportParams()
 	params.EnableMultipath = true
-	pair := transport.NewPair(loop, rng.Fork("net"), []netem.PathConfig{
-		{Name: "wifi", Tech: trace.TechWiFi, Up: wifiTrace, OneWayDelay: 8 * time.Millisecond},
-		{Name: "lte", Tech: trace.TechLTE, Up: lteTrace, OneWayDelay: 22 * time.Millisecond},
-	}, transport.Config{Params: params, Seed: seed}, transport.Config{Params: params, Seed: seed + 1})
-
 	// Saturating transfer: enough data to keep both paths busy all 3 s.
-	pair.Server.SetOnStreamOpen(func(now time.Duration, rs *transport.RecvStream) {
-		ss := pair.Server.Stream(rs.ID())
-		ss.Write(make([]byte, 32<<20))
-		ss.Close()
-	})
-	pair.Client.SetOnHandshakeDone(func(now time.Duration) {
-		s := pair.Client.OpenStream()
-		s.Write([]byte("GET"))
-		s.Close()
-	})
+	dl := core.NewBulk(transport.Config{Params: params, Seed: seed}, transport.Config{Params: params, Seed: seed + 1},
+		[]netem.PathConfig{
+			{Name: "wifi", Tech: trace.TechWiFi, Up: wifiTrace, OneWayDelay: 8 * time.Millisecond},
+			{Name: "lte", Tech: trace.TechLTE, Up: lteTrace, OneWayDelay: 22 * time.Millisecond},
+		}, 32<<20, rng.ForkSeed("net"))
 
 	type sample struct{ inflightKB, cwndKB [2]float64 }
 	var samples []sample
 	var tick func(now time.Duration)
 	tick = func(now time.Duration) {
 		var s sample
-		for i, p := range pair.Server.Paths() {
+		for i, p := range dl.Pair.Server.Paths() {
 			if i > 1 {
 				break
 			}
@@ -62,14 +50,11 @@ func Fig1Dynamics(seed int64) Report {
 		}
 		samples = append(samples, s)
 		if now < duration {
-			loop.After(window, tick)
+			dl.Loop.After(window, tick)
 		}
 	}
-	loop.After(window, tick)
-	if err := pair.Start(); err != nil {
-		return Report{ID: "fig1ab", Body: "error: " + err.Error()}
-	}
-	pair.RunUntil(duration)
+	dl.Loop.After(window, tick)
+	dl.Run(duration)
 
 	_, wifiMbps := wifiTrace.ThroughputSeries(window)
 	_, lteMbps := lteTrace.ThroughputSeries(window)
@@ -161,40 +146,4 @@ func Fig1cTable1(scale Scale, seed int64) Report {
 			"worst_rebuffer_improvement_pct": worstRebuffer,
 		},
 	}
-}
-
-// saturatedDownload is a helper running one bulk transfer under a scheme
-// assembly, returning completion time.
-func saturatedDownload(x *core.XLINK, paths []netem.PathConfig, size uint64, seed int64, deadline time.Duration) (time.Duration, bool) {
-	return rawDownload(x.ClientConfig(seed), x.ServerConfig(seed+1), paths, size, seed, deadline)
-}
-
-// rawDownload runs one bulk transfer with explicit transport configs.
-func rawDownload(ccfg, scfg transport.Config, paths []netem.PathConfig, size uint64, seed int64, deadline time.Duration) (time.Duration, bool) {
-	loop := sim.NewLoop()
-	pair := transport.NewPair(loop, sim.NewRNG(seed), paths, ccfg, scfg)
-	var done time.Duration
-	pair.Server.SetOnStreamOpen(func(now time.Duration, rs *transport.RecvStream) {
-		ss := pair.Server.Stream(rs.ID())
-		ss.Write(video.SynthesizeContent("dl", 0, size))
-		ss.Close()
-	})
-	pair.Client.SetOnStreamData(func(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
-		if fin {
-			done = now
-		}
-	})
-	pair.Client.SetOnHandshakeDone(func(now time.Duration) {
-		s := pair.Client.OpenStream()
-		s.Write([]byte("GET"))
-		s.Close()
-	})
-	if err := pair.Start(); err != nil {
-		return deadline, false
-	}
-	pair.RunUntil(deadline)
-	if done == 0 {
-		return deadline, false
-	}
-	return done, true
 }

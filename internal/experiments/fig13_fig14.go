@@ -71,69 +71,49 @@ func mobilityChunkRCTs(scheme string, pair trace.MobilityPair, seed int64, deadl
 				}
 			})
 		return rcts
+	}
+	cfg := core.SessionConfig{
+		Paths:     paths,
+		Video:     v,
+		Seed:      seed,
+		Requester: fig13Requester(),
+		Deadline:  deadline,
+	}
+	switch scheme {
+	case "SP":
+		cfg.Scheme = core.SchemeSinglePath
 	case "CM":
-		loop := sim.NewLoop()
-		x := core.New(core.SchemeSinglePath, core.Options{})
-		tp := transport.NewPair(loop, sim.NewRNG(seed), paths, x.ClientConfig(seed), x.ServerConfig(seed+1))
-		player := video.NewPlayer(v, video.DefaultPlayerConfig())
-		req := video.NewRequester(tp.Client, v, player, fig13Requester())
-		srv := video.NewServer(tp.Server, []video.Video{v})
-		ctrl := cm.NewController(loop, tp.Client, cm.DefaultConfig(), []cm.Interface{
+		// Connection migration: single-path QUIC, with the transport seeds
+		// this arm has always used, plus the client-side controller below
+		// that moves the connection when its path goes silent.
+		cfg.Scheme = core.SchemeSinglePath
+		cfg.Configure = func(ccfg, scfg *transport.Config) { ccfg.Seed, scfg.Seed = seed, seed+1 }
+	case "vanilla-MP":
+		cfg.Scheme = core.SchemeVanillaMP
+	case "XLINK":
+		cfg.Scheme = core.SchemeXLINK
+	}
+	s := core.NewSession(cfg)
+	if scheme == "CM" {
+		ctrl := cm.NewController(s.Loop, s.Pair.Client, cm.DefaultConfig(), []cm.Interface{
 			{NetIdx: 0, Tech: trace.TechLTE},
 			{NetIdx: 1, Tech: trace.TechWiFi},
 		})
-		req.SetOnComplete(func(now time.Duration) { ctrl.Stop() })
-		tp.Client.SetOnStreamData(req.OnStreamData)
-		tp.Server.SetOnStreamData(srv.OnStreamData)
-		tp.Client.SetOnHandshakeDone(func(now time.Duration) {
+		s.Requester.SetOnComplete(func(now time.Duration) { ctrl.Stop() })
+		s.Pair.Client.SetOnHandshakeDone(func(now time.Duration) {
 			ctrl.Start()
-			req.Start(now)
+			s.Requester.Start(now)
 		})
-		var tick func(now time.Duration)
-		tick = func(now time.Duration) {
-			player.Advance(now)
-			req.Poll(now)
-			if now < deadline {
-				loop.After(50*time.Millisecond, tick)
-			}
-		}
-		loop.After(50*time.Millisecond, tick)
-		if tp.Start() != nil {
-			return nil
-		}
-		tp.RunUntil(deadline)
-		var rcts []float64
-		for _, c := range req.Results {
-			rcts = append(rcts, c.RCT().Seconds())
-		}
-		return rcts
-	default:
-		var s core.Scheme
-		switch scheme {
-		case "SP":
-			s = core.SchemeSinglePath
-		case "vanilla-MP":
-			s = core.SchemeVanillaMP
-		case "XLINK":
-			s = core.SchemeXLINK
-		}
-		res, err := core.RunSession(core.SessionConfig{
-			Scheme:    s,
-			Paths:     paths,
-			Video:     v,
-			Seed:      seed,
-			Requester: fig13Requester(),
-			Deadline:  deadline,
-		})
-		if err != nil {
-			return nil
-		}
-		var rcts []float64
-		for _, r := range res.ChunkRCTs {
-			rcts = append(rcts, r.Seconds())
-		}
-		return rcts
 	}
+	res, err := s.Run()
+	if err != nil {
+		return nil
+	}
+	var rcts []float64
+	for _, r := range res.ChunkRCTs {
+		rcts = append(rcts, r.Seconds())
+	}
+	return rcts
 }
 
 // Fig13ExtremeMobility reproduces the extreme-mobility experiment
@@ -216,29 +196,13 @@ func Fig14Energy(scale Scale, seed int64) Report {
 			scheme = core.SchemeXLINK
 		}
 		x := core.New(scheme, core.Options{})
-		loop := sim.NewLoop()
-		tpair := transport.NewPair(loop, sim.NewRNG(seed), paths, x.ClientConfig(seed), x.ServerConfig(seed+1))
-		var done time.Duration
-		tpair.Server.SetOnStreamOpen(func(now time.Duration, rs *transport.RecvStream) {
-			ss := tpair.Server.Stream(rs.ID())
-			ss.Write(make([]byte, size))
-			ss.Close()
-		})
-		tpair.Client.SetOnStreamData(func(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
-			if fin {
-				done = now
-			}
-		})
-		tpair.Client.SetOnHandshakeDone(func(now time.Duration) {
-			s := tpair.Client.OpenStream()
-			s.Write([]byte("GET"))
-			s.Close()
-		})
-		if tpair.Start() != nil || func() bool { tpair.RunUntil(200 * time.Second); return done == 0 }() {
+		dl := core.NewBulk(x.ClientConfig(seed), x.ServerConfig(seed+1), paths, size, seed)
+		done, ok := dl.Run(200 * time.Second)
+		if !ok {
 			return nil
 		}
 		out := make([]float64, nPaths)
-		for i, p := range tpair.Server.Paths() {
+		for i, p := range dl.Pair.Server.Paths() {
 			if i < nPaths {
 				out[i] = float64(p.SentBytes*8) / done.Seconds() / 1e6
 			}

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/netem"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -29,35 +29,31 @@ func Fig7PrimaryPath(scale Scale, seed int64) Report {
 			OneWayDelay: trace.Delay5GSA.MedianRTT / 2},
 	}
 	measure := func(forceWiFi bool, frameSize uint64, rep int) time.Duration {
-		loop := sim.NewLoop()
-		params := wire.DefaultTransportParams()
-		params.EnableMultipath = true
-		// Cellular/secondary interface bring-up takes a few hundred ms on
-		// phones; during that window only the primary carries the video
-		// start — which is exactly why the primary choice matters (Fig 7).
-		ccfg := transport.Config{Params: params, Seed: seed + int64(rep),
-			SecondaryPathDelay: 400 * time.Millisecond}
-		if forceWiFi {
-			ccfg.ForcePrimary = true
-			ccfg.PrimaryNetIdx = 0
-		}
-		// No re-injection here: Fig 7 isolates the primary-path choice
-		// itself (re-injection would partially rescue a bad choice).
-		scfg := transport.Config{Params: params, Seed: seed + int64(rep) + 100}
-		pair := transport.NewPair(loop, sim.NewRNG(seed+int64(rep)), paths, ccfg, scfg)
-
 		v := video.Video{ID: "f", Size: frameSize * 2, BitrateBps: 4_000_000, FPS: 30, FirstFrameSize: frameSize}
-		player := video.NewPlayer(v, video.DefaultPlayerConfig())
-		req := video.NewRequester(pair.Client, v, player, video.RequesterConfig{ChunkSize: v.Size, MaxConcurrent: 1})
-		srv := video.NewServer(pair.Server, []video.Video{v})
-		pair.Client.SetOnStreamData(req.OnStreamData)
-		pair.Server.SetOnStreamData(srv.OnStreamData)
-		pair.Client.SetOnHandshakeDone(func(now time.Duration) { req.Start(now) })
-		if pair.Start() != nil {
+		res, err := core.RunSession(core.SessionConfig{
+			Scheme:    core.SchemeVanillaMP, // for its multi-path params; Configure replaces the rest
+			Paths:     paths,
+			Video:     v,
+			Requester: video.RequesterConfig{ChunkSize: v.Size, MaxConcurrent: 1},
+			Seed:      seed + int64(rep),
+			Deadline:  30 * time.Second,
+			Configure: func(ccfg, scfg *transport.Config) {
+				// Cellular/secondary interface bring-up takes a few hundred
+				// ms on phones; during that window only the primary carries
+				// the video start — which is exactly why the primary choice
+				// matters (Fig 7).
+				*ccfg = transport.Config{Params: ccfg.Params, Seed: seed + int64(rep),
+					SecondaryPathDelay: 400 * time.Millisecond, ForcePrimary: forceWiFi}
+				// No re-injection here: Fig 7 isolates the primary-path
+				// choice itself (re-injection would partially rescue a bad
+				// choice).
+				*scfg = transport.Config{Params: scfg.Params, Seed: seed + int64(rep) + 100}
+			},
+		})
+		if err != nil {
 			return 0
 		}
-		pair.RunUntil(30 * time.Second)
-		return player.Metrics(loop.Now()).FirstFrameLatency
+		return res.Metrics.FirstFrameLatency
 	}
 
 	tab := stats.Table{Header: []string{"first frame size", "WiFi primary (ms)", "5G primary (ms)"}}
@@ -111,7 +107,7 @@ func Fig8AckPath(scale Scale, seed int64) Report {
 				params := wire.DefaultTransportParams()
 				params.EnableMultipath = true
 				repSeed := seed + int64(rep*17)
-				d, _ := rawDownload(transport.Config{Params: params, Seed: repSeed, AckPolicy: policy},
+				d, _ := core.Download(transport.Config{Params: params, Seed: repSeed, AckPolicy: policy},
 					transport.Config{Params: params, Seed: repSeed + 100, AckPolicy: policy},
 					paths, size, repSeed, 60*time.Second)
 				total += d.Seconds()

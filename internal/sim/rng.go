@@ -20,13 +20,18 @@ func NewRNG(seed int64) *RNG {
 
 // Fork derives an independent RNG from this one, keyed by label so that the
 // derived stream is stable regardless of how many other draws occurred.
-func (g *RNG) Fork(label string) *RNG {
+func (g *RNG) Fork(label string) *RNG { return NewRNG(g.ForkSeed(label)) }
+
+// ForkSeed returns the seed Fork(label) would build its RNG from, for a
+// component that takes a seed rather than an RNG. It draws from g as Fork
+// does.
+func (g *RNG) ForkSeed(label string) int64 {
 	var h int64 = 1469598103934665603 // FNV-1a offset basis (truncated)
 	for i := 0; i < len(label); i++ {
 		h ^= int64(label[i])
 		h *= 1099511628211
 	}
-	return NewRNG(h ^ g.r.Int63())
+	return h ^ g.r.Int63()
 }
 
 // Float64 returns a uniform value in [0,1).

@@ -6,7 +6,8 @@
 # map walk fails here, before any test runs), the test suite in release and
 # xlinkdebug-assertion modes, the race detector, the allocation-gate tests
 # (the one allocation contract, DESIGN.md §7 and §11), and a short fuzz smoke
-# on every wire-format target.
+# on every wire-format target, plus the quick experiment output against its
+# committed copy.
 # The mutation audit that decides which rules exist (scripts/mutate.sh,
 # `make mutate`) is not part of this gate.
 #
@@ -90,6 +91,11 @@ step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
 # reuse at zero new records.
 step go test -race -tags xlinkdebug -count=1 ./internal/recovery/ ./internal/transport/ ./internal/wire/ \
 	-run 'TestRecordRecycledAfterResultExpires|TestReclaimFreesTheResultsRecords|TestRecordsMadeBoundedByPeakTracked|TestPairsOnTwoGoroutinesShareTheRecordPool|TestDecoderMatchesPackageLevel'
+# Experiment determinism: every table and KeyMetric of `xlink-bench -scale
+# quick` at the default seed must match the committed output byte for byte
+# (about 15 s). A change that moves an output on purpose re-records it with
+# `make quick-golden` and says why.
+step sh -c 'go run ./cmd/xlink-bench -scale quick -seed 20210823 | diff -u cmd/xlink-bench/testdata/quick.txt -'
 # Trace determinism: the same (scenario, seed) must reproduce the committed
 # golden NDJSON trace byte for byte (-count=1 defeats the test cache so the
 # gate re-runs even when nothing changed).
