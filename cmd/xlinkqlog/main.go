@@ -220,8 +220,7 @@ func summarize(w io.Writer, title string, evs []obs.Event) {
 }
 
 // batchTable summarizes the batched packet I/O plane (DESIGN.md §16): how
-// many SendBatch flushes each path saw and how full they ran, plus how many
-// ACK loss-detection passes receive coalescing saved per origin.
+// many SendBatch flushes each path saw and how full they ran.
 func batchTable(w io.Writer, evs []obs.Event) {
 	fmt.Fprintln(w, "== batched i/o ==")
 	type bkey struct {
@@ -232,37 +231,24 @@ func batchTable(w io.Writer, evs []obs.Event) {
 		flushes, packets, max int
 	}
 	flushes := map[bkey]*btally{}
-	type ctally struct {
-		batches, acks, passes int
-	}
-	coalesced := map[string]*ctally{}
 	for _, e := range evs {
-		switch e.Name {
-		case obs.EvBatchFlush:
-			k := bkey{e.Origin, e.U64("path")}
-			t := flushes[k]
-			if t == nil {
-				t = &btally{}
-				flushes[k] = t
-			}
-			n := int(e.I64("packets"))
-			t.flushes++
-			t.packets += n
-			if n > t.max {
-				t.max = n
-			}
-		case obs.EvAckCoalesced:
-			t := coalesced[e.Origin]
-			if t == nil {
-				t = &ctally{}
-				coalesced[e.Origin] = t
-			}
-			t.batches++
-			t.acks += int(e.I64("acks"))
-			t.passes += int(e.I64("paths"))
+		if e.Name != obs.EvBatchFlush {
+			continue
+		}
+		k := bkey{e.Origin, e.U64("path")}
+		t := flushes[k]
+		if t == nil {
+			t = &btally{}
+			flushes[k] = t
+		}
+		n := int(e.I64("packets"))
+		t.flushes++
+		t.packets += n
+		if n > t.max {
+			t.max = n
 		}
 	}
-	if len(flushes) == 0 && len(coalesced) == 0 {
+	if len(flushes) == 0 {
 		fmt.Fprintln(w, "  (no batch events; sender ran unbatched)")
 		fmt.Fprintln(w)
 		return
@@ -281,16 +267,6 @@ func batchTable(w io.Writer, evs []obs.Event) {
 		t := flushes[k]
 		fmt.Fprintf(w, "  %-8s path %d: flushes=%d packets=%d avg_batch=%.2f max_batch=%d\n",
 			k.origin, k.path, t.flushes, t.packets, float64(t.packets)/float64(t.flushes), t.max)
-	}
-	origins := make([]string, 0, len(coalesced))
-	for o := range coalesced {
-		origins = append(origins, o)
-	}
-	sort.Strings(origins)
-	for _, o := range origins {
-		t := coalesced[o]
-		fmt.Fprintf(w, "  %-8s coalesced acks: %d acks over %d batches -> %d loss passes (saved %d)\n",
-			o, t.acks, t.batches, t.passes, t.acks-t.passes)
 	}
 	fmt.Fprintln(w)
 }

@@ -66,9 +66,8 @@ func TestAllocGateFlightRecorder(t *testing.T) {
 // TestAllocGateFullTrace gates the NDJSON sink: once the stream's buffer has
 // grown, a typed emit renders its record straight into the spare capacity —
 // the numeric, boolean and string fields, a reason that needs escaping — at
-// 0 allocs/op. Each run emits the FEC and coalesced-ACK events the ring-only
-// gate above does not reach, then drops the rendered lines so the buffer
-// never grows again.
+// 0 allocs/op. Each run emits the FEC events the ring-only gate above does
+// not reach, then drops the rendered lines so the buffer never grows again.
 func TestAllocGateFullTrace(t *testing.T) {
 	tr := NewTrace("gate")
 	o := tr.Origin("server")
@@ -81,7 +80,6 @@ func TestAllocGateFullTrace(t *testing.T) {
 		o.FECSymbolSent(now, n, 4, 0, 1024)
 		o.FECDecision(now, 80*time.Millisecond, 0.02, 8, 1, true)
 		o.FECGiveUp(now, n, "too_many\tlosses")
-		o.AckCoalesced(now, 16, 2)
 	}
 	for i := 0; i < 64; i++ { // grow the buffer, create every event's counter
 		emit()
@@ -90,7 +88,7 @@ func TestAllocGateFullTrace(t *testing.T) {
 		b := tr.Bytes()
 		return string(b[bytes.LastIndexByte(b[:len(b)-1], '\n')+1:])
 	}
-	const want = `{"time":64000000,"origin":"server","name":"transport:ack_coalesced","data":{"acks":16,"paths":2}}` + "\n"
+	const want = `{"time":64000000,"origin":"server","name":"fec:decoder_give_up","data":{"window":64,"reason":"too_many\u0009losses"}}` + "\n"
 	if got := line(); got != want {
 		t.Fatalf("last line %q, want %q", got, want)
 	}
@@ -100,7 +98,7 @@ func TestAllocGateFullTrace(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("full-trace emit allocates %.1f allocs/op, want 0", allocs)
 	}
-	if got := tr.EventCount(); got != 6*(64+1001) {
-		t.Fatalf("%d events counted, want %d", got, 6*(64+1001))
+	if got := tr.EventCount(); got != 5*(64+1001) {
+		t.Fatalf("%d events counted, want %d", got, 5*(64+1001))
 	}
 }

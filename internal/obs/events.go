@@ -38,7 +38,6 @@ const (
 	evVideoRebufferEnd
 	evVideoFinished
 	evBatchFlush
-	evAckCoalesced
 	evFaultInjected
 	evAnomaly
 	numEvents
@@ -83,7 +82,6 @@ var eventSpecs = [numEvents]eventSpec{
 	evVideoRebufferEnd:   {EvVideoRebufferEnd, []field{fi("stall")}},
 	evVideoFinished:      {EvVideoFinished, nil},
 	evBatchFlush:         {EvBatchFlush, []field{fu("path"), fi("packets")}},
-	evAckCoalesced:       {EvAckCoalesced, []field{fi("acks"), fi("paths")}},
 	evFaultInjected:      {EvFaultInjected, []field{fs("op"), fs("phase")}},
 	evAnomaly:            {EvAnomaly, []field{fs("reason")}},
 }
@@ -418,21 +416,4 @@ func (o *Origin) BatchFlush(now time.Duration, pathID uint64, n int) {
 	}
 	t.batchFlushes.Inc()
 	h.Observe(float64(n))
-}
-
-// AckCoalesced records one batch-end coalesced loss-detection pass
-// (DESIGN.md §16): acks ACK frames, spread over paths paths, were folded
-// into a single detectLost/gc sweep per path instead of one per frame.
-func (o *Origin) AckCoalesced(now time.Duration, acks, paths int) {
-	if o == nil {
-		return
-	}
-	r := o.open(now, evAckCoalesced)
-	r.u[0], r.u[1] = uint64(acks), uint64(paths)
-	o.commit(r)
-	t := o.t
-	if t.coalescedAcks == nil {
-		t.coalescedAcks = t.reg.Counter(MetricCoalescedAcks)
-	}
-	t.coalescedAcks.Add(uint64(acks))
 }

@@ -76,10 +76,8 @@ const (
 	EvVideoRebufferEnd   EventName = "video:rebuffer_end"
 	EvVideoFinished      EventName = "video:finished"
 	// Batched packet I/O (DESIGN.md §16): one SendBatch flush of N sealed
-	// packets on a path, and one batch-end coalesced loss-detection pass
-	// covering N ACK frames.
-	EvBatchFlush   EventName = "transport:batch_flush"
-	EvAckCoalesced EventName = "transport:ack_coalesced"
+	// packets on a path.
+	EvBatchFlush EventName = "transport:batch_flush"
 	// Fault injection (so injected faults and transport reactions share
 	// one timeline).
 	EvFaultInjected EventName = "fault:injected"
@@ -123,7 +121,6 @@ type Trace struct {
 	// built on a path's first flush and cached here; the counters likewise.
 	batchSizeHists map[uint64]*Histogram
 	batchFlushes   *Counter
-	coalescedAcks  *Counter
 }
 
 // NewTrace creates an empty full trace: every event is appended to the

@@ -93,7 +93,6 @@ func TestNilOriginIsSilent(t *testing.T) {
 	o.Anomaly(time.Second, "error_close")
 	o.Scorecard(time.Second, &Scorecard{NumPaths: 1})
 	o.BatchFlush(time.Second, 0, 16)
-	o.AckCoalesced(time.Second, 4, 2)
 }
 
 // TestEventSpecsFitARecord checks the spec table against the record: every

@@ -45,11 +45,9 @@ const (
 	MetricSessionRCTSeconds      MetricName = "xlink_session_rct_seconds"
 	MetricSessionRebufferSeconds MetricName = "xlink_session_rebuffer_seconds"
 	// Batched packet I/O (DESIGN.md §16): per-path batch-size distribution
-	// (labeled {path="<id>"}), SendBatch flush count, and ACK frames whose
-	// loss detection was coalesced into a batch-end pass.
-	MetricBatchSize     MetricName = "xlink_batch_size"
-	MetricBatchFlushes  MetricName = "xlink_batch_flushes_total"
-	MetricCoalescedAcks MetricName = "xlink_coalesced_acks_total"
+	// (labeled {path="<id>"}) and SendBatch flush count.
+	MetricBatchSize    MetricName = "xlink_batch_size"
+	MetricBatchFlushes MetricName = "xlink_batch_flushes_total"
 	// Flight-recorder anomaly triggers.
 	MetricAnomalies MetricName = "xlink_anomalies_total"
 	// Stream buffer occupancy gauges (DESIGN.md §17): bytes the connection's

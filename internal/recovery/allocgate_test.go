@@ -13,11 +13,11 @@ import (
 var raceEnabled bool
 
 // TestAllocGateLossDetection gates the loss-detection entry points of a warm
-// Space at zero allocations (scripts/check.sh runs every TestAllocGate*): the
-// batched receive's deferred form — OnAckNoLoss per ACK, one OnLossTimeout at
-// batch end — declaring a packet lost by the packet threshold, a probe
-// timeout, and DeclareAllLost evacuating what is still in flight. Records
-// come from the pool, and the result slices are the Space's scratch.
+// Space at zero allocations (scripts/check.sh runs every TestAllocGate*): an
+// ACK declaring a packet lost by the packet threshold, a loss timeout that
+// finds nothing left to declare, a probe timeout, and DeclareAllLost
+// evacuating what is still in flight. Records come from the pool, and the
+// result slices are the Space's scratch.
 func TestAllocGateLossDetection(t *testing.T) {
 	if assert.Enabled {
 		t.Skip("xlinkdebug: the ledger assertions allocate by design")
@@ -37,7 +37,7 @@ func TestAllocGateLossDetection(t *testing.T) {
 		return first
 	}
 	ranges := make([]wire.AckRange, 2)
-	var acked, lost, probes, evacuated int
+	var acked, lost, late, probes, evacuated int
 	round := func() {
 		now += time.Millisecond
 		first := send(8)
@@ -45,8 +45,9 @@ func TestAllocGateLossDetection(t *testing.T) {
 		// Everything but first+1, which falls PacketThreshold behind.
 		ranges[0] = wire.AckRange{Smallest: first + 2, Largest: first + 7}
 		ranges[1] = wire.AckRange{Smallest: first, Largest: first}
-		acked = len(s.OnAckNoLoss(ranges, 0, now).Acked)
-		lost = len(s.OnLossTimeout(now))
+		res := s.OnAck(ranges, 0, now)
+		acked, lost = len(res.Acked), len(res.Lost)
+		late = len(s.OnLossTimeout(now))
 		send(4)
 		probes = len(s.OnPTO(now))
 		evacuated = len(s.DeclareAllLost(now))
@@ -57,8 +58,8 @@ func TestAllocGateLossDetection(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Fatalf("a warm ack, loss and evacuation round allocates %.1f, want 0", avg)
 	}
-	if acked != 7 || lost != 1 || probes != 2 || evacuated != 4 {
-		t.Fatalf("last round: %d acked, %d lost, %d probes, %d evacuated; want 7, 1, 2, 4", acked, lost, probes, evacuated)
+	if acked != 7 || lost != 1 || late != 0 || probes != 2 || evacuated != 4 {
+		t.Fatalf("last round: %d acked, %d lost, %d lost late, %d probes, %d evacuated; want 7, 1, 0, 2, 4", acked, lost, late, probes, evacuated)
 	}
 	if s.HasUnacked() {
 		t.Fatal("packets left in flight after the evacuation")

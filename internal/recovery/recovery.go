@@ -268,23 +268,6 @@ func (s *Space) lossDelay() time.Duration {
 // and resets the PTO backoff if progress was made. ranges must be in wire
 // order, descending and disjoint, as the ACK parser yields them.
 func (s *Space) OnAck(ranges []wire.AckRange, ackDelay time.Duration, now time.Duration) AckResult {
-	return s.onAck(ranges, ackDelay, now, true)
-}
-
-// OnAckNoLoss processes an ACK like OnAck but defers loss detection:
-// Result.Lost is always nil and no gc runs. Batch receive coalescing uses
-// it so N acks in one datagram batch trigger one loss-detection pass (via
-// OnLossTimeout at batch end) instead of N. Callers owe exactly one
-// OnLossTimeout at the same now before the next timer re-arm, or the
-// packet/time thresholds crossed by these acks go undetected until the
-// loss timer fires.
-func (s *Space) OnAckNoLoss(ranges []wire.AckRange, ackDelay time.Duration, now time.Duration) AckResult {
-	return s.onAck(ranges, ackDelay, now, false)
-}
-
-// onAck is the shared ACK-processing body; detect selects whether the
-// trailing loss-detection + gc pass runs now or is deferred to the caller.
-func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.Duration, detect bool) AckResult {
 	var res AckResult
 	s.Reclaim()
 	if len(ranges) == 0 {
@@ -327,10 +310,8 @@ func (s *Space) onAck(ranges []wire.AckRange, ackDelay time.Duration, now time.D
 		s.rtt.Update(res.LatestRTT, ackDelay)
 	}
 	s.ptoCount = 0
-	if detect {
-		res.Lost = s.detectLost(now)
-		s.gc()
-	}
+	res.Lost = s.detectLost(now)
+	s.gc()
 	AssertLive(res.Acked, "AckResult.Acked")
 	AssertLive(res.Lost, "AckResult.Lost")
 	return res

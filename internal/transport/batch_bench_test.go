@@ -6,16 +6,17 @@ import (
 
 	"repro/internal/assert"
 	"repro/internal/cc"
+	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
 // Benchmarks and alloc gates for the batched packet I/O plane (DESIGN.md
-// §16). BenchmarkConnPacketsPerSec is the acceptance number of ISSUE 10:
-// ns/packet of a receiver ingesting 16-packet batches versus the same 16
-// packets delivered one wakeup each. The win is everything that runs per
-// wakeup instead of per packet — the maybeSend pass, ACK assembly and
-// sealing, loss-detection bookkeeping, and the timer re-arm.
+// §16). BenchmarkConnPacketsPerSec measures ns/packet of a receiver taking
+// 16-datagram runs under one Hold, as a live shard turn does, versus the
+// same 16 datagrams each with its own send pass. The difference is what
+// runs once per turn instead of once per datagram — the maybeSend pass, ACK
+// assembly and sealing, and the timer re-arm.
 
 // discardSender swallows outgoing datagrams so gates and benches can
 // isolate transport-side work from the emulated network (netem copies every
@@ -65,18 +66,19 @@ func craftPings(c *Conn, p *Path, bufs, pkts [][]byte, count int, frames []wire.
 }
 
 // BenchmarkConnPacketsPerSec measures receive-side cost per packet. Packet
-// sealing runs off the clock (StopTimer); the timed region is exactly the
-// ingest: 16 HandleDatagram wakeups for the unbatched baseline, one
-// HandleDatagramBatch for batch16. Packets are minimal PING-bearers, so the
-// per-wakeup overhead — not the AEAD — dominates, matching the ACK- and
-// control-heavy workloads the batching targets.
+// sealing and the clock's advance run off the clock (StopTimer); the timed
+// region is exactly the ingest: 16 HandleDatagram calls, each with its own
+// send pass for unbatched, and under one Hold and Release for held16.
+// Packets are minimal PING-bearers, so the per-pass overhead — not the AEAD
+// — dominates, matching the ACK- and control-heavy workloads a turn
+// coalesces.
 func BenchmarkConnPacketsPerSec(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		batch int
 	}{
 		{"unbatched", 1},
-		{"batch16", 16},
+		{"held16", 16},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			const group = 16
@@ -96,13 +98,17 @@ func BenchmarkConnPacketsPerSec(b *testing.B) {
 				b.StopTimer()
 				craftPings(c, p, bufs, pkts, group, pingFrames)
 				now += time.Microsecond
+				pair.RunUntil(now)
 				b.StartTimer()
-				if bc.batch > 1 {
-					s.HandleDatagramBatch(now, p.NetIdx, pkts)
-				} else {
-					for j := 0; j < group; j++ {
-						s.HandleDatagram(now, p.NetIdx, pkts[j])
-					}
+				held := bc.batch > 1
+				if held {
+					s.Hold()
+				}
+				for j := 0; j < group; j++ {
+					s.HandleDatagram(now, p.NetIdx, pkts[j])
+				}
+				if held {
+					s.Release()
 				}
 			}
 		})
@@ -139,22 +145,22 @@ func TestAllocGateBatchFill(t *testing.T) {
 	}
 }
 
-// TestAllocGateBatchRecv gates the receive side: one 16-packet batch
-// through HandleDatagramBatch — open, parse, record, coalesced ACK
-// assembly, one maybeSend and one timer re-arm — must run on owned scratch.
-// Every packet carries an ACK_MP for each of the server's paths, as the live
-// plane's batches do, so the batch also runs the deferred loss detection:
-// OnAckNoLoss per frame, one OnLossTimeout per path at batch end. Between
-// batches the server writes a small chunk, so each batch acknowledges one
+// TestAllocGateHeldRecv gates the receive side of a live turn: 16
+// HandleDatagram calls under one Hold, then Release — open, parse, record,
+// loss detection at each ACK, then one maybeSend with its ACK assembly and
+// one timer re-arm — must run on owned scratch. Every packet carries an
+// ACK_MP for each of the server's paths, as a live turn's datagrams do.
+// Between runs the server writes a small chunk, so each run acknowledges one
 // packet in flight. The per-packet ingest is allocation-free, so is the
-// ack-only response the batch elicits (it touches no packet record, DESIGN.md
-// §18), and so is the timer re-arm: the batch moves the deadline later, which
+// ack-only response the run elicits (it touches no packet record, DESIGN.md
+// §18), and so is the timer re-arm: the run moves the deadline later, which
 // leaves the timer the Env holds alone (DESIGN.md §19). Measured 0; the gate
-// is that plus one. The point of the gate: the bound is per BATCH, not per
-// packet — losing the coalescing (16 responses instead of 1) or any reused
-// scratch trips it immediately. Packet crafting inside the measured closure
-// is itself allocation-free (sealing reuses bufs; see BenchmarkSealPacket).
-func TestAllocGateBatchRecv(t *testing.T) {
+// is that plus one, per RUN, not per packet, so any scratch that stops being
+// reused trips it. Dropping the Hold does not: sixteen ack-only passes
+// allocate nothing either, and TestHeldReceiveRunsOnePassAtRelease is what
+// pins one pass per run. Packet crafting inside the measured closure is
+// itself allocation-free (sealing reuses bufs; see BenchmarkSealPacket).
+func TestAllocGateHeldRecv(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state warmup")
 	}
@@ -191,7 +197,12 @@ func TestAllocGateBatchRecv(t *testing.T) {
 		}
 		craftPings(c, p, bufs, pkts, group, frames)
 		now += time.Microsecond
-		s.HandleDatagramBatch(now, p.NetIdx, pkts)
+		pair.RunUntil(now)
+		s.Hold()
+		for _, d := range pkts {
+			s.HandleDatagram(now, p.NetIdx, d)
+		}
+		s.Release()
 	}
 	for i := 0; i < 8; i++ { // warm recv scratch, ack scratch, seal buffers, packet records
 		ingest()
@@ -199,7 +210,7 @@ func TestAllocGateBatchRecv(t *testing.T) {
 	before := s.Stats()
 	const gate = 1
 	if avg := testing.AllocsPerRun(100, ingest); avg > gate {
-		t.Fatalf("batched 16-packet receive allocates %.1f/batch warm, gate is %d", avg, gate)
+		t.Fatalf("held 16-datagram receive allocates %.1f/run warm, gate is %d", avg, gate)
 	}
 	after := s.Stats()
 	if sent := after.StreamBytesSent - before.StreamBytesSent; sent != 101*uint64(len(chunk)) {
@@ -207,7 +218,90 @@ func TestAllocGateBatchRecv(t *testing.T) {
 	}
 	for _, id := range s.pathOrder {
 		if s.paths[id].Space.HasUnacked() {
-			t.Fatalf("path %d has packets in flight after the batches that acknowledge them", id)
+			t.Fatalf("path %d has packets in flight after the runs that acknowledge them", id)
 		}
+	}
+}
+
+// countingSender counts SendBatch calls per interface and drops the
+// datagrams.
+type countingSender map[int]int
+
+func (cs countingSender) SendBatch(netIdx int, pkts [][]byte) int {
+	cs[netIdx]++
+	return len(pkts)
+}
+
+// TestHeldReceiveRunsOnePassAtRelease pins Hold's contract (DESIGN.md §16,
+// the live turn) on the transport itself. A held server with data queued
+// takes a 16-datagram run whose ACK_MPs leave one of its packets
+// PacketThreshold behind. Loss detection runs at the ACK, so the packet is
+// declared lost while the connection is still held; nothing reaches the
+// sender until Release, which makes one SendBatch per path it touches; a
+// second Release owes nothing and sends nothing.
+func TestHeldReceiveRunsOnePassAtRelease(t *testing.T) {
+	const group = 16
+	pair := benchBatchPair(t, 16)
+	c, s := pair.Client, pair.Server
+	sent := countingSender{}
+	s.sender = sent
+	now := pair.Loop.Now()
+
+	// Put data in flight and find the path that carries the most of it.
+	st := s.OpenStream()
+	first := map[uint64]uint64{}
+	for _, id := range s.pathOrder {
+		first[id] = s.paths[id].Space.PeekPN()
+	}
+	st.Write(make([]byte, 12000))
+	var lossy *Path
+	for _, id := range s.pathOrder {
+		q := s.paths[id]
+		if lossy == nil || q.Space.PeekPN()-first[id] > lossy.Space.PeekPN()-first[lossy.ID] {
+			lossy = q
+		}
+	}
+	lo, hi := first[lossy.ID], lossy.Space.PeekPN()-1
+	if hi-lo < recovery.PacketThreshold {
+		t.Fatalf("path %d sent packets %d..%d, want more than %d", lossy.ID, lo, hi, recovery.PacketThreshold)
+	}
+
+	s.Hold()
+	st.Write(make([]byte, 200))
+	clear(sent)
+	lostBefore := lossy.LostPackets
+	// Acknowledge everything on the path but its first packet, which falls
+	// hi-lo ≥ PacketThreshold behind.
+	ack := &wire.AckMPFrame{PathID: lossy.ID, Ranges: []wire.AckRange{{Smallest: lo + 1, Largest: hi}}}
+	p := c.paths[c.pathOrder[0]]
+	bufs := make([][]byte, group)
+	for i := range bufs {
+		bufs[i] = make([]byte, 0, cc.MaxDatagramSize)
+	}
+	pkts := make([][]byte, group)
+	craftPings(c, p, bufs, pkts, group, []wire.Frame{&wire.PingFrame{}, ack})
+	for _, d := range pkts {
+		s.HandleDatagram(now, p.NetIdx, d)
+	}
+	if len(sent) != 0 {
+		t.Fatalf("a held connection sent before Release: %v", sent)
+	}
+	if got := lossy.LostPackets - lostBefore; got != 1 {
+		t.Fatalf("%d packets declared lost before Release, want 1: loss detection did not run at the ACK", got)
+	}
+
+	s.Release()
+	if len(sent) == 0 {
+		t.Fatal("Release ran no send pass")
+	}
+	for netIdx, n := range sent {
+		if n != 1 {
+			t.Fatalf("Release made %d SendBatch calls on interface %d, want 1 per touched path", n, netIdx)
+		}
+	}
+	clear(sent)
+	s.Release()
+	if len(sent) != 0 {
+		t.Fatalf("a second Release sent: %v", sent)
 	}
 }

@@ -190,10 +190,9 @@ type Config struct {
 	// and recovers stranded data only at RTO cadence.
 	DisablePathHealth bool
 	// ForcePrimary overrides wireless-aware primary path selection and
-	// starts the connection on PrimaryNetIdx instead — used by the Fig 7
-	// experiment to contrast primary-path choices.
-	ForcePrimary  bool
-	PrimaryNetIdx int
+	// starts the connection on its first interface instead — used by the
+	// Fig 7 experiment to contrast primary-path choices.
+	ForcePrimary bool
 	// IdleTimeout closes the connection (silently, RFC 9000 §10.1 style)
 	// when no packet has been successfully received for this long. Zero
 	// disables, preserving the pre-hardening behavior of experiments that

@@ -257,18 +257,10 @@ type Conn struct {
 	// SendBatchSize. batchOrder is the first-touch flush order, and
 	// batching is true only inside a batched pass (SendBatchSize > 1);
 	// outside one, sendOne hands each packet over in the reusable oneBatch.
-	// Receive side: inBatch marks a HandleDatagramBatch in progress —
-	// wakeSend is suppressed and ACK-triggered loss detection is deferred —
-	// and ackDirty lists the paths owing that deferred loss pass at batch
-	// end. batchCoalescedAcks counts the ACK frames whose loss detection
-	// was coalesced this batch, for the ack_coalesced trace event.
-	sealFree           [][]byte
-	batchOrder         []*Path
-	batching           bool
-	oneBatch           [1][]byte
-	inBatch            bool
-	ackDirty           []*Path
-	batchCoalescedAcks int
+	sealFree   [][]byte
+	batchOrder []*Path
+	batching   bool
+	oneBatch   [1][]byte
 
 	// Orderings kept across send passes (DESIGN.md §11) instead of
 	// re-filtered and re-sorted on every one. streamOrder is (priority, id)
@@ -425,16 +417,12 @@ func (c *Conn) newPath(id uint64, netIdx int, tech trace.Technology) *Path {
 
 // selectPrimaryInterface implements wireless-aware primary path selection
 // (Sec 5.3): prefer the interface whose technology ranks best, unless the
-// configuration pins a specific interface.
+// configuration pins the first one.
 func (c *Conn) selectPrimaryInterface() Interface {
-	if c.cfg.ForcePrimary {
-		for _, itf := range c.interfaces {
-			if itf.NetIdx == c.cfg.PrimaryNetIdx {
-				return itf
-			}
-		}
-	}
 	best := c.interfaces[0]
+	if c.cfg.ForcePrimary {
+		return best
+	}
 	for _, itf := range c.interfaces[1:] {
 		if itf.Tech.PrimaryPreference() < best.Tech.PrimaryPreference() {
 			best = itf
@@ -527,10 +515,10 @@ func (c *Conn) deriveSessionKeys(clientRandom, serverRandom []byte) error {
 
 // Hold defers the connection's send passes and timer re-arms until Release
 // (DESIGN.md §16, the live turn). While it is held, wakeSend, the trailing
-// pass of HandleDatagram and HandleDatagramBatch and the timer's pass only
-// note that a pass is owed, so the frames that several calls queue leave
-// together. The simulator never holds a connection; a live endpoint holds
-// its connection for a shard turn.
+// pass of HandleDatagram and the timer's pass only note that a pass is
+// owed, so the frames that several calls queue leave together. The
+// simulator never holds a connection; a live endpoint holds its connection
+// for a shard turn.
 func (c *Conn) Hold() { c.held = true }
 
 // Release ends a hold and runs the pass it deferred, if one was owed: one
@@ -547,60 +535,13 @@ func (c *Conn) Release() {
 }
 
 // HandleDatagram ingests a received UDP payload that arrived on local
-// interface netIdx.
+// interface netIdx: lifecycle guards, stats, trace, decrypt and frame
+// dispatch, then one send pass and one timer re-arm — both deferred to
+// Release while the connection is held (DESIGN.md §16). data is borrowed
+// for the duration of the call (see DatagramSender's ownership note).
 func (c *Conn) HandleDatagram(now time.Duration, netIdx int, data []byte) {
-	if !c.ingestDatagram(now, netIdx, data) {
-		return
-	}
-	c.maybeSend(now)
-	c.rearmTimer()
-}
-
-// HandleDatagramBatch ingests pkts — N datagrams that arrived back-to-back
-// on netIdx — with per-batch coalescing (DESIGN.md §16): the packets are
-// decrypted and their frames dispatched one by one, but ACK-triggered loss
-// detection runs once per touched path at batch end (OnAckNoLoss during
-// the loop, one OnLossTimeout in flushAckDirty), followed by a single send
-// pass and one timer re-arm, instead of N of each. A one-packet batch
-// delegates to HandleDatagram, so the sim path — netem delivers exactly
-// one datagram per event — behaves byte-identically to the unbatched
-// transport. The slice and every packet buffer are borrowed from the I/O
-// layer for the duration of the call (see DatagramSender's ownership note).
-func (c *Conn) HandleDatagramBatch(now time.Duration, netIdx int, pkts [][]byte) {
-	if len(pkts) == 0 || c.state == stateClosed {
-		return
-	}
-	if len(pkts) == 1 {
-		c.HandleDatagram(now, netIdx, pkts[0])
-		return
-	}
-	c.inBatch = true
-	tail := false
-	for _, d := range pkts {
-		if c.ingestDatagram(now, netIdx, d) {
-			tail = true
-		}
-		if c.state == stateClosed {
-			break
-		}
-	}
-	// Deferred loss detection runs while inBatch still suppresses wakeSend;
-	// the single send pass below picks up everything it re-queued.
-	c.flushAckDirty(now)
-	c.inBatch = false
-	if tail {
-		c.maybeSend(now)
-		c.rearmTimer()
-	}
-}
-
-// ingestDatagram runs the receive half of HandleDatagram — lifecycle
-// guards, stats, trace, decrypt and frame dispatch — without the trailing
-// send pass and timer re-arm. It reports whether the caller owes that tail
-// (false for packets absorbed in a terminal state).
-func (c *Conn) ingestDatagram(now time.Duration, netIdx int, data []byte) bool {
 	if c.state == stateClosed || len(data) == 0 {
-		return false
+		return
 	}
 	if c.state == stateDraining {
 		// RFC 9000 §10.2.2: in draining we send nothing, but keep absorbing
@@ -608,7 +549,7 @@ func (c *Conn) ingestDatagram(now time.Duration, netIdx int, data []byte) bool {
 		c.stats.RecvPackets++
 		c.stats.RecvBytes += uint64(len(data))
 		c.tr.PacketReceived(now, netIdx, len(data))
-		return false
+		return
 	}
 	if c.state == stateClosing {
 		// §10.2.1: answer stray packets with the retained CONNECTION_CLOSE,
@@ -621,7 +562,7 @@ func (c *Conn) ingestDatagram(now time.Duration, netIdx int, data []byte) bool {
 		if c.closeRecvCount&(c.closeRecvCount-1) == 0 {
 			c.resendClose(now)
 		}
-		return false
+		return
 	}
 	c.stats.RecvPackets++
 	c.stats.RecvBytes += uint64(len(data))
@@ -631,34 +572,8 @@ func (c *Conn) ingestDatagram(now time.Duration, netIdx int, data []byte) bool {
 	} else {
 		c.handleShortPacket(now, netIdx, data)
 	}
-	return true
-}
-
-// noteAckDirty registers p for the batch-end deferred loss-detection pass,
-// deduplicating with a linear scan (connections hold a handful of paths).
-func (c *Conn) noteAckDirty(p *Path) {
-	for _, q := range c.ackDirty {
-		if q == p {
-			return
-		}
-	}
-	c.ackDirty = append(c.ackDirty, p)
-}
-
-// flushAckDirty runs the loss detection deferred by OnAckNoLoss: one pass
-// per path that processed ACKs this batch, at the same now the ACKs were
-// processed at, so a batch is outcome-equivalent to per-packet processing.
-func (c *Conn) flushAckDirty(now time.Duration) {
-	if c.batchCoalescedAcks > 0 {
-		c.tr.AckCoalesced(now, c.batchCoalescedAcks, len(c.ackDirty))
-		c.batchCoalescedAcks = 0
-	}
-	for i, p := range c.ackDirty {
-		lost := p.Space.OnLossTimeout(now)
-		c.handleLost(now, p, lost, "time")
-		c.ackDirty[i] = nil
-	}
-	c.ackDirty = c.ackDirty[:0]
+	c.maybeSend(now)
+	c.rearmTimer()
 }
 
 // handleInitialDatagram processes a long-header (handshake) packet.
@@ -1272,9 +1187,8 @@ func (c *Conn) maybeForgetRecv(rs *RecvStream) {
 	}
 }
 
-// processAck applies an ACK to the target path's space. Inside a receive
-// batch, loss detection is deferred to flushAckDirty at batch end; the rest
-// of the ACK reaction (RTT, CC, chunk bookkeeping) is identical.
+// processAck applies an ACK to the target path's space and reacts to what
+// it acknowledged and to what its loss detection declared lost.
 func (c *Conn) processAck(now time.Duration, target *Path, ranges []wire.AckRange, delay time.Duration) {
 	if target == nil {
 		return
@@ -1287,14 +1201,7 @@ func (c *Conn) processAck(now time.Duration, target *Path, ranges []wire.AckRang
 		c.Close(ErrCodeProtocolViolation, "acknowledgement of a packet never sent")
 		return
 	}
-	var res recovery.AckResult
-	if c.inBatch {
-		res = target.Space.OnAckNoLoss(ranges, delay, now)
-		c.noteAckDirty(target)
-		c.batchCoalescedAcks++
-	} else {
-		res = target.Space.OnAck(ranges, delay, now)
-	}
+	res := target.Space.OnAck(ranges, delay, now)
 	if len(res.Acked) > 0 {
 		// Acked delivery proves the path works in the send direction.
 		c.unsuspectPath(now, target)
@@ -1328,9 +1235,9 @@ func (c *Conn) processAck(now time.Duration, target *Path, ranges []wire.AckRang
 // attributes bulk declarations (DeclareAllLost leaves SentPacket.LostTrigger
 // empty) in the trace: "pto" or "evacuated". It is the last reader of every
 // loss-detection result on p.Space — processAck has walked the acked list
-// before it, flushAckDirty and the timer's loss and PTO paths hand it the lost
-// list and touch no record after — so it frees the records that call retired
-// (DESIGN.md §18): the send pass it may wake, and the next one, reuse them.
+// before it, the timer's loss and PTO paths hand it the lost list and touch
+// no record after — so it frees the records that call retired (DESIGN.md
+// §18): the send pass it may wake, and the next one, reuse them.
 func (c *Conn) handleLost(now time.Duration, p *Path, lost []*recovery.SentPacket, fallbackTrigger string) {
 	recovery.AssertLive(lost, "the lost list handleLost reacts to")
 	for _, sp := range lost {

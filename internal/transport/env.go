@@ -51,11 +51,11 @@ func (e SimEnv) Schedule(at time.Duration, fn func(now time.Duration)) func() {
 // duration of the call. Implementations that queue, delay or record a
 // datagram must copy it; netem's links and the UDP socket write both do.
 // The same rule holds in the other direction at the receive boundary: the
-// data passed to Conn.HandleDatagram / HandleDatagramBatch is borrowed from
-// the I/O layer's read buffers (e.g. the live read loop's buffer ring over
-// ReadFromUDPAddrPort) and must not be retained by the connection past the
-// call — the connection decodes frames into its own scratch and the I/O
-// layer recycles the buffers immediately after.
+// data passed to Conn.HandleDatagram is borrowed from the I/O layer's read
+// buffers (e.g. the live read loop's pooled buffers) and must not be
+// retained by the connection past the call — the connection decodes frames
+// into its own scratch and the I/O layer recycles the buffer right after,
+// even while the connection is held and its send pass is still owed.
 type DatagramSender interface {
 	// SendBatch transmits pkts in order on netIdx and returns how many
 	// were handed to the network (implementations that cannot fail return

@@ -140,7 +140,7 @@ func TestRecvStreamMatchesReference(t *testing.T) {
 				c := &Conn{
 					cfg:         Config{}.withDefaults(),
 					recvStreams: map[uint64]*RecvStream{},
-					inBatch:     true, // no send passes: this conn has no network
+					env:         SimEnv{Loop: sim.NewLoop()}, // never established: no send pass runs
 					fecEnabled:  fecOn,
 				}
 				c.localMaxData = c.cfg.Params.InitialMaxData

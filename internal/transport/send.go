@@ -15,11 +15,10 @@ func (c *Conn) shortHeaderOverhead() int {
 }
 
 // wakeSend requests a send pass. Safe to call from any handler; the pass
-// runs inline unless we are already inside one, or inside a receive batch
-// — HandleDatagramBatch runs exactly one pass at batch end instead — or the
-// connection is held, when Release runs it.
+// runs inline unless we are already inside one, or the connection is held,
+// when Release runs it.
 func (c *Conn) wakeSend() {
-	if c.inSend || c.inBatch || c.state >= stateClosing {
+	if c.inSend || c.state >= stateClosing {
 		return
 	}
 	now := c.env.Now()

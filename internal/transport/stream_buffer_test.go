@@ -346,7 +346,7 @@ func TestTerminalEventsReleaseBuffers(t *testing.T) {
 
 	// Sender-side reset: a stream with everything still buffered.
 	s := srv.Stream(0)
-	srv.inBatch = true // park the data: no send pass picks it up
+	srv.Hold() // park the data: no send pass picks it up
 	s.Write(payload)
 	if got := srv.Stats().SendBufferedBytes; got != uint64(len(payload)) {
 		t.Fatalf("buffered %d of %d written bytes", got, len(payload))
@@ -363,11 +363,11 @@ func TestTerminalEventsReleaseBuffers(t *testing.T) {
 	// STOP_SENDING from the peer resets the stream it names.
 	s4 := srv.Stream(4)
 	s4.Write(payload)
-	srv.inBatch = false
 	injectFrames(pair, &wire.StopSendingFrame{StreamID: 4, ErrorCode: 9})
 	if !s4.IsReset() || srv.Stats().SendBufferedBytes != 0 {
 		t.Fatalf("after STOP_SENDING: reset %v, %d bytes buffered", s4.IsReset(), srv.Stats().SendBufferedBytes)
 	}
+	srv.Release()
 
 	// Receive side: out-of-order data parked behind a hole, then RESET_STREAM.
 	injectFrames(pair, &wire.StreamFrame{StreamID: 8, Offset: 1 << 20, Data: payload[:1000]})
@@ -388,12 +388,12 @@ func TestTerminalEventsReleaseBuffers(t *testing.T) {
 
 	// Connection close: both directions, while the handles stay reachable.
 	held := cli.OpenStream()
-	cli.inBatch = true
+	cli.Hold() // park the data until the close
 	held.Write(payload)
-	cli.inBatch = false
 	injectFrames(pair, &wire.StreamFrame{StreamID: 16, Offset: 1 << 20, Data: payload[:1000]})
 	rs := srv.recvStreams[16]
 	cli.Close(0, "done")
+	cli.Release()
 	srv.Close(0, "done")
 	if cs, ss := cli.Stats(), srv.Stats(); cs.SendBufferedBytes != 0 || ss.RecvBufferedBytes != 0 || held.data.pooled {
 		t.Fatalf("closed connections buffer %d / %d bytes; send segments still pooled: %v", cs.SendBufferedBytes, ss.RecvBufferedBytes, held.data.pooled)
@@ -409,7 +409,7 @@ func TestTerminalEventsReleaseBuffers(t *testing.T) {
 // would break the one-search lookup, frameAt agrees with a linear scan, and
 // ranges below the release floor are dropped.
 func TestFrameRangesOrderedDisjointAndTrimmed(t *testing.T) {
-	c := &Conn{cfg: Config{}.withDefaults(), inBatch: true}
+	c := &Conn{cfg: Config{}.withDefaults(), env: SimEnv{Loop: sim.NewLoop()}} // never established: no send pass runs
 	s := &SendStream{conn: c}
 	s.Write(make([]byte, 1000))        // [0, 1000) untagged
 	s.WriteFrame(make([]byte, 500), 0) // [1000, 1500) prio 0

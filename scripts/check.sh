@@ -76,9 +76,11 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # state that ends with the stream (§17): 20 000 exchanges held to the streams
 # open, frames for forgotten streams ignored, FEC-repaired and reset streams
 # retired — with the assertion that a stream leaves only with nothing in
-# flight or queued, and that every chunk cut finds its stream.
+# flight or queued, and that every chunk cut finds its stream. Then Hold's
+# contract (§16): a held connection sends nothing until Release, runs loss
+# detection at each ACK meanwhile, and Release sends once per touched path.
 step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
-	-run 'TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestSegBufSmallStreamCostsItsBytes|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
+	-run 'TestHeldReceiveRunsOnePassAtRelease|TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestSegBufSmallStreamCostsItsBytes|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
 # Frame and packet-record ownership (DESIGN.md §18) with assertions and the
 # race detector on: a record given back to the process-wide pool is poisoned
 # and must not be named by an AckResult, the ledger or a SentFrom result;
@@ -102,12 +104,12 @@ step sh -c 'go run ./cmd/xlink-bench -scale quick -seed 20210823 | diff -u cmd/x
 step go test -count=1 ./internal/chaos/ -run TestGoldenTrace
 # Shard-owned live connections under the race detector and assertions
 # (DESIGN.md §16): socket readers posting to shard channels, shard goroutines
-# batching into the transports, foreign-goroutine writers posting ops, and
+# delivering into the held transports, foreign-goroutine writers posting ops, and
 # endpoint/group shutdown all interleaving over real UDP, with every read
 # buffer and write chunk poisoned as it goes back to the process-wide pool;
 # the shard's loop and timer (§20) under cancel, re-arm and Close storms, with
 # no timer of a closed endpoint run; an idle group that holds no read buffer,
-# and a datagram kept past its batch that reads poison; data callbacks that
+# and a datagram kept past its delivery that reads poison; data callbacks that
 # run inline on the shard, in order, while another goroutine writes; a
 # callback that calls every endpoint and stream method, Close last; an op
 # that posts to its own shard while the shard applies it; two

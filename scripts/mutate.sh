@@ -302,7 +302,7 @@ rep(qq~\tc.handleLost(now, target, res.Lost, "time")\n~, qq~\ttarget.Space.Recla
 EOF
 mut R2 recycle internal/recovery/recovery.go "./internal/recovery/ ./internal/transport/" \
 	"OnAck frees the records gc retired before it returns the result that names them" <<'EOF'
-rep(qq~\t\tres.Lost = s.detectLost(now)\n\t\ts.gc()\n~, qq~\t\tres.Lost = s.detectLost(now)\n\t\ts.gc()\n\t\ts.Reclaim()\n~);
+rep(qq~\tres.Lost = s.detectLost(now)\n\ts.gc()\n~, qq~\tres.Lost = s.detectLost(now)\n\ts.gc()\n\ts.Reclaim()\n~);
 EOF
 
 # shard (no rule): only the shard goroutine touches a live connection; it
@@ -320,8 +320,8 @@ rep(q~func (ep *Endpoint) StateName() string { return ep.snapshot().state }~, q~
 EOF
 mut G3 shard xlink/live.go "$X" \
 	"publish writes the snapshot without snapMu" <<'EOF'
-rep(qq~\tep.snapMu.Lock()\n\tep.snap = s\n\tif ep.drained != nil {\n\t\tclose(ep.drained)\n\t\tep.drained = nil\n\t}\n\tep.snapMu.Unlock()\n~,
-    qq~\tep.snap = s\n\tif ep.drained != nil {\n\t\tclose(ep.drained)\n\t\tep.drained = nil\n\t}\n~);
+rep(qq~\tep.snapMu.Lock()\n\tep.snap = s\n\tep.queued.Add(-ep.applied)\n\tep.applied = 0\n\tif ep.drained != nil {\n\t\tclose(ep.drained)\n\t\tep.drained = nil\n\t}\n\tep.snapMu.Unlock()\n~,
+    qq~\tep.snap = s\n\tep.queued.Add(-ep.applied)\n\tep.applied = 0\n\tif ep.drained != nil {\n\t\tclose(ep.drained)\n\t\tep.drained = nil\n\t}\n~);
 EOF
 mut G4 shard xlink/live.go "$X" \
 	"Stream.SetPriority re-prioritises the transport stream on the caller's goroutine instead of posting an op" <<'EOF'
@@ -334,6 +334,11 @@ EOF
 mut L5 shard xlink/backlog.go "$X" \
 	"awaitBacklog makes a shard goroutine wait too: a callback that writes past the backlog to its own endpoint waits for itself" <<'EOF'
 rep(qq~\t\tif !wait || onShardGoroutine() {\n~, qq~\t\tif !wait {\n~);
+EOF
+mut L6 shard internal/transport/send.go "$T $X" \
+	"maybeSend on a held connection returns without owing the pass: Release has nothing to run" \
+	"equiv=every caller of maybeSend calls rearmTimer after it, whose held branch owes the same pass: Release still runs it" <<'EOF'
+rep(qq~\tif c.held {\n\t\tc.passOwed = true\n\t\treturn\n\t}\n\tif c.inSend~, qq~\tif c.held {\n\t\treturn\n\t}\n\tif c.inSend~);
 EOF
 
 # --- running one mutation -------------------------------------------------

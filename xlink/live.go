@@ -358,7 +358,7 @@ func (ep *Endpoint) SendBatch(netIdx int, pkts [][]byte) int {
 const readBufSize = 2048
 
 // readBufs is the process-wide pool of socket read buffers. A reader takes
-// one per datagram and the shard gives it back once the batch was delivered.
+// one per datagram and the shard gives it back once it delivered the datagram.
 var readBufs bufPool[*[readBufSize]byte]
 
 // writeChunkSize is the size of the chunks a Write's payload is copied into.
@@ -389,7 +389,7 @@ func (bp *bufPool[P]) get() P {
 
 // put gives a buffer back to the pool: any slice of one that starts at its
 // first byte. Under xlinkdebug it is overwritten first, so a consumer that
-// kept the bytes (the transport past HandleDatagramBatch or SendStream.Write)
+// kept the bytes (the transport past HandleDatagram or SendStream.Write)
 // reads 0xdb instead of the buffer's next use.
 func (bp *bufPool[P]) put(buf []byte) {
 	whole := buf[:cap(buf)]
@@ -405,10 +405,11 @@ func (bp *bufPool[P]) put(buf []byte) {
 const liveBatchSize = 16
 
 // rawPacket is one datagram handed from a socket reader to its endpoint's
-// shard. buf is a read buffer from readBufs: the shard gives it back after
-// the batch is delivered, and the transport's receive boundary (see
+// shard. buf is a read buffer from readBufs: the shard gives it back right
+// after delivering it, and the transport's receive boundary (see
 // transport.DatagramSender's ownership note) guarantees the connection does
-// not retain it past HandleDatagramBatch.
+// not retain it past HandleDatagram, though the turn still holds the
+// connection and its send pass is owed.
 type rawPacket struct {
 	ep   *Endpoint
 	sock int // receiving socket's netIdx (client); servers resolve per packet
@@ -591,7 +592,6 @@ type eventLoopShard struct {
 	spare   []op        // the FIFO's other array, swapped in by applyOps
 	turn    []*Endpoint // the endpoints joined to the current turn
 	batch   []rawPacket
-	pkts    [][]byte
 }
 
 // NewEventLoopGroup starts a group of n shard goroutines (n <= 0 means one
@@ -611,7 +611,6 @@ func NewEventLoopGroup(n int) *EventLoopGroup {
 			timer:   time.NewTimer(time.Hour),
 			timerAt: -1,
 			batch:   make([]rawPacket, 0, liveBatchSize),
-			pkts:    make([][]byte, 0, liveBatchSize),
 		}
 		sh.timer.Stop()
 		g.shards = append(g.shards, sh)
@@ -685,8 +684,8 @@ func (sh *eventLoopShard) wake() {
 }
 
 // runTurn is one turn of the shard (DESIGN.md §16): advance the loop to the
-// wall clock, which runs the timers that came due; hand each endpoint's run
-// of datagrams to its connection, whose callbacks run inline; apply the ops
+// wall clock, which runs the timers that came due; hand each datagram to its
+// endpoint's held connection, whose callbacks run inline; apply the ops
 // posted so far; advance again; then release every endpoint the turn
 // joined, which runs its one send pass, publish its snapshot (a closed
 // endpoint's last, after which its done channel closes), and point the
@@ -715,26 +714,18 @@ func (sh *eventLoopShard) runTurn() {
 	}
 }
 
-// ingest splits the turn's datagrams into contiguous per-endpoint runs,
-// delivers each run, and gives the read buffers back.
+// ingest delivers the turn's datagrams in arrival order and gives each read
+// buffer back once it is delivered.
 func (sh *eventLoopShard) ingest() {
-	batch := sh.batch
-	for i := 0; i < len(batch); {
-		ep := batch[i].ep
-		j := i + 1
-		for j < len(batch) && batch[j].ep == ep {
-			j++
+	for k := range sh.batch {
+		rp := &sh.batch[k]
+		if !rp.ep.closed {
+			rp.ep.deliver(rp)
 		}
-		if !ep.closed {
-			ep.deliver(batch[i:j], &sh.pkts)
-		}
-		i = j
+		readBufs.put(rp.buf)
+		*rp = rawPacket{}
 	}
-	for k := range batch {
-		readBufs.put(batch[k].buf)
-		batch[k] = rawPacket{}
-	}
-	sh.batch = batch[:0]
+	sh.batch = sh.batch[:0]
 }
 
 // applyOps applies the ops posted so far, in the order posted; ops posted
@@ -769,34 +760,15 @@ func (ep *Endpoint) join() {
 	}
 }
 
-// deliver hands one endpoint's run of raw packets to its connection:
-// contiguous same-interface packets as one HandleDatagramBatch call.
-// Servers resolve the interface index per packet.
-func (ep *Endpoint) deliver(run []rawPacket, pkts *[][]byte) {
+// deliver hands one datagram to the endpoint's connection, held for the
+// turn. Servers resolve the interface index per datagram.
+func (ep *Endpoint) deliver(rp *rawPacket) {
 	ep.join()
-	now := ep.env.Now()
-	isClient := ep.conn.IsClient()
-	for i := 0; i < len(run); {
-		idx := run[i].sock
-		if !isClient {
-			idx = ep.learnPeer(run[i].from)
-		}
-		ps := append((*pkts)[:0], run[i].buf)
-		j := i + 1
-		for ; j < len(run); j++ {
-			jdx := run[j].sock
-			if !isClient {
-				jdx = ep.learnPeer(run[j].from)
-			}
-			if jdx != idx {
-				break
-			}
-			ps = append(ps, run[j].buf)
-		}
-		ep.conn.HandleDatagramBatch(now, idx, ps)
-		*pkts = ps[:0]
-		i = j
+	idx := rp.sock
+	if !ep.conn.IsClient() {
+		idx = ep.learnPeer(rp.from)
 	}
+	ep.conn.HandleDatagram(ep.env.Now(), idx, rp.buf)
 }
 
 // publish copies the connection's state into the snapshot the value

@@ -46,9 +46,9 @@ func TestIdleGroupHoldsNoReadBuffers(t *testing.T) {
 }
 
 // TestKeptReadBufferReadsPoison: the transport does not keep a datagram past
-// HandleDatagramBatch, so the shard gives its buffer back to the pool right
-// after the batch. Under xlinkdebug the buffer is overwritten on the way, so
-// a consumer that kept the slice reads 0xdb, not the next datagram.
+// HandleDatagram, so the shard gives its buffer back to the pool right after
+// delivering it. Under xlinkdebug the buffer is overwritten on the way, so a
+// consumer that kept the slice reads 0xdb, not the next datagram.
 func TestKeptReadBufferReadsPoison(t *testing.T) {
 	if !assert.Enabled {
 		t.Skip("read buffers are poisoned only under -tags xlinkdebug")
@@ -65,7 +65,7 @@ func TestKeptReadBufferReadsPoison(t *testing.T) {
 		ep.shard.ingest()
 	})
 	if want := bytes.Repeat([]byte{0xdb}, len(kept)); !bytes.Equal(kept, want) {
-		t.Fatalf("a datagram kept past its batch reads %q, want poison", kept)
+		t.Fatalf("a datagram kept past its delivery reads %q, want poison", kept)
 	}
 }
 
