@@ -190,42 +190,6 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosBatchedUnbatchedEquivalence pins the batched-I/O equivalence
-// contract (DESIGN.md §16): with the same seed and script, a transport
-// flushing 16-packet batches through SendBatch must produce a Result —
-// every counter, state string, stall figure and the full scorecard —
-// byte-identical to one sending packet-at-a-time. The netem link admits
-// batched packets one by one (same RNG draws, same queue occupancy, same
-// delivery scheduling), so any divergence is a transport-side ordering or
-// coalescing bug, not an emulation artifact.
-func TestChaosBatchedUnbatchedEquivalence(t *testing.T) {
-	for _, tc := range corpus() {
-		switch tc.sc.Name {
-		case "blackout-primary", "burst-loss", "dup-reorder", "ge-dual-both":
-			tc := tc
-			t.Run(tc.sc.Name, func(t *testing.T) {
-				run := func(batch int) Result {
-					sc := tc.sc
-					inner := sc.Tweak
-					sc.Tweak = func(ccfg, scfg *transport.Config) {
-						if inner != nil {
-							inner(ccfg, scfg)
-						}
-						ccfg.SendBatchSize = batch
-						scfg.SendBatchSize = batch
-					}
-					return Run(sc)
-				}
-				unbatched, batched := run(1), run(16)
-				if unbatched != batched {
-					t.Errorf("batch=16 diverged from batch=1 under the same seed:\n  unbatched: %+v\n  batched:   %+v",
-						unbatched, batched)
-				}
-			})
-		}
-	}
-}
-
 // TestChaosSeedSensitivity guards against the harness accidentally ignoring
 // the seed (which would make the determinism test vacuous): a stochastic
 // scenario under a different seed must differ somewhere.

@@ -386,8 +386,8 @@ func (o *Origin) FECDecision(now, dt time.Duration, lossRate float64, sourceSymb
 	o.commit(r)
 }
 
-// batchSizeBounds buckets the per-path batch-size histogram: batches are
-// SendBatchSize-capped (default 16), so power-of-two buckets up to 64
+// batchSizeBounds buckets the per-path batch-size histogram: the transport
+// flushes a path's batch at 16 packets, so power-of-two buckets up to 64
 // resolve the whole useful range.
 var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64}
 

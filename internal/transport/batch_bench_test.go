@@ -25,14 +25,14 @@ type discardSender struct{}
 
 func (discardSender) SendBatch(netIdx int, pkts [][]byte) int { return len(pkts) }
 
-// benchBatchPair is benchPair with an explicit send batch size on both
-// sides.
-func benchBatchPair(tb testing.TB, batch int) *Pair {
+// benchBatchPair is an established two-path pair on fast links with a 1 ms
+// ACK delay.
+func benchBatchPair(tb testing.TB) *Pair {
 	tb.Helper()
 	params := wire.DefaultTransportParams()
 	params.EnableMultipath = true
-	ccfg := Config{Params: params, Seed: 1, MaxAckDelay: time.Millisecond, SendBatchSize: batch}
-	scfg := Config{Params: params, Seed: 2, MaxAckDelay: time.Millisecond, SendBatchSize: batch}
+	ccfg := Config{Params: params, Seed: 1, MaxAckDelay: time.Millisecond}
+	scfg := Config{Params: params, Seed: 2, MaxAckDelay: time.Millisecond}
 	var got uint64
 	scfg.OnStreamData = func(now time.Duration, s *RecvStream, data []byte, fin bool) {
 		got += uint64(len(data))
@@ -74,15 +74,15 @@ func craftPings(c *Conn, p *Path, bufs, pkts [][]byte, count int, frames []wire.
 // coalesces.
 func BenchmarkConnPacketsPerSec(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		batch int
+		name string
+		held bool
 	}{
-		{"unbatched", 1},
-		{"held16", 16},
+		{"unbatched", false},
+		{"held16", true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			const group = 16
-			pair := benchBatchPair(b, bc.batch)
+			pair := benchBatchPair(b)
 			c, s := pair.Client, pair.Server
 			s.sender = discardSender{} // isolate the receiver from netem copy cost
 			p := c.paths[c.pathOrder[0]]
@@ -100,14 +100,13 @@ func BenchmarkConnPacketsPerSec(b *testing.B) {
 				now += time.Microsecond
 				pair.RunUntil(now)
 				b.StartTimer()
-				held := bc.batch > 1
-				if held {
+				if bc.held {
 					s.Hold()
 				}
 				for j := 0; j < group; j++ {
 					s.HandleDatagram(now, p.NetIdx, pkts[j])
 				}
-				if held {
+				if bc.held {
 					s.Release()
 				}
 			}
@@ -116,26 +115,29 @@ func BenchmarkConnPacketsPerSec(b *testing.B) {
 }
 
 // TestAllocGateBatchFill gates the send-side batch machinery at zero
-// steady-state allocations: filling a full batch from the seal free list and
-// flushing it must reuse the seal buffers, the per-path pending slice and
-// the flush order scratch (scripts/check.sh runs every TestAllocGate*).
+// steady-state allocations: sealing a full batch through emit inside a send
+// pass, which flushes it at sendBatchSize, must reuse the seal buffers, the
+// per-path pending slice and the flush order scratch (scripts/check.sh runs
+// every TestAllocGate*).
 func TestAllocGateBatchFill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state warmup")
 	}
-	pair := benchBatchPair(t, 16)
+	pair := benchBatchPair(t)
 	c := pair.Client
 	c.sender = discardSender{}
 	p := c.paths[c.pathOrder[0]]
 	now := pair.Loop.Now()
 	fill := func() {
-		c.batching = true
-		for i := 0; i < 16; i++ {
-			buf := c.nextSendBuf()
-			c.dispatchPacket(now, p, buf[:64])
+		c.inSend = true
+		for i := 0; i < sendBatchSize; i++ {
+			c.emit(now, p, pingFrames, nil, "1rtt")
+		}
+		c.inSend = false
+		if len(p.batchPend) != 0 {
+			t.Fatalf("%d packets left pending after a full batch", len(p.batchPend))
 		}
 		c.flushBatches(now)
-		c.batching = false
 	}
 	for i := 0; i < 8; i++ { // warm the seal free list to its high-water mark
 		fill()
@@ -171,7 +173,7 @@ func TestAllocGateHeldRecv(t *testing.T) {
 		t.Skip("xlinkdebug: per-packet assertions allocate by design")
 	}
 	const group = 16
-	pair := benchBatchPair(t, 16)
+	pair := benchBatchPair(t)
 	c, s := pair.Client, pair.Server
 	s.sender = discardSender{}
 	p := c.paths[c.pathOrder[0]]
@@ -241,7 +243,7 @@ func (cs countingSender) SendBatch(netIdx int, pkts [][]byte) int {
 // second Release owes nothing and sends nothing.
 func TestHeldReceiveRunsOnePassAtRelease(t *testing.T) {
 	const group = 16
-	pair := benchBatchPair(t, 16)
+	pair := benchBatchPair(t)
 	c, s := pair.Client, pair.Server
 	sent := countingSender{}
 	s.sender = sent

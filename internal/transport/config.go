@@ -206,13 +206,6 @@ type Config struct {
 	// OnClosed fires once when the connection leaves service — local
 	// close, peer close, idle timeout, or handshake failure.
 	OnClosed func(now time.Duration, code uint64, reason string, local bool)
-	// SendBatchSize is the flush threshold: how many sealed packets a
-	// single maybeSend pass accumulates per path before handing them to
-	// the DatagramSender in one SendBatch call (DESIGN.md §16). At 1 each
-	// packet is handed over as a batch of one the moment it is sealed —
-	// the reference the batched/unbatched equivalence test compares
-	// against. Zero means the default (16).
-	SendBatchSize int
 	// Tracer, when set, receives qlog-style structured events for every
 	// packet, path, lifecycle, CC and re-injection decision this
 	// connection makes (see internal/obs). nil is the no-op default: the
@@ -235,9 +228,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HandshakeMaxPTOs == 0 {
 		c.HandshakeMaxPTOs = 8
-	}
-	if c.SendBatchSize <= 0 {
-		c.SendBatchSize = 16
 	}
 	return c
 }

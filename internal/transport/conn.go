@@ -210,9 +210,6 @@ type Conn struct {
 	sendAcct, recvAcct bufAcct
 
 	ctrlQ []ctrlItem
-	// globalReinjQ is the appending-mode re-injection queue: every stream's
-	// copies in enqueue order, trailing all new data (Fig 4a).
-	globalReinjQ []chunk
 	// reinjExamined counts the sent packets scanReinjections has looked at,
 	// for the test that its work does not grow with the connection's age.
 	reinjExamined uint64
@@ -241,7 +238,6 @@ type Conn struct {
 	// assembled that straddle two send segments (§17). decoder owns the
 	// storage of the frames in recvFrames (§18). inRecv guards against
 	// reentrant datagram delivery clobbering all three mid-dispatch.
-	sendBuf    []byte
 	gather     []byte
 	sendFrames []wire.Frame
 	sfScratch  []*wire.StreamFrame
@@ -251,15 +247,13 @@ type Conn struct {
 	decoder    wire.Decoder
 	inRecv     bool
 
-	// Batch I/O state (DESIGN.md §16). Send side: sealFree is the free list
-	// of seal buffers; a packet's buffer is on its path's batchPend from
-	// dispatch until SendBatch returns, so the list stays within paths ×
-	// SendBatchSize. batchOrder is the first-touch flush order, and
-	// batching is true only inside a batched pass (SendBatchSize > 1);
-	// outside one, sendOne hands each packet over in the reusable oneBatch.
+	// Batch I/O state (DESIGN.md §16). sealFree is the free list of seal
+	// buffers; inside a send pass a packet's buffer is on its path's
+	// batchPend from emit until SendBatch returns, so the list stays within
+	// paths × sendBatchSize. batchOrder is the first-touch flush order;
+	// outside a pass, sendOne hands each packet over in the reusable oneBatch.
 	sealFree   [][]byte
 	batchOrder []*Path
-	batching   bool
 	oneBatch   [1][]byte
 
 	// Orderings kept across send passes (DESIGN.md §11) instead of
@@ -1487,18 +1481,14 @@ func (c *Conn) resendClose(now time.Duration) {
 	if c.closeFrame == nil || c.txSealer == nil {
 		return
 	}
-	payload := c.closeFrame.Append(nil)
 	for _, id := range c.pathOrder {
 		p := c.paths[id]
 		if p.State == PathClosed || p.DCID == nil {
 			continue
 		}
-		pn := p.Space.NextPN()
-		pkt := sealShort(c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), payload)
-		c.sendOne(p.NetIdx, pkt)
-		c.stats.SentPackets++
-		c.stats.SentBytes += uint64(len(pkt))
-		c.tr.PacketSent(now, p.ID, pn, len(pkt), "close")
+		frames := append(c.sendFrames[:0], c.closeFrame)
+		c.sendFrames = frames[:0]
+		c.emit(now, p, frames, nil, "close")
 	}
 }
 
@@ -1546,7 +1536,7 @@ func (c *Conn) recordClose(now time.Duration, code uint64, reason string, local 
 	}
 	clear(c.sendStreams)
 	clear(c.recvStreams)
-	c.streamOrder, c.globalReinjQ = nil, nil
+	c.streamOrder = nil
 }
 
 // enterClosing starts the local-close drain period: handshake or

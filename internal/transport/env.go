@@ -60,6 +60,7 @@ type DatagramSender interface {
 	// SendBatch transmits pkts in order on netIdx and returns how many
 	// were handed to the network (implementations that cannot fail return
 	// len(pkts)). It is sendmmsg-shaped: one virtual call per batch, and a
-	// lone packet (handshake, close, SendBatchSize 1) is a batch of one.
+	// packet sent outside a send pass (an Initial, an overdue ACK, a close
+	// resend) is a batch of one.
 	SendBatch(netIdx int, pkts [][]byte) int
 }

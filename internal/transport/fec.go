@@ -723,7 +723,7 @@ func (c *Conn) handleFECRecovered(now time.Duration, fr *wire.FECRecoveredFrame)
 		return
 	}
 	s.recovered.Add(fr.Offset, end)
-	c.dropDelivered(s, fr.Offset, end)
+	s.dropDelivered(fr.Offset, end)
 	before := s.rtx.Size()
 	s.rtx.Subtract(fr.Offset, end)
 	c.stats.FECSuppressedBytes += before - s.rtx.Size()

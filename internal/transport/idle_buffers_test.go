@@ -33,7 +33,7 @@ func liveHeap() uint64 {
 // TestIdleConnectionHoldsNoBuffers: once a multi-MiB transfer is over, an
 // open connection with nothing to send holds no send segment, its receiving
 // end holds no receive segment, and its seal buffers number at most paths ×
-// SendBatchSize — the most that can wait on pending batches at once — even
+// sendBatchSize — the most that can wait on pending batches at once — even
 // after a single pass that sealed hundreds of packets. While each connection
 // parked up to 32 released segments and kept one seal buffer per packet of
 // its longest pass, this pair held 2 241 KiB; with the segments of both
@@ -80,7 +80,7 @@ func TestIdleConnectionHoldsNoBuffers(t *testing.T) {
 	}
 
 	// One pass with a large window and plenty queued: many more packets than
-	// paths × SendBatchSize wait on pending batches in the course of it.
+	// paths × sendBatchSize wait on pending batches in the course of it.
 	srv.inSend = true
 	s.Write(make([]byte, tail))
 	s.Close()
@@ -106,8 +106,8 @@ func TestIdleConnectionHoldsNoBuffers(t *testing.T) {
 		t.Fatalf("idle client buffers %d bytes in %d receive segments (%d runs gathered)", st.RecvBufferedBytes, len(rs.data.segs), gathered)
 	}
 	for _, c := range []*Conn{pair.Client, srv} {
-		if bound := len(c.paths) * c.cfg.SendBatchSize; len(c.sealFree) > bound {
-			t.Fatalf("%d seal buffers parked, bound %d paths × %d", len(c.sealFree), len(c.paths), c.cfg.SendBatchSize)
+		if bound := len(c.paths) * sendBatchSize; len(c.sealFree) > bound {
+			t.Fatalf("%d seal buffers parked, bound %d paths × %d", len(c.sealFree), len(c.paths), sendBatchSize)
 		}
 	}
 	held := liveHeap() - base

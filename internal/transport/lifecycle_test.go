@@ -305,11 +305,12 @@ func TestEvacuatedPathLateAcksHarmless(t *testing.T) {
 // repeat (every one has its own packet number), so a count above one is a
 // double send.
 type batchOnlySender struct {
-	next    DatagramSender
-	seen    map[string]int
-	packets uint64
-	bytes   uint64
-	long    int // long-header (Initial) packets
+	next      DatagramSender
+	seen      map[string]int
+	packets   uint64
+	bytes     uint64
+	long      int // long-header (Initial) packets
+	longBytes uint64
 }
 
 func (s *batchOnlySender) SendBatch(netIdx int, pkts [][]byte) int {
@@ -319,47 +320,61 @@ func (s *batchOnlySender) SendBatch(netIdx int, pkts [][]byte) int {
 		s.bytes += uint64(len(p))
 		if p[0]&0x80 != 0 {
 			s.long++
+			s.longBytes += uint64(len(p))
 		}
 	}
 	return s.next.SendBatch(netIdx, pkts)
 }
 
+// closeLifecycle drives a two-path pair through handshake → 64 KiB of data →
+// the client's Close → the terminal state on both sides, each side sending
+// through a batchOnlySender. It calls check once the data is delivered and
+// again once both sides are closed.
+func closeLifecycle(t *testing.T, check func(stage string, client, server *Conn, cs, ss *batchOnlySender)) {
+	t.Helper()
+	loop := sim.NewLoop()
+	ccfg, scfg := defaultMPConfig()
+	pair := NewPair(loop, sim.NewRNG(13), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
+	client, server := pair.Client, pair.Server
+	cs := &batchOnlySender{next: client.sender, seen: map[string]int{}}
+	ss := &batchOnlySender{next: server.sender, seen: map[string]int{}}
+	client.sender, server.sender = cs, ss
+	col := newCollector()
+	server.SetOnStreamData(col.onData)
+	client.SetOnHandshakeDone(func(now time.Duration) {
+		s := client.OpenStream()
+		s.Write(make([]byte, 64<<10))
+		s.Close()
+	})
+	if err := pair.Start(); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunUntil(2 * time.Second)
+	if len(col.finished) != 1 {
+		t.Fatal("stream did not complete")
+	}
+	check("before close", client, server, cs, ss)
+	client.Close(0, "done")
+	loop.RunUntil(30 * time.Second)
+	if !client.Terminated() || !server.Terminated() {
+		t.Fatalf("states %q/%q, want closed", client.StateName(), server.StateName())
+	}
+	check("after close", client, server, cs, ss)
+}
+
 // TestBatchOnlySenderSeesEveryPacketOnce drives handshake → data → Close
 // through senders that have no single-datagram method: Initials, 1-RTT
 // packets and closing-state resends must all arrive through SendBatch,
-// each exactly once, at the flush threshold of 1 as well as the default.
+// each exactly once.
 func TestBatchOnlySenderSeesEveryPacketOnce(t *testing.T) {
-	for _, batch := range []int{1, 16} {
-		loop := sim.NewLoop()
-		ccfg, scfg := defaultMPConfig()
-		ccfg.SendBatchSize, scfg.SendBatchSize = batch, batch
-		pair := NewPair(loop, sim.NewRNG(13), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
-		client, server := pair.Client, pair.Server
-		cs := &batchOnlySender{next: client.sender, seen: map[string]int{}}
-		ss := &batchOnlySender{next: server.sender, seen: map[string]int{}}
-		client.sender, server.sender = cs, ss
-		col := newCollector()
-		server.SetOnStreamData(col.onData)
-		client.SetOnHandshakeDone(func(now time.Duration) {
-			s := client.OpenStream()
-			s.Write(make([]byte, 64<<10))
-			s.Close()
-		})
-		if err := pair.Start(); err != nil {
-			t.Fatal(err)
-		}
-		loop.RunUntil(2 * time.Second)
-		if len(col.finished) != 1 {
-			t.Fatalf("batch %d: stream did not complete", batch)
-		}
-		beforeClose := cs.packets
-		client.Close(0, "done")
-		loop.RunUntil(30 * time.Second)
-		if !client.Terminated() || !server.Terminated() {
-			t.Fatalf("batch %d: states %q/%q, want closed", batch, client.StateName(), server.StateName())
+	var beforeClose uint64
+	closeLifecycle(t, func(stage string, client, server *Conn, cs, ss *batchOnlySender) {
+		if stage == "before close" {
+			beforeClose = cs.packets
+			return
 		}
 		if cs.packets == beforeClose {
-			t.Fatalf("batch %d: CONNECTION_CLOSE never reached the sender", batch)
+			t.Fatal("CONNECTION_CLOSE never reached the sender")
 		}
 		for _, side := range []struct {
 			name string
@@ -368,19 +383,43 @@ func TestBatchOnlySenderSeesEveryPacketOnce(t *testing.T) {
 		}{{"client", cs, client}, {"server", ss, server}} {
 			name, s, st := side.name, side.s, side.conn.Stats()
 			if s.packets != st.SentPackets || s.bytes != st.SentBytes {
-				t.Fatalf("batch %d: %s sender saw %d packets / %d bytes, connection sent %d / %d",
-					batch, name, s.packets, s.bytes, st.SentPackets, st.SentBytes)
+				t.Fatalf("%s sender saw %d packets / %d bytes, connection sent %d / %d",
+					name, s.packets, s.bytes, st.SentPackets, st.SentBytes)
 			}
 			if s.long == 0 {
-				t.Fatalf("batch %d: %s Initial never reached the sender", batch, name)
+				t.Fatalf("%s Initial never reached the sender", name)
 			}
 			for _, n := range s.seen {
 				if n != 1 {
-					t.Fatalf("batch %d: %s sender was handed one datagram %d times", batch, name, n)
+					t.Fatalf("%s sender was handed one datagram %d times", name, n)
 				}
 			}
 		}
-	}
+	})
+}
+
+// TestPathCountersSumToConnection: every 1-RTT packet is counted on the path
+// it left on, so the paths' SentPackets and SentBytes plus the Initials add
+// up to the connection's totals — after the data and after the close, whose
+// resends once counted toward the connection alone.
+func TestPathCountersSumToConnection(t *testing.T) {
+	closeLifecycle(t, func(stage string, client, server *Conn, cs, ss *batchOnlySender) {
+		for _, side := range []struct {
+			name string
+			s    *batchOnlySender
+			conn *Conn
+		}{{"client", cs, client}, {"server", ss, server}} {
+			packets, bytes := uint64(side.s.long), side.s.longBytes
+			for _, p := range side.conn.Paths() {
+				packets += p.SentPackets
+				bytes += p.SentBytes
+			}
+			if st := side.conn.Stats(); packets != st.SentPackets || bytes != st.SentBytes {
+				t.Errorf("%s, %s: paths and Initials sum to %d packets / %d bytes, connection sent %d / %d",
+					stage, side.name, packets, bytes, st.SentPackets, st.SentBytes)
+			}
+		}
+	})
 }
 
 // TestStreamStateBoundedByOpenStreams: a connection that carries one stream

@@ -19,9 +19,9 @@ const headerSampleLen = 16
 // appending from buf's length: short header, frames serialized in place,
 // PADDING up to the header-protection sample minimum, and an in-place AEAD
 // seal (the 16-byte tag is reserved up front so sealing cannot reallocate
-// away from buf). The returned packet aliases buf when capacity suffices;
-// callers reuse a per-connection scratch and must treat the previous packet
-// as invalid once the next one is assembled.
+// away from buf). The returned packet aliases buf when capacity suffices.
+// Conn.emit seals every 1-RTT packet here, into a buffer from the
+// connection's seal free list.
 func sealShortInto(buf []byte, sealer *crypto.Sealer, dcid wire.ConnectionID, pathID uint32,
 	pn uint64, largestAcked int64, frames []wire.Frame) []byte {
 	pnLen := wire.PacketNumberLen(pn, largestAcked)
@@ -43,23 +43,6 @@ func sealShortInto(buf []byte, sealer *crypto.Sealer, dcid wire.ConnectionID, pa
 	sealed := sealer.Seal(buf[hdrLen:hdrLen], buf[:hdrLen], buf[hdrLen:], pathID, pn)
 	pkt := buf[:hdrLen+len(sealed)]
 	pnOffset := 1 + len(dcid)
-	sample := pkt[pnOffset+4 : pnOffset+4+headerSampleLen]
-	sealer.ProtectHeader(&pkt[0], pkt[pnOffset:pnOffset+pnLen], sample)
-	return pkt
-}
-
-// sealShort builds a protected 1-RTT packet from a pre-serialized payload,
-// allocating the result. Cold paths (close resends) and tests use it; the
-// send path assembles into connection scratch via sealShortInto.
-func sealShort(sealer *crypto.Sealer, dcid wire.ConnectionID, pathID uint32,
-	pn uint64, largestAcked int64, payload []byte) []byte {
-	pnLen := wire.PacketNumberLen(pn, largestAcked)
-	for len(payload) < 4-pnLen {
-		payload = append(payload, 0) // PADDING frame
-	}
-	hdr := wire.AppendShort(nil, dcid, pn, pnLen)
-	pnOffset := 1 + len(dcid)
-	pkt := sealer.Seal(hdr, hdr, payload, pathID, pn)
 	sample := pkt[pnOffset+4 : pnOffset+4+headerSampleLen]
 	sealer.ProtectHeader(&pkt[0], pkt[pnOffset:pnOffset+pnLen], sample)
 	return pkt

@@ -18,6 +18,23 @@ func testSealer(t *testing.T) *crypto.Sealer {
 	return s
 }
 
+// sealShort builds a protected 1-RTT packet from a pre-serialized payload,
+// allocating the result, for tests that craft packets by hand. The transport
+// itself seals 1-RTT packets only through sealShortInto, in Conn.emit.
+func sealShort(sealer *crypto.Sealer, dcid wire.ConnectionID, pathID uint32,
+	pn uint64, largestAcked int64, payload []byte) []byte {
+	pnLen := wire.PacketNumberLen(pn, largestAcked)
+	for len(payload) < 4-pnLen {
+		payload = append(payload, 0) // PADDING frame
+	}
+	hdr := wire.AppendShort(nil, dcid, pn, pnLen)
+	pnOffset := 1 + len(dcid)
+	pkt := sealer.Seal(hdr, hdr, payload, pathID, pn)
+	sample := pkt[pnOffset+4 : pnOffset+4+headerSampleLen]
+	sealer.ProtectHeader(&pkt[0], pkt[pnOffset:pnOffset+pnLen], sample)
+	return pkt
+}
+
 func TestSealOpenShortRoundTrip(t *testing.T) {
 	sealer := testSealer(t)
 	dcid := wire.ConnectionID{1, 2, 3, 4, 5, 6, 7, 8}

@@ -102,10 +102,10 @@ type Path struct {
 	ackScratch       wire.AckFrame
 	ackMPScratch     wire.AckMPFrame
 
-	// batchPend holds packets sealed for this path during the current
-	// batched send pass (DESIGN.md §16), waiting for one SendBatch flush.
-	// The buffers come off the connection's seal free list; the slice is
-	// per-pass scratch whose capacity reaches SendBatchSize and is reused.
+	// batchPend holds packets sealed for this path during the current send
+	// pass (DESIGN.md §16), waiting for one SendBatch flush. The buffers
+	// come off the connection's seal free list; the slice is per-pass
+	// scratch whose capacity reaches sendBatchSize and is reused.
 	batchPend [][]byte
 
 	// Stats.

@@ -56,9 +56,9 @@ func trackedPackets(c *Conn) (tracked, inFlight int) {
 }
 
 // TestResetDropsQueuedReinjections: Reset promises that nothing further is
-// scheduled for the stream, re-injections included. Copies already moved to
-// the appending-mode shared queue used to survive it and go out after the
-// RESET_STREAM.
+// scheduled for the stream, re-injections included. In appending mode the
+// copies wait in their streams' queues behind all new data; the reset
+// stream's must go with it, and no other stream's.
 func TestResetDropsQueuedReinjections(t *testing.T) {
 	gate := true
 	pair := reinjPair(t, ReinjectAppending, &gate)
@@ -69,16 +69,8 @@ func TestResetDropsQueuedReinjections(t *testing.T) {
 	doomed.Write(make([]byte, 3000))
 	other.Write(make([]byte, 3000))
 
-	queued := func(id uint64) (n int) {
-		for _, ch := range srv.globalReinjQ {
-			if ch.streamID == id {
-				n++
-			}
-		}
-		return n
-	}
-	if queued(0) == 0 || queued(4) == 0 {
-		t.Fatalf("scenario queued %d and %d copies in the shared queue, want some of each", queued(0), queued(4))
+	if len(doomed.reinjQ) == 0 || len(other.reinjQ) == 0 {
+		t.Fatalf("scenario queued %d and %d copies, want some of each", len(doomed.reinjQ), len(other.reinjQ))
 	}
 
 	resetDone := false
@@ -91,10 +83,10 @@ func TestResetDropsQueuedReinjections(t *testing.T) {
 	}
 	doomed.Reset(0x10)
 	resetDone = true
-	if queued(0) != 0 {
-		t.Fatalf("%d copies of the reset stream left in the shared queue", queued(0))
+	if len(doomed.reinjQ) != 0 {
+		t.Fatalf("%d copies of the reset stream left queued", len(doomed.reinjQ))
 	}
-	if queued(4) == 0 {
+	if len(other.reinjQ) == 0 {
 		t.Fatal("reset dropped another stream's copies")
 	}
 	other.Write(make([]byte, 256<<10))

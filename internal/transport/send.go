@@ -38,14 +38,10 @@ func (c *Conn) maybeSend(now time.Duration) {
 	if c.inSend || c.state != stateEstablished || c.txSealer == nil {
 		return
 	}
+	// Every packet sealed during the pass waits on its path's pending batch
+	// (emit, DESIGN.md §16).
 	c.inSend = true
-	// Batch mode (DESIGN.md §16): every packet sealed during this pass is
-	// parked on its path's pending slice and flushed to the sender in
-	// SendBatch calls — once per path at pass end (first-touch order), or
-	// mid-pass when a path fills a full batch. SendBatchSize==1 keeps the
-	// immediate-send path, byte-for-byte the pre-batching behavior.
-	c.batching = c.cfg.SendBatchSize > 1
-	defer func() { c.inSend = false; c.batching = false }()
+	defer func() { c.inSend = false }()
 
 	// Invalidate the cached usable-path base once per pass: handlers that
 	// ran since the last pass may have changed path state, DCIDs or
@@ -76,44 +72,54 @@ func (c *Conn) maybeSend(now time.Duration) {
 	c.flushBatches(now)
 }
 
-// nextSendBuf hands out the buffer the next packet is sealed into. In
-// immediate mode that is the connection's single reusable sendBuf; in batch
-// mode it is the top of the seal free list, which dispatchPacket takes off
-// the list until the packet's batch is flushed.
-func (c *Conn) nextSendBuf() []byte {
-	if !c.batching {
-		return c.sendBuf[:0]
-	}
-	// One buffer per pending-batch high-water mark, at most paths × SendBatchSize.
+// sendBatchSize is a send pass's flush threshold: a path whose pending batch
+// reaches it is handed to the sender at once, mid-pass.
+const sendBatchSize = 16
+
+// emit seals frames into a 1-RTT packet on p, enters meta into p's ledger
+// when the packet is ack-eliciting, hands the packet to the network, counts
+// it and traces it as kind; it returns the packet's size. Every 1-RTT packet
+// leaves through here, in one discipline: inside a send pass it joins p's
+// pending batch, flushed at pass end or once it holds sendBatchSize packets;
+// outside one (the timer's overdue ACKs, close resends) it leaves at once.
+// The seal buffer is the top of the free list, which a pending packet holds
+// until its batch is flushed.
+func (c *Conn) emit(now time.Duration, p *Path, frames []wire.Frame, meta *packetMeta, kind string) int {
+	// One buffer per pending-batch high-water mark, at most paths × sendBatchSize.
 	if len(c.sealFree) == 0 {
 		c.sealFree = append(c.sealFree, make([]byte, 0, cc.MaxDatagramSize))
 	}
-	return c.sealFree[len(c.sealFree)-1][:0]
-}
-
-// dispatchPacket hands a freshly sealed packet to the network: immediately
-// in unbatched mode, or onto p's pending batch otherwise. pkt must have
-// been sealed into nextSendBuf's return.
-func (c *Conn) dispatchPacket(now time.Duration, p *Path, pkt []byte) {
-	if !c.batching {
-		c.sendBuf = pkt[:0]
+	top := len(c.sealFree) - 1
+	pn := p.Space.NextPN()
+	pkt := sealShortInto(c.sealFree[top][:0], c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), frames)
+	if meta != nil {
+		recordSent(now, p, meta, pn, len(pkt))
+	}
+	if c.inSend {
+		c.sealFree = c.sealFree[:top]
+		if len(p.batchPend) == 0 {
+			c.batchOrder = append(c.batchOrder, p)
+		}
+		p.batchPend = append(p.batchPend, pkt)
+		if len(p.batchPend) >= sendBatchSize {
+			c.flushBatchPath(now, p)
+		}
+	} else {
+		c.sealFree[top] = pkt[:0]
 		c.sendOne(p.NetIdx, pkt)
-		return
 	}
-	c.sealFree = c.sealFree[:len(c.sealFree)-1] // pkt's buffer leaves the free list for the batch
-	if len(p.batchPend) == 0 {
-		c.batchOrder = append(c.batchOrder, p)
-	}
-	p.batchPend = append(p.batchPend, pkt)
-	if len(p.batchPend) >= c.cfg.SendBatchSize {
-		c.flushBatchPath(now, p)
-	}
+	p.SentPackets++
+	p.SentBytes += uint64(len(pkt))
+	c.stats.SentPackets++
+	c.stats.SentBytes += uint64(len(pkt))
+	c.tr.PacketSent(now, p.ID, pn, len(pkt), kind)
+	return len(pkt)
 }
 
 // sendOne hands a single sealed packet to the sender as a batch of one. It
-// is the path for packets outside a batched pass — Initials, closing-state
-// resends and every packet at SendBatchSize 1 — and, not being a flush of
-// accumulated packets, emits no batch_flush event.
+// is the path for packets outside a send pass — Initials, the timer's overdue
+// ACKs and closing-state resends — and, not being a flush of accumulated
+// packets, emits no batch_flush event.
 func (c *Conn) sendOne(netIdx int, pkt []byte) {
 	c.oneBatch[0] = pkt
 	c.sender.SendBatch(netIdx, c.oneBatch[:])
@@ -138,12 +144,8 @@ func (c *Conn) flushBatchPath(now time.Duration, p *Path) {
 }
 
 // flushBatches drains every path's pending batch in first-touch order —
-// the order the first packet for each path was sealed in, which keeps the
-// cross-link event-scheduling order identical to immediate sends.
+// the order the first packet for each path was sealed in.
 func (c *Conn) flushBatches(now time.Duration) {
-	if !c.batching {
-		return
-	}
 	for i, p := range c.batchOrder {
 		c.flushBatchPath(now, p)
 		c.batchOrder[i] = nil
@@ -180,17 +182,7 @@ func (c *Conn) sendCtrlBypass(now time.Duration) {
 	if len(frames) == 0 {
 		return
 	}
-	pn := p.Space.NextPN()
-	pkt := sealShortInto(c.nextSendBuf(), c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), frames)
-	if meta != nil {
-		recordSent(now, p, meta, pn, len(pkt))
-	}
-	c.dispatchPacket(now, p, pkt)
-	p.SentPackets++
-	p.SentBytes += uint64(len(pkt))
-	c.stats.SentPackets++
-	c.stats.SentBytes += uint64(len(pkt))
-	c.tr.PacketSent(now, p.ID, pn, len(pkt), "ctrl")
+	c.emit(now, p, frames, meta, "ctrl")
 }
 
 // updatePathHealth demotes paths that have gone silent while another path
@@ -367,19 +359,13 @@ func (c *Conn) sendOnePacket(now time.Duration) bool {
 	if !send {
 		return false
 	}
-	pn := p.Space.NextPN()
-	pkt := sealShortInto(c.nextSendBuf(), c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), frames)
+	size := c.emit(now, p, frames, meta, "1rtt")
 	if meta != nil {
-		recordSent(now, p, meta, pn, len(pkt))
-		p.CC.OnPacketSent(now, len(pkt))
+		// Only these packets count toward the congestion window: probe and
+		// control-bypass packets enter the ledger but not the window.
+		p.CC.OnPacketSent(now, size)
 	}
-	c.dispatchPacket(now, p, pkt)
-	p.SentPackets++
-	p.SentBytes += uint64(len(pkt))
 	p.ReinjectBytes += uint64(reinjBytes)
-	c.stats.SentPackets++
-	c.stats.SentBytes += uint64(len(pkt))
-	c.tr.PacketSent(now, p.ID, pn, len(pkt), "1rtt")
 	return true
 }
 
@@ -397,21 +383,14 @@ func (c *Conn) sendProbePacket(now time.Duration) bool {
 		frames := append(c.sendFrames[:0], item.frame)
 		c.sendFrames = frames[:0]
 		c.ctrlQ = append(c.ctrlQ[:i], c.ctrlQ[i+1:]...)
-		pn := p.Space.NextPN()
-		pkt := sealShortInto(c.nextSendBuf(), c.txSealer, p.DCID, uint32(p.ID), pn, p.Space.LargestAcked(), frames)
+		var meta *packetMeta
 		if wire.AckEliciting(item.frame) {
-			meta := packetRecord()
+			meta = packetRecord()
 			if item.reliable {
 				meta.ctrl = append(meta.ctrl, item.frame)
 			}
-			recordSent(now, p, meta, pn, len(pkt))
 		}
-		c.dispatchPacket(now, p, pkt)
-		p.SentPackets++
-		p.SentBytes += uint64(len(pkt))
-		c.stats.SentPackets++
-		c.stats.SentBytes += uint64(len(pkt))
-		c.tr.PacketSent(now, p.ID, pn, len(pkt), "probe")
+		c.emit(now, p, frames, meta, "probe")
 		return true
 	}
 	return false
@@ -629,15 +608,15 @@ func (c *Conn) pullChunk(now time.Duration, p *Path, maxLen int) (chunk, bool) {
 		}
 	}
 	if mode == ReinjectAppending && allowReinj {
+		// No stream has new data left: the copies trail all of it, taken
+		// from the streams' own queues in stream order (Fig 4a).
 		for _, s := range streams {
 			c.scanReinjections(s)
-			// In appending mode all re-injections trail everything; use
-			// the shared queue to preserve enqueue order.
-			c.globalReinjQ = append(c.globalReinjQ, s.reinjQ...)
-			s.reinjQ = s.reinjQ[:0]
 		}
-		if i := ridable(c.globalReinjQ, p); i >= 0 {
-			return c.takeReinj(&c.globalReinjQ, i, maxLen), true
+		for _, s := range streams {
+			if i := ridable(s.reinjQ, p); i >= 0 {
+				return c.takeReinj(&s.reinjQ, i, maxLen), true
+			}
 		}
 	}
 	return chunk{}, false
@@ -787,48 +766,30 @@ func (c *Conn) takeReinj(q *[]chunk, i int, maxLen int) chunk {
 
 // dropDelivered removes queued copies of s's data that [start, end), newly
 // acknowledged or FEC-recovered, completed: the peer holds all of their
-// bytes, so sending them could only waste the fast path.
-func (c *Conn) dropDelivered(s *SendStream, start, end uint64) {
-	s.reinjQ = s.filterDelivered(s.reinjQ, start, end)
-	c.globalReinjQ = s.filterDelivered(c.globalReinjQ, start, end)
-}
-
-// filterDelivered is dropDelivered over one queue, compacting it in place.
-func (s *SendStream) filterDelivered(q []chunk, start, end uint64) []chunk {
+// bytes, so sending them could only waste the fast path. The queue is
+// compacted in place.
+func (s *SendStream) dropDelivered(start, end uint64) {
 	w := 0
-	for i := range q {
-		e := &q[i]
-		if e.streamID == s.id && e.offset < end && start < e.offset+e.length {
-			if !s.wanted(*e) {
-				continue
-			}
+	for i := range s.reinjQ {
+		e := &s.reinjQ[i]
+		if e.offset < end && start < e.offset+e.length && !s.wanted(*e) {
+			continue
 		}
 		if w != i {
-			q[w] = *e
+			s.reinjQ[w] = *e
 		}
 		w++
 	}
-	return q[:w]
+	s.reinjQ = s.reinjQ[:w]
 }
 
-// dropReinjections discards every queued copy of s's data at Reset, from
-// its own queue and from the appending-mode shared one.
+// dropReinjections discards every queued copy of s's data at Reset.
 func (c *Conn) dropReinjections(s *SendStream) {
 	now := c.env.Now()
 	for _, e := range s.reinjQ {
 		c.tr.ReinjectCancel(now, s.id, e.offset, int(e.length), "reset")
 	}
 	s.reinjQ = nil
-	w := 0
-	for _, e := range c.globalReinjQ {
-		if e.streamID == s.id {
-			c.tr.ReinjectCancel(now, s.id, e.offset, int(e.length), "reset")
-			continue
-		}
-		c.globalReinjQ[w] = e
-		w++
-	}
-	c.globalReinjQ = c.globalReinjQ[:w]
 	c.retireStream(s)
 }
 
@@ -852,19 +813,9 @@ func (c *Conn) maybeForget(s *SendStream) {
 		if len(s.reinjQ) > 0 || !s.complete() {
 			return
 		}
-		for _, e := range c.globalReinjQ {
-			if e.streamID == s.id {
-				return
-			}
-		}
 		c.retireStream(s)
 	}
-	if assert.Enabled {
-		assert.That(len(s.reinjQ) == 0, "stream forgotten with copies queued")
-		for _, e := range c.globalReinjQ {
-			assert.That(e.streamID != s.id, "stream forgotten with copies in the shared queue")
-		}
-	}
+	assert.That(len(s.reinjQ) == 0, "stream forgotten with copies queued")
 	delete(c.sendStreams, s.id)
 	c.sendClosed.add(s.id)
 }
@@ -967,14 +918,7 @@ func (c *Conn) flushAcks(now time.Duration, force bool) {
 		}
 		frames := append(c.sendFrames[:0], f)
 		c.sendFrames = frames[:0]
-		pn := carrier.Space.NextPN()
-		pkt := sealShortInto(c.nextSendBuf(), c.txSealer, carrier.DCID, uint32(carrier.ID), pn, carrier.Space.LargestAcked(), frames)
-		c.dispatchPacket(now, carrier, pkt)
-		carrier.SentPackets++
-		carrier.SentBytes += uint64(len(pkt))
-		c.stats.SentPackets++
-		c.stats.SentBytes += uint64(len(pkt))
-		c.tr.PacketSent(now, carrier.ID, pn, len(pkt), "ack")
+		c.emit(now, carrier, frames, nil, "ack")
 		p.ackSent()
 	}
 }

@@ -370,7 +370,7 @@ func (s *SendStream) onChunkAcked(c chunk) {
 		s.acked.Add(c.offset, c.offset+c.length)
 		// Acked data needs neither retransmission nor re-injection.
 		s.rtx.Subtract(c.offset, c.offset+c.length)
-		s.conn.dropDelivered(s, c.offset, c.offset+c.length)
+		s.dropDelivered(c.offset, c.offset+c.length)
 	}
 	if c.fin {
 		s.finAcked = true

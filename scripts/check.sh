@@ -67,7 +67,7 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # pool once outgrown — under
 # xlinkdebug a read below a release floor fails content verification — and
 # an idle connection that holds no send or receive segment, no gather
-# buffer and at most paths × SendBatchSize seal buffers. The borrowed
+# buffer and at most paths × sendBatchSize seal buffers. The borrowed
 # receive contract: a callback that copies gets exact bytes, one that keeps
 # the slice reads poison, and one that writes before it reads still reads
 # its input (segments are released after the callback, not before). Then
@@ -79,8 +79,11 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # flight or queued, and that every chunk cut finds its stream. Then Hold's
 # contract (§16): a held connection sends nothing until Release, runs loss
 # detection at each ACK meanwhile, and Release sends once per touched path.
+# And every 1-RTT packet leaves through one step (§16), which counts it on
+# its path as well as on the connection: the paths and the Initials sum to
+# the connection's totals before and after a close.
 step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
-	-run 'TestHeldReceiveRunsOnePassAtRelease|TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestSegBufSmallStreamCostsItsBytes|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
+	-run 'TestPathCountersSumToConnection|TestHeldReceiveRunsOnePassAtRelease|TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestSegBufSmallStreamCostsItsBytes|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
 # Frame and packet-record ownership (DESIGN.md §18) with assertions and the
 # race detector on: a record given back to the process-wide pool is poisoned
 # and must not be named by an AckResult, the ledger or a SentFrom result;

@@ -3,6 +3,7 @@ package xlink
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,11 +229,36 @@ func BenchmarkLiveFleetEndpoints(b *testing.B) {
 	deadline := time.Now().Add(2 * time.Minute)
 	for total() < want {
 		if time.Now().After(deadline) {
-			b.Fatalf("delivered %d of %d bytes before deadline", total(), want)
+			var report strings.Builder
+			for i, fp := range fleet {
+				share := uint64(b.N/pairs) * uint64(len(msg))
+				if i < b.N%pairs {
+					share += uint64(len(msg))
+				}
+				fmt.Fprintf(&report, "\n  pair %d: %s", i, fp.progress(share))
+			}
+			b.Fatalf("delivered %d of %d bytes before deadline:%s", total(), want, report.String())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	b.StopTimer()
+}
+
+// progress says how far a fleet pair got: the bytes its server delivered
+// against its share, and for each endpoint its state, the packets it sent
+// and lost, and the bytes its send buffers hold.
+func (fp *fleetPair) progress(share uint64) string {
+	side := func(ep *Endpoint) string {
+		st, card := ep.Stats(), ep.Scorecard()
+		var lost uint64
+		for _, p := range card.Paths[:card.NumPaths] {
+			lost += p.LostPackets
+		}
+		return fmt.Sprintf("%s, sent %d lost %d packets, %d bytes buffered",
+			ep.StateName(), st.SentPackets, lost, st.SendBufferedBytes)
+	}
+	return fmt.Sprintf("delivered %d of %d bytes; client %s; server %s",
+		fp.recvBytes.Load(), share, side(fp.client), side(fp.server))
 }
 
 // BenchmarkLiveTinyExchange prices one tiny exchange over loopback end to
