@@ -328,14 +328,6 @@ func pathTimelines(w io.Writer, evs []obs.Event) {
 			get(e).lines = append(get(e).lines, fmt.Sprintf("%12v  -> %s (%s)", e.Time, e.Str("state"), e.Str("reason")))
 		case obs.EvPathAbandoned:
 			get(e).lines = append(get(e).lines, fmt.Sprintf("%12v  abandoned (%s)", e.Time, e.Str("reason")))
-		case obs.EvPrimaryChanged:
-			// Attribute to the new primary's timeline.
-			k := pkey{e.Origin, e.U64("new")}
-			if tallies[k] == nil {
-				tallies[k] = &tally{}
-			}
-			tallies[k].lines = append(tallies[k].lines,
-				fmt.Sprintf("%12v  elected primary (was %d)", e.Time, e.U64("old")))
 		case obs.EvPacketSent:
 			t := get(e)
 			t.sent++

@@ -258,90 +258,3 @@ func TestNewSelectsAlgorithm(t *testing.T) {
 		t.Fatal("AlgNewReno")
 	}
 }
-
-func TestLIABasics(t *testing.T) {
-	g := NewLIAGroup()
-	testControllerBasics(t, g.NewFlow())
-}
-
-func TestLIACoupledLessAggressiveThanTwoRenos(t *testing.T) {
-	// Two coupled LIA flows in congestion avoidance on equal-RTT paths
-	// must collectively grow no faster than two independent NewReno flows
-	// — and close to one flow's rate (RFC 6356's fairness goal).
-	growth := func(mk func() []Controller) int {
-		flows := mk()
-		now := time.Duration(0)
-		rtt := 50 * time.Millisecond
-		// Exit slow start via one loss each, at matching windows.
-		for _, f := range flows {
-			for f.Window() < 64*MaxDatagramSize {
-				f.OnPacketSent(now, MaxDatagramSize)
-				f.OnPacketAcked(now, MaxDatagramSize, rtt)
-			}
-			f.OnPacketSent(now, MaxDatagramSize)
-			f.OnPacketLost(now, now, MaxDatagramSize)
-		}
-		start := 0
-		for _, f := range flows {
-			start += f.Window()
-		}
-		// 200 acked packets per flow in congestion avoidance.
-		for i := 0; i < 200; i++ {
-			now += time.Millisecond
-			for _, f := range flows {
-				f.OnPacketSent(now, MaxDatagramSize)
-				f.OnPacketAcked(now, MaxDatagramSize, rtt)
-			}
-		}
-		end := 0
-		for _, f := range flows {
-			end += f.Window()
-		}
-		return end - start
-	}
-	coupled := growth(func() []Controller {
-		g := NewLIAGroup()
-		return []Controller{g.NewFlow(), g.NewFlow()}
-	})
-	reno := growth(func() []Controller {
-		return []Controller{NewNewReno(), NewNewReno()}
-	})
-	if coupled >= reno {
-		t.Fatalf("coupled growth %d should be below two independent Renos %d", coupled, reno)
-	}
-	// And at least a quarter of it (it should still grow).
-	if coupled <= 0 {
-		t.Fatal("coupled flows must still grow")
-	}
-}
-
-func TestLIAPrefersBetterPath(t *testing.T) {
-	// With unequal RTTs, alpha weights growth toward the lower-RTT flow.
-	g := NewLIAGroup()
-	fast, slow := g.NewFlow(), g.NewFlow()
-	now := time.Duration(0)
-	exit := func(f *LIA, rtt time.Duration) {
-		for f.Window() < 64*MaxDatagramSize {
-			f.OnPacketSent(now, MaxDatagramSize)
-			f.OnPacketAcked(now, MaxDatagramSize, rtt)
-		}
-		f.OnPacketSent(now, MaxDatagramSize)
-		f.OnPacketLost(now, now, MaxDatagramSize)
-	}
-	exit(fast, 20*time.Millisecond)
-	exit(slow, 200*time.Millisecond)
-	fastStart, slowStart := fast.Window(), slow.Window()
-	for i := 0; i < 300; i++ {
-		now += time.Millisecond
-		// The fast path acks 10x as often as the slow one.
-		fast.OnPacketSent(now, MaxDatagramSize)
-		fast.OnPacketAcked(now, MaxDatagramSize, 20*time.Millisecond)
-		if i%10 == 0 {
-			slow.OnPacketSent(now, MaxDatagramSize)
-			slow.OnPacketAcked(now, MaxDatagramSize, 200*time.Millisecond)
-		}
-	}
-	if fast.Window()-fastStart <= slow.Window()-slowStart {
-		t.Fatal("the low-RTT flow should gain more window")
-	}
-}

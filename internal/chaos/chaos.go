@@ -7,8 +7,8 @@
 //     (Requester verifies against video.SynthesizeContent per stream);
 //   - liveness: application-level delivery never stalls longer than a bound
 //     while at least one path is administratively up;
-//   - fallback: permanent death of the primary path degrades to the
-//     survivor instead of wedging the connection;
+//   - fallback: permanent death of the primary path 0 abandons it and
+//     degrades to the survivor instead of wedging the connection;
 //   - termination: when everything dies, both endpoints reach a terminal
 //     closed state and the event loop quiesces (no leaked timers);
 //   - determinism: the same (scenario, seed) pair reproduces the exact same
@@ -81,8 +81,6 @@ type Result struct {
 	ClientState, ServerState string
 	// ClientTerminated / ServerTerminated report terminal closure.
 	ClientTerminated, ServerTerminated bool
-	// ClientPrimary is the client's primary path ID at Deadline.
-	ClientPrimary uint64
 	// AlivePaths counts administratively-up paths at Deadline.
 	AlivePaths int
 	// EventsAfter is how many events still ran when the loop was driven
@@ -239,7 +237,6 @@ func Run(sc Scenario) Result {
 	res.ServerState = pair.Server.StateName()
 	res.ClientTerminated = pair.Client.Terminated()
 	res.ServerTerminated = pair.Server.Terminated()
-	res.ClientPrimary = pair.Client.PrimaryPathID()
 	res.AlivePaths = faults.AliveCount(pair.Network)
 	res.EventsAfter = int(loop.Run(quiesceBudget))
 	res.QoEDecisions, res.QoEEnables = x.Controller.Stats()

@@ -118,8 +118,8 @@ func Corpus() []Scenario {
 		},
 		{
 			// Permanent primary death mid-transfer: clean single-path
-			// fallback — the PTO give-up rule abandons the dead path, a
-			// survivor is re-elected primary, and the transfer completes.
+			// fallback — the PTO give-up rule abandons the dead path 0 and
+			// the transfer completes on the survivor.
 			Name: "interface-death", Seed: 107,
 			Script: faults.Script{Name: "interface-death", Ops: []faults.Op{
 				faults.InterfaceDeath{Path: 0, At: 500 * time.Millisecond},

@@ -86,17 +86,19 @@ func TestGoldenTrace(t *testing.T) {
 // change what is on the wire and when. Before that they had held since the
 // commit before DESIGN.md §19: a timer that is left pending gets its place
 // among same-instant events earlier than one that is re-armed, and this is
-// the test that would show a delivery and a timer trading places. Like
-// golden.trace, a PR that changes behaviour on purpose (or the shape of
+// the test that would show a delivery and a timer trading places. When
+// Result and ConnStats lost their primary-path fields, the result digests
+// were re-recorded (only the %+v text changed) and the trace digests held.
+// Like golden.trace, a PR that changes behaviour on purpose (or the shape of
 // Result) replaces them — the failure prints the new ones.
 func TestLossySessionDigests(t *testing.T) {
 	for _, want := range []struct{ name, trace, result string }{
 		{"ge-dual-reinject-only",
 			"dfb6fc110214c40a11471c4c4e70a2c4b38fc92109625bba6472edf554f249b3",
-			"8ab0d672f47a6b6040ae3dfd4973ae21483a63f55847619e0faf860a46fad936"},
+			"23d06fd8007bf9b944377f817c5ddcf94f9078db4c90d019c250ce1d96256809"},
 		{"ge-dual-both",
 			"ebf3136ba64de6353a0a957c8c879091d6da6f67a20d5ff65c46b5e962813c7d",
-			"7cfc7cbdaceb89c79415f61fb83f96cac8d74bd658f714cff6a364933e37e2fc"},
+			"bf8c4f65fafd91fecca2a728f9057ee027eabaf68004f8b9bbf56ccf66e6f472"},
 	} {
 		sc, ok := ScenarioByName(want.name)
 		if !ok {

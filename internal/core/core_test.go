@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/netem"
 	"repro/internal/qoe"
 	"repro/internal/sim"
@@ -203,60 +202,6 @@ func TestBufferSeriesRecorded(t *testing.T) {
 	}
 	if res.ReinjectSeries.Len() == 0 {
 		t.Fatal("reinject series empty")
-	}
-}
-
-// coupledCC gives the server RFC 6356 linked increases across the
-// connection's paths instead of decoupled controllers — the fairness variant
-// the paper recommends when paths share a bottleneck (Sec 9).
-func coupledCC(_, s *transport.Config) {
-	group := cc.NewLIAGroup()
-	s.CCFactory = func() cc.Controller { return group.NewFlow() }
-}
-
-func TestCoupledCCSessionCompletes(t *testing.T) {
-	res, err := RunSession(SessionConfig{
-		Scheme:    SchemeXLINK,
-		Paths:     stablePaths(10, 10),
-		Video:     testVideo(2),
-		Seed:      21,
-		Configure: coupledCC,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed || !res.Metrics.Finished {
-		t.Fatal("coupled-CC session must complete")
-	}
-}
-
-func TestCoupledSlowerOrEqualOnDisjointBottlenecks(t *testing.T) {
-	// On disjoint last-mile bottlenecks the decoupled variant should be at
-	// least as fast — the reason the paper defaults to decoupled (Sec 9).
-	run := func(coupled bool) SessionResult {
-		cfg := SessionConfig{
-			Scheme: SchemeXLINK,
-			Paths:  stablePaths(8, 8),
-			Video:  testVideo(4),
-			Seed:   33,
-		}
-		if coupled {
-			cfg.Configure = coupledCC
-		}
-		res, err := RunSession(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	coupled := run(true)
-	decoupled := run(false)
-	if !coupled.Completed || !decoupled.Completed {
-		t.Fatal("both variants must complete")
-	}
-	if decoupled.DownloadTime > coupled.DownloadTime+coupled.DownloadTime/4 {
-		t.Fatalf("decoupled (%v) should not be much slower than coupled (%v)",
-			decoupled.DownloadTime, coupled.DownloadTime)
 	}
 }
 

@@ -19,7 +19,6 @@ const (
 	evPathValidated
 	evPathState
 	evPathAbandoned
-	evPrimaryChanged
 	evConnState
 	evScorecard
 	evQoESignal
@@ -63,7 +62,6 @@ var eventSpecs = [numEvents]eventSpec{
 	evPathValidated:      {EvPathValidated, []field{fu("path")}},
 	evPathState:          {EvPathState, []field{fu("path"), fs("state"), fs("reason")}},
 	evPathAbandoned:      {EvPathAbandoned, []field{fu("path"), fs("reason")}},
-	evPrimaryChanged:     {EvPrimaryChanged, []field{fu("old"), fu("new")}},
 	evConnState:          {EvConnState, []field{fs("old"), fs("new"), fu("code"), fs("reason")}},
 	evScorecard:          {EvScorecard, nil},
 	evQoESignal:          {EvQoESignal, []field{fu("cached_bytes"), fu("cached_frames")}},
@@ -189,16 +187,6 @@ func (o *Origin) PathAbandoned(now time.Duration, pathID uint64, reason string) 
 	r := o.open(now, evPathAbandoned)
 	r.u[0] = pathID
 	r.s[0] = reason
-	o.commit(r)
-}
-
-// PrimaryChanged records a primary-path re-election.
-func (o *Origin) PrimaryChanged(now time.Duration, oldID, newID uint64) {
-	if o == nil {
-		return
-	}
-	r := o.open(now, evPrimaryChanged)
-	r.u[0], r.u[1] = oldID, newID
 	o.commit(r)
 }
 

@@ -47,11 +47,10 @@ const (
 	// Congestion/recovery metrics (qlog recovery:metrics_updated).
 	EvMetricsUpdated EventName = "recovery:metrics_updated"
 	// Path lifecycle.
-	EvPathAdded      EventName = "path:added"
-	EvPathValidated  EventName = "path:validated"
-	EvPathState      EventName = "path:state_changed"
-	EvPathAbandoned  EventName = "path:abandoned"
-	EvPrimaryChanged EventName = "path:primary_changed"
+	EvPathAdded     EventName = "path:added"
+	EvPathValidated EventName = "path:validated"
+	EvPathState     EventName = "path:state_changed"
+	EvPathAbandoned EventName = "path:abandoned"
 	// Connection lifecycle.
 	EvConnState EventName = "conn:state_changed"
 	// Per-session QoE rollup, emitted once as the session ends.

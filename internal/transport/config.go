@@ -114,9 +114,9 @@ const (
 	// makes the ACK due at once.
 	ackElicitingThreshold = 2
 	// pathGiveUpPTOs abandons a path outright (PATH_STATUS abandon +
-	// evacuation + primary re-election) when its PTO count reaches this
-	// threshold while another usable path exists. Not applied when
-	// Config.DisablePathHealth is set.
+	// evacuation) when its PTO count reaches this threshold while another
+	// usable path exists; path 0 stays the primary even when abandoned.
+	// Not applied when Config.DisablePathHealth is set.
 	pathGiveUpPTOs = 5
 )
 
@@ -139,12 +139,9 @@ type Config struct {
 	PSK []byte
 	// Params are the local transport parameters.
 	Params wire.TransportParams
-	// CCAlgorithm selects congestion control (Cubic in the paper).
+	// CCAlgorithm selects each path's congestion controller, uncoupled
+	// (Cubic in the paper).
 	CCAlgorithm cc.Algorithm
-	// CCFactory, when set, overrides CCAlgorithm with a custom controller
-	// per path — e.g. flows of a cc.LIAGroup for the coupled variant the
-	// paper recommends on shared bottlenecks (Sec 9).
-	CCFactory func() cc.Controller
 	// AckPolicy selects the ACK_MP return path.
 	AckPolicy AckPolicy
 	// ReinjectionMode selects the re-injection strategy (server side).

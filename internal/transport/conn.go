@@ -114,9 +114,6 @@ type ConnStats struct {
 	CloseLocal     bool
 	// AutoAbandonedPaths counts paths dropped by the PTO give-up rule.
 	AutoAbandonedPaths uint64
-	// PrimaryReElections counts primary-path re-elections after the
-	// previous primary was abandoned.
-	PrimaryReElections uint64
 	// FEC lane counters (DESIGN.md §13). Sender side: windows/repairs
 	// emitted and retransmissions suppressed by peer recovery reports.
 	// Receiver side: windows/repairs ingested, bytes rebuilt, give-ups.
@@ -220,10 +217,12 @@ type Conn struct {
 	// timerCancel cancels the timer the Env holds (nil: none pending), which
 	// fires at timerAt; timerDue is when onTimer's body must next run (0:
 	// never). timerAt <= timerDue while a timer is pending — see rearmTimer.
-	timerCancel         func()
-	timerAt, timerDue   time.Duration
-	inSend              bool
-	secondaryTimerArmed bool
+	// secondaryAt is when the client's delayed secondary paths come up (0:
+	// not waiting), one of nextDeadline's terms.
+	timerCancel       func()
+	timerAt, timerDue time.Duration
+	secondaryAt       time.Duration
+	inSend            bool
 	// held marks a hold (Hold/Release): every send pass and timer re-arm is
 	// deferred, and passOwed records that one was asked for meanwhile.
 	held, passOwed bool
@@ -256,18 +255,13 @@ type Conn struct {
 	batchOrder []*Path
 	oneBatch   [1][]byte
 
-	// Orderings kept across send passes (DESIGN.md §11) instead of
-	// re-filtered and re-sorted on every one. streamOrder is (priority, id)
-	// over the send streams not retired, edited in place (streamsInOrder);
-	// usableBase is pathOrder filtered to Usable()&&DCID!=nil, rebuilt when
-	// pathsDirty is set.
+	// streamOrder is (priority, id) over the send streams not retired, kept
+	// across send passes and edited in place (streamsInOrder, DESIGN.md §11)
+	// instead of re-sorted on every one.
 	streamOrder   []*SendStream
-	usableBase    []*Path
-	pathsDirty    bool
-	sendablePaths []*Path // per-call CanSend filter scratch
+	sendablePaths []*Path // usableSendPaths' result scratch
 
 	// Lifecycle hardening state (DESIGN.md §8).
-	primaryID        uint64                     // current primary path ID
 	lastRecvActivity time.Duration              // last successfully processed packet
 	drainDeadline    time.Duration              // closing/draining → closed transition
 	closeFrame       *wire.ConnectionCloseFrame // retained for closing-state resends
@@ -360,11 +354,6 @@ func (c *Conn) Terminated() bool { return c.state == stateClosed }
 // StateName returns the lifecycle state for logging and tests.
 func (c *Conn) StateName() string { return c.state.String() }
 
-// PrimaryPathID returns the ID of the current primary path. It starts at 0
-// and changes only when the primary is abandoned and another path is
-// re-elected.
-func (c *Conn) PrimaryPathID() uint64 { return c.primaryID }
-
 // MultipathEnabled reports whether multi-path was negotiated.
 func (c *Conn) MultipathEnabled() bool { return c.multipath }
 
@@ -400,15 +389,6 @@ func (c *Conn) newCID() wire.ConnectionID {
 	return cid
 }
 
-// newPath creates a path with the configured congestion controller.
-func (c *Conn) newPath(id uint64, netIdx int, tech trace.Technology) *Path {
-	p := newPath(id, netIdx, tech, c.cfg.CCAlgorithm)
-	if c.cfg.CCFactory != nil {
-		p.CC = c.cfg.CCFactory()
-	}
-	return p
-}
-
 // selectPrimaryInterface implements wireless-aware primary path selection
 // (Sec 5.3): prefer the interface whose technology ranks best, unless the
 // configuration pins the first one.
@@ -435,7 +415,7 @@ func (c *Conn) Start() error {
 		return fmt.Errorf("transport: no interfaces")
 	}
 	primary := c.selectPrimaryInterface()
-	p := c.newPath(0, primary.NetIdx, primary.Tech)
+	p := newPath(0, primary.NetIdx, primary.Tech, c.cfg.CCAlgorithm)
 	p.State = PathActive // primary is validated by the handshake itself
 	c.paths[0] = p
 	c.pathOrder = append(c.pathOrder, 0)
@@ -630,7 +610,7 @@ func (c *Conn) serverHandleClientInitial(now time.Duration, netIdx int, data []b
 		c.peerCIDLimit = peerParams.ActiveCIDLimit
 		c.peerMaxData = peerParams.InitialMaxData
 		c.peerMaxStrData = peerParams.InitialMaxStrData
-		p := c.newPath(0, netIdx, trace.TechWiFi)
+		p := newPath(0, netIdx, trace.TechWiFi, c.cfg.CCAlgorithm)
 		p.State = PathActive
 		p.DCID = c.peerCIDs[0]
 		c.paths[0] = p
@@ -734,19 +714,12 @@ func (c *Conn) maybeInitSecondaryPaths(now time.Duration) {
 		return
 	}
 	if d := c.cfg.SecondaryPathDelay; d > 0 {
-		ready := c.stats.HandshakeRTT + d
-		if now < ready {
-			if !c.secondaryTimerArmed {
-				c.secondaryTimerArmed = true
-				c.env.Schedule(ready, func(at time.Duration) {
-					c.maybeInitSecondaryPaths(at)
-					c.maybeSend(at)
-					c.rearmTimer()
-				})
-			}
+		if ready := c.stats.HandshakeRTT + d; now < ready {
+			c.secondaryAt = ready // onTimer calls back once it is due
 			return
 		}
 	}
+	c.secondaryAt = 0
 	primaryNet := c.paths[0].NetIdx
 	for _, itf := range c.interfaces {
 		if itf.NetIdx == primaryNet {
@@ -759,7 +732,7 @@ func (c *Conn) maybeInitSecondaryPaths(now time.Duration) {
 		if seq >= uint64(len(c.peerCIDs)) || seq >= uint64(len(c.localCIDs)) {
 			continue // need more CIDs first
 		}
-		p := c.newPath(seq, itf.NetIdx, itf.Tech)
+		p := newPath(seq, itf.NetIdx, itf.Tech, c.cfg.CCAlgorithm)
 		p.DCID = c.peerCIDs[seq]
 		c.paths[seq] = p
 		c.pathOrder = append(c.pathOrder, seq)
@@ -816,7 +789,7 @@ func (c *Conn) handleShortPacket(now time.Duration, netIdx int, data []byte) {
 			return
 		}
 		// New path discovered (server side): create and validate it.
-		p = c.newPath(pathID, netIdx, trace.TechLTE)
+		p = newPath(pathID, netIdx, trace.TechLTE, c.cfg.CCAlgorithm)
 		if pathID < uint64(len(c.peerCIDs)) && c.peerCIDs[pathID] != nil {
 			// The matching peer CID is known: replies can flow at once.
 			p.DCID = c.peerCIDs[pathID]
@@ -1030,9 +1003,6 @@ func (c *Conn) handlePathStatus(now time.Duration, fr *wire.PathStatusFrame) {
 		p.State = PathClosed
 		c.tr.PathAbandoned(now, p.ID, "peer-abandon")
 		c.evacuatePath(now, p)
-		if p.ID == c.primaryID {
-			c.reelectPrimary(now)
-		}
 	case wire.PathStandby:
 		if p.State == PathActive {
 			p.State = PathStandbyLocal
@@ -1371,49 +1341,8 @@ func (c *Conn) AbandonPath(id uint64) {
 	p.State = PathClosed
 	c.tr.PathAbandoned(now, id, "local-abandon")
 	c.evacuatePath(now, p)
-	if id == c.primaryID {
-		c.reelectPrimary(now)
-	}
 	c.wakeSend()
 	c.rearmTimer()
-}
-
-// reelectPrimary promotes another path to primary after the old primary was
-// abandoned: prefer usable paths by wireless technology rank then smoothed
-// RTT, falling back to any non-closed path.
-func (c *Conn) reelectPrimary(now time.Duration) {
-	var best *Path
-	for _, id := range c.pathOrder {
-		p := c.paths[id]
-		if p.State == PathClosed || id == c.primaryID {
-			continue
-		}
-		if betterPrimary(p, best) {
-			best = p
-		}
-	}
-	if best == nil {
-		return // no survivor; the idle timeout will end the connection
-	}
-	c.tr.PrimaryChanged(now, c.primaryID, best.ID)
-	c.primaryID = best.ID
-	c.stats.PrimaryReElections++
-}
-
-// betterPrimary reports whether cand ranks above cur (nil: no candidate yet)
-// for re-election.
-func betterPrimary(cand, cur *Path) bool {
-	if cur == nil {
-		return true
-	}
-	candUse, curUse := cand.Usable(), cur.Usable()
-	if candUse != curUse {
-		return candUse
-	}
-	if a, b := cand.Tech.PrimaryPreference(), cur.Tech.PrimaryPreference(); a != b {
-		return a < b
-	}
-	return cand.RTT.Smoothed() < cur.RTT.Smoothed()
 }
 
 // anotherUsablePath reports whether a usable path other than p exists — the

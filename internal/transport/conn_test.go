@@ -722,6 +722,8 @@ func TestSecondaryPathDelay(t *testing.T) {
 	loop := sim.NewLoop()
 	ccfg, scfg := defaultMPConfig()
 	ccfg.SecondaryPathDelay = 500 * time.Millisecond
+	tr := obs.NewTrace("secondary-delay")
+	ccfg.Tracer = tr.Origin("client")
 	pair := NewPair(loop, sim.NewRNG(1), TwoPathConfig(20, 20, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
@@ -736,5 +738,52 @@ func TestSecondaryPathDelay(t *testing.T) {
 	}
 	if !pair.Client.Paths()[1].Usable() {
 		t.Fatal("delayed secondary path should validate")
+	}
+	// The bring-up is a deadline of the connection timer: path 1 is added
+	// exactly when it falls due, not at the next packet after it.
+	evs, err := obs.ParseBytes(tr.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pair.Client.Stats().HandshakeRTT + ccfg.SecondaryPathDelay
+	added := false
+	for _, e := range evs {
+		if e.Name == obs.EvPathAdded && e.U64("path") == 1 {
+			added = true
+			if e.Time != want {
+				t.Errorf("path 1 added at %v, want HandshakeRTT + SecondaryPathDelay = %v", e.Time, want)
+			}
+		}
+	}
+	if !added {
+		t.Error("no path:added traced for path 1")
+	}
+}
+
+// TestCloseLeavesNoSecondaryTimer: a client closed while its secondary paths
+// still wait out their bring-up delay leaves nothing on the event loop once
+// both sides are closed. The delay is one of the connection timer's
+// deadlines, so the terminal state cancels it with the rest (DESIGN.md §19).
+func TestCloseLeavesNoSecondaryTimer(t *testing.T) {
+	loop := sim.NewLoop()
+	ccfg, scfg := defaultMPConfig()
+	ccfg.SecondaryPathDelay = 20 * time.Second
+	pair := NewPair(loop, sim.NewRNG(1), TwoPathConfig(20, 20, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
+	if err := pair.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pair.RunUntil(300 * time.Millisecond)
+	if pair.Client.StateName() != "established" || len(pair.Client.Paths()) != 1 {
+		t.Fatalf("client %s with %d paths at 300ms, want established on the primary alone",
+			pair.Client.StateName(), len(pair.Client.Paths()))
+	}
+	pair.Client.Close(0, "bye")
+	pair.RunUntil(10 * time.Second)
+	if !pair.Client.Terminated() || !pair.Server.Terminated() {
+		t.Fatalf("states client=%q server=%q, want closed/closed",
+			pair.Client.StateName(), pair.Server.StateName())
+	}
+	if n := loop.Run(64); n != 0 {
+		t.Fatalf("event loop still live after both sides closed: %d events ran", n)
 	}
 }

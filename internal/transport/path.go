@@ -117,6 +117,7 @@ type Path struct {
 	LostPackets   uint64
 }
 
+// newPath creates a probing path whose controller is cc.New(alg).
 func newPath(id uint64, netIdx int, tech trace.Technology, alg cc.Algorithm) *Path {
 	rtt := cc.NewRTTEstimator()
 	return &Path{

@@ -43,13 +43,6 @@ func (c *Conn) maybeSend(now time.Duration) {
 	c.inSend = true
 	defer func() { c.inSend = false }()
 
-	// Invalidate the cached usable-path base once per pass: handlers that
-	// ran since the last pass may have changed path state, DCIDs or
-	// pathOrder. Nothing inside the pass itself mutates them (asserted by
-	// the rebuild cross-check in usableSendPaths), so one rebuild per pass
-	// replaces one rebuild per sendOnePacket iteration.
-	c.pathsDirty = true
-
 	c.updatePathHealth(now)
 	c.flushAcks(now, false)
 
@@ -221,41 +214,15 @@ func (c *Conn) updatePathHealth(now time.Duration) {
 	}
 }
 
-// usableSendPaths returns validated paths with congestion window space, in
-// pathOrder order (the selector's tie-break order — never re-sorted). The
-// Usable()&&DCID base set is cached in usableBase and rebuilt only when
-// pathsDirty is set (once per maybeSend pass); only the volatile CanSend
-// filter runs per call, into the sendablePaths scratch. The result is valid
-// until the next call.
+// usableSendPaths returns validated paths with a destination CID and
+// congestion window space, in pathOrder order (the selector's tie-break
+// order — never re-sorted), into the sendablePaths scratch. The result is
+// valid until the next call.
 func (c *Conn) usableSendPaths() []*Path {
-	if c.pathsDirty {
-		c.usableBase = c.usableBase[:0]
-		for _, id := range c.pathOrder {
-			p := c.paths[id]
-			if p.Usable() && p.DCID != nil {
-				c.usableBase = append(c.usableBase, p)
-			}
-		}
-		c.pathsDirty = false
-	}
-	if assert.Enabled {
-		// Cross-check the cache against a full rebuild: a handler mutating
-		// path state mid-pass would silently change path selection.
-		i := 0
-		for _, id := range c.pathOrder {
-			p := c.paths[id]
-			if p.Usable() && p.DCID != nil {
-				assert.That(i < len(c.usableBase) && c.usableBase[i] == p,
-					"stale usableBase cache at %d", i)
-				i++
-			}
-		}
-		assert.That(i == len(c.usableBase),
-			"usableBase cache holds %d paths, rebuild found %d", len(c.usableBase), i)
-	}
 	out := c.sendablePaths[:0]
-	for _, p := range c.usableBase {
-		if p.CC.CanSend(cc.MaxDatagramSize) {
+	for _, id := range c.pathOrder {
+		p := c.paths[id]
+		if p.Usable() && p.DCID != nil && p.CC.CanSend(cc.MaxDatagramSize) {
 			out = append(out, p)
 		}
 	}
@@ -986,6 +953,7 @@ func (c *Conn) nextDeadline() time.Duration {
 		}
 	}
 	if c.state == stateEstablished {
+		deadline = earlierDeadline(deadline, c.secondaryAt)
 		for _, id := range c.pathOrder {
 			p := c.paths[id]
 			deadline = earlierDeadline(deadline, p.Space.LossTime())
@@ -1044,8 +1012,8 @@ func (c *Conn) scheduleTimer(at time.Duration) {
 	c.timerCancel = c.env.Schedule(at, c.onTimerFn)
 }
 
-// onTimer handles drain, idle, loss, PTO, keepalive and delayed-ack
-// deadlines.
+// onTimer handles drain, idle, loss, PTO, keepalive, delayed-ack and
+// secondary-path bring-up deadlines.
 func (c *Conn) onTimer(now time.Duration) {
 	c.timerCancel = nil
 	if c.timerDue == 0 {
@@ -1098,6 +1066,9 @@ func (c *Conn) onTimer(now time.Duration) {
 		}
 	}
 	if c.state == stateEstablished {
+		if c.secondaryAt > 0 && now >= c.secondaryAt {
+			c.maybeInitSecondaryPaths(now)
+		}
 		for _, id := range c.pathOrder {
 			p := c.paths[id]
 			if lt := p.Space.LossTime(); lt > 0 && now >= lt {
@@ -1124,8 +1095,8 @@ func (c *Conn) onPathPTO(now time.Duration, p *Path) {
 		p.Space.PTOCount() >= pathGiveUpPTOs && c.anotherUsablePath(p) {
 		// The path has timed out so many times in a row that suspicion and
 		// standby demotion were not enough: give up on it outright while a
-		// usable alternative exists. The peer learns via PATH_STATUS(abandon)
-		// and, if this was the primary, a survivor is re-elected.
+		// usable alternative exists. The peer learns via PATH_STATUS(abandon);
+		// path 0 stays the primary even when it is the one abandoned.
 		c.stats.AutoAbandonedPaths++
 		c.tr.Anomaly(now, "path_auto_abandoned")
 		c.AbandonPath(p.ID)

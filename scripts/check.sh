@@ -82,8 +82,11 @@ step go test -race -tags xlinkdebug -count=1 ./internal/chaos/ ./internal/netem/
 # And every 1-RTT packet leaves through one step (§16), which counts it on
 # its path as well as on the connection: the paths and the Initials sum to
 # the connection's totals before and after a close.
+# And the secondary-path bring-up is a deadline of the connection timer
+# (§19): path 1 comes up exactly when it falls due, and a close before then
+# leaves nothing on the event loop.
 step go test -race -tags xlinkdebug -count=1 ./internal/transport/ \
-	-run 'TestPathCountersSumToConnection|TestHeldReceiveRunsOnePassAtRelease|TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestSegBufSmallStreamCostsItsBytes|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference'
+	-run 'TestPathCountersSumToConnection|TestHeldReceiveRunsOnePassAtRelease|TestRecvStreamMatchesReference|TestStreamMemoryBoundedByWindow|TestReleasedSegmentsArePoisoned|TestSegBufSmallStreamCostsItsBytes|TestIdleConnectionHoldsNoBuffers|TestDeliveredDataIsBorrowed|TestCallbackWriteKeepsItsInput|TestAck|TestClientAcksEveryOtherPacket|TestTimer|TestStreamStateBoundedByOpenStreams|TestForgottenStream|TestStreamsOpenInAnyOrder|TestResetOfDeliveredStreamQueuesNothing|TestFECRecoversLostDataEndToEnd|TestFECRecoveredRetiresStream|TestIncrementalSchedulerMatchesReference|TestSecondaryPathDelay|TestCloseLeavesNoSecondaryTimer'
 # Frame and packet-record ownership (DESIGN.md §18) with assertions and the
 # race detector on: a record given back to the process-wide pool is poisoned
 # and must not be named by an AckResult, the ledger or a SentFrom result;

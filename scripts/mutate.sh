@@ -267,7 +267,7 @@ rep(qq~\tc.recordClose(now, code, reason, true)\n\tc.enterTerminal(now)\n~, qq~\
 EOF
 mut S3 connstate internal/transport/conn.go "$T" \
 	"enterDraining abandons the primary path (an established-only operation) after the peer closed" <<'EOF'
-rep(qq~\tc.recordClose(now, code, reason, false)\n~, qq~\tc.recordClose(now, code, reason, false)\n\tc.AbandonPath(c.primaryID)\n~);
+rep(qq~\tc.recordClose(now, code, reason, false)\n~, qq~\tc.recordClose(now, code, reason, false)\n\tc.AbandonPath(0)\n~);
 EOF
 mut S4 connstate internal/transport/conn.go "$T" \
 	"enterTerminal reaches closed without tracing the state change" <<'EOF'
