@@ -3,19 +3,16 @@ package lb
 import (
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
 // TestAllocGateForward gates the balancer's per-datagram route path at zero
-// allocations with a registry attached (scripts/check.sh runs every
-// TestAllocGate*): a short header routed by its server ID, a long header
-// routed by hash, and the counted drops of an unknown server ID and of a
-// runt datagram all bump cached counter handles only.
+// allocations (scripts/check.sh runs every TestAllocGate*): a short header
+// routed by its server ID, a long header routed by hash, and the counted
+// drops of an unknown server ID and of a runt datagram bump the router's
+// struct counters only.
 func TestAllocGateForward(t *testing.T) {
 	r := NewRouter(8)
-	reg := obs.NewRegistry()
-	r.SetRegistry(reg)
 	var hits int
 	r.AddBackend(1, BackendFunc(func(int, []byte) { hits++ }))
 	r.AddBackend(2, BackendFunc(func(int, []byte) { hits++ }))

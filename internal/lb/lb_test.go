@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/netem"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -44,23 +43,6 @@ func TestUnknownServerIDDroppedByDefault(t *testing.T) {
 	if r.DroppedUnknownID != 1 || r.Dropped != 1 {
 		t.Fatalf("unknown-ID drop not counted: unknown=%d dropped=%d",
 			r.DroppedUnknownID, r.Dropped)
-	}
-}
-
-func TestUnknownServerIDFallbackOption(t *testing.T) {
-	r := NewRouter(8)
-	r.FallbackRoute = true
-	var hits int
-	r.AddBackend(7, BackendFunc(func(int, []byte) { hits++ }))
-	cid := wire.ConnectionID{99, 1, 2, 3, 4, 5, 6, 7} // unknown ID 99
-	pkt := wire.AppendShort(nil, cid, 0, 1)
-	pkt = append(pkt, make([]byte, 32)...)
-	r.Forward(0, pkt)
-	if hits != 1 {
-		t.Fatal("fallback routing failed")
-	}
-	if r.RoutedByFallback != 1 {
-		t.Fatal("stats")
 	}
 }
 
@@ -217,88 +199,5 @@ func TestMultipathConnectionSticksToOneBackend(t *testing.T) {
 	}
 	if len(owner.Paths()) != 2 {
 		t.Fatalf("owning backend has %d paths, want both", len(owner.Paths()))
-	}
-}
-
-func TestRegistryCounters(t *testing.T) {
-	r := NewRouter(8)
-	reg := obs.NewRegistry()
-	r.AddBackend(1, BackendFunc(func(int, []byte) {}))
-	r.SetRegistry(reg)
-	r.AddBackend(2, BackendFunc(func(int, []byte) {})) // added after SetRegistry
-
-	short := func(id byte) []byte {
-		cid := wire.ConnectionID{id, 9, 9, 9, 9, 9, 9, 9}
-		pkt := wire.AppendShort(nil, cid, 0, 1)
-		return append(pkt, make([]byte, 32)...)
-	}
-	r.Forward(0, short(1))
-	r.Forward(0, short(1))
-	r.Forward(0, short(2))
-	r.Forward(0, short(99)) // unknown ID: counted drop
-	r.Forward(0, []byte{0x40})
-
-	if got := reg.Counter(obs.MetricLBRouted.With("backend", "01")).Value(); got != 2 {
-		t.Errorf("routed{backend=01} = %d, want 2", got)
-	}
-	if got := reg.Counter(obs.MetricLBRouted.With("backend", "02")).Value(); got != 1 {
-		t.Errorf("routed{backend=02} = %d, want 1", got)
-	}
-	if got := reg.Counter(obs.MetricLBDropped).Value(); got != 2 {
-		t.Errorf("dropped = %d, want 2", got)
-	}
-	if got := r.Dropped; got != 2 {
-		t.Errorf("struct Dropped = %d, want 2", got)
-	}
-}
-
-// TestPumpCleanExit runs the route loop as a goroutine the way a balancer
-// deployment would, feeds it datagrams, then closes the done channel and
-// asserts the loop actually terminates (under -race this also proves the
-// handoff of routed packets is clean). A second run exercises the
-// in-channel-closed exit path.
-func TestPumpCleanExit(t *testing.T) {
-	r := NewRouter(8)
-	delivered := make(chan int, 16)
-	r.AddBackend(1, BackendFunc(func(netIdx int, _ []byte) { delivered <- netIdx }))
-
-	cid := wire.ConnectionID{1, 9, 9, 9, 9, 9, 9, 9}
-	pkt := wire.AppendShort(nil, cid, 0, 1)
-	pkt = append(pkt, make([]byte, 32)...)
-
-	in := make(chan Datagram)
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		r.Pump(in, done)
-	}()
-	for i := 0; i < 3; i++ {
-		in <- Datagram{NetIdx: i, Data: pkt}
-		if got := <-delivered; got != i {
-			t.Fatalf("datagram %d delivered with netIdx %d", i, got)
-		}
-	}
-	close(done)
-	select {
-	case <-exited:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Pump did not exit after done closed")
-	}
-
-	// Closing the input channel is the other legal shutdown path.
-	in2 := make(chan Datagram)
-	exited2 := make(chan struct{})
-	go func() {
-		defer close(exited2)
-		r.Pump(in2, nil)
-	}()
-	in2 <- Datagram{NetIdx: 0, Data: pkt}
-	<-delivered
-	close(in2)
-	select {
-	case <-exited2:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Pump did not exit after in closed")
 	}
 }

@@ -38,13 +38,6 @@ type LinkConfig struct {
 	QueueBytes int
 	// LossRate is the independent ingress drop probability in [0,1].
 	LossRate float64
-	// PacketGranular, when true, mimics Mahimahi exactly: every delivery
-	// opportunity carries one packet regardless of its size, so a 40-byte
-	// ACK costs as much as a 1500-byte data packet. The default (false)
-	// converts opportunities to byte credit, which models mixed packet
-	// sizes faithfully and avoids pps-saturation artifacts on ACK-heavy
-	// reverse paths.
-	PacketGranular bool
 	// JitterMax adds a uniform random extra delay in [0, JitterMax) per
 	// packet after the queue, which reorders arrivals — wireless links
 	// under MAC retries do this routinely.
@@ -104,7 +97,7 @@ type Link struct {
 	// onOpportunityFn is l.onOpportunity bound once, so arming the delivery
 	// event does not build a new method value per opportunity.
 	onOpportunityFn sim.Event
-	// credit is unspent opportunity bytes (byte-granular mode).
+	// credit is unspent opportunity bytes.
 	credit int
 
 	// slots holds the packets that have left the queue and are waiting out
@@ -330,8 +323,8 @@ func (l *Link) scheduleNext() {
 }
 
 // onOpportunity consumes the cursor opportunity to deliver queued packets:
-// one packet in strict Mahimahi mode, or up to MTU bytes of credit in
-// byte-granular mode.
+// it converts the opportunity to MTU bytes of credit, which models mixed
+// packet sizes (a 40-byte ACK does not cost a whole opportunity).
 func (l *Link) onOpportunity(now time.Duration) {
 	l.pending = false
 	l.advanceCursor() // this opportunity is consumed regardless
@@ -339,17 +332,13 @@ func (l *Link) onOpportunity(now time.Duration) {
 		l.credit = 0
 		return
 	}
-	if l.cfg.PacketGranular {
+	l.credit += trace.MTU
+	for l.QueueLen() > 0 && l.credit >= len(l.queue[l.head].data) {
+		l.credit -= len(l.queue[l.head].data)
 		l.deliverHead()
-	} else {
-		l.credit += trace.MTU
-		for l.QueueLen() > 0 && l.credit >= len(l.queue[l.head].data) {
-			l.credit -= len(l.queue[l.head].data)
-			l.deliverHead()
-		}
-		if l.QueueLen() == 0 {
-			l.credit = 0 // no banking capacity across idle periods
-		}
+	}
+	if l.QueueLen() == 0 {
+		l.credit = 0 // no banking capacity across idle periods
 	}
 	if l.QueueLen() > 0 {
 		l.scheduleNext()

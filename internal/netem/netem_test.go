@@ -269,29 +269,21 @@ func TestQueueAccounting(t *testing.T) {
 	}
 }
 
-func TestPacketGranularModeChargesPerPacket(t *testing.T) {
-	// Strict Mahimahi: a tiny packet costs a whole delivery opportunity.
-	// At 12 Mbit/s (1000 opportunities/s), 100 tiny packets need ~100ms in
-	// packet-granular mode but drain almost immediately in byte mode.
-	run := func(packetGranular bool) time.Duration {
-		loop := sim.NewLoop()
-		var last time.Duration
-		tr := trace.ConstantRate("t", 12, time.Second)
-		l := NewLink(loop, LinkConfig{Trace: tr, PacketGranular: packetGranular, QueueBytes: 1 << 20},
-			sim.NewRNG(1), func(now time.Duration, data []byte) { last = now })
-		for i := 0; i < 100; i++ {
-			l.Send(make([]byte, 40)) // ack-sized
-		}
-		loop.Run(0)
-		return last
+func TestByteModeDrainsAcksTogether(t *testing.T) {
+	// A delivery opportunity is MTU bytes of credit, not one packet: at
+	// 12 Mbit/s (1000 opportunities/s), 100 ACK-sized packets drain within
+	// a few opportunities instead of ~100ms.
+	loop := sim.NewLoop()
+	var last time.Duration
+	tr := trace.ConstantRate("t", 12, time.Second)
+	l := NewLink(loop, LinkConfig{Trace: tr, QueueBytes: 1 << 20},
+		sim.NewRNG(1), func(now time.Duration, data []byte) { last = now })
+	for i := 0; i < 100; i++ {
+		l.Send(make([]byte, 40)) // ack-sized
 	}
-	strict := run(true)
-	byteMode := run(false)
-	if strict < 90*time.Millisecond {
-		t.Fatalf("packet-granular drain %v, want ~100ms", strict)
-	}
-	if byteMode > 10*time.Millisecond {
-		t.Fatalf("byte-granular drain %v, want a few ms (37 acks per MTU credit)", byteMode)
+	loop.Run(0)
+	if last > 10*time.Millisecond {
+		t.Fatalf("drain %v, want a few ms (37 acks per MTU credit)", last)
 	}
 }
 

@@ -28,8 +28,6 @@ type PathConfig struct {
 	// LinkConfig).
 	JitterMax   time.Duration
 	CorruptRate float64
-	// PacketGranular selects strict Mahimahi delivery accounting.
-	PacketGranular bool
 }
 
 // Path is a bidirectional emulated path: an uplink and a downlink.
@@ -51,13 +49,11 @@ func NewPath(loop *sim.Loop, cfg PathConfig, rng *sim.RNG, toServer, toClient De
 		Trace: cfg.Up, Delay: cfg.OneWayDelay,
 		QueueBytes: cfg.QueueBytes, LossRate: cfg.LossRate,
 		JitterMax: cfg.JitterMax, CorruptRate: cfg.CorruptRate,
-		PacketGranular: cfg.PacketGranular,
 	}, rng.Fork(cfg.Name+"-up"), toServer)
 	downLink := NewLink(loop, LinkConfig{
 		Trace: down, Delay: cfg.OneWayDelay,
 		QueueBytes: cfg.QueueBytes, LossRate: cfg.LossRate,
 		JitterMax: cfg.JitterMax, CorruptRate: cfg.CorruptRate,
-		PacketGranular: cfg.PacketGranular,
 	}, rng.Fork(cfg.Name+"-down"), toClient)
 	return &Path{Name: cfg.Name, Tech: cfg.Tech, up: upLink, down: downLink}
 }

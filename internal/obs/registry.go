@@ -60,9 +60,6 @@ const (
 	// {half="send"} and {half="recv"}: what it has open, not what it ever
 	// carried.
 	MetricOpenStreams MetricName = "xlink_open_streams"
-	// Load-balancer routing outcomes, labeled per backend.
-	MetricLBRouted  MetricName = "xlink_lb_routed_total"
-	MetricLBDropped MetricName = "xlink_lb_dropped_total"
 )
 
 // With returns the name with a `{label="value"}` suffix appended. It is the
@@ -73,44 +70,27 @@ func (n MetricName) With(label, value string) MetricName {
 	return n + MetricName(`{`+label+`="`+value+`"}`)
 }
 
-// regStripes is the lock-stripe count. Metric creation and lookup hash the
-// name onto a stripe so unrelated names never contend; the handles returned
-// are atomics, so the record path takes no lock at all.
-const regStripes = 16
-
-// Registry is the metrics registry: named counters, gauges and sharded
+// Registry is the metrics registry: named counters, gauges and
 // histograms with a deterministic text exposition dump. It is safe for
-// concurrent use without external locking: lookup/creation is lock-striped
-// by name, and the Counter/Gauge/Histogram handles record with atomics
-// (zero allocation, no locks), so live-endpoint goroutines and the sim
-// loop can share one registry. Dump and Snapshot are weakly consistent
+// concurrent use without external locking: lookup and creation take one
+// lock, and the Counter/Gauge/Histogram handles record with atomics (zero
+// allocation, no locks), so the record path never touches it. Each
+// registry has one writer at a time in practice — a sim loop, a live
+// shard, abtest's serial merge or an endpoint's gauge sets — and hot paths
+// record through cached handles. Dump and Snapshot are weakly consistent
 // under concurrent writes — each individual value is read atomically, but
 // the set is not a single instant — and become exact once writers quiesce,
 // which is when the deterministic tests read them.
 type Registry struct {
-	stripes [regStripes]regStripe
-}
-
-type regStripe struct {
 	mu       sync.RWMutex
 	counters map[MetricName]*Counter
 	gauges   map[MetricName]*Gauge
 	hists    map[MetricName]*Histogram
 }
 
-// NewRegistry creates an empty registry. Stripe maps are created lazily so
-// an idle registry costs nothing beyond the struct itself.
+// NewRegistry creates an empty registry. Its maps are created lazily so an
+// idle registry costs nothing beyond the struct itself.
 func NewRegistry() *Registry { return &Registry{} }
-
-// stripeFor hashes a metric name onto its lock stripe (FNV-1a).
-func (r *Registry) stripeFor(name MetricName) *regStripe {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	return &r.stripes[h%regStripes]
-}
 
 // Counter is a monotonically increasing metric. The zero value is ready;
 // all methods are atomic and allocation-free.
@@ -147,44 +127,42 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Counter returns the named counter, creating it at zero on first use.
 // Callers should cache the handle: the record path on the handle is
-// lock-free, while this lookup takes the stripe lock.
+// lock-free, while this lookup takes the registry lock.
 func (r *Registry) Counter(name MetricName) *Counter {
-	s := r.stripeFor(name)
-	s.mu.RLock()
-	c := s.counters[name]
-	s.mu.RUnlock()
+	r.mu.RLock()
+	c := r.counters[name]
+	r.mu.RUnlock()
 	if c != nil {
 		return c
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c = s.counters[name]; c == nil {
-		if s.counters == nil {
-			s.counters = make(map[MetricName]*Counter)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c = r.counters[name]; c == nil {
+		if r.counters == nil {
+			r.counters = make(map[MetricName]*Counter)
 		}
 		c = &Counter{}
-		s.counters[name] = c
+		r.counters[name] = c
 	}
 	return c
 }
 
 // Gauge returns the named gauge, creating it at zero on first use.
 func (r *Registry) Gauge(name MetricName) *Gauge {
-	s := r.stripeFor(name)
-	s.mu.RLock()
-	g := s.gauges[name]
-	s.mu.RUnlock()
+	r.mu.RLock()
+	g := r.gauges[name]
+	r.mu.RUnlock()
 	if g != nil {
 		return g
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g = s.gauges[name]; g == nil {
-		if s.gauges == nil {
-			s.gauges = make(map[MetricName]*Gauge)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if g = r.gauges[name]; g == nil {
+		if r.gauges == nil {
+			r.gauges = make(map[MetricName]*Gauge)
 		}
 		g = &Gauge{}
-		s.gauges[name] = g
+		r.gauges[name] = g
 	}
 	return g
 }
@@ -193,21 +171,20 @@ func (r *Registry) Gauge(name MetricName) *Gauge {
 // bounds on first use. Later calls ignore bounds and return the existing
 // histogram.
 func (r *Registry) Histogram(name MetricName, bounds []float64) *Histogram {
-	s := r.stripeFor(name)
-	s.mu.RLock()
-	h := s.hists[name]
-	s.mu.RUnlock()
+	r.mu.RLock()
+	h := r.hists[name]
+	r.mu.RUnlock()
 	if h != nil {
 		return h
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h = s.hists[name]; h == nil {
-		if s.hists == nil {
-			s.hists = make(map[MetricName]*Histogram)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if h = r.hists[name]; h == nil {
+		if r.hists == nil {
+			r.hists = make(map[MetricName]*Histogram)
 		}
 		h = NewHistogram(bounds)
-		s.hists[name] = h
+		r.hists[name] = h
 	}
 	return h
 }
@@ -225,7 +202,7 @@ type GaugeSample struct {
 }
 
 // HistSample is one histogram in a Snapshot: per-bucket (non-cumulative)
-// counts merged across shards, plus the totals.
+// counts plus the totals.
 type HistSample struct {
 	Name   MetricName
 	Bounds []float64
@@ -243,28 +220,25 @@ type Snapshot struct {
 }
 
 // Snapshot collects every metric into a sorted, self-contained value. It
-// takes each stripe's read lock only to walk the maps; the values are then
-// read atomically off the handles. Weakly consistent under concurrent
-// writes (see the Registry doc).
+// takes the read lock only to walk the maps; the values are then read
+// atomically off the handles. Weakly consistent under concurrent writes
+// (see the Registry doc).
 func (r *Registry) Snapshot() Snapshot {
 	var snap Snapshot
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		s.mu.RLock()
-		for n, c := range s.counters {
-			snap.Counters = append(snap.Counters, CounterSample{Name: n, Value: c.Value()})
-		}
-		for n, g := range s.gauges {
-			snap.Gauges = append(snap.Gauges, GaugeSample{Name: n, Value: g.Value()})
-		}
-		for n, h := range s.hists {
-			snap.Hists = append(snap.Hists, HistSample{
-				Name: n, Bounds: h.Bounds(), Counts: h.BucketCounts(),
-				Count: h.Count(), Sum: h.Sum(),
-			})
-		}
-		s.mu.RUnlock()
+	r.mu.RLock()
+	for n, c := range r.counters {
+		snap.Counters = append(snap.Counters, CounterSample{Name: n, Value: c.Value()})
 	}
+	for n, g := range r.gauges {
+		snap.Gauges = append(snap.Gauges, GaugeSample{Name: n, Value: g.Value()})
+	}
+	for n, h := range r.hists {
+		snap.Hists = append(snap.Hists, HistSample{
+			Name: n, Bounds: h.Bounds(), Counts: h.BucketCounts(),
+			Count: h.Count(), Sum: h.Sum(),
+		})
+	}
+	r.mu.RUnlock()
 	sort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].Name < snap.Counters[j].Name })
 	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].Name < snap.Gauges[j].Name })
 	sort.Slice(snap.Hists, func(i, j int) bool { return snap.Hists[i].Name < snap.Hists[j].Name })

@@ -101,17 +101,16 @@ func TestRegistryDumpFormat(t *testing.T) {
 
 // TestMetricNameWith pins the labeled-name builder syntax.
 func TestMetricNameWith(t *testing.T) {
-	got := MetricLBRouted.With("backend", "b0")
-	if want := MetricName(`xlink_lb_routed_total{backend="b0"}`); got != want {
+	got := MetricBatchSize.With("path", "0")
+	if want := MetricName(`xlink_batch_size{path="0"}`); got != want {
 		t.Errorf("With = %q, want %q", got, want)
 	}
 }
 
-// TestHistogramMergeDeterminism is satellite 4 at the shard level: the
-// merged exposition of a histogram depends only on the multiset of
-// observed values, not on the order (or goroutine interleaving) they were
-// recorded in — merging the per-shard counts in fixed shard order is
-// order-independent.
+// TestHistogramMergeDeterminism: the exposition of a histogram depends
+// only on the multiset of observed values, not on the order (or goroutine
+// interleaving) they were recorded in — the fixed-point sum makes the
+// float total order-independent.
 func TestHistogramMergeDeterminism(t *testing.T) {
 	values := make([]float64, 0, 1000)
 	v := 0.0003

@@ -34,12 +34,13 @@ func benchBatchPair(tb testing.TB) *Pair {
 	ccfg := Config{Params: params, Seed: 1, MaxAckDelay: time.Millisecond}
 	scfg := Config{Params: params, Seed: 2, MaxAckDelay: time.Millisecond}
 	var got uint64
-	scfg.OnStreamData = func(now time.Duration, s *RecvStream, data []byte, fin bool) {
+	serverOnData := func(now time.Duration, s *RecvStream, data []byte, fin bool) {
 		got += uint64(len(data))
 	}
 	loop := sim.NewLoop()
 	pair := NewPair(loop, sim.NewRNG(7),
 		TwoPathConfig(200, 200, 2*time.Millisecond, 6*time.Millisecond), ccfg, scfg)
+	pair.Server.SetOnStreamData(serverOnData)
 	if err := pair.Start(); err != nil {
 		tb.Fatal(err)
 	}

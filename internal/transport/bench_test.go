@@ -38,12 +38,13 @@ func benchPair(tb testing.TB, got *uint64) *Pair {
 	params.EnableMultipath = true
 	ccfg := Config{Params: params, Seed: 1, MaxAckDelay: time.Millisecond}
 	scfg := Config{Params: params, Seed: 2, MaxAckDelay: time.Millisecond}
-	scfg.OnStreamData = func(now time.Duration, s *RecvStream, data []byte, fin bool) {
+	serverOnData := func(now time.Duration, s *RecvStream, data []byte, fin bool) {
 		*got += uint64(len(data))
 	}
 	loop := sim.NewLoop()
 	pair := NewPair(loop, sim.NewRNG(7),
 		TwoPathConfig(200, 200, 2*time.Millisecond, 6*time.Millisecond), ccfg, scfg)
+	pair.Server.SetOnStreamData(serverOnData)
 	if err := pair.Start(); err != nil {
 		tb.Fatal(err)
 	}

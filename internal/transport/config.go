@@ -159,19 +159,8 @@ type Config struct {
 	// deadline that delays an ACK, and a connection timer deadline like a
 	// PTO. Default 25 ms (RFC 9000's max_ack_delay).
 	MaxAckDelay time.Duration
-	// QoEProvider, on the client, supplies the current player signal to
-	// piggyback on every outgoing ACK_MP frame; a zero signal rides none.
-	QoEProvider func() wire.QoESignal
 	// OnQoE, on the server, observes client QoE signals.
 	OnQoE func(now time.Duration, sig wire.QoESignal)
-	// OnStreamData delivers in-order stream data to the application. data is
-	// valid for the call only: it aliases buffers the connection reuses once
-	// the callback returns, so a callback that keeps bytes copies them.
-	OnStreamData func(now time.Duration, s *RecvStream, data []byte, fin bool)
-	// OnStreamOpen announces a peer-initiated stream.
-	OnStreamOpen func(now time.Duration, s *RecvStream)
-	// OnHandshakeDone fires when the handshake completes.
-	OnHandshakeDone func(now time.Duration)
 	// ServerID is encoded into issued CIDs for QUIC-LB routing (Sec 6,
 	// "Work with Load Balancers"); zero is fine outside LB deployments.
 	ServerID byte
@@ -197,12 +186,9 @@ type Config struct {
 	IdleTimeout time.Duration
 	// HandshakeMaxPTOs caps Initial retransmission attempts; once
 	// exhausted the connection enters a terminal error state (surfaced via
-	// Stats and OnClosed) instead of stalling silently. Zero means the
+	// Stats) instead of stalling silently. Zero means the
 	// default (8).
 	HandshakeMaxPTOs int
-	// OnClosed fires once when the connection leaves service — local
-	// close, peer close, idle timeout, or handshake failure.
-	OnClosed func(now time.Duration, code uint64, reason string, local bool)
 	// Tracer, when set, receives qlog-style structured events for every
 	// packet, path, lifecycle, CC and re-injection decision this
 	// connection makes (see internal/obs). nil is the no-op default: the
@@ -229,8 +215,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Close error codes surfaced in ConnStats.CloseErrorCode and the OnClosed
-// callback.
+// Close error codes surfaced in ConnStats.CloseErrorCode.
 const (
 	// ErrCodeNone is a clean application close.
 	ErrCodeNone uint64 = 0

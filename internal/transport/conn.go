@@ -29,7 +29,7 @@ const (
 	// stateDraining: the peer closed. Nothing is sent; the state exists so
 	// late in-flight packets are not mistaken for a new connection.
 	stateDraining
-	// stateClosed is terminal: all timers cancelled, OnClosed fired.
+	// stateClosed is terminal: all timers cancelled, close recorded.
 	stateClosed
 )
 
@@ -235,8 +235,9 @@ type Conn struct {
 	// assembled (send side) or delivered (recv side), so nothing below may be
 	// retained across events. gather holds the chunks of the packet being
 	// assembled that straddle two send segments (§17). decoder owns the
-	// storage of the frames in recvFrames (§18). inRecv guards against
-	// reentrant datagram delivery clobbering all three mid-dispatch.
+	// storage of the frames in recvFrames (§18). The receive scratch serves
+	// one datagram at a time: HandleDatagram is never re-entered, which
+	// receiving asserts under xlinkdebug (it stays false otherwise).
 	gather     []byte
 	sendFrames []wire.Frame
 	sfScratch  []*wire.StreamFrame
@@ -244,7 +245,7 @@ type Conn struct {
 	recvBuf    []byte
 	recvFrames []wire.Frame
 	decoder    wire.Decoder
-	inRecv     bool
+	receiving  bool
 
 	// Batch I/O state (DESIGN.md §16). sealFree is the free list of seal
 	// buffers; inside a send pass a packet's buffer is on its path's
@@ -266,11 +267,18 @@ type Conn struct {
 	drainDeadline    time.Duration              // closing/draining → closed transition
 	closeFrame       *wire.ConnectionCloseFrame // retained for closing-state resends
 	closeRecvCount   uint64                     // incoming packets while closing
-	closedFired      bool                       // OnClosed delivered
+	closedFired      bool                       // close outcome recorded
 
 	// tr is the structured event tracer (nil = no-op; every emit below is
 	// nil-receiver-safe and free when disabled).
 	tr *obs.Origin
+
+	// The application's callbacks, installed by the Set… methods before
+	// traffic flows (nil: none).
+	onStreamData    func(now time.Duration, s *RecvStream, data []byte, fin bool)
+	onStreamOpen    func(now time.Duration, s *RecvStream)
+	onHandshakeDone func(now time.Duration)
+	qoeProvider     func() wire.QoESignal
 
 	stats ConnStats
 }
@@ -298,10 +306,6 @@ func NewConn(env Env, sender DatagramSender, cfg Config) *Conn {
 	return c
 }
 
-// SetTracer installs (or clears) the structured event tracer. Call before
-// traffic flows; a nil origin disables tracing at zero cost.
-func (c *Conn) SetTracer(o *obs.Origin) { c.tr = o }
-
 // Stats returns a copy of the connection counters.
 func (c *Conn) Stats() ConnStats {
 	st := c.stats
@@ -310,34 +314,29 @@ func (c *Conn) Stats() ConnStats {
 	return st
 }
 
-// SetOnStreamData installs the in-order stream data callback
-// (Config.OnStreamData: data is valid for the call only). Call before
-// traffic flows.
+// SetOnStreamData installs the in-order stream data callback. data is valid
+// for the call only: it aliases buffers the connection reuses once the
+// callback returns, so a callback that keeps bytes copies them. A stream the
+// peer resets before its FIN is delivered gets one last call with no data
+// and fin set, on which the stream's IsReset reports true.
 func (c *Conn) SetOnStreamData(fn func(now time.Duration, s *RecvStream, data []byte, fin bool)) {
-	c.cfg.OnStreamData = fn
+	c.onStreamData = fn
 }
 
 // SetOnStreamOpen installs the peer-initiated stream callback.
 func (c *Conn) SetOnStreamOpen(fn func(now time.Duration, s *RecvStream)) {
-	c.cfg.OnStreamOpen = fn
+	c.onStreamOpen = fn
 }
 
 // SetOnHandshakeDone installs the handshake-completion callback.
 func (c *Conn) SetOnHandshakeDone(fn func(now time.Duration)) {
-	c.cfg.OnHandshakeDone = fn
+	c.onHandshakeDone = fn
 }
 
-// SetOnClosed installs the connection-termination callback. It fires exactly
-// once, when the connection leaves service for any reason: local Close, peer
-// CONNECTION_CLOSE, idle timeout, or handshake failure.
-func (c *Conn) SetOnClosed(fn func(now time.Duration, code uint64, reason string, local bool)) {
-	c.cfg.OnClosed = fn
-}
-
-// SetQoEProvider installs the client-side QoE signal source piggybacked on
-// outgoing ACK_MP frames.
+// SetQoEProvider installs the client-side source of the player signal
+// piggybacked on every outgoing ACK_MP frame; a zero signal rides none.
 func (c *Conn) SetQoEProvider(fn func() wire.QoESignal) {
-	c.cfg.QoEProvider = fn
+	c.qoeProvider = fn
 }
 
 // Established reports whether the handshake has completed.
@@ -514,6 +513,11 @@ func (c *Conn) Release() {
 // Release while the connection is held (DESIGN.md §16). data is borrowed
 // for the duration of the call (see DatagramSender's ownership note).
 func (c *Conn) HandleDatagram(now time.Duration, netIdx int, data []byte) {
+	if assert.Enabled {
+		assert.That(!c.receiving, "HandleDatagram re-entered from a handler or callback")
+		c.receiving = true
+		defer func() { c.receiving = false }()
+	}
 	if c.state == stateClosed || len(data) == 0 {
 		return
 	}
@@ -686,8 +690,8 @@ func (c *Conn) becomeEstablished(now time.Duration) {
 		c.fecInit()
 	}
 	c.tr.ConnStateChanged(now, stateHandshake.String(), stateEstablished.String(), 0, "")
-	if c.cfg.OnHandshakeDone != nil {
-		c.cfg.OnHandshakeDone(now)
+	if c.onHandshakeDone != nil {
+		c.onHandshakeDone(now)
 	}
 }
 
@@ -802,24 +806,9 @@ func (c *Conn) handleShortPacket(now time.Duration, netIdx int, data []byte) {
 		c.tr.PathAdded(now, pathID, netIdx, trace.TechLTE.String())
 	}
 	p.NetIdx = netIdx // follow the packet (handles migration)
-	// Decrypt and parse into the connection's receive scratch. A handler
-	// below may synchronously trigger the peer to deliver another datagram
-	// back to us (direct-delivery test harnesses); the inRecv guard makes
-	// that nested delivery fall back to fresh allocations instead of
-	// clobbering the buffers this frame loop is still reading.
-	reentrant := c.inRecv
-	var pn uint64
-	var payload []byte
-	var err error
-	if reentrant {
-		pn, payload, _, err = openShort(c.rxSealer, nil, data, cidLen, uint32(pathID), p.largestRecvPN)
-	} else {
-		c.inRecv = true
-		defer func() { c.inRecv = false }()
-		var buf []byte
-		pn, payload, buf, err = openShort(c.rxSealer, c.recvBuf, data, cidLen, uint32(pathID), p.largestRecvPN)
-		c.recvBuf = buf
-	}
+	// Decrypt and parse into the connection's receive scratch.
+	pn, payload, buf, err := openShort(c.rxSealer, c.recvBuf, data, cidLen, uint32(pathID), p.largestRecvPN)
+	c.recvBuf = buf
 	if err != nil {
 		return
 	}
@@ -828,14 +817,9 @@ func (c *Conn) handleShortPacket(now time.Duration, netIdx int, data []byte) {
 		// Receiving 1-RTT confirms the peer has our keys.
 		c.handshakeDone = true
 	}
-	var frames []wire.Frame
-	if reentrant {
-		frames, err = wire.ParseAll(payload)
-	} else {
-		frames, err = c.decoder.AppendFrames(c.recvFrames[:0], payload)
-		if frames != nil {
-			c.recvFrames = frames[:0]
-		}
+	frames, err := c.decoder.AppendFrames(c.recvFrames[:0], payload)
+	if frames != nil {
+		c.recvFrames = frames[:0]
 	}
 	if err != nil {
 		return
@@ -949,11 +933,19 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 		// Informational; our auto-tuned limits react via MAX_DATA below.
 	case *wire.ResetStreamFrame:
 		// A reset of a stream nothing arrived on, or of one finished and
-		// forgotten, has nothing to release.
+		// forgotten, has nothing to release. A live stream ends with one
+		// last callback, with no data, on which IsReset tells the reset from
+		// a FIN.
 		if c.recvStreams[fr.StreamID] != nil {
 			if rs := c.admitStreamData(now, fr.StreamID, fr.FinalSize, true); rs != nil {
 				rs.finSeen, rs.finOffset = true, fr.FinalSize
-				rs.finish()
+				if !rs.finished {
+					rs.finish()
+					rs.reset = true
+					if c.onStreamData != nil {
+						c.onStreamData(now, rs, nil, true)
+					}
+				}
 				c.maybeForgetRecv(rs)
 			}
 		}
@@ -1101,8 +1093,8 @@ func (c *Conn) streamForRecv(now time.Duration, id uint64) *RecvStream {
 			rs.history = fecHistory
 		}
 		c.recvStreams[id] = rs
-		if c.cfg.OnStreamOpen != nil {
-			c.cfg.OnStreamOpen(now, rs)
+		if c.onStreamOpen != nil {
+			c.onStreamOpen(now, rs)
 		}
 	}
 	return rs
@@ -1120,9 +1112,9 @@ func (c *Conn) deliverStreamData(now time.Duration, rs *RecvStream, offset uint6
 	from, n, finished := rs.onFrame(offset, payload, fin)
 	c.stats.DuplicateBytesRecv += rs.DuplicateBytes - beforeDup
 	c.connDelivered += n
-	if (n > 0 || finished) && c.cfg.OnStreamData != nil {
+	if (n > 0 || finished) && c.onStreamData != nil {
 		data, gather := rs.borrow(from, n)
-		c.cfg.OnStreamData(now, rs, data, finished)
+		c.onStreamData(now, rs, data, finished)
 		if gather != nil {
 			returnGather(gather)
 		}
@@ -1433,7 +1425,7 @@ func (c *Conn) maxPathPTO() time.Duration {
 	return max
 }
 
-// recordClose stamps the close outcome into stats and fires OnClosed once.
+// recordClose stamps the close outcome into stats, once.
 func (c *Conn) recordClose(now time.Duration, code uint64, reason string, local bool) {
 	if c.closedFired {
 		return
@@ -1446,9 +1438,6 @@ func (c *Conn) recordClose(now time.Duration, code uint64, reason string, local 
 		// Error closes are the post-mortems the flight recorder exists
 		// for: snapshot the last-N events before the state is torn down.
 		c.tr.Anomaly(now, "error_close")
-	}
-	if c.cfg.OnClosed != nil {
-		c.cfg.OnClosed(now, code, reason, local)
 	}
 	// Out of service, the connection neither sends nor delivers stream data
 	// again, but the drain timer keeps it reachable for three PTOs — about

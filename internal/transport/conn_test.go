@@ -125,29 +125,29 @@ func TestPrimaryPathWirelessAware(t *testing.T) {
 func transfer(t *testing.T, pair *Pair, size int, deadline time.Duration) (*collector, time.Duration) {
 	t.Helper()
 	col := newCollector()
-	pair.Server.cfg.OnStreamData = col.onData
+	pair.Server.SetOnStreamData(col.onData)
 
 	// Client requests; server responds with `size` bytes on the stream.
 	serverCol := newCollector()
-	pair.Client.cfg.OnStreamData = serverCol.onData
+	pair.Client.SetOnStreamData(serverCol.onData)
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
-	pair.Server.cfg.OnStreamOpen = func(now time.Duration, rs *RecvStream) {
+	pair.Server.SetOnStreamOpen(func(now time.Duration, rs *RecvStream) {
 		ss := pair.Server.Stream(rs.ID())
 		ss.Write(payload)
 		ss.Close()
-	}
+	})
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
 	}
 	var done time.Duration
-	pair.Client.cfg.OnHandshakeDone = func(now time.Duration) {
+	pair.Client.SetOnHandshakeDone(func(now time.Duration) {
 		s := pair.Client.OpenStream()
 		s.Write([]byte("GET /video"))
 		s.Close()
-	}
+	})
 	pair.RunUntil(deadline)
 	if buf := serverCol.data[0]; buf == nil || buf.Len() != size {
 		got := 0
@@ -265,10 +265,10 @@ func TestQoEFeedbackReachesServer(t *testing.T) {
 	loop := sim.NewLoop()
 	ccfg, scfg := defaultMPConfig()
 	sig := wire.QoESignal{CachedBytes: 1 << 20, CachedFrames: 90, BitrateBps: 2_000_000, FramerateFPS: 30}
-	ccfg.QoEProvider = func() wire.QoESignal { return sig }
 	var got []wire.QoESignal
 	scfg.OnQoE = func(now time.Duration, s wire.QoESignal) { got = append(got, s) }
 	pair := NewPair(loop, sim.NewRNG(2), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
+	pair.Client.SetQoEProvider(func() wire.QoESignal { return sig })
 	transfer(t, pair, 256<<10, 10*time.Second)
 	if len(got) == 0 {
 		t.Fatal("server never received QoE feedback")
@@ -316,9 +316,9 @@ func TestStreamPriorityOrdering(t *testing.T) {
 	ccfg, scfg := defaultMPConfig()
 	pair := NewPair(loop, sim.NewRNG(4), TwoPathConfig(5, 5, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
 	col := newCollector()
-	pair.Client.cfg.OnStreamData = col.onData
+	pair.Client.SetOnStreamData(col.onData)
 	payload := make([]byte, 256<<10)
-	pair.Server.cfg.OnStreamOpen = func(now time.Duration, rs *RecvStream) {
+	pair.Server.SetOnStreamOpen(func(now time.Duration, rs *RecvStream) {
 		if rs.ID() != 0 {
 			return
 		}
@@ -327,15 +327,15 @@ func TestStreamPriorityOrdering(t *testing.T) {
 			ss.Write(payload)
 			ss.Close()
 		}
-	}
+	})
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
 	}
-	pair.Client.cfg.OnHandshakeDone = func(now time.Duration) {
+	pair.Client.SetOnHandshakeDone(func(now time.Duration) {
 		s := pair.Client.OpenStream()
 		s.Write([]byte("GET"))
 		s.Close()
-	}
+	})
 	pair.RunUntil(30 * time.Second)
 	f0, ok0 := col.finished[0]
 	f4, ok4 := col.finished[4]
@@ -453,9 +453,9 @@ func TestStreamExplicitPriority(t *testing.T) {
 	ccfg, scfg := defaultMPConfig()
 	pair := NewPair(loop, sim.NewRNG(4), TwoPathConfig(5, 5, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
 	col := newCollector()
-	pair.Client.cfg.OnStreamData = col.onData
+	pair.Client.SetOnStreamData(col.onData)
 	payload := make([]byte, 256<<10)
-	pair.Server.cfg.OnStreamOpen = func(now time.Duration, rs *RecvStream) {
+	pair.Server.SetOnStreamOpen(func(now time.Duration, rs *RecvStream) {
 		if rs.ID() != 0 {
 			return
 		}
@@ -466,15 +466,15 @@ func TestStreamExplicitPriority(t *testing.T) {
 		s0.Close()
 		s4.Write(payload)
 		s4.Close()
-	}
+	})
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
 	}
-	pair.Client.cfg.OnHandshakeDone = func(now time.Duration) {
+	pair.Client.SetOnHandshakeDone(func(now time.Duration) {
 		s := pair.Client.OpenStream()
 		s.Write([]byte("GET"))
 		s.Close()
-	}
+	})
 	pair.RunUntil(30 * time.Second)
 	f0, ok0 := col.finished[0]
 	f4, ok4 := col.finished[4]
@@ -499,28 +499,28 @@ func TestWriteFrameAcceleratesFirstFrame(t *testing.T) {
 		col := newCollector()
 		var firstFrameAt time.Duration
 		const frameSize = 256 << 10
-		pair.Client.cfg.OnStreamData = func(now time.Duration, rs *RecvStream, data []byte, fin bool) {
+		pair.Client.SetOnStreamData(func(now time.Duration, rs *RecvStream, data []byte, fin bool) {
 			col.onData(now, rs, data, fin)
 			if firstFrameAt == 0 && col.data[0] != nil && col.data[0].Len() >= frameSize {
 				firstFrameAt = now
 			}
-		}
-		pair.Server.cfg.OnStreamOpen = func(now time.Duration, rs *RecvStream) {
+		})
+		pair.Server.SetOnStreamOpen(func(now time.Duration, rs *RecvStream) {
 			ss := pair.Server.Stream(rs.ID())
 			frame := make([]byte, frameSize)
 			rest := make([]byte, 1<<20)
 			ss.WriteFrame(frame, 0) // first video frame, highest priority
 			ss.Write(rest)
 			ss.Close()
-		}
+		})
 		if err := pair.Start(); err != nil {
 			t.Fatal(err)
 		}
-		pair.Client.cfg.OnHandshakeDone = func(now time.Duration) {
+		pair.Client.SetOnHandshakeDone(func(now time.Duration) {
 			s := pair.Client.OpenStream()
 			s.Write([]byte("GET"))
 			s.Close()
-		}
+		})
 		pair.RunUntil(60 * time.Second)
 		if firstFrameAt == 0 {
 			t.Fatal("first frame never completed")
@@ -539,23 +539,23 @@ func TestStreamResetStopsSending(t *testing.T) {
 	ccfg, scfg := defaultMPConfig()
 	pair := NewPair(loop, sim.NewRNG(8), TwoPathConfig(4, 4, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
 	var resetSeen bool
-	pair.Client.cfg.OnStreamData = func(now time.Duration, rs *RecvStream, data []byte, fin bool) {}
+	pair.Client.SetOnStreamData(func(now time.Duration, rs *RecvStream, data []byte, fin bool) {})
 	payload := make([]byte, 4<<20) // would take ~4s at 8 Mbit/s aggregate
 	// Held: a reset stream leaves the connection once its last packet resolves.
 	var ss *SendStream
-	pair.Server.cfg.OnStreamOpen = func(now time.Duration, rs *RecvStream) {
+	pair.Server.SetOnStreamOpen(func(now time.Duration, rs *RecvStream) {
 		ss = pair.Server.Stream(rs.ID())
 		ss.Write(payload)
 		ss.Close()
-	}
+	})
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
 	}
-	pair.Client.cfg.OnHandshakeDone = func(now time.Duration) {
+	pair.Client.SetOnHandshakeDone(func(now time.Duration) {
 		s := pair.Client.OpenStream()
 		s.Write([]byte("GET"))
 		s.Close()
-	}
+	})
 	// Swipe away at 500ms.
 	loop.At(500*time.Millisecond, func(now time.Duration) {
 		pair.Client.StopSending(0, 0x10)
@@ -640,7 +640,6 @@ func TestQoEOnEveryAckMP(t *testing.T) {
 	loop := sim.NewLoop()
 	ccfg, scfg := defaultMPConfig()
 	sig := wire.QoESignal{CachedBytes: 1000, BitrateBps: 8000}
-	ccfg.QoEProvider = func() wire.QoESignal { return sig }
 	received := 0
 	scfg.OnQoE = func(now time.Duration, s wire.QoESignal) {
 		if s != sig {
@@ -649,6 +648,7 @@ func TestQoEOnEveryAckMP(t *testing.T) {
 		received++
 	}
 	pair := NewPair(loop, sim.NewRNG(2), TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
+	pair.Client.SetQoEProvider(func() wire.QoESignal { return sig })
 	transfer(t, pair, 1<<20, 20*time.Second)
 	if received < 100 {
 		t.Fatalf("server heard %d QoE samples over a 1 MiB transfer", received)

@@ -165,7 +165,7 @@ func fecRepairFor(scheme uint64, j, symSize int, data []byte) []byte {
 func TestFECXORRecoversSingleLoss(t *testing.T) {
 	pair := fecPair(t, 9)
 	col := newCollector()
-	pair.Client.cfg.OnStreamData = col.onData
+	pair.Client.SetOnStreamData(col.onData)
 	now := 2 * time.Second
 
 	const symSize, k, streamID = 32, 4, 8
@@ -208,7 +208,7 @@ func TestFECXORRecoversSingleLoss(t *testing.T) {
 func TestFECRSRecoversTwoLosses(t *testing.T) {
 	pair := fecPair(t, 10)
 	col := newCollector()
-	pair.Client.cfg.OnStreamData = col.onData
+	pair.Client.SetOnStreamData(col.onData)
 	now := 2 * time.Second
 
 	// Short tail: dataLen is not a symbol multiple, and the two missing

@@ -94,13 +94,14 @@ func TestDeliveredDataIsBorrowed(t *testing.T) {
 	scfg := Config{Params: params, Seed: 2, MaxAckDelay: time.Millisecond}
 	var gotBytes []byte
 	var kept [][]byte // retained without a copy, against the contract
-	scfg.OnStreamData = func(now time.Duration, s *RecvStream, data []byte, fin bool) {
+	serverOnData := func(now time.Duration, s *RecvStream, data []byte, fin bool) {
 		gotBytes = append(gotBytes, data...)
 		kept = append(kept, data)
 	}
 	loop := sim.NewLoop()
 	pair := NewPair(loop, sim.NewRNG(7),
 		TwoPathConfig(200, 200, 2*time.Millisecond, 6*time.Millisecond), ccfg, scfg)
+	pair.Server.SetOnStreamData(serverOnData)
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
 	}

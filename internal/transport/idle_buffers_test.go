@@ -53,7 +53,7 @@ func TestIdleConnectionHoldsNoBuffers(t *testing.T) {
 	var received uint64
 	var rs *RecvStream
 	gathered := 0 // runs that crossed a segment boundary
-	ccfg.OnStreamData = func(_ time.Duration, s *RecvStream, data []byte, _ bool) {
+	clientOnData := func(_ time.Duration, s *RecvStream, data []byte, _ bool) {
 		if off := s.Delivered() - uint64(len(data)); len(data) > 0 && off/segSize != (s.Delivered()-1)/segSize {
 			gathered++
 		}
@@ -61,6 +61,7 @@ func TestIdleConnectionHoldsNoBuffers(t *testing.T) {
 		received += uint64(len(data))
 	}
 	pair := NewPair(sim.NewLoop(), sim.NewRNG(28), TwoPathConfig(200, 100, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
+	pair.Client.SetOnStreamData(clientOnData)
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,6 @@ func newRig(t *testing.T, tune func(scfg *Config)) *gateRig {
 	params.EnableMultipath = true
 	ccfg := Config{Params: params, Seed: 1, MaxAckDelay: time.Millisecond}
 	scfg := Config{Params: params, Seed: 2, MaxAckDelay: time.Millisecond}
-	scfg.OnStreamData = func(time.Duration, *RecvStream, []byte, bool) {}
 	scfg.OnQoE = func(time.Duration, wire.QoESignal) {}
 	if tune != nil {
 		tune(&scfg)
@@ -68,6 +67,7 @@ func newRig(t *testing.T, tune func(scfg *Config)) *gateRig {
 	loop := sim.NewLoop()
 	pair := NewPair(loop, sim.NewRNG(7),
 		TwoPathConfig(200, 200, 2*time.Millisecond, 6*time.Millisecond)[:1], ccfg, scfg)
+	pair.Server.SetOnStreamData(func(time.Duration, *RecvStream, []byte, bool) {})
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestAllocGateRecordReusedByNextPass(t *testing.T) {
 	var pair *Pair
 	tiny, chunk := make([]byte, 1000), make([]byte, 64<<10)
 	requests := 0
-	scfg.OnStreamData = func(_ time.Duration, rs *RecvStream, _ []byte, fin bool) {
+	serverOnData := func(_ time.Duration, rs *RecvStream, _ []byte, fin bool) {
 		if fin {
 			st := pair.Server.Stream(rs.ID())
 			requests++
@@ -91,9 +91,10 @@ func TestAllocGateRecordReusedByNextPass(t *testing.T) {
 		}
 	}
 	done := false
-	ccfg.OnStreamData = func(_ time.Duration, _ *RecvStream, _ []byte, fin bool) { done = done || fin }
 	pair = NewPair(sim.NewLoop(), sim.NewRNG(13),
 		TwoPathConfig(100, 50, 10*time.Millisecond, 30*time.Millisecond), ccfg, scfg)
+	pair.Client.SetOnStreamData(func(_ time.Duration, _ *RecvStream, _ []byte, fin bool) { done = done || fin })
+	pair.Server.SetOnStreamData(serverOnData)
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestPairsOnTwoGoroutinesShareTheRecordPool(t *testing.T) {
 			scfg.ReinjectionMode = ReinjectStreamPriority
 			var got uint64
 			var finished, corrupt bool
-			ccfg.OnStreamData = func(_ time.Duration, _ *RecvStream, data []byte, fin bool) {
+			clientOnData := func(_ time.Duration, _ *RecvStream, data []byte, fin bool) {
 				for i, b := range data {
 					if b != streamByte(got+uint64(i)) {
 						corrupt = true
@@ -160,6 +161,7 @@ func TestPairsOnTwoGoroutinesShareTheRecordPool(t *testing.T) {
 			paths := TwoPathConfig(200, 100, 10*time.Millisecond, 30*time.Millisecond)
 			paths[0].LossRate, paths[1].LossRate = 0.01, 0.01
 			pair := NewPair(sim.NewLoop(), sim.NewRNG(int64(40+g)), paths, ccfg, scfg)
+			pair.Client.SetOnStreamData(clientOnData)
 			if err := pair.Start(); err != nil {
 				t.Error(err)
 				return

@@ -28,6 +28,9 @@ type RecvStream struct {
 	finSeen   bool
 	finOffset uint64
 	finished  bool
+	// reset marks a stream the peer ended with RESET_STREAM before its FIN
+	// was delivered.
+	reset bool
 
 	// DuplicateBytes counts received bytes that were already present —
 	// redundancy from re-injection or spurious retransmission.
@@ -47,6 +50,11 @@ func (r *RecvStream) ID() uint64 { return r.id }
 
 // Finished reports whether the stream was fully delivered including FIN.
 func (r *RecvStream) Finished() bool { return r.finished }
+
+// IsReset reports whether the peer reset the stream before its FIN was
+// delivered: the stream's last callback then carries no data and fin set,
+// and what arrived before it is not the whole stream.
+func (r *RecvStream) IsReset() bool { return r.reset }
 
 // Delivered returns the count of in-order bytes handed to the application.
 func (r *RecvStream) Delivered() uint64 { return r.delivered }

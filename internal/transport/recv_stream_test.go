@@ -146,12 +146,12 @@ func TestRecvStreamMatchesReference(t *testing.T) {
 				c.localMaxData = c.cfg.Params.InitialMaxData
 				var got []byte
 				gotFin, step := -1, 0
-				c.cfg.OnStreamData = func(_ time.Duration, _ *RecvStream, data []byte, fin bool) {
+				c.SetOnStreamData(func(_ time.Duration, _ *RecvStream, data []byte, fin bool) {
 					got = append(got, data...)
 					if fin {
 						gotFin = step
 					}
-				}
+				})
 				ref := &refRecv{}
 				var want []byte
 				wantFin := -1

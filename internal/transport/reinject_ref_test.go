@@ -278,8 +278,8 @@ func reinjScenario(t *testing.T, mode ReinjectionMode, seed int64, reference boo
 	scfg.ReinjectionGate = func(now, _ time.Duration) bool {
 		return (now/(40*time.Millisecond))%4 != 0 // shut for 40 ms in every 160
 	}
-	ccfg.OnStreamData = func(time.Duration, *RecvStream, []byte, bool) {}
 	pair := NewPair(loop, sim.NewRNG(seed), cfgs, ccfg, scfg)
+	pair.Client.SetOnStreamData(func(time.Duration, *RecvStream, []byte, bool) {})
 	srv := pair.Server
 
 	var out []pulled
@@ -298,7 +298,7 @@ func reinjScenario(t *testing.T, mode ReinjectionMode, seed int64, reference boo
 	// Streams 0, 8, 16, ... answer with a tagged first frame and a long
 	// body; the ones between answer with 300 bytes, so several of them fit
 	// one packet together with the tail of a neighbour.
-	srv.cfg.OnStreamOpen = func(now time.Duration, rs *RecvStream) {
+	srv.SetOnStreamOpen(func(now time.Duration, rs *RecvStream) {
 		ss := srv.Stream(rs.ID())
 		if rs.ID()%8 == 0 {
 			ss.WriteFrame(make([]byte, 24<<10), 0)
@@ -307,7 +307,7 @@ func reinjScenario(t *testing.T, mode ReinjectionMode, seed int64, reference boo
 			ss.Write(make([]byte, 300))
 		}
 		ss.Close()
-	}
+	})
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func reinjScenario(t *testing.T, mode ReinjectionMode, seed int64, reference boo
 			s.Close()
 		}
 	}
-	pair.Client.cfg.OnHandshakeDone = open
+	pair.Client.SetOnHandshakeDone(open)
 	loop.At(900*time.Millisecond, open)
 	loop.At(600*time.Millisecond, func(time.Duration) { srv.Stream(8).Reset(0x10) })
 	pair.RunUntil(8 * time.Second)

@@ -16,9 +16,9 @@ func reinjPair(t *testing.T, mode ReinjectionMode, gate *bool) *Pair {
 	scfg.ReinjectionMode = mode
 	scfg.ReinjectionGate = func(time.Duration, time.Duration) bool { return *gate }
 	scfg.DisablePathHealth = true // an idle second must not turn the faster path suspect
-	ccfg.OnStreamData = func(time.Duration, *RecvStream, []byte, bool) {}
 	pair := NewPair(sim.NewLoop(), sim.NewRNG(5),
 		TwoPathConfig(100, 100, 100*time.Millisecond, 140*time.Millisecond), ccfg, scfg)
+	pair.Client.SetOnStreamData(func(time.Duration, *RecvStream, []byte, bool) {})
 	if err := pair.Start(); err != nil {
 		t.Fatal(err)
 	}

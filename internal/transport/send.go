@@ -852,8 +852,8 @@ func (c *Conn) buildAckFrame(now time.Duration, p *Path) wire.Frame {
 	}
 	f := &p.ackMPScratch
 	*f = wire.AckMPFrame{PathID: p.ID, Ranges: ranges, AckDelay: delay}
-	if c.cfg.QoEProvider != nil {
-		if sig := c.cfg.QoEProvider(); !sig.Zero() {
+	if c.qoeProvider != nil {
+		if sig := c.qoeProvider(); !sig.Zero() {
 			f.HasQoE = true
 			f.QoE = sig
 		}
@@ -1046,7 +1046,7 @@ func (c *Conn) onTimer(now time.Duration) {
 	}
 	// Handshake retransmission, with a terminal error once the PTO budget is
 	// exhausted: a connection that can never complete its handshake must
-	// surface the failure (Stats + OnClosed) instead of stalling silently
+	// surface the failure (Stats) instead of stalling silently
 	// with a live retransmission timer.
 	if (c.state == stateHandshake || !c.handshakeDone) && c.initSpace.HasUnacked() {
 		if d := c.initSpace.PTODeadline(); d > 0 && now >= d {

@@ -165,10 +165,11 @@ func (r *Requester) fill(now time.Duration) {
 	}
 }
 
-// OnStreamData is the transport callback for response data.
+// OnStreamData is the transport callback for response data. A chunk whose
+// stream the server reset is not complete.
 func (r *Requester) OnStreamData(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
 	cs := r.chunks[rs.ID()]
-	if cs == nil {
+	if cs == nil || rs.IsReset() {
 		return
 	}
 	if len(data) > 0 {

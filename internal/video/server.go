@@ -91,10 +91,10 @@ func NewServer(conn *transport.Conn, catalog []Video) *Server {
 // served: a FIN with no data and no pending bytes ends the stream and parses
 // nothing. Only the new bytes are searched for the newline, and a stream
 // whose line would pass maxRequestLine loses its pending bytes and is asked
-// to stop sending.
+// to stop sending. A stream the peer reset loses its pending line unserved.
 func (s *Server) OnStreamData(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
 	b := s.pending[rs.ID()]
-	if len(data) == 0 && (b == nil || b.Len() == 0) {
+	if rs.IsReset() || len(data) == 0 && (b == nil || b.Len() == 0) {
 		delete(s.pending, rs.ID())
 		return
 	}

@@ -468,6 +468,59 @@ func TestServerBareFINParsesNothing(t *testing.T) {
 	}
 }
 
+// TestResetStreamEndsTheLine: a peer that resets a request stream mid-line
+// ends it — the server drops the pending line unserved rather than holding
+// it until the connection goes — and a response stream the server resets
+// does not count as a completed chunk.
+func TestResetStreamEndsTheLine(t *testing.T) {
+	params := wire.DefaultTransportParams()
+	params.EnableMultipath = true
+	newPair := func() *transport.Pair {
+		return transport.NewPair(sim.NewLoop(), sim.NewRNG(9),
+			transport.TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond),
+			transport.Config{Params: params, Seed: 1}, transport.Config{Params: params, Seed: 2})
+	}
+	v := testVideo()
+
+	pair := newPair()
+	server := NewServer(pair.Server, []Video{v})
+	pair.Server.SetOnStreamData(server.OnStreamData)
+	pair.Client.SetOnHandshakeDone(func(time.Duration) {
+		pair.Client.Stream(0).Write([]byte("GET v1 0"))
+	})
+	pair.Loop.At(500*time.Millisecond, func(time.Duration) { pair.Client.Stream(0).Reset(0x10) })
+	if err := pair.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pair.RunUntil(400 * time.Millisecond)
+	if len(server.pending) != 1 {
+		t.Fatalf("%d pending lines before the reset, want the half line", len(server.pending))
+	}
+	pair.RunUntil(2 * time.Second)
+	if len(server.pending) != 0 || server.Served[v.ID] != 0 {
+		t.Fatalf("after the reset: %d pending lines, %d bytes served", len(server.pending), server.Served[v.ID])
+	}
+
+	pair = newPair()
+	requester := NewRequester(pair.Client, v, nil, RequesterConfig{ChunkSize: 64 << 10, MaxConcurrent: 1})
+	pair.Client.SetOnStreamData(requester.OnStreamData)
+	pair.Client.SetOnHandshakeDone(requester.Start)
+	pair.Server.SetOnStreamData(func(_ time.Duration, rs *transport.RecvStream, _ []byte, fin bool) {
+		if fin {
+			ss := pair.Server.Stream(rs.ID())
+			ss.Write(make([]byte, 1000))
+			ss.Reset(0x11)
+		}
+	})
+	if err := pair.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pair.RunUntil(2 * time.Second)
+	if len(requester.Results) != 0 || requester.Done() {
+		t.Fatalf("a reset chunk counted: %d results, done %v", len(requester.Results), requester.Done())
+	}
+}
+
 // TestServerBoundsThePendingRequestLine: a peer that sends 64 KiB with no
 // newline on a request stream must not make the server hold them, nor rescan
 // every pending byte on each callback. The pending line never passes

@@ -17,26 +17,21 @@ import (
 	"repro/internal/transport"
 )
 
-// liveEnv is a live connection's transport.Env (DESIGN.md §20): its timers
-// wait in its shard's sim.Loop, as in the sim, and the shard advances that
+// liveEnv is a live connection's transport.Env (DESIGN.md §20): its timer
+// waits in its shard's sim.Loop, as in the sim, and the shard advances that
 // loop to the wall clock at the start and the end of every turn, so the
 // connection reads one clock that never goes back. The connection's clock
 // starts at zero when its endpoint is made (origin is the shard's wall
-// instant then). Each arm is delivered through the env (Fire), which joins
-// the endpoint to the turn before the connection's fn runs and drops the fn
-// of a closed endpoint. Only the shard goroutine calls it.
+// instant then). The connection holds at most one arm (transport.Env), so
+// the env has one: fn is the pending arm's (nil: none), timer its event,
+// and cancel, bound once, serves every arm, so a warm arm allocates
+// nothing. The arm is delivered through the env (Fire), which joins the
+// endpoint to the turn before the connection's fn runs and drops the fn of
+// a closed endpoint. Only the shard goroutine calls it.
 type liveEnv struct {
 	ep     *Endpoint
 	loop   *sim.Loop
 	origin time.Duration
-	// arms holds the pending arms by slot, free the idle slots. A slot binds
-	// its cancel once, so a warm arm allocates nothing.
-	arms []liveArm
-	free []int
-}
-
-// liveArm is one slot of liveEnv.arms.
-type liveArm struct {
 	fn     func(now time.Duration)
 	timer  sim.Timer
 	cancel func()
@@ -45,40 +40,29 @@ type liveArm struct {
 // Now implements transport.Env with the loop's clock.
 func (e *liveEnv) Now() time.Duration { return e.loop.Now() - e.origin }
 
-// Schedule implements transport.Env: fn waits in the loop in a free slot.
+// Schedule implements transport.Env: fn waits in the loop.
 func (e *liveEnv) Schedule(at time.Duration, fn func(now time.Duration)) func() {
-	var i int
-	if n := len(e.free); n > 0 {
-		i, e.free = e.free[n-1], e.free[:n-1]
-	} else {
-		i = len(e.arms)
-		e.arms = append(e.arms, liveArm{})
-		// Bound once per slot, which serves every later arm in it.
-		e.arms[i].cancel = func() {
-			e.arms[i].timer.Stop()
-			e.release(i)
+	assert.That(e.fn == nil, "live timer armed while another arm is pending")
+	if e.cancel == nil {
+		e.cancel = func() {
+			e.timer.Stop()
+			e.fn, e.timer = nil, sim.Timer{}
 		}
 	}
-	e.arms[i].fn = fn
-	e.arms[i].timer = e.loop.AtRecv(e.origin+at, e, i)
-	return e.arms[i].cancel
+	e.fn = fn
+	e.timer = e.loop.AtRecv(e.origin+at, e, 0)
+	return e.cancel
 }
 
-// Fire implements sim.Receiver: the arm in slot i came due.
-func (e *liveEnv) Fire(now time.Duration, i int) {
-	fn := e.arms[i].fn
-	e.release(i)
+// Fire implements sim.Receiver: the arm came due.
+func (e *liveEnv) Fire(now time.Duration, _ int) {
+	fn := e.fn
+	e.fn, e.timer = nil, sim.Timer{}
 	if e.ep.closed {
 		return // no timer of a closed endpoint runs
 	}
 	e.ep.join()
 	fn(now - e.origin)
-}
-
-// release frees slot i.
-func (e *liveEnv) release(i int) {
-	e.arms[i].fn, e.arms[i].timer = nil, sim.Timer{}
-	e.free = append(e.free, i)
 }
 
 // Endpoint is a live XLINK endpoint over real UDP sockets: a server with
@@ -204,7 +188,9 @@ type LiveConfig struct {
 	// shard, inside the transport call that delivered the data, as in the
 	// sim. data is the transport's, valid for the call only, so a callback
 	// that keeps bytes copies them. What a callback writes leaves after it
-	// returns, with the rest of its shard turn.
+	// returns, with the rest of its shard turn. A stream the peer resets
+	// gets one last call with no data and fin set, on which s.IsReset() is
+	// true.
 	OnStreamData func(now time.Duration, s *RecvStream, data []byte, fin bool)
 	// OnStreamOpen announces peer-initiated streams.
 	OnStreamOpen func(now time.Duration, s *RecvStream)
@@ -310,10 +296,6 @@ func newEndpoint(socks []*net.UDPConn, tcfg transport.Config, ctrl *qoe.Controll
 	if len(cfg.PSK) > 0 {
 		tcfg.PSK = cfg.PSK
 	}
-	// The callbacks run inline on the shard, inside the transport call that
-	// raised them.
-	tcfg.OnStreamData, tcfg.OnStreamOpen, tcfg.OnHandshakeDone = cfg.OnStreamData, cfg.OnStreamOpen, cfg.OnHandshakeDone
-	tcfg.QoEProvider = cfg.QoEProvider
 	ep.client, ep.label = tcfg.IsClient, "server"
 	if ep.client {
 		ep.label = "client"
@@ -328,6 +310,12 @@ func newEndpoint(socks []*net.UDPConn, tcfg transport.Config, ctrl *qoe.Controll
 	ep.trace.AttachFlightRecorder(0)
 	tcfg.Tracer = ep.trace.Origin(ep.label)
 	ep.conn = transport.NewConn(&ep.env, ep, tcfg)
+	// The callbacks run inline on the shard, inside the transport call that
+	// raised them.
+	ep.conn.SetOnStreamData(cfg.OnStreamData)
+	ep.conn.SetOnStreamOpen(cfg.OnStreamOpen)
+	ep.conn.SetOnHandshakeDone(cfg.OnHandshakeDone)
+	ep.conn.SetQoEProvider(cfg.QoEProvider)
 	ep.publish()
 	return ep
 }

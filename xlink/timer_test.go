@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/assert"
 	"repro/internal/sim"
 )
 
@@ -27,24 +28,28 @@ func listenIdle(t *testing.T, seed int64, group *EventLoopGroup) *Endpoint {
 }
 
 // TestLiveTimerStorm arms, cancels and re-arms from several goroutines at
-// once, the way connections do — at most one pending arm per owner, cancel
-// only before its fn ran — each step an op on the endpoint's shard, while
-// the endpoint is closed underneath; scripts/check.sh runs it under -race.
-// The endpoint shares its shard with another, so the shard's loop keeps
-// running after the Close. Every fn runs at most once, never before its
-// instant on the wall clock and never once the endpoint is closed, and every
-// arm not cancelled that came due before the Close ran: the shard advances
-// the loop to the wall clock after it takes ops from its FIFO and before it
+// once, the way connections do — one owner per endpoint, at most one
+// pending arm per owner, cancel only before its fn ran — each step an op on
+// the owner's endpoint's shard, while the endpoints are closed underneath;
+// scripts/check.sh runs it under -race. The four endpoints share one shard
+// with a fifth, idle one, so the shard's loop keeps running after the
+// Closes. Every fn runs at most once, never before its instant on the wall
+// clock and never once its endpoint is closed, and every arm not cancelled
+// that came due before its endpoint's Close ran: the shard advances the
+// loop to the wall clock after it takes ops from its FIFO and before it
 // applies them.
 func TestLiveTimerStorm(t *testing.T) {
 	const owners, arms = 4, 300
 	group := NewEventLoopGroup(1)
 	t.Cleanup(func() { group.Close(); group.Wait() })
-	listenIdle(t, 70, group)
-	ep := listenIdle(t, 71, group)
-	env := &ep.env
-	wall := func() time.Duration { return ep.shard.wall.Now() - env.origin }
+	keep := listenIdle(t, 70, group)
+	var eps [owners]*Endpoint
+	for o := range eps {
+		eps[o] = listenIdle(t, 71+int64(o), group)
+	}
+	wall := func(ep *Endpoint) time.Duration { return ep.shard.wall.Now() - ep.env.origin }
 	type arm struct {
+		owner    int
 		at       time.Duration
 		runs     int
 		early    bool
@@ -56,7 +61,7 @@ func TestLiveTimerStorm(t *testing.T) {
 	var (
 		mu        sync.Mutex // onShard runs a step on its caller once the endpoint is closed
 		all       []*arm
-		ranBefore int // fns run before the Close, all of them in timer turns
+		ranBefore int // fns run before the Closes, all of them in timer turns
 		wg        sync.WaitGroup
 		closeAt   = make(chan struct{})
 	)
@@ -64,6 +69,7 @@ func TestLiveTimerStorm(t *testing.T) {
 		wg.Add(1)
 		go func(o int) {
 			defer wg.Done()
+			ep := eps[o]
 			rng := sim.NewRNG(int64(o + 1))
 			var pending *arm
 			for i := 0; i < arms; i++ {
@@ -81,12 +87,12 @@ func TestLiveTimerStorm(t *testing.T) {
 						pending.done, pending.canceled = true, true
 					}
 					if pending == nil || pending.done {
-						a := &arm{at: wall() + time.Duration(rng.Intn(2000))*time.Microsecond}
-						a.cancel = env.Schedule(a.at, func(time.Duration) {
+						a := &arm{owner: o, at: wall(ep) + time.Duration(rng.Intn(2000))*time.Microsecond}
+						a.cancel = ep.env.Schedule(a.at, func(time.Duration) {
 							mu.Lock()
 							defer mu.Unlock()
 							a.runs++
-							a.early = a.early || wall() < a.at
+							a.early = a.early || wall(ep) < a.at
 							a.closed = a.closed || ep.closed
 							a.done = true
 							ranBefore++
@@ -105,22 +111,48 @@ func TestLiveTimerStorm(t *testing.T) {
 		defer mu.Unlock()
 		return ranBefore > 0
 	}, "an arm to run in a timer turn")
-	closing := wall()
-	ep.Close()
+	var closing [owners]time.Duration
+	for o, ep := range eps {
+		closing[o] = wall(ep)
+		ep.Close()
+	}
 	wg.Wait()
 	// Every arm left is due within 2 ms of the last step; the shard keeps
-	// turning for the other endpoint.
+	// turning for the idle endpoint.
 	time.Sleep(10 * time.Millisecond)
-	ep.onShard(func() {})
+	keep.onShard(func() {})
 	mu.Lock()
 	defer mu.Unlock()
 	for i, a := range all {
 		if a.runs > 1 || a.early || a.closed {
 			t.Fatalf("arm %d: ran %d times, early %v, on a closed endpoint %v", i, a.runs, a.early, a.closed)
 		}
-		if !a.canceled && a.at <= closing && a.runs == 0 {
-			t.Fatalf("arm %d, due %v before the Close at %v, never ran", i, closing-a.at, closing)
+		if !a.canceled && a.at <= closing[a.owner] && a.runs == 0 {
+			t.Fatalf("arm %d, due %v before the Close at %v, never ran", i, closing[a.owner]-a.at, closing[a.owner])
 		}
+	}
+}
+
+// TestLiveEnvHoldsOneArm: a connection holds at most one pending arm
+// (transport.Env), so the live env keeps one, and under xlinkdebug a second
+// Schedule while one is pending fails an assertion. The release build
+// checks nothing.
+func TestLiveEnvHoldsOneArm(t *testing.T) {
+	if !assert.Enabled {
+		t.Skip("the check is an xlinkdebug assertion")
+	}
+	ep := listenIdle(t, 75, nil)
+	env := &ep.env
+	never := func(time.Duration) {}
+	var recovered any
+	ep.onShard(func() {
+		cancel := env.Schedule(env.Now()+time.Hour, never)
+		defer cancel()
+		defer func() { recovered = recover() }()
+		env.Schedule(env.Now()+2*time.Hour, never)
+	})
+	if recovered == nil {
+		t.Fatal("a second arm while one was pending passed the assertion")
 	}
 }
 
