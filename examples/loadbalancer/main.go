@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"repro/internal/lb"
@@ -92,8 +93,13 @@ func main() {
 
 	loop.RunUntil(10 * time.Second)
 	fmt.Println()
-	for id, n := range pktCount {
-		fmt.Printf("backend %d handled %d packets\n", id, n)
+	ids := make([]byte, 0, len(pktCount))
+	for id := range pktCount {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		fmt.Printf("backend %d handled %d packets\n", id, pktCount[id])
 	}
 	fmt.Println("\nevery connection's paths landed on the backend that issued its CIDs;")
 	fmt.Println("Initials were hash-routed, everything else routed by the CID server ID.")

@@ -10,8 +10,9 @@
 //
 // A failed assertion panics with an "xlink assert:" prefix. Assertions guard
 // internal invariants only — never attacker-controlled input, which must be
-// handled with ordinary error returns (enforced by the xlinkvet panicpath
-// rule, which skips xlinkdebug-tagged files).
+// handled with ordinary error returns. The hostile-peer tests of
+// internal/transport and the fuzz targets of internal/wire feed a connection
+// and the parsers such input, and fail on any panic it reaches.
 package assert
 
 import "time"

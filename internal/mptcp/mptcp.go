@@ -381,7 +381,7 @@ func (s *Sender) armRTO(now time.Duration) {
 	}
 	var earliest time.Duration
 	for _, sf := range s.subflows {
-		//xlinkvet:ignore maprange — min reduction, order-insensitive
+		// Map order cannot matter: a minimum is the same in any order.
 		for _, seg := range sf.outstanding {
 			d := seg.sentAt + 2*sf.rtt.PTO()
 			if earliest == 0 || d < earliest {

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -79,6 +80,39 @@ func TestLinkRandomLoss(t *testing.T) {
 	got := float64(len(*arrivals)) / n
 	if got < 0.62 || got > 0.78 {
 		t.Fatalf("delivery rate %.3f, want ~0.7 under 30%% loss", got)
+	}
+}
+
+// TestLinkJitterFollowsTheSeed: jitter is drawn from the link's own RNG, so
+// two links built with the same seed and JitterMax deliver the same packets
+// at the same instants, and the jitter really reorders them.
+func TestLinkJitterFollowsTheSeed(t *testing.T) {
+	type arrival struct {
+		at  time.Duration
+		pkt byte
+	}
+	run := func() []arrival {
+		loop := sim.NewLoop()
+		var arrivals []arrival
+		cfg := LinkConfig{Trace: trace.ConstantRate("test", 12, time.Second), Delay: 10 * time.Millisecond,
+			QueueBytes: 200 * trace.MTU, JitterMax: 5 * time.Millisecond}
+		l := NewLink(loop, cfg, sim.NewRNG(9), func(now time.Duration, data []byte) {
+			arrivals = append(arrivals, arrival{now, data[0]})
+		})
+		for i := 0; i < 100; i++ {
+			pkt := make([]byte, trace.MTU)
+			pkt[0] = byte(i)
+			l.Send(pkt)
+		}
+		loop.Run(0)
+		return arrivals
+	}
+	a, b := run(), run()
+	if len(a) != 100 || !slices.Equal(a, b) {
+		t.Fatalf("same seed, different deliveries:\n%v\n%v", a, b)
+	}
+	if slices.IsSortedFunc(a, func(x, y arrival) int { return int(x.pkt) - int(y.pkt) }) {
+		t.Fatal("100 packets under 5 ms of jitter at one per millisecond arrived in order: no jitter applied")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // ScorecardMaxPaths bounds the per-path section. The scorecard is a plain
 // comparable value (the chaos determinism invariant compares Results with
 // ==), so paths live in a fixed array; connections with more paths roll up
-// the first ScorecardMaxPaths in pathOrder and still count the totals.
+// the first ScorecardMaxPaths in creation order and still count the totals.
 const ScorecardMaxPaths = 4
 
 // PathScore is one path's slice of the session rollup (sender-side view).

@@ -86,7 +86,7 @@ func BenchmarkConnPacketsPerSec(b *testing.B) {
 			pair := benchBatchPair(b)
 			c, s := pair.Client, pair.Server
 			s.sender = discardSender{} // isolate the receiver from netem copy cost
-			p := c.paths[c.pathOrder[0]]
+			p := c.paths[0]
 			bufs := make([][]byte, group)
 			for i := range bufs {
 				bufs[i] = make([]byte, 0, cc.MaxDatagramSize)
@@ -127,7 +127,7 @@ func TestAllocGateBatchFill(t *testing.T) {
 	pair := benchBatchPair(t)
 	c := pair.Client
 	c.sender = discardSender{}
-	p := c.paths[c.pathOrder[0]]
+	p := c.paths[0]
 	now := pair.Loop.Now()
 	fill := func() {
 		c.inSend = true
@@ -177,7 +177,7 @@ func TestAllocGateHeldRecv(t *testing.T) {
 	pair := benchBatchPair(t)
 	c, s := pair.Client, pair.Server
 	s.sender = discardSender{}
-	p := c.paths[c.pathOrder[0]]
+	p := c.paths[0]
 	bufs := make([][]byte, group)
 	for i := range bufs {
 		bufs[i] = make([]byte, 0, cc.MaxDatagramSize)
@@ -185,8 +185,8 @@ func TestAllocGateHeldRecv(t *testing.T) {
 	pkts := make([][]byte, group)
 	frames := []wire.Frame{&wire.PingFrame{}}
 	var acks []*wire.AckMPFrame
-	for _, id := range s.pathOrder {
-		ack := &wire.AckMPFrame{PathID: id, Ranges: make([]wire.AckRange, 1)}
+	for _, q := range s.paths {
+		ack := &wire.AckMPFrame{PathID: q.ID, Ranges: make([]wire.AckRange, 1)}
 		acks = append(acks, ack)
 		frames = append(frames, ack)
 	}
@@ -196,7 +196,7 @@ func TestAllocGateHeldRecv(t *testing.T) {
 	ingest := func() {
 		st.Write(chunk)
 		for _, ack := range acks {
-			ack.Ranges[0] = wire.AckRange{Largest: s.paths[ack.PathID].Space.PeekPN() - 1}
+			ack.Ranges[0] = wire.AckRange{Largest: s.Path(ack.PathID).Space.PeekPN() - 1}
 		}
 		craftPings(c, p, bufs, pkts, group, frames)
 		now += time.Microsecond
@@ -219,9 +219,9 @@ func TestAllocGateHeldRecv(t *testing.T) {
 	if sent := after.StreamBytesSent - before.StreamBytesSent; sent != 101*uint64(len(chunk)) {
 		t.Fatalf("server wrote %d stream bytes, want %d", sent, 101*len(chunk))
 	}
-	for _, id := range s.pathOrder {
-		if s.paths[id].Space.HasUnacked() {
-			t.Fatalf("path %d has packets in flight after the runs that acknowledge them", id)
+	for _, q := range s.paths {
+		if q.Space.HasUnacked() {
+			t.Fatalf("path %d has packets in flight after the runs that acknowledge them", q.ID)
 		}
 	}
 }
@@ -253,14 +253,13 @@ func TestHeldReceiveRunsOnePassAtRelease(t *testing.T) {
 	// Put data in flight and find the path that carries the most of it.
 	st := s.OpenStream()
 	first := map[uint64]uint64{}
-	for _, id := range s.pathOrder {
-		first[id] = s.paths[id].Space.PeekPN()
+	for _, q := range s.paths {
+		first[q.ID] = q.Space.PeekPN()
 	}
 	st.Write(make([]byte, 12000))
 	var lossy *Path
-	for _, id := range s.pathOrder {
-		q := s.paths[id]
-		if lossy == nil || q.Space.PeekPN()-first[id] > lossy.Space.PeekPN()-first[lossy.ID] {
+	for _, q := range s.paths {
+		if lossy == nil || q.Space.PeekPN()-first[q.ID] > lossy.Space.PeekPN()-first[lossy.ID] {
 			lossy = q
 		}
 	}
@@ -276,7 +275,7 @@ func TestHeldReceiveRunsOnePassAtRelease(t *testing.T) {
 	// Acknowledge everything on the path but its first packet, which falls
 	// hi-lo ≥ PacketThreshold behind.
 	ack := &wire.AckMPFrame{PathID: lossy.ID, Ranges: []wire.AckRange{{Smallest: lo + 1, Largest: hi}}}
-	p := c.paths[c.pathOrder[0]]
+	p := c.paths[0]
 	bufs := make([][]byte, group)
 	for i := range bufs {
 		bufs[i] = make([]byte, 0, cc.MaxDatagramSize)

@@ -185,8 +185,10 @@ type Conn struct {
 	peerCIDLimit uint64
 
 	interfaces []Interface
-	paths      map[uint64]*Path
-	pathOrder  []uint64
+	// paths holds every path in creation order, which is the order each
+	// walk over them takes: a decision or an output never depends on
+	// anything but the seed. At most maxCIDs, one per CID sequence number.
+	paths []*Path
 
 	// Open stream halves; an ended one leaves for sendClosed/recvClosed (§17).
 	sendStreams  map[uint64]*SendStream
@@ -292,7 +294,6 @@ func NewConn(env Env, sender DatagramSender, cfg Config) *Conn {
 		sender:      sender,
 		cfg:         cfg,
 		rng:         sim.NewRNG(cfg.Seed ^ 0x5eed),
-		paths:       make(map[uint64]*Path),
 		sendStreams: make(map[uint64]*SendStream),
 		recvStreams: make(map[uint64]*RecvStream),
 		initRTT:     cc.NewRTTEstimator(),
@@ -360,16 +361,18 @@ func (c *Conn) MultipathEnabled() bool { return c.multipath }
 func (c *Conn) IsClient() bool { return c.cfg.IsClient }
 
 // Paths returns the paths in creation order.
-func (c *Conn) Paths() []*Path {
-	out := make([]*Path, 0, len(c.pathOrder))
-	for _, id := range c.pathOrder {
-		out = append(out, c.paths[id])
-	}
-	return out
-}
+func (c *Conn) Paths() []*Path { return append([]*Path(nil), c.paths...) }
 
-// Path returns the path with the given ID, or nil.
-func (c *Conn) Path(id uint64) *Path { return c.paths[id] }
+// Path returns the path with the given ID, or nil. The ID may come from the
+// peer: an unknown one, however large, finds nothing.
+func (c *Conn) Path(id uint64) *Path {
+	for _, p := range c.paths {
+		if p.ID == id {
+			return p
+		}
+	}
+	return nil
+}
 
 // AddInterface registers a local interface (client side). Call before
 // Start.
@@ -416,8 +419,7 @@ func (c *Conn) Start() error {
 	primary := c.selectPrimaryInterface()
 	p := newPath(0, primary.NetIdx, primary.Tech, c.cfg.CCAlgorithm)
 	p.State = PathActive // primary is validated by the handshake itself
-	c.paths[0] = p
-	c.pathOrder = append(c.pathOrder, 0)
+	c.paths = append(c.paths, p)
 
 	c.localCIDs = []wire.ConnectionID{c.newCID()}
 	c.initialDCID = c.newCID()
@@ -460,7 +462,7 @@ func (c *Conn) sendInitial() {
 		PN: pn, SentAt: now, Bytes: len(pkt), AckEliciting: true,
 	})
 	netIdx := 0
-	if p := c.paths[0]; p != nil {
+	if p := c.Path(0); p != nil {
 		netIdx = p.NetIdx
 	}
 	c.sendOne(netIdx, pkt)
@@ -617,8 +619,7 @@ func (c *Conn) serverHandleClientInitial(now time.Duration, netIdx int, data []b
 		p := newPath(0, netIdx, trace.TechWiFi, c.cfg.CCAlgorithm)
 		p.State = PathActive
 		p.DCID = c.peerCIDs[0]
-		c.paths[0] = p
-		c.pathOrder = append(c.pathOrder, 0)
+		c.paths = append(c.paths, p)
 		c.tr.PathAdded(now, 0, netIdx, trace.TechWiFi.String())
 		for i := range c.localRandom {
 			c.localRandom[i] = byte(c.rng.Intn(256))
@@ -732,14 +733,13 @@ func (c *Conn) maybeInitSecondaryPaths(now time.Duration) {
 		if c.pathForNetIdx(itf.NetIdx) != nil {
 			continue
 		}
-		seq := uint64(len(c.pathOrder))
+		seq := uint64(len(c.paths))
 		if seq >= uint64(len(c.peerCIDs)) || seq >= uint64(len(c.localCIDs)) {
 			continue // need more CIDs first
 		}
 		p := newPath(seq, itf.NetIdx, itf.Tech, c.cfg.CCAlgorithm)
 		p.DCID = c.peerCIDs[seq]
-		c.paths[seq] = p
-		c.pathOrder = append(c.pathOrder, seq)
+		c.paths = append(c.paths, p)
 		c.tr.PathAdded(now, seq, itf.NetIdx, itf.Tech.String())
 		c.startPathValidation(now, p)
 	}
@@ -747,9 +747,9 @@ func (c *Conn) maybeInitSecondaryPaths(now time.Duration) {
 
 // pathForNetIdx finds the path bound to a local interface.
 func (c *Conn) pathForNetIdx(netIdx int) *Path {
-	for _, id := range c.pathOrder {
-		if c.paths[id].NetIdx == netIdx {
-			return c.paths[id]
+	for _, p := range c.paths {
+		if p.NetIdx == netIdx {
+			return p
 		}
 	}
 	return nil
@@ -787,7 +787,7 @@ func (c *Conn) handleShortPacket(now time.Duration, netIdx int, data []byte) {
 		return // not our CID
 	}
 	pathID := uint64(seq)
-	p := c.paths[pathID]
+	p := c.Path(pathID)
 	if p == nil {
 		if !c.multipath {
 			return
@@ -801,8 +801,7 @@ func (c *Conn) handleShortPacket(now time.Duration, netIdx int, data []byte) {
 		// Otherwise leave DCID nil; the pending NEW_CONNECTION_ID for this
 		// sequence number fills it in. Replying with a mismatched CID
 		// sequence would be sealed under the wrong per-path nonce.
-		c.paths[pathID] = p
-		c.pathOrder = append(c.pathOrder, pathID)
+		c.paths = append(c.paths, p)
 		c.tr.PathAdded(now, pathID, netIdx, trace.TechLTE.String())
 	}
 	p.NetIdx = netIdx // follow the packet (handles migration)
@@ -874,7 +873,7 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 			c.peerCIDs = append(c.peerCIDs, nil)
 		}
 		c.peerCIDs[fr.Sequence] = fr.ConnectionID.Clone()
-		if pp := c.paths[fr.Sequence]; pp != nil && pp.DCID == nil {
+		if pp := c.Path(fr.Sequence); pp != nil && pp.DCID == nil {
 			pp.DCID = c.peerCIDs[fr.Sequence]
 		}
 		c.maybeInitSecondaryPaths(now)
@@ -901,7 +900,7 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 	case *wire.AckFrame:
 		c.processAck(now, c.paths[0], fr.Ranges, fr.AckDelay)
 	case *wire.AckMPFrame:
-		target := c.paths[fr.PathID]
+		target := c.Path(fr.PathID)
 		if target == nil {
 			return
 		}
@@ -985,7 +984,7 @@ func (c *Conn) unsuspectPath(now time.Duration, p *Path) {
 
 // handlePathStatus applies a peer path-status update (Sec 6, "Path close").
 func (c *Conn) handlePathStatus(now time.Duration, fr *wire.PathStatusFrame) {
-	p := c.paths[fr.PathID]
+	p := c.Path(fr.PathID)
 	if p == nil || fr.StatusSeq <= p.lastStatusSeq {
 		return
 	}
@@ -1321,7 +1320,7 @@ func (c *Conn) StopSending(id uint64, code uint64) {
 // fading below threshold). Call it on an established connection; closing
 // and draining connections send nothing more.
 func (c *Conn) AbandonPath(id uint64) {
-	p := c.paths[id]
+	p := c.Path(id)
 	if p == nil || p.State == PathClosed {
 		return
 	}
@@ -1340,8 +1339,7 @@ func (c *Conn) AbandonPath(id uint64) {
 // anotherUsablePath reports whether a usable path other than p exists — the
 // precondition for giving up on p entirely.
 func (c *Conn) anotherUsablePath(p *Path) bool {
-	for _, id := range c.pathOrder {
-		q := c.paths[id]
+	for _, q := range c.paths {
 		if q != p && q.State != PathClosed && q.Usable() {
 			return true
 		}
@@ -1356,7 +1354,7 @@ func (c *Conn) anotherUsablePath(p *Path) bool {
 // after migration"). In-flight data is evacuated for retransmission. Call
 // it on an established connection.
 func (c *Conn) MigratePrimary(netIdx int, tech trace.Technology) {
-	p := c.paths[0]
+	p := c.Path(0)
 	if p == nil || p.NetIdx == netIdx {
 		return
 	}
@@ -1402,8 +1400,7 @@ func (c *Conn) resendClose(now time.Duration) {
 	if c.closeFrame == nil || c.txSealer == nil {
 		return
 	}
-	for _, id := range c.pathOrder {
-		p := c.paths[id]
+	for _, p := range c.paths {
 		if p.State == PathClosed || p.DCID == nil {
 			continue
 		}
@@ -1417,8 +1414,8 @@ func (c *Conn) resendClose(now time.Duration) {
 // §10.2 drain period.
 func (c *Conn) maxPathPTO() time.Duration {
 	max := c.initRTT.PTO()
-	for _, id := range c.pathOrder {
-		if pto := c.paths[id].RTT.PTO(); pto > max {
+	for _, p := range c.paths {
+		if pto := p.RTT.PTO(); pto > max {
 			max = pto
 		}
 	}
@@ -1448,7 +1445,8 @@ func (c *Conn) recordClose(now time.Duration, code uint64, reason string, local 
 	for _, s := range c.streamsInOrder() { // a retired stream holds nothing
 		s.data.drop()
 	}
-	//xlinkvet:ignore maprange — release order reaches nothing: receive segments go to the garbage collector
+	// Map order reaches nothing here: receive segments go to the garbage
+	// collector, not to a pool, so the release order is not observable.
 	for _, rs := range c.recvStreams {
 		rs.data.drop()
 	}

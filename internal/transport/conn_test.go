@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -192,6 +194,44 @@ func TestTransferWithLoss(t *testing.T) {
 	ccfg, scfg := defaultMPConfig()
 	pair := NewPair(loop, sim.NewRNG(7), cfgs, ccfg, scfg)
 	transfer(t, pair, 512<<10, 30*time.Second)
+}
+
+// TestSeededPairSendsTheSameDatagrams: a seed fixes every byte a pair puts
+// on the wire, not only what reaches a result or a trace. The same seeded
+// two-path pair moves 2 MiB at 5 % loss twice, and a digest of every
+// datagram delivered, with its instant, direction and path, must match.
+// Connection IDs reach no result and no trace event: one drawn from anything
+// but the connection's RNG shows up here and nowhere else.
+func TestSeededPairSendsTheSameDatagrams(t *testing.T) {
+	run := func() (digest [sha256.Size]byte, datagrams int) {
+		cfgs := TwoPathConfig(10, 10, 20*time.Millisecond, 60*time.Millisecond)
+		cfgs[0].LossRate, cfgs[1].LossRate = 0.05, 0.05
+		ccfg, scfg := defaultMPConfig()
+		pair := NewPair(sim.NewLoop(), sim.NewRNG(7), cfgs, ccfg, scfg)
+		h := sha256.New()
+		tap := func(side byte, conn *Conn) netem.Handler {
+			return func(now time.Duration, pathIdx int, data []byte) {
+				var hdr [25]byte
+				binary.BigEndian.PutUint64(hdr[0:], uint64(now))
+				hdr[8] = side
+				binary.BigEndian.PutUint64(hdr[9:], uint64(pathIdx))
+				binary.BigEndian.PutUint64(hdr[17:], uint64(len(data)))
+				h.Write(hdr[:])
+				h.Write(data)
+				datagrams++
+				conn.HandleDatagram(now, pathIdx, data)
+			}
+		}
+		pair.Network.Attach(tap('c', pair.Client), tap('s', pair.Server))
+		transfer(t, pair, 2<<20, 30*time.Second)
+		copy(digest[:], h.Sum(nil))
+		return digest, datagrams
+	}
+	d1, n1 := run()
+	d2, n2 := run()
+	if d1 != d2 {
+		t.Fatalf("same seed, different wire: %d datagrams digest %x, then %d digest %x", n1, d1, n2, d2)
+	}
 }
 
 func TestSinglePathTransfer(t *testing.T) {

@@ -376,8 +376,8 @@ func (c *Conn) fecPlan(now time.Duration, k int) (bool, int) {
 // samples to size redundancy from.
 func (c *Conn) pathLossRate() float64 {
 	var sent, lost uint64
-	for _, id := range c.pathOrder {
-		st := c.paths[id].Space.Stats()
+	for _, p := range c.paths {
+		st := p.Space.Stats()
 		sent += st.SentPackets
 		lost += st.LostPackets
 	}

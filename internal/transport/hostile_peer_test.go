@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -54,6 +56,81 @@ func TestConnectionIDSequenceBeyondLimitClosesConnection(t *testing.T) {
 				t.Fatalf("client saw close code %#x local %v, want the server's %#x", cs.CloseErrorCode, cs.CloseLocal, tc.want)
 			}
 		})
+	}
+}
+
+// keptSender keeps a copy of every datagram a connection sends.
+type keptSender struct{ pkts [][]byte }
+
+func (s *keptSender) SendBatch(netIdx int, pkts [][]byte) int {
+	for _, d := range pkts {
+		s.pkts = append(s.pkts, append([]byte(nil), d...))
+	}
+	return len(pkts)
+}
+
+// TestTruncatedHelloParamsDoNotEstablish: a client hello whose transport
+// parameters end inside a value is no hello. The server keeps waiting for a
+// real one instead of running with zero limits; the whole hello, sealed the
+// same way, establishes.
+func TestTruncatedHelloParamsDoNotEstablish(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cut  int // bytes cut off the end of the hello
+	}{
+		{"whole hello", 0},
+		{"last byte cut", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ccfg, scfg := defaultMPConfig()
+			ccfg.IsClient = true
+			env := SimEnv{Loop: sim.NewLoop()}
+			hellos := &keptSender{}
+			client := NewConn(env, hellos, ccfg)
+			client.AddInterface(0, trace.TechWiFi)
+			if err := client.Start(); err != nil {
+				t.Fatal(err)
+			}
+			client.helloPayload = client.helloPayload[:len(client.helloPayload)-tc.cut]
+			client.sendInitial()
+			server := NewConn(env, discardSender{}, scfg)
+			server.HandleDatagram(env.Now(), 0, hellos.pkts[len(hellos.pkts)-1])
+			if got, want := server.Established(), tc.cut == 0; got != want {
+				t.Fatalf("server established %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestFramesForUnknownPathsIgnored: ACK_MP and PATH_STATUS name a path by an
+// ID the peer chooses. One the connection never opened — within the CID
+// table or far beyond it — is ignored: the connection stays open and keeps
+// delivering.
+func TestFramesForUnknownPathsIgnored(t *testing.T) {
+	pair := establishedPair(t, 34)
+	ranges := []wire.AckRange{{Smallest: 0, Largest: 0}}
+	for _, f := range []wire.Frame{
+		&wire.AckMPFrame{PathID: maxCIDs - 1, Ranges: ranges},
+		&wire.AckMPFrame{PathID: 1 << 40, Ranges: ranges},
+		&wire.PathStatusFrame{PathID: 1 << 40, StatusSeq: 1, Status: wire.PathAbandon},
+	} {
+		injectFrames(pair, f)
+	}
+	col := newCollector()
+	pair.Client.SetOnStreamData(col.onData)
+	st := pair.Server.OpenStream()
+	payload := make([]byte, 256<<10)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	st.Write(payload)
+	st.Close()
+	pair.RunUntil(pair.Loop.Now() + 5*time.Second)
+	if pair.Server.Closed() || pair.Client.Closed() {
+		t.Fatalf("closed: server code %#x (%q)", pair.Server.Stats().CloseErrorCode, pair.Server.Stats().CloseReason)
+	}
+	if got := col.data[st.ID()]; got == nil || !bytes.Equal(got.Bytes(), payload) || col.finished[st.ID()] == 0 {
+		t.Fatal("the stream written after the frames did not arrive whole")
 	}
 }
 

@@ -72,7 +72,7 @@ func newRig(t *testing.T, tune func(scfg *Config)) *gateRig {
 		t.Fatal(err)
 	}
 	pair.RunUntil(500 * time.Millisecond)
-	if !pair.Server.Established() || !pair.Server.MultipathEnabled() || len(pair.Server.pathOrder) != 1 {
+	if !pair.Server.Established() || !pair.Server.MultipathEnabled() || len(pair.Server.paths) != 1 {
 		t.Fatal("gate rig did not establish one multipath-negotiated path")
 	}
 	r := &gateRig{c: pair.Client, s: pair.Server, env: &quietEnv{now: loop.Now()}}

@@ -37,8 +37,8 @@ func (rc *recordCensus) note(p unsafe.Pointer) {
 
 func (rc *recordCensus) look(conns ...*Conn) {
 	for _, c := range conns {
-		for _, id := range c.pathOrder {
-			for _, sp := range c.paths[id].Space.SentFrom(0) {
+		for _, p := range c.paths {
+			for _, sp := range p.Space.SentFrom(0) {
 				rc.note(unsafe.Pointer(sp))
 				if meta, ok := sp.Meta.(*packetMeta); ok {
 					rc.note(unsafe.Pointer(meta))

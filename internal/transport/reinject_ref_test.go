@@ -172,8 +172,8 @@ func (r *refScheduler) scan(s *SendStream, sentBefore uint64) {
 		return
 	}
 	q := r.queue(s)
-	for _, id := range r.c.pathOrder {
-		for _, sp := range r.c.paths[id].Space.SentFrom(0) {
+	for _, p := range r.c.paths {
+		for _, sp := range p.Space.SentFrom(0) {
 			meta, ok := sp.Meta.(*packetMeta)
 			if !ok || meta.reinjected || !sp.InFlight() {
 				continue
@@ -199,7 +199,7 @@ func (r *refScheduler) scan(s *SendStream, sentBefore uint64) {
 				dup := ch
 				dup.reinjection = true
 				dup.isNew = false
-				dup.originPath = id
+				dup.originPath = p.ID
 				*q = append(*q, dup)
 				match = true
 			}

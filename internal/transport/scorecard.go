@@ -5,7 +5,7 @@ import "repro/internal/obs"
 // Scorecard composes the transport-side half of the per-session QoE
 // rollup (DESIGN.md §14): recovery-lane byte attribution from the
 // connection counters and per-path utilization/loss from the path stats,
-// in pathOrder for determinism. The harness (chaos.Run, core.Session,
+// in creation order. The harness (chaos.Run, core.Session,
 // xlink.Endpoint) fills in the player/controller fields — RCT, rebuffer,
 // Alg. 1 activity — before emitting and merging the card.
 func (c *Conn) Scorecard() obs.Scorecard {
@@ -17,14 +17,13 @@ func (c *Conn) Scorecard() obs.Scorecard {
 		CloseCode:         c.stats.CloseErrorCode,
 	}
 	var totalSent uint64
-	for _, id := range c.pathOrder {
-		totalSent += c.paths[id].SentBytes
+	for _, p := range c.paths {
+		totalSent += p.SentBytes
 	}
-	for _, id := range c.pathOrder {
+	for _, p := range c.paths {
 		if sc.NumPaths >= obs.ScorecardMaxPaths {
 			break
 		}
-		p := c.paths[id]
 		ps := obs.PathScore{
 			ID:          p.ID,
 			SentPackets: p.SentPackets,

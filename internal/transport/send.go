@@ -156,8 +156,7 @@ func (c *Conn) sendCtrlBypass(now time.Duration) {
 	}
 	// Prefer a healthy active path; fall back to any active one.
 	var p *Path
-	for _, id := range c.pathOrder {
-		cand := c.paths[id]
+	for _, cand := range c.paths {
 		if cand.State != PathActive || cand.DCID == nil {
 			continue
 		}
@@ -184,17 +183,16 @@ func (c *Conn) sendCtrlBypass(now time.Duration) {
 // their own. A one-off PING is queued on a freshly suspected path so it can
 // prove itself alive again.
 func (c *Conn) updatePathHealth(now time.Duration) {
-	if !c.multipath || len(c.pathOrder) < 2 || c.cfg.DisablePathHealth {
+	if !c.multipath || len(c.paths) < 2 || c.cfg.DisablePathHealth {
 		return
 	}
 	var newest time.Duration
-	for _, id := range c.pathOrder {
-		if t := pathProgress(c.paths[id]); t > newest {
+	for _, p := range c.paths {
+		if t := pathProgress(p); t > newest {
 			newest = t
 		}
 	}
-	for _, id := range c.pathOrder {
-		p := c.paths[id]
+	for _, p := range c.paths {
 		prog := pathProgress(p)
 		if p.State != PathActive || p.suspect || prog == 0 {
 			continue
@@ -215,13 +213,12 @@ func (c *Conn) updatePathHealth(now time.Duration) {
 }
 
 // usableSendPaths returns validated paths with a destination CID and
-// congestion window space, in pathOrder order (the selector's tie-break
+// congestion window space, in creation order (the selector's tie-break
 // order — never re-sorted), into the sendablePaths scratch. The result is
 // valid until the next call.
 func (c *Conn) usableSendPaths() []*Path {
 	out := c.sendablePaths[:0]
-	for _, id := range c.pathOrder {
-		p := c.paths[id]
+	for _, p := range c.paths {
 		if p.Usable() && p.DCID != nil && p.CC.CanSend(cc.MaxDatagramSize) {
 			out = append(out, p)
 		}
@@ -343,7 +340,7 @@ func (c *Conn) sendProbePacket(now time.Duration) bool {
 		if item.pathID < 0 {
 			continue
 		}
-		p := c.paths[uint64(item.pathID)]
+		p := c.Path(uint64(item.pathID))
 		if p == nil || p.DCID == nil || p.State == PathClosed {
 			continue
 		}
@@ -499,8 +496,7 @@ func (c *Conn) dropFromOrder(s *SendStream) bool {
 // RTT + δ.
 func (c *Conn) maxDeliverTime() time.Duration {
 	var m time.Duration
-	for _, id := range c.pathOrder {
-		p := c.paths[id]
+	for _, p := range c.paths {
 		if !p.Space.HasUnacked() {
 			continue
 		}
@@ -516,7 +512,7 @@ func (c *Conn) reinjectionAllowed(now time.Duration) bool {
 	if c.cfg.ReinjectionMode == ReinjectNone {
 		return false
 	}
-	if len(c.pathOrder) < 2 {
+	if len(c.paths) < 2 {
 		return false // nothing to decouple
 	}
 	if c.cfg.ReinjectionGate == nil {
@@ -530,8 +526,7 @@ func (c *Conn) reinjectionAllowed(now time.Duration) bool {
 // on a slower path cannot beat the original and just burns its capacity
 // (Sec 5.1: "the re-injected copy can go through the fast path").
 func (c *Conn) isFastestPath(p *Path) bool {
-	for _, id := range c.pathOrder {
-		o := c.paths[id]
+	for _, o := range c.paths {
 		if o == p || !o.Usable() {
 			continue
 		}
@@ -640,7 +635,7 @@ func (c *Conn) pullFramePriority(s *SendStream, p *Path, maxLen int, allowReinj 
 }
 
 // scanReinjections queues re-injection copies of stream s's chunks in
-// packets still in flight, paths in pathOrder and packet numbers ascending.
+// packets still in flight, paths in creation order and packet numbers ascending.
 // A packet is examined for a stream once, by the first scan after it was
 // sent (s.scanned holds the per-path cursor): whatever excludes a chunk then
 // — delivered, FEC-covered, its packet resolved or already duplicated —
@@ -649,8 +644,8 @@ func (c *Conn) scanReinjections(s *SendStream) {
 	if s.reset {
 		return
 	}
-	for i, id := range c.pathOrder {
-		src := c.paths[id].Space
+	for i, p := range c.paths {
+		src := p.Space
 		if i == len(s.scanned) {
 			s.scanned = append(s.scanned, 0)
 		}
@@ -681,7 +676,7 @@ func (c *Conn) scanReinjections(s *SendStream) {
 				}
 				ch.reinjection = true
 				ch.isNew = false
-				ch.originPath = id
+				ch.originPath = p.ID
 				meta.reinjected = true
 				// Acks and FEC recovery may cover between them what neither
 				// covers alone: the packet counts as duplicated, the copy
@@ -806,8 +801,7 @@ func (c *Conn) ackSendPath(on *Path) *Path {
 		}
 	}
 	var best *Path
-	for _, id := range c.pathOrder {
-		p := c.paths[id]
+	for _, p := range c.paths {
 		if !p.Usable() || p.DCID == nil {
 			continue
 		}
@@ -869,8 +863,7 @@ func (c *Conn) flushAcks(now time.Duration, force bool) {
 	if c.txSealer == nil {
 		return
 	}
-	for _, id := range c.pathOrder {
-		p := c.paths[id]
+	for _, p := range c.paths {
 		if !p.ackQueued || !force && !p.ackDue(now, c.cfg.MaxAckDelay) {
 			continue
 		}
@@ -893,8 +886,7 @@ func (c *Conn) flushAcks(now time.Duration, force bool) {
 // appendAcksFor puts pending acks whose policy path is p into the packet being
 // built for p, marking each riding; settleAcks decides whether they left.
 func (c *Conn) appendAcksFor(now time.Duration, p *Path, frames []wire.Frame, budget *int) []wire.Frame {
-	for _, id := range c.pathOrder {
-		rp := c.paths[id]
+	for _, rp := range c.paths {
 		if !rp.ackQueued {
 			continue
 		}
@@ -915,8 +907,7 @@ func (c *Conn) appendAcksFor(now time.Duration, p *Path, frames []wire.Frame, bu
 // settleAcks ends the ride appendAcksFor began: the acks went out with the
 // packet (sent) or stay queued (the packet carried nothing else).
 func (c *Conn) settleAcks(sent bool) {
-	for _, id := range c.pathOrder {
-		rp := c.paths[id]
+	for _, rp := range c.paths {
 		if rp.ackRiding {
 			rp.ackRiding = false
 			if sent {
@@ -954,8 +945,7 @@ func (c *Conn) nextDeadline() time.Duration {
 	}
 	if c.state == stateEstablished {
 		deadline = earlierDeadline(deadline, c.secondaryAt)
-		for _, id := range c.pathOrder {
-			p := c.paths[id]
+		for _, p := range c.paths {
 			deadline = earlierDeadline(deadline, p.Space.LossTime())
 			deadline = earlierDeadline(deadline, p.Space.PTODeadline())
 			if p.ackQueued {
@@ -1069,8 +1059,7 @@ func (c *Conn) onTimer(now time.Duration) {
 		if c.secondaryAt > 0 && now >= c.secondaryAt {
 			c.maybeInitSecondaryPaths(now)
 		}
-		for _, id := range c.pathOrder {
-			p := c.paths[id]
+		for _, p := range c.paths {
 			if lt := p.Space.LossTime(); lt > 0 && now >= lt {
 				lost := p.Space.OnLossTimeout(now)
 				c.handleLost(now, p, lost, "time")
@@ -1103,7 +1092,7 @@ func (c *Conn) onPathPTO(now time.Duration, p *Path) {
 		return
 	}
 	if p.Space.PTOCount() >= 2 {
-		if !c.cfg.DisablePathHealth && !p.suspect && c.multipath && len(c.pathOrder) > 1 {
+		if !c.cfg.DisablePathHealth && !p.suspect && c.multipath && len(c.paths) > 1 {
 			// XLINK path management (Sec 5.3/6): repeated timeouts demote
 			// the path so data and acknowledgements move to the surviving
 			// paths, the peer learns via PATH_STATUS, and everything

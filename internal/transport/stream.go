@@ -64,7 +64,7 @@ type SendStream struct {
 	// enqueue order. Entries leave when they are sent, when the peer holds
 	// all of their data (dropDelivered), or at Reset.
 	reinjQ []chunk
-	// scanned[i] is the first packet number on path c.pathOrder[i] that
+	// scanned[i] is the first packet number on path c.paths[i] that
 	// scanReinjections has not examined for this stream yet.
 	scanned []uint64
 	// inFlight counts this stream's chunks in packets neither acked nor

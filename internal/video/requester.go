@@ -49,9 +49,8 @@ type Requester struct {
 	nextOffset uint64 // next chunk offset to request
 	deliverPos uint64 // next byte offset to hand to the player
 	chunks     map[uint64]*chunkState
-	// order holds the chunks as requested — ascending offset and stream ID
-	// alike — and deliverIdx is the first one not yet handed to the player
-	// in full.
+	// order holds the chunks as first requested, in ascending offset, and
+	// deliverIdx is the first one not yet handed to the player in full.
 	order        []*chunkState
 	deliverIdx   int
 	outstanding  int
@@ -113,7 +112,7 @@ func (r *Requester) Abort() {
 		return
 	}
 	r.aborted = true
-	// STOP_SENDING frames go on the wire; emit them in stream-ID order so
+	// STOP_SENDING frames go on the wire; emit them in request order so
 	// traces are reproducible.
 	for _, cs := range r.order {
 		if !cs.completed {
@@ -149,27 +148,43 @@ func (r *Requester) fill(now time.Duration) {
 		if r.nextOffset+length > r.video.Size {
 			length = r.video.Size - r.nextOffset
 		}
-		ss := r.conn.OpenStream()
 		cs := &chunkState{
-			offset:   r.nextOffset,
-			length:   length,
-			streamID: ss.ID(),
-			result:   ChunkResult{Offset: r.nextOffset, Length: length, RequestedAt: now},
+			offset: r.nextOffset,
+			length: length,
+			result: ChunkResult{Offset: r.nextOffset, Length: length, RequestedAt: now},
 		}
-		r.chunks[ss.ID()] = cs
 		r.order = append(r.order, cs)
 		r.nextOffset += length
 		r.outstanding++
-		ss.Write([]byte(FormatRequest(Request{ID: r.video.ID, Offset: cs.offset, Length: length})))
-		ss.Close()
+		r.request(cs)
 	}
 }
 
+// request asks for the chunk's whole range on a new stream.
+func (r *Requester) request(cs *chunkState) {
+	ss := r.conn.OpenStream()
+	cs.streamID = ss.ID()
+	cs.received = 0
+	r.chunks[cs.streamID] = cs
+	ss.Write([]byte(FormatRequest(Request{ID: r.video.ID, Offset: cs.offset, Length: cs.length})))
+	ss.Close()
+}
+
 // OnStreamData is the transport callback for response data. A chunk whose
-// stream the server reset is not complete.
+// stream the server reset is not complete: unless the fetch was aborted, its
+// range is requested again on a new stream, which keeps the chunk's slot.
+// The player never gets a byte twice, since deliverInOrder hands it only
+// what lies past what it already has.
 func (r *Requester) OnStreamData(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
 	cs := r.chunks[rs.ID()]
-	if cs == nil || rs.IsReset() {
+	if cs == nil {
+		return
+	}
+	if rs.IsReset() {
+		delete(r.chunks, rs.ID())
+		if !cs.completed && !r.aborted {
+			r.request(cs)
+		}
 		return
 	}
 	if len(data) > 0 {

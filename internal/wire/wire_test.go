@@ -381,10 +381,13 @@ func TestParseFrameUnknownType(t *testing.T) {
 }
 
 func TestParseFrameTruncatedInputs(t *testing.T) {
-	// Every frame from the round-trip set, truncated at every length,
-	// must either parse a valid prefix (padding runs) or error — never panic.
+	// Every strict prefix of a frame that carries its own length — and the
+	// ACK_MP's QoE block carries one too — must be refused with an error:
+	// one that parses is a frame read short, and the rest of the packet is
+	// read as whatever follows.
 	frames := []Frame{
 		&StreamFrame{StreamID: 4, Offset: 1234, Data: []byte("hello"), Fin: true},
+		&AckMPFrame{PathID: 1, Ranges: []AckRange{{Smallest: 2, Largest: 9}}},
 		&AckMPFrame{PathID: 1, Ranges: []AckRange{{Smallest: 2, Largest: 9}}, HasQoE: true,
 			QoE: QoESignal{CachedBytes: 999, CachedFrames: 3, BitrateBps: 88, FramerateFPS: 30}},
 		&NewConnectionIDFrame{Sequence: 2, ConnectionID: ConnectionID{1, 2, 3, 4}},
@@ -394,7 +397,9 @@ func TestParseFrameTruncatedInputs(t *testing.T) {
 	for _, f := range frames {
 		full := f.Append(nil)
 		for i := 0; i < len(full); i++ {
-			ParseFrame(full[:i]) // must not panic
+			if got, n, err := ParseFrame(full[:i:i]); err == nil {
+				t.Errorf("%T cut to %d of %d bytes parsed as %+v (%d bytes)", f, i, len(full), got, n)
+			}
 		}
 	}
 }

@@ -1,26 +1,29 @@
 #!/usr/bin/env bash
-# Mutation audit of the xlinkvet rules (DESIGN.md §7; `make mutate`).
+# Mutation audit of the verification gates (DESIGN.md §7; `make mutate`).
 #
-# Each mutation below is one realistic bug of the class a rule exists for —
-# or existed for: a retired rule's mutations stay, because the gate that
-# catches them now is the licence for the rule's deletion — written from the
-# rule's contract, one to five lines of the real tree. For every mutation the
-# script applies it to a throw-away copy of the tree, runs xlinkvet, and then
-# the other gates in cost order until the first one fails:
+# Each mutation below is one realistic bug, one to five lines of the real
+# tree, grouped by the class of hazard it stands for: a seed that no longer
+# fixes a run, an unordered walk into an output, a dropped wire-parse error,
+# a panic a peer can reach, a wall clock in a trace, an unchecked length, an
+# allocation on a per-packet path, a buffer kept past its loan, a leaked
+# goroutine, a double close, a broken connection lifecycle, a tree that does
+# not build, a packet record freed too early, and a live connection touched
+# off its shard. For every mutation the script applies it to a throw-away
+# copy of the tree and runs the gates in cost order until the first one
+# fails:
 #
-#   go vet · go test of the touched packages · the same under -tags
-#   xlinkdebug · the golden trace · the chaos corpus · TestAllocGate* ·
+#   go build && go vet · go test of the touched packages · the same under
+#   -tags xlinkdebug · the golden trace · the chaos corpus · TestAllocGate* ·
 #   -race of the touched packages · 30 s of the touched wire fuzz target
 #
-# A rule earns its place by being the only catcher of at least one mutation
-# that changes behaviour; the table this prints is the one in DESIGN.md §7.
-# Not part of tier-1 or check.sh: a full run takes about an hour.
+# Every mutation that changes behaviour must be caught by one of them; the
+# table this prints, with the first catcher of each row, is the one in
+# DESIGN.md §7, and the script exits 1 if a row is caught by nothing. A row
+# whose subject leaves the tree leaves the script with it. Not part of
+# tier-1 or check.sh: a full run takes about 20 minutes.
 #
 # Usage: scripts/mutate.sh [ID...]      run all mutations, or only the named
 #        MUTATE_WORK=dir                keep the copy and the gate logs there
-#
-# To reproduce the columns of a retired rule, run this script from a checkout
-# of the commit that still has the rule: it audits the tree it is started in.
 set -uo pipefail
 
 ROOT="$(git rev-parse --show-toplevel)"
@@ -90,10 +93,6 @@ mut M1 maprange internal/mptcp/mptcp.go "./internal/mptcp/ ./internal/experiment
 	"MPTCP loss detection queues retransmissions in map order (sort of lostSeqs dropped)" <<'EOF'
 rep(qq~\tsort.Slice(lostSeqs, func(i, j int) bool { return lostSeqs[i] < lostSeqs[j] })\n~, '');
 EOF
-mut M2 maprange internal/transport/send.go "$T" \
-	"onTimer walks c.paths (a map) instead of c.pathOrder: loss and PTO handling order varies per run" <<'EOF'
-s~(func \(c \*Conn\) onTimer\(.*?)\t\tfor _, id := range c\.pathOrder \{\n\t\t\tp := c\.paths\[id\]\n~$1\t\tfor _, p := range c.paths {\n~s or die "onTimer loop";
-EOF
 mut M3 maprange internal/obs/registry.go "./internal/obs/ ./cmd/xlinkqlog/ ./xlink/" \
 	"registry snapshot leaves counters in map order (one of three sorts dropped)" <<'EOF'
 rep(qq~\tsort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].Name < snap.Counters[j].Name })\n~, '');
@@ -128,8 +127,8 @@ rep(q~return nil, 0, fmt.Errorf("wire: fec window unknown scheme %d", f.Scheme)~
 EOF
 mut P2 panicpath internal/transport/conn.go "$T" \
 	"handleFrame panics on an ACK_MP for a path it does not know" <<'EOF'
-rep(qq~\t\ttarget := c.paths[fr.PathID]\n\t\tif target == nil {\n\t\t\treturn\n\t\t}\n~,
-    qq~\t\ttarget := c.paths[fr.PathID]\n\t\tif target == nil {\n\t\t\tpanic("transport: ACK_MP for unknown path")\n\t\t}\n~);
+rep(qq~\t\ttarget := c.Path(fr.PathID)\n\t\tif target == nil {\n\t\t\treturn\n\t\t}\n~,
+    qq~\t\ttarget := c.Path(fr.PathID)\n\t\tif target == nil {\n\t\t\tpanic("transport: ACK_MP for unknown path")\n\t\t}\n~);
 EOF
 mut P3 panicpath internal/transport/conn.go "$T" \
 	"admitStreamData panics on a flow-control violation instead of closing the connection" <<'EOF'
@@ -186,8 +185,8 @@ mut T5 taintsize internal/wire/frames_ack.go "$W" \
 rep(qq~\t\tif uint64(len(b)-pos) < qLen {\n\t\t\treturn 0, ErrTruncated\n\t\t}\n~, '');
 EOF
 
-# hotalloc (retired: the TestAllocGate* tests are the allocation contract):
-# no per-packet function allocates.
+# hotalloc: no per-packet function allocates (the TestAllocGate* tests are the
+# allocation contract).
 mut H1 hotalloc internal/transport/path.go "$T" \
 	"buildAckRanges makes a fresh slice per ACK instead of reusing the path's scratch" <<'EOF'
 rep(q~out := p.ackRangesScratch[:0]~, q~out := make([]wire.AckRange, 0, maxRanges)~);
@@ -278,13 +277,14 @@ mut S5 connstate internal/sim/loop.go "./internal/sim/ ./internal/netem/ ./inter
 rep(q~t.ev.loop.remove(t.ev.idx).recycle()~, q~t.ev.recycle()~);
 EOF
 
-# loaderr: a tree that does not parse or type-check is reported, not skipped.
+# loaderr: a tree that does not parse or type-check fails a gate, including a
+# file only the xlinkdebug build compiles.
 mut E1 loaderr internal/transport/path.go "$T" \
-	"syntax error (unbalanced parenthesis) in a swept file" <<'EOF'
+	"syntax error (unbalanced parenthesis) in a package file" <<'EOF'
 rep(q~func (p *Path) buildAckRanges(maxRanges int) []wire.AckRange {~, q~func (p *Path) buildAckRanges(maxRanges int []wire.AckRange {~);
 EOF
 mut E2 loaderr internal/transport/path.go "$T" \
-	"type error (undefined name) in a swept file" <<'EOF'
+	"type error (undefined name) in a package file" <<'EOF'
 rep(q~p.ackRangesScratch = out~, q~p.ackRangesScratch = outt~);
 EOF
 mut E3 loaderr internal/assert/assert_on.go "./internal/assert/ ./internal/transport/" \
@@ -292,7 +292,7 @@ mut E3 loaderr internal/assert/assert_on.go "./internal/assert/ ./internal/trans
 rep(q~func That(cond bool, format string, args ...any) {~, q~func That(cond bool, format string, args ...any {~);
 EOF
 
-# recycle (no rule): a packet record is freed only once the loss-detection
+# recycle: a packet record is freed only once the loss-detection
 # result that names it has been consumed (DESIGN.md §18). Under xlinkdebug a
 # freed record is poisoned, and recovery.AssertLive on every result and on the
 # lost list handleLost reads is the check.
@@ -305,7 +305,7 @@ mut R2 recycle internal/recovery/recovery.go "./internal/recovery/ ./internal/tr
 rep(qq~\tres.Lost = s.detectLost(now)\n\ts.gc()\n~, qq~\tres.Lost = s.detectLost(now)\n\ts.gc()\n\ts.Reclaim()\n~);
 EOF
 
-# shard (no rule): only the shard goroutine touches a live connection; it
+# shard: only the shard goroutine touches a live connection; it
 # applies the ops user calls post in the order posted and without the FIFO's
 # lock held, and it never waits for a write backlog it alone can drain;
 # value readers read the snapshot, under snapMu (DESIGN.md §16).
@@ -375,13 +375,23 @@ gate() { # name, log, command...: true when the gate CATCHES (the command fails)
 	return 0
 }
 
-LIVE_RULES="$(cd "$TREE" && go run ./cmd/xlinkvet -explain no-such-rule 2>&1 | sed -n 's/.*rules: //p' | tr -d ',')"
-live() { case " $LIVE_RULES " in *" $1 "*) return 0 ;; esac; return 1; }
+# failed names the first test a go test log reports failed, or says how the
+# test binary died when no test reported.
+failed() {
+	local t
+	t="$(grep -o -m1 -- '--- FAIL: [A-Za-z0-9_]*' "$1" | sed 's/--- FAIL: //')"
+	if [ -z "$t" ] && grep -q '^panic: test timed out' "$1"; then
+		t="timeout"
+	elif [ -z "$t" ] && grep -q '^panic:' "$1"; then
+		t="panic"
+	fi
+	[ -z "$t" ] || echo " ($t)"
+}
 
-declare -A FIRED OTHER VERDICT
+declare -A CATCHER VERDICT
 
 run_one() {
-	local id="$1" file="${FILE[$1]}" pkgs="${PKGS[$1]}" class="${CLASS[$1]}"
+	local id="$1" file="${FILE[$1]}" pkgs="${PKGS[$1]}"
 	cp "$TREE/$file" "$WORK/pristine"
 	if ! apply "$TREE/$file" "${BODY[$id]}"; then
 		echo "mutate: $id no longer applies to $file" >&2
@@ -389,69 +399,47 @@ run_one() {
 	fi
 	(cd "$TREE" && diff -u "$WORK/pristine" "$file") >"$LOGS/$id.diff"
 
-	# The rule first: one sweep, every rule that fires is recorded.
-	local fired
-	(cd "$TREE" && go run ./cmd/xlinkvet ./...) >"$LOGS/$id.xlinkvet.log" 2>&1
-	fired="$(grep -o '\[[a-z]*\]' "$LOGS/$id.xlinkvet.log" | tr -d '[]' | sort -u | tr '\n' ' ' | sed 's/ $//')"
-	FIRED[$id]="$fired"
-
-	# Then everything else, cheapest first, stopping at the first catcher.
-	local other="" r
-	if grep -q '^exit status [2-9]' "$LOGS/$id.xlinkvet.log"; then
-		other="xlinkvet aborts" # go run reports the analyzer's own exit code this way
-	fi
-	for r in $fired; do
-		if [ -z "$other" ] && [ "$r" != "$class" ]; then
-			other="xlinkvet:$r"
-		fi
-	done
-	if [ -z "$other" ] && gate vet "$LOGS/$id.vet.log" sh -c 'go build ./... && go vet ./...'; then
-		other="go vet"
+	# The gates, cheapest first, stopping at the first catcher.
+	local by=""
+	if gate vet "$LOGS/$id.vet.log" sh -c 'go build ./... && go vet ./...'; then
+		by="go vet"
 	fi
 	# shellcheck disable=SC2086
-	if [ -z "$other" ] && gate test "$LOGS/$id.test.log" go test -timeout 240s $pkgs; then
-		other="go test"
+	if [ -z "$by" ] && gate test "$LOGS/$id.test.log" go test -timeout 240s $pkgs; then
+		by="go test$(failed "$LOGS/$id.test.log")"
 	fi
 	# shellcheck disable=SC2086
-	if [ -z "$other" ] && gate debug "$LOGS/$id.xlinkdebug.log" go test -timeout 480s -tags xlinkdebug $pkgs; then
-		other="xlinkdebug"
+	if [ -z "$by" ] && gate debug "$LOGS/$id.xlinkdebug.log" go test -timeout 480s -tags xlinkdebug $pkgs; then
+		by="xlinkdebug$(failed "$LOGS/$id.xlinkdebug.log")"
 	fi
-	if [ -z "$other" ] && gate golden "$LOGS/$id.golden.log" go test ./internal/chaos/ -run TestGoldenTrace; then
-		other="golden trace"
+	if [ -z "$by" ] && gate golden "$LOGS/$id.golden.log" go test ./internal/chaos/ -run TestGoldenTrace; then
+		by="golden trace"
 	fi
-	if [ -z "$other" ] && gate chaos "$LOGS/$id.chaos.log" go test -timeout 240s ./internal/chaos/; then
-		other="chaos corpus"
-	fi
-	# shellcheck disable=SC2086
-	if [ -z "$other" ] && gate alloc "$LOGS/$id.alloc.log" go test -run TestAllocGate $ALLOC_PKGS; then
-		other="TestAllocGate"
+	if [ -z "$by" ] && gate chaos "$LOGS/$id.chaos.log" go test -timeout 240s ./internal/chaos/; then
+		by="chaos corpus$(failed "$LOGS/$id.chaos.log")"
 	fi
 	# shellcheck disable=SC2086
-	if [ -z "$other" ] && gate race "$LOGS/$id.race.log" go test -race -timeout 900s $pkgs; then
-		other="-race"
+	if [ -z "$by" ] && gate alloc "$LOGS/$id.alloc.log" go test -run TestAllocGate $ALLOC_PKGS; then
+		by="TestAllocGate$(failed "$LOGS/$id.alloc.log")"
 	fi
-	if [ -z "$other" ] && [ -n "${FUZZ[$id]:-}" ] &&
+	# shellcheck disable=SC2086
+	if [ -z "$by" ] && gate race "$LOGS/$id.race.log" go test -race -timeout 900s $pkgs; then
+		by="-race$(failed "$LOGS/$id.race.log")"
+	fi
+	if [ -z "$by" ] && [ -n "${FUZZ[$id]:-}" ] &&
 		gate fuzz "$LOGS/$id.fuzz.log" go test ./internal/wire/ -run '^$' -fuzz "${FUZZ[$id]}\$" -fuzztime "$FUZZTIME"; then
-		other="fuzz ${FUZZ[$id]}"
+		by="fuzz ${FUZZ[$id]}"
 	fi
-	OTHER[$id]="$other"
+	CATCHER[$id]="$by"
 
-	local caught=no
-	case " $fired " in *" $class "*) caught=yes ;; esac
 	if [ -n "${EQUIV[$id]:-}" ]; then
 		VERDICT[$id]="equivalent"
-	elif ! live "$class" && [ -n "$other" ]; then
-		VERDICT[$id]="covered"
-	elif [ "$caught" = yes ] && [ -z "$other" ]; then
-		VERDICT[$id]="sole catcher"
-	elif [ "$caught" = yes ]; then
-		VERDICT[$id]="shared"
-	elif [ -n "$other" ]; then
-		VERDICT[$id]="missed"
+	elif [ -n "$by" ]; then
+		VERDICT[$id]="caught"
 	else
 		VERDICT[$id]="UNCAUGHT"
 	fi
-	printf '%-3s %-12s xlinkvet[%s] other[%s] -> %s\n' "$id" "$class" "$fired" "$other" "${VERDICT[$id]}" >&2
+	printf '%-3s %-12s first catcher[%s] -> %s\n' "$id" "${CLASS[$id]}" "$by" "${VERDICT[$id]}" >&2
 
 	cp "$WORK/pristine" "$TREE/$file"
 	# A fuzz run that found something left its reproducer behind.
@@ -478,38 +466,21 @@ for id in "${SELECTED[@]}"; do
 	run_one "$id"
 done
 
-# --- the tables -----------------------------------------------------------
+# --- the table -----------------------------------------------------------
 
-echo "| id | class | mutation | xlinkvet fires | first other catcher | verdict |"
-echo "|---|---|---|---|---|---|"
+echo "| id | class | mutation | first gate that catches it | verdict |"
+echo "|---|---|---|---|---|"
+uncaught=0
 for id in "${SELECTED[@]}"; do
 	note="${VERDICT[$id]}"
 	if [ -n "${EQUIV[$id]:-}" ]; then
 		note="equivalent: ${EQUIV[$id]}"
+	elif [ "$note" = UNCAUGHT ]; then
+		uncaught=$((uncaught + 1))
 	fi
-	echo "| $id | ${CLASS[$id]} | ${DESC[$id]} | ${FIRED[$id]:-—} | ${OTHER[$id]:-—} | $note |"
+	echo "| $id | ${CLASS[$id]} | ${DESC[$id]} | ${CATCHER[$id]:-—} | $note |"
 done
-echo
-echo "| rule | mutations tried | caught | sole catcher of | misses |"
-echo "|---|---|---|---|---|"
-for class in $(for id in "${SELECTED[@]}"; do echo "${CLASS[$id]}"; done | awk '!seen[$0]++'); do
-	tried=0 caught=0 sole="" misses=""
-	for id in "${SELECTED[@]}"; do
-		[ "${CLASS[$id]}" = "$class" ] || continue
-		[ -z "${EQUIV[$id]:-}" ] || continue
-		tried=$((tried + 1))
-		case "${VERDICT[$id]}" in
-		"sole catcher") caught=$((caught + 1)) sole="$sole $id" ;;
-		shared) caught=$((caught + 1)) ;;
-		missed | covered) misses="$misses $id (${OTHER[$id]})" ;;
-		UNCAUGHT) misses="$misses $id (nothing)" ;;
-		esac
-	done
-	if live "$class"; then
-		echo "| $class | $tried | $caught | ${sole:-—} | ${misses:-—} |"
-	elif [ "$class" = recycle ] || [ "$class" = shard ]; then
-		echo "| $class (no rule) | $tried | — | — | caught by:${misses:- nothing} |"
-	else
-		echo "| $class (retired) | $tried | — | — | caught now by:${misses:- nothing to catch} |"
-	fi
-done
+if [ "$uncaught" -gt 0 ]; then
+	echo "mutate: $uncaught mutation(s) caught by no gate" >&2
+	exit 1
+fi

@@ -595,7 +595,8 @@ func NewEventLoopGroup(n int) *EventLoopGroup {
 			kick: make(chan struct{}, 1),
 			loop: sim.NewLoop(),
 			wall: sim.NewRealClock(),
-			//xlinkvet:ignore determinism — real-time adapter: the shard's timer goes off on the wall clock
+			// The one wall-clock timer of the live plane: a real-time
+			// adapter, the shard's timer goes off on the wall clock.
 			timer:   time.NewTimer(time.Hour),
 			timerAt: -1,
 			batch:   make([]rawPacket, 0, liveBatchSize),

@@ -57,6 +57,7 @@ func TestEmulatedSessionDeterminism(t *testing.T) {
 // side's clock never goes back: every entry reads the loop it advanced to the
 // wall clock, and the timers run inside that advance.
 func TestLiveUDPTransfer(t *testing.T) {
+	start := time.Now()
 	payload := make([]byte, 512<<10)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -192,25 +193,43 @@ func TestLiveUDPTransfer(t *testing.T) {
 	if sent == 0 || recv == 0 {
 		t.Fatalf("live trace missing packet events: %d sent, %d received", sent, recv)
 	}
-	srvEvs, err := obs.ParseBytes(server.TraceBytes())
-	if err != nil {
-		t.Fatalf("live server trace does not parse: %v", err)
-	}
-	for _, side := range [][]obs.Event{evs, srvEvs} {
-		last := map[string]obs.Event{}
-		for _, e := range side {
-			if prev, ok := last[e.Origin]; ok && e.Time < prev.Time {
-				t.Fatalf("%s clock went back: %s at %v after %s at %v", e.Origin, e.Name, e.Time, prev.Name, prev.Time)
-			}
-			last[e.Origin] = e
-		}
-	}
 	// Stats are read after the trace snapshot and only ever grow, so the
 	// trace count bounds the counter from below (exact reconciliation is
 	// the deterministic chaos suite's job).
 	st := client.Stats()
 	if uint64(recv) > st.RecvPackets {
 		t.Fatalf("trace has %d packet_received, stats say only %d", recv, st.RecvPackets)
+	}
+
+	// Each side's trace read through Close: every event, the close's
+	// conn:scorecard among them, is on the endpoint's clock, which starts
+	// with the endpoint — so never later than this test has run — and
+	// never goes back.
+	client.Close()
+	server.Close()
+	for _, ep := range []*Endpoint{client, server} {
+		evs, err := obs.ParseBytes(ep.TraceBytes())
+		if err != nil {
+			t.Fatalf("live trace does not parse after Close: %v", err)
+		}
+		ran := time.Since(start)
+		scorecards := 0
+		last := map[string]obs.Event{}
+		for _, e := range evs {
+			if prev, ok := last[e.Origin]; ok && e.Time < prev.Time {
+				t.Fatalf("%s clock went back: %s at %v after %s at %v", e.Origin, e.Name, e.Time, prev.Name, prev.Time)
+			}
+			if e.Time > ran {
+				t.Fatalf("%s traced %s at %v, after the %v this test has run", e.Origin, e.Name, e.Time, ran)
+			}
+			last[e.Origin] = e
+			if e.Name == obs.EvScorecard {
+				scorecards++
+			}
+		}
+		if scorecards != 1 {
+			t.Fatalf("trace holds %d %s events after Close, want 1", scorecards, obs.EvScorecard)
+		}
 	}
 }
 
