@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet mutate test debugtest race fuzz chaos trace quick-golden bench check
+.PHONY: build vet mutate reach test debugtest race fuzz chaos trace quick-golden bench check
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ vet:
 mutate:
 	bash scripts/mutate.sh
 
+# The reachability audit: every cmd/, examples/ and benchmark binary built
+# with coverage and run once; prints the non-test functions no run entered
+# (String methods aside). DESIGN.md §3 lists the ones that may appear and
+# why; about a minute, not part of `make check`.
+reach:
+	bash scripts/reach.sh
+
 test:
 	$(GO) test ./...
 
@@ -28,11 +35,14 @@ debugtest:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke on each wire-format target (committed corpora under
-# internal/wire/testdata/fuzz/ run as regression inputs in plain `go test`).
+# Short fuzz smoke on each wire-format target and on the short-header open
+# (committed corpora under internal/wire/testdata/fuzz/ and
+# internal/transport/testdata/fuzz/ run as regression inputs in plain
+# `go test`).
 fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseVarint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseHeader -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzOpenShort -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseTransportParams -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzParseTrace -fuzztime $(FUZZTIME)

@@ -256,14 +256,8 @@ func (s *session) config(arm Arm) core.SessionConfig {
 	}
 }
 
-// Run executes the population under every arm with paired conditions. It is
-// RunParallel on one worker: every session-arm runs on the calling goroutine.
-func Run(pop Population, arms []Arm) map[string]*ArmResult {
-	return RunParallel(pop, arms, 1)
-}
-
 // RunParallel executes the population under every arm with paired conditions
-// on up to workers goroutines, and returns what Run does whatever the worker
+// on up to workers goroutines, and returns the same whatever the worker
 // count (DESIGN.md §21). The sessions' RNGs are forked in order on the
 // caller; the jobs are session-arms, handed out largest video first so that
 // the longest plays do not start last and leave the other workers idle at

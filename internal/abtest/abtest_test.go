@@ -3,6 +3,7 @@ package abtest
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func TestRunPairedArms(t *testing.T) {
 		{Name: "SP", Scheme: core.SchemeSinglePath},
 		{Name: "XLINK", Scheme: core.SchemeXLINK},
 	}
-	res := Run(smallPop(1, 4), arms)
+	res := RunParallel(smallPop(1, 4), arms, 1)
 	if len(res) != 2 {
 		t.Fatalf("arm results %d", len(res))
 	}
@@ -47,8 +48,8 @@ func TestRunPairedArms(t *testing.T) {
 
 func TestDayVariation(t *testing.T) {
 	arms := []Arm{{Name: "SP", Scheme: core.SchemeSinglePath}}
-	d1 := Run(smallPop(1, 3), arms)["SP"]
-	d2 := Run(smallPop(2, 3), arms)["SP"]
+	d1 := RunParallel(smallPop(1, 3), arms, 1)["SP"]
+	d2 := RunParallel(smallPop(2, 3), arms, 1)["SP"]
 	same := len(d1.RCTs) == len(d2.RCTs)
 	if same {
 		for i := range d1.RCTs {
@@ -62,7 +63,7 @@ func TestDayVariation(t *testing.T) {
 		t.Fatal("different days must draw different populations")
 	}
 	// Same day must be reproducible.
-	d1b := Run(smallPop(1, 3), arms)["SP"]
+	d1b := RunParallel(smallPop(1, 3), arms, 1)["SP"]
 	if len(d1.RCTs) != len(d1b.RCTs) {
 		t.Fatal("same-day run not reproducible")
 	}
@@ -107,7 +108,7 @@ func TestImprovement(t *testing.T) {
 }
 
 // TestRunParallelMatchesRun pins the scheduler's contract: whatever the
-// worker count — one (Run itself, no goroutine), two, three, eight, or more
+// worker count — one (no goroutine), two, three, eight, or more
 // workers than session-arms — the results deep-equal those of a plain
 // sequential pass that draws each session whole and plays its arms in order,
 // so handing out the largest videos first and drawing the networks on the
@@ -121,9 +122,6 @@ func TestRunParallelMatchesRun(t *testing.T) {
 	}
 	for _, pop := range []Population{smallPop(2, 5), smallPop(3, 1)} {
 		want := sequentialRun(pop, arms)
-		if diff := armResultsDiffer(want, Run(pop, arms)); diff != "" {
-			t.Errorf("%d sessions, Run: %s", pop.Sessions, diff)
-		}
 		for _, workers := range []int{1, 2, 3, 8} {
 			if diff := armResultsDiffer(want, RunParallel(pop, arms, workers)); diff != "" {
 				t.Errorf("%d sessions on %d workers: %s", pop.Sessions, workers, diff)
@@ -167,7 +165,10 @@ func armResultsDiffer(want, got map[string]*ArmResult) string {
 			return name + " missing"
 		}
 		wc, gc := *w, *g
-		if wd, gd := wc.Registry.DumpString(), gc.Registry.DumpString(); wd != gd {
+		var wd, gd strings.Builder
+		wc.Registry.Dump(&wd)
+		gc.Registry.Dump(&gd)
+		if wd.String() != gd.String() {
 			return name + ": registries differ"
 		}
 		wc.Registry, gc.Registry = nil, nil
@@ -185,7 +186,7 @@ func armResultsDiffer(want, got map[string]*ArmResult) string {
 // fraction of 0.214 that counted samples, not buffer grazes. Only samples
 // between start-up + grace and the finish instant count: about 0.0004.
 func TestBufferSamplesStopAtTheFinish(t *testing.T) {
-	r := Run(Population{Day: 1, Sessions: 20, Seed: 20210823}, []Arm{{Name: "SP", Scheme: core.SchemeSinglePath}})["SP"]
+	r := RunParallel(Population{Day: 1, Sessions: 20, Seed: 20210823}, []Arm{{Name: "SP", Scheme: core.SchemeSinglePath}}, 1)["SP"]
 	if r.Completed == 0 || r.TotalSamples < 40000 || len(r.BufferLevels) != r.TotalSamples {
 		t.Fatalf("%d completed, %d samples, %d buffer levels", r.Completed, r.TotalSamples, len(r.BufferLevels))
 	}

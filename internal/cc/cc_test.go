@@ -8,7 +8,7 @@ import (
 
 func TestRTTEstimatorFirstSample(t *testing.T) {
 	e := NewRTTEstimator()
-	if e.HasSample() {
+	if e.samples != 0 {
 		t.Fatal("no samples yet")
 	}
 	if e.Smoothed() != DefaultInitialRTT {
@@ -21,7 +21,7 @@ func TestRTTEstimatorFirstSample(t *testing.T) {
 	if e.Variation() != 50*time.Millisecond {
 		t.Fatalf("variation = %v", e.Variation())
 	}
-	if e.Min() != 100*time.Millisecond || e.Latest() != 100*time.Millisecond {
+	if e.min != 100*time.Millisecond || e.Latest() != 100*time.Millisecond {
 		t.Fatal("min/latest")
 	}
 }
@@ -51,7 +51,7 @@ func TestRTTEstimatorIgnoresNonPositive(t *testing.T) {
 	e := NewRTTEstimator()
 	e.Update(0, 0)
 	e.Update(-5*time.Millisecond, 0)
-	if e.HasSample() {
+	if e.samples != 0 {
 		t.Fatal("non-positive samples must be ignored")
 	}
 }

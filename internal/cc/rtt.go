@@ -65,14 +65,8 @@ func (e *RTTEstimator) Update(sample, ackDelay time.Duration) {
 	e.samples++
 }
 
-// HasSample reports whether any RTT sample was recorded.
-func (e *RTTEstimator) HasSample() bool { return e.samples > 0 }
-
 // Latest returns the most recent raw sample.
 func (e *RTTEstimator) Latest() time.Duration { return e.latest }
-
-// Min returns the minimum observed RTT.
-func (e *RTTEstimator) Min() time.Duration { return e.min }
 
 // Smoothed returns the smoothed RTT, or the RFC initial value before the
 // first sample.

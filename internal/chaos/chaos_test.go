@@ -233,10 +233,9 @@ func TestChaosFECBeatsReinjectionOnRebuffer(t *testing.T) {
 
 // TestChaosBackendRemoval is the load-balancer failure scenario: a
 // multi-path connection established through the lb.Router loses its backend
-// mid-transfer (RemoveBackend, as in a crash or scale-down). Subsequent
-// short-header packets must be counted drops, and the client — receiving
-// nothing — must reach terminal closure via its idle timeout, with the
-// event loop quiescing afterwards.
+// mid-transfer (a crash: the router still routes to it, and nothing
+// answers). The client — receiving nothing — must reach terminal closure via
+// its idle timeout, with the event loop quiescing afterwards.
 func TestChaosBackendRemoval(t *testing.T) {
 	loop := sim.NewLoop()
 	env := transport.SimEnv{Loop: loop}
@@ -261,12 +260,21 @@ func TestChaosBackendRemoval(t *testing.T) {
 	s1, s2 := mkServer(1), mkServer(2)
 
 	router := lb.NewRouter(8)
-	var s1pkts, s2pkts int
+	var s1pkts, s2pkts, lost int
+	var crashed byte // the backend that no longer answers
 	router.AddBackend(1, lb.BackendFunc(func(netIdx int, data []byte) {
+		if crashed == 1 {
+			lost++
+			return
+		}
 		s1pkts++
 		s1.HandleDatagram(loop.Now(), netIdx, data)
 	}))
 	router.AddBackend(2, lb.BackendFunc(func(netIdx int, data []byte) {
+		if crashed == 2 {
+			lost++
+			return
+		}
 		s2pkts++
 		s2.HandleDatagram(loop.Now(), netIdx, data)
 	}))
@@ -298,11 +306,11 @@ func TestChaosBackendRemoval(t *testing.T) {
 	if s2pkts > s1pkts {
 		owner = 2
 	}
-	router.RemoveBackend(owner)
+	crashed = owner
 
 	loop.RunUntil(30 * time.Second)
-	if router.DroppedUnknownID == 0 {
-		t.Fatal("post-removal packets not counted as unknown-ID drops")
+	if lost == 0 || router.RoutedByID == 0 {
+		t.Fatalf("%d packets reached the crashed backend, %d were routed by ID: the client stopped sending at once", lost, router.RoutedByID)
 	}
 	if !client.Terminated() {
 		t.Fatalf("client state %q, want terminal closed after backend loss", client.StateName())

@@ -218,9 +218,6 @@ func TestFlightRingMatchesStream(t *testing.T) {
 				t.Fatalf("ring snapshot (%d bytes) differs from the stream's last %d lines (%d bytes)",
 					len(got), len(kept), len(want))
 			}
-			if fr.Truncated() != 1 {
-				t.Errorf("truncated = %d, want 1: the session's one scorecard", fr.Truncated())
-			}
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cc"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -117,12 +118,12 @@ func TestMigrationResetsCongestionState(t *testing.T) {
 		t.Fatal("handshake failed")
 	}
 	p := pair.Client.Paths()[0]
-	before := p.RTT.HasSample()
-	if !before {
+	// Latest is zero exactly until the estimator takes its first sample.
+	if p.RTT.Latest() == 0 {
 		t.Fatal("expected RTT samples before migration")
 	}
 	pair.Client.MigratePrimary(1, trace.TechLTE)
-	if p.RTT.HasSample() {
+	if p.RTT.Latest() != 0 || p.RTT.Smoothed() != cc.DefaultInitialRTT {
 		t.Fatal("migration must reset RTT state")
 	}
 	if p.NetIdx != 1 || p.Tech != trace.TechLTE {

@@ -197,10 +197,10 @@ func TestXLINKBeatsVanillaUnderOutage(t *testing.T) {
 
 func TestBufferSeriesRecorded(t *testing.T) {
 	res := runScheme(t, SchemeXLINK, stablePaths(10, 10), 1, 5)
-	if res.BufferSeries.Len() == 0 {
+	if len(res.BufferSeries.Times) == 0 {
 		t.Fatal("buffer series empty")
 	}
-	if res.ReinjectSeries.Len() == 0 {
+	if len(res.ReinjectSeries.Times) == 0 {
 		t.Fatal("reinject series empty")
 	}
 }

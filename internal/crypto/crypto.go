@@ -172,9 +172,3 @@ func (s *Sealer) ProtectHeader(first *byte, pnBytes []byte, sample []byte) {
 		pnBytes[i] ^= mask[1+i]
 	}
 }
-
-// UnprotectHeader removes header protection in place, mirrored from
-// ProtectHeader.
-func (s *Sealer) UnprotectHeader(first *byte, pnBytes []byte, sample []byte) {
-	s.ProtectHeader(first, pnBytes, sample) // XOR is its own inverse
-}

@@ -36,18 +36,6 @@ var (
 	NRRadio   = RadioModel{Tech: trace.Tech5GNSA, ActiveW: 2.0, PerMbpsW: 0.080, TailW: 1.1, TailTime: 3 * time.Second}
 )
 
-// TransferEnergy returns the joules one radio consumes moving `bytes` at
-// sustained throughput `mbps` (including its tail).
-func (m RadioModel) TransferEnergy(bytes uint64, mbps float64) float64 {
-	if mbps <= 0 || bytes == 0 {
-		return 0
-	}
-	seconds := float64(bytes*8) / (mbps * 1e6)
-	active := (m.ActiveW + m.PerMbpsW*mbps) * seconds
-	tail := m.TailW * m.TailTime.Seconds()
-	return active + tail
-}
-
 // Result is one Fig 14 data point.
 type Result struct {
 	Name string
@@ -108,16 +96,6 @@ func Measure(cfg Configuration, bytes uint64, perRadioMbps []float64) Result {
 		EnergyJ:        total,
 		EnergyPerBitNJ: total / float64(bytes*8) * 1e9,
 	}
-}
-
-// MeasureEven splits the cap evenly across radios — the closed-form view
-// used when no emulated throughput measurement is supplied.
-func MeasureEven(cfg Configuration, bytes uint64) Result {
-	per := make([]float64, len(cfg.Radios))
-	for i := range per {
-		per[i] = cfg.LinkMbps
-	}
-	return Measure(cfg, bytes, per)
 }
 
 // Normalize scales results so the maximum energy-per-bit and throughput

@@ -13,9 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
-
-	"repro/internal/stats"
 )
 
 // Scale trades experiment fidelity for runtime.
@@ -67,17 +64,5 @@ func sortedKeys(m map[string]float64) []string {
 	return keys
 }
 
-// seconds formats a duration in seconds with millisecond precision.
-func seconds(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()) }
-
 // pct formats a percentage.
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v) }
-
-// summaryRow renders a stats summary as table cells.
-func summaryRow(s stats.Summary) []string {
-	return []string{
-		fmt.Sprintf("%.3f", s.P50),
-		fmt.Sprintf("%.3f", s.P95),
-		fmt.Sprintf("%.3f", s.P99),
-	}
-}

@@ -23,9 +23,8 @@ func (f BackendFunc) Deliver(netIdx int, data []byte) { f(netIdx, data) }
 
 // Router routes datagrams to backends by the server ID byte embedded in
 // connection IDs. A Router is confined to the goroutine that forwards its
-// listen socket's datagrams: AddBackend and RemoveBackend mutate its
-// routing tables without any lock, so they must be called from that
-// goroutine too.
+// listen socket's datagrams: AddBackend mutates its routing tables without
+// any lock, so it must be called from that goroutine too.
 type Router struct {
 	cidLen   int
 	backends map[byte]Backend
@@ -36,7 +35,7 @@ type Router struct {
 	RoutedByHash uint64
 	Dropped      uint64
 	// DroppedUnknownID counts short-header packets whose embedded server ID
-	// matched no registered backend (a removed or never-known server).
+	// matched no registered backend.
 	DroppedUnknownID uint64
 }
 
@@ -51,23 +50,6 @@ func (r *Router) AddBackend(serverID byte, b Backend) {
 		r.ids = append(r.ids, serverID)
 	}
 	r.backends[serverID] = b
-}
-
-// RemoveBackend unregisters a real server (crash, drain, scale-down). Its
-// in-flight connections become unroutable: subsequent short-header packets
-// carrying its ID are counted in DroppedUnknownID, and long-header hashing
-// redistributes over the survivors.
-func (r *Router) RemoveBackend(serverID byte) {
-	if _, exists := r.backends[serverID]; !exists {
-		return
-	}
-	delete(r.backends, serverID)
-	for i, id := range r.ids {
-		if id == serverID {
-			r.ids = append(r.ids[:i], r.ids[i+1:]...)
-			break
-		}
-	}
 }
 
 // hashCID consistently hashes a CID onto a registered backend, used for

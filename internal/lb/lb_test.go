@@ -46,43 +46,6 @@ func TestUnknownServerIDDroppedByDefault(t *testing.T) {
 	}
 }
 
-func TestRemoveBackend(t *testing.T) {
-	r := NewRouter(8)
-	var hitA, hitB int
-	r.AddBackend(1, BackendFunc(func(int, []byte) { hitA++ }))
-	r.AddBackend(2, BackendFunc(func(int, []byte) { hitB++ }))
-
-	cidA := wire.ConnectionID{1, 9, 9, 9, 9, 9, 9, 9}
-	pkt := wire.AppendShort(nil, cidA, 0, 1)
-	pkt = append(pkt, make([]byte, 32)...)
-	r.Forward(0, pkt)
-	if hitA != 1 {
-		t.Fatal("pre-removal routing failed")
-	}
-
-	r.RemoveBackend(1)
-	r.Forward(0, pkt)
-	if hitA != 1 || hitB != 0 {
-		t.Fatalf("packet for removed backend must drop: A=%d B=%d", hitA, hitB)
-	}
-	if r.DroppedUnknownID != 1 {
-		t.Fatal("removed-backend drop not counted")
-	}
-	// Long headers must redistribute over the survivors only.
-	dcid := wire.ConnectionID{5, 6, 7, 8, 9, 10, 11, 12}
-	long := wire.AppendLong(nil, dcid, wire.ConnectionID{1}, 0, 1, 64)
-	long = append(long, make([]byte, 64)...)
-	r.Forward(0, long)
-	if hitB != 1 {
-		t.Fatalf("long-header traffic must hash to the survivor: B=%d", hitB)
-	}
-	// Removing twice is a no-op.
-	r.RemoveBackend(1)
-	if len(r.ids) != 1 {
-		t.Fatalf("ids after double removal: %d, want 1", len(r.ids))
-	}
-}
-
 func TestLongHeaderHashConsistency(t *testing.T) {
 	r := NewRouter(8)
 	var got []int

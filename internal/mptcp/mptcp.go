@@ -79,7 +79,6 @@ type Sender struct {
 
 	done     bool
 	DoneAt   time.Duration
-	onDone   func(now time.Duration)
 	rtoTimer sim.Timer
 
 	// Stats.
@@ -104,9 +103,6 @@ func NewSender(loop *sim.Loop, nPaths int, total uint64, alg cc.Algorithm,
 	}
 	return s
 }
-
-// SetOnDone registers the completion callback.
-func (s *Sender) SetOnDone(fn func(now time.Duration)) { s.onDone = fn }
 
 // Done reports whether every byte was cumulatively acknowledged.
 func (s *Sender) Done() bool { return s.done }
@@ -310,9 +306,6 @@ func (s *Sender) onDataAck(now time.Duration, ack uint64) {
 		s.done = true
 		s.DoneAt = now
 		s.stopRTO()
-		if s.onDone != nil {
-			s.onDone(now)
-		}
 	}
 }
 
@@ -447,9 +440,6 @@ type Receiver struct {
 func NewReceiver(loop *sim.Loop, send func(netIdx int, data []byte)) *Receiver {
 	return &Receiver{loop: loop, send: send}
 }
-
-// Delivered returns the in-order delivered byte count.
-func (r *Receiver) Delivered() uint64 { return r.delivered }
 
 // HandleDatagram processes a DATA packet and acks it on the same subflow.
 func (r *Receiver) HandleDatagram(now time.Duration, netIdx int, data []byte) {

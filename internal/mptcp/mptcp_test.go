@@ -156,8 +156,8 @@ func TestReceiverDropsTruncatedData(t *testing.T) {
 			acks := 0
 			r := NewReceiver(sim.NewLoop(), func(int, []byte) { acks++ })
 			r.HandleDatagram(0, 0, tc.data)
-			if r.Delivered() != tc.want || (acks > 0) != (tc.want > 0) {
-				t.Fatalf("delivered %d bytes and sent %d ACKs, want %d bytes", r.Delivered(), acks, tc.want)
+			if r.delivered != tc.want || (acks > 0) != (tc.want > 0) {
+				t.Fatalf("delivered %d bytes and sent %d ACKs, want %d bytes", r.delivered, acks, tc.want)
 			}
 		})
 	}

@@ -191,9 +191,6 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // QueueLen returns the number of queued packets.
 func (l *Link) QueueLen() int { return len(l.queue) - l.head }
 
-// QueueBytes returns the queued byte count.
-func (l *Link) QueueBytes() int { return l.queueBytes }
-
 // SetDown administratively disables (true) or enables (false) the link.
 // While down, all ingress packets are dropped, emulating an interface being
 // switched off (Sec 6 "client's 4G/Wi-Fi is turned off"). Going down also

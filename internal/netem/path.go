@@ -113,11 +113,6 @@ func (p *Path) Up() *Link { return p.up }
 // Down returns the downlink for inspection.
 func (p *Path) Down() *Link { return p.down }
 
-// BaseRTT returns the zero-load round-trip time of the path.
-func (p *Path) BaseRTT() time.Duration {
-	return p.up.cfg.Delay + p.down.cfg.Delay
-}
-
 // Network wires a multi-homed client to a server over a set of emulated
 // paths, the Fig 2 topology. Packets are delivered to per-side handlers
 // along with the index of the path they arrived on.

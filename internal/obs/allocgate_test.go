@@ -23,7 +23,6 @@ func TestAllocGateRegistryRecord(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		g.Set(v)
-		g.Add(0.5)
 		h.Observe(v)
 		v += 0.0017
 	}); allocs != 0 {

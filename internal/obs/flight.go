@@ -42,10 +42,7 @@ type FlightRecorder struct {
 	held  int
 	dumps []AnomalyDump
 	// anomalies counts triggers, including those past maxAnomalyDumps.
-	anomalies uint64
-	// truncated counts events no record can hold (scorecards), left out of
-	// the ring and its dumps.
-	truncated   uint64
+	anomalies   uint64
 	firstReason string
 }
 
@@ -109,10 +106,6 @@ func (r *FlightRecorder) Anomalies() uint64 { return r.anomalies }
 
 // FirstAnomaly returns the reason of the first trigger ("" when none).
 func (r *FlightRecorder) FirstAnomaly() string { return r.firstReason }
-
-// Truncated returns how many events were too large for a record (the
-// variable-length scorecards) and so are absent from the ring.
-func (r *FlightRecorder) Truncated() uint64 { return r.truncated }
 
 // Snapshot returns the current ring contents as NDJSON, oldest first —
 // the on-demand (non-anomaly) view the /debug handler serves.

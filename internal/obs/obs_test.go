@@ -134,7 +134,7 @@ func TestRegistryDumpDeterministic(t *testing.T) {
 		h.Observe(500)
 		return r
 	}
-	d1, d2 := mk().DumpString(), mk().DumpString()
+	d1, d2 := dumpString(mk()), dumpString(mk())
 	if d1 != d2 {
 		t.Fatalf("registry dump not deterministic:\n%s\nvs\n%s", d1, d2)
 	}

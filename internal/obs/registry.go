@@ -112,16 +112,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the value by d (atomic compare-and-swap loop).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -277,11 +267,4 @@ func (r *Registry) Dump(w io.Writer) {
 		fmt.Fprintf(w, "%s_sum%s %g\n", base, labels, h.Sum)
 		fmt.Fprintf(w, "%s_count%s %d\n", base, labels, h.Count)
 	}
-}
-
-// DumpString returns the text exposition as a string.
-func (r *Registry) DumpString() string {
-	var b strings.Builder
-	r.Dump(&b)
-	return b.String()
 }

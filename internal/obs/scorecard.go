@@ -108,10 +108,7 @@ func (o *Origin) Scorecard(now time.Duration, sc *Scorecard) {
 		}
 		t.buf.Write(end(l))
 	}
-	if t.ring != nil {
-		t.ring.truncated++
-	}
-	t.count(evScorecard)
+	t.count(evScorecard) // no record holds a scorecard: the ring leaves it out
 }
 
 // ScorecardFromEvent decodes a conn:scorecard event parsed back from a

@@ -64,7 +64,7 @@ func TestMergeScorecardOrderDeterminism(t *testing.T) {
 		for i := range cards {
 			r.MergeScorecard(&cards[order(i)])
 		}
-		return r.DumpString()
+		return dumpString(r)
 	}
 	forward := dump(func(i int) int { return i })
 	reverse := dump(func(i int) int { return len(cards) - 1 - i })

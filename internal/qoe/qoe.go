@@ -125,16 +125,6 @@ func (c *Controller) Stats() (decisions, enables uint64) {
 	return c.decisions, c.enables
 }
 
-// EnableFraction returns the fraction of decisions that enabled
-// re-injection — the basis for the paper's Cmin/Cmax cost bounds
-// (Sec 5.2.2: Cmin >= beta*Prob(dt<Tth1), Cmax <= beta*Prob(dt<Tth2)).
-func (c *Controller) EnableFraction() float64 {
-	if c.decisions == 0 {
-		return 0
-	}
-	return float64(c.enables) / float64(c.decisions)
-}
-
 // CalibrateThresholds implements the Sec 7.1 method: given samples of the
 // play-time-left distribution (measured with control off) and percentile
 // ranks X >= Y — where th(X) is the value exceeded by X% of samples — it

@@ -97,9 +97,6 @@ func TestControllerStats(t *testing.T) {
 	if d != 3 || e != 2 {
 		t.Fatalf("stats d=%d e=%d", d, e)
 	}
-	if f := c.EnableFraction(); f < 0.66 || f > 0.67 {
-		t.Fatalf("enable fraction %v", f)
-	}
 }
 
 func TestCalibrateThresholds(t *testing.T) {

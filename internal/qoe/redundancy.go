@@ -94,12 +94,3 @@ func (r *RedundancyController) PlanFEC(now, maxDeliverTime time.Duration, lossRa
 func (r *RedundancyController) Stats() (decisions, protects uint64) {
 	return r.decisions, r.protects
 }
-
-// ProtectFraction returns the fraction of windows protected — the FEC
-// lane's analogue of EnableFraction, bounding its redundancy cost.
-func (r *RedundancyController) ProtectFraction() float64 {
-	if r.decisions == 0 {
-		return 0
-	}
-	return float64(r.protects) / float64(r.decisions)
-}

@@ -89,10 +89,7 @@ func TestRedundancyStats(t *testing.T) {
 	if dec != 3 || prot != 2 {
 		t.Fatalf("stats = (%d, %d), want (3, 2)", dec, prot)
 	}
-	if f := r.ProtectFraction(); f < 0.66 || f > 0.67 {
-		t.Fatalf("ProtectFraction = %v, want 2/3", f)
-	}
-	if f := newRC().ProtectFraction(); f != 0 {
-		t.Fatalf("fresh controller ProtectFraction = %v, want 0", f)
+	if dec, prot := newRC().Stats(); dec != 0 || prot != 0 {
+		t.Fatalf("fresh controller stats = (%d, %d), want (0, 0)", dec, prot)
 	}
 }

@@ -34,7 +34,7 @@ func TestAckBasics(t *testing.T) {
 	if res.LatestRTT != 50*time.Millisecond {
 		t.Fatalf("rtt sample = %v", res.LatestRTT)
 	}
-	if !rtt.HasSample() || rtt.Smoothed() != 50*time.Millisecond {
+	if rtt.Latest() != 50*time.Millisecond || rtt.Smoothed() != 50*time.Millisecond {
 		t.Fatal("rtt estimator not updated")
 	}
 	if s.HasUnacked() {

@@ -4,10 +4,7 @@
 // sim.Loop so results are reproducible and independent of wall-clock time.
 package sim
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock reports the current time as a duration since an arbitrary epoch.
 // Transport and emulation code never reads the wall clock directly; it is
@@ -31,42 +28,4 @@ func NewRealClock() *RealClock {
 // Now implements Clock.
 func (c *RealClock) Now() time.Duration {
 	return time.Since(c.start)
-}
-
-// ManualClock is a Clock whose time only moves when Advance or Set is
-// called. It is safe for concurrent use.
-type ManualClock struct {
-	mu  sync.Mutex
-	now time.Duration
-}
-
-// NewManualClock returns a ManualClock at time zero.
-func NewManualClock() *ManualClock {
-	return &ManualClock{}
-}
-
-// Now implements Clock.
-func (c *ManualClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d. Negative d is ignored.
-func (c *ManualClock) Advance(d time.Duration) {
-	if d < 0 {
-		return
-	}
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
-}
-
-// Set jumps the clock to t if t is not in the past.
-func (c *ManualClock) Set(t time.Duration) {
-	c.mu.Lock()
-	if t > c.now {
-		c.now = t
-	}
-	c.mu.Unlock()
 }

@@ -63,11 +63,6 @@ func (g *RNG) LogNormal(median, sigma float64) float64 {
 	return median * math.Exp(sigma*g.r.NormFloat64())
 }
 
-// Exponential returns an exponential sample with the given mean.
-func (g *RNG) Exponential(mean float64) float64 {
-	return g.r.ExpFloat64() * mean
-}
-
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool {
 	if p <= 0 {
@@ -78,6 +73,3 @@ func (g *RNG) Bool(p float64) bool {
 	}
 	return g.r.Float64() < p
 }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -110,26 +110,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestManualClock(t *testing.T) {
-	c := NewManualClock()
-	if c.Now() != 0 {
-		t.Fatal("new manual clock should be at 0")
-	}
-	c.Advance(time.Second)
-	c.Advance(-time.Second) // ignored
-	if c.Now() != time.Second {
-		t.Fatalf("clock = %v, want 1s", c.Now())
-	}
-	c.Set(500 * time.Millisecond) // backwards, ignored
-	if c.Now() != time.Second {
-		t.Fatal("Set must not rewind")
-	}
-	c.Set(2 * time.Second)
-	if c.Now() != 2*time.Second {
-		t.Fatal("Set forward failed")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {

@@ -150,32 +150,6 @@ func Improvement(baseline, measured float64) float64 {
 	return (baseline - measured) / baseline * 100
 }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF returns the empirical CDF of values at each distinct sample.
-func CDF(values []float64) []CDFPoint {
-	if len(values) == 0 {
-		return nil
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, 0, len(sorted))
-	for i, v := range sorted {
-		frac := float64(i+1) / float64(len(sorted))
-		if len(out) > 0 && out[len(out)-1].Value == v {
-			out[len(out)-1].Fraction = frac
-			continue
-		}
-		out = append(out, CDFPoint{Value: v, Fraction: frac})
-	}
-	return out
-}
-
 // TimeSeries accumulates (time, value) samples for figure-style outputs.
 type TimeSeries struct {
 	Name   string
@@ -188,9 +162,6 @@ func (ts *TimeSeries) Add(t time.Duration, v float64) {
 	ts.Times = append(ts.Times, t)
 	ts.Values = append(ts.Values, v)
 }
-
-// Len returns the number of samples.
-func (ts *TimeSeries) Len() int { return len(ts.Times) }
 
 // At returns the most recent value at or before t, or def if none.
 func (ts *TimeSeries) At(t time.Duration, def float64) float64 {

@@ -83,22 +83,6 @@ func TestImprovement(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	cdf := CDF([]float64{1, 1, 2, 3})
-	if len(cdf) != 3 {
-		t.Fatalf("distinct values = %d, want 3", len(cdf))
-	}
-	if cdf[0].Value != 1 || cdf[0].Fraction != 0.5 {
-		t.Fatalf("cdf[0] = %+v", cdf[0])
-	}
-	if cdf[2].Value != 3 || cdf[2].Fraction != 1 {
-		t.Fatalf("cdf[2] = %+v", cdf[2])
-	}
-	if CDF(nil) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	var ts TimeSeries
 	ts.Add(0, 1)
@@ -114,8 +98,8 @@ func TestTimeSeries(t *testing.T) {
 		t.Fatal("before first sample should return default")
 	}
 	rs := ts.Resample(time.Second, 4*time.Second, 0)
-	if rs.Len() != 5 {
-		t.Fatalf("resample length = %d, want 5", rs.Len())
+	if len(rs.Times) != 5 {
+		t.Fatalf("resample length = %d, want 5", len(rs.Times))
 	}
 	if rs.Values[4] != 3 {
 		t.Fatal("resample should carry last value forward")

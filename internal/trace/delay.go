@@ -63,20 +63,6 @@ var (
 	Delay5GSA  = DelayModel{Tech: Tech5GSA, MedianRTT: 8 * time.Millisecond, Sigma: 0.35}
 )
 
-// ModelFor returns the calibrated delay model for a technology.
-func ModelFor(t Technology) DelayModel {
-	switch t {
-	case Tech5GSA:
-		return Delay5GSA
-	case Tech5GNSA:
-		return Delay5GNSA
-	case TechWiFi:
-		return DelayWiFi
-	default:
-		return DelayLTE
-	}
-}
-
 // SampleRTT draws one RTT sample.
 func (m DelayModel) SampleRTT(rng *sim.RNG) time.Duration {
 	ms := rng.LogNormal(float64(m.MedianRTT)/float64(time.Millisecond), m.Sigma)

@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -71,44 +70,6 @@ func (t *Trace) Validate() error {
 		return fmt.Errorf("trace %q: timestamp beyond period", t.Name)
 	}
 	return nil
-}
-
-// NextDelivery returns the first delivery opportunity at or after now.
-// The trace repeats forever, so an opportunity always exists.
-func (t *Trace) NextDelivery(now time.Duration) time.Duration {
-	if len(t.DeliveriesMS) == 0 {
-		return now
-	}
-	nowMS := uint64(now / time.Millisecond)
-	period := t.Period()
-	cycle := nowMS / period
-	offset := nowMS % period
-	// Find first timestamp >= offset in this cycle.
-	idx := sort.Search(len(t.DeliveriesMS), func(i int) bool {
-		return t.DeliveriesMS[i] >= offset
-	})
-	var deliveryMS uint64
-	if idx < len(t.DeliveriesMS) {
-		deliveryMS = cycle*period + t.DeliveriesMS[idx]
-	} else {
-		deliveryMS = (cycle+1)*period + t.DeliveriesMS[0]
-	}
-	d := time.Duration(deliveryMS) * time.Millisecond
-	if d < now {
-		// Sub-millisecond remainder: the opportunity at this ms already
-		// "passed" within the same millisecond; treat it as usable now.
-		d = now
-	}
-	return d
-}
-
-// AfterDelivery returns the first delivery opportunity strictly after now.
-func (t *Trace) AfterDelivery(now time.Duration) time.Duration {
-	next := t.NextDelivery(now)
-	if next > now {
-		return next
-	}
-	return t.NextDelivery(now + time.Millisecond)
 }
 
 // MeanThroughputBps returns the average throughput of the trace in bits/s.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/sim"
@@ -45,37 +44,6 @@ func TestParseErrors(t *testing.T) {
 	}
 	if _, err := Parse("unsorted", strings.NewReader("5\n3\n")); err == nil {
 		t.Fatal("unsorted trace should fail")
-	}
-}
-
-func TestNextDeliveryWithinPeriod(t *testing.T) {
-	tr := &Trace{Name: "x", DeliveriesMS: []uint64{0, 10, 20}, PeriodMS: 30}
-	if got := tr.NextDelivery(5 * time.Millisecond); got != 10*time.Millisecond {
-		t.Fatalf("NextDelivery(5ms) = %v, want 10ms", got)
-	}
-	if got := tr.NextDelivery(10 * time.Millisecond); got != 10*time.Millisecond {
-		t.Fatalf("NextDelivery(10ms) = %v, want 10ms", got)
-	}
-}
-
-func TestNextDeliveryWraps(t *testing.T) {
-	tr := &Trace{Name: "x", DeliveriesMS: []uint64{5, 10}, PeriodMS: 20}
-	// After last opportunity: should wrap to 5ms of next cycle = 25ms.
-	if got := tr.NextDelivery(11 * time.Millisecond); got != 25*time.Millisecond {
-		t.Fatalf("NextDelivery(11ms) = %v, want 25ms", got)
-	}
-	// Far future cycles.
-	if got := tr.NextDelivery(47 * time.Millisecond); got != 50*time.Millisecond {
-		t.Fatalf("NextDelivery(47ms) = %v, want 50ms", got)
-	}
-}
-
-func TestAfterDeliveryStrictlyLater(t *testing.T) {
-	tr := &Trace{Name: "x", DeliveriesMS: []uint64{0, 10}, PeriodMS: 20}
-	at := tr.NextDelivery(0)
-	after := tr.AfterDelivery(at)
-	if after <= at {
-		t.Fatalf("AfterDelivery(%v) = %v, not strictly later", at, after)
 	}
 }
 
@@ -221,26 +189,23 @@ func TestTechnologyString(t *testing.T) {
 	}
 }
 
-func TestPropertyNextDeliveryNeverBeforeNow(t *testing.T) {
-	tr := ConstantRate("p", 8, time.Second)
-	f := func(ms uint32) bool {
-		now := time.Duration(ms%100000) * time.Millisecond
-		return tr.NextDelivery(now) >= now
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestPropertyDeliveriesMonotone: a synthesized trace's delivery
+// opportunities never go back in time and stay within its period, which is
+// what lets a link replay it as a cursor that only moves forward.
 func TestPropertyDeliveriesMonotone(t *testing.T) {
-	tr := WalkingWiFi(sim.NewRNG(5), 3*time.Second)
-	now := time.Duration(0)
-	for i := 0; i < 5000; i++ {
-		next := tr.AfterDelivery(now)
-		if next <= now {
-			t.Fatalf("AfterDelivery not strictly increasing at %v", now)
+	for seed := int64(1); seed <= 5; seed++ {
+		tr := WalkingWiFi(sim.NewRNG(seed), 3*time.Second)
+		if len(tr.DeliveriesMS) == 0 {
+			t.Fatalf("seed %d: no deliveries", seed)
 		}
-		now = next
+		for i := 1; i < len(tr.DeliveriesMS); i++ {
+			if tr.DeliveriesMS[i] < tr.DeliveriesMS[i-1] {
+				t.Fatalf("seed %d: delivery %d at %d ms before the one at %d ms", seed, i, tr.DeliveriesMS[i], tr.DeliveriesMS[i-1])
+			}
+		}
+		if last := tr.DeliveriesMS[len(tr.DeliveriesMS)-1]; last > tr.Period() {
+			t.Fatalf("seed %d: delivery at %d ms beyond the %d ms period", seed, last, tr.Period())
+		}
 	}
 }
 

@@ -225,6 +225,10 @@ const (
 	// ErrCodeFinalSize (RFC 9000 FINAL_SIZE_ERROR) means the peer changed a
 	// stream's final size, or sent data beyond it.
 	ErrCodeFinalSize uint64 = 0x06
+	// ErrCodeFrameEncoding (RFC 9000 FRAME_ENCODING_ERROR) means an
+	// authenticated packet held a frame of unknown type or a malformed one
+	// (RFC 9000 §12.4).
+	ErrCodeFrameEncoding uint64 = 0x07
 	// ErrCodeConnectionIDLimit (RFC 9000 CONNECTION_ID_LIMIT_ERROR) means the
 	// peer issued a connection ID with a sequence number beyond the
 	// active_connection_id_limit this endpoint advertised (or maxCIDs).

@@ -258,7 +258,7 @@ type Conn struct {
 	batchOrder []*Path
 	oneBatch   [1][]byte
 
-	// streamOrder is (priority, id) over the send streams not retired, kept
+	// streamOrder is the send streams not retired in ID order, kept
 	// across send passes and edited in place (streamsInOrder, DESIGN.md §11)
 	// instead of re-sorted on every one.
 	streamOrder   []*SendStream
@@ -353,9 +353,6 @@ func (c *Conn) Terminated() bool { return c.state == stateClosed }
 
 // StateName returns the lifecycle state for logging and tests.
 func (c *Conn) StateName() string { return c.state.String() }
-
-// MultipathEnabled reports whether multi-path was negotiated.
-func (c *Conn) MultipathEnabled() bool { return c.multipath }
 
 // IsClient reports the connection role.
 func (c *Conn) IsClient() bool { return c.cfg.IsClient }
@@ -821,6 +818,9 @@ func (c *Conn) handleShortPacket(now time.Duration, netIdx int, data []byte) {
 		c.recvFrames = frames[:0]
 	}
 	if err != nil {
+		// The packet authenticated, so the peer wrote it: dropping it
+		// unacknowledged would only have the peer resend it every PTO.
+		c.Close(ErrCodeFrameEncoding, "undecodable frame")
 		return
 	}
 	eliciting := false
@@ -877,8 +877,6 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 			pp.DCID = c.peerCIDs[fr.Sequence]
 		}
 		c.maybeInitSecondaryPaths(now)
-	case *wire.RetireConnectionIDFrame:
-		// CID rotation is out of scope; accept silently.
 	case *wire.PathChallengeFrame:
 		// Respond on the same path, as required for validation.
 		c.queueCtrl(&wire.PathResponseFrame{Data: fr.Data}, int64(p.ID), false)
@@ -910,12 +908,6 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 			c.tr.QoESignal(now, fr.QoE.CachedBytes, fr.QoE.CachedFrames)
 			c.cfg.OnQoE(now, fr.QoE)
 		}
-	case *wire.QoEControlSignalsFrame:
-		if c.cfg.OnQoE != nil {
-			assert.NonNegDur(fr.QoE.PlaytimeLeft(), "qoe Δt")
-			c.tr.QoESignal(now, fr.QoE.CachedBytes, fr.QoE.CachedFrames)
-			c.cfg.OnQoE(now, fr.QoE)
-		}
 	case *wire.StreamFrame:
 		c.handleStreamFrame(now, fr)
 	case *wire.MaxDataFrame:
@@ -928,8 +920,6 @@ func (c *Conn) handleFrame(now time.Duration, p *Path, f wire.Frame) {
 			s.peerMaxData = fr.MaxStreamData
 			c.wakeSend()
 		}
-	case *wire.DataBlockedFrame, *wire.StreamDataBlockedFrame:
-		// Informational; our auto-tuned limits react via MAX_DATA below.
 	case *wire.ResetStreamFrame:
 		// A reset of a stream nothing arrived on, or of one finished and
 		// forgotten, has nothing to release. A live stream ends with one
@@ -1270,12 +1260,11 @@ func (c *Conn) Stream(id uint64) *SendStream {
 		return s
 	}
 	if c.sendClosed.has(id) {
-		return &SendStream{id: id, conn: c, prio: int(id), fin: true, retired: true}
+		return &SendStream{id: id, conn: c, fin: true, retired: true}
 	}
 	s := &SendStream{
 		id:          id,
 		conn:        c,
-		prio:        int(id),
 		peerMaxData: c.cfg.Params.InitialMaxStrData,
 		data:        segBuf{acct: &c.sendAcct, pooled: true},
 	}
@@ -1315,10 +1304,9 @@ func (c *Conn) StopSending(id uint64, code uint64) {
 
 // AbandonPath closes a path explicitly (Sec 6, "Path close"): the peer is
 // told via PATH_STATUS(abandon), stranded data is rescheduled onto the
-// remaining paths, and local resources are released. Used when the
-// application knows an interface went away (Wi-Fi turned off, signal
-// fading below threshold). Call it on an established connection; closing
-// and draining connections send nothing more.
+// remaining paths, and local resources are released. The PTO give-up calls
+// it on a path that stopped answering. Call it on an established
+// connection; closing and draining connections send nothing more.
 func (c *Conn) AbandonPath(id uint64) {
 	p := c.Path(id)
 	if p == nil || p.State == PathClosed {

@@ -55,7 +55,7 @@ func TestHandshakeEstablishes(t *testing.T) {
 	if !pair.Client.Established() || !pair.Server.Established() {
 		t.Fatal("handshake did not complete")
 	}
-	if !pair.Client.MultipathEnabled() || !pair.Server.MultipathEnabled() {
+	if !pair.Client.multipath || !pair.Server.multipath {
 		t.Fatal("multipath not negotiated")
 	}
 }
@@ -72,7 +72,7 @@ func TestMultipathFallback(t *testing.T) {
 	if !pair.Client.Established() {
 		t.Fatal("handshake failed")
 	}
-	if pair.Client.MultipathEnabled() || pair.Server.MultipathEnabled() {
+	if pair.Client.multipath || pair.Server.multipath {
 		t.Fatal("must fall back to single path")
 	}
 	if len(pair.Client.Paths()) != 1 {
@@ -440,38 +440,6 @@ func TestAbandonPathReschedulesData(t *testing.T) {
 	}
 }
 
-// TestQoEControlSignalsFrameReachesOnQoE: the client here never sends the
-// draft's standalone QOE_CONTROL_SIGNALS frame, but a peer may. One arriving
-// at an established server hands its signal to Config.OnQoE and is traced as
-// a QoE signal, exactly as an ACK_MP's piggyback is.
-func TestQoEControlSignalsFrameReachesOnQoE(t *testing.T) {
-	sig := wire.QoESignal{CachedBytes: 4096, CachedFrames: 12, BitrateBps: 1_000_000, FramerateFPS: 30}
-	tr := obs.NewTrace("qoe-control-signals")
-	var got []wire.QoESignal
-	r := newRig(t, func(scfg *Config) {
-		scfg.Tracer = tr.Origin("server")
-		scfg.OnQoE = func(_ time.Duration, s wire.QoESignal) { got = append(got, s) }
-	})
-	r.deliver(&wire.QoEControlSignalsFrame{Sequence: 1, QoE: sig})
-	if len(got) != 1 || got[0] != sig {
-		t.Fatalf("OnQoE saw %+v, want the one signal %+v", got, sig)
-	}
-	evs, err := obs.ParseBytes(tr.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var traced []obs.Event
-	for _, e := range evs {
-		if e.Name == obs.EvQoESignal {
-			traced = append(traced, e)
-		}
-	}
-	if len(traced) != 1 || traced[0].Time != r.env.now ||
-		traced[0].U64("cached_bytes") != sig.CachedBytes || traced[0].U64("cached_frames") != sig.CachedFrames {
-		t.Fatalf("traced %+v, want one %s at %v carrying the signal", traced, obs.EvQoESignal, r.env.now)
-	}
-}
-
 func TestFlowControlBlocksAndUnblocks(t *testing.T) {
 	loop := sim.NewLoop()
 	ccfg, scfg := defaultMPConfig()
@@ -483,46 +451,6 @@ func TestFlowControlBlocksAndUnblocks(t *testing.T) {
 	_, done := transfer(t, pair, 512<<10, 60*time.Second)
 	if done == 0 {
 		t.Fatal("transfer must complete despite small flow-control windows")
-	}
-}
-
-func TestStreamExplicitPriority(t *testing.T) {
-	// Stream 4 is given a better (lower) priority than stream 0; it must
-	// finish first despite the default ordering.
-	loop := sim.NewLoop()
-	ccfg, scfg := defaultMPConfig()
-	pair := NewPair(loop, sim.NewRNG(4), TwoPathConfig(5, 5, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
-	col := newCollector()
-	pair.Client.SetOnStreamData(col.onData)
-	payload := make([]byte, 256<<10)
-	pair.Server.SetOnStreamOpen(func(now time.Duration, rs *RecvStream) {
-		if rs.ID() != 0 {
-			return
-		}
-		s0 := pair.Server.Stream(0)
-		s4 := pair.Server.Stream(4)
-		s4.SetPriority(-1) // more urgent than stream 0
-		s0.Write(payload)
-		s0.Close()
-		s4.Write(payload)
-		s4.Close()
-	})
-	if err := pair.Start(); err != nil {
-		t.Fatal(err)
-	}
-	pair.Client.SetOnHandshakeDone(func(now time.Duration) {
-		s := pair.Client.OpenStream()
-		s.Write([]byte("GET"))
-		s.Close()
-	})
-	pair.RunUntil(30 * time.Second)
-	f0, ok0 := col.finished[0]
-	f4, ok4 := col.finished[4]
-	if !ok0 || !ok4 {
-		t.Fatal("streams incomplete")
-	}
-	if f4 > f0 {
-		t.Fatalf("prioritized stream 4 (%v) should finish before stream 0 (%v)", f4, f0)
 	}
 }
 
@@ -602,7 +530,7 @@ func TestStreamResetStopsSending(t *testing.T) {
 	})
 	pair.RunUntil(800 * time.Millisecond)
 	sentAtCancel := pair.Server.Stats().StreamBytesSent
-	if ss == nil || !ss.IsReset() {
+	if ss == nil || !ss.reset {
 		t.Fatal("server stream should be reset after STOP_SENDING")
 	} else {
 		resetSeen = true

@@ -134,6 +134,51 @@ func TestFramesForUnknownPathsIgnored(t *testing.T) {
 	}
 }
 
+// rawFrame is a frame of arbitrary bytes, for frame types this package does
+// not define.
+type rawFrame []byte
+
+func (f rawFrame) Append(b []byte) []byte { return append(b, f...) }
+func (f rawFrame) Len() int               { return len(f) }
+func (f rawFrame) String() string         { return "RAW" }
+
+// TestUndecodableFrameClosesConnection: an authenticated packet whose
+// payload does not parse closes the connection with FRAME_ENCODING_ERROR
+// (RFC 9000 §12.4). Dropped unacknowledged instead, as it once was, the peer
+// retransmits what the packet carried at every PTO until the idle timeout.
+// The frame types this endpoint never sends (DATA_BLOCKED,
+// STREAM_DATA_BLOCKED, RETIRE_CONNECTION_ID, the standalone
+// QOE_CONTROL_SIGNALS, whose feedback rides ACK_MP) are unknown types here.
+func TestUndecodableFrameClosesConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    rawFrame
+	}{
+		{"unknown type 0x3f", rawFrame{0x3f}},
+		{"DATA_BLOCKED", rawFrame{0x14, 0x10}},
+		{"STREAM_DATA_BLOCKED", rawFrame{0x15, 0x00, 0x10}},
+		{"RETIRE_CONNECTION_ID", rawFrame{0x19, 0x01}},
+		{"QOE_CONTROL_SIGNALS", wire.AppendVarint(nil, 0xbaba10)},
+		{"STREAM cut inside its length", rawFrame{0x0a, 0x00, 0x40}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pair := establishedPair(t, 35)
+			injectFrames(pair, &wire.PingFrame{}, tc.f)
+			st := pair.Server.Stats()
+			if !pair.Server.Closed() || st.CloseErrorCode != ErrCodeFrameEncoding || !st.CloseLocal {
+				t.Fatalf("closed %v with code %#x (%q) local %v, want FRAME_ENCODING_ERROR", pair.Server.Closed(), st.CloseErrorCode, st.CloseReason, st.CloseLocal)
+			}
+			pair.RunUntil(pair.Loop.Now() + 30*time.Second)
+			if !pair.Server.Terminated() || !pair.Client.Terminated() {
+				t.Fatalf("server %s, client %s, want both terminated", pair.Server.StateName(), pair.Client.StateName())
+			}
+			if cs := pair.Client.Stats(); cs.CloseErrorCode != ErrCodeFrameEncoding || cs.CloseLocal {
+				t.Fatalf("client saw close code %#x local %v, want the server's %#x", cs.CloseErrorCode, cs.CloseLocal, ErrCodeFrameEncoding)
+			}
+		})
+	}
+}
+
 // TestIssuedCIDsRespectPeerLimit: a connection issues as many connection IDs
 // as the peer's active_connection_id_limit allows (RFC 9000 §5.1.1), not as
 // many as its own. The server used to size by its own limit of 8, so a

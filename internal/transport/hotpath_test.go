@@ -14,9 +14,8 @@ import (
 // stream ordering must be indistinguishable from a full sort, and buffer
 // reuse must never corrupt data during the call that lends it.
 
-// TestStreamOrderCacheMatchesSort checks the (priority, ID) stream order,
-// kept in place, against a reference sort across creation,
-// re-prioritization and retirement.
+// TestStreamOrderCacheMatchesSort checks the ID stream order, kept in place,
+// against a reference sort across creation in any order and retirement.
 func TestStreamOrderCacheMatchesSort(t *testing.T) {
 	var got uint64
 	pair := benchPair(t, &got)
@@ -32,7 +31,7 @@ func TestStreamOrderCacheMatchesSort(t *testing.T) {
 		for i := 1; i < len(out); i++ { // insertion sort, independent impl
 			for j := i; j > 0; j-- {
 				a, b := out[j-1], out[j]
-				if a.prio < b.prio || (a.prio == b.prio && a.id < b.id) {
+				if a.id < b.id {
 					break
 				}
 				out[j-1], out[j] = out[j], out[j-1]
@@ -58,25 +57,20 @@ func TestStreamOrderCacheMatchesSort(t *testing.T) {
 	s4 := c.Stream(4)
 	s8 := c.Stream(8)
 	c.Stream(12)
-	check("three streams, default priorities")
+	check("three streams")
 
-	s8.SetPriority(-1) // jump ahead of everything
-	check("stream 8 promoted")
-
-	s4.SetPriority(-1) // tie with s8: ID breaks it
-	check("priority tie")
-
-	c.Stream(2) // inserted between the promoted streams and stream 12
+	c.Stream(2) // opened after the others, sent before them
 	check("fourth stream added")
 
 	c.retireStream(s4) // cut out of the order in place
 	check("stream 4 retired")
 
-	s8.SetPriority(7) // moving a stream must not bring the retired one back
-	check("moved after a retirement")
+	c.Stream(6) // inserted where the retired stream was
+	check("added after a retirement")
 
-	s4.SetPriority(3) // a retired stream has no place to move to
-	check("retired stream re-prioritized")
+	c.retireStream(s8)
+	c.retireStream(s4) // a retired stream has no place to leave
+	check("stream 8 retired, stream 4 again")
 }
 
 // TestDeliveredDataIsBorrowed asserts the receive side's copy-on-retain
@@ -166,7 +160,7 @@ func TestCallbackWriteKeepsItsInput(t *testing.T) {
 	var finished bool
 	srv.SetOnStreamData(func(_ time.Duration, rs *RecvStream, data []byte, fin bool) {
 		reply.Write(filler)
-		off := rs.Delivered() - uint64(len(data))
+		off := rs.delivered - uint64(len(data))
 		for i, b := range data {
 			if b != streamByte(off+uint64(i)) {
 				bad++

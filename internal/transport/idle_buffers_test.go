@@ -54,7 +54,7 @@ func TestIdleConnectionHoldsNoBuffers(t *testing.T) {
 	var rs *RecvStream
 	gathered := 0 // runs that crossed a segment boundary
 	clientOnData := func(_ time.Duration, s *RecvStream, data []byte, _ bool) {
-		if off := s.Delivered() - uint64(len(data)); len(data) > 0 && off/segSize != (s.Delivered()-1)/segSize {
+		if off := s.delivered - uint64(len(data)); len(data) > 0 && off/segSize != (s.delivered-1)/segSize {
 			gathered++
 		}
 		rs = s

@@ -497,9 +497,9 @@ func TestResetOfDeliveredStreamQueuesNothing(t *testing.T) {
 	detached.Close()
 	detached.Reset(7)
 	injectFrames(pair, &wire.StopSendingFrame{StreamID: 0, ErrorCode: 9})
-	if n := queuedResets(srv); n != 0 || held.IsReset() || detached.Buffered() != 0 || srv.sendStreams[0] != nil {
+	if n := queuedResets(srv); n != 0 || held.reset || detached.Buffered() != 0 || srv.sendStreams[0] != nil {
 		t.Fatalf("%d resets queued, held reset %v, detached buffered %d, stream held again %v",
-			n, held.IsReset(), detached.Buffered(), srv.sendStreams[0] != nil)
+			n, held.reset, detached.Buffered(), srv.sendStreams[0] != nil)
 	}
 
 	// Held in full but not retired: a copy of its one chunk is in flight.
@@ -511,8 +511,8 @@ func TestResetOfDeliveredStreamQueuesNothing(t *testing.T) {
 	s.onChunkAcked(ch)
 	s.Reset(7)
 	injectFrames(pair, &wire.StopSendingFrame{StreamID: 4, ErrorCode: 9})
-	if n := queuedResets(srv); n != 0 || s.IsReset() || s.retired {
-		t.Fatalf("%d resets queued, reset %v, retired %v", n, s.IsReset(), s.retired)
+	if n := queuedResets(srv); n != 0 || s.reset || s.retired {
+		t.Fatalf("%d resets queued, reset %v, retired %v", n, s.reset, s.retired)
 	}
 
 	// A stream the peer does not hold yet is reset as before.

@@ -72,7 +72,7 @@ func newRig(t *testing.T, tune func(scfg *Config)) *gateRig {
 		t.Fatal(err)
 	}
 	pair.RunUntil(500 * time.Millisecond)
-	if !pair.Server.Established() || !pair.Server.MultipathEnabled() || len(pair.Server.paths) != 1 {
+	if !pair.Server.Established() || !pair.Server.multipath || len(pair.Server.paths) != 1 {
 		t.Fatal("gate rig did not establish one multipath-negotiated path")
 	}
 	r := &gateRig{c: pair.Client, s: pair.Server, env: &quietEnv{now: loop.Now()}}
@@ -205,11 +205,11 @@ func TestAllocGateSendAndAck(t *testing.T) {
 }
 
 // TestTruncatedPacketIsNotHalfApplied: a packet whose first frame is a valid
-// STREAM frame and whose second is cut short is dropped whole. The decoder
+// STREAM frame and whose second is cut short is refused whole. The decoder
 // parses the whole packet before any frame is applied, so nothing is
 // delivered, the packet number is not recorded and no acknowledgement is
-// owed — a retransmission of the same data in a well-formed packet is then
-// accepted as new.
+// owed; the connection closes with FRAME_ENCODING_ERROR, and the same data in
+// a well-formed packet afterwards is not delivered either.
 func TestTruncatedPacketIsNotHalfApplied(t *testing.T) {
 	pair := establishedPair(t, 23)
 	c, s := pair.Client, pair.Server
@@ -231,6 +231,9 @@ func TestTruncatedPacketIsNotHalfApplied(t *testing.T) {
 	if delivered != 0 || s.recvStreams[0] != nil {
 		t.Fatalf("%d bytes of a malformed packet were delivered", delivered)
 	}
+	if st := s.Stats(); !s.Closed() || st.CloseErrorCode != ErrCodeFrameEncoding {
+		t.Fatalf("closed %v with code %#x after a malformed packet, want FRAME_ENCODING_ERROR", s.Closed(), st.CloseErrorCode)
+	}
 	if sp.ackQueued || sp.RecvPackets != recvBefore {
 		t.Fatalf("malformed packet %d was counted (packets %d -> %d) or owes an ack (%v)", pn, recvBefore, sp.RecvPackets, sp.ackQueued)
 	}
@@ -242,8 +245,8 @@ func TestTruncatedPacketIsNotHalfApplied(t *testing.T) {
 	}
 
 	injectFrames(pair, &wire.StreamFrame{StreamID: 0, Data: []byte("whole or not at all")})
-	if delivered != len("whole or not at all") {
-		t.Fatalf("well-formed retransmission delivered %d bytes", delivered)
+	if delivered != 0 {
+		t.Fatalf("a closed connection delivered %d bytes", delivered)
 	}
 }
 

@@ -157,3 +157,44 @@ func TestPropertyPacketRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzOpenShort feeds arbitrary datagrams to openShort, the one place the
+// receive path parses a short header and removes its protection, under a
+// fixed sealer. It must not panic, must leave the caller's bytes as they
+// were, and a payload it returns must be the datagram's own ciphertext
+// region opened in the returned buffer, past a 1- to 4-byte packet number
+// and short of the tag, with a packet number near the expected one. The
+// committed corpus (testdata/fuzz/FuzzOpenShort) holds
+// packets sealed with each packet-number length and their damaged forms.
+func FuzzOpenShort(f *testing.F) {
+	sealer, err := crypto.NewSealer([]byte("packet-test-secret-0123456789abc"), "dir")
+	if err != nil {
+		f.Fatal(err)
+	}
+	const cidLen, pathID, largest = 8, 3, 1 << 20
+	dcid := wire.ConnectionID{1, 2, 3, 4, 5, 6, 7, 8}
+	f.Add(sealShort(sealer, dcid, pathID, largest+1, largest, []byte("frames")))
+	f.Add([]byte{0x40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := bytes.Clone(data)
+		pn, payload, buf, err := openShort(sealer, nil, data, cidLen, pathID, largest)
+		if !bytes.Equal(data, before) {
+			t.Fatal("openShort modified the caller's datagram")
+		}
+		if err != nil {
+			return
+		}
+		hdrLen := len(data) - len(payload) - crypto.Overhead
+		if hdrLen < 1+cidLen+1 || hdrLen > 1+cidLen+4 {
+			t.Fatalf("a %d-byte payload leaves %d header bytes of a %d-byte datagram", len(payload), hdrLen, len(data))
+		}
+		if cap(payload) != cap(buf)-hdrLen || !bytes.Equal(payload, buf[hdrLen:hdrLen+len(payload)]) {
+			t.Fatal("the payload is not the datagram's ciphertext region of the returned buffer")
+		}
+		// RFC 9000 §A.3: the number recovered lies within half the
+		// truncated number's range of the one expected next.
+		if half := uint64(1) << (8*(hdrLen-1-cidLen) - 1); pn+half < largest+1 || pn > largest+1+half {
+			t.Fatalf("packet number %d from %d bytes, expected near %d", pn, hdrLen-1-cidLen, largest+1)
+		}
+	})
+}

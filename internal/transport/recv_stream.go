@@ -48,16 +48,10 @@ type RecvStream struct {
 // ID returns the stream ID.
 func (r *RecvStream) ID() uint64 { return r.id }
 
-// Finished reports whether the stream was fully delivered including FIN.
-func (r *RecvStream) Finished() bool { return r.finished }
-
 // IsReset reports whether the peer reset the stream before its FIN was
 // delivered: the stream's last callback then carries no data and fin set,
 // and what arrived before it is not the whole stream.
 func (r *RecvStream) IsReset() bool { return r.reset }
-
-// Delivered returns the count of in-order bytes handed to the application.
-func (r *RecvStream) Delivered() uint64 { return r.delivered }
 
 // fecHistory is how far below the delivery point a stream keeps its bytes
 // when the FEC lane is on: one protection window at the wire's bounds. The

@@ -38,7 +38,7 @@ func (r *refScheduler) queue(s *SendStream) *[]chunk {
 	return q
 }
 
-// streams is every send stream ever opened in (priority, ID) order: the
+// streams is every send stream ever opened in ID order: the
 // reference never retires one.
 func (r *refScheduler) streams() []*SendStream {
 	for id, s := range r.c.sendStreams {
@@ -48,12 +48,7 @@ func (r *refScheduler) streams() []*SendStream {
 	for _, s := range r.opened {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].prio != out[j].prio {
-			return out[i].prio < out[j].prio
-		}
-		return out[i].id < out[j].id
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 

@@ -438,11 +438,10 @@ func (c *Conn) nextStreamFrame() *wire.StreamFrame {
 	return sf
 }
 
-// streamsInOrder returns the send streams that can still send, sorted by
-// (priority, ID) — the paper's early-stream-first order. The order is kept in
-// place, never rebuilt: Stream inserts a new stream, SetPriority moves one and
-// retireStream cuts one out, each by binary search. (priority, ID) is a total
-// order — IDs are unique.
+// streamsInOrder returns the send streams that can still send, sorted by ID —
+// the paper's early-stream-first order (Fig 4b): a stream opened earlier has
+// the lower ID. The order is kept in place, never rebuilt: Stream inserts a
+// new stream and retireStream cuts one out, each by binary search.
 func (c *Conn) streamsInOrder() []*SendStream {
 	if assert.Enabled {
 		for i := 1; i < len(c.streamOrder); i++ {
@@ -453,10 +452,8 @@ func (c *Conn) streamsInOrder() []*SendStream {
 	return c.streamOrder
 }
 
-// sendsBefore reports whether a precedes b in (priority, ID) order.
-func sendsBefore(a, b *SendStream) bool {
-	return a.prio < b.prio || (a.prio == b.prio && a.id < b.id)
-}
+// sendsBefore reports whether a precedes b in the send order.
+func sendsBefore(a, b *SendStream) bool { return a.id < b.id }
 
 // orderIndex returns s's place in streamOrder: the first stream not before it.
 func (c *Conn) orderIndex(s *SendStream) int {
@@ -471,8 +468,8 @@ func (c *Conn) orderIndex(s *SendStream) int {
 	return lo
 }
 
-// insertInOrder puts s at its place in streamOrder. A new stream's priority
-// is its ID, above every ID before it, so this is an append.
+// insertInOrder puts s at its place in streamOrder. A stream opened by this
+// side has an ID above every one before it, so this is an append.
 func (c *Conn) insertInOrder(s *SendStream) {
 	i := c.orderIndex(s)
 	c.streamOrder = append(c.streamOrder, nil)

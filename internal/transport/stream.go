@@ -87,16 +87,8 @@ type SendStream struct {
 	// as priority defaultFramePrio.
 	frames []FrameRange
 
-	// prio is the stream's scheduling priority: lower is more urgent.
-	// Defaults to the stream ID, giving the paper's "early stream has
-	// higher priority" order.
-	prio int
-
 	// peerMaxData is the stream-level flow control limit from the peer.
 	peerMaxData uint64
-
-	// blockedSent deduplicates STREAM_DATA_BLOCKED signals per limit.
-	blockedSent uint64
 
 	// finChunkSent records that a chunk carrying the FIN bit was sent;
 	// finAcked records that the peer acknowledged it.
@@ -123,19 +115,6 @@ func (s *streamIDSet) has(id uint64) bool { return s[id&3].Contains(id>>2, id>>2
 
 // ID returns the stream ID.
 func (s *SendStream) ID() uint64 { return s.id }
-
-// Priority returns the scheduling priority (lower = more urgent).
-func (s *SendStream) Priority() int { return s.prio }
-
-// SetPriority overrides the stream priority, moving the stream to its new
-// place in the connection's send order (a retired stream has none).
-func (s *SendStream) SetPriority(p int) {
-	moved := s.prio != p && s.conn.dropFromOrder(s)
-	s.prio = p
-	if moved {
-		s.conn.insertInOrder(s)
-	}
-}
 
 // Write appends data to the stream's send buffer. It never blocks; flow
 // control gates transmission, not buffering.
@@ -213,9 +192,6 @@ func (s *SendStream) Reset(code uint64) {
 	}, -1, true)
 	s.conn.maybeForget(s)
 }
-
-// IsReset reports whether the stream was abruptly terminated.
-func (s *SendStream) IsReset() bool { return s.reset }
 
 // Close marks the end of the stream; the final offset is the count of
 // bytes written.

@@ -364,8 +364,8 @@ func TestTerminalEventsReleaseBuffers(t *testing.T) {
 	s4 := srv.Stream(4)
 	s4.Write(payload)
 	injectFrames(pair, &wire.StopSendingFrame{StreamID: 4, ErrorCode: 9})
-	if !s4.IsReset() || srv.Stats().SendBufferedBytes != 0 {
-		t.Fatalf("after STOP_SENDING: reset %v, %d bytes buffered", s4.IsReset(), srv.Stats().SendBufferedBytes)
+	if !s4.reset || srv.Stats().SendBufferedBytes != 0 {
+		t.Fatalf("after STOP_SENDING: reset %v, %d bytes buffered", s4.reset, srv.Stats().SendBufferedBytes)
 	}
 	srv.Release()
 
@@ -376,8 +376,8 @@ func TestTerminalEventsReleaseBuffers(t *testing.T) {
 	}
 	rs8 := srv.recvStreams[8]
 	injectFrames(pair, &wire.ResetStreamFrame{StreamID: 8, FinalSize: 2 << 20})
-	if got := srv.Stats().RecvBufferedBytes; got != 0 || !rs8.Finished() || srv.recvStreams[8] != nil {
-		t.Fatalf("reset receive stream buffers %d bytes, finished %v, held %v", got, rs8.Finished(), srv.recvStreams[8] != nil)
+	if got := srv.Stats().RecvBufferedBytes; got != 0 || !rs8.finished || srv.recvStreams[8] != nil {
+		t.Fatalf("reset receive stream buffers %d bytes, finished %v, held %v", got, rs8.finished, srv.recvStreams[8] != nil)
 	}
 	// ...and the application abandoning a stream does the same.
 	injectFrames(pair, &wire.StreamFrame{StreamID: 12, Offset: 1 << 20, Data: payload[:1000]})

@@ -56,7 +56,6 @@ type Requester struct {
 	outstanding  int
 	Results      []ChunkResult
 	started      bool
-	aborted      bool
 	onAllDone    func(now time.Duration)
 	verifyErrors int
 }
@@ -104,27 +103,6 @@ func (r *Requester) Start(now time.Duration) {
 	r.fill(now)
 }
 
-// Abort cancels the fetch — the viewer swiped away. Outstanding chunk
-// streams get STOP_SENDING so the server resets them and stops spending
-// bandwidth; no further chunks are requested.
-func (r *Requester) Abort() {
-	if r.aborted {
-		return
-	}
-	r.aborted = true
-	// STOP_SENDING frames go on the wire; emit them in request order so
-	// traces are reproducible.
-	for _, cs := range r.order {
-		if !cs.completed {
-			r.conn.StopSending(cs.streamID, 0x10) // application "canceled"
-		}
-	}
-	r.nextOffset = r.video.Size // stop issuing new chunks
-}
-
-// Aborted reports whether the fetch was cancelled.
-func (r *Requester) Aborted() bool { return r.aborted }
-
 // Poll re-evaluates prefetching; call it periodically when a buffer-ahead
 // cap is configured, since playback consuming the buffer is what unblocks
 // the next request.
@@ -136,9 +114,6 @@ func (r *Requester) Poll(now time.Duration) {
 
 // fill issues chunk requests up to the concurrency limit and buffer cap.
 func (r *Requester) fill(now time.Duration) {
-	if r.aborted {
-		return
-	}
 	if r.cfg.MaxBufferAhead > 0 && r.player != nil &&
 		r.player.BufferedPlaytime() >= r.cfg.MaxBufferAhead {
 		return
@@ -171,8 +146,8 @@ func (r *Requester) request(cs *chunkState) {
 }
 
 // OnStreamData is the transport callback for response data. A chunk whose
-// stream the server reset is not complete: unless the fetch was aborted, its
-// range is requested again on a new stream, which keeps the chunk's slot.
+// stream the server reset is not complete: its range is requested again on a
+// new stream, which keeps the chunk's slot.
 // The player never gets a byte twice, since deliverInOrder hands it only
 // what lies past what it already has.
 func (r *Requester) OnStreamData(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
@@ -182,7 +157,7 @@ func (r *Requester) OnStreamData(now time.Duration, rs *transport.RecvStream, da
 	}
 	if rs.IsReset() {
 		delete(r.chunks, rs.ID())
-		if !cs.completed && !r.aborted {
+		if !cs.completed {
 			r.request(cs)
 		}
 		return

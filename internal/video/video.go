@@ -120,9 +120,6 @@ func NewPlayer(v Video, cfg PlayerConfig) *Player {
 	return &Player{video: v, cfg: cfg}
 }
 
-// Video returns the video being played.
-func (p *Player) Video() Video { return p.video }
-
 // SetTracer installs a structured event tracer recording pipeline
 // milestones: first-frame cached, playback start, decode progress,
 // rebuffer start/end, finish.
@@ -285,15 +282,6 @@ type Metrics struct {
 	DangerFraction float64
 }
 
-// RebufferRate returns the paper's QoE metric #1:
-// sum(rebuffer time)/sum(play time).
-func (m Metrics) RebufferRate() float64 {
-	if m.PlayTime <= 0 {
-		return 0
-	}
-	return float64(m.RebufferTime) / float64(m.PlayTime)
-}
-
 // Metrics returns the current session metrics at time now.
 func (p *Player) Metrics(now time.Duration) Metrics {
 	p.Advance(now)
@@ -322,9 +310,3 @@ func (p *Player) Metrics(now time.Duration) Metrics {
 	}
 	return m
 }
-
-// Finished reports whether playback completed.
-func (p *Player) Finished() bool { return p.state == stateFinished }
-
-// Buffered returns the current buffered byte count.
-func (p *Player) Buffered() uint64 { return p.buffered() }

@@ -90,8 +90,8 @@ func TestPlayerRebuffering(t *testing.T) {
 	if !m.Finished {
 		t.Fatal("should finish after remaining data")
 	}
-	if m.RebufferRate() <= 0 {
-		t.Fatal("rebuffer rate should be positive")
+	if m.PlayTime <= 0 {
+		t.Fatal("play time should be positive")
 	}
 }
 
@@ -298,42 +298,6 @@ func TestServerServesFirstFrameTagged(t *testing.T) {
 	}
 }
 
-func TestRequesterAbortStopsServer(t *testing.T) {
-	loop := sim.NewLoop()
-	params := wire.DefaultTransportParams()
-	params.EnableMultipath = true
-	ccfg := transport.Config{Params: params, Seed: 1}
-	scfg := transport.Config{Params: params, Seed: 2, ReinjectionMode: transport.ReinjectStreamPriority}
-	pair := transport.NewPair(loop, sim.NewRNG(9),
-		transport.TwoPathConfig(4, 4, 20*time.Millisecond, 60*time.Millisecond), ccfg, scfg)
-
-	v := testVideo()
-	v.Size = 8 << 20 // long enough that abort lands mid-transfer
-	player := NewPlayer(v, DefaultPlayerConfig())
-	requester := NewRequester(pair.Client, v, player, DefaultRequesterConfig())
-	server := NewServer(pair.Server, []Video{v})
-	pair.Client.SetOnStreamData(requester.OnStreamData)
-	pair.Server.SetOnStreamData(server.OnStreamData)
-	pair.Client.SetOnHandshakeDone(func(now time.Duration) { requester.Start(now) })
-	if err := pair.Start(); err != nil {
-		t.Fatal(err)
-	}
-	loop.At(time.Second, func(time.Duration) { requester.Abort() })
-	pair.RunUntil(1100 * time.Millisecond)
-	atAbort := pair.Server.Stats().StreamBytesSent
-	pair.RunUntil(10 * time.Second)
-	after := pair.Server.Stats().StreamBytesSent
-	if !requester.Aborted() {
-		t.Fatal("requester should be aborted")
-	}
-	if after > atAbort+512<<10 {
-		t.Fatalf("server kept streaming after abort: %d -> %d", atAbort, after)
-	}
-	if requester.Done() {
-		t.Fatal("aborted fetch must not report done")
-	}
-}
-
 // refDeliverInOrder is deliverInOrder as it was before the requester kept
 // its chunks in request order: copy every chunk out of the map, sort by
 // offset, walk them all. Kept as the reference model.
@@ -399,8 +363,8 @@ func TestDeliverInOrderMatchesReference(t *testing.T) {
 		!slices.Equal(got.BufferSeries.Values, want.BufferSeries.Values) {
 		t.Fatal("the player saw different OnData calls than under the reference walk")
 	}
-	if got.BufferSeries.Len() < chunks {
-		t.Fatalf("only %d deliveries for %d chunks", got.BufferSeries.Len(), chunks)
+	if len(got.BufferSeries.Times) < chunks {
+		t.Fatalf("only %d deliveries for %d chunks", len(got.BufferSeries.Times), chunks)
 	}
 }
 
@@ -549,16 +513,18 @@ func TestServerBoundsThePendingRequestLine(t *testing.T) {
 		transport.Config{Params: params, Seed: 1}, transport.Config{Params: params, Seed: 2})
 	server := NewServer(pair.Server, []Video{testVideo()})
 	peak, after := 0, 0
-	var stream *transport.RecvStream
+	stopped := false // the server dropped the line: no byte may follow
 	pair.Server.SetOnStreamData(func(now time.Duration, rs *transport.RecvStream, data []byte, fin bool) {
-		if stream != nil && stream.Finished() {
+		if stopped {
 			after += len(data)
 		}
-		stream = rs
+		held := server.pending[rs.ID()] != nil
 		server.OnStreamData(now, rs, data, fin)
-		if b := server.pending[rs.ID()]; b != nil && b.Len() > peak {
+		b := server.pending[rs.ID()]
+		if b != nil && b.Len() > peak {
 			peak = b.Len()
 		}
+		stopped = stopped || held && b == nil
 	})
 	junk := make([]byte, 1<<10)
 	for i := range junk {
@@ -574,13 +540,13 @@ func TestServerBoundsThePendingRequestLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	pair.RunUntil(10 * time.Second)
-	if stream == nil {
+	if peak == 0 {
 		t.Fatal("no request bytes reached the server")
 	}
 	if peak > maxRequestLine || len(server.pending) != 0 {
 		t.Fatalf("the server held a %d-byte pending line (bound %d) and ends with %d pending", peak, maxRequestLine, len(server.pending))
 	}
-	if !stream.Finished() || after != 0 {
-		t.Fatalf("the over-long stream was not stopped: finished %v, %d bytes delivered after", stream.Finished(), after)
+	if !stopped || after != 0 {
+		t.Fatalf("the over-long stream was not stopped: line dropped %v, %d bytes delivered after", stopped, after)
 	}
 }

@@ -4,9 +4,9 @@ import "fmt"
 
 // Decoder parses packet payloads into frame storage it owns (DESIGN.md §18).
 // The frame types a steady-state packet carries — STREAM, ACK and ACK_MP with
-// one backing array for the ranges of both, MAX_DATA, MAX_STREAM_DATA and
-// QOE_CONTROL_SIGNALS — are carved from typed slabs that AppendFrames rewinds
-// on entry, so a warm decoder parses them without allocating. Those frames,
+// one backing array for the ranges of both, MAX_DATA and MAX_STREAM_DATA —
+// are carved from typed slabs that AppendFrames rewinds on entry, so a warm
+// decoder parses them without allocating. Those frames,
 // and the ranges they point to, are valid until the next AppendFrames call on
 // the same Decoder. Every other frame type is allocated individually and may
 // be kept by the receiver.
@@ -22,7 +22,6 @@ type Decoder struct {
 	ranges        []AckRange
 	maxData       []MaxDataFrame
 	maxStreamData []MaxStreamDataFrame
-	qoe           []QoEControlSignalsFrame
 }
 
 // slot extends slab by one zeroed element and returns it. When the slab has
@@ -50,7 +49,6 @@ func (d *Decoder) AppendFrames(frames []Frame, b []byte) ([]Frame, error) {
 	d.ranges = d.ranges[:0]
 	d.maxData = d.maxData[:0]
 	d.maxStreamData = d.maxStreamData[:0]
-	d.qoe = d.qoe[:0]
 	for len(b) > 0 {
 		if run := paddingRun(b); run > 0 {
 			b = b[run:]
@@ -115,14 +113,8 @@ func (d *Decoder) parseFrame(b []byte) (Frame, int, error) {
 		mf := slot(&d.maxStreamData)
 		m, err = parseMaxStreamData(mf, rest)
 		f = mf
-	case typ == TypeDataBlocked:
-		f, m, err = parseDataBlocked(rest)
-	case typ == TypeStreamDataBlocked:
-		f, m, err = parseStreamDataBlocked(rest)
 	case typ == TypeNewConnectionID:
 		f, m, err = parseNewConnectionID(rest)
-	case typ == TypeRetireConnection:
-		f, m, err = parseRetireConnectionID(rest)
 	case typ == TypePathChallenge:
 		f, m, err = parsePathChallenge(rest)
 	case typ == TypePathResponse:
@@ -137,10 +129,6 @@ func (d *Decoder) parseFrame(b []byte) (Frame, int, error) {
 		f = af
 	case typ == TypePathStatus:
 		f, m, err = parsePathStatus(rest)
-	case typ == TypeQoEControlSignals:
-		qf := slot(&d.qoe)
-		m, err = parseQoEControlSignals(qf, rest)
-		f = qf
 	case typ == TypeFECWindow:
 		f, m, err = parseFECWindow(rest)
 	case typ == TypeFECRepair:

@@ -64,7 +64,7 @@ func randomFrame(r *rand.Rand) Frame {
 	qoe := func() QoESignal {
 		return QoESignal{CachedBytes: v(), CachedFrames: v(), BitrateBps: v(), FramerateFPS: v()}
 	}
-	switch r.Intn(20) {
+	switch r.Intn(17) {
 	case 0:
 		return &PingFrame{}
 	case 1:
@@ -89,30 +89,24 @@ func randomFrame(r *rand.Rand) Frame {
 	case 7:
 		return &MaxStreamDataFrame{StreamID: v(), MaxStreamData: v()}
 	case 8:
-		return &QoEControlSignalsFrame{Sequence: v(), QoE: qoe()}
-	case 9:
 		return &CryptoFrame{Offset: v(), Data: blob(64)}
-	case 10:
+	case 9:
 		return &ResetStreamFrame{StreamID: v(), ErrorCode: v(), FinalSize: v()}
-	case 11:
+	case 10:
 		return &StopSendingFrame{StreamID: v(), ErrorCode: v()}
-	case 12:
-		return &DataBlockedFrame{Limit: v()}
-	case 13:
-		return &StreamDataBlockedFrame{StreamID: v(), Limit: v()}
-	case 14:
+	case 11:
 		f := &NewConnectionIDFrame{Sequence: v(), RetirePrior: v(), ConnectionID: blob(MaxCIDLen)}
 		r.Read(f.ResetToken[:])
 		return f
-	case 15:
+	case 12:
 		f := &PathChallengeFrame{}
 		r.Read(f.Data[:])
 		return f
-	case 16:
+	case 13:
 		return &PathStatusFrame{PathID: v(), StatusSeq: v(), Status: PathState(r.Intn(3))}
-	case 17:
+	case 14:
 		return &ConnectionCloseFrame{ErrorCode: v(), Reason: string(blob(20))}
-	case 18:
+	case 15:
 		return &FECRepairFrame{WindowID: v(), Index: uint64(r.Intn(MaxFECRepairSymbols)), Data: blob(200)}
 	default:
 		return &FECRecoveredFrame{StreamID: v(), Offset: v() >> 2, Length: uint64(1 + r.Intn(1<<16))}
@@ -203,7 +197,7 @@ func TestDecoderMatchesPackageLevel(t *testing.T) {
 		}
 		for _, f := range got {
 			switch f.(type) {
-			case *StreamFrame, *AckFrame, *AckMPFrame, *MaxDataFrame, *MaxStreamDataFrame, *QoEControlSignalsFrame:
+			case *StreamFrame, *AckFrame, *AckMPFrame, *MaxDataFrame, *MaxStreamDataFrame:
 				hot++
 			}
 		}
@@ -228,7 +222,6 @@ func TestAllocGateDecoderWarmParse(t *testing.T) {
 		&AckFrame{Ranges: ack.Ranges[:3]},
 		&MaxDataFrame{MaxData: 1 << 24},
 		&MaxStreamDataFrame{StreamID: 4, MaxStreamData: 1 << 22},
-		&QoEControlSignalsFrame{Sequence: 3, QoE: ack.QoE},
 		&PingFrame{},
 		&StreamFrame{StreamID: 4, Offset: 1 << 20, Data: make([]byte, 400)},
 		&StreamFrame{StreamID: 8, Offset: 0, Data: make([]byte, 400), Fin: true},
@@ -237,7 +230,7 @@ func TestAllocGateDecoderWarmParse(t *testing.T) {
 	var frames []Frame
 	parse := func() {
 		var err error
-		if frames, err = d.AppendFrames(frames[:0], b); err != nil || len(frames) != 8 {
+		if frames, err = d.AppendFrames(frames[:0], b); err != nil || len(frames) != 7 {
 			t.Fatalf("%d frames, %v", len(frames), err)
 		}
 	}

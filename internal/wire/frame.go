@@ -4,28 +4,24 @@ package wire
 // multi-path extension frames use the experimental greased code points from
 // the draft-liu-multipath-quic lineage.
 const (
-	TypePadding           uint64 = 0x00
-	TypePing              uint64 = 0x01
-	TypeAck               uint64 = 0x02
-	TypeResetStream       uint64 = 0x04
-	TypeStopSending       uint64 = 0x05
-	TypeCrypto            uint64 = 0x06
-	TypeStreamBase        uint64 = 0x08 // 0x08..0x0f with OFF/LEN/FIN bits
-	TypeMaxData           uint64 = 0x10
-	TypeMaxStreamData     uint64 = 0x11
-	TypeDataBlocked       uint64 = 0x14
-	TypeStreamDataBlocked uint64 = 0x15
-	TypeNewConnectionID   uint64 = 0x18
-	TypeRetireConnection  uint64 = 0x19
-	TypePathChallenge     uint64 = 0x1a
-	TypePathResponse      uint64 = 0x1b
-	TypeConnectionClose   uint64 = 0x1c
-	TypeHandshakeDone     uint64 = 0x1e
+	TypePadding         uint64 = 0x00
+	TypePing            uint64 = 0x01
+	TypeAck             uint64 = 0x02
+	TypeResetStream     uint64 = 0x04
+	TypeStopSending     uint64 = 0x05
+	TypeCrypto          uint64 = 0x06
+	TypeStreamBase      uint64 = 0x08 // 0x08..0x0f with OFF/LEN/FIN bits
+	TypeMaxData         uint64 = 0x10
+	TypeMaxStreamData   uint64 = 0x11
+	TypeNewConnectionID uint64 = 0x18
+	TypePathChallenge   uint64 = 0x1a
+	TypePathResponse    uint64 = 0x1b
+	TypeConnectionClose uint64 = 0x1c
+	TypeHandshakeDone   uint64 = 0x1e
 
 	// Multi-path extension frames.
-	TypeAckMP             uint64 = 0xbaba00
-	TypePathStatus        uint64 = 0xbaba05
-	TypeQoEControlSignals uint64 = 0xbaba10
+	TypeAckMP      uint64 = 0xbaba00
+	TypePathStatus uint64 = 0xbaba05
 
 	// Forward-erasure-correction extension frames (DESIGN.md §13).
 	TypeFECWindow    uint64 = 0xbaba20

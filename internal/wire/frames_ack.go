@@ -31,24 +31,6 @@ type AckFrame struct {
 	AckDelay time.Duration
 }
 
-// LargestAcked returns the largest acknowledged packet number.
-func (f *AckFrame) LargestAcked() uint64 {
-	if len(f.Ranges) == 0 {
-		return 0
-	}
-	return f.Ranges[0].Largest
-}
-
-// Acks reports whether pn is covered by the frame.
-func (f *AckFrame) Acks(pn uint64) bool {
-	for _, r := range f.Ranges {
-		if pn >= r.Smallest && pn <= r.Largest {
-			return true
-		}
-	}
-	return false
-}
-
 func appendAckBody(b []byte, ranges []AckRange, delay time.Duration) []byte {
 	b = AppendVarint(b, ranges[0].Largest)
 	b = AppendVarint(b, uint64(delay/time.Microsecond))
@@ -151,7 +133,7 @@ func (f *AckFrame) Len() int { return 1 + ackBodyLen(f.Ranges, f.AckDelay) }
 
 // String implements Frame.
 func (f *AckFrame) String() string {
-	return fmt.Sprintf("ACK(largest=%d ranges=%d)", f.LargestAcked(), len(f.Ranges))
+	return fmt.Sprintf("ACK(ranges=%v)", f.Ranges)
 }
 
 // QoESignal is the QoE_Control_Signal payload defined by the paper
@@ -240,24 +222,6 @@ type AckMPFrame struct {
 	QoE    QoESignal
 }
 
-// LargestAcked returns the largest acknowledged packet number.
-func (f *AckMPFrame) LargestAcked() uint64 {
-	if len(f.Ranges) == 0 {
-		return 0
-	}
-	return f.Ranges[0].Largest
-}
-
-// Acks reports whether pn is covered by the frame.
-func (f *AckMPFrame) Acks(pn uint64) bool {
-	for _, r := range f.Ranges {
-		if pn >= r.Smallest && pn <= r.Largest {
-			return true
-		}
-	}
-	return false
-}
-
 // Append implements Frame.
 func (f *AckMPFrame) Append(b []byte) []byte {
 	b = AppendVarint(b, TypeAckMP)
@@ -286,8 +250,7 @@ func (f *AckMPFrame) Len() int {
 
 // String implements Frame.
 func (f *AckMPFrame) String() string {
-	return fmt.Sprintf("ACK_MP(path=%d largest=%d ranges=%d qoe=%v)",
-		f.PathID, f.LargestAcked(), len(f.Ranges), f.HasQoE)
+	return fmt.Sprintf("ACK_MP(path=%d ranges=%v qoe=%v)", f.PathID, f.Ranges, f.HasQoE)
 }
 
 func (d *Decoder) parseAckMP(f *AckMPFrame, b []byte) (int, error) {
@@ -323,43 +286,4 @@ func (d *Decoder) parseAckMP(f *AckMPFrame, b []byte) (int, error) {
 		pos += n
 	}
 	return pos, nil
-}
-
-// QoEControlSignalsFrame is the standalone QOE_CONTROL_SIGNALS extension
-// frame from the draft, which decouples QoE feedback from ACK frequency.
-type QoEControlSignalsFrame struct {
-	// Sequence orders signals so stale feedback can be discarded.
-	Sequence uint64
-	QoE      QoESignal
-}
-
-// Append implements Frame.
-func (f *QoEControlSignalsFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, TypeQoEControlSignals)
-	b = AppendVarint(b, f.Sequence)
-	return appendQoE(b, f.QoE)
-}
-
-// Len implements Frame.
-func (f *QoEControlSignalsFrame) Len() int {
-	return VarintLen(TypeQoEControlSignals) + VarintLen(f.Sequence) + qoeLen(f.QoE)
-}
-
-// String implements Frame.
-func (f *QoEControlSignalsFrame) String() string {
-	return fmt.Sprintf("QOE_CONTROL_SIGNALS(seq=%d Δt=%v)", f.Sequence, f.QoE.PlaytimeLeft())
-}
-
-func parseQoEControlSignals(f *QoEControlSignalsFrame, b []byte) (int, error) {
-	seq, n, err := ParseVarint(b)
-	if err != nil {
-		return 0, err
-	}
-	pos := n
-	q, n, err := parseQoE(b[pos:])
-	if err != nil {
-		return 0, err
-	}
-	f.Sequence, f.QoE = seq, q
-	return pos + n, nil
 }

@@ -55,66 +55,6 @@ func parseMaxStreamData(f *MaxStreamDataFrame, b []byte) (int, error) {
 	return n + m, nil
 }
 
-// DataBlockedFrame signals the sender is blocked at the connection limit.
-type DataBlockedFrame struct {
-	Limit uint64
-}
-
-// Append implements Frame.
-func (f *DataBlockedFrame) Append(b []byte) []byte {
-	b = append(b, byte(TypeDataBlocked))
-	return AppendVarint(b, f.Limit)
-}
-
-// Len implements Frame.
-func (f *DataBlockedFrame) Len() int { return 1 + VarintLen(f.Limit) }
-
-// String implements Frame.
-func (f *DataBlockedFrame) String() string { return fmt.Sprintf("DATA_BLOCKED(%d)", f.Limit) }
-
-func parseDataBlocked(b []byte) (Frame, int, error) {
-	v, n, err := ParseVarint(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &DataBlockedFrame{Limit: v}, n, nil
-}
-
-// StreamDataBlockedFrame signals the sender is blocked at a stream limit.
-type StreamDataBlockedFrame struct {
-	StreamID uint64
-	Limit    uint64
-}
-
-// Append implements Frame.
-func (f *StreamDataBlockedFrame) Append(b []byte) []byte {
-	b = append(b, byte(TypeStreamDataBlocked))
-	b = AppendVarint(b, f.StreamID)
-	return AppendVarint(b, f.Limit)
-}
-
-// Len implements Frame.
-func (f *StreamDataBlockedFrame) Len() int {
-	return 1 + VarintLen(f.StreamID) + VarintLen(f.Limit)
-}
-
-// String implements Frame.
-func (f *StreamDataBlockedFrame) String() string {
-	return fmt.Sprintf("STREAM_DATA_BLOCKED(id=%d limit=%d)", f.StreamID, f.Limit)
-}
-
-func parseStreamDataBlocked(b []byte) (Frame, int, error) {
-	id, n, err := ParseVarint(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	v, m, err := ParseVarint(b[n:])
-	if err != nil {
-		return nil, 0, err
-	}
-	return &StreamDataBlockedFrame{StreamID: id, Limit: v}, n + m, nil
-}
-
 // ResetStreamFrame abruptly terminates the sending part of a stream.
 type ResetStreamFrame struct {
 	StreamID  uint64
@@ -249,33 +189,6 @@ func parseNewConnectionID(b []byte) (Frame, int, error) {
 	copy(f.ResetToken[:], b[pos:pos+16])
 	pos += 16
 	return f, pos, nil
-}
-
-// RetireConnectionIDFrame retires a previously issued CID.
-type RetireConnectionIDFrame struct {
-	Sequence uint64
-}
-
-// Append implements Frame.
-func (f *RetireConnectionIDFrame) Append(b []byte) []byte {
-	b = append(b, byte(TypeRetireConnection))
-	return AppendVarint(b, f.Sequence)
-}
-
-// Len implements Frame.
-func (f *RetireConnectionIDFrame) Len() int { return 1 + VarintLen(f.Sequence) }
-
-// String implements Frame.
-func (f *RetireConnectionIDFrame) String() string {
-	return fmt.Sprintf("RETIRE_CONNECTION_ID(seq=%d)", f.Sequence)
-}
-
-func parseRetireConnectionID(b []byte) (Frame, int, error) {
-	v, n, err := ParseVarint(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &RetireConnectionIDFrame{Sequence: v}, n, nil
 }
 
 // PathChallengeFrame carries 8 bytes of entropy to validate a path

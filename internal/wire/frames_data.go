@@ -73,12 +73,6 @@ func (f *StreamFrame) String() string {
 	return fmt.Sprintf("STREAM(id=%d off=%d len=%d fin=%v)", f.StreamID, f.Offset, len(f.Data), f.Fin)
 }
 
-// HeaderLen returns the size of the frame header excluding data, used by the
-// packetizer to compute how much payload fits.
-func (f *StreamFrame) HeaderLen(dataLen int) int {
-	return 1 + VarintLen(f.StreamID) + VarintLen(f.Offset) + VarintLen(uint64(dataLen))
-}
-
 // parseStream decodes a STREAM frame into the zeroed f. The frame's Data
 // aliases b — the one frame type that borrows from the packet instead of
 // copying out of it — so it is valid only for as long as the caller keeps b

@@ -129,30 +129,3 @@ func ParseLong(b []byte, largestPN int64) (Header, int, int, error) {
 	}
 	return h, headerLen, end, nil
 }
-
-// ParseShort parses a short header. The receiver must know its CID length
-// (cidLen); largestPN is the largest packet number received so far in the
-// path's space (-1 if none). It returns the header and header length.
-func ParseShort(b []byte, cidLen int, largestPN int64) (Header, int, error) {
-	var h Header
-	if len(b) < 1+cidLen+1 {
-		return h, 0, ErrTruncated
-	}
-	first := b[0]
-	if first&0x80 != 0 {
-		return h, 0, fmt.Errorf("wire: not a short header packet")
-	}
-	h.Type = PacketOneRTT
-	h.DCID = append(ConnectionID(nil), b[1:1+cidLen]...)
-	h.PNLen = int(first&0x03) + 1
-	pos := 1 + cidLen
-	if len(b) < pos+h.PNLen {
-		return h, 0, ErrTruncated
-	}
-	var truncPN uint64
-	for i := 0; i < h.PNLen; i++ {
-		truncPN = truncPN<<8 | uint64(b[pos+i])
-	}
-	h.PacketNumber = DecodePacketNumber(truncPN, h.PNLen, largestPN)
-	return h, pos + h.PNLen, nil
-}

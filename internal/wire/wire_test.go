@@ -121,17 +121,13 @@ func TestFrameRoundTrips(t *testing.T) {
 		&AckMPFrame{PathID: 3, Ranges: []AckRange{{Smallest: 0, Largest: 7}}, AckDelay: time.Millisecond},
 		&AckMPFrame{PathID: 1, Ranges: []AckRange{{Smallest: 2, Largest: 2}}, HasQoE: true,
 			QoE: QoESignal{CachedBytes: 1 << 20, CachedFrames: 120, BitrateBps: 2_000_000, FramerateFPS: 30}},
-		&QoEControlSignalsFrame{Sequence: 9, QoE: QoESignal{CachedBytes: 5000, BitrateBps: 1000}},
 		&MaxDataFrame{MaxData: 1 << 24},
 		&MaxStreamDataFrame{StreamID: 8, MaxStreamData: 1 << 22},
-		&DataBlockedFrame{Limit: 999},
-		&StreamDataBlockedFrame{StreamID: 4, Limit: 777},
 		&ResetStreamFrame{StreamID: 12, ErrorCode: 5, FinalSize: 100000},
 		&StopSendingFrame{StreamID: 16, ErrorCode: 2},
 		&NewConnectionIDFrame{Sequence: 2, RetirePrior: 1,
 			ConnectionID: ConnectionID{1, 2, 3, 4, 5, 6, 7, 8},
 			ResetToken:   [16]byte{9, 9, 9}},
-		&RetireConnectionIDFrame{Sequence: 7},
 		&PathChallengeFrame{Data: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}},
 		&PathResponseFrame{Data: [8]byte{8, 7, 6, 5, 4, 3, 2, 1}},
 		&ConnectionCloseFrame{ErrorCode: 0x0a, Reason: "bye"},
@@ -171,18 +167,6 @@ func TestParseAllMixed(t *testing.T) {
 	// Padding is consumed without materializing a frame (see AppendFrames).
 	if len(frames) != 2 {
 		t.Fatalf("parsed %d frames, want 2 (padding skipped)", len(frames))
-	}
-}
-
-func TestAckFrameAcks(t *testing.T) {
-	f := &AckFrame{Ranges: []AckRange{{Smallest: 8, Largest: 10}, {Smallest: 1, Largest: 3}}}
-	for pn, want := range map[uint64]bool{0: false, 1: true, 3: true, 4: false, 7: false, 8: true, 10: true, 11: false} {
-		if f.Acks(pn) != want {
-			t.Errorf("Acks(%d) = %v, want %v", pn, f.Acks(pn), want)
-		}
-	}
-	if f.LargestAcked() != 10 {
-		t.Fatal("LargestAcked")
 	}
 }
 
@@ -244,24 +228,31 @@ func TestLongHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShortHeaderRoundTrip reads a short header back the way the transport
+// opens one (after header protection is off): flags, the DCID of the length
+// the receiver knows, then the truncated packet number, expanded against the
+// largest seen.
 func TestShortHeaderRoundTrip(t *testing.T) {
 	dcid := ConnectionID{0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff, 0x11, 0x22}
 	pn := uint64(777)
 	pnLen := PacketNumberLen(pn, 700)
 	b := AppendShort(nil, dcid, pn, pnLen)
 	b = append(b, "data"...)
-	h, hdrLen, err := ParseShort(b, len(dcid), 700)
-	if err != nil {
-		t.Fatal(err)
+	if IsLongHeader(b[0]) || b[0]&0x40 == 0 || int(b[0]&0x03)+1 != pnLen {
+		t.Fatalf("first byte %#x for a %d-byte packet number", b[0], pnLen)
 	}
-	if !h.DCID.Equal(dcid) || h.PacketNumber != pn {
-		t.Fatalf("header: %+v", h)
+	if !ConnectionID(b[1 : 1+len(dcid)]).Equal(dcid) {
+		t.Fatalf("dcid %x", b[1:1+len(dcid)])
 	}
-	if string(b[hdrLen:]) != "data" {
+	var trunc uint64
+	for _, c := range b[1+len(dcid) : 1+len(dcid)+pnLen] {
+		trunc = trunc<<8 | uint64(c)
+	}
+	if got := DecodePacketNumber(trunc, pnLen, 700); got != pn {
+		t.Fatalf("packet number %d, want %d", got, pn)
+	}
+	if string(b[1+len(dcid)+pnLen:]) != "data" {
 		t.Fatal("payload offset wrong")
-	}
-	if IsLongHeader(b[0]) {
-		t.Fatal("short header misidentified")
 	}
 }
 
@@ -269,9 +260,6 @@ func TestHeaderTypeDetection(t *testing.T) {
 	long := AppendLong(nil, ConnectionID{1}, ConnectionID{2}, 0, 1, 1)
 	if !IsLongHeader(long[0]) {
 		t.Fatal("long header not detected")
-	}
-	if _, _, err := ParseShort(long, 1, -1); err == nil {
-		t.Fatal("ParseShort should reject long header")
 	}
 	short := AppendShort(nil, ConnectionID{1}, 0, 1)
 	if _, _, _, err := ParseLong(short, -1); err == nil {

@@ -2,7 +2,8 @@
 # Full verification gate for the XLINK reproduction: build, go vet, the
 # test suite in release and xlinkdebug-assertion modes, the race detector,
 # the allocation-gate tests (the one allocation contract, DESIGN.md §7 and
-# §11), and a short fuzz smoke on every wire-format target, plus the quick
+# §11), and a short fuzz smoke on every wire-format target and on the
+# short-header open, plus the quick
 # experiment output against its committed copy.
 # The mutation audit of these gates (scripts/mutate.sh, `make mutate`) is not
 # part of this gate.
@@ -137,6 +138,7 @@ step go test -count=1 -run 'TestAllocGate' ./internal/sim/ ./internal/crypto/ ./
 step go test -run '^$' -bench . -benchtime 1x ./internal/wire/ ./internal/crypto/ ./internal/rangeset/ ./internal/sim/ ./internal/transport/ ./internal/chaos/ ./internal/obs/ ./xlink/
 step go test ./internal/wire/ -run '^$' -fuzz FuzzParseVarint -fuzztime "$FUZZTIME"
 step go test ./internal/wire/ -run '^$' -fuzz FuzzParseHeader -fuzztime "$FUZZTIME"
+step go test ./internal/transport/ -run '^$' -fuzz FuzzOpenShort -fuzztime "$FUZZTIME"
 step go test ./internal/wire/ -run '^$' -fuzz 'FuzzParseFrame$' -fuzztime "$FUZZTIME"
 step go test ./internal/wire/ -run '^$' -fuzz FuzzParseFECFrame -fuzztime "$FUZZTIME"
 step go test ./internal/wire/ -run '^$' -fuzz FuzzParseTransportParams -fuzztime "$FUZZTIME"

@@ -106,7 +106,7 @@ rep(qq~\t\tclientRandom := cf.Data[:32]\n\t\tpeerParams, err := wire.ParseTransp
 EOF
 mut W2 wireerr internal/transport/conn.go "$T" \
 	"handleShortPacket keeps going after Decoder.AppendFrames failed (if err != nil deleted): a malformed packet is acknowledged" <<'EOF'
-rep(qq~\tif err != nil {\n\t\treturn\n\t}\n\teliciting := false\n~, qq~\teliciting := false\n~);
+rep(qq~\tif err != nil {\n\t\t// The packet authenticated, so the peer wrote it: dropping it\n\t\t// unacknowledged would only have the peer resend it every PTO.\n\t\tc.Close(ErrCodeFrameEncoding, "undecodable frame")\n\t\treturn\n\t}\n\teliciting := false\n~, qq~\teliciting := false\n~);
 EOF
 mut W3 wireerr internal/wire/frames_ack.go "$W" \
 	"parseAckMP drops the error of the QoE-length varint: a truncated ACK_MP parses" fuzz=FuzzParseFrame <<'EOF'
@@ -324,8 +324,8 @@ rep(qq~\tep.snapMu.Lock()\n\tep.snap = s\n\tep.queued.Add(-ep.applied)\n\tep.app
     qq~\tep.snap = s\n\tep.queued.Add(-ep.applied)\n\tep.applied = 0\n\tif ep.drained != nil {\n\t\tclose(ep.drained)\n\t\tep.drained = nil\n\t}\n~);
 EOF
 mut G4 shard xlink/live.go "$X" \
-	"Stream.SetPriority re-prioritises the transport stream on the caller's goroutine instead of posting an op" <<'EOF'
-rep(q~st.ep.post(op{kind: opSetPriority, ep: st.ep, id: st.id, prio: p})~, q~st.ep.conn.Stream(st.id).SetPriority(p)~);
+	"Stream.Close finishes the transport stream on the caller's goroutine instead of posting an op" <<'EOF'
+rep(q~func (st Stream) Close() { st.ep.post(op{kind: opClose, ep: st.ep, id: st.id}) }~, q~func (st Stream) Close() { st.ep.conn.Stream(st.id).Close() }~);
 EOF
 mut L2 shard xlink/live.go "$X" \
 	"applyOps applies the turn's ops newest first: a stream's Close runs before the Write posted ahead of it" <<'EOF'

@@ -67,7 +67,9 @@ func TestCloseReleasesStreamBuffers(t *testing.T) {
 	if g := server.Metrics().Gauge(obs.MetricSendBufferedBytes).Value(); g < size/2 {
 		t.Fatalf("gauge %s reads %.0f mid-transfer, ConnStats %d", obs.MetricSendBufferedBytes, g, st.SendBufferedBytes)
 	}
-	if dump := server.Metrics().DumpString(); !strings.Contains(dump, string(obs.MetricSendBufferedPeak)) ||
+	var b strings.Builder
+	server.Metrics().Dump(&b)
+	if dump := b.String(); !strings.Contains(dump, string(obs.MetricSendBufferedPeak)) ||
 		!strings.Contains(dump, string(obs.MetricRecvBufferedBytes)) {
 		t.Fatalf("exposition lacks the buffer gauges:\n%s", dump)
 	}

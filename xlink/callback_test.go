@@ -152,16 +152,13 @@ func TestLiveCallbackCallsEveryMethod(t *testing.T) {
 			_, _, _, _ = ep.Established(), ep.Stats(), ep.StateName(), ep.Terminated()
 			_, _, _ = ep.Scorecard(), ep.Metrics(), ep.LocalAddrs()
 			_ = ep.DebugHandler()
-			ep.AbandonPath(7) // no such path: nothing to abandon
 			own := ep.OpenStream()
-			own.SetPriority(3)
 			own.WriteFrame([]byte("frame"), 0)
-			own.Reset(9)
+			own.Close()
 			st := ep.StreamFor(s.ID())
 			if st.ID() != s.ID() {
 				t.Errorf("StreamFor(%d).ID() = %d", s.ID(), st.ID())
 			}
-			st.SetPriority(1)
 			st.WriteFrame([]byte("first "), 0)
 			st.Write([]byte("then the rest"))
 			st.Close()
@@ -322,7 +319,7 @@ func TestLiveCallbacksWriteAcrossFullShards(t *testing.T) {
 }
 
 // TestLivePostFromAnAppliedOp: code running inside an op the shard applies
-// posts to its own shard — a Stream.SetPriority, then a second op — and the
+// posts to its own shard — a Stream.Write, then a second op — and the
 // shard applies both, in the order posted. post never blocks, so a callback
 // may post to its own shard; a shard that held its FIFO's lock while it
 // applied ops would wait for itself here (scripts/check.sh runs this under
@@ -334,16 +331,16 @@ func TestLivePostFromAnAppliedOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prio := make(chan int, 1)
+	buffered := make(chan uint64, 1)
 	ep.post(op{kind: opCall, ep: ep, fn: func() {
-		ep.StreamFor(3).SetPriority(5)
-		ep.post(op{kind: opCall, ep: ep, fn: func() { prio <- ep.conn.Stream(3).Priority() }})
+		ep.StreamFor(3).Write([]byte("hello"))
+		ep.post(op{kind: opCall, ep: ep, fn: func() { buffered <- ep.conn.Stream(3).Buffered() }})
 	}})
 	select {
-	case p := <-prio:
+	case n := <-buffered:
 		ep.Close()
-		if p != 5 {
-			t.Fatalf("stream priority %d after the SetPriority posted before it, want 5", p)
+		if n != 5 {
+			t.Fatalf("stream holds %d bytes after the 5-byte Write posted before it", n)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("an op posted from an applied op never ran: the shard waits for itself")

@@ -159,19 +159,9 @@ func (st Stream) Write(data []byte) { st.ep.postWrite(st.id, data, false, 0) }
 // WriteFrame queues a copy of one video frame with a priority.
 func (st Stream) WriteFrame(data []byte, prio int) { st.ep.postWrite(st.id, data, true, prio) }
 
-// SetPriority sets the stream priority.
-func (st Stream) SetPriority(p int) {
-	st.ep.post(op{kind: opSetPriority, ep: st.ep, id: st.id, prio: p})
-}
-
 // Close marks the stream finished after all queued data. A Write and a
 // Close made in a row leave together when one turn applies both.
 func (st Stream) Close() { st.ep.post(op{kind: opClose, ep: st.ep, id: st.id}) }
-
-// Reset abandons the stream with an error code.
-func (st Stream) Reset(code uint64) {
-	st.ep.post(op{kind: opReset, ep: st.ep, id: st.id, arg: code})
-}
 
 // RecvStream is the receiving half of a stream.
 type RecvStream = transport.RecvStream
@@ -411,9 +401,6 @@ type opKind uint8
 const (
 	opWrite opKind = iota
 	opClose
-	opReset
-	opSetPriority
-	opAbandonPath
 	opStart // the client's handshake (Dial)
 	opCloseEndpoint
 	opCall // fn, for a caller that waits (onShard)
@@ -424,9 +411,9 @@ const (
 type op struct {
 	kind opKind
 	ep   *Endpoint
-	id   uint64 // the stream, or the path for opAbandonPath
-	// arg is opReset's code; on a WriteFrame's last chunk, the length of the
-	// frame, of priority prio, that ends with it.
+	id   uint64 // the stream
+	// arg is, on a WriteFrame's last chunk, the length of the frame, of
+	// priority prio, that ends with it.
 	arg  uint64
 	prio int
 	buf  []byte // opWrite's bytes: a writeChunks chunk
@@ -500,12 +487,6 @@ func (o *op) apply() {
 			}
 		case opClose:
 			ep.conn.Stream(o.id).Close()
-		case opReset:
-			ep.conn.Stream(o.id).Reset(o.arg)
-		case opSetPriority:
-			ep.conn.Stream(o.id).SetPriority(o.prio)
-		case opAbandonPath:
-			ep.conn.AbandonPath(o.id)
 		case opStart:
 			if ep.conn.Start() != nil {
 				ep.shut()
@@ -863,12 +844,6 @@ func (ep *Endpoint) OpenStream() Stream {
 // StreamFor returns the send half of a stream ID — how a server responds on
 // a client-initiated stream.
 func (ep *Endpoint) StreamFor(id uint64) Stream { return Stream{ep: ep, id: id} }
-
-// AbandonPath closes one path of a live connection explicitly — e.g. the
-// app detected that Wi-Fi was switched off (Sec 6, "Path close").
-func (ep *Endpoint) AbandonPath(id uint64) {
-	ep.post(op{kind: opAbandonPath, ep: ep, id: id})
-}
 
 // Established reports handshake completion.
 func (ep *Endpoint) Established() bool { return ep.snapshot().established }

@@ -156,7 +156,6 @@ func TestLiveShardedEventLoop(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			st := fp.client.OpenStream()
-			st.SetPriority(1)
 			// Chunked writes from a foreign goroutine: each is a copy posted
 			// to the shard's FIFO, the only thing between this writer and
 			// the shard loops.
